@@ -13,9 +13,9 @@ from math import gcd
 from .hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, TensorElement,
                         basis_vec, dense_to_sparse, is_algebra_morphism,
                         is_coalgebra_morphism, sparse_to_dense, tensor_mul, vec_zeros)
-from .report import VerificationReport, merge_reports
+from .report import VerificationReport, first_failure, merge_reports
 from .rb_group import GroupTable
-from .scalars import FieldCtx, Scalar, multiplicative_order
+from .scalars import FieldCtx, Scalar, _poly_divmod, _poly_mul, _poly_sub, multiplicative_order
 
 # ---------------------------------------------------------------------------
 # quantum binomial coefficients
@@ -91,50 +91,13 @@ def qbinom_oracle(p: int, q: int, zeta: Scalar) -> Scalar:
     return acc.get((p - q, q), ctx.zero)
 
 
-def _sp_trim(c: list) -> list:
-    while c and c[-1].is_zero:
-        c.pop()
-    return c
-
-
-def _sp_mul(ctx: FieldCtx, a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [ctx.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai.is_zero:
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return _sp_trim(out)
-
-
-def _sp_add(ctx: FieldCtx, a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ctx.zero
-        y = b[i] if i < len(b) else ctx.zero
-        out.append(x + y)
-    return _sp_trim(out)
-
-
-def _sp_sub(ctx: FieldCtx, a: list, b: list) -> list:
-    return _sp_add(ctx, a, [-x for x in b])
-
-
-def _sp_divmod(ctx: FieldCtx, num: list, den: list) -> tuple[list, list]:
-    assert den, "division by zero polynomial"
-    num = list(num)
-    quo = [ctx.zero] * max(len(num) - len(den) + 1, 0)
-    lead_inv = den[-1].inverse()
-    while len(num) >= len(den) and num:
-        c = num[-1] * lead_inv
-        d = len(num) - len(den)
-        quo[d] = quo[d] + c
-        for i, dc in enumerate(den):
-            num[d + i] = num[d + i] - c * dc
-        _sp_trim(num)
-    return _sp_trim(quo), num
+def _witness(keys: tuple = (), text=str):
+    """first_failure formatter for scalar identities: the indices are stored
+    under keys, lhs prints as text(lhs, *indices) and rhs as a string."""
+    def witness(identity, indices, lhs, rhs) -> dict:
+        return {"identity": identity, **dict(zip(keys, indices)),
+                "lhs": text(lhs, *indices), "rhs": str(rhs)}
+    return witness
 
 
 def cauchy_check(q: int, zeta: Scalar) -> VerificationReport:
@@ -143,18 +106,12 @@ def cauchy_check(q: int, zeta: Scalar) -> VerificationReport:
     lhs = [ctx.one]
     zt = ctx.one
     for _ in range(q):
-        lhs = _sp_mul(ctx, lhs, [ctx.one, zt])
+        lhs = _poly_mul(lhs, [ctx.one, zt])
         zt = zt * zeta
     rhs = [qbinom(q, t, zeta) * zeta ** (t * (t - 1) // 2) for t in range(q + 1)]
     lhs = lhs + [ctx.zero] * (q + 1 - len(lhs))
-    for t in range(q + 1):
-        if lhs[t] != rhs[t]:
-            return VerificationReport.failing(
-                "cauchy_binomial",
-                witness={"identity": "cauchy_binomial", "q": q, "degree": t,
-                         "lhs": str(lhs[t]), "rhs": str(rhs[t])},
-                identities_checked=t + 1)
-    return VerificationReport.passing("cauchy_binomial", identities_checked=q + 1)
+    return first_failure("cauchy_binomial", (((q, t), lhs[t], rhs[t]) for t in range(q + 1)),
+                         _witness(("q", "degree")))
 
 
 # ---------------------------------------------------------------------------
@@ -318,55 +275,22 @@ def family_hypotheses(params: FamilyParams) -> VerificationReport:
     Delta(x^l - f(x)) = 0 and its counit analogue are authoritative.
     """
     ctx, m, l, zeta = params.ctx, params.m, params.l, params.zeta
-    checked = 0
-    parts: dict = {}
-
-    a0 = params.f_coeffs[0]
-    checked += 1
-    parts["constant_term"] = (
-        VerificationReport.passing() if a0.is_zero
-        else VerificationReport.failing("constant_term",
-                                        {"identity": "constant_term", "lhs": str(a0), "rhs": "0"}))
-
-    bad = None
-    for p, a in enumerate(params.f_coeffs):
-        checked += 1
-        if not a.is_zero and (l - p) % m != 0:
-            bad = VerificationReport.failing(
-                "degree_congruence",
-                {"identity": "degree_congruence", "degree": p,
-                 "lhs": f"(l - p) % m = {(l - p) % m}", "rhs": "0"})
-            break
-    parts["degree_congruence"] = bad if bad is not None else VerificationReport.passing()
-
-    bad = None
-    for q in range(2, l):
-        checked += 1
-        v = qbinom(l, q, zeta)
-        if not v.is_zero:
-            bad = VerificationReport.failing(
-                "top_binomials",
-                {"identity": "top_binomials", "q": q,
-                 "lhs": f"{{{l} choose {q}}} = {v}", "rhs": "0"})
-            break
-    parts["top_binomials"] = bad if bad is not None else VerificationReport.passing()
-
-    bad = None
-    for p, a in enumerate(params.f_coeffs):
-        if a.is_zero:
-            continue
-        for q in range(2, p):
-            checked += 1
-            v = qbinom(p, q, zeta)
-            if not v.is_zero:
-                bad = VerificationReport.failing(
-                    "f_term_binomials",
-                    {"identity": "f_term_binomials", "p": p, "q": q,
-                     "lhs": f"{{{p} choose {q}}} = {v}", "rhs": "0"})
-                break
-        if bad is not None:
-            break
-    parts["f_term_binomials"] = bad if bad is not None else VerificationReport.passing()
+    f = params.f_coeffs
+    parts = {
+        "constant_term": first_failure("constant_term", [((), f[0], ctx.zero)], _witness()),
+        "degree_congruence": first_failure(
+            "degree_congruence",
+            (((p,), 0 if a.is_zero else (l - p) % m, 0) for p, a in enumerate(f)),
+            _witness(("degree",), lambda v, p: f"(l - p) % m = {v}")),
+        "top_binomials": first_failure(
+            "top_binomials", (((q,), qbinom(l, q, zeta), ctx.zero) for q in range(2, l)),
+            _witness(("q",), lambda v, q: f"{{{l} choose {q}}} = {v}")),
+        "f_term_binomials": first_failure(
+            "f_term_binomials",
+            (((p, q), qbinom(p, q, zeta), ctx.zero)
+             for p, a in enumerate(f) if not a.is_zero for q in range(2, p)),
+            _witness(("p", "q"), lambda v, p, q: f"{{{p} choose {q}}} = {v}")),
+    }
 
     alg = _family_algebra(params)
     unit_t, _, dx, _ = _family_delta_generators(params, alg)
@@ -374,32 +298,25 @@ def family_hypotheses(params: FamilyParams) -> VerificationReport:
     for _ in range(l):
         powers.append(tensor_mul(alg, powers[-1], dx))
     rhs = TensorElement(ctx, 2)
-    for p, a in enumerate(params.f_coeffs):
+    for p, a in enumerate(f):
         if not a.is_zero:
             rhs = rhs.add(powers[p].scale(a))
-    diff = powers[l].sub(rhs)
-    checked += 1
-    parts["delta_relation"] = (
-        VerificationReport.passing() if diff.is_zero
-        else VerificationReport.failing(
-            "delta_relation",
-            {"identity": "delta_relation",
-             "lhs": "Delta(x)^l", "rhs": "Delta(f(x))",
-             "difference": diff.to_str(alg.labels)}))
+
+    def relation_witness(identity, indices, lhs, rhs) -> dict:
+        return {"identity": identity, "lhs": "Delta(x)^l", "rhs": "Delta(f(x))",
+                "difference": lhs.sub(rhs).to_str(alg.labels)}
+
+    parts["delta_relation"] = first_failure(
+        "delta_relation", [((), powers[l], rhs)], relation_witness)
 
     # counit well-definedness: eps(x)^l must equal sum_p a_p eps(x)^p
     eps_x = ctx.zero
-    lhs_eps = eps_x ** l
     rhs_eps = ctx.zero
-    for p, a in enumerate(params.f_coeffs):
+    for p, a in enumerate(f):
         rhs_eps = rhs_eps + a * eps_x ** p
-    checked += 1
-    parts["counit_relation"] = (
-        VerificationReport.passing() if lhs_eps == rhs_eps
-        else VerificationReport.failing(
-            "counit_relation",
-            {"identity": "counit_relation", "lhs": str(lhs_eps), "rhs": str(rhs_eps)}))
-    return merge_reports(parts, checked=checked)
+    parts["counit_relation"] = first_failure(
+        "counit_relation", [((), eps_x ** l, rhs_eps)], _witness())
+    return merge_reports(parts)
 
 
 def family(params: FamilyParams, ctx: FieldCtx) -> HopfData:
@@ -511,18 +428,14 @@ def family_aut_report(params: FamilyParams, k: int, c) -> VerificationReport:
     ctx = params.ctx
     H = family(params, ctx)
     psi = _aut_candidate_map(params, H, k, c)
-    parts = {
+    out = merge_reports({
         "algebra_morphism": is_algebra_morphism(psi, H, H),
         "coalgebra_morphism": is_coalgebra_morphism(psi, H, H),
-    }
-    inv_ok = psi.is_invertible()
-    parts["invertible"] = (
-        VerificationReport.passing() if inv_ok
-        else VerificationReport.failing("invertible",
-                                        {"identity": "invertible", "lhs": "rank deficient",
-                                         "rhs": "bijective"}))
-    out = merge_reports(parts, checked=sum(
-        p.stats.get("identities_checked", 0) for p in parts.values()))
+        "invertible": first_failure(
+            "invertible",
+            [((), "bijective" if psi.is_invertible() else "rank deficient", "bijective")],
+            _witness()),
+    })
 
     binoms_ok = True
     for q, cq in enumerate(c):
@@ -532,16 +445,15 @@ def family_aut_report(params: FamilyParams, k: int, c) -> VerificationReport:
             if not qbinom(q, t, params.zeta).is_zero:
                 binoms_ok = False
     # (u^l - f(u)) must divide (psi_x(u)^l - f(psi_x(u)))
-    pu = list(c)
     pu_pow = [[ctx.one]]
     for _ in range(params.l):
-        pu_pow.append(_sp_mul(ctx, pu_pow[-1], pu))
-    fpu: list = []
+        pu_pow.append(_poly_mul(pu_pow[-1], c))
+    num = pu_pow[params.l]
     for p, a in enumerate(params.f_coeffs):
         if not a.is_zero:
-            fpu = _sp_add(ctx, fpu, [a * x for x in pu_pow[p]])
+            num = _poly_sub(num, [a * x for x in pu_pow[p]])
     den = [-a for a in params.f_coeffs] + [ctx.one]
-    _, rem = _sp_divmod(ctx, _sp_sub(ctx, pu_pow[params.l], fpu), den)
+    _, rem = _poly_divmod(num, den)
     out.details["theorem_conditions"] = {
         "k_coprime_to_m": gcd(k, params.m) == 1 or params.m == 1,
         "vanishing_binomials": binoms_ok,

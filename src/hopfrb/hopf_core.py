@@ -11,7 +11,7 @@ Everything is exact (see scalars); dimensions are capped at MAX_DIM.
 
 from __future__ import annotations
 
-from .report import VerificationReport, merge_reports
+from .report import VerificationReport, first_failure, merge_reports
 from .scalars import FieldCtx, Scalar, parse_field, scalar_from_json
 
 MAX_DIM = 256
@@ -32,24 +32,12 @@ def basis_vec(ctx: FieldCtx, n: int, i: int) -> list:
     return v
 
 
-def vec_add(a: list, b: list) -> list:
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_sub(a: list, b: list) -> list:
-    return [x - y for x, y in zip(a, b)]
-
-
 def vec_scale(c: Scalar, v: list) -> list:
     return [c * x for x in v]
 
 
 def vec_eq(a: list, b: list) -> bool:
     return all((x - y).is_zero for x, y in zip(a, b))
-
-
-def vec_is_zero(v: list) -> bool:
-    return all(x.is_zero for x in v)
 
 
 def dense_to_sparse(v: list) -> dict:
@@ -468,188 +456,138 @@ def delta_power(H, v: list, k: int) -> TensorElement:
 # axiom checkers
 
 
-def _fail(identity: str, labels: list[str], indices: tuple, lhs: str, rhs: str,
-          checked: int) -> VerificationReport:
-    return VerificationReport.failing(
-        identity=identity,
-        witness={
+# identities whose right side is the basis element itself, shown by its label
+_BASIS_RHS = ("unit", "counit_left", "counit_right")
+
+
+def _show(x, labels: list[str]) -> str:
+    """A tensor, dense vector, sparse vector or scalar as witness text."""
+    if isinstance(x, TensorElement):
+        return x.to_str(labels)
+    if isinstance(x, list):
+        return vec_str(x, labels)
+    if isinstance(x, dict):
+        return " + ".join(f"({c})*{labels[k]}" for k, c in sorted(x.items())) or "0"
+    return str(x)
+
+
+def _witness(labels: list[str], shown: list[str] | None = None):
+    """first_failure formatter: indices name basis elements of labels, and
+    both sides print over shown (labels unless given)."""
+    shown = labels if shown is None else shown
+
+    def witness(identity, indices, lhs, rhs) -> dict:
+        return {
             "identity": identity,
             "indices": list(indices),
             "labels": [labels[i] for i in indices],
-            "lhs": lhs,
-            "rhs": rhs,
-        },
-        identities_checked=checked,
-    )
+            "lhs": _show(lhs, shown),
+            "rhs": labels[indices[0]] if identity in _BASIS_RHS else _show(rhs, shown),
+        }
+    return witness
 
 
 def check_algebra(A) -> VerificationReport:
     """Associativity on basis triples plus two-sided unit."""
     A = _algebra_of(A)
-    labels = A.labels
-    checked = 0
-    su = dense_to_sparse(A.unit)
-    for i in range(A.dim):
-        checked += 2
-        left = A.mul_sparse(su, {i: A.ctx.one})
-        if left != {i: A.ctx.one}:
-            return _fail("unit", labels, (i,),
-                         vec_str(sparse_to_dense(A.ctx, A.dim, left), labels),
-                         labels[i], checked)
-        right = A.mul_sparse({i: A.ctx.one}, su)
-        if right != {i: A.ctx.one}:
-            return _fail("unit", labels, (i,),
-                         vec_str(sparse_to_dense(A.ctx, A.dim, right), labels),
-                         labels[i], checked)
     one = A.ctx.one
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ij = A.mul_basis(i, j)
-            for k in range(A.dim):
-                checked += 1
-                lhs = A.mul_sparse(ij, {k: one})
-                rhs = A.mul_sparse({i: one}, A.mul_basis(j, k))
-                if lhs != rhs:
-                    return _fail("associativity", labels, (i, j, k),
-                                 vec_str(sparse_to_dense(A.ctx, A.dim, lhs), labels),
-                                 vec_str(sparse_to_dense(A.ctx, A.dim, rhs), labels),
-                                 checked)
-    return VerificationReport.passing("algebra", identities_checked=checked)
+    su = dense_to_sparse(A.unit)
+
+    def cases():
+        for i in range(A.dim):
+            e_i = {i: one}
+            yield ("unit", i), A.mul_sparse(su, e_i), e_i
+            yield ("unit", i), A.mul_sparse(e_i, su), e_i
+        for i in range(A.dim):
+            for j in range(A.dim):
+                ij = A.mul_basis(i, j)
+                for k in range(A.dim):
+                    yield (("associativity", i, j, k), A.mul_sparse(ij, {k: one}),
+                           A.mul_sparse({i: one}, A.mul_basis(j, k)))
+
+    return first_failure("algebra", cases(), _witness(A.labels))
 
 
 def check_coalgebra(C) -> VerificationReport:
     """Coassociativity and the two counit laws on every basis element."""
     C = _coalgebra_of(C)
-    labels = C.labels
-    checked = 0
-    for i in range(C.dim):
-        checked += 1
-        t = iterated_delta(C, {i: C.ctx.one}, 2)
-        lhs = tensor_apply_delta(C, t, 0)
-        rhs = tensor_apply_delta(C, t, 1)
-        if lhs != rhs:
-            return _fail("coassociativity", labels, (i,),
-                         lhs.to_str(labels), rhs.to_str(labels), checked)
-    for i in range(C.dim):
-        checked += 2
-        t = iterated_delta(C, {i: C.ctx.one}, 2)
-        e_i = TensorElement(C.ctx, 1, {(i,): C.ctx.one})
-        left = tensor_apply_counit(C, t, 0)
-        if left != e_i:
-            return _fail("counit_left", labels, (i,),
-                         left.to_str(labels), labels[i], checked)
-        right = tensor_apply_counit(C, t, 1)
-        if right != e_i:
-            return _fail("counit_right", labels, (i,),
-                         right.to_str(labels), labels[i], checked)
-    return VerificationReport.passing("coalgebra", identities_checked=checked)
+    one = C.ctx.one
+    deltas = [iterated_delta(C, {i: one}, 2) for i in range(C.dim)]
+
+    def cases():
+        for i, t in enumerate(deltas):
+            yield ("coassociativity", i), tensor_apply_delta(C, t, 0), tensor_apply_delta(C, t, 1)
+        for i, t in enumerate(deltas):
+            e_i = TensorElement(C.ctx, 1, {(i,): one})
+            yield ("counit_left", i), tensor_apply_counit(C, t, 0), e_i
+            yield ("counit_right", i), tensor_apply_counit(C, t, 1), e_i
+
+    return first_failure("coalgebra", cases(), _witness(C.labels))
 
 
 def check_bialgebra_compat(H: HopfData) -> VerificationReport:
     """Delta and the counit are algebra morphisms; Delta(1) = 1 (x) 1."""
     A, C = H.algebra, H.coalgebra
-    labels = A.labels
-    checked = 0
-    su = dense_to_sparse(A.unit)
-
-    checked += 1
-    d1 = iterated_delta(C, su, 2)
-    unit_sq = tensor_outer(tensor_from_sparse_vec(A.ctx, su), tensor_from_sparse_vec(A.ctx, su))
-    if d1 != unit_sq:
-        return _fail("delta_unit", labels, (), d1.to_str(labels), unit_sq.to_str(labels), checked)
-    checked += 1
-    eps1 = C.counit_sparse(su)
-    if eps1 != A.ctx.one:
-        return _fail("counit_unit", labels, (), str(eps1), "1", checked)
-
     one = A.ctx.one
-    for i in range(A.dim):
-        di = iterated_delta(C, {i: one}, 2)
-        for j in range(A.dim):
-            checked += 2
-            prod = A.mul_basis(i, j)
-            lhs = iterated_delta(C, prod, 2)
-            rhs = tensor_mul(A, di, iterated_delta(C, {j: one}, 2))
-            if lhs != rhs:
-                return _fail("delta_multiplicative", labels, (i, j),
-                             lhs.to_str(labels), rhs.to_str(labels), checked)
-            eps_prod = C.counit_sparse(prod)
-            eps_sep = C.counit[i] * C.counit[j]
-            if eps_prod != eps_sep:
-                return _fail("counit_multiplicative", labels, (i, j),
-                             str(eps_prod), str(eps_sep), checked)
-    return VerificationReport.passing("bialgebra_compat", identities_checked=checked)
+    su = dense_to_sparse(A.unit)
+    deltas = [iterated_delta(C, {i: one}, 2) for i in range(A.dim)]
+
+    def cases():
+        unit = tensor_from_sparse_vec(A.ctx, su)
+        yield ("delta_unit",), iterated_delta(C, su, 2), tensor_outer(unit, unit)
+        yield ("counit_unit",), C.counit_sparse(su), one
+        for i in range(A.dim):
+            for j in range(A.dim):
+                prod = A.mul_basis(i, j)
+                yield (("delta_multiplicative", i, j), iterated_delta(C, prod, 2),
+                       tensor_mul(A, deltas[i], deltas[j]))
+                yield (("counit_multiplicative", i, j), C.counit_sparse(prod),
+                       C.counit[i] * C.counit[j])
+
+    return first_failure("bialgebra_compat", cases(), _witness(A.labels))
 
 
 def check_antipode(H: HopfData) -> VerificationReport:
     """Both convolution-inverse laws, the antihomomorphism identities for
     multiplication and comultiplication, S(1) = 1, and counit invariance."""
     A, C, S = H.algebra, H.coalgebra, H.antipode
-    labels = A.labels
     ctx = A.ctx
-    checked = 0
     one_vec = A.unit
+    deltas = [iterated_delta(C, {i: ctx.one}, 2) for i in range(A.dim)]
+    images = [dense_to_sparse(col) for col in S.cols]
 
-    for i in range(A.dim):
-        checked += 2
-        t = iterated_delta(C, {i: ctx.one}, 2)
-        target = vec_scale(C.counit[i], one_vec)
-        lhs = tensor_mul_legs(A, tensor_apply_map(S, t, 0), 0)
-        got = sparse_to_dense(ctx, A.dim, {k[0]: c for k, c in lhs.terms.items()})
-        if not vec_eq(got, target):
-            return _fail("antipode_left", labels, (i,),
-                         vec_str(got, labels), vec_str(target, labels), checked)
-        rhs = tensor_mul_legs(A, tensor_apply_map(S, t, 1), 0)
-        got = sparse_to_dense(ctx, A.dim, {k[0]: c for k, c in rhs.terms.items()})
-        if not vec_eq(got, target):
-            return _fail("antipode_right", labels, (i,),
-                         vec_str(got, labels), vec_str(target, labels), checked)
+    def product(t: TensorElement) -> list:
+        terms = tensor_mul_legs(A, t, 0).terms
+        return sparse_to_dense(ctx, A.dim, {k: c for (k,), c in terms.items()})
 
-    checked += 1
-    s_one = S.apply(one_vec)
-    if not vec_eq(s_one, one_vec):
-        return _fail("antipode_unit", labels, (), vec_str(s_one, labels),
-                     vec_str(one_vec, labels), checked)
+    def cases():
+        for i, t in enumerate(deltas):
+            target = vec_scale(C.counit[i], one_vec)
+            yield ("antipode_left", i), product(tensor_apply_map(S, t, 0)), target
+            yield ("antipode_right", i), product(tensor_apply_map(S, t, 1)), target
+        yield ("antipode_unit",), S.apply(one_vec), one_vec
+        for i in range(A.dim):
+            yield ("antipode_counit", i), C.counit_sparse(images[i]), C.counit[i]
+        for i in range(A.dim):
+            for j in range(A.dim):
+                yield (("antipode_antihom_mult", i, j),
+                       dense_to_sparse(S.apply_sparse(A.mul_basis(i, j))),
+                       A.mul_sparse(images[j], images[i]))
+        for i, t in enumerate(deltas):
+            yield (("antipode_antihom_comult", i), iterated_delta(C, images[i], 2),
+                   tensor_permute(tensor_apply_map(S, tensor_apply_map(S, t, 0), 1), [1, 0]))
 
-    for i in range(A.dim):
-        checked += 1
-        eps_s = C.counit_vec(S.apply_sparse({i: ctx.one}))
-        if eps_s != C.counit[i]:
-            return _fail("antipode_counit", labels, (i,), str(eps_s), str(C.counit[i]), checked)
-
-    for i in range(A.dim):
-        for j in range(A.dim):
-            checked += 1
-            lhs = S.apply_sparse(A.mul_basis(i, j))
-            rhs = A.mul_sparse(dense_to_sparse(S.apply_sparse({j: ctx.one})),
-                               dense_to_sparse(S.apply_sparse({i: ctx.one})))
-            if not vec_eq(lhs, sparse_to_dense(ctx, A.dim, rhs)):
-                return _fail("antipode_antihom_mult", labels, (i, j),
-                             vec_str(lhs, labels),
-                             vec_str(sparse_to_dense(ctx, A.dim, rhs), labels), checked)
-
-    for i in range(A.dim):
-        checked += 1
-        lhs = iterated_delta(C, dense_to_sparse(S.apply_sparse({i: ctx.one})), 2)
-        t = iterated_delta(C, {i: ctx.one}, 2)
-        rhs = tensor_permute(tensor_apply_map(S, tensor_apply_map(S, t, 0), 1), [1, 0])
-        if lhs != rhs:
-            return _fail("antipode_antihom_comult", labels, (i,),
-                         lhs.to_str(labels), rhs.to_str(labels), checked)
-
-    return VerificationReport.passing("antipode", identities_checked=checked)
+    return first_failure("antipode", cases(), _witness(A.labels))
 
 
 def check_hopf(H: HopfData) -> VerificationReport:
     """Full Hopf-algebra verification; reports the first failing identity."""
-    parts = {
+    return merge_reports({
         "algebra": check_algebra(H),
         "coalgebra": check_coalgebra(H),
         "bialgebra_compat": check_bialgebra_compat(H),
         "antipode": check_antipode(H),
-    }
-    checked = sum(r.stats.get("identities_checked", 0) for r in parts.values())
-    return merge_reports(parts, checked=checked)
+    })
 
 
 def is_cocommutative(H) -> bool:
@@ -680,54 +618,39 @@ def opposite_hopf(H: HopfData) -> HopfData:
 def is_algebra_morphism(f: LinearMap, src, dst) -> VerificationReport:
     """f(1) = 1 and f(ab) = f(a)f(b) on basis pairs."""
     A, B = _algebra_of(src), _algebra_of(dst)
-    labels = A.labels
-    checked = 1
-    f_one = f.apply(A.unit)
-    if not vec_eq(f_one, B.unit):
-        return _fail("morphism_unit", labels, (), vec_str(f_one, B.labels),
-                     vec_str(B.unit, B.labels), checked)
-    ctx = A.ctx
-    for i in range(A.dim):
-        fi = dense_to_sparse(f.apply_sparse({i: ctx.one}))
-        for j in range(A.dim):
-            checked += 1
-            lhs = f.apply_sparse(A.mul_basis(i, j))
-            fj = dense_to_sparse(f.apply_sparse({j: ctx.one}))
-            rhs = sparse_to_dense(B.ctx, B.dim, B.mul_sparse(fi, fj))
-            if not vec_eq(lhs, rhs):
-                return _fail("morphism_mult", labels, (i, j),
-                             vec_str(lhs, B.labels), vec_str(rhs, B.labels), checked)
-    return VerificationReport.passing("algebra_morphism", identities_checked=checked)
+    images = [dense_to_sparse(col) for col in f.cols]
+
+    def cases():
+        yield ("morphism_unit",), f.apply(A.unit), B.unit
+        for i in range(A.dim):
+            for j in range(A.dim):
+                yield (("morphism_mult", i, j), dense_to_sparse(f.apply_sparse(A.mul_basis(i, j))),
+                       B.mul_sparse(images[i], images[j]))
+
+    return first_failure("algebra_morphism", cases(), _witness(A.labels, B.labels))
 
 
 def is_coalgebra_morphism(f: LinearMap, src, dst) -> VerificationReport:
     """Delta(f(a)) = (f (x) f)(Delta(a)) and counit preservation."""
     C, D = _coalgebra_of(src), _coalgebra_of(dst)
-    labels = C.labels
-    checked = 0
-    ctx = C.ctx
-    for i in range(C.dim):
-        checked += 2
-        fi = f.apply_sparse({i: ctx.one})
-        lhs = iterated_delta(D, dense_to_sparse(fi), 2)
-        t = iterated_delta(C, {i: ctx.one}, 2)
-        rhs = tensor_apply_map(f, tensor_apply_map(f, t, 0), 1)
-        if lhs != rhs:
-            return _fail("morphism_comult", labels, (i,),
-                         lhs.to_str(D.labels), rhs.to_str(D.labels), checked)
-        eps = D.counit_vec(fi)
-        if eps != C.counit[i]:
-            return _fail("morphism_counit", labels, (i,), str(eps), str(C.counit[i]), checked)
-    return VerificationReport.passing("coalgebra_morphism", identities_checked=checked)
+    one = C.ctx.one
+    images = [dense_to_sparse(col) for col in f.cols]
+
+    def cases():
+        for i in range(C.dim):
+            t = iterated_delta(C, {i: one}, 2)
+            yield (("morphism_comult", i), iterated_delta(D, images[i], 2),
+                   tensor_apply_map(f, tensor_apply_map(f, t, 0), 1))
+            yield ("morphism_counit", i), D.counit_sparse(images[i]), C.counit[i]
+
+    return first_failure("coalgebra_morphism", cases(), _witness(C.labels, D.labels))
 
 
 def is_hopf_morphism(f: LinearMap, src: HopfData, dst: HopfData) -> VerificationReport:
-    parts = {
+    return merge_reports({
         "algebra_morphism": is_algebra_morphism(f, src, dst),
         "coalgebra_morphism": is_coalgebra_morphism(f, src, dst),
-    }
-    checked = sum(r.stats.get("identities_checked", 0) for r in parts.values())
-    return merge_reports(parts, checked=checked)
+    })
 
 
 def is_group_like(H, v: list) -> bool:
@@ -777,24 +700,20 @@ def check_cobrace_compat(m: AlgebraData, D1: CoalgebraData, D2: CoalgebraData,
     A = _algebra_of(m)
     C1, C2 = _coalgebra_of(D1), _coalgebra_of(D2)
     assert A.dim == C1.dim == C2.dim and A.ctx == C1.ctx == C2.ctx
-    labels = A.labels
-    ctx = A.ctx
-    checked = 0
-    for a in range(A.dim):
-        checked += 1
-        lhs = tensor_apply_delta(C1, iterated_delta(C2, {a: ctx.one}, 2), 1)
+    one = A.ctx.one
 
-        t = iterated_delta(C1, {a: ctx.one}, 3)
-        t = tensor_apply_delta(C2, t, 0)           # (11', 12', 2, 3)
-        t = tensor_apply_delta(C2, t, 3)           # (11', 12', 2, 31', 32')
-        t = tensor_apply_map(S, t, 2)              # S on the middle Delta_1 leg
-        t = tensor_permute(t, [0, 2, 3, 1, 4])     # (11', S(2), 31', 12', 32')
-        t = tensor_mul_legs(A, t, 0)
-        rhs = tensor_mul_legs(A, t, 0)
-        if lhs != rhs:
-            return _fail("cobrace_compat", labels, (a,),
-                         lhs.to_str(labels), rhs.to_str(labels), checked)
-    return VerificationReport.passing("cobrace_compat", identities_checked=checked)
+    def cases():
+        for a in range(A.dim):
+            lhs = tensor_apply_delta(C1, iterated_delta(C2, {a: one}, 2), 1)
+            t = iterated_delta(C1, {a: one}, 3)
+            t = tensor_apply_delta(C2, t, 0)           # (11', 12', 2, 3)
+            t = tensor_apply_delta(C2, t, 3)           # (11', 12', 2, 31', 32')
+            t = tensor_apply_map(S, t, 2)              # S on the middle Delta_1 leg
+            t = tensor_permute(t, [0, 2, 3, 1, 4])     # (11', S(2), 31', 12', 32')
+            t = tensor_mul_legs(A, t, 0)
+            yield (a,), lhs, tensor_mul_legs(A, t, 0)
+
+    return first_failure("cobrace_compat", cases(), _witness(A.labels))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,9 @@ from .constructions import group_algebra
 from .hopf_core import (AlgebraData, HopfData, LinearMap, TensorElement, basis_vec,
                         dense_to_sparse, group_like_basis_indices, is_coalgebra_morphism,
                         iterated_delta, opposite_hopf, sparse_to_dense, tensor_apply_delta,
-                        tensor_apply_map, tensor_mul_legs, tensor_outer, tensor_permute,
-                        vec_eq)
+                        tensor_apply_map, tensor_mul_legs, tensor_outer, tensor_permute)
 from .rb_group import GroupTable, is_subgroup
-from .report import VerificationReport, merge_reports
+from .report import VerificationReport, first_failure, labelled, merge_reports
 from .scalars import FieldCtx
 
 
@@ -89,88 +88,53 @@ class RelRBHopf:
         self.B = B
 
 
-def _fail(identity: str, indices, lhs: str, rhs: str, checked: int,
-          labels=None) -> VerificationReport:
-    w = {"identity": identity, "indices": list(indices), "lhs": lhs, "rhs": rhs}
-    if labels is not None:
-        w["labels"] = labels
-    return VerificationReport.failing(identity=identity, witness=w,
-                                      identities_checked=checked)
-
-
 def check_action(phi: ActionData, G: HopfData, H: HopfData) -> VerificationReport:
     """The four module-algebra laws, first failure witnessed."""
     assert phi.dim_g == G.dim and phi.dim_h == H.dim
     ctx = H.ctx
-    checked = 0
-    parts: dict = {}
-
-    bad = None
+    one = ctx.one
     unit_g = dense_to_sparse(G.unit)
-    for a in range(H.dim):
-        checked += 1
-        got = phi.apply(unit_g, {a: ctx.one})
-        want = {a: ctx.one}
-        if got != want:
-            bad = _fail("unit_acts_trivially", (a,), str(got), str(want), checked,
-                        [H.labels[a]])
-            break
-    parts["unit_acts_trivially"] = bad if bad is not None else VerificationReport.passing()
-
-    bad = None
-    for g in range(G.dim):
-        for h in range(G.dim):
-            gh = G.algebra.mul_basis(g, h)
-            for a in range(H.dim):
-                checked += 1
-                lhs = phi.apply({g: ctx.one}, phi.apply_basis(h, a))
-                rhs = phi.apply(gh, {a: ctx.one})
-                if lhs != rhs:
-                    bad = _fail("action_composition", (g, h, a), str(lhs), str(rhs), checked,
-                                [G.labels[g], G.labels[h], H.labels[a]])
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            break
-    parts["action_composition"] = bad if bad is not None else VerificationReport.passing()
-
-    bad = None
-    for g in range(G.dim):
-        dg = G.coalgebra.delta_basis(g)
-        for a in range(H.dim):
-            for b in range(H.dim):
-                checked += 1
-                lhs = phi.apply({g: ctx.one}, H.algebra.mul_basis(a, b))
-                rhs: dict = {}
-                for (g1, g2), c in dg.items():
-                    prod = H.algebra.mul_sparse(phi.apply_basis(g1, a),
-                                                phi.apply_basis(g2, b))
-                    for k, ck in prod.items():
-                        rhs[k] = rhs.get(k, ctx.zero) + c * ck
-                rhs = {k: v for k, v in rhs.items() if not v.is_zero}
-                if lhs != rhs:
-                    bad = _fail("action_multiplicative", (g, a, b), str(lhs), str(rhs),
-                                checked, [G.labels[g], H.labels[a], H.labels[b]])
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            break
-    parts["action_multiplicative"] = bad if bad is not None else VerificationReport.passing()
-
-    bad = None
     unit_h = dense_to_sparse(H.unit)
-    for g in range(G.dim):
-        checked += 1
-        lhs = phi.apply({g: ctx.one}, unit_h)
-        eps = G.coalgebra.counit[g]
-        want = {k: eps * c for k, c in unit_h.items() if not (eps * c).is_zero}
-        if lhs != want:
-            bad = _fail("action_on_unit", (g,), str(lhs), str(want), checked, [G.labels[g]])
-            break
-    parts["action_on_unit"] = bad if bad is not None else VerificationReport.passing()
-    return merge_reports(parts, checked=checked)
+
+    def composition():
+        for g in range(G.dim):
+            for h in range(G.dim):
+                gh = G.algebra.mul_basis(g, h)
+                for a in range(H.dim):
+                    yield ((g, h, a), phi.apply({g: one}, phi.apply_basis(h, a)),
+                           phi.apply(gh, {a: one}))
+
+    def multiplicative():
+        for g in range(G.dim):
+            dg = G.coalgebra.delta_basis(g)
+            for a in range(H.dim):
+                for b in range(H.dim):
+                    rhs: dict = {}
+                    for (g1, g2), c in dg.items():
+                        prod = H.algebra.mul_sparse(phi.apply_basis(g1, a),
+                                                    phi.apply_basis(g2, b))
+                        for k, ck in prod.items():
+                            rhs[k] = rhs.get(k, ctx.zero) + c * ck
+                    yield ((g, a, b), phi.apply({g: one}, H.algebra.mul_basis(a, b)),
+                           {k: v for k, v in rhs.items() if not v.is_zero})
+
+    def on_unit():
+        for g in range(G.dim):
+            eps = G.coalgebra.counit[g]
+            yield ((g,), phi.apply({g: one}, unit_h),
+                   {k: eps * c for k, c in unit_h.items() if not (eps * c).is_zero})
+
+    return merge_reports({
+        "unit_acts_trivially": first_failure(
+            "unit_acts_trivially",
+            (((a,), phi.apply(unit_g, {a: one}), {a: one}) for a in range(H.dim)),
+            labelled([H.labels])),
+        "action_composition": first_failure(
+            "action_composition", composition(), labelled([G.labels, G.labels, H.labels])),
+        "action_multiplicative": first_failure(
+            "action_multiplicative", multiplicative(), labelled([G.labels, H.labels, H.labels])),
+        "action_on_unit": first_failure("action_on_unit", on_unit(), labelled([G.labels])),
+    })
 
 
 def adjoint_action(H: HopfData) -> ActionData:
@@ -285,68 +249,47 @@ def check_rrbo(data: RelRBHopf, full: bool = False) -> VerificationReport:
     """
     H, G, phi, B = data.H, data.G, data.phi, data.B
     ctx = H.ctx
-    parts: dict = {}
-    checked = 0
-
-    parts["condition_1_coalgebra"] = is_coalgebra_morphism(B, H, G)
-    checked += parts["condition_1_coalgebra"].stats.get("identities_checked", 0)
-    checked += 1
-    parts["condition_1_unit"] = (
-        VerificationReport.passing() if vec_eq(B.apply(H.unit), G.unit)
-        else _fail("condition_1_unit", (), "B(1)", "1", 1))
+    pairs = [(a, b) for a in range(H.dim) for b in range(H.dim)]
+    pair_witness = labelled([H.labels, H.labels], lambda t: t.to_str(H.labels))
+    parts = {"condition_1_coalgebra": is_coalgebra_morphism(B, H, G),
+             "condition_1_unit": first_failure(
+                 "condition_1_unit", [((), "1" if B.apply(H.unit) == G.unit else "B(1)", "1")])}
 
     def done() -> bool:
         return not full and any(not p.ok for p in parts.values())
 
     if not done():
         parts["condition_2_action"] = check_action(phi, G, H)
-        checked += parts["condition_2_action"].stats.get("identities_checked", 0)
 
     if not done():
-        bad3 = bad_r = bad_agree = None
-        for a in range(H.dim):
-            for b in range(H.dim):
-                checked += 1
-                lhs, rhs = _cond3_sides(data, a, b)
-                hold = lhs == rhs
-                lhs_r, rhs_r = _cond3_remark_sides(data, a, b)
-                hold_r = lhs_r == rhs_r
-                if not hold and bad3 is None:
-                    bad3 = _fail("condition_3_compat", (a, b), lhs.to_str(H.labels),
-                                 rhs.to_str(H.labels), checked, [H.labels[a], H.labels[b]])
-                if not hold_r and bad_r is None:
-                    bad_r = _fail("condition_3_remark", (a, b), lhs_r.to_str(H.labels),
-                                  rhs_r.to_str(H.labels), checked,
-                                  [H.labels[a], H.labels[b]])
-                if hold != hold_r and bad_agree is None:
-                    bad_agree = _fail("condition_3_agreement", (a, b),
-                                      f"compat {hold}", f"remark {hold_r}", checked,
-                                      [H.labels[a], H.labels[b]])
-        parts["condition_3_compat"] = bad3 if bad3 is not None else VerificationReport.passing()
-        parts["condition_3_remark"] = bad_r if bad_r is not None else VerificationReport.passing()
-        parts["condition_3_agreement"] = (
-            bad_agree if bad_agree is not None else VerificationReport.passing())
+        # both forms of condition 3, each evaluated once per pair
+        compat = [_cond3_sides(data, a, b) for a, b in pairs]
+        remark = [_cond3_remark_sides(data, a, b) for a, b in pairs]
+        parts["condition_3_compat"] = first_failure(
+            "condition_3_compat", ((p, *s) for p, s in zip(pairs, compat)), pair_witness)
+        parts["condition_3_remark"] = first_failure(
+            "condition_3_remark", ((p, *s) for p, s in zip(pairs, remark)), pair_witness)
+        parts["condition_3_agreement"] = first_failure(
+            "condition_3_agreement",
+            ((p, c[0] == c[1], r[0] == r[1]) for p, c, r in zip(pairs, compat, remark)),
+            labelled([H.labels, H.labels], lambda v: f"compat {v}", lambda v: f"remark {v}"))
 
     if not done():
-        bad = None
-        for a in range(H.dim):
-            ba = dense_to_sparse(B.cols[a])
-            for b in range(H.dim):
-                checked += 1
-                lhs = G.algebra.mul_sparse(ba, dense_to_sparse(B.cols[b]))
-                rhs_vec = B.apply(sparse_to_dense(ctx, H.dim, _circle_basis(data, a, b)))
-                rhs = dense_to_sparse(rhs_vec)
-                if lhs != rhs:
-                    bad = _fail("condition_4_rb", (a, b),
-                                str({G.labels[k]: str(c) for k, c in lhs.items()}),
-                                str({G.labels[k]: str(c) for k, c in rhs.items()}),
-                                checked, [H.labels[a], H.labels[b]])
-                    break
-            if bad is not None:
-                break
-        parts["condition_4_rb"] = bad if bad is not None else VerificationReport.passing()
+        images = [dense_to_sparse(col) for col in B.cols]
 
-    return merge_reports(parts, checked=checked)
+        def condition_4():
+            for a, b in pairs:
+                circ = sparse_to_dense(ctx, H.dim, _circle_basis(data, a, b))
+                yield ((a, b), G.algebra.mul_sparse(images[a], images[b]),
+                       dense_to_sparse(B.apply(circ)))
+
+        def show(v: dict) -> str:
+            return str({G.labels[k]: str(c) for k, c in v.items()})
+
+        parts["condition_4_rb"] = first_failure(
+            "condition_4_rb", condition_4(), labelled([H.labels, H.labels], show))
+
+    return merge_reports(parts)
 
 
 def derived_hopf(data: RelRBHopf) -> HopfData:
@@ -378,54 +321,37 @@ def check_hopf_brace(data: RelRBHopf) -> VerificationReport:
     H, G, phi = data.H, data.G, data.phi
     ctx = H.ctx
     n = H.dim
-    checked = 0
-    parts: dict = {}
-
     circ = {(i, j): _circle_basis(data, i, j) for i in range(n) for j in range(n)}
-    bad = None
-    for a in range(n):
-        d2 = iterated_delta(H.coalgebra, {a: ctx.one}, 3)
-        for b in range(n):
-            for c in range(n):
-                checked += 1
-                bc = H.algebra.mul_basis(b, c)
-                lhs_vec = circle(data, basis_vec(ctx, n, a),
-                                 sparse_to_dense(ctx, n, bc))
-                lhs = dense_to_sparse(lhs_vec)
-                rhs: dict = {}
-                for tup, ct in d2.terms.items():
-                    a1, a2, a3 = tup
-                    sa2 = dense_to_sparse(H.antipode.cols[a2])
-                    part = H.algebra.mul_sparse(circ[(a1, b)], sa2)
-                    part = H.algebra.mul_sparse(part, circ[(a3, c)])
-                    for k, ck in part.items():
-                        rhs[k] = rhs.get(k, ctx.zero) + ct * ck
-                rhs = {k: v for k, v in rhs.items() if not v.is_zero}
-                if lhs != rhs:
-                    bad = _fail("hopf_brace", (a, b, c),
-                                str({H.labels[k]: str(v) for k, v in lhs.items()}),
-                                str({H.labels[k]: str(v) for k, v in rhs.items()}),
-                                checked, [H.labels[a], H.labels[b], H.labels[c]])
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            break
-    parts["hopf_brace"] = bad if bad is not None else VerificationReport.passing()
 
-    grouplikes = group_like_basis_indices(G)
-    inv_detail = {}
-    bad = None
-    for g in grouplikes:
-        checked += 1
-        ok = phi.matrix_for(g).is_invertible()
-        inv_detail[G.labels[g]] = ok
-        if not ok and bad is None:
-            bad = _fail("phi_grouplike_invertible", (g,), "singular", "invertible",
-                        checked, [G.labels[g]])
-    parts["phi_grouplike_invertible"] = bad if bad is not None else VerificationReport.passing()
-    out = merge_reports(parts, checked=checked)
-    out.details["phi_invertibility"] = inv_detail
+    def brace_cases():
+        for a in range(n):
+            d2 = iterated_delta(H.coalgebra, {a: ctx.one}, 3)
+            for b in range(n):
+                for c in range(n):
+                    bc = H.algebra.mul_basis(b, c)
+                    lhs = dense_to_sparse(circle(data, basis_vec(ctx, n, a),
+                                                 sparse_to_dense(ctx, n, bc)))
+                    rhs: dict = {}
+                    for (a1, a2, a3), ct in d2.terms.items():
+                        sa2 = dense_to_sparse(H.antipode.cols[a2])
+                        part = H.algebra.mul_sparse(circ[(a1, b)], sa2)
+                        part = H.algebra.mul_sparse(part, circ[(a3, c)])
+                        for k, ck in part.items():
+                            rhs[k] = rhs.get(k, ctx.zero) + ct * ck
+                    yield (a, b, c), lhs, {k: v for k, v in rhs.items() if not v.is_zero}
+
+    invertible = {g: phi.matrix_for(g).is_invertible() for g in group_like_basis_indices(G)}
+    out = merge_reports({
+        "hopf_brace": first_failure(
+            "hopf_brace", brace_cases(),
+            labelled([H.labels] * 3, lambda v: str({H.labels[k]: str(c) for k, c in v.items()}))),
+        "phi_grouplike_invertible": first_failure(
+            "phi_grouplike_invertible",
+            (((g,), "invertible" if ok else "singular", "invertible")
+             for g, ok in invertible.items()),
+            labelled([G.labels])),
+    })
+    out.details["phi_invertibility"] = {G.labels[g]: ok for g, ok in invertible.items()}
     return out
 
 
@@ -504,21 +430,14 @@ def grbo_check(H: HopfData, B: LinearMap) -> VerificationReport:
     """B: H -> H against the adjoint action Phi_a(b) = a_(1) b S(a_(2)),
     plus the circle-associativity display specific to this case."""
     data = RelRBHopf(H, H, adjoint_action(H), B)
-    parts = {"rrbo": check_rrbo(data)}
-    checked = parts["rrbo"].stats.get("identities_checked", 0)
-    bad = None
-    for a in range(H.dim):
-        for b in range(H.dim):
-            checked += 1
-            lhs, rhs = _grbo_display_sides(data, a, b)
-            if lhs != rhs:
-                bad = _fail("associativity_display", (a, b), lhs.to_str(H.labels),
-                            rhs.to_str(H.labels), checked, [H.labels[a], H.labels[b]])
-                break
-        if bad is not None:
-            break
-    parts["associativity_display"] = bad if bad is not None else VerificationReport.passing()
-    return merge_reports(parts, checked=checked)
+    return merge_reports({
+        "rrbo": check_rrbo(data),
+        "associativity_display": first_failure(
+            "associativity_display",
+            (((a, b), *_grbo_display_sides(data, a, b))
+             for a in range(H.dim) for b in range(H.dim)),
+            labelled([H.labels, H.labels], lambda t: t.to_str(H.labels))),
+    })
 
 
 def hrbo_action(H: HopfData) -> ActionData:
@@ -571,22 +490,14 @@ def hrbo_check(H: HopfData, B: LinearMap) -> VerificationReport:
     """B: H -> H^op with Phi_a(b) = S(a_(1)) b a_(2): reports the one-line
     condition-3 form and the full relative check side by side."""
     data = RelRBHopf(H, opposite_hopf(H), hrbo_action(H), B)
-    checked = 0
-    bad = None
-    for a in range(H.dim):
-        for b in range(H.dim):
-            checked += 1
-            lhs, rhs = _hrbo_display_sides(data, a, b)
-            if lhs != rhs:
-                bad = _fail("display_condition_3", (a, b), lhs.to_str(H.labels),
-                            rhs.to_str(H.labels), checked, [H.labels[a], H.labels[b]])
-                break
-        if bad is not None:
-            break
-    parts = {"display_condition_3": bad if bad is not None else VerificationReport.passing(),
-             "rrbo": check_rrbo(data, full=True)}
-    checked += parts["rrbo"].stats.get("identities_checked", 0)
-    return merge_reports(parts, checked=checked)
+    return merge_reports({
+        "display_condition_3": first_failure(
+            "display_condition_3",
+            (((a, b), *_hrbo_display_sides(data, a, b))
+             for a in range(H.dim) for b in range(H.dim)),
+            labelled([H.labels, H.labels], lambda t: t.to_str(H.labels))),
+        "rrbo": check_rrbo(data, full=True),
+    })
 
 
 # ---------------------------------------------------------------------------

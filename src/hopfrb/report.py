@@ -3,7 +3,8 @@
 Every checker in this package returns a VerificationReport instead of a bare
 bool, so a failing identity always carries a witness (which basis elements,
 which identity, both sides as exact scalar strings) and a passing run carries
-counters for how much work was done.
+counters for how much work was done.  first_failure is the one loop that
+decides an identity case by case and builds the witness of a failing case.
 """
 
 from __future__ import annotations
@@ -52,12 +53,52 @@ class VerificationReport:
         return out
 
 
-def merge_reports(parts: dict[str, VerificationReport], checked: int = 0) -> VerificationReport:
+def _plain_witness(identity: str, indices, lhs, rhs) -> dict:
+    return {"identity": identity, "indices": list(indices), "lhs": lhs, "rhs": rhs}
+
+
+def first_failure(identity: str, cases, witness=None) -> VerificationReport:
+    """Decide an identity case by case and witness the first case that breaks.
+
+    cases yields (indices, lhs, rhs) triples, and a case holds when lhs == rhs.
+    A checker that decides several identities in one pass starts each case's
+    indices with the name of its identity; other cases belong to ``identity``.
+    Only the failing case is formatted: by default as {"identity", "indices",
+    "lhs", "rhs"}, else as witness(identity, indices, lhs, rhs).  A passing
+    report is named ``identity``; either report counts the cases it decided.
+    """
+    checked = 0
+    for checked, (indices, lhs, rhs) in enumerate(cases, 1):
+        if lhs != rhs:
+            name = identity
+            if indices and isinstance(indices[0], str):
+                name, indices = indices[0], indices[1:]
+            w = (witness or _plain_witness)(name, indices, lhs, rhs)
+            return VerificationReport.failing(name, w, identities_checked=checked)
+    return VerificationReport.passing(identity, identities_checked=checked)
+
+
+def labelled(labels: list, show=str, show_rhs=None):
+    """first_failure formatter for identities on basis elements.
+
+    labels holds one label list per index position; both sides print by
+    show, the right side by show_rhs when given.
+    """
+    def witness(identity, indices, lhs, rhs) -> dict:
+        return {"identity": identity, "indices": list(indices),
+                "lhs": show(lhs), "rhs": (show_rhs or show)(rhs),
+                "labels": [names[i] for names, i in zip(labels, indices)]}
+    return witness
+
+
+def merge_reports(parts: dict[str, VerificationReport]) -> VerificationReport:
     """Combine named sub-reports: fail with the first failing part, else pass.
 
-    The per-part verdicts are kept under ``details`` either way.
+    The per-part verdicts are kept under ``details`` either way, and the
+    merged count of identities checked is the sum of the parts' counts.
     """
     details = {name: r.to_json() for name, r in parts.items()}
+    checked = sum(r.stats.get("identities_checked", 0) for r in parts.values())
     for name, r in parts.items():
         if not r.ok:
             ident = name

@@ -30,7 +30,8 @@ class MixedContextError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction, coefficients low degree first
+# dense polynomial helpers, coefficients low degree first; they work over
+# Fractions and over Scalars alike, taking zero from their inputs
 
 
 def _poly_trim(c: list) -> list:
@@ -42,7 +43,7 @@ def _poly_trim(c: list) -> list:
 def _poly_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0 * a[0]] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -54,10 +55,11 @@ def _poly_mul(a: list, b: list) -> list:
 def _poly_divmod(num: list, den: list) -> tuple[list, list]:
     num = list(num)
     assert den, "division by zero polynomial"
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
+    q = [0 * den[-1]] * max(0, len(num) - len(den) + 1)
+    # one inversion per division: a cyclotomic inverse runs an extended gcd
+    lead_inv = 1 / den[-1]
     for k in range(len(num) - len(den), -1, -1):
-        coef = num[k + len(den) - 1] / lead
+        coef = num[k + len(den) - 1] * lead_inv
         if coef:
             q[k] = coef
             for i, di in enumerate(den):
@@ -66,9 +68,11 @@ def _poly_divmod(num: list, den: list) -> tuple[list, list]:
 
 
 def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-           for i in range(n)]
+    if not a and not b:
+        return []
+    zero = 0 * (a or b)[0]
+    out = [(a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero)
+           for i in range(max(len(a), len(b)))]
     return _poly_trim(out)
 
 
@@ -536,19 +540,6 @@ def parse_scalar(text: str, ctx: FieldCtx) -> Scalar:
             term = term[1:]
         out = out + sign * _parse_term(term, ctx)
     return out
-
-
-def arith(kind: str, a: Scalar, b: Scalar) -> Scalar:
-    """Dispatch one arithmetic step by name: add, sub, mul, div."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown operation {kind!r}")
 
 
 def multiplicative_order(z: Scalar, bound: int) -> int | None:

@@ -194,3 +194,26 @@ def test_tsv_formats(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "status\tpass" in out
+
+
+def test_top_level_counts_are_sums_of_parts(tmp_path, capsys):
+    lie = tmp_path / "sl2.json"
+    lie.write_text(json.dumps(lie_to_json(sl2(FieldCtx.rationals()))))
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps([["0"] * 3 for _ in range(3)]))
+    runs = [
+        ("verify", "--construction", "h4"),
+        ("verify", "--construction", "taft", "--m", "3", "--field", "Q(z3)"),
+        ("verify", "--construction", "family", "--field", "F3", "--m", "2", "--zeta", "-1",
+         "--l", "2"),
+        ("check-group-rb", "--group", str(FIXTURES / "z3.json"), "--map", "0,0,0"),
+        ("check-lie", "--input", str(lie), "--b", str(zero), "--weight", "1"),
+    ]
+    for argv in runs:
+        code, payload = run(capsys, *argv)
+        assert code == 0, argv
+        total = payload["stats"]["identities_checked"]
+        parts = sum(d.get("stats", {}).get("identities_checked", 0)
+                    for d in payload["details"].values())
+        assert total > 0, argv
+        assert total == parts, argv

@@ -113,15 +113,33 @@ def test_weight_zero_grid_on_solvable_2dim():
 
 
 def test_weight_form_matches_relative_form():
-    # check_rb_lie_weight asserts agreement with the relative check built
-    # from the rescaled bracket; exercise it on random operators
+    # the weight form on g is the relative form over the lambda-rescaled
+    # bracket with the adjoint action: verdicts and witnesses must agree
     g = sl2(Q)
+    ad = adjoint_lie_action(g)
+    cases = []
+    for k in (-2, -1, 0, 1, 2):
+        lam = Q.from_int(k)
+        # B = 0 and B = -lambda*id are operators of weight lambda
+        cases.append((LinearMap(Q, [[Q.zero] * 3 for _ in range(3)]), lam))
+        cases.append((LinearMap(Q, [[-lam if i == j else Q.zero for i in range(3)]
+                                    for j in range(3)]), lam))
     random.seed(28)
     for _ in range(20):
         cols = [[Q.from_int(random.randint(-2, 2)) for _ in range(3)]
                 for _ in range(3)]
-        lam = Q.from_int(random.randint(-2, 2))
-        check_rb_lie_weight(g, LinearMap(Q, cols), lam)
+        cases.append((LinearMap(Q, cols), Q.from_int(random.randint(-2, 2))))
+    verdicts = []
+    for B, lam in cases:
+        weight = check_rb_lie_weight(g, B, lam)
+        relative = check_relative_rb_lie(g, rescale_bracket(g, lam), ad, B, Q.one)
+        assert weight.ok == relative.ok
+        if not weight.ok:
+            for key in ("indices", "lhs", "rhs"):
+                assert weight.witness[key] == relative.witness[key]
+        verdicts.append(weight.ok)
+    assert all(verdicts[:10])
+    assert not all(verdicts[10:])
 
 
 def test_rescale_bracket():

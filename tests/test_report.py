@@ -2,7 +2,7 @@
 
 import pytest
 
-from hopfrb.report import VerificationReport, merge_reports
+from hopfrb.report import VerificationReport, first_failure, merge_reports
 
 
 def test_passing_and_failing():
@@ -23,11 +23,11 @@ def test_failing_requires_witness():
 
 def test_merge_keeps_first_failure_and_all_parts():
     parts = {
-        "a": VerificationReport.passing(),
-        "b": VerificationReport.failing("ident_b", {"x": 1}),
-        "c": VerificationReport.failing("c", {"y": 2}),
+        "a": VerificationReport.passing(identities_checked=4),
+        "b": VerificationReport.failing("ident_b", {"x": 1}, identities_checked=2),
+        "c": VerificationReport.failing("c", {"y": 2}, identities_checked=1),
     }
-    merged = merge_reports(parts, checked=7)
+    merged = merge_reports(parts)
     assert not merged.ok
     assert merged.identity == "b.ident_b"
     assert merged.witness == {"x": 1}
@@ -37,9 +37,37 @@ def test_merge_keeps_first_failure_and_all_parts():
 
 
 def test_merge_all_passing():
-    merged = merge_reports({"a": VerificationReport.passing()}, checked=2)
+    merged = merge_reports({"a": VerificationReport.passing(identities_checked=2)})
     assert merged.ok
     assert merged.details["a"]["status"] == "pass"
+    assert merged.stats["identities_checked"] == 2
+
+
+def test_first_failure_counts_and_witnesses_the_first_mismatch():
+    rep = first_failure("ident", iter([((0,), 1, 1), ((1,), 2, 3), ((2,), 4, 5)]))
+    assert not rep.ok
+    assert rep.identity == "ident"
+    assert rep.witness == {"identity": "ident", "indices": [1], "lhs": 2, "rhs": 3}
+    assert rep.stats["identities_checked"] == 2
+    ok = first_failure("ident", [((i,), i, i) for i in range(5)])
+    assert ok.ok and ok.identity == "ident"
+    assert ok.stats["identities_checked"] == 5
+    assert first_failure("ident", []).stats["identities_checked"] == 0
+
+
+def test_first_failure_named_cases_and_formatter():
+    formatted = []
+
+    def witness(identity, indices, lhs, rhs):
+        formatted.append(indices)
+        return {"identity": identity, "at": list(indices), "sides": f"{lhs} vs {rhs}"}
+
+    cases = [(("left", 0), 1, 1), (("right", 0), 1, 1), (("right", 1), 1, 2), (("left", 1), 0, 1)]
+    rep = first_failure("both", cases, witness)
+    assert rep.identity == "right"
+    assert rep.witness == {"identity": "right", "at": [1], "sides": "1 vs 2"}
+    assert rep.stats["identities_checked"] == 3
+    assert formatted == [(1,)]  # only the failing case is formatted
 
 
 def test_json_shape():

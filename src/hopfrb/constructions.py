@@ -62,7 +62,7 @@ def qbinom(p: int, q: int, zeta: Scalar) -> Scalar:
     """Gaussian binomial {p choose q} at zeta."""
     if not 0 <= q <= p:
         raise ValueError(f"qbinom needs 0 <= q <= p, got p={p}, q={q}")
-    key = (zeta.ctx, zeta.val)
+    key = (zeta.ctx, zeta.val, zeta.den)
     table = _qbinom_tables.get(key)
     if table is None:
         table = _qbinom_tables[key] = QBinomTable(zeta)

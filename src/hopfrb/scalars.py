@@ -1,13 +1,16 @@
 """Exact scalar arithmetic over Q, cyclotomic fields Q(zeta_n), and prime fields F_p.
 
-All values are exact: rationals are Fractions in lowest terms, cyclotomic
-elements are coefficient vectors reduced modulo the n-th cyclotomic
-polynomial (power basis 1, z, ..., z^(phi(n)-1)), prime-field elements are
-residues in [0, p).  No floating point enters anywhere.
+All values are exact and no floating point enters anywhere.  Rationals are
+Fractions in lowest terms and prime-field elements are residues in [0, p).
+A cyclotomic element is a tuple of integer numerators in the power basis
+1, z, ..., z^(phi(n)-1) over one shared positive integer denominator, in
+lowest terms: gcd(den, *numerators) == 1, and zero is (0, ..., 0)/1.  Phi_n
+is monic, so products reduce modulo Phi_n in integers.  Fractions appear
+only at the edges: printing, JSON, and the extended gcd behind inverse().
 
-A FieldCtx pins the field; a Scalar pairs a context with a canonical value.
-Mixing scalars from different contexts raises MixedContextError rather than
-coercing silently.
+A FieldCtx pins the field and holds its zero and one, built once; a Scalar
+pairs a context with a canonical value.  Mixing scalars from different
+contexts raises MixedContextError rather than coercing silently.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 DEFAULT_MAX_CYCLOTOMIC = 64
 DEFAULT_MAX_PRIME = 97
@@ -119,7 +123,7 @@ def is_prime(p: int) -> bool:
 class FieldCtx:
     """One of Q, Q(zeta_n), or F_p, with the data needed to canonicalize elements."""
 
-    __slots__ = ("kind", "n", "p", "degree", "modulus", "_xpow", "_roots")
+    __slots__ = ("kind", "n", "p", "degree", "modulus", "_xpow", "_roots", "zero", "one")
 
     def __init__(self, kind: str, n: int = 0, p: int = 0,
                  max_n: int = DEFAULT_MAX_CYCLOTOMIC, max_p: int = DEFAULT_MAX_PRIME):
@@ -147,6 +151,8 @@ class FieldCtx:
             self._xpow = ()
         else:
             raise ValueError(f"unknown field kind {kind!r}")
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
 
     # -- constructors
 
@@ -164,32 +170,33 @@ class FieldCtx:
 
     def _build_xpow(self):
         # x^k reduced mod Phi_n for k = 0 .. 2*(degree-1); products of reduced
-        # elements never need more
+        # elements never need more.  Phi_n is monic, so the rows are integers.
         d = self.degree
-        neg_top = [Fraction(-c) for c in self.modulus[:d]]
-        rows = [[Fraction(0)] * d for _ in range(2 * d - 1)]
-        rows[0][0] = Fraction(1)
-        for k in range(1, 2 * d - 1):
-            prev = rows[k - 1]
-            row = [Fraction(0)] + prev[: d - 1]
+        neg_top = [-c for c in self.modulus[:d]]
+        rows = [[1] + [0] * (d - 1)]
+        for _ in range(2 * d - 2):
+            prev = rows[-1]
             top = prev[d - 1]
+            row = [0] + prev[: d - 1]
             if top:
-                for i in range(d):
-                    row[i] += top * neg_top[i]
-            rows[k] = row
+                row = [c + top * m for c, m in zip(row, neg_top)]
+            rows.append(row)
         return tuple(tuple(r) for r in rows)
 
-    def _reduce(self, coeffs: list) -> tuple:
-        d = self.degree
-        assert len(coeffs) <= 2 * d - 1
-        out = list(coeffs[:d]) + [Fraction(0)] * max(0, d - len(coeffs))
-        for k in range(d, len(coeffs)):
-            c = coeffs[k]
-            if c:
-                row = self._xpow[k]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return tuple(out)
+    def _cyclotomic(self, nums, den: int) -> "Scalar":
+        """The canonical element nums/den: den > 0 and gcd(den, *nums) == 1."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        return Scalar(self, tuple(nums), den)
+
+    def _from_fractions(self, coeffs: list) -> "Scalar":
+        """The cyclotomic element with these power-basis Fraction coefficients."""
+        assert len(coeffs) <= self.degree
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        return self._cyclotomic(nums + [0] * (self.degree - len(nums)), den)
 
     # -- element construction
 
@@ -198,33 +205,30 @@ class FieldCtx:
         if self.kind == RATIONALS:
             return Scalar(self, fr)
         if self.kind == CYCLOTOMIC:
-            return Scalar(self, (fr,) + (Fraction(0),) * (self.degree - 1))
+            return Scalar(self, (fr.numerator,) + (0,) * (self.degree - 1), fr.denominator)
         if fr.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator divisible by p={self.p}")
         return Scalar(self, fr.numerator * pow(fr.denominator, -1, self.p) % self.p)
 
     def from_int(self, k: int) -> "Scalar":
-        return self.from_fraction(Fraction(k))
+        if self.kind == RATIONALS:
+            return Scalar(self, Fraction(k))
+        if self.kind == CYCLOTOMIC:
+            return Scalar(self, (k,) + (0,) * (self.degree - 1))
+        return Scalar(self, k % self.p)
 
     def from_str(self, s: str) -> "Scalar":
         return self.from_fraction(Fraction(s.strip()))
 
     @property
-    def zero(self) -> "Scalar":
-        return self.from_int(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.from_int(1)
-
-    @property
     def zeta(self) -> "Scalar":
         """The designated generator zeta_n of a cyclotomic context."""
-        assert self.kind == CYCLOTOMIC
+        if self.kind != CYCLOTOMIC:
+            raise ValueError(f"{self.name()} has no designated zeta; only Q(zN) has one")
         if self.degree == 1:
             # Q(zeta_1) and Q(zeta_2): the power basis is just the constants
             return self.from_int(1 if self.n == 1 else -1)
-        return Scalar(self, self._reduce([Fraction(0), Fraction(1)]))
+        return Scalar(self, (0, 1) + (0,) * (self.degree - 2))
 
     def root_of_unity(self, n: int) -> "Scalar":
         """An element of multiplicative order exactly n, or ValueError."""
@@ -261,8 +265,8 @@ class FieldCtx:
     # -- identity / serialization
 
     def __eq__(self, other):
-        return (isinstance(other, FieldCtx)
-                and (self.kind, self.n, self.p) == (other.kind, other.n, other.p))
+        return self is other or (isinstance(other, FieldCtx) and (self.kind, self.n, self.p)
+                                 == (other.kind, other.n, other.p))
 
     def __hash__(self):
         return hash((self.kind, self.n, self.p))
@@ -314,36 +318,45 @@ def parse_field(name: str, max_n: int = DEFAULT_MAX_CYCLOTOMIC,
 class Scalar:
     """Immutable field element tied to a FieldCtx.
 
-    val is a Fraction (rationals), a tuple of Fractions in the power basis
-    (cyclotomic), or an int residue (prime).
+    val is a Fraction (rationals), a tuple of integer numerators in the power
+    basis over the positive denominator den (cyclotomic), or an int residue
+    (prime).  den is 1 outside the cyclotomic kind.
     """
 
-    __slots__ = ("ctx", "val")
+    __slots__ = ("ctx", "val", "den")
 
-    def __init__(self, ctx: FieldCtx, val):
+    def __init__(self, ctx: FieldCtx, val, den: int = 1):
         self.ctx = ctx
         self.val = val
+        self.den = den
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.ctx != self.ctx:
-                raise MixedContextError(
-                    f"cannot combine scalars from {self.ctx.name()} and {other.ctx.name()}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.from_fraction(Fraction(other))
+            if other.ctx is self.ctx or other.ctx == self.ctx:
+                return other
+            raise MixedContextError(
+                f"cannot combine scalars from {self.ctx.name()} and {other.ctx.name()}")
+        if isinstance(other, int):
+            return self.ctx.from_int(other)
+        if isinstance(other, Fraction):
+            return self.ctx.from_fraction(other)
         raise TypeError(f"cannot combine Scalar with {type(other).__name__}")
 
     # -- ring operations
 
     def __add__(self, other):
         o = self._coerce(other)
-        k = self.ctx.kind
+        ctx = self.ctx
+        k = ctx.kind
         if k == RATIONALS:
-            return Scalar(self.ctx, self.val + o.val)
+            return Scalar(ctx, self.val + o.val)
         if k == PRIME:
-            return Scalar(self.ctx, (self.val + o.val) % self.ctx.p)
-        return Scalar(self.ctx, tuple(a + b for a, b in zip(self.val, o.val)))
+            return Scalar(ctx, (self.val + o.val) % ctx.p)
+        da, db = self.den, o.den
+        if da == db:
+            out = tuple(map(add, self.val, o.val))
+            return Scalar(ctx, out) if da == 1 else ctx._cyclotomic(out, da)
+        return ctx._cyclotomic([a * db + b * da for a, b in zip(self.val, o.val)], da * db)
 
     __radd__ = __add__
 
@@ -353,7 +366,7 @@ class Scalar:
             return Scalar(self.ctx, -self.val)
         if k == PRIME:
             return Scalar(self.ctx, (-self.val) % self.ctx.p)
-        return Scalar(self.ctx, tuple(-a for a in self.val))
+        return Scalar(self.ctx, tuple(-a for a in self.val), self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -369,15 +382,27 @@ class Scalar:
             return Scalar(ctx, self.val * o.val)
         if k == PRIME:
             return Scalar(ctx, (self.val * o.val) % ctx.p)
-        a, b = self.val, o.val
+        b = o.val
+        if not any(b):
+            return ctx.zero
+        # integer convolution, then reduction of degrees d..2d-2 mod Phi_n
         d = ctx.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, ai in enumerate(a):
+        conv = [0] * (2 * d - 1)
+        for i, ai in enumerate(self.val):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(b, i):
                     if bj:
-                        conv[i + j] += ai * bj
-        return Scalar(ctx, ctx._reduce(conv))
+                        conv[j] += ai * bj
+        out = conv[:d]
+        xpow = ctx._xpow
+        for j in range(d, 2 * d - 1):
+            c = conv[j]
+            if c:
+                for i, r in enumerate(xpow[j]):
+                    if r:
+                        out[i] += c * r
+        den = self.den * o.den
+        return Scalar(ctx, tuple(out)) if den == 1 else ctx._cyclotomic(out, den)
 
     __rmul__ = __mul__
 
@@ -390,11 +415,11 @@ class Scalar:
             return Scalar(ctx, 1 / self.val)
         if k == PRIME:
             return Scalar(ctx, pow(self.val, -1, ctx.p))
-        g, u = _poly_ext_gcd(_poly_trim(list(self.val)),
+        # (v/den)^-1 = den * u, where u*v = 1 (mod Phi_n) from one extended gcd
+        g, u = _poly_ext_gcd(_poly_trim([Fraction(c) for c in self.val]),
                              [Fraction(c) for c in ctx.modulus])
-        assert len(g) == 1, "cyclotomic modulus is irreducible over Q"
-        inv = [c / g[0] for c in u]
-        return Scalar(ctx, ctx._reduce(inv))
+        assert g == [1], "cyclotomic modulus is irreducible over Q"
+        return ctx._from_fractions([c * self.den for c in u])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -426,19 +451,22 @@ class Scalar:
         return not self.is_zero
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.from_fraction(Fraction(other))
         if not isinstance(other, Scalar):
-            return NotImplemented
-        if other.ctx != self.ctx:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.ctx.from_fraction(other)
+        elif other.ctx is not self.ctx and other.ctx != self.ctx:
             raise MixedContextError(
                 f"cannot compare scalars from {self.ctx.name()} and {other.ctx.name()}")
-        return self.val == other.val
+        return self.val == other.val and self.den == other.den
 
     def __hash__(self):
-        return hash((self.ctx, self.val))
+        return hash((self.val, self.den))
 
     # -- display
+
+    def _fractions(self) -> list:
+        return [Fraction(c, self.den) for c in self.val]
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -451,7 +479,7 @@ class Scalar:
             return str(self.val)
         var = f"z{self.ctx.n}"
         terms = []
-        for i, c in enumerate(self.val):
+        for i, c in enumerate(self._fractions()):
             if not c:
                 continue
             if i == 0:
@@ -479,7 +507,7 @@ class Scalar:
             return str(self.val)
         if k == PRIME:
             return {"p": self.ctx.p, "value": self.val}
-        return {"n": self.ctx.n, "coeffs": [str(c) for c in self.val]}
+        return {"n": self.ctx.n, "coeffs": [str(c) for c in self._fractions()]}
 
 
 def scalar_from_json(obj, ctx: FieldCtx) -> Scalar:
@@ -497,8 +525,7 @@ def scalar_from_json(obj, ctx: FieldCtx) -> Scalar:
         coeffs = [Fraction(s) for s in obj["coeffs"]]
         if len(coeffs) > ctx.degree:
             raise ValueError("cyclotomic coefficient vector longer than field degree")
-        coeffs += [Fraction(0)] * (ctx.degree - len(coeffs))
-        return Scalar(ctx, tuple(coeffs))
+        return ctx._from_fractions(coeffs)
     if "value" in obj:
         if ctx.kind != PRIME or ctx.p != obj.get("p"):
             raise MixedContextError(f"prime-field scalar mod {obj.get('p')} "
@@ -512,23 +539,31 @@ def _parse_term(body: str, ctx: FieldCtx) -> Scalar:
         return ctx.from_str(body)
     coef_str, _, mono = body.rpartition("*")
     coef = ctx.from_str(coef_str) if coef_str else ctx.one
-    mono = mono.lower()
-    assert mono.startswith("z")
-    nstr, _, kstr = mono[1:].partition("^")
-    z = ctx.root_of_unity(int(nstr))
-    return coef * (z ** int(kstr) if kstr else z)
+    root, caret, kstr = mono.lower().partition("^")
+    if caret and not kstr:
+        raise ValueError(f"scalar term {body!r} has an empty exponent")
+    bad = ValueError(f"cannot parse scalar term {body!r}: expected [coefficient*]zN[^k]")
+    if not root.startswith("z"):
+        raise bad
+    try:
+        n, k = int(root[1:]), int(kstr) if caret else 1
+    except ValueError:
+        raise bad from None
+    z = ctx.root_of_unity(n)
+    return coef * (z if k == 1 else z ** k)
 
 
 def parse_scalar(text: str, ctx: FieldCtx) -> Scalar:
     """Parse a scalar from command-line text or a printed witness.
 
-    Accepts sums of terms like "-1", "2/3", "z6^2", "1/3*z6" in any field
-    where the named root exists; a bare residue in a prime field.
+    Accepts sums of terms like "-1", "2/3", "z6^2", "1/3*z6", "z5^-1" in any
+    field where the named root exists; a bare residue in a prime field.
     """
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar")
-    terms = re.findall(r"[+-]?[^+-]+", s)
+    # a sign right after "^" belongs to the exponent, not to the next term
+    terms = re.findall(r"[+-]?(?:[^+^-]|\^[+-]?)+", s)
     if "".join(terms) != s:
         raise ValueError(f"cannot parse scalar {text!r}")
     out = ctx.zero
@@ -556,7 +591,8 @@ def multiplicative_order(z: Scalar, bound: int) -> int | None:
 
 def is_primitive_root(z: Scalar, m: int) -> bool:
     """True when z has multiplicative order exactly m."""
-    assert m >= 1
+    if m < 1:
+        raise ValueError(f"order must be positive, got {m}")
     return multiplicative_order(z, m) == m
 
 

@@ -121,6 +121,13 @@ def test_aut_h4(capsys):
     assert all(hit["k"] == 1 for hit in payload["hits"])
 
 
+def test_aut_bad_grid_term_is_input_error(capsys):
+    code = main(["aut", "--construction", "h4", "--field", "Q", "--grid", "5z"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'5z'" in err
+
+
 def test_check_lie(tmp_path, capsys):
     lie = tmp_path / "sl2.json"
     lie.write_text(json.dumps(lie_to_json(sl2(FieldCtx.rationals()))))

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -156,3 +158,186 @@ def test_scalar_strings_are_exact():
     s = str(x)
     assert "." not in s
     assert parse_scalar(s, ctx) == x
+
+
+def test_parse_scalar_negative_and_empty_exponents():
+    ctx = FieldCtx.cyclotomic(5)
+    z = ctx.zeta
+    assert parse_scalar("z5^-1", ctx) == z ** 4
+    assert parse_scalar("2*z5^-2", ctx) == 2 * z ** 3
+    assert parse_scalar("1-z5^-1+z5^4", ctx) == ctx.one
+    assert parse_scalar("z5^+2", ctx) == z ** 2
+    for text in ("z5^", "1+z5^"):
+        with pytest.raises(ValueError, match=r"'z5\^'"):
+            parse_scalar(text, ctx)
+
+
+def test_outside_input_raises_value_error():
+    # these must hold under python -O too, so none may rest on assert
+    with pytest.raises(ValueError, match="5z"):
+        parse_scalar("5z", FieldCtx.rationals())
+    with pytest.raises(ValueError, match="z5\\^-"):
+        parse_scalar("z5^-", FieldCtx.cyclotomic(5))
+    for name in ("Q", "F5"):
+        with pytest.raises(ValueError, match="zeta"):
+            parse_field(name).zeta
+    with pytest.raises(ValueError):
+        is_primitive_root(FieldCtx.cyclotomic(4).zeta, 0)
+
+
+# ---------------------------------------------------------------------------
+# reference kernel: cyclotomic elements as Fraction vectors in the power basis,
+# multiplied by convolution and reduced with Fraction rows of x^k mod Phi_n
+
+
+@lru_cache(maxsize=None)
+def ref_xpow(n: int) -> list:
+    mod = cyclotomic_polynomial(n)
+    d = len(mod) - 1
+    rows = [[Fraction(int(i == 0)) for i in range(d)]]
+    for _ in range(2 * d - 2):
+        prev = rows[-1]
+        row = [Fraction(0)] + prev[: d - 1]
+        for i in range(d):
+            row[i] -= prev[d - 1] * mod[i]
+        rows.append(row)
+    return rows
+
+
+def ref_mul(n: int, a: tuple, b: tuple) -> tuple:
+    d = len(a)
+    conv = [Fraction(0)] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    out = conv[:d]
+    for k, row in enumerate(ref_xpow(n)[d:], d):
+        for i in range(d):
+            out[i] += conv[k] * row[i]
+    return tuple(out)
+
+
+def ref_inverse(n: int, a: tuple) -> tuple:
+    # solve M u = e_0 by Gauss-Jordan, column i of M being a * x^i
+    d = len(a)
+    basis = [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)]
+    cols = [ref_mul(n, a, e) for e in basis]
+    rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+    for c in range(d):
+        piv = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return tuple(r[d] for r in rows)
+
+
+def ref_pow(n: int, a: tuple, k: int) -> tuple:
+    out = tuple(Fraction(int(i == 0)) for i in range(len(a)))
+    for _ in range(k):
+        out = ref_mul(n, out, a)
+    return out
+
+
+def ref_str(n: int, a: tuple) -> str:
+    terms = []
+    for i, c in enumerate(a):
+        if not c:
+            continue
+        mon = f"z{n}" if i == 1 else f"z{n}^{i}"
+        if i == 0:
+            terms.append(str(c))
+        elif c in (1, -1):
+            terms.append(mon if c == 1 else f"-{mon}")
+        else:
+            terms.append(f"{c}*{mon}")
+    out = terms[0] if terms else "0"
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+def fractions_of(x: Scalar) -> tuple:
+    return tuple(Fraction(c, x.den) for c in x.val)
+
+
+def random_element(rng: random.Random, d: int) -> tuple:
+    shape = rng.choice(("zero", "monomial", "sparse", "dense"))
+    out = [Fraction(0)] * d
+    if shape == "monomial":
+        out[rng.randrange(d)] = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 1, 2, 3)))
+    elif shape != "zero":
+        for i in range(d):
+            if shape == "dense" or rng.random() < 0.4:
+                out[i] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return tuple(out)
+
+
+def assert_canonical(x: Scalar):
+    assert x.den > 0 and gcd(x.den, *x.val) == 1
+    assert len(x.val) == x.ctx.degree
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12])
+def test_integer_kernel_matches_fraction_reference(n):
+    rng = random.Random(1000 + n)
+    ctx = FieldCtx.cyclotomic(n)
+    d = ctx.degree
+
+    def build(ref):
+        x = scalar_from_json({"n": n, "coeffs": [str(c) for c in ref]}, ctx)
+        assert_canonical(x)
+        assert fractions_of(x) == ref
+        return x
+
+    for _ in range(40):
+        ra, rb = random_element(rng, d), random_element(rng, d)
+        a, b = build(ra), build(rb)
+        results = [(a + b, tuple(x + y for x, y in zip(ra, rb))),
+                   (a - b, tuple(x - y for x, y in zip(ra, rb))),
+                   (-a, tuple(-x for x in ra)),
+                   (a * b, ref_mul(n, ra, rb))]
+        if any(rb):
+            inv_b = ref_inverse(n, rb)
+            results += [(a / b, ref_mul(n, ra, inv_b)), (b.inverse(), inv_b),
+                        (b ** -1, inv_b), (b ** -3, ref_pow(n, inv_b, 3))]
+        for k in range(4):
+            results.append((a ** k, ref_pow(n, ra, k)))
+        for got, want in results:
+            assert_canonical(got)
+            assert fractions_of(got) == want
+            same = build(want)
+            assert got == same and hash(got) == hash(same)
+        assert (a == b) == (ra == rb)
+        assert str(a) == ref_str(n, ra)
+        assert a.to_json() == {"n": n, "coeffs": [str(c) for c in ra]}
+        assert a.is_zero == (not any(ra))
+
+
+def test_one_value_has_one_canonical_form():
+    ctx = FieldCtx.cyclotomic(5)
+    b = scalar_from_json({"n": 5, "coeffs": ["2/3", "0", "0", "5"]}, ctx)
+    half = ctx.from_fraction(Fraction(1, 2))
+    ways = [half,
+            scalar_from_json({"n": 5, "coeffs": ["2/4", "0/3", "0", "0"]}, ctx),
+            parse_scalar("2/4+z5-z5", ctx),
+            scalar_from_json({"n": 5, "coeffs": ["3/6"]}, ctx) * b / b]
+    mixed = [half + ctx.from_fraction(Fraction(1, 3)) * ctx.zeta ** 2,
+             scalar_from_json({"n": 5, "coeffs": ["3/6", "0", "2/6", "0"]}, ctx),
+             parse_scalar("2/4+1/3*z5^2", ctx),
+             parse_scalar("1/2+1/3*z5^2", ctx) * b / b]
+    for values in (ways, mixed):
+        first = values[0]
+        for x in values:
+            assert (x.val, x.den, hash(x)) == (first.val, first.den, hash(first))
+    assert (ways[0].val, ways[0].den) == ((1, 0, 0, 0), 2)
+    assert (mixed[0].val, mixed[0].den) == ((3, 0, 2, 0), 6)
+    zero = half - half
+    assert (zero.val, zero.den) == (ctx.zero.val, ctx.zero.den) == ((0, 0, 0, 0), 1)
+
+
+def test_context_zero_and_one_are_built_once():
+    for ctx in (FieldCtx.rationals(), FieldCtx.cyclotomic(7), FieldCtx.prime(5)):
+        assert ctx.zero is ctx.zero and ctx.one is ctx.one
+        assert ctx.zero.is_zero and ctx.one == 1

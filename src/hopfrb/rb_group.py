@@ -4,8 +4,13 @@ Groups are index tables (elements 0..n-1); operators are image tuples.
 Weight 1 uses B(g)B(h) = B(gB(g)hB(g)^-1), weight -1 the flipped identity,
 and general weight lambda the mu-th-root form with lambda*mu = 1 modulo the
 group exponent.  Enumeration is a depth-first search over images with
-constraint propagation; the cap bounds how many image assignments the search
-may perform before giving up with CapExceeded.
+constraint propagation through precomputed argument rows; the cap bounds how
+many image assignments the search may perform before giving up with
+CapExceeded.
+
+Identity checks on Cayley tables go a row at a time: _gather builds a C-level
+operator.itemgetter over one table row, both sides of a row of cases become
+tuples, and report.first_row_failure compares them whole.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from math import gcd, lcm
+from operator import itemgetter
 
-from .report import VerificationReport, first_failure, merge_reports
+from .report import VerificationReport, first_failure, first_row_failure, merge_reports
 
 DEFAULT_CAP = 10 ** 8
 
@@ -26,41 +32,60 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
+def _gather(row):
+    """seq -> tuple(seq[i] for i in row), as operator.itemgetter(*row).
+
+    itemgetter with one index returns a bare item, so a one-entry row (the
+    trivial group) gets a getter that still returns a tuple.
+    """
+    if len(row) == 1:
+        i = row[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*row)
+
+
+def _square(table) -> tuple:
+    """table as a tuple of row tuples; ValueError unless square with entries in range."""
+    t = tuple(tuple(row) for row in table)
+    for row in t:
+        if len(row) != len(t) or min(row) < 0 or max(row) >= len(t):
+            raise ValueError("table is not square with entries in range")
+    return t
+
+
+def _associativity_rows(t, prefix=()):
+    """Rows of (ab)c = a(bc): row prefix + (a, b) runs over c."""
+    gets = [_gather(row) for row in t]
+    return ((prefix + (a, b), t[ta[b]], get(ta))
+            for a, ta in enumerate(t) for b, get in enumerate(gets))
+
+
 class GroupTable:
     """A finite group as a validated Cayley table."""
 
     __slots__ = ("n", "table", "e", "inv", "name")
 
     def __init__(self, table, name: str = ""):
-        self.table = tuple(tuple(row) for row in table)
-        self.n = len(self.table)
+        self.table = t = _square(table)
+        self.n = len(t)
         self.name = name
-        for row in self.table:
-            if len(row) != self.n or any(not 0 <= x < self.n for x in row):
-                raise ValueError("table is not square with entries in range")
-        e = None
-        for cand in range(self.n):
-            if all(self.table[cand][x] == x and self.table[x][cand] == x for x in range(self.n)):
-                e = cand
-                break
+        cols = tuple(zip(*t))
+        ident = tuple(range(self.n))
+        e = next((c for c in range(self.n) if t[c] == ident and cols[c] == ident), None)
         if e is None:
             raise ValueError("no two-sided identity element")
         self.e = e
-        inv = [None] * self.n
+        inv = []
         for g in range(self.n):
-            for h in range(self.n):
-                if self.table[g][h] == e and self.table[h][g] == e:
-                    inv[g] = h
-                    break
-            if inv[g] is None:
-                raise ValueError(f"element {g} has no inverse")
+            try:  # the first h with gh = hg = e
+                inv.append(list(zip(t[g], cols[g])).index((e, e)))
+            except ValueError:
+                raise ValueError(f"element {g} has no inverse") from None
         self.inv = tuple(inv)
-        for a in range(self.n):
-            for b in range(self.n):
-                ab = self.table[a][b]
-                for c in range(self.n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise ValueError(f"associativity fails at ({a},{b},{c})")
+        assoc = first_row_failure("associativity", _associativity_rows(self.table))
+        if not assoc.ok:
+            raise ValueError("associativity fails at ({},{},{})".format(
+                *assoc.witness["indices"]))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -143,7 +168,8 @@ class GroupTable:
     @classmethod
     def from_permutations(cls, gens, name: str = "") -> "GroupTable":
         """Close a list of permutation tuples under composition."""
-        assert gens
+        if not gens:
+            raise ValueError("from_permutations needs at least one generator")
         deg = len(gens[0])
         ident = tuple(range(deg))
         elems = [ident]
@@ -186,11 +212,8 @@ class BinaryOp:
     __slots__ = ("n", "table")
 
     def __init__(self, table):
-        self.table = tuple(tuple(row) for row in table)
+        self.table = _square(table)
         self.n = len(self.table)
-        for row in self.table:
-            if len(row) != self.n or any(not 0 <= x < self.n for x in row):
-                raise ValueError("table is not square with entries in range")
 
     def apply(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -208,23 +231,22 @@ class BinaryOp:
 
     def is_group(self) -> VerificationReport:
         t, n = self.table, self.n
+        assoc = first_row_failure("group", _associativity_rows(t, ("associativity",)))
+        if not assoc.ok:
+            return assoc
 
         def cases():
-            for a in range(n):
-                ta = t[a]
-                for b in range(n):
-                    tab, tb = t[ta[b]], t[b]
-                    for c in range(n):
-                        yield ("associativity", a, b, c), tab[c], ta[tb[c]]
             e = self.identity_index()
             found = "identity element" if e is not None else "no two-sided identity"
             yield ("identity",), found, "identity element"
-            for g in range(n):
+            for g, col in enumerate(zip(*t)):
                 inverse = f"inverse of {g}"
-                has = any(t[g][h] == e and t[h][g] == e for h in range(n))
+                has = (e, e) in zip(t[g], col)
                 yield ("inverses", g), inverse if has else "no inverse", inverse
 
-        return first_failure("group", cases())
+        rep = first_failure("group", cases())
+        rep.stats["identities_checked"] += assoc.stats["identities_checked"]
+        return rep
 
     def to_group(self, name: str = "") -> GroupTable:
         r = self.is_group()
@@ -306,18 +328,22 @@ def check_rb(G: GroupTable, B, weight: int) -> VerificationReport:
     if weight not in (1, -1):
         raise ValueError("weight must be +1 or -1; use check_rb_lambda for general weights")
     t, inv = G.table, G.inv
+    cols = tuple(zip(*t))
+    gets = [_gather(row) for row in t]
+    get_b = _gather(B)
 
-    def cases():
+    def rows():
+        # row g runs over h: B(g)B(h) against B of gB(g)hB(g)^-1 (weight 1)
+        # or of B(g)hB(g)^-1 g (weight -1)
         for g in range(G.n):
             bg = B[g]
-            for h in range(G.n):
-                if weight == 1:
-                    arg = t[t[t[g][bg]][h]][inv[bg]]
-                else:
-                    arg = t[t[t[bg][h]][inv[bg]]][g]
-                yield (g, h), t[bg][B[h]], B[arg]
+            if weight == 1:
+                arg = gets[t[g][bg]](cols[inv[bg]])
+            else:
+                arg = _gather(gets[bg](cols[inv[bg]]))(cols[g])
+            yield (g,), get_b(t[bg]), _gather(arg)(B)
 
-    return first_failure(f"rb_weight_{weight}", cases())
+    return first_row_failure(f"rb_weight_{weight}", rows())
 
 
 def weight_flip(B, G: GroupTable) -> tuple:
@@ -377,15 +403,18 @@ def derived_group(G: GroupTable, B) -> tuple[GroupTable, VerificationReport]:
     if not check_rb(G, B, 1).ok:
         raise ValueError("derived_group requires a verified weight-1 operator")
     t, inv = G.table, G.inv
-    star = [[t[t[t[g][B[g]]][h]][inv[B[g]]] for h in range(G.n)] for g in range(G.n)]
+    cols = tuple(zip(*t))
+    gets = [_gather(row) for row in t]
+    get_b = _gather(B)
+    star = [gets[t[g][B[g]]](cols[inv[B[g]]]) for g in range(G.n)]
     group_axioms = BinaryOp(star).is_group()
     Gstar = GroupTable(star, name=(G.name + "*") if G.name else "star")
     return Gstar, merge_reports({
         "group_axioms": group_axioms,
         "rb_on_star": check_rb(Gstar, B, 1),
-        "b_homomorphism": first_failure(
-            "b_homomorphism", (((g, h), B[star[g][h]], t[B[g]][B[h]])
-                               for g in range(G.n) for h in range(G.n))),
+        "b_homomorphism": first_row_failure(
+            "b_homomorphism", (((g,), _gather(star[g])(B), get_b(t[B[g]]))
+                               for g in range(G.n))),
     })
 
 
@@ -471,18 +500,22 @@ def check_star_compat(G: GroupTable, star: BinaryOp) -> VerificationReport:
     """star is a group op on G's carrier, shares G's unit, and conjugation by
     the original operation distributes over it."""
     t, inv, st = G.table, G.inv, star.table
+    cols = tuple(zip(*t))
+    star_gets = [_gather(row) for row in st]
 
-    def conjugation_cases():
+    def conjugation_rows():
+        # row (g, h1) runs over h2
         for g in range(G.n):
-            conj = [t[t[g][h]][inv[g]] for h in range(G.n)]
+            conj = _gather(t[g])(cols[inv[g]])
+            get_conj = _gather(conj)
             for h1 in range(G.n):
-                for h2 in range(G.n):
-                    yield (g, h1, h2), conj[st[h1][h2]], st[conj[h1]][conj[h2]]
+                yield (g, h1), star_gets[h1](conj), get_conj(st[conj[h1]])
 
     return merge_reports({
         "group_axioms": star.is_group(),
         "shared_unit": first_failure("shared_unit", [((), star.identity_index(), G.e)]),
-        "conjugation_compatible": first_failure("conjugation_compatible", conjugation_cases()),
+        "conjugation_compatible": first_row_failure("conjugation_compatible",
+                                                    conjugation_rows()),
     })
 
 
@@ -503,27 +536,35 @@ def check_rb_lambda(G: GroupTable, B, lam: int) -> VerificationReport:
     return first_failure("rb_weight_lambda", cases())
 
 
-def skew_brace_check(dot: BinaryOp, circ: BinaryOp) -> VerificationReport:
-    """a circ (b dot c) = (a circ b) dot a^- dot (a circ c), a^- the dot-inverse."""
-    groups = []
-    for name, op in (("dot", dot), ("circ", circ)):
-        try:
-            groups.append(GroupTable(op.table))
-        except ValueError as e:
-            raise ValueError(f"{name} operation is not a group: {e}") from None
-    n, d, ct = dot.n, dot.table, circ.table
-    inv = groups[0].inv
+def _as_group(name: str, op: BinaryOp | GroupTable) -> GroupTable:
+    """op as a validated GroupTable; a GroupTable is already one."""
+    if isinstance(op, GroupTable):
+        return op
+    try:
+        return GroupTable(op.table)
+    except ValueError as e:
+        raise ValueError(f"{name} operation is not a group: {e}") from None
 
-    def cases():
+
+def skew_brace_check(dot: BinaryOp | GroupTable,
+                     circ: BinaryOp | GroupTable) -> VerificationReport:
+    """a circ (b dot c) = (a circ b) dot a^- dot (a circ c), a^- the dot-inverse.
+
+    A BinaryOp is validated as a group first; a GroupTable is taken as it is.
+    """
+    dot, circ = _as_group("dot", dot), _as_group("circ", circ)
+    n, d, ct, inv = dot.n, dot.table, circ.table, dot.inv
+    dot_gets = [_gather(row) for row in d]
+
+    def rows():
+        # row (a, b) runs over c
         for a in range(n):
             ca, ainv = ct[a], inv[a]
+            get_ca = _gather(ca)
             for b in range(n):
-                left = d[d[ca[b]][ainv]]
-                db = d[b]
-                for c in range(n):
-                    yield (a, b, c), ca[db[c]], left[ca[c]]
+                yield (a, b), dot_gets[b](ca), get_ca(d[d[ca[b]][ainv]])
 
-    return first_failure("skew_brace", cases())
+    return first_row_failure("skew_brace", rows())
 
 
 def circ_from_rrb(G: GroupTable, star: BinaryOp, B) -> tuple[BinaryOp, VerificationReport]:
@@ -536,20 +577,25 @@ def circ_from_rrb(G: GroupTable, star: BinaryOp, B) -> tuple[BinaryOp, Verificat
     pre = check_star_compat(G, star)
     if not pre.ok:
         raise ValueError(f"star precondition fails: {pre.identity} witness {pre.witness}")
-    for g1 in range(G.n):
-        for g2 in range(G.n):
-            lhs = G.table[B[g1]][B[g2]]
-            rhs = B[star.apply(g1, G.conjugate(B[g1], g2))]
-            if lhs != rhs:
-                raise ValueError(f"B does not satisfy the star RB identity at ({g1},{g2}):"
-                                 f" {lhs} != {rhs}")
-    circ = BinaryOp([[star.apply(g1, G.conjugate(B[g1], g2)) for g2 in range(G.n)]
-                     for g1 in range(G.n)])
-    parts = {"circ_group": circ.is_group(),
-             "star_circ_brace": skew_brace_check(star, circ)}
-    dot = group_as_binop(G)
-    if skew_brace_check(dot, star).ok:
-        parts["dot_circ_brace"] = skew_brace_check(dot, circ)
+    t, inv = G.table, G.inv
+    cols = tuple(zip(*t))
+    conj = [_gather(t[b])(cols[inv[b]]) for b in range(G.n)]  # conj[b][g] = b g b^-1
+    circ = BinaryOp([_gather(conj[B[g1]])(star.table[g1]) for g1 in range(G.n)])
+    get_b = _gather(B)
+    star_rb = first_row_failure("star_rb", (((g1,), get_b(t[B[g1]]), _gather(circ.table[g1])(B))
+                                            for g1 in range(G.n)))
+    if not star_rb.ok:
+        w = star_rb.witness
+        g1, g2 = w["indices"]
+        raise ValueError(f"B does not satisfy the star RB identity at ({g1},{g2}):"
+                         f" {w['lhs']} != {w['rhs']}")
+    # star and circ become GroupTables once, and G is the dot group as it is
+    circ_group = circ.is_group()
+    star_g, circ_g = GroupTable(star.table), _as_group("circ", circ)
+    parts = {"circ_group": circ_group,
+             "star_circ_brace": skew_brace_check(star_g, circ_g)}
+    if skew_brace_check(G, star_g).ok:
+        parts["dot_circ_brace"] = skew_brace_check(G, circ_g)
     else:
         # only meaningful when (G, ., *) is itself a skew brace
         parts["dot_circ_brace"] = VerificationReport.passing(skipped=1)
@@ -560,44 +606,43 @@ def circ_from_rrb(G: GroupTable, star: BinaryOp, B) -> tuple[BinaryOp, Verificat
 # enumeration
 
 
+def _arg_rows(G: GroupTable, weight: int) -> list[list[tuple]]:
+    """ARG[g][v][h]: the element whose image must be B(g)B(h) when B(g) = v.
+
+    That is (g^lam v h^lam v^-1)^mu with lam*mu = 1 modulo exp(G); weights 1
+    and -1 are the case mu = lam.  n^3 entries, built a row at a time.
+    """
+    n, t, inv = G.n, G.table, G.inv
+    mu = weight if weight in (1, -1) else _lambda_root(G, weight)
+    plam = [G.power(g, weight) for g in range(n)]
+    pmu = [G.power(x, mu) for x in range(n)]
+    get_plam = _gather(plam)
+    right = [_gather(get_plam(row)) for row in t]  # right[x] picks index x h^lam over h
+    outer = [_gather(col)(pmu) for col in zip(*t)]  # outer[j][y] = (y j)^mu
+    return [[right[t[plam[g]][v]](outer[inv[v]]) for v in range(n)] for g in range(n)]
+
+
 def _search_partition(table, weight: int, seeds, cap: int):
     """DFS over operator images with constraint propagation.
 
     seeds is a list of (index, value) preassignments. Returns (hits, count)
     where count is the number of image assignments performed. The identity
-    B(g)B(h) = B(arg(g,h)) forces arg's image whenever g, h are assigned, so
-    the tree collapses quickly; candidates with B(e) != e never appear.
+    B(g)B(h) = B(ARG[g][B(g)][h]) forces an image whenever g, h are assigned,
+    so the tree collapses quickly; candidates with B(e) != e never appear.
+    The DFS runs on an explicit stack: a recursive closure would refer to
+    itself and keep every search's tables alive until a full GC pass.
     """
-    n = len(table)
     G = GroupTable(table)
-    t, inv = G.table, G.inv
-    if weight in (1, -1):
-        lam, mu = weight, None
-    else:
-        lam, mu = weight, _lambda_root(G, weight)
-    plam = [G.power(g, lam) for g in range(n)] if mu is not None else None
-
-    # arg tables: ARG[g][v][h] would be n^3 ints; compute the two halves
-    if mu is None and lam == 1:
-        left = [[t[g][v] for v in range(n)] for g in range(n)]
-
-        def argf(g, h, v):
-            return t[t[left[g][v]][h]][inv[v]]
-    elif mu is None:
-        def argf(g, h, v):
-            return t[t[t[v][h]][inv[v]]][g]
-    else:
-        left = [[t[plam[g]][v] for v in range(n)] for g in range(n)]
-
-        def argf(g, h, v):
-            return G.power(t[t[left[g][v]][plam[h]]][inv[v]], mu)
-
+    n, t = G.n, G.table
+    arg = _arg_rows(G, weight)
     img = [-1] * n
     order: list[int] = []
     count = 0
-    hits: list[tuple] = []
 
     def assign(x: int, v: int) -> bool:
+        """Set B(x) = v and propagate; False on a contradiction.  Each element
+        taken from the queue is paired, both ways round, with itself and the
+        elements assigned before it, so every pair is checked once."""
         nonlocal count
         count += 1
         if count > cap:
@@ -607,55 +652,59 @@ def _search_partition(table, weight: int, seeds, cap: int):
         qi = len(order) - 1
         while qi < len(order):
             a = order[qi]
+            va = img[a]
+            arg_a, ta = arg[a][va], t[va]
+            for b in order[:qi + 1]:
+                # the pair (a, b), then (b, a); written out twice because a
+                # loop over the two orientations costs the search about 2x
+                vb = img[b]
+                k, rhs = arg_a[b], ta[vb]
+                cur = img[k]
+                if cur == -1:
+                    count += 1
+                    if count > cap:
+                        raise CapExceeded(count, cap)
+                    img[k] = rhs
+                    order.append(k)
+                elif cur != rhs:
+                    return False
+                k, rhs = arg[b][vb][a], t[vb][va]
+                cur = img[k]
+                if cur == -1:
+                    count += 1
+                    if count > cap:
+                        raise CapExceeded(count, cap)
+                    img[k] = rhs
+                    order.append(k)
+                elif cur != rhs:
+                    return False
             qi += 1
-            bi = 0
-            while bi < len(order):
-                b = order[bi]
-                bi += 1
-                for g, h in ((a, b), (b, a)):
-                    vg = img[g]
-                    k = argf(g, h, vg)
-                    rhs = t[vg][img[h]]
-                    cur = img[k]
-                    if cur == -1:
-                        count += 1
-                        if count > cap:
-                            raise CapExceeded(count, cap)
-                        img[k] = rhs
-                        order.append(k)
-                    elif cur != rhs:
-                        return False
         return True
 
-    def undo(mark: int):
+    for x, v in seeds:
+        if not (assign(x, v) if img[x] == -1 else img[x] == v):
+            return [], count
+    hits: list[tuple] = []
+    stack: list[list[int]] = []  # frames [element, next image to try, len(order) on entry]
+
+    def descend():
+        if -1 in img:
+            stack.append([img.index(-1), 0, len(order)])
+        else:
+            hits.append(tuple(img))
+
+    descend()
+    while stack:
+        frame = stack[-1]
+        x, v, mark = frame
         while len(order) > mark:
             img[order.pop()] = -1
-
-    def dfs():
-        x = -1
-        for i in range(n):
-            if img[i] == -1:
-                x = i
-                break
-        if x == -1:
-            hits.append(tuple(img))
-            return
-        for v in range(n):
-            mark = len(order)
-            if assign(x, v):
-                dfs()
-            undo(mark)
-
-    ok = True
-    for x, v in seeds:
-        if img[x] == -1:
-            ok = assign(x, v)
-        elif img[x] != v:
-            ok = False
-        if not ok:
-            break
-    if ok:
-        dfs()
+        if v == n:
+            stack.pop()
+            continue
+        frame[1] = v + 1
+        if assign(x, v):
+            descend()
     return hits, count
 
 

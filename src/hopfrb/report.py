@@ -5,6 +5,11 @@ bool, so a failing identity always carries a witness (which basis elements,
 which identity, both sides as exact scalar strings) and a passing run carries
 counters for how much work was done.  first_failure is the one loop that
 decides an identity case by case and builds the witness of a failing case.
+first_row_failure decides the same cases a row at a time: a Cayley-table
+checker gathers both sides of a whole row into tuples (with C-level
+operator.itemgetter), one tuple comparison settles a row that holds, and only
+a row that differs is scanned for its first failing case, so its verdict,
+witness and count are those of first_failure over the expanded cases.
 """
 
 from __future__ import annotations
@@ -70,12 +75,35 @@ def first_failure(identity: str, cases, witness=None) -> VerificationReport:
     checked = 0
     for checked, (indices, lhs, rhs) in enumerate(cases, 1):
         if lhs != rhs:
-            name = identity
-            if indices and isinstance(indices[0], str):
-                name, indices = indices[0], indices[1:]
-            w = (witness or _plain_witness)(name, indices, lhs, rhs)
-            return VerificationReport.failing(name, w, identities_checked=checked)
+            return _failing(identity, indices, lhs, rhs, witness, checked)
     return VerificationReport.passing(identity, identities_checked=checked)
+
+
+def first_row_failure(identity: str, rows, witness=None) -> VerificationReport:
+    """first_failure over cases that come a row at a time.
+
+    rows yields (indices, lhs, rhs) with lhs and rhs equal-length tuples; a
+    row stands for the cases (indices + (c,), lhs[c], rhs[c]) in order of c.
+    The report (status, identity, witness, count) is the one first_failure
+    gives on those expanded cases.
+    """
+    checked = 0
+    for indices, lhs, rhs in rows:
+        if lhs != rhs:
+            for c, (left, right) in enumerate(zip(lhs, rhs)):
+                if left != right:
+                    return _failing(identity, indices + (c,), left, right, witness,
+                                    checked + c + 1)
+        checked += len(lhs)
+    return VerificationReport.passing(identity, identities_checked=checked)
+
+
+def _failing(identity: str, indices, lhs, rhs, witness, checked: int) -> VerificationReport:
+    name = identity
+    if indices and isinstance(indices[0], str):
+        name, indices = indices[0], indices[1:]
+    w = (witness or _plain_witness)(name, indices, lhs, rhs)
+    return VerificationReport.failing(name, w, identities_checked=checked)
 
 
 def labelled(labels: list, show=str, show_rhs=None):

@@ -1,5 +1,6 @@
 """Rota-Baxter operators on finite groups: tables, checks, enumeration."""
 
+import gc
 import itertools
 import random
 
@@ -356,3 +357,83 @@ def test_group_json_rejects_mismatched_metadata():
     obj["order"] = 4
     with pytest.raises(ValueError):
         group_from_json(obj)
+
+
+def test_from_permutations_rejects_no_generators():
+    with pytest.raises(ValueError):
+        GroupTable.from_permutations([])
+
+
+def brute_force_rb_lambda(G: GroupTable, lam: int) -> set:
+    """Independent oracle for general weights: every map with B(e) = e.
+
+    B(e)B(e) = B(e) at g = h = e, so B(e) = e for every operator."""
+    others = [g for g in range(G.n) if g != G.e]
+    hits = set()
+    for images in itertools.product(range(G.n), repeat=len(others)):
+        B = [G.e] * G.n
+        for g, v in zip(others, images):
+            B[g] = v
+        if check_rb_lambda(G, B, lam).ok:
+            hits.add(tuple(B))
+    return hits
+
+
+def test_general_weight_enumeration_matches_brute_force():
+    Z4, Z5, Z6 = (GroupTable.cyclic(n) for n in (4, 5, 6))
+    cases = [(Z5, 2), (Z5, 3), (Z5, 4), (Z4, 3), (Z6, 5), (GroupTable.symmetric(3), 5)]
+    for G, lam in cases:
+        assert set(enumerate_rb(G, lam)) == brute_force_rb_lambda(G, lam), (G, lam)
+
+
+def test_search_leaves_no_reference_cycles():
+    # the library call, not the CLI: argparse makes cycles of its own
+    S3 = GroupTable.symmetric(3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_rb(S3, 1)) == 8
+        assert gc.collect() == 0
+        try:
+            enumerate_rb(S3, 1, cap=3)
+        except CapExceeded:
+            pass
+        else:
+            pytest.fail("cap 3 did not stop the search")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_trivial_group_through_the_row_checks():
+    # a one-entry row: itemgetter(*row) alone would return a bare element
+    Z1 = GroupTable.cyclic(1)
+    op = group_as_binop(Z1)
+    assert (Z1.e, Z1.inv) == (0, (0,))
+    assert op.is_group().stats["identities_checked"] == 3
+    assert check_star_compat(Z1, power_star(Z1, 1)).stats["identities_checked"] == 5
+    assert skew_brace_check(op, op).stats["identities_checked"] == 1
+    for w in (1, -1):
+        assert check_rb(Z1, (0,), w).stats["identities_checked"] == 1
+    star, rep = derived_group(Z1, (0,))
+    assert rep.ok and star.table == ((0,),)
+    circ, rep = circ_from_rrb(Z1, op, (0,))
+    assert rep.ok and circ.table == ((0,),)
+    assert rep.stats["identities_checked"] == 5
+    for w in (1, -1, 2):
+        assert enumerate_rb(Z1, w) == [(0,)]
+
+
+def test_passing_counts_on_s3():
+    S3 = GroupTable.symmetric(3)
+    dot, star = group_as_binop(S3), power_star(S3, 1)
+
+    def count(rep):
+        assert rep.ok
+        return rep.stats["identities_checked"]
+
+    assert count(dot.is_group()) == 223
+    assert count(check_star_compat(S3, power_star(S3, 1))) == 440
+    assert count(skew_brace_check(dot, star)) == 216
+    assert count(circ_from_rrb(S3, star, S3.inv)[1]) == 655
+    assert count(derived_group(S3, S3.inv)[1]) == 295

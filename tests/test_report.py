@@ -1,8 +1,11 @@
 """Report plumbing: witnesses, merging, truthiness."""
 
+import random
+
 import pytest
 
-from hopfrb.report import VerificationReport, first_failure, merge_reports
+from hopfrb.report import (VerificationReport, first_failure, first_row_failure, labelled,
+                           merge_reports)
 
 
 def test_passing_and_failing():
@@ -76,3 +79,37 @@ def test_json_shape():
     assert obj["status"] == "fail"
     assert obj["identity"] == "ident"
     assert obj["witness"]["lhs"] == "1"
+
+
+def expand(rows):
+    return [(indices + (c,), left, right)
+            for indices, lhs, rhs in rows for c, (left, right) in enumerate(zip(lhs, rhs))]
+
+
+def test_first_row_failure_equals_first_failure_on_the_expanded_cases():
+    rng = random.Random(17)
+    kinds = {"equal": 0, "first": 0, "middle": 0, "last": 0, "named": 0}
+    for _ in range(400):
+        width = rng.randrange(1, 7)
+        rows = []
+        for r in range(rng.randrange(5)):
+            lhs = tuple(rng.randrange(4) for _ in range(width))
+            rhs = list(lhs)
+            kind = rng.choice(("equal", "equal", "first", "middle", "last"))
+            if kind != "equal":
+                at = {"first": 0, "middle": width // 2, "last": width - 1}[kind]
+                for c in [at] + rng.sample(range(width), rng.randrange(width)):
+                    rhs[c] += 1 + rng.randrange(2)
+            indices = (r, rng.randrange(3))
+            if rng.random() < 0.3:
+                indices = (rng.choice(("left", "right")),) + indices
+                kinds["named"] += 1
+            kinds[kind] += 1
+            rows.append((indices, lhs, tuple(rhs)))
+        for witness in (None, labelled([list("abcdef")] * 3)):
+            if witness and any(isinstance(ix[0], str) for ix, _, _ in rows):
+                continue
+            got = first_row_failure("ident", iter(rows), witness)
+            want = first_failure("ident", expand(rows), witness)
+            assert got.to_json() == want.to_json()
+    assert min(kinds.values()) > 50

@@ -20,7 +20,7 @@ from .rb_group import (DEFAULT_CAP, CapExceeded, check_rb, check_rb_lambda, circ
                        operator_to_json, power_star)
 from .rb_hopf import check_rrbo, rrb_from_json
 from .rb_lie import check_lie, check_rb_lie_weight, lie_from_json
-from .report import VerificationReport, merge_reports
+from .report import VerificationReport, first_failure, merge_reports
 from .scalars import parse_field, parse_scalar
 
 EXIT_PASS = 0
@@ -78,16 +78,13 @@ def _parse_coeffs(text: str, ctx) -> list:
 
 
 def _antipode_order_report(H) -> VerificationReport:
+    """S^4 = id and S^2 != id; a failure is witnessed by the claim that fails."""
     ident = LinearMap.identity(H.ctx, H.dim)
     s2 = H.antipode.compose(H.antipode)
-    s4 = s2.compose(s2)
-    if s4.cols != ident.cols:
-        return VerificationReport.failing(identity="antipode_order_4",
-                                          witness={"identity": "S^4 = id"})
-    if s2.cols == ident.cols:
-        return VerificationReport.failing(identity="antipode_order_4",
-                                          witness={"identity": "S^2 != id"})
-    return VerificationReport.passing(identity="antipode_order_4")
+    cases = [((), "S^4 = id" if s2.compose(s2) == ident else "S^4 != id", "S^4 = id"),
+             ((), "S^2 = id" if s2 == ident else "S^2 != id", "S^2 != id")]
+    return first_failure("antipode_order_4", cases,
+                         lambda identity, indices, lhs, rhs: {"identity": rhs})
 
 
 def cmd_verify(args) -> int:

@@ -11,8 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 
 from .hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, TensorElement,
-                        basis_vec, dense_to_sparse, is_algebra_morphism,
-                        is_coalgebra_morphism, sparse_to_dense, tensor_mul, vec_zeros)
+                        is_algebra_morphism, is_coalgebra_morphism, lincomb, tensor_mul)
 from .report import VerificationReport, first_failure, merge_reports
 from .rb_group import GroupTable
 from .scalars import FieldCtx, Scalar, _poly_divmod, _poly_mul, _poly_sub, multiplicative_order
@@ -124,10 +123,10 @@ def group_algebra(G: GroupTable, ctx: FieldCtx) -> HopfData:
     one = ctx.one
     labels = [f"g{i}" for i in range(n)]
     mult = {(i, j): {G.table[i][j]: one} for i in range(n) for j in range(n)}
-    alg = AlgebraData(ctx, n, basis_vec(ctx, n, G.e), mult, labels)
+    alg = AlgebraData(ctx, n, {G.e: one}, mult, labels)
     delta = {i: {(i, i): one} for i in range(n)}
     coalg = CoalgebraData(ctx, n, delta, [one] * n, labels)
-    S = LinearMap(ctx, [basis_vec(ctx, n, G.inv[i]) for i in range(n)])
+    S = LinearMap(ctx, [{G.inv[i]: one} for i in range(n)], n)
     return HopfData(alg, coalg, S)
 
 
@@ -144,7 +143,7 @@ def sweedler_h4(ctx: FieldCtx) -> HopfData:
         (2, 0): {2: one}, (2, 1): {3: -one},
         (3, 0): {3: one}, (3, 1): {2: -one},
     }
-    alg = AlgebraData(ctx, 4, basis_vec(ctx, 4, 0), mult, labels)
+    alg = AlgebraData(ctx, 4, {0: one}, mult, labels)
     delta = {
         0: {(0, 0): one},
         1: {(1, 1): one},
@@ -152,9 +151,7 @@ def sweedler_h4(ctx: FieldCtx) -> HopfData:
         3: {(3, 1): one, (0, 3): one},
     }
     coalg = CoalgebraData(ctx, 4, delta, [one, one, ctx.zero, ctx.zero], labels)
-    S = LinearMap(ctx, [basis_vec(ctx, 4, 0), basis_vec(ctx, 4, 1),
-                        [ctx.zero, ctx.zero, ctx.zero, -one],
-                        basis_vec(ctx, 4, 2)])
+    S = LinearMap(ctx, [{0: one}, {1: one}, {3: -one}, {2: one}], 4)
     return HopfData(alg, coalg, S)
 
 
@@ -215,13 +212,8 @@ def _family_xreduce(params: FamilyParams) -> list[dict]:
     ctx, l = params.ctx, params.l
     table = [{N: ctx.one} for N in range(l)]
     for N in range(l, max(2 * l - 1, l + 1)):
-        acc: dict = {}
-        for p, a in enumerate(params.f_coeffs):
-            if a.is_zero:
-                continue
-            for b, c in table[p + N - l].items():
-                acc[b] = acc.get(b, ctx.zero) + a * c
-        table.append({b: c for b, c in acc.items() if not c.is_zero})
+        table.append(lincomb((a, table[p + N - l])
+                             for p, a in enumerate(params.f_coeffs) if not a.is_zero))
     return table
 
 
@@ -244,7 +236,7 @@ def _family_algebra(params: FamilyParams) -> AlgebraData:
                     terms = {params.index(g, e): co * ce
                              for e, ce in xreduce[b + d].items()}
                     mult[(params.index(a, b), params.index(c, d))] = terms
-    return AlgebraData(ctx, dim, basis_vec(ctx, dim, 0), mult, labels)
+    return AlgebraData(ctx, dim, {0: ctx.one}, mult, labels)
 
 
 def _family_delta_generators(params: FamilyParams, alg: AlgebraData):
@@ -346,24 +338,15 @@ def family(params: FamilyParams, ctx: FieldCtx) -> HopfData:
     # S(x) = -g^-1 x, S(g) = g^-1, extended as an antihomomorphism:
     # S(g^a x^b) = S(x)^b S(g)^a
     sg_vec = {params.index((-1) % m, 0): ctx.one}
-    sx_vec: dict = {}
-    for i, c in xs.items():
-        for k, ck in alg.mul_basis(params.index((-1) % m, 0), i).items():
-            sx_vec[k] = sx_vec.get(k, ctx.zero) - c * ck
-    sx_vec = {k: v for k, v in sx_vec.items() if not v.is_zero}
+    sx_vec = lincomb((-c, alg.mul_basis(params.index((-1) % m, 0), i)) for i, c in xs.items())
     sx_pow = [{params.index(0, 0): ctx.one}]
     for _ in range(l - 1):
         sx_pow.append(alg.mul_sparse(sx_pow[-1], sx_vec))
     sg_pow = [{params.index(0, 0): ctx.one}]
     for _ in range(m - 1):
         sg_pow.append(alg.mul_sparse(sg_pow[-1], sg_vec))
-    cols = []
-    for a in range(m):
-        for b in range(l):
-            sv = alg.mul_sparse(sx_pow[b], sg_pow[a])
-            cols.append(sparse_to_dense(ctx, m * l, sv))
-    S = LinearMap(ctx, cols)
-    return HopfData(alg, coalg, S)
+    cols = [alg.mul_sparse(sx_pow[b], sg_pow[a]) for a in range(m) for b in range(l)]
+    return HopfData(alg, coalg, LinearMap(ctx, cols, m * l))
 
 
 def taft(m: int, ctx: FieldCtx) -> HopfData:
@@ -395,13 +378,9 @@ def _aut_candidate_map(params: FamilyParams, H: HopfData, k: int, c: list) -> Li
     psix_pow = [{params.index(0, 0): ctx.one}]
     for _ in range(l - 1):
         psix_pow.append(alg.mul_sparse(psix_pow[-1], psix))
-    cols = []
-    for a in range(m):
-        ga = {params.index((k * a) % m, 0): ctx.one}
-        for b in range(l):
-            sv = alg.mul_sparse(ga, psix_pow[b])
-            cols.append(sparse_to_dense(ctx, m * l, sv))
-    return LinearMap(ctx, cols)
+    cols = [alg.mul_sparse({params.index((k * a) % m, 0): ctx.one}, psix_pow[b])
+            for a in range(m) for b in range(l)]
+    return LinearMap(ctx, cols, m * l)
 
 
 def _aut_validate(params: FamilyParams, k: int, c) -> list:

@@ -1,10 +1,13 @@
 """Finite-dimensional Hopf algebras presented by structure constants.
 
-An algebra is a sparse multiplication table over a fixed basis, a coalgebra a
-sparse comultiplication table plus a counit vector, and a Hopf algebra the
-pair together with an antipode matrix.  Checkers verify the defining
-identities basis element by basis element and return the first counterexample
-in lexicographic basis order.
+A vector is a sparse dict {basis index: nonzero scalar}, and lincomb is the
+one kernel that forms linear combinations of them.  A LinearMap stores one
+such vector per column.  An algebra is a sparse multiplication table plus a
+unit vector, a coalgebra a sparse comultiplication table plus one counit
+scalar per basis element, and a Hopf algebra the pair together with an
+antipode map.  Checkers verify the defining identities basis element by
+basis element and return the first counterexample in lexicographic basis
+order.
 
 Everything is exact (see scalars); dimensions are capped at MAX_DIM.
 """
@@ -18,113 +21,90 @@ MAX_DIM = 256
 
 
 # ---------------------------------------------------------------------------
-# dense vectors
+# sparse vectors and linear maps
 
 
-def vec_zeros(ctx: FieldCtx, n: int) -> list:
-    z = ctx.zero
-    return [z] * n
+def lincomb(terms) -> dict:
+    """The sum of c*v over (c, v) pairs of a scalar and a sparse vector.
+
+    Entries that sum to zero are dropped; the other keys keep the order in
+    which they first appear.
+    """
+    out: dict = {}
+    for c, v in terms:
+        for k, x in v.items():
+            prev = out.get(k)
+            out[k] = c * x if prev is None else prev + c * x
+    return {k: x for k, x in out.items() if not x.is_zero}
 
 
-def basis_vec(ctx: FieldCtx, n: int, i: int) -> list:
-    v = vec_zeros(ctx, n)
-    v[i] = ctx.one
-    return v
+def _nonzero(v: dict) -> dict:
+    return {k: c for k, c in v.items() if not c.is_zero}
 
 
-def vec_scale(c: Scalar, v: list) -> list:
-    return [c * x for x in v]
+def _basis_order(v: dict) -> dict:
+    """v without its zero entries, keys ascending: witnesses that print a
+    dict list the entries of a column or unit in this order."""
+    return _nonzero(dict(sorted(v.items())))
 
 
-def vec_eq(a: list, b: list) -> bool:
-    return all((x - y).is_zero for x, y in zip(a, b))
-
-
-def dense_to_sparse(v: list) -> dict:
-    return {i: c for i, c in enumerate(v) if not c.is_zero}
-
-
-def sparse_to_dense(ctx: FieldCtx, n: int, sv: dict) -> list:
-    v = vec_zeros(ctx, n)
-    for i, c in sv.items():
-        v[i] = c
-    return v
-
-
-def vec_str(v: list, labels: list[str]) -> str:
-    terms = []
-    for i, c in enumerate(v):
-        if not c.is_zero:
-            terms.append(f"({c})*{labels[i]}")
-    return " + ".join(terms) if terms else "0"
-
-
-# ---------------------------------------------------------------------------
-# linear maps
+def _check_keys(keys, dim: int, what: str) -> None:
+    for k in keys:
+        if not 0 <= k < dim:
+            raise ValueError(f"{what} {k} out of range for dim {dim}")
 
 
 class LinearMap:
-    """Matrix of scalars stored by columns: cols[j] is the image of e_j."""
+    """Matrix stored by sparse columns: cols[j] is the image of e_j, with
+    zero entries dropped and keys in basis order."""
 
     __slots__ = ("ctx", "cols", "domain_dim", "codomain_dim")
 
-    def __init__(self, ctx: FieldCtx, cols: list):
+    def __init__(self, ctx: FieldCtx, cols: list, codomain_dim: int):
         self.ctx = ctx
-        self.cols = [list(c) for c in cols]
+        self.cols = [_basis_order(c) for c in cols]
         self.domain_dim = len(self.cols)
-        self.codomain_dim = len(self.cols[0]) if self.cols else 0
+        self.codomain_dim = codomain_dim
         for c in self.cols:
-            assert len(c) == self.codomain_dim
+            _check_keys(c, codomain_dim, "matrix row")
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "LinearMap":
-        return cls(ctx, [basis_vec(ctx, n, i) for i in range(n)])
+        return cls(ctx, [{i: ctx.one} for i in range(n)], n)
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, rows: list) -> "LinearMap":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        return cls(ctx, [[rows[i][j] for i in range(nrows)] for j in range(ncols)])
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("matrix rows differ in length")
+        return cls(ctx, [dict(enumerate(col)) for col in zip(*rows)], len(rows))
 
     def to_rows(self) -> list:
-        return [[self.cols[j][i] for j in range(self.domain_dim)]
-                for i in range(self.codomain_dim)]
+        zero = self.ctx.zero
+        return [[c.get(i, zero) for c in self.cols] for i in range(self.codomain_dim)]
 
-    def apply(self, v: list) -> list:
-        out = vec_zeros(self.ctx, self.codomain_dim)
-        for j, c in enumerate(v):
-            if not c.is_zero:
-                col = self.cols[j]
-                out = [acc + c * x for acc, x in zip(out, col)]
-        return out
-
-    def apply_sparse(self, sv: dict) -> list:
-        out = vec_zeros(self.ctx, self.codomain_dim)
-        for j, c in sv.items():
-            col = self.cols[j]
-            out = [acc + c * x for acc, x in zip(out, col)]
-        return out
+    def apply(self, v: dict) -> dict:
+        return lincomb((c, self.cols[j]) for j, c in v.items())
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
-        assert other.codomain_dim == self.domain_dim
-        return LinearMap(self.ctx, [self.apply(c) for c in other.cols])
+        if other.codomain_dim != self.domain_dim:
+            raise ValueError(f"cannot compose: codomain dimension {other.codomain_dim} "
+                             f"!= domain dimension {self.domain_dim}")
+        return LinearMap(self.ctx, [self.apply(c) for c in other.cols], self.codomain_dim)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
-        return (self.domain_dim == other.domain_dim
-                and self.codomain_dim == other.codomain_dim
-                and all(vec_eq(a, b) for a, b in zip(self.cols, other.cols)))
+        return self.codomain_dim == other.codomain_dim and self.cols == other.cols
 
     def inverse(self) -> "LinearMap":
         """Exact inverse by Gauss-Jordan elimination; ValueError if singular."""
         if self.domain_dim != self.codomain_dim:
             raise ValueError("only square maps can be inverted")
         n = self.domain_dim
-        ctx = self.ctx
         a = self.to_rows()
-        inv = [basis_vec(ctx, n, i) for i in range(n)]
+        inv = LinearMap.identity(self.ctx, n).to_rows()
         for col in range(n):
             piv = None
             for r in range(col, n):
@@ -136,14 +116,14 @@ class LinearMap:
             a[col], a[piv] = a[piv], a[col]
             inv[col], inv[piv] = inv[piv], inv[col]
             scale = a[col][col].inverse()
-            a[col] = vec_scale(scale, a[col])
-            inv[col] = vec_scale(scale, inv[col])
+            a[col] = [scale * x for x in a[col]]
+            inv[col] = [scale * x for x in inv[col]]
             for r in range(n):
                 if r != col and not a[r][col].is_zero:
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                     inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return LinearMap.from_rows(ctx, inv)
+        return LinearMap.from_rows(self.ctx, inv)
 
     def is_invertible(self) -> bool:
         try:
@@ -165,34 +145,41 @@ class LinearMap:
 # structure-constant data
 
 
-def _clean_sparse(d: dict) -> dict:
-    return {k: c for k, c in d.items() if not c.is_zero}
+def _labels(labels, dim: int) -> list[str]:
+    """labels as a list (e0, e1, ... when None); ValueError on a bad dim."""
+    if dim < 1:
+        raise ValueError(f"dimension {dim} must be at least 1")
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds cap {MAX_DIM}")
+    out = list(labels) if labels is not None else [f"e{i}" for i in range(dim)]
+    if len(out) != dim:
+        raise ValueError(f"{len(out)} labels for dim {dim}")
+    return out
 
 
 class AlgebraData:
     """Unital associative algebra by structure constants.
 
-    mult maps a basis pair (i, j) to the sparse expansion of e_i * e_j;
-    missing pairs multiply to zero.  Nothing is verified at construction
-    time: check_algebra does that.
+    unit is a sparse vector; mult maps a basis pair (i, j) to the sparse
+    expansion of e_i * e_j, and missing pairs multiply to zero.  Ranges are
+    validated at construction time, the axioms by check_algebra.
     """
 
     __slots__ = ("ctx", "dim", "labels", "unit", "mult")
 
-    def __init__(self, ctx: FieldCtx, dim: int, unit: list, mult: dict,
+    def __init__(self, ctx: FieldCtx, dim: int, unit: dict, mult: dict,
                  labels: list[str] | None = None):
-        if dim > MAX_DIM:
-            raise ValueError(f"dimension {dim} exceeds cap {MAX_DIM}")
-        assert dim >= 1 and len(unit) == dim
+        self.labels = _labels(labels, dim)
         self.ctx = ctx
         self.dim = dim
-        self.unit = list(unit)
-        self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(dim)]
-        assert len(self.labels) == dim
+        self.unit = _basis_order(unit)
+        _check_keys(self.unit, dim, "unit index")
         self.mult = {}
         for (i, j), terms in mult.items():
-            assert 0 <= i < dim and 0 <= j < dim
-            t = _clean_sparse(terms)
+            if not 0 <= i < dim or not 0 <= j < dim:
+                raise ValueError(f"mult entry ({i},{j}) out of range for dim {dim}")
+            _check_keys(terms, dim, "mult target")
+            t = _nonzero(terms)
             if t:
                 self.mult[(i, j)] = t
 
@@ -200,39 +187,32 @@ class AlgebraData:
         return self.mult.get((i, j), {})
 
     def mul_sparse(self, sa: dict, sb: dict) -> dict:
-        out: dict = {}
-        for i, ca in sa.items():
-            for j, cb in sb.items():
-                c = ca * cb
-                for k, ck in self.mul_basis(i, j).items():
-                    prev = out.get(k)
-                    out[k] = c * ck if prev is None else prev + c * ck
-        return _clean_sparse(out)
-
-    def mul_vec(self, a: list, b: list) -> list:
-        s = self.mul_sparse(dense_to_sparse(a), dense_to_sparse(b))
-        return sparse_to_dense(self.ctx, self.dim, s)
+        mult = self.mult
+        return lincomb((ca * cb, m) for i, ca in sa.items() for j, cb in sb.items()
+                       if (m := mult.get((i, j))))
 
 
 class CoalgebraData:
     """Coalgebra by structure constants: delta[i] expands e_i sparsely in
-    the tensor square, counit is a dense weight vector."""
+    the tensor square; the counit is a list of one scalar per basis element."""
 
     __slots__ = ("ctx", "dim", "labels", "delta", "counit")
 
     def __init__(self, ctx: FieldCtx, dim: int, delta: dict, counit: list,
                  labels: list[str] | None = None):
-        if dim > MAX_DIM:
-            raise ValueError(f"dimension {dim} exceeds cap {MAX_DIM}")
-        assert len(counit) == dim
+        self.labels = _labels(labels, dim)
+        if len(counit) != dim:
+            raise ValueError(f"counit has {len(counit)} entries for dim {dim}")
         self.ctx = ctx
         self.dim = dim
         self.counit = list(counit)
-        self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(dim)]
         self.delta = {}
         for i, terms in delta.items():
-            assert 0 <= i < dim
-            t = _clean_sparse(terms)
+            _check_keys([i], dim, "delta source")
+            for j, k in terms:
+                if not 0 <= j < dim or not 0 <= k < dim:
+                    raise ValueError(f"delta target ({j},{k}) out of range for dim {dim}")
+            t = _nonzero(terms)
             if t:
                 self.delta[i] = t
 
@@ -245,9 +225,6 @@ class CoalgebraData:
             out = out + c * self.counit[i]
         return out
 
-    def counit_vec(self, v: list) -> Scalar:
-        return self.counit_sparse(dense_to_sparse(v))
-
 
 class HopfData:
     """Algebra + coalgebra + antipode over one basis."""
@@ -255,8 +232,11 @@ class HopfData:
     __slots__ = ("algebra", "coalgebra", "antipode")
 
     def __init__(self, algebra: AlgebraData, coalgebra: CoalgebraData, antipode: LinearMap):
-        assert algebra.dim == coalgebra.dim == antipode.domain_dim == antipode.codomain_dim
-        assert algebra.ctx == coalgebra.ctx == antipode.ctx
+        dims = (algebra.dim, coalgebra.dim, antipode.domain_dim, antipode.codomain_dim)
+        if len(set(dims)) != 1:
+            raise ValueError(f"algebra, coalgebra and antipode dimensions disagree: {dims}")
+        if not algebra.ctx == coalgebra.ctx == antipode.ctx:
+            raise ValueError("algebra, coalgebra and antipode use different scalar fields")
         self.algebra = algebra
         self.coalgebra = coalgebra
         self.antipode = antipode
@@ -274,11 +254,8 @@ class HopfData:
         return self.algebra.labels
 
     @property
-    def unit(self) -> list:
+    def unit(self) -> dict:
         return self.algebra.unit
-
-    def mul(self, a: list, b: list) -> list:
-        return self.algebra.mul_vec(a, b)
 
 
 def _algebra_of(x) -> AlgebraData:
@@ -386,10 +363,8 @@ def tensor_apply_counit(coalg: CoalgebraData, t: TensorElement, leg: int) -> Ten
 def tensor_apply_map(f: LinearMap, t: TensorElement, leg: int) -> TensorElement:
     out = TensorElement(t.ctx, t.rank)
     for tup, c in t.terms.items():
-        col = f.cols[tup[leg]]
-        for k, x in enumerate(col):
-            if not x.is_zero:
-                out.add_term(tup[:leg] + (k,) + tup[leg + 1:], c * x)
+        for k, x in f.cols[tup[leg]].items():
+            out.add_term(tup[:leg] + (k,) + tup[leg + 1:], c * x)
     return out
 
 
@@ -445,11 +420,11 @@ def iterated_delta(coalg: CoalgebraData, sv: dict, legs: int) -> TensorElement:
     return t
 
 
-def delta_power(H, v: list, k: int) -> TensorElement:
-    """Delta iterated into k Sweedler legs, k in 1..3."""
+def delta_power(H, v: dict, k: int) -> TensorElement:
+    """Delta of a sparse vector iterated into k Sweedler legs, k in 1..3."""
     if not 1 <= k <= 3:
         raise ValueError("delta_power supports 1 to 3 legs")
-    return iterated_delta(_coalgebra_of(H), dense_to_sparse(v), k)
+    return iterated_delta(_coalgebra_of(H), v, k)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +436,9 @@ _BASIS_RHS = ("unit", "counit_left", "counit_right")
 
 
 def _show(x, labels: list[str]) -> str:
-    """A tensor, dense vector, sparse vector or scalar as witness text."""
+    """A tensor, sparse vector or scalar as witness text."""
     if isinstance(x, TensorElement):
         return x.to_str(labels)
-    if isinstance(x, list):
-        return vec_str(x, labels)
     if isinstance(x, dict):
         return " + ".join(f"({c})*{labels[k]}" for k, c in sorted(x.items())) or "0"
     return str(x)
@@ -491,7 +464,7 @@ def check_algebra(A) -> VerificationReport:
     """Associativity on basis triples plus two-sided unit."""
     A = _algebra_of(A)
     one = A.ctx.one
-    su = dense_to_sparse(A.unit)
+    su = A.unit
 
     def cases():
         for i in range(A.dim):
@@ -529,7 +502,7 @@ def check_bialgebra_compat(H: HopfData) -> VerificationReport:
     """Delta and the counit are algebra morphisms; Delta(1) = 1 (x) 1."""
     A, C = H.algebra, H.coalgebra
     one = A.ctx.one
-    su = dense_to_sparse(A.unit)
+    su = A.unit
     deltas = [iterated_delta(C, {i: one}, 2) for i in range(A.dim)]
 
     def cases():
@@ -551,18 +524,16 @@ def check_antipode(H: HopfData) -> VerificationReport:
     """Both convolution-inverse laws, the antihomomorphism identities for
     multiplication and comultiplication, S(1) = 1, and counit invariance."""
     A, C, S = H.algebra, H.coalgebra, H.antipode
-    ctx = A.ctx
     one_vec = A.unit
-    deltas = [iterated_delta(C, {i: ctx.one}, 2) for i in range(A.dim)]
-    images = [dense_to_sparse(col) for col in S.cols]
+    deltas = [iterated_delta(C, {i: A.ctx.one}, 2) for i in range(A.dim)]
+    images = S.cols
 
-    def product(t: TensorElement) -> list:
-        terms = tensor_mul_legs(A, t, 0).terms
-        return sparse_to_dense(ctx, A.dim, {k: c for (k,), c in terms.items()})
+    def product(t: TensorElement) -> dict:
+        return {k: c for (k,), c in tensor_mul_legs(A, t, 0).terms.items()}
 
     def cases():
         for i, t in enumerate(deltas):
-            target = vec_scale(C.counit[i], one_vec)
+            target = lincomb([(C.counit[i], one_vec)])
             yield ("antipode_left", i), product(tensor_apply_map(S, t, 0)), target
             yield ("antipode_right", i), product(tensor_apply_map(S, t, 1)), target
         yield ("antipode_unit",), S.apply(one_vec), one_vec
@@ -570,8 +541,7 @@ def check_antipode(H: HopfData) -> VerificationReport:
             yield ("antipode_counit", i), C.counit_sparse(images[i]), C.counit[i]
         for i in range(A.dim):
             for j in range(A.dim):
-                yield (("antipode_antihom_mult", i, j),
-                       dense_to_sparse(S.apply_sparse(A.mul_basis(i, j))),
+                yield (("antipode_antihom_mult", i, j), S.apply(A.mul_basis(i, j)),
                        A.mul_sparse(images[j], images[i]))
         for i, t in enumerate(deltas):
             yield (("antipode_antihom_comult", i), iterated_delta(C, images[i], 2),
@@ -618,13 +588,13 @@ def opposite_hopf(H: HopfData) -> HopfData:
 def is_algebra_morphism(f: LinearMap, src, dst) -> VerificationReport:
     """f(1) = 1 and f(ab) = f(a)f(b) on basis pairs."""
     A, B = _algebra_of(src), _algebra_of(dst)
-    images = [dense_to_sparse(col) for col in f.cols]
+    images = f.cols
 
     def cases():
         yield ("morphism_unit",), f.apply(A.unit), B.unit
         for i in range(A.dim):
             for j in range(A.dim):
-                yield (("morphism_mult", i, j), dense_to_sparse(f.apply_sparse(A.mul_basis(i, j))),
+                yield (("morphism_mult", i, j), f.apply(A.mul_basis(i, j)),
                        B.mul_sparse(images[i], images[j]))
 
     return first_failure("algebra_morphism", cases(), _witness(A.labels, B.labels))
@@ -634,7 +604,7 @@ def is_coalgebra_morphism(f: LinearMap, src, dst) -> VerificationReport:
     """Delta(f(a)) = (f (x) f)(Delta(a)) and counit preservation."""
     C, D = _coalgebra_of(src), _coalgebra_of(dst)
     one = C.ctx.one
-    images = [dense_to_sparse(col) for col in f.cols]
+    images = f.cols
 
     def cases():
         for i in range(C.dim):
@@ -653,38 +623,30 @@ def is_hopf_morphism(f: LinearMap, src: HopfData, dst: HopfData) -> Verification
     })
 
 
-def is_group_like(H, v: list) -> bool:
-    """Nonzero v with Delta(v) = v (x) v and counit 1."""
+def is_group_like(H, v: dict) -> bool:
+    """Nonzero sparse v with Delta(v) = v (x) v and counit 1."""
     C = _coalgebra_of(H)
-    sv = dense_to_sparse(v)
-    if not sv:
+    if not v:
         return False
-    t = tensor_from_sparse_vec(C.ctx, sv)
-    if iterated_delta(C, sv, 2) != tensor_outer(t, t):
+    t = tensor_from_sparse_vec(C.ctx, v)
+    if iterated_delta(C, v, 2) != tensor_outer(t, t):
         return False
-    return C.counit_sparse(sv) == C.ctx.one
+    return C.counit_sparse(v) == C.ctx.one
 
 
 def group_like_basis_indices(H) -> list[int]:
     C = _coalgebra_of(H)
-    out = []
-    for i in range(C.dim):
-        v = basis_vec(C.ctx, C.dim, i)
-        if is_group_like(H, v):
-            out.append(i)
-    return out
+    return [i for i in range(C.dim) if is_group_like(H, {i: C.ctx.one})]
 
 
-def is_primitive(H, v: list, g: list) -> bool:
+def is_primitive(H, v: dict, g: dict) -> bool:
     """Delta(v) = v (x) 1 + g (x) v, the skew-primitive law for group-like g."""
     C = _coalgebra_of(H)
-    A = _algebra_of(H)
-    sv = dense_to_sparse(v)
-    expected = tensor_outer(tensor_from_sparse_vec(C.ctx, sv),
-                            tensor_from_sparse_vec(C.ctx, dense_to_sparse(A.unit)))
-    expected = expected.add(tensor_outer(tensor_from_sparse_vec(C.ctx, dense_to_sparse(g)),
-                                         tensor_from_sparse_vec(C.ctx, sv)))
-    return iterated_delta(C, sv, 2) == expected
+    ctx = C.ctx
+    tv = tensor_from_sparse_vec(ctx, v)
+    expected = tensor_outer(tv, tensor_from_sparse_vec(ctx, _algebra_of(H).unit))
+    expected = expected.add(tensor_outer(tensor_from_sparse_vec(ctx, g), tv))
+    return iterated_delta(C, v, 2) == expected
 
 
 def check_cobrace_compat(m: AlgebraData, D1: CoalgebraData, D2: CoalgebraData,
@@ -734,7 +696,7 @@ def hopf_to_json(H: HopfData) -> dict:
         "field": A.ctx.to_json(),
         "dim": A.dim,
         "labels": list(A.labels),
-        "unit": [c.to_json() for c in A.unit],
+        "unit": [A.unit.get(i, A.ctx.zero).to_json() for i in range(A.dim)],
         "mult": mult,
         "delta": delta,
         "counit": [c.to_json() for c in C.counit],
@@ -747,36 +709,15 @@ def hopf_from_json(obj: dict, max_n: int = 64, max_p: int = 97) -> HopfData:
     dim = int(obj["dim"])
     labels = obj.get("labels")
     unit = [scalar_from_json(c, ctx) for c in obj["unit"]]
-    mult = {}
-    for entry in obj["mult"]:
-        i, j = int(entry["i"]), int(entry["j"])
-        if not 0 <= i < dim or not 0 <= j < dim:
-            raise ValueError(f"mult entry ({i},{j}) out of range for dim {dim}")
-        terms = {}
-        for t in entry["terms"]:
-            k = int(t["k"])
-            if not 0 <= k < dim:
-                raise ValueError(f"mult target {k} out of range for dim {dim}")
-            terms[k] = scalar_from_json(t["c"], ctx)
-        mult[(i, j)] = terms
-    delta = {}
-    for entry in obj["delta"]:
-        i = int(entry["i"])
-        if not 0 <= i < dim:
-            raise ValueError(f"delta source {i} out of range for dim {dim}")
-        terms = {}
-        for t in entry["terms"]:
-            j, k = int(t["j"]), int(t["k"])
-            if not 0 <= j < dim or not 0 <= k < dim:
-                raise ValueError(f"delta target ({j},{k}) out of range for dim {dim}")
-            terms[(j, k)] = scalar_from_json(t["c"], ctx)
-        delta[i] = terms
+    if len(unit) != dim:
+        raise ValueError("unit length does not match dim")
+    mult = {(int(e["i"]), int(e["j"])): {int(t["k"]): scalar_from_json(t["c"], ctx)
+                                         for t in e["terms"]}
+            for e in obj["mult"]}
+    delta = {int(e["i"]): {(int(t["j"]), int(t["k"])): scalar_from_json(t["c"], ctx)
+                           for t in e["terms"]}
+             for e in obj["delta"]}
     counit = [scalar_from_json(c, ctx) for c in obj["counit"]]
-    if len(counit) != dim or len(unit) != dim:
-        raise ValueError("unit/counit length does not match dim")
-    antipode = LinearMap.from_json(obj["antipode"], ctx)
-    if antipode.domain_dim != dim or antipode.codomain_dim != dim:
-        raise ValueError("antipode matrix shape does not match dim")
-    alg = AlgebraData(ctx, dim, unit, mult, labels=labels)
+    alg = AlgebraData(ctx, dim, dict(enumerate(unit)), mult, labels=labels)
     coalg = CoalgebraData(ctx, dim, delta, counit, labels=labels)
-    return HopfData(alg, coalg, antipode)
+    return HopfData(alg, coalg, LinearMap.from_json(obj["antipode"], ctx))

@@ -524,16 +524,19 @@ def check_rb_lambda(G: GroupTable, B, lam: int) -> VerificationReport:
     B = _validate_map(G, B)
     mu = _lambda_root(G, lam)
     t, inv = G.table, G.inv
+    cols = tuple(zip(*t))
     plam = [G.power(g, lam) for g in range(G.n)]
+    pmu = tuple(G.power(g, mu) for g in range(G.n))
+    get_plam, get_b = _gather(plam), _gather(B)
 
-    def cases():
+    def rows():
+        # row g runs over h: g^lam B(g) h^lam, then times B(g)^-1, then ^mu
         for g in range(G.n):
             bg = B[g]
-            for h in range(G.n):
-                arg = G.power(t[t[t[plam[g]][bg]][plam[h]]][inv[bg]], mu)
-                yield (g, h), t[bg][B[h]], B[arg]
+            arg = _gather(get_plam(t[t[plam[g]][bg]]))(cols[inv[bg]])
+            yield (g,), get_b(t[bg]), _gather(_gather(arg)(pmu))(B)
 
-    return first_failure("rb_weight_lambda", cases())
+    return first_row_failure("rb_weight_lambda", rows())
 
 
 def _as_group(name: str, op: BinaryOp | GroupTable) -> GroupTable:
@@ -742,10 +745,9 @@ def linearize_rb(G: GroupTable, B, ctx):
     if not check_rb(G, B, 1).ok:
         raise ValueError("linearize_rb requires a verified weight-1 operator")
     from .constructions import group_algebra
-    from .hopf_core import LinearMap, basis_vec
+    from .hopf_core import LinearMap
     H = group_algebra(G, ctx)
-    Bhat = LinearMap(ctx, [basis_vec(ctx, G.n, B[j]) for j in range(G.n)])
-    return H, Bhat
+    return H, LinearMap(ctx, [{B[j]: ctx.one} for j in range(G.n)], G.n)
 
 
 def operator_to_json(G: GroupTable, B, weight: int) -> dict:

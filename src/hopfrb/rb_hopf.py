@@ -5,17 +5,18 @@ checks cover the four defining conditions, the circle product a o b =
 a_(1) * Phi_{B(a_(2))}(b), the derived Hopf algebra with antipode
 S_B(a) = Phi_{S_G(B(a_(1)))}(S_H(a_(2))), the Hopf-brace identity, the
 group-flavoured special case (adjoint action), and the exact-factorization
-construction on group algebras.  All Sweedler legs are materialized as
-sparse tensors and compared entry-wise.
+construction on group algebras.  Vectors are sparse dicts (see hopf_core)
+and all Sweedler legs are materialized as sparse tensors and compared
+entry-wise.
 """
 
 from __future__ import annotations
 
 from .constructions import group_algebra
-from .hopf_core import (AlgebraData, HopfData, LinearMap, TensorElement, basis_vec,
-                        dense_to_sparse, group_like_basis_indices, is_coalgebra_morphism,
-                        iterated_delta, opposite_hopf, sparse_to_dense, tensor_apply_delta,
-                        tensor_apply_map, tensor_mul_legs, tensor_outer, tensor_permute)
+from .hopf_core import (AlgebraData, HopfData, LinearMap, TensorElement,
+                        group_like_basis_indices, is_coalgebra_morphism, iterated_delta,
+                        lincomb, opposite_hopf, tensor_apply_delta, tensor_apply_map,
+                        tensor_mul_legs, tensor_outer, tensor_permute)
 from .rb_group import GroupTable, is_subgroup
 from .report import VerificationReport, first_failure, labelled, merge_reports
 from .scalars import FieldCtx
@@ -43,18 +44,13 @@ class ActionData:
 
     def apply(self, gs: dict, hs: dict) -> dict:
         """Phi of a sparse G-vector on a sparse H-vector."""
-        out: dict = {}
-        for g, cg in gs.items():
-            for h, ch in hs.items():
-                c = cg * ch
-                for k, ck in self.apply_basis(g, h).items():
-                    out[k] = out.get(k, self.ctx.zero) + c * ck
-        return {k: v for k, v in out.items() if not v.is_zero}
+        phi = self.phi
+        return lincomb((cg * ch, t) for g, cg in gs.items() for h, ch in hs.items()
+                       if (t := phi.get((g, h))))
 
     def matrix_for(self, g: int) -> LinearMap:
-        cols = [sparse_to_dense(self.ctx, self.dim_h, self.apply_basis(g, h))
-                for h in range(self.dim_h)]
-        return LinearMap(self.ctx, cols)
+        return LinearMap(self.ctx, [self.apply_basis(g, h) for h in range(self.dim_h)],
+                         self.dim_h)
 
     def to_json(self) -> list:
         out = []
@@ -91,10 +87,8 @@ class RelRBHopf:
 def check_action(phi: ActionData, G: HopfData, H: HopfData) -> VerificationReport:
     """The four module-algebra laws, first failure witnessed."""
     assert phi.dim_g == G.dim and phi.dim_h == H.dim
-    ctx = H.ctx
-    one = ctx.one
-    unit_g = dense_to_sparse(G.unit)
-    unit_h = dense_to_sparse(H.unit)
+    one = H.ctx.one
+    unit_g, unit_h = G.unit, H.unit
 
     def composition():
         for g in range(G.dim):
@@ -109,20 +103,15 @@ def check_action(phi: ActionData, G: HopfData, H: HopfData) -> VerificationRepor
             dg = G.coalgebra.delta_basis(g)
             for a in range(H.dim):
                 for b in range(H.dim):
-                    rhs: dict = {}
-                    for (g1, g2), c in dg.items():
-                        prod = H.algebra.mul_sparse(phi.apply_basis(g1, a),
-                                                    phi.apply_basis(g2, b))
-                        for k, ck in prod.items():
-                            rhs[k] = rhs.get(k, ctx.zero) + c * ck
-                    yield ((g, a, b), phi.apply({g: one}, H.algebra.mul_basis(a, b)),
-                           {k: v for k, v in rhs.items() if not v.is_zero})
+                    rhs = lincomb((c, H.algebra.mul_sparse(phi.apply_basis(g1, a),
+                                                           phi.apply_basis(g2, b)))
+                                  for (g1, g2), c in dg.items())
+                    yield (g, a, b), phi.apply({g: one}, H.algebra.mul_basis(a, b)), rhs
 
     def on_unit():
         for g in range(G.dim):
-            eps = G.coalgebra.counit[g]
             yield ((g,), phi.apply({g: one}, unit_h),
-                   {k: eps * c for k, c in unit_h.items() if not (eps * c).is_zero})
+                   lincomb([(G.coalgebra.counit[g], unit_h)]))
 
     return merge_reports({
         "unit_acts_trivially": first_failure(
@@ -139,19 +128,11 @@ def check_action(phi: ActionData, G: HopfData, H: HopfData) -> VerificationRepor
 
 def adjoint_action(H: HopfData) -> ActionData:
     """Phi_a(b) = a_(1) b S(a_(2)), the conjugation-style action of H on itself."""
-    ctx = H.ctx
-    phi: dict = {}
-    for g in range(H.dim):
-        dg = H.coalgebra.delta_basis(g)
-        for h in range(H.dim):
-            acc: dict = {}
-            for (g1, g2), c in dg.items():
-                sg2 = dense_to_sparse(H.antipode.cols[g2])
-                prod = H.algebra.mul_sparse(H.algebra.mul_basis(g1, h), sg2)
-                for k, ck in prod.items():
-                    acc[k] = acc.get(k, ctx.zero) + c * ck
-            phi[(g, h)] = acc
-    return ActionData(ctx, H.dim, H.dim, phi)
+    A, S = H.algebra, H.antipode
+    phi = {(g, h): lincomb((c, A.mul_sparse(A.mul_basis(g1, h), S.cols[g2]))
+                           for (g1, g2), c in H.coalgebra.delta_basis(g).items())
+           for g in range(H.dim) for h in range(H.dim)}
+    return ActionData(H.ctx, H.dim, H.dim, phi)
 
 
 def _action_join(phi: ActionData, t: TensorElement, gleg: int, hleg: int) -> TensorElement:
@@ -200,12 +181,7 @@ def _cond3_remark_sides(data: RelRBHopf, a: int, b: int) -> tuple[TensorElement,
     """The antipode-expanded form: Delta(Phi_{B(a)}(b)) against the four-leg
     expansion Phi_{B(a2)}(b1) (x) S(a1) * a3 * Phi_{B(a4)}(b2)."""
     H, phi, B = data.H, data.phi, data.B
-    ctx = H.ctx
-    u = phi.apply(dense_to_sparse(B.cols[a]), {b: ctx.one})
-    lhs = TensorElement(ctx, 2)
-    for i, c in u.items():
-        for (u1, u2), ck in H.coalgebra.delta_basis(i).items():
-            lhs.add_term((u1, u2), c * ck)
+    lhs = iterated_delta(H.coalgebra, phi.apply(B.cols[a], {b: H.ctx.one}), 2)
     t = tensor_outer(_delta_tensor(H, a, 4), _delta_tensor(H, b, 2))  # [a1..a4, b1, b2]
     t = tensor_apply_map(B, t, 1)
     t = tensor_apply_map(B, t, 3)
@@ -218,27 +194,19 @@ def _cond3_remark_sides(data: RelRBHopf, a: int, b: int) -> tuple[TensorElement,
     return lhs, rhs
 
 
-def circle(data: RelRBHopf, a: list, b: list) -> list:
-    """a o b = a_(1) * Phi_{B(a_(2))}(b)."""
+def circle(data: RelRBHopf, a: dict, b: dict) -> dict:
+    """a o b = a_(1) * Phi_{B(a_(2))}(b) for sparse vectors a, b; the keys
+    of the result are in basis order."""
     H, phi, B = data.H, data.phi, data.B
-    ctx = H.ctx
-    bs = dense_to_sparse(b)
-    out: dict = {}
-    for i, ai in enumerate(a):
-        if ai.is_zero:
-            continue
-        for (a1, a2), c in H.coalgebra.delta_basis(i).items():
-            u = phi.apply(dense_to_sparse(B.cols[a2]), bs)
-            prod = H.algebra.mul_sparse({a1: ctx.one}, u)
-            for k, ck in prod.items():
-                out[k] = out.get(k, ctx.zero) + ai * c * ck
-    return sparse_to_dense(ctx, H.dim, out)
+    one = H.ctx.one
+    out = lincomb((ai * c, H.algebra.mul_sparse({a1: one}, phi.apply(B.cols[a2], b)))
+                  for i, ai in a.items() for (a1, a2), c in H.coalgebra.delta_basis(i).items())
+    return dict(sorted(out.items()))
 
 
 def _circle_basis(data: RelRBHopf, i: int, j: int) -> dict:
-    ctx = data.H.ctx
-    return dense_to_sparse(circle(data, basis_vec(ctx, data.H.dim, i),
-                                  basis_vec(ctx, data.H.dim, j)))
+    one = data.H.ctx.one
+    return circle(data, {i: one}, {j: one})
 
 
 def check_rrbo(data: RelRBHopf, full: bool = False) -> VerificationReport:
@@ -248,7 +216,6 @@ def check_rrbo(data: RelRBHopf, full: bool = False) -> VerificationReport:
     equation and its antipode-expanded variant) and the verdicts must agree.
     """
     H, G, phi, B = data.H, data.G, data.phi, data.B
-    ctx = H.ctx
     pairs = [(a, b) for a in range(H.dim) for b in range(H.dim)]
     pair_witness = labelled([H.labels, H.labels], lambda t: t.to_str(H.labels))
     parts = {"condition_1_coalgebra": is_coalgebra_morphism(B, H, G),
@@ -275,13 +242,13 @@ def check_rrbo(data: RelRBHopf, full: bool = False) -> VerificationReport:
             labelled([H.labels, H.labels], lambda v: f"compat {v}", lambda v: f"remark {v}"))
 
     if not done():
-        images = [dense_to_sparse(col) for col in B.cols]
+        images = B.cols
 
         def condition_4():
             for a, b in pairs:
-                circ = sparse_to_dense(ctx, H.dim, _circle_basis(data, a, b))
+                # sorted, so that the witness lists the right side in basis order
                 yield ((a, b), G.algebra.mul_sparse(images[a], images[b]),
-                       dense_to_sparse(B.apply(circ)))
+                       dict(sorted(B.apply(_circle_basis(data, a, b)).items())))
 
         def show(v: dict) -> str:
             return str({G.labels[k]: str(c) for k, c in v.items()})
@@ -302,17 +269,10 @@ def derived_hopf(data: RelRBHopf) -> HopfData:
     n = H.dim
     mult = {(i, j): _circle_basis(data, i, j) for i in range(n) for j in range(n)}
     alg = AlgebraData(ctx, n, H.unit, mult, H.labels)
-    cols = []
-    for a in range(n):
-        acc: dict = {}
-        for (a1, a2), c in H.coalgebra.delta_basis(a).items():
-            sg = dense_to_sparse(G.antipode.apply(B.cols[a1]))
-            sh = dense_to_sparse(H.antipode.cols[a2])
-            for k, ck in phi.apply(sg, sh).items():
-                acc[k] = acc.get(k, ctx.zero) + c * ck
-        cols.append(sparse_to_dense(ctx, n, acc))
-    sb = LinearMap(ctx, cols)
-    return HopfData(alg, H.coalgebra, sb)
+    cols = [lincomb((c, phi.apply(G.antipode.apply(B.cols[a1]), H.antipode.cols[a2]))
+                    for (a1, a2), c in H.coalgebra.delta_basis(a).items())
+            for a in range(n)]
+    return HopfData(alg, H.coalgebra, LinearMap(ctx, cols, n))
 
 
 def check_hopf_brace(data: RelRBHopf) -> VerificationReport:
@@ -322,23 +282,17 @@ def check_hopf_brace(data: RelRBHopf) -> VerificationReport:
     ctx = H.ctx
     n = H.dim
     circ = {(i, j): _circle_basis(data, i, j) for i in range(n) for j in range(n)}
+    mul, S = H.algebra.mul_sparse, H.antipode
 
     def brace_cases():
         for a in range(n):
             d2 = iterated_delta(H.coalgebra, {a: ctx.one}, 3)
             for b in range(n):
                 for c in range(n):
-                    bc = H.algebra.mul_basis(b, c)
-                    lhs = dense_to_sparse(circle(data, basis_vec(ctx, n, a),
-                                                 sparse_to_dense(ctx, n, bc)))
-                    rhs: dict = {}
-                    for (a1, a2, a3), ct in d2.terms.items():
-                        sa2 = dense_to_sparse(H.antipode.cols[a2])
-                        part = H.algebra.mul_sparse(circ[(a1, b)], sa2)
-                        part = H.algebra.mul_sparse(part, circ[(a3, c)])
-                        for k, ck in part.items():
-                            rhs[k] = rhs.get(k, ctx.zero) + ct * ck
-                    yield (a, b, c), lhs, {k: v for k, v in rhs.items() if not v.is_zero}
+                    lhs = circle(data, {a: ctx.one}, H.algebra.mul_basis(b, c))
+                    rhs = lincomb((ct, mul(mul(circ[(a1, b)], S.cols[a2]), circ[(a3, c)]))
+                                  for (a1, a2, a3), ct in d2.terms.items())
+                    yield (a, b, c), lhs, rhs
 
     invertible = {g: phi.matrix_for(g).is_invertible() for g in group_like_basis_indices(G)}
     out = merge_reports({
@@ -388,8 +342,7 @@ def exact_factorization_rrb(G: GroupTable, A, L, ctx: FieldCtx) -> RelRBHopf:
         for h in range(G.n):
             phi[(i, h)] = {G.table[G.table[linv][h]][l]: ctx.one}
     act = ActionData(ctx, len(L), G.n, phi)
-    cols = [basis_vec(ctx, len(L), lpos[factor[g][0][1]]) for g in range(G.n)]
-    B = LinearMap(ctx, cols)
+    B = LinearMap(ctx, [{lpos[factor[g][0][1]]: ctx.one} for g in range(G.n)], len(L))
     return RelRBHopf(H, Gside, act, B)
 
 
@@ -442,19 +395,11 @@ def grbo_check(H: HopfData, B: LinearMap) -> VerificationReport:
 
 def hrbo_action(H: HopfData) -> ActionData:
     """Phi_a(b) = S(a_(1)) b a_(2), an action of H^op on H."""
-    ctx = H.ctx
-    phi: dict = {}
-    for g in range(H.dim):
-        for h in range(H.dim):
-            acc: dict = {}
-            for (g1, g2), c in H.coalgebra.delta_basis(g).items():
-                sg1 = dense_to_sparse(H.antipode.cols[g1])
-                prod = H.algebra.mul_sparse(H.algebra.mul_sparse(sg1, {h: ctx.one}),
-                                            {g2: ctx.one})
-                for k, ck in prod.items():
-                    acc[k] = acc.get(k, ctx.zero) + c * ck
-            phi[(g, h)] = acc
-    return ActionData(ctx, H.dim, H.dim, phi)
+    A, S, one = H.algebra, H.antipode, H.ctx.one
+    phi = {(g, h): lincomb((c, A.mul_sparse(A.mul_sparse(S.cols[g1], {h: one}), {g2: one}))
+                           for (g1, g2), c in H.coalgebra.delta_basis(g).items())
+           for g in range(H.dim) for h in range(H.dim)}
+    return ActionData(H.ctx, H.dim, H.dim, phi)
 
 
 def _hrbo_display_sides(data: RelRBHopf, a: int, b: int):

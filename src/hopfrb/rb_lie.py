@@ -6,12 +6,15 @@ The relative identity for B: h -> g under an action phi: g -> Der(h) is
     [B(u), B(v)]_g = B( phi(B(u))v - phi(B(v))u + lambda*[u,v]_h )
 
 and rescaling the bracket of h by lambda with phi = ad reduces it to the
-plain weight-lambda Rota-Baxter identity on one algebra.
+plain weight-lambda Rota-Baxter identity on one algebra.  Vectors are sparse
+dicts combined by hopf_core.lincomb; operators and actions are LinearMaps.
 """
 
 from __future__ import annotations
 
-from .hopf_core import LinearMap, basis_vec, dense_to_sparse, sparse_to_dense
+from functools import partial
+
+from .hopf_core import LinearMap, lincomb
 from .report import VerificationReport, first_failure, labelled, merge_reports
 from .scalars import FieldCtx, Scalar, parse_field, scalar_from_json
 
@@ -46,28 +49,15 @@ class LieData:
         return self.brackets.get((i, j), {})
 
     def bracket_sparse(self, sa: dict, sb: dict) -> dict:
-        out: dict = {}
-        for i, ca in sa.items():
-            for j, cb in sb.items():
-                c = ca * cb
-                for k, ck in self.bracket_basis(i, j).items():
-                    out[k] = out.get(k, self.ctx.zero) + c * ck
-        return {k: v for k, v in out.items() if not v.is_zero}
-
-    def bracket_vec(self, a: list, b: list) -> list:
-        s = self.bracket_sparse(dense_to_sparse(a), dense_to_sparse(b))
-        return sparse_to_dense(self.ctx, self.dim, s)
+        brackets = self.brackets
+        return lincomb((ca * cb, t) for i, ca in sa.items() for j, cb in sb.items()
+                       if (t := brackets.get((i, j))))
 
 
 def _sp_str(L: LieData, s: dict) -> str:
     if not s:
         return "0"
     return " + ".join(f"({s[k]})*{L.labels[k]}" for k in sorted(s))
-
-
-def _dense_str(L: LieData):
-    """Witness text for dense vectors of L."""
-    return lambda v: _sp_str(L, dense_to_sparse(v))
 
 
 def check_lie(L: LieData) -> VerificationReport:
@@ -102,7 +92,7 @@ def check_lie(L: LieData) -> VerificationReport:
     return merge_reports({
         "antisymmetry": first_failure("antisymmetry", antisymmetry(), antisymmetry_witness),
         "jacobi": first_failure("jacobi", jacobi(),
-                                labelled([L.labels] * 3, lambda s: _sp_str(L, s), lambda _: "0")),
+                                labelled([L.labels] * 3, partial(_sp_str, L), lambda _: "0")),
     })
 
 
@@ -121,57 +111,48 @@ class DerivationAction:
             assert m.domain_dim == m.codomain_dim == self.dim_h
         self.mats = list(mats)
 
-    def apply(self, gs: dict, hv: list) -> list:
-        """phi(u)(v) for a sparse u in g and a dense v in h."""
-        out = [self.ctx.zero] * self.dim_h
-        for i, c in gs.items():
-            img = self.mats[i].apply(hv)
-            out = [a + c * b for a, b in zip(out, img)]
-        return out
+    def apply(self, gs: dict, hv: dict) -> dict:
+        """phi(u)(v) for sparse u in g and v in h."""
+        return lincomb((c, self.mats[i].apply(hv)) for i, c in gs.items())
 
 
 def adjoint_lie_action(L: LieData) -> DerivationAction:
     """phi = ad: phi(u)(v) = [u, v]."""
-    mats = []
-    for i in range(L.dim):
-        cols = [sparse_to_dense(L.ctx, L.dim, L.bracket_basis(i, j))
-                for j in range(L.dim)]
-        mats.append(LinearMap(L.ctx, cols))
-    return DerivationAction(L.ctx, mats)
+    return DerivationAction(L.ctx, [
+        LinearMap(L.ctx, [L.bracket_basis(i, j) for j in range(L.dim)], L.dim)
+        for i in range(L.dim)])
 
 
 def check_derivation_action(phi: DerivationAction, g: LieData, h: LieData) -> VerificationReport:
     """Each phi(e_i) derives the bracket of h, and phi is a Lie morphism
     into the commutator bracket on endomorphisms."""
     assert phi.dim_g == g.dim and phi.dim_h == h.dim
-    ctx = g.ctx
+    one = g.ctx.one
 
     def derivation():
         for i in range(g.dim):
             m = phi.mats[i]
             for u in range(h.dim):
                 for v in range(h.dim):
-                    lhs = m.apply(sparse_to_dense(ctx, h.dim, h.bracket_basis(u, v)))
-                    rhs = [a + b for a, b in zip(
-                        h.bracket_vec(m.cols[u], basis_vec(ctx, h.dim, v)),
-                        h.bracket_vec(basis_vec(ctx, h.dim, u), m.cols[v]))]
-                    yield (i, u, v), lhs, rhs
+                    rhs = lincomb([(one, h.bracket_sparse(m.cols[u], {v: one})),
+                                   (one, h.bracket_sparse({u: one}, m.cols[v]))])
+                    yield (i, u, v), m.apply(h.bracket_basis(u, v)), rhs
 
     def lie_morphism():
         for i in range(g.dim):
             for j in range(g.dim):
                 mi, mj = phi.mats[i], phi.mats[j]
-                comm_cols = [[a - b for a, b in zip(mi.apply(mj.cols[u]), mj.apply(mi.cols[u]))]
+                comm_cols = [lincomb([(one, mi.apply(mj.cols[u])), (-one, mj.apply(mi.cols[u]))])
                              for u in range(h.dim)]
-                lhs_cols = [[ctx.zero] * h.dim for _ in range(h.dim)]
-                for k, c in g.bracket_basis(i, j).items():
-                    for u in range(h.dim):
-                        lhs_cols[u] = [a + c * b for a, b in zip(lhs_cols[u], phi.mats[k].cols[u])]
+                lhs_cols = [lincomb((c, phi.mats[k].cols[u])
+                                    for k, c in g.bracket_basis(i, j).items())
+                            for u in range(h.dim)]
                 yield (i, j), lhs_cols, comm_cols
 
     return merge_reports({
         "derivation": first_failure(
-            "derivation", derivation(), labelled([g.labels, h.labels, h.labels], _dense_str(h))),
+            "derivation", derivation(),
+            labelled([g.labels, h.labels, h.labels], partial(_sp_str, h))),
         "lie_morphism": first_failure(
             "lie_morphism", lie_morphism(),
             labelled([g.labels, g.labels], lambda _: "phi([u,v])", lambda _: "[phi(u),phi(v)]")),
@@ -185,22 +166,19 @@ def check_relative_rb_lie(g: LieData, h: LieData, phi: DerivationAction,
     if not act.ok:
         raise ValueError(f"invalid derivation action: fails {act.identity}")
     assert B.domain_dim == h.dim and B.codomain_dim == g.dim
-    ctx = g.ctx
+    one = g.ctx.one
 
     def cases():
         for u in range(h.dim):
             bu = B.cols[u]
             for v in range(h.dim):
                 bv = B.cols[v]
-                arg = phi.apply(dense_to_sparse(bu), basis_vec(ctx, h.dim, v))
-                sub = phi.apply(dense_to_sparse(bv), basis_vec(ctx, h.dim, u))
-                arg = [a - b for a, b in zip(arg, sub)]
-                lie = h.bracket_basis(u, v)
-                arg = [a + lam * c for a, c in zip(arg, sparse_to_dense(ctx, h.dim, lie))]
-                yield (u, v), g.bracket_vec(bu, bv), B.apply(arg)
+                arg = lincomb([(one, phi.apply(bu, {v: one})), (-one, phi.apply(bv, {u: one})),
+                               (lam, h.bracket_basis(u, v))])
+                yield (u, v), g.bracket_sparse(bu, bv), B.apply(arg)
 
     return first_failure("relative_rb_lie", cases(),
-                         labelled([h.labels, h.labels], _dense_str(g)))
+                         labelled([h.labels, h.labels], partial(_sp_str, g)))
 
 
 def rescale_bracket(L: LieData, lam: Scalar) -> LieData:
@@ -216,20 +194,20 @@ def check_rb_lie_weight(g: LieData, B: LinearMap, lam: Scalar) -> VerificationRe
     adjoint action, evaluated directly on g.
     """
     assert B.domain_dim == B.codomain_dim == g.dim
-    ctx = g.ctx
+    one = g.ctx.one
 
     def cases():
         for u in range(g.dim):
             bu = B.cols[u]
             for v in range(g.dim):
                 bv = B.cols[v]
-                arg = g.bracket_vec(bu, basis_vec(ctx, g.dim, v))
-                sub = g.bracket_vec(bv, basis_vec(ctx, g.dim, u))
-                lie = sparse_to_dense(ctx, g.dim, g.bracket_basis(u, v))
-                arg = [a - b + lam * c for a, b, c in zip(arg, sub, lie)]
-                yield (u, v), g.bracket_vec(bu, bv), B.apply(arg)
+                arg = lincomb([(one, g.bracket_sparse(bu, {v: one})),
+                               (-one, g.bracket_sparse(bv, {u: one})),
+                               (lam, g.bracket_basis(u, v))])
+                yield (u, v), g.bracket_sparse(bu, bv), B.apply(arg)
 
-    return first_failure("rb_lie_weight", cases(), labelled([g.labels, g.labels], _dense_str(g)))
+    return first_failure("rb_lie_weight", cases(),
+                         labelled([g.labels, g.labels], partial(_sp_str, g)))
 
 
 def sl2(ctx: FieldCtx) -> LieData:

@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
-from hopfrb.cli import main
+from hopfrb.cli import _antipode_order_report, main
+from hopfrb.constructions import group_algebra, taft
+from hopfrb.rb_group import GroupTable
 from hopfrb.rb_lie import lie_to_json, sl2
 from hopfrb.scalars import FieldCtx
 
@@ -22,6 +24,7 @@ def test_verify_h4(capsys):
     assert payload["status"] == "pass"
     assert payload["dim"] == 4
     assert payload["details"]["antipode_order_4"]["status"] == "pass"
+    assert payload["details"]["antipode_order_4"]["stats"]["identities_checked"] == 2
 
 
 def test_verify_h4_char_2_is_bad_input(capsys):
@@ -203,12 +206,13 @@ def test_tsv_formats(capsys):
     assert "status\tpass" in out
 
 
-def test_top_level_counts_are_sums_of_parts(tmp_path, capsys):
+def counted_runs(tmp_path) -> list:
+    """CLI verdicts that each merge several parts."""
     lie = tmp_path / "sl2.json"
     lie.write_text(json.dumps(lie_to_json(sl2(FieldCtx.rationals()))))
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps([["0"] * 3 for _ in range(3)]))
-    runs = [
+    return [
         ("verify", "--construction", "h4"),
         ("verify", "--construction", "taft", "--m", "3", "--field", "Q(z3)"),
         ("verify", "--construction", "family", "--field", "F3", "--m", "2", "--zeta", "-1",
@@ -216,7 +220,10 @@ def test_top_level_counts_are_sums_of_parts(tmp_path, capsys):
         ("check-group-rb", "--group", str(FIXTURES / "z3.json"), "--map", "0,0,0"),
         ("check-lie", "--input", str(lie), "--b", str(zero), "--weight", "1"),
     ]
-    for argv in runs:
+
+
+def test_top_level_counts_are_sums_of_parts(tmp_path, capsys):
+    for argv in counted_runs(tmp_path):
         code, payload = run(capsys, *argv)
         assert code == 0, argv
         total = payload["stats"]["identities_checked"]
@@ -224,3 +231,19 @@ def test_top_level_counts_are_sums_of_parts(tmp_path, capsys):
                     for d in payload["details"].values())
         assert total > 0, argv
         assert total == parts, argv
+
+
+def test_every_part_reports_a_count(tmp_path, capsys):
+    for argv in counted_runs(tmp_path):
+        code, payload = run(capsys, *argv)
+        assert code == 0, argv
+        for name, part in payload["details"].items():
+            assert part.get("stats", {}).get("identities_checked", 0) > 0, (argv, name)
+
+
+def test_antipode_order_failures_keep_their_witness():
+    # S^2 = id in a group algebra; S^4 != id in the Taft algebra with m = 3
+    rep = _antipode_order_report(group_algebra(GroupTable.cyclic(3), FieldCtx.rationals()))
+    assert (rep.identity, rep.witness) == ("antipode_order_4", {"identity": "S^2 != id"})
+    rep = _antipode_order_report(taft(3, FieldCtx.cyclotomic(3)))
+    assert (rep.identity, rep.witness) == ("antipode_order_4", {"identity": "S^4 = id"})

@@ -6,7 +6,7 @@ from hopfrb.constructions import (FamilyParams, antipode_closed_form, cauchy_che
                                   family_aut_check, family_aut_report, family_aut_search,
                                   family_hypotheses, family_params_from_json, group_algebra,
                                   qbinom, qbinom_oracle, sweedler_h4, taft)
-from hopfrb.hopf_core import LinearMap, check_hopf, dense_to_sparse, is_hopf_morphism
+from hopfrb.hopf_core import LinearMap, check_hopf, is_hopf_morphism
 from hopfrb.rb_group import GroupTable
 from hopfrb.scalars import FieldCtx
 
@@ -63,7 +63,7 @@ def test_group_algebra_antipode_is_inversion():
     G = GroupTable.symmetric(3)
     H = group_algebra(G, Q)
     for i in range(6):
-        assert dense_to_sparse(H.antipode.cols[i]) == {G.inv[i]: Q.one}
+        assert H.antipode.cols[i] == {G.inv[i]: Q.one}
 
 
 def test_sweedler_h4_table_frozen():
@@ -77,8 +77,8 @@ def test_sweedler_h4_table_frozen():
     assert H.coalgebra.delta_basis(2) == {(2, 0): one, (1, 2): one}
     assert H.coalgebra.delta_basis(3) == {(3, 1): one, (0, 3): one}
     assert [str(c) for c in H.coalgebra.counit] == ["1", "1", "0", "0"]
-    assert dense_to_sparse(H.antipode.cols[2]) == {3: -one}
-    assert dense_to_sparse(H.antipode.cols[3]) == {2: one}
+    assert H.antipode.cols[2] == {3: -one}
+    assert H.antipode.cols[3] == {2: one}
     assert check_hopf(H).ok
 
 
@@ -94,8 +94,7 @@ def test_family_reproduces_sweedler():
     H4 = sweedler_h4(Q)
     # family orders the basis 1, x, g, gx; permute into the Sweedler order
     perm = [0, 2, 1, 3]
-    cols = [[Q.one if i == perm[j] else Q.zero for i in range(4)] for j in range(4)]
-    iso = LinearMap(Q, cols)
+    iso = LinearMap(Q, [{perm[j]: Q.one} for j in range(4)], 4)
     assert is_hopf_morphism(iso, H4, H).ok
     assert iso.is_invertible()
 
@@ -191,7 +190,7 @@ def antipode_matrix_matches_closed_form(params, H):
             coeff, idx = antipode_closed_form(params, p, q)
             col = H.antipode.cols[params.index(p, q)]
             expect = {idx: coeff} if not coeff.is_zero else {}
-            assert dense_to_sparse(col) == expect
+            assert col == expect
     return True
 
 

@@ -1,17 +1,19 @@
 """Structure-constant Hopf algebra kernel: axiom checkers and tensor legs."""
 
+import itertools
 import json
+import random
 
 import pytest
 
 from hopfrb.constructions import group_algebra, sweedler_h4, taft
 from hopfrb.hopf_core import (MAX_DIM, AlgebraData, CoalgebraData, HopfData, LinearMap,
-                              TensorElement, basis_vec, check_algebra, check_antipode,
+                              TensorElement, check_algebra, check_antipode,
                               check_bialgebra_compat, check_coalgebra, check_cobrace_compat,
-                              check_hopf, delta_power, dense_to_sparse,
-                              group_like_basis_indices, hopf_from_json, hopf_to_json,
-                              is_algebra_morphism, is_coalgebra_morphism, is_cocommutative,
-                              is_group_like, is_hopf_morphism, is_primitive, iterated_delta,
+                              check_hopf, delta_power, group_like_basis_indices,
+                              hopf_from_json, hopf_to_json, is_algebra_morphism,
+                              is_coalgebra_morphism, is_cocommutative, is_group_like,
+                              is_hopf_morphism, is_primitive, iterated_delta, lincomb,
                               opposite_hopf, tensor_apply_counit, tensor_mul_legs,
                               tensor_outer, tensor_permute)
 from hopfrb.rb_group import GroupTable
@@ -25,14 +27,14 @@ def test_check_algebra_catches_nonassociative():
     one = Q.one
     mult = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one},
             (1, 1): {0: one, 1: one}}
-    A = AlgebraData(Q, 2, basis_vec(Q, 2, 0), mult)
+    A = AlgebraData(Q, 2, {0: one}, mult)
     rep = check_algebra(A)
     assert rep.ok
     # now break it: e2*e2 = e1 only, and (e2 e2) e2 != e2 (e2 e2) fails
     mult_bad = dict(mult)
     mult_bad[(1, 1)] = {1: one}
     mult_bad[(0, 1)] = {1: one, 0: one}
-    bad = check_algebra(AlgebraData(Q, 2, basis_vec(Q, 2, 0), mult_bad))
+    bad = check_algebra(AlgebraData(Q, 2, {0: one}, mult_bad))
     assert not bad.ok
     assert bad.witness is not None
 
@@ -40,7 +42,7 @@ def test_check_algebra_catches_nonassociative():
 def test_check_algebra_unit_witness():
     one = Q.one
     mult = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {0: one}, (1, 1): {1: one}}
-    rep = check_algebra(AlgebraData(Q, 2, basis_vec(Q, 2, 0), mult))
+    rep = check_algebra(AlgebraData(Q, 2, {0: one}, mult))
     assert not rep.ok
     assert "unit" in rep.identity
 
@@ -93,7 +95,7 @@ def test_antipode_axiom_negative():
 def test_delta_power_h4_oracle():
     H4 = sweedler_h4(Q)
     one = Q.one
-    x = basis_vec(Q, 4, 2)
+    x = {2: one}
     # Delta(x) = x (x) 1 + g (x) x
     d2 = delta_power(H4, x, 2)
     assert d2 == TensorElement(Q, 2, {(2, 0): one, (1, 2): one})
@@ -121,7 +123,7 @@ def test_tensor_leg_operations():
 def test_counit_collapses_sweedler_leg():
     H4 = sweedler_h4(Q)
     for i in range(4):
-        t = delta_power(H4, basis_vec(Q, 4, i), 2)
+        t = delta_power(H4, {i: Q.one}, 2)
         left = tensor_apply_counit(H4.coalgebra, t, 0)
         assert left == TensorElement(Q, 1, {(i,): Q.one})
 
@@ -129,8 +131,8 @@ def test_counit_collapses_sweedler_leg():
 def test_group_like_and_primitive_detection():
     H4 = sweedler_h4(Q)
     assert group_like_basis_indices(H4) == [0, 1]
-    g = basis_vec(Q, 4, 1)
-    x = basis_vec(Q, 4, 2)
+    g = {1: Q.one}
+    x = {2: Q.one}
     assert is_group_like(H4, g)
     assert not is_group_like(H4, x)
     assert is_primitive(H4, x, g)
@@ -154,7 +156,7 @@ def test_opposite_hopf():
 
 def test_opposite_requires_invertible_antipode():
     H = group_algebra(GroupTable.cyclic(2), Q)
-    singular = LinearMap(Q, [[Q.one, Q.zero], [Q.one, Q.zero]])
+    singular = LinearMap(Q, [{0: Q.one}, {0: Q.one}], 2)
     broken = HopfData(H.algebra, H.coalgebra, singular)
     with pytest.raises(ValueError):
         opposite_hopf(broken)
@@ -196,13 +198,220 @@ def test_hopf_json_round_trip():
 
 def test_dimension_cap():
     with pytest.raises(ValueError):
-        AlgebraData(Q, MAX_DIM + 1, [Q.zero] * (MAX_DIM + 1), {})
+        AlgebraData(Q, MAX_DIM + 1, {}, {})
 
 
-def test_mul_vec_and_sparse_agree():
-    H = group_algebra(GroupTable.cyclic(3), Q)
-    a = [Q.from_int(2), Q.one, Q.zero]
-    b = [Q.zero, Q.from_int(3), Q.one]
-    dense = H.mul(a, b)
-    sparse = H.algebra.mul_sparse(dense_to_sparse(a), dense_to_sparse(b))
-    assert dense_to_sparse(dense) == sparse
+
+
+# ---------------------------------------------------------------------------
+# input validation: ValueError, so that python -O behaves the same
+
+
+def test_linear_map_rejects_bad_input():
+    with pytest.raises(ValueError):
+        LinearMap(Q, [{2: Q.one}], 2)
+    with pytest.raises(ValueError):
+        LinearMap(Q, [{-1: Q.one}], 2)
+    with pytest.raises(ValueError):
+        LinearMap.from_rows(Q, [[Q.one, Q.zero], [Q.one]])
+    with pytest.raises(ValueError):
+        LinearMap.identity(Q, 2).compose(LinearMap.identity(Q, 3))
+
+
+def test_algebra_data_rejects_bad_input():
+    one = Q.one
+    with pytest.raises(ValueError):
+        AlgebraData(Q, 0, {}, {})
+    with pytest.raises(ValueError):
+        AlgebraData(Q, 2, {2: one}, {})
+    with pytest.raises(ValueError):
+        AlgebraData(Q, 2, {0: one}, {(0, 2): {0: one}})
+    with pytest.raises(ValueError):
+        AlgebraData(Q, 2, {0: one}, {(0, 1): {5: one}})
+    with pytest.raises(ValueError):
+        AlgebraData(Q, 2, {0: one}, {}, labels=["a"])
+
+
+def test_coalgebra_data_rejects_bad_input():
+    one = Q.one
+    with pytest.raises(ValueError):
+        CoalgebraData(Q, 2, {}, [one])
+    with pytest.raises(ValueError):
+        CoalgebraData(Q, 2, {2: {(0, 0): one}}, [one, one])
+    with pytest.raises(ValueError):
+        CoalgebraData(Q, 2, {1: {(0, 2): one}}, [one, one])
+
+
+def test_hopf_data_rejects_mismatches():
+    H = group_algebra(GroupTable.cyclic(2), Q)
+    with pytest.raises(ValueError):
+        HopfData(H.algebra, H.coalgebra, LinearMap.identity(Q, 3))
+    with pytest.raises(ValueError):
+        HopfData(H.algebra, group_algebra(GroupTable.cyclic(3), Q).coalgebra, H.antipode)
+    with pytest.raises(ValueError):
+        HopfData(H.algebra, H.coalgebra, LinearMap.identity(FieldCtx.prime(5), 2))
+
+
+def test_hopf_from_json_rejects_out_of_range_entries():
+    obj = hopf_to_json(sweedler_h4(Q))
+    obj["mult"][0]["terms"][0]["k"] = 4
+    with pytest.raises(ValueError):
+        hopf_from_json(obj)
+    obj = hopf_to_json(sweedler_h4(Q))
+    obj["unit"].append("0")
+    with pytest.raises(ValueError):
+        hopf_from_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# reference kernel: the dense vectors and matrices that the sparse kernel
+# replaced, kept as an oracle
+
+
+def dense_apply(cols: list, v: list, ctx, m: int) -> list:
+    """A matrix given by dense columns of length m, times a dense vector."""
+    out = [ctx.zero] * m
+    for j, c in enumerate(v):
+        if not c.is_zero:
+            out = [acc + c * x for acc, x in zip(out, cols[j])]
+    return out
+
+
+def dense_compose(a: list, b: list, ctx, m: int) -> list:
+    """a after b, both by dense columns; a has columns of length m."""
+    return [dense_apply(a, col, ctx, m) for col in b]
+
+
+def dense_mul(A: AlgebraData, a: list, b: list) -> list:
+    """The product of two dense vectors straight from the structure constants."""
+    out = [A.ctx.zero] * A.dim
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            for k, ck in A.mul_basis(i, j).items():
+                out[k] = out[k] + ca * cb * ck
+    return out
+
+
+def dense_det(rows: list, ctx):
+    """Leibniz formula: an independent test of invertibility for n <= 4."""
+    n = len(rows)
+    total = ctx.zero
+    for perm in itertools.permutations(range(n)):
+        sign = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        term = -ctx.one if sign else ctx.one
+        for i, p in enumerate(perm):
+            term = term * rows[i][p]
+        total = total + term
+    return total
+
+
+def to_sparse(v: list) -> dict:
+    return {i: c for i, c in enumerate(v) if not c.is_zero}
+
+
+def to_dense(v: dict, ctx, n: int) -> list:
+    return [v.get(i, ctx.zero) for i in range(n)]
+
+
+def no_zeros(v: dict) -> bool:
+    return not any(c.is_zero for c in v.values())
+
+
+def small_scalars(ctx) -> list:
+    """Entries drawn so that sums cancel often: zero, +-1, +-2 and, in a
+    cyclotomic field, +-zeta and 1 + zeta."""
+    vals = [ctx.zero, ctx.zero, ctx.one, -ctx.one, ctx.from_int(2), ctx.from_int(-2)]
+    if ctx.kind == "cyclotomic":
+        vals += [ctx.zeta, -ctx.zeta, ctx.one + ctx.zeta]
+    return vals
+
+
+KERNEL_FIELDS = [Q, FieldCtx.cyclotomic(5), FieldCtx.prime(5)]
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.name())
+def test_linear_map_matches_dense_reference(ctx):
+    rng = random.Random(5)
+    vals = small_scalars(ctx)
+    cancelled = singular = 0
+    for _ in range(40):
+        n, m, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        cols = [[rng.choice(vals) for _ in range(m)] for _ in range(n)]
+        f = LinearMap(ctx, [to_sparse(c) for c in cols], m)
+        assert f == LinearMap(ctx, [dict(enumerate(c)) for c in cols], m)
+        assert f == LinearMap.from_rows(ctx, f.to_rows())
+        assert all(no_zeros(c) for c in f.cols)
+        v = [rng.choice(vals) for _ in range(n)]
+        got = f.apply(to_sparse(v))
+        assert got == to_sparse(dense_apply(cols, v, ctx, m))
+        assert no_zeros(got)
+        if any(not c.is_zero and not cols[j][k].is_zero
+               for j, c in enumerate(v) for k in range(m)) and len(got) < m:
+            cancelled += 1
+        inner = [[rng.choice(vals) for _ in range(n)] for _ in range(p)]
+        g = LinearMap(ctx, [to_sparse(c) for c in inner], n)
+        fg = f.compose(g)
+        assert fg.cols == [to_sparse(c) for c in dense_compose(cols, inner, ctx, m)]
+        assert all(no_zeros(c) for c in fg.cols)
+        # square maps: inverse against an independent determinant
+        sq = [[rng.choice(vals) for _ in range(n)] for _ in range(n)]
+        s = LinearMap(ctx, [to_sparse(c) for c in sq], n)
+        if dense_det(s.to_rows(), ctx).is_zero:
+            singular += 1
+            with pytest.raises(ValueError):
+                s.inverse()
+            continue
+        inv = s.inverse()
+        assert all(no_zeros(c) for c in inv.cols)
+        inv_cols = [to_dense(c, ctx, n) for c in inv.cols]
+        ident = [to_dense({i: ctx.one}, ctx, n) for i in range(n)]
+        assert dense_compose(sq, inv_cols, ctx, n) == ident
+        assert dense_compose(inv_cols, sq, ctx, n) == ident
+        assert inv.compose(s) == LinearMap.identity(ctx, n)
+    assert cancelled > 0 and 0 < singular < 40
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.name())
+def test_lincomb_matches_dense_reference(ctx):
+    rng = random.Random(6)
+    vals = small_scalars(ctx)
+    dropped = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        terms = [(rng.choice(vals), to_sparse([rng.choice(vals) for _ in range(n)]))
+                 for _ in range(rng.randint(0, 4))]
+        want = [ctx.zero] * n
+        for c, v in terms:
+            want = [a + c * b for a, b in zip(want, to_dense(v, ctx, n))]
+        got = lincomb(terms)
+        assert got == to_sparse(want)
+        assert no_zeros(got)
+        # keys in order of first appearance
+        seen = list(dict.fromkeys(k for _, v in terms for k in v))
+        assert list(got) == [k for k in seen if k in got]
+        dropped += len(seen) - len(got)
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.name())
+def test_mul_sparse_matches_dense_reference(ctx):
+    rng = random.Random(7)
+    vals = small_scalars(ctx)
+    for _ in range(15):
+        n = rng.randint(1, 4)
+        mult = {(i, j): to_sparse([rng.choice(vals) for _ in range(n)])
+                for i in range(n) for j in range(n) if rng.random() < 0.7}
+        A = AlgebraData(ctx, n, {0: ctx.one}, mult)
+        for _ in range(5):
+            a = [rng.choice(vals) for _ in range(n)]
+            b = [rng.choice(vals) for _ in range(n)]
+            got = A.mul_sparse(to_sparse(a), to_sparse(b))
+            assert got == to_sparse(dense_mul(A, a, b))
+            assert no_zeros(got)
+    H = taft(3, FieldCtx.cyclotomic(3))
+    for _ in range(10):
+        a = [rng.choice(small_scalars(H.ctx)) for _ in range(H.dim)]
+        b = [rng.choice(small_scalars(H.ctx)) for _ in range(H.dim)]
+        got = H.algebra.mul_sparse(to_sparse(a), to_sparse(b))
+        assert got == to_sparse(dense_mul(H.algebra, a, b))
+        assert no_zeros(got)

@@ -13,6 +13,7 @@ from hopfrb.rb_group import (CapExceeded, BinaryOp, GroupAction, GroupTable, aut
                              lemma_checks, operator_from_json, operator_to_json, power_star,
                              relative_rb_check, semidirect, skew_brace_check,
                              transport_group, weight_flip)
+from hopfrb.report import first_failure
 
 
 def test_table_validation():
@@ -304,6 +305,45 @@ def test_check_rb_lambda_identity_map():
     bad = [F21.e] * 21
     bad[0] = 1
     assert not check_rb_lambda(F21, tuple(bad), 2).ok
+
+
+def check_rb_lambda_per_case(G: GroupTable, B, lam: int):
+    """Reference: the weight-lambda identity decided one pair at a time,
+    with a square-and-multiply power for every pair."""
+    ex = G.exponent()
+    mu = pow(lam % ex, -1, ex)
+    t, inv = G.table, G.inv
+    plam = [G.power(g, lam) for g in range(G.n)]
+
+    def cases():
+        for g in range(G.n):
+            bg = B[g]
+            for h in range(G.n):
+                arg = G.power(t[t[t[plam[g]][bg]][plam[h]]][inv[bg]], mu)
+                yield (g, h), t[bg][B[h]], B[arg]
+
+    return first_failure("rb_weight_lambda", cases())
+
+
+def test_check_rb_lambda_matches_per_case_reference():
+    rng = random.Random(22)
+    F21, Z5 = GroupTable.metacyclic(7, 3, 2), GroupTable.cyclic(5)
+    cases = []
+    for G, lam in ((F21, 2), (Z5, 2), (Z5, 3), (Z5, 4)):
+        for op in enumerate_rb(G, lam):
+            cases.append((G, lam, op))
+            for _ in range(2):
+                near = list(op)
+                near[rng.randrange(G.n)] = rng.randrange(G.n)
+                cases.append((G, lam, tuple(near)))
+        cases += [(G, lam, (G.e,) + tuple(rng.randrange(G.n) for _ in range(G.n - 1)))
+                  for _ in range(10)]
+    verdicts = []
+    for G, lam, B in cases:
+        rep = check_rb_lambda(G, B, lam)
+        assert rep.to_json() == check_rb_lambda_per_case(G, B, lam).to_json(), (G, lam, B)
+        verdicts.append(rep.ok)
+    assert 30 < sum(verdicts) < len(verdicts)
 
 
 def test_skew_brace_check():

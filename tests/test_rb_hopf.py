@@ -6,8 +6,7 @@ import random
 import pytest
 
 from hopfrb.constructions import group_algebra, sweedler_h4
-from hopfrb.hopf_core import (LinearMap, basis_vec, check_hopf, dense_to_sparse,
-                              hopf_to_json, vec_eq)
+from hopfrb.hopf_core import LinearMap, check_hopf, hopf_to_json
 from hopfrb.rb_group import GroupTable, enumerate_rb, linearize_rb
 from hopfrb.rb_hopf import (ActionData, RelRBHopf, action_from_json, adjoint_action,
                             check_action, check_hopf_brace, check_rrbo, circle,
@@ -19,13 +18,17 @@ from hopfrb.scalars import FieldCtx
 Q = FieldCtx.rationals()
 
 
+def sparse(v: list) -> dict:
+    return {i: c for i, c in enumerate(v) if not c.is_zero}
+
+
 def counit_unit_operator(H) -> LinearMap:
     """B(a) = eps(a) 1, a relative Rota-Baxter operator for any adjoint action."""
     cols = []
     for i in range(H.dim):
         eps = H.coalgebra.counit[i]
-        cols.append([eps * c for c in H.unit])
-    return LinearMap(H.ctx, cols)
+        cols.append({k: eps * c for k, c in H.unit.items()})
+    return LinearMap(H.ctx, cols, H.dim)
 
 
 def test_adjoint_action_is_conjugation_on_group_algebra():
@@ -62,9 +65,9 @@ def test_check_rrbo_counit_unit_operator():
 def test_check_rrbo_stops_at_first_failure():
     H4 = sweedler_h4(Q)
     B = counit_unit_operator(H4)
-    cols = [list(c) for c in B.cols]
+    cols = [dict(c) for c in B.cols]
     cols[2][1] = Q.one  # B(x) = g: breaks the coalgebra condition
-    bad = LinearMap(Q, cols)
+    bad = LinearMap(Q, cols, 4)
     data = RelRBHopf(H4, H4, adjoint_action(H4), bad)
     rep = check_rrbo(data)
     assert not rep.ok
@@ -78,8 +81,8 @@ def test_condition_3_failure_with_valid_coalgebra_map():
     H4 = sweedler_h4(Q)
     # kill x and gx: still a coalgebra map fixing the unit, but the
     # compatibility equation breaks on (x, x)
-    cols = [basis_vec(Q, 4, 0), basis_vec(Q, 4, 1), [Q.zero] * 4, [Q.zero] * 4]
-    data = RelRBHopf(H4, H4, adjoint_action(H4), LinearMap(Q, cols))
+    cols = [{0: Q.one}, {1: Q.one}, {}, {}]
+    data = RelRBHopf(H4, H4, adjoint_action(H4), LinearMap(Q, cols, 4))
     rep = check_rrbo(data, full=True)
     assert not rep.ok
     assert rep.details["condition_1_coalgebra"]["status"] == "pass"
@@ -100,19 +103,19 @@ def test_condition_4_failure_identity_operator():
 def test_circle_is_bilinear():
     G = GroupTable.symmetric(3)
     H = group_algebra(G, Q)
-    B = LinearMap(Q, [basis_vec(Q, 6, G.inv[i]) for i in range(6)])
+    B = LinearMap(Q, [{G.inv[i]: Q.one} for i in range(6)], 6)
     data = RelRBHopf(H, H, adjoint_action(H), B)
     random.seed(3)
     for _ in range(5):
         a = [Q.from_int(random.randint(-2, 2)) for _ in range(6)]
         b = [Q.from_int(random.randint(-2, 2)) for _ in range(6)]
-        direct = circle(data, a, b)
+        direct = circle(data, sparse(a), sparse(b))
         expanded = [Q.zero] * 6
         for i, ai in enumerate(a):
             for j, bj in enumerate(b):
-                term = circle(data, basis_vec(Q, 6, i), basis_vec(Q, 6, j))
-                expanded = [s + ai * bj * t for s, t in zip(expanded, term)]
-        assert vec_eq(direct, expanded)
+                term = circle(data, {i: Q.one}, {j: Q.one})
+                expanded = [s + ai * bj * term.get(k, Q.zero) for k, s in enumerate(expanded)]
+        assert direct == sparse(expanded)
 
 
 def test_exact_factorization_s3():
@@ -121,8 +124,8 @@ def test_exact_factorization_s3():
     rep = check_rrbo(data, full=True)
     assert rep.ok
     # B sends a*l to l: the image of any rotation is the trivial coset rep
-    assert vec_eq(data.B.cols[3], basis_vec(Q, 2, 0))
-    assert vec_eq(data.B.cols[2], basis_vec(Q, 2, 1))
+    assert data.B.cols[3] == {0: Q.one}
+    assert data.B.cols[2] == {1: Q.one}
     D = derived_hopf(data)
     assert check_hopf(D).ok
     brace = check_hopf_brace(data)
@@ -158,13 +161,43 @@ def test_derived_hopf_requires_valid_operator():
 def test_hopf_brace_negative():
     H4 = sweedler_h4(Q)
     # B(x) = g is not even a coalgebra map and the brace identity sees it
-    cols = [basis_vec(Q, 4, 0), basis_vec(Q, 4, 1), basis_vec(Q, 4, 1),
-            [Q.zero] * 4]
-    data = RelRBHopf(H4, H4, adjoint_action(H4), LinearMap(Q, cols))
+    cols = [{0: Q.one}, {1: Q.one}, {1: Q.one}, {}]
+    data = RelRBHopf(H4, H4, adjoint_action(H4), LinearMap(Q, cols, 4))
     rep = check_hopf_brace(data)
     assert not rep.ok
     assert rep.identity == "hopf_brace"
     assert rep.witness["labels"] == ["x", "1", "1"]
+
+
+def test_hopf_brace_witness_text_is_pinned():
+    # the circle product lists its basis elements in basis order, and the
+    # right side in the order its products build them
+    S3 = GroupTable.symmetric(3)
+    data = exact_factorization_rrb(S3, [0, 3, 4], [0, 2], Q)
+    cases = [
+        ([[1, 0, 0, 1, 1, -1], [0, 1, 1, 0, 0, 1]], [5, 0, 1],
+         "{'g0': '1', 'g4': '-1'}", "{}"),
+        ([[1, 0, 0, 1, 2, 0], [0, 1, 1, 0, -1, 1]], [4, 1, 1],
+         "{'g4': '1'}", "{'g4': '5', 'g3': '-2', 'g0': '-2'}"),
+    ]
+    for rows, indices, lhs, rhs in cases:
+        B = LinearMap.from_rows(Q, [[Q.from_int(c) for c in row] for row in rows])
+        rep = check_hopf_brace(RelRBHopf(data.H, data.G, data.phi, B))
+        assert rep.witness == {"identity": "hopf_brace", "indices": indices, "lhs": lhs,
+                               "rhs": rhs, "labels": [f"g{i}" for i in indices]}
+
+
+def test_condition_4_witness_text_is_pinned():
+    # the right side B(a o b) lists its basis elements in basis order
+    H = group_algebra(GroupTable.symmetric(3), Q)
+    rows = [[0, 0, -1, 1, 0, 0], [-1, 0, -1, -1, -1, 0], [1, 0, 0, 0, 0, 0],
+            [-1, -1, 1, 0, 0, -1], [1, 0, 0, -1, 0, -1], [0, 0, 0, 0, 0, 1]]
+    B = LinearMap.from_rows(Q, [[Q.from_int(c) for c in row] for row in rows])
+    rep = hrbo_check(H, B)
+    assert rep.details["rrbo"]["details"]["condition_4_rb"]["witness"] == {
+        "identity": "condition_4_rb", "indices": [0, 1], "labels": ["g0", "g1"],
+        "lhs": "{'g2': '1', 'g5': '-1', 'g4': '1', 'g0': '-1'}",
+        "rhs": "{'g0': '1', 'g1': '1', 'g3': '-2', 'g4': '-2', 'g5': '2'}"}
 
 
 def test_grbo_check_linearized_operators():
@@ -177,8 +210,8 @@ def test_grbo_check_linearized_operators():
             for g in range(G.n):
                 for h in range(G.n):
                     want = G.mul(G.mul(G.mul(g, op[g]), h), G.inverse(op[g]))
-                    got = circle(data, basis_vec(Q, G.n, g), basis_vec(Q, G.n, h))
-                    assert dense_to_sparse(got) == {want: Q.one}
+                    got = circle(data, {g: Q.one}, {h: Q.one})
+                    assert got == {want: Q.one}
 
 
 def test_grbo_display_holds_for_any_map_when_cocommutative():
@@ -188,7 +221,7 @@ def test_grbo_display_holds_for_any_map_when_cocommutative():
     H = group_algebra(G, Q)
     random.seed(8)
     cols = [[Q.from_int(random.randint(-2, 2)) for _ in range(6)] for _ in range(6)]
-    data = RelRBHopf(H, H, adjoint_action(H), LinearMap(Q, cols))
+    data = RelRBHopf(H, H, adjoint_action(H), LinearMap(Q, [sparse(c) for c in cols], 6))
     for a in range(6):
         for b in range(6):
             lhs, rhs = _grbo_display_sides(data, a, b)
@@ -197,7 +230,7 @@ def test_grbo_display_holds_for_any_map_when_cocommutative():
 
 def test_grbo_check_negative():
     H = group_algebra(GroupTable.cyclic(4), Q)
-    constant = LinearMap(Q, [basis_vec(Q, 4, 1)] * 4)
+    constant = LinearMap(Q, [{1: Q.one}] * 4, 4)
     rep = grbo_check(H, constant)
     assert not rep.ok
     assert rep.identity.startswith("rrbo.condition_1")

@@ -69,7 +69,7 @@ def test_check_derivation_action_negative():
 
 def test_relative_rb_zero_operator():
     g = sl2(Q)
-    B = LinearMap(Q, [[Q.zero] * 3 for _ in range(3)])
+    B = LinearMap(Q, [{}] * 3, 3)
     rep = check_relative_rb_lie(g, g, adjoint_lie_action(g), B, Q.zero)
     assert rep.ok
 
@@ -85,13 +85,12 @@ def test_relative_rb_rejects_invalid_action():
 
 def test_weight_operators_on_sl2():
     g = sl2(Q)
-    zero = LinearMap(Q, [[Q.zero] * 3 for _ in range(3)])
+    zero = LinearMap(Q, [{}] * 3, 3)
     for lam in (Q.zero, Q.one, Q.from_int(2)):
         assert check_rb_lie_weight(g, zero, lam).ok
     for k in (1, -1, 2):
         lam = Q.from_int(k)
-        minus = LinearMap(Q, [[-lam if i == j else Q.zero for i in range(3)]
-                              for j in range(3)])
+        minus = LinearMap(Q, [{j: -lam} for j in range(3)], 3)
         assert check_rb_lie_weight(g, minus, lam).ok
     rep = check_rb_lie_weight(g, LinearMap.identity(Q, 3), Q.zero)
     assert not rep.ok
@@ -104,7 +103,7 @@ def test_weight_zero_grid_on_solvable_2dim():
     vals = [Q.from_int(k) for k in (-1, 0, 1)]
     hits = []
     for a, b, c, d in product(vals, repeat=4):
-        B = LinearMap(Q, [[a, b], [c, d]])
+        B = LinearMap(Q, [{0: a, 1: b}, {0: c, 1: d}], 2)
         if check_rb_lie_weight(g, B, Q.zero).ok:
             hits.append((str(a), str(b), str(c), str(d)))
     assert len(hits) == 15
@@ -121,14 +120,14 @@ def test_weight_form_matches_relative_form():
     for k in (-2, -1, 0, 1, 2):
         lam = Q.from_int(k)
         # B = 0 and B = -lambda*id are operators of weight lambda
-        cases.append((LinearMap(Q, [[Q.zero] * 3 for _ in range(3)]), lam))
-        cases.append((LinearMap(Q, [[-lam if i == j else Q.zero for i in range(3)]
-                                    for j in range(3)]), lam))
+        cases.append((LinearMap(Q, [{}] * 3, 3), lam))
+        cases.append((LinearMap(Q, [{j: -lam} for j in range(3)], 3), lam))
     random.seed(28)
     for _ in range(20):
         cols = [[Q.from_int(random.randint(-2, 2)) for _ in range(3)]
                 for _ in range(3)]
-        cases.append((LinearMap(Q, cols), Q.from_int(random.randint(-2, 2))))
+        cases.append((LinearMap(Q, [dict(enumerate(c)) for c in cols], 3),
+                      Q.from_int(random.randint(-2, 2))))
     verdicts = []
     for B, lam in cases:
         weight = check_rb_lie_weight(g, B, lam)
@@ -163,6 +162,5 @@ def test_lie_over_finite_field():
     F5 = FieldCtx.prime(5)
     g = sl2(F5)
     assert check_lie(g).ok
-    B = LinearMap(F5, [[-F5.one if i == j else F5.zero for i in range(3)]
-                       for j in range(3)])
+    B = LinearMap(F5, [{j: -F5.one} for j in range(3)], 3)
     assert check_rb_lie_weight(g, B, F5.one).ok

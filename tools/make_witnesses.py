@@ -122,9 +122,9 @@ def hopf_cases(out: dict) -> None:
     ident = LinearMap.identity(Q, 4)
     for r in range(4):
         for c in range(4):
-            cols = [list(col) for col in ident.cols]
-            cols[c][r] = cols[c][r] + Q.one
-            f = LinearMap(Q, cols)
+            cols = [dict(col) for col in ident.cols]
+            cols[c][r] = cols[c].get(r, Q.zero) + Q.one
+            f = LinearMap(Q, cols, 4)
             out[f"is_algebra_morphism/h4/id+E{r}{c}"] = verdict(
                 is_algebra_morphism(f, h4, h4).to_json())
             out[f"is_coalgebra_morphism/h4/id+E{r}{c}"] = verdict(
@@ -240,13 +240,11 @@ def rrb_cases(out: dict) -> None:
     for name, (H, images) in {"kZ3/0,1,1": (kZ3, (0, 1, 1)),
                               "kS3/0,1,2,3,4,5": (kS3, tuple(range(6))),
                               "kS3/0,0,0,1,1,1": (kS3, (0, 0, 0, 1, 1, 1))}.items():
-        cols = [[Q.one if k == images[j] else Q.zero for k in range(H.dim)]
-                for j in range(H.dim)]
-        out[f"grbo_check/{name}"] = verdict(grbo_check(H, LinearMap(Q, cols)).to_json())
-    cols = [[Q.zero] * 4 for _ in range(4)]
-    cols[2][2] = Q.one
-    out["grbo_check/h4/E22"] = verdict(grbo_check(h4, LinearMap(Q, cols)).to_json())
-    out["hrbo_check/h4/E22"] = verdict(hrbo_check(h4, LinearMap(Q, cols)).to_json())
+        cols = [{images[j]: Q.one} for j in range(H.dim)]
+        out[f"grbo_check/{name}"] = verdict(grbo_check(H, LinearMap(Q, cols, H.dim)).to_json())
+    cols = [{}, {}, {2: Q.one}, {}]
+    out["grbo_check/h4/E22"] = verdict(grbo_check(h4, LinearMap(Q, cols, 4)).to_json())
+    out["hrbo_check/h4/E22"] = verdict(hrbo_check(h4, LinearMap(Q, cols, 4)).to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +276,8 @@ def lie_cases(out: dict) -> None:
     rng = random.Random(7)
     vals = [Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2)]
     for t in range(4):
-        B = LinearMap(Q, [[Q.from_fraction(rng.choice(vals)) for _ in range(3)]
-                          for _ in range(3)])
+        B = LinearMap(Q, [{i: Q.from_fraction(rng.choice(vals)) for i in range(3)}
+                          for _ in range(3)], 3)
         lam = Q.from_fraction(rng.choice(vals))
         out[f"check_rb_lie_weight/sl2/{t}"] = verdict(check_rb_lie_weight(g, B, lam).to_json())
         out[f"check_relative_rb_lie/sl2/{t}"] = verdict(

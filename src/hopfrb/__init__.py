@@ -11,13 +11,12 @@ from .hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, TensorE
                         group_like_basis_indices, hopf_from_json, hopf_to_json,
                         is_algebra_morphism, is_coalgebra_morphism, is_cocommutative,
                         is_group_like, is_hopf_morphism, is_primitive, opposite_hopf)
-from .rb_group import (DEFAULT_CAP, BinaryOp, CapExceeded, GroupAction, GroupTable,
-                       automorphisms, check_rb, check_rb_lambda, check_star_compat,
+from .rb_group import (DEFAULT_CAP, CapExceeded, GroupAction, GroupTable, automorphisms,
+                       check_group, check_rb, check_rb_lambda, check_star_compat,
                        circ_from_rrb, derived_group, enumerate_rb, graph_is_subgroup,
-                       group_as_binop, group_from_json, lemma_checks, linearize_rb,
-                       operator_from_json, operator_to_json, power_star,
-                       relative_rb_check, semidirect, skew_brace_check, transport_group,
-                       weight_flip)
+                       group_from_json, lemma_checks, linearize_rb, operator_from_json,
+                       operator_to_json, power_star, relative_rb_check, semidirect,
+                       skew_brace_check, transport_group, weight_flip)
 from .rb_hopf import (ActionData, RelRBHopf, adjoint_action, check_action,
                       check_hopf_brace, check_rrbo, circle, derived_hopf,
                       exact_factorization_rrb, grbo_check, hrbo_action, hrbo_check,

@@ -45,47 +45,75 @@ def _gather(row):
 
 
 def _square(table) -> tuple:
-    """table as a tuple of row tuples; ValueError unless square with entries in range."""
+    """table as a tuple of row tuples; ValueError unless square with int entries in range."""
     t = tuple(tuple(row) for row in table)
     for row in t:
+        if any(type(v) is not int for v in row):
+            raise ValueError("table entries must be integers")
         if len(row) != len(t) or min(row) < 0 or max(row) >= len(t):
             raise ValueError("table is not square with entries in range")
     return t
 
 
-def _associativity_rows(t, prefix=()):
-    """Rows of (ab)c = a(bc): row prefix + (a, b) runs over c."""
+def _associativity_rows(t):
+    """Rows of (ab)c = a(bc): row ("associativity", a, b) runs over c."""
     gets = [_gather(row) for row in t]
-    return ((prefix + (a, b), t[ta[b]], get(ta))
+    return ((("associativity", a, b), t[ta[b]], get(ta))
             for a, ta in enumerate(t) for b, get in enumerate(gets))
 
 
-class GroupTable:
-    """A finite group as a validated Cayley table."""
+class _NotAGroup(ValueError):
+    """A square table that fails a group axiom; report is check_group's."""
 
-    __slots__ = ("n", "table", "e", "inv", "name")
+    def __init__(self, report: VerificationReport):
+        text = {"identity": "no two-sided identity element",
+                "inverses": "element {} has no inverse",
+                "associativity": "associativity fails at ({},{},{})"}[report.identity]
+        super().__init__(text.format(*report.witness["indices"]))
+        self.report = report
+
+
+class GroupTable:
+    """A finite group as a validated Cayley table.
+
+    The constructor decides the axioms in one pass (see check_group), keeps
+    that pass's report as axioms, and raises ValueError if one fails.
+    """
+
+    __slots__ = ("n", "table", "e", "inv", "name", "axioms")
 
     def __init__(self, table, name: str = ""):
         self.table = t = _square(table)
-        self.n = len(t)
+        self.n = n = len(t)
         self.name = name
         cols = tuple(zip(*t))
-        ident = tuple(range(self.n))
-        e = next((c for c in range(self.n) if t[c] == ident and cols[c] == ident), None)
-        if e is None:
-            raise ValueError("no two-sided identity element")
-        self.e = e
+        ident = tuple(range(n))
+        self.e = e = next((c for c in range(n) if t[c] == ident and cols[c] == ident), None)
         inv = []
-        for g in range(self.n):
-            try:  # the first h with gh = hg = e
-                inv.append(list(zip(t[g], cols[g])).index((e, e)))
-            except ValueError:
-                raise ValueError(f"element {g} has no inverse") from None
+
+        def cases():
+            found = "no two-sided identity" if e is None else "identity element"
+            yield ("identity",), found, "identity element"
+            for g in range(n):
+                pairs = list(zip(t[g], cols[g]))
+                has = (e, e) in pairs
+                if has:  # the inverse is the first h with gh = hg = e
+                    inv.append(pairs.index((e, e)))
+                inverse = f"inverse of {g}"
+                yield ("inverses", g), inverse if has else "no inverse", inverse
+
+        # The n^2 checks run first, so a table that also fails associativity
+        # is named by them. The count is that of deciding associativity first.
+        rep = first_failure("group", cases())
+        assoc = first_row_failure("group", _associativity_rows(t))
+        if rep.ok and not assoc.ok:
+            rep = assoc
+        else:
+            rep.stats["identities_checked"] += assoc.stats["identities_checked"]
         self.inv = tuple(inv)
-        assoc = first_row_failure("associativity", _associativity_rows(self.table))
-        if not assoc.ok:
-            raise ValueError("associativity fails at ({},{},{})".format(
-                *assoc.witness["indices"]))
+        self.axioms = rep
+        if not rep.ok:
+            raise _NotAGroup(rep)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -206,57 +234,21 @@ def group_from_json(obj: dict) -> GroupTable:
     return G
 
 
-class BinaryOp:
-    """A candidate binary operation, groupness checked on demand."""
+def check_group(table, name: str = "") -> tuple[GroupTable | None, VerificationReport]:
+    """Decide the group axioms of a square table: (the group, report) when
+    they hold, (None, report) when one fails.
 
-    __slots__ = ("n", "table")
-
-    def __init__(self, table):
-        self.table = _square(table)
-        self.n = len(self.table)
-
-    def apply(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryOp):
-            return NotImplemented
-        return self.table == other.table
-
-    def identity_index(self) -> int | None:
-        for cand in range(self.n):
-            if all(self.table[cand][x] == x and self.table[x][cand] == x for x in range(self.n)):
-                return cand
-        return None
-
-    def is_group(self) -> VerificationReport:
-        t, n = self.table, self.n
-        assoc = first_row_failure("group", _associativity_rows(t, ("associativity",)))
-        if not assoc.ok:
-            return assoc
-
-        def cases():
-            e = self.identity_index()
-            found = "identity element" if e is not None else "no two-sided identity"
-            yield ("identity",), found, "identity element"
-            for g, col in enumerate(zip(*t)):
-                inverse = f"inverse of {g}"
-                has = (e, e) in zip(t[g], col)
-                yield ("inverses", g), inverse if has else "no inverse", inverse
-
-        rep = first_failure("group", cases())
-        rep.stats["identities_checked"] += assoc.stats["identities_checked"]
-        return rep
-
-    def to_group(self, name: str = "") -> GroupTable:
-        r = self.is_group()
-        if not r.ok:
-            raise ValueError(f"not a group: {r.identity} witness {r.witness}")
-        return GroupTable(self.table, name=name)
-
-
-def group_as_binop(G: GroupTable) -> BinaryOp:
-    return BinaryOp(G.table)
+    The report is identity "group" over the cases associativity (a, b, c),
+    the identity element and the inverse of each g; its witness names the
+    first failing one, but a failing identity or inverse is named before
+    associativity. ValueError unless the table is square with int entries
+    in range.
+    """
+    try:
+        G = GroupTable(table, name)
+    except _NotAGroup as e:
+        return None, e.report
+    return G, G.axioms
 
 
 class GroupAction:
@@ -313,6 +305,8 @@ def automorphisms(G: GroupTable) -> list[tuple]:
 def _validate_map(G: GroupTable, B, codomain: GroupTable | None = None) -> tuple:
     B = tuple(B)
     cod = codomain or G
+    if any(type(v) is not int for v in B):
+        raise ValueError("operator map entries must be integers")
     if len(B) != G.n or any(not 0 <= v < cod.n for v in B):
         raise ValueError("operator map has wrong length or out-of-range values")
     return B
@@ -407,10 +401,9 @@ def derived_group(G: GroupTable, B) -> tuple[GroupTable, VerificationReport]:
     gets = [_gather(row) for row in t]
     get_b = _gather(B)
     star = [gets[t[g][B[g]]](cols[inv[B[g]]]) for g in range(G.n)]
-    group_axioms = BinaryOp(star).is_group()
     Gstar = GroupTable(star, name=(G.name + "*") if G.name else "star")
     return Gstar, merge_reports({
-        "group_axioms": group_axioms,
+        "group_axioms": Gstar.axioms,
         "rb_on_star": check_rb(Gstar, B, 1),
         "b_homomorphism": first_row_failure(
             "b_homomorphism", (((g,), _gather(star[g])(B), get_b(t[B[g]]))
@@ -467,7 +460,7 @@ def graph_is_subgroup(H: GroupTable, G: GroupTable, psi: GroupAction, B) -> bool
 # weight lambda
 
 
-def transport_group(G: GroupTable, f) -> BinaryOp:
+def transport_group(G: GroupTable, f) -> GroupTable:
     """Pull the multiplication back through a bijection: a*b = f^-1(f(a)f(b))."""
     f = tuple(f)
     if sorted(f) != list(range(G.n)):
@@ -475,7 +468,7 @@ def transport_group(G: GroupTable, f) -> BinaryOp:
     finv = [0] * G.n
     for i, v in enumerate(f):
         finv[v] = i
-    return BinaryOp([[finv[G.table[f[a]][f[b]]] for b in range(G.n)] for a in range(G.n)])
+    return GroupTable([[finv[G.table[f[a]][f[b]]] for b in range(G.n)] for a in range(G.n)])
 
 
 def _lambda_root(G: GroupTable, lam: int) -> int:
@@ -488,17 +481,18 @@ def _lambda_root(G: GroupTable, lam: int) -> int:
     return pow(lam % ex, -1, ex)
 
 
-def power_star(G: GroupTable, lam: int) -> BinaryOp:
+def power_star(G: GroupTable, lam: int) -> GroupTable:
     """g*h = (g^lam h^lam)^mu, the lambda-transported operation."""
     mu = _lambda_root(G, lam)
     plam = [G.power(g, lam) for g in range(G.n)]
-    return BinaryOp([[G.power(G.table[plam[a]][plam[b]], mu) for b in range(G.n)]
-                     for a in range(G.n)])
+    return GroupTable([[G.power(G.table[plam[a]][plam[b]], mu) for b in range(G.n)]
+                       for a in range(G.n)])
 
 
-def check_star_compat(G: GroupTable, star: BinaryOp) -> VerificationReport:
-    """star is a group op on G's carrier, shares G's unit, and conjugation by
-    the original operation distributes over it."""
+def check_star_compat(G: GroupTable, star: GroupTable) -> VerificationReport:
+    """star, a group on G's carrier, shares G's unit, and conjugation by the
+    original operation distributes over it; its group axioms are the report
+    kept when star was built."""
     t, inv, st = G.table, G.inv, star.table
     cols = tuple(zip(*t))
     star_gets = [_gather(row) for row in st]
@@ -512,8 +506,8 @@ def check_star_compat(G: GroupTable, star: BinaryOp) -> VerificationReport:
                 yield (g, h1), star_gets[h1](conj), get_conj(st[conj[h1]])
 
     return merge_reports({
-        "group_axioms": star.is_group(),
-        "shared_unit": first_failure("shared_unit", [((), star.identity_index(), G.e)]),
+        "group_axioms": star.axioms,
+        "shared_unit": first_failure("shared_unit", [((), star.e, G.e)]),
         "conjugation_compatible": first_row_failure("conjugation_compatible",
                                                     conjugation_rows()),
     })
@@ -539,23 +533,8 @@ def check_rb_lambda(G: GroupTable, B, lam: int) -> VerificationReport:
     return first_row_failure("rb_weight_lambda", rows())
 
 
-def _as_group(name: str, op: BinaryOp | GroupTable) -> GroupTable:
-    """op as a validated GroupTable; a GroupTable is already one."""
-    if isinstance(op, GroupTable):
-        return op
-    try:
-        return GroupTable(op.table)
-    except ValueError as e:
-        raise ValueError(f"{name} operation is not a group: {e}") from None
-
-
-def skew_brace_check(dot: BinaryOp | GroupTable,
-                     circ: BinaryOp | GroupTable) -> VerificationReport:
-    """a circ (b dot c) = (a circ b) dot a^- dot (a circ c), a^- the dot-inverse.
-
-    A BinaryOp is validated as a group first; a GroupTable is taken as it is.
-    """
-    dot, circ = _as_group("dot", dot), _as_group("circ", circ)
+def skew_brace_check(dot: GroupTable, circ: GroupTable) -> VerificationReport:
+    """a circ (b dot c) = (a circ b) dot a^- dot (a circ c), a^- the dot-inverse."""
     n, d, ct, inv = dot.n, dot.table, circ.table, dot.inv
     dot_gets = [_gather(row) for row in d]
 
@@ -570,7 +549,7 @@ def skew_brace_check(dot: BinaryOp | GroupTable,
     return first_row_failure("skew_brace", rows())
 
 
-def circ_from_rrb(G: GroupTable, star: BinaryOp, B) -> tuple[BinaryOp, VerificationReport]:
+def circ_from_rrb(G: GroupTable, star: GroupTable, B) -> tuple[GroupTable, VerificationReport]:
     """g1 circ g2 = g1 * B(g1) g2 B(g1)^-1 with conjugation in (G, .).
 
     Verifies: circ is a group; (G, *, circ) is a skew brace; and when
@@ -583,22 +562,23 @@ def circ_from_rrb(G: GroupTable, star: BinaryOp, B) -> tuple[BinaryOp, Verificat
     t, inv = G.table, G.inv
     cols = tuple(zip(*t))
     conj = [_gather(t[b])(cols[inv[b]]) for b in range(G.n)]  # conj[b][g] = b g b^-1
-    circ = BinaryOp([_gather(conj[B[g1]])(star.table[g1]) for g1 in range(G.n)])
+    circ = [_gather(conj[B[g1]])(star.table[g1]) for g1 in range(G.n)]
     get_b = _gather(B)
-    star_rb = first_row_failure("star_rb", (((g1,), get_b(t[B[g1]]), _gather(circ.table[g1])(B))
+    star_rb = first_row_failure("star_rb", (((g1,), get_b(t[B[g1]]), _gather(circ[g1])(B))
                                             for g1 in range(G.n)))
     if not star_rb.ok:
         w = star_rb.witness
         g1, g2 = w["indices"]
         raise ValueError(f"B does not satisfy the star RB identity at ({g1},{g2}):"
                          f" {w['lhs']} != {w['rhs']}")
-    # star and circ become GroupTables once, and G is the dot group as it is
-    circ_group = circ.is_group()
-    star_g, circ_g = GroupTable(star.table), _as_group("circ", circ)
-    parts = {"circ_group": circ_group,
-             "star_circ_brace": skew_brace_check(star_g, circ_g)}
-    if skew_brace_check(G, star_g).ok:
-        parts["dot_circ_brace"] = skew_brace_check(G, circ_g)
+    try:
+        circ = GroupTable(circ)
+    except ValueError as e:
+        raise ValueError(f"circ operation is not a group: {e}") from None
+    parts = {"circ_group": circ.axioms,
+             "star_circ_brace": skew_brace_check(star, circ)}
+    if skew_brace_check(G, star).ok:
+        parts["dot_circ_brace"] = skew_brace_check(G, circ)
     else:
         # only meaningful when (G, ., *) is itself a skew brace
         parts["dot_circ_brace"] = VerificationReport.passing(skipped=1)
@@ -755,4 +735,4 @@ def operator_to_json(G: GroupTable, B, weight: int) -> dict:
 
 
 def operator_from_json(obj: dict) -> tuple[str, int, tuple]:
-    return obj.get("group", ""), int(obj["weight"]), tuple(int(x) for x in obj["map"])
+    return obj.get("group", ""), int(obj["weight"]), tuple(obj["map"])

@@ -13,7 +13,7 @@ entry-wise.
 from __future__ import annotations
 
 from .constructions import group_algebra
-from .hopf_core import (AlgebraData, HopfData, LinearMap, TensorElement,
+from .hopf_core import (AlgebraData, HopfData, LinearMap, TensorElement, _check_keys,
                         group_like_basis_indices, is_coalgebra_morphism, iterated_delta,
                         lincomb, opposite_hopf, tensor_apply_delta, tensor_apply_map,
                         tensor_mul_legs, tensor_outer, tensor_permute)
@@ -34,7 +34,9 @@ class ActionData:
         self.dim_h = dim_h
         self.phi = {}
         for (g, h), terms in phi.items():
-            assert 0 <= g < dim_g and 0 <= h < dim_h
+            if not 0 <= g < dim_g or not 0 <= h < dim_h:
+                raise ValueError(f"phi entry ({g},{h}) out of range for dims {dim_g} x {dim_h}")
+            _check_keys(terms, dim_h, f"phi ({g},{h}) term index")
             t = {k: c for k, c in terms.items() if not c.is_zero}
             if t:
                 self.phi[(g, h)] = t
@@ -69,15 +71,25 @@ def action_from_json(obj: list, ctx: FieldCtx, dim_g: int, dim_h: int) -> Action
     return ActionData(ctx, dim_g, dim_h, phi)
 
 
+def _check_action_dims(phi: ActionData, G: HopfData, H: HopfData) -> None:
+    if (phi.dim_g, phi.dim_h) != (G.dim, H.dim):
+        raise ValueError(f"phi has dims {phi.dim_g} x {phi.dim_h},"
+                         f" expected G x H = {G.dim} x {H.dim}")
+
+
 class RelRBHopf:
-    """The quadruple (H, G, Phi, B); nothing verified at construction."""
+    """The quadruple (H, G, Phi, B); construction checks fields and
+    dimensions only, no identity."""
 
     __slots__ = ("H", "G", "phi", "B")
 
     def __init__(self, H: HopfData, G: HopfData, phi: ActionData, B: LinearMap):
-        assert H.ctx == G.ctx == phi.ctx == B.ctx
-        assert phi.dim_g == G.dim and phi.dim_h == H.dim
-        assert B.domain_dim == H.dim and B.codomain_dim == G.dim
+        if not H.ctx == G.ctx == phi.ctx == B.ctx:
+            raise ValueError("H, G, phi and B use different scalar fields")
+        _check_action_dims(phi, G, H)
+        if (B.domain_dim, B.codomain_dim) != (H.dim, G.dim):
+            raise ValueError(f"B maps dim {B.domain_dim} to dim {B.codomain_dim},"
+                             f" expected H (dim {H.dim}) to G (dim {G.dim})")
         self.H = H
         self.G = G
         self.phi = phi
@@ -86,7 +98,7 @@ class RelRBHopf:
 
 def check_action(phi: ActionData, G: HopfData, H: HopfData) -> VerificationReport:
     """The four module-algebra laws, first failure witnessed."""
-    assert phi.dim_g == G.dim and phi.dim_h == H.dim
+    _check_action_dims(phi, G, H)
     one = H.ctx.one
     unit_g, unit_h = G.unit, H.unit
 

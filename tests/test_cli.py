@@ -247,3 +247,41 @@ def test_antipode_order_failures_keep_their_witness():
     assert (rep.identity, rep.witness) == ("antipode_order_4", {"identity": "S^2 != id"})
     rep = _antipode_order_report(taft(3, FieldCtx.cyclotomic(3)))
     assert (rep.identity, rep.witness) == ("antipode_order_4", {"identity": "S^4 = id"})
+
+
+def expect_input_error(capsys, *argv) -> str:
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2, (argv, err)
+    assert err.startswith("error: "), err
+    return err
+
+
+def test_group_tables_take_integers_only(tmp_path, capsys):
+    for table in ([["a"]], [[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]]):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"table": table}))
+        zero_map = ",".join("0" * len(table))
+        err = expect_input_error(capsys, "check-group-rb", "--group", str(path), "--map", zero_map)
+        assert "integers" in err
+
+
+def test_operator_images_are_not_truncated(tmp_path, capsys):
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"group": "Z3", "weight": 1, "map": [0, 1.7, 2]}))
+    err = expect_input_error(capsys, "check-group-rb", "--group", str(FIXTURES / "z3.json"),
+                             "--operator", str(op))
+    assert "integers" in err
+
+
+def test_check_rrb_names_an_action_entry_out_of_range(tmp_path, capsys):
+    obj = json.loads((FIXTURES / "h4-rrb-exact-factorization.json").read_text())
+    extra = json.loads(json.dumps(obj))
+    extra["phi"].append({"g": 99, "h": 0, "terms": [{"i": 0, "c": "1"}]})
+    stray = json.loads(json.dumps(obj))
+    stray["phi"][1]["terms"][0]["i"] = 57
+    for bad, entry in ((extra, "(99,0)"), (stray, "57")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        err = expect_input_error(capsys, "check-rrb", "--input", str(path))
+        assert entry in err, err

@@ -6,14 +6,15 @@ import random
 
 import pytest
 
-from hopfrb.rb_group import (CapExceeded, BinaryOp, GroupAction, GroupTable, automorphisms,
+from hopfrb import rb_group
+from hopfrb.rb_group import (CapExceeded, GroupAction, GroupTable, automorphisms, check_group,
                              check_rb, check_rb_lambda, check_star_compat, circ_from_rrb,
-                             derived_group, enumerate_rb, graph_is_subgroup, group_as_binop,
-                             group_from_json, image_indices, is_subgroup, ker_indices,
-                             lemma_checks, operator_from_json, operator_to_json, power_star,
+                             derived_group, enumerate_rb, graph_is_subgroup, group_from_json,
+                             image_indices, is_subgroup, ker_indices, lemma_checks,
+                             operator_from_json, operator_to_json, power_star,
                              relative_rb_check, semidirect, skew_brace_check,
                              transport_group, weight_flip)
-from hopfrb.report import first_failure
+from hopfrb.report import VerificationReport, first_failure
 
 
 def test_table_validation():
@@ -65,15 +66,115 @@ def test_element_helpers():
 
 def test_binop_group_detection():
     Z3 = GroupTable.cyclic(3)
-    op = group_as_binop(Z3)
-    assert op.is_group().ok
-    assert op.to_group().n == 3
-    bad = BinaryOp([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    assert bad.is_group().ok
-    nonassoc = BinaryOp([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
-    rep = nonassoc.is_group()
-    assert not rep.ok
+    G, rep = check_group(Z3.table)
+    assert rep.ok
+    assert G.n == 3
+    G, rep = check_group([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    assert rep.ok
+    G, rep = check_group([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
+    assert not rep.ok and G is None
     assert rep.witness is not None
+
+
+def is_group_reference(table) -> VerificationReport:
+    """The group check of the old second group type: associativity first,
+    decided here case by case, then a two-sided identity and inverses."""
+    t = tuple(tuple(row) for row in table)
+    n = len(t)
+    assoc = first_failure("group", ((("associativity", a, b, c), t[t[a][b]][c], t[a][t[b][c]])
+                                    for a, b, c in itertools.product(range(n), repeat=3)))
+    if not assoc.ok:
+        return assoc
+
+    def cases():
+        e = next((c for c in range(n)
+                  if all(t[c][x] == x and t[x][c] == x for x in range(n))), None)
+        found = "identity element" if e is not None else "no two-sided identity"
+        yield ("identity",), found, "identity element"
+        for g, col in enumerate(zip(*t)):
+            inverse = f"inverse of {g}"
+            has = (e, e) in zip(t[g], col)
+            yield ("inverses", g), inverse if has else "no inverse", inverse
+
+    rep = first_failure("group", cases())
+    rep.stats["identities_checked"] += assoc.stats["identities_checked"]
+    return rep
+
+
+def group_table_reference(table) -> tuple:
+    """The old GroupTable validation: (identity, inverses), or ValueError
+    naming the first failing axiom in the order identity, inverses,
+    associativity."""
+    t = tuple(tuple(row) for row in table)
+    n = len(t)
+    cols = tuple(zip(*t))
+    ident = tuple(range(n))
+    e = next((c for c in range(n) if t[c] == ident and cols[c] == ident), None)
+    if e is None:
+        raise ValueError("no two-sided identity element")
+    inv = []
+    for g in range(n):
+        try:  # the first h with gh = hg = e
+            inv.append(list(zip(t[g], cols[g])).index((e, e)))
+        except ValueError:
+            raise ValueError(f"element {g} has no inverse") from None
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if t[t[a][b]][c] != t[a][t[b][c]]:
+            raise ValueError(f"associativity fails at ({a},{b},{c})")
+    return e, tuple(inv)
+
+
+def test_check_group_matches_the_two_type_reference():
+    rng = random.Random(6)
+    tables = [[[0, 1, 2], [1, 0, 0], [2, 0, 1]], [[1, 1], [1, 1]], [[0, 1], [1, 1]],
+              [[1, 0], [0, 0]], [[0, 1, 2], [1, 1, 0], [2, 2, 1]]]
+    tables += [[[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+               for n in (2, 3, 4, 5) for _ in range(5)]
+    for G in (GroupTable.symmetric(3), GroupTable.metacyclic(4, 2, 3),
+              GroupTable.metacyclic(7, 3, 2)):
+        tables.append(G.table)
+        for _ in range(25):
+            t = [list(row) for row in G.table]
+            a, b = rng.randrange(G.n), rng.randrange(G.n)
+            t[a][b] = rng.choice([v for v in range(G.n) if v != t[a][b]])
+            tables.append(t)
+    single = several = 0
+    for t in tables:
+        ref = is_group_reference(t)
+        G, rep = check_group(t)
+        try:
+            e_inv, message = group_table_reference(t), None
+        except ValueError as err:
+            e_inv, message = None, str(err)
+        if message is None:
+            assert G is not None and (G.e, G.inv) == e_inv and G.axioms is rep, t
+        else:
+            with pytest.raises(ValueError) as exc:
+                GroupTable(t)
+            assert str(exc.value) == message and G is None, t
+        if ref.identity == "associativity" and not message.startswith("associativity"):
+            # identity or inverses fail as well, and the n^2 check names them
+            several += 1
+            assert rep.identity == ("identity" if message.startswith("no two-sided")
+                                    else "inverses"), t
+        else:
+            single += 1
+            assert rep.to_json() == ref.to_json(), t
+    assert single > 40 and several > 20
+
+
+def test_circ_and_derived_group_decide_each_table_once(monkeypatch):
+    S3 = GroupTable.symmetric(3)
+    star = power_star(S3, 1)
+    passes = []
+    rows = rb_group._associativity_rows
+    monkeypatch.setattr(rb_group, "_associativity_rows",
+                        lambda *args: passes.append(args) or rows(*args))
+    assert circ_from_rrb(S3, star, S3.inv)[1].ok
+    assert derived_group(S3, S3.inv)[1].ok
+    # one pass for circ, one for the derived star; the star above was
+    # decided when power_star built it
+    assert len(passes) == 2
 
 
 def test_group_action_check():
@@ -266,8 +367,8 @@ def test_transport_group():
     Z4 = GroupTable.cyclic(4)
     f = (0, 3, 2, 1)  # inversion is an automorphism, transport is Z4 again
     moved = transport_group(Z4, f)
-    assert moved.is_group().ok
-    assert moved.to_group().exponent() == 4
+    assert moved.axioms.ok
+    assert moved.exponent() == 4
 
 
 def test_power_star():
@@ -276,7 +377,7 @@ def test_power_star():
     rep = check_star_compat(F21, star)
     assert rep.ok
     # lambda = 1 reproduces the group itself
-    assert power_star(F21, 1) == group_as_binop(F21)
+    assert power_star(F21, 1).table == F21.table
     with pytest.raises(ValueError):
         power_star(F21, 0)
     with pytest.raises(ValueError):
@@ -286,7 +387,7 @@ def test_power_star():
 def test_power_star_is_transport_by_power_map():
     F21 = GroupTable.metacyclic(7, 3, 2)
     sq = tuple(F21.mul(g, g) for g in range(21))
-    assert power_star(F21, 2) == transport_group(F21, sq)
+    assert power_star(F21, 2).table == transport_group(F21, sq).table
 
 
 def test_check_rb_lambda_reduces_to_weight_one():
@@ -352,15 +453,15 @@ def test_skew_brace_check():
     star, _ = derived_group(S3, B)
     # (S3, ., *) with the derived operation: the brace identity holds
     # for circ built from the operator
-    circ, rep = circ_from_rrb(S3, group_as_binop(S3), B)
+    circ, rep = circ_from_rrb(S3, S3, B)
     assert rep.ok
-    assert skew_brace_check(group_as_binop(S3), circ).ok
+    assert skew_brace_check(S3, circ).ok
     # a random non-brace pairing fails
     Z6 = GroupTable.cyclic(6)
-    bad = skew_brace_check(group_as_binop(S3), group_as_binop(Z6))
+    bad = skew_brace_check(S3, Z6)
     assert not bad.ok
     with pytest.raises(ValueError):
-        skew_brace_check(BinaryOp([[0, 1], [1, 1]]), group_as_binop(GroupTable.cyclic(2)))
+        skew_brace_check(GroupTable([[0, 1], [1, 1]]), GroupTable.cyclic(2))
 
 
 def test_circ_from_rrb_f21():
@@ -370,7 +471,7 @@ def test_circ_from_rrb_f21():
     assert rep.ok
     assert rep.details["dot_circ_brace"]["stats"].get("skipped") == 1
     with pytest.raises(ValueError):
-        circ_from_rrb(F21, group_as_binop(GroupTable.cyclic(21)), tuple([F21.e] * 21))
+        circ_from_rrb(F21, GroupTable.cyclic(21), tuple([F21.e] * 21))
 
 
 def test_enumerate_parallel_and_cap():
@@ -448,16 +549,15 @@ def test_search_leaves_no_reference_cycles():
 def test_trivial_group_through_the_row_checks():
     # a one-entry row: itemgetter(*row) alone would return a bare element
     Z1 = GroupTable.cyclic(1)
-    op = group_as_binop(Z1)
     assert (Z1.e, Z1.inv) == (0, (0,))
-    assert op.is_group().stats["identities_checked"] == 3
+    assert Z1.axioms.stats["identities_checked"] == 3
     assert check_star_compat(Z1, power_star(Z1, 1)).stats["identities_checked"] == 5
-    assert skew_brace_check(op, op).stats["identities_checked"] == 1
+    assert skew_brace_check(Z1, Z1).stats["identities_checked"] == 1
     for w in (1, -1):
         assert check_rb(Z1, (0,), w).stats["identities_checked"] == 1
     star, rep = derived_group(Z1, (0,))
     assert rep.ok and star.table == ((0,),)
-    circ, rep = circ_from_rrb(Z1, op, (0,))
+    circ, rep = circ_from_rrb(Z1, Z1, (0,))
     assert rep.ok and circ.table == ((0,),)
     assert rep.stats["identities_checked"] == 5
     for w in (1, -1, 2):
@@ -466,14 +566,14 @@ def test_trivial_group_through_the_row_checks():
 
 def test_passing_counts_on_s3():
     S3 = GroupTable.symmetric(3)
-    dot, star = group_as_binop(S3), power_star(S3, 1)
+    star = power_star(S3, 1)
 
     def count(rep):
         assert rep.ok
         return rep.stats["identities_checked"]
 
-    assert count(dot.is_group()) == 223
+    assert count(check_group(S3.table)[1]) == 223
     assert count(check_star_compat(S3, power_star(S3, 1))) == 440
-    assert count(skew_brace_check(dot, star)) == 216
+    assert count(skew_brace_check(S3, star)) == 216
     assert count(circ_from_rrb(S3, star, S3.inv)[1]) == 655
     assert count(derived_group(S3, S3.inv)[1]) == 295

@@ -272,3 +272,18 @@ def test_action_json_round_trip():
     act = adjoint_action(H)
     back = action_from_json(act.to_json(), Q, 4, 4)
     assert back.phi == act.phi
+
+
+def test_relative_operator_shapes_and_fields_are_checked():
+    H4, kZ3 = sweedler_h4(Q), group_algebra(GroupTable.cyclic(3), Q)
+    act = adjoint_action(H4)
+    with pytest.raises(ValueError, match="B maps dim 4 to dim 3"):
+        RelRBHopf(H4, H4, act, LinearMap(Q, [{}] * 4, 3))
+    with pytest.raises(ValueError, match="phi has dims 4 x 4"):
+        RelRBHopf(kZ3, kZ3, act, counit_unit_operator(kZ3))
+    with pytest.raises(ValueError, match="phi has dims 4 x 4"):
+        check_action(act, kZ3, kZ3)
+    with pytest.raises(ValueError, match="different scalar fields"):
+        RelRBHopf(H4, H4, act, LinearMap.identity(FieldCtx.prime(5), 4))
+    with pytest.raises(ValueError, match=r"phi entry \(4,0\)"):
+        ActionData(Q, 4, 4, {(4, 0): {0: Q.one}})

@@ -281,8 +281,7 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         sys.stderr.write(f"cap exceeded: {e}\n")
         return EXIT_CAP
-    except (ValueError, KeyError, IndexError, AssertionError, OSError,
-            json.JSONDecodeError) as e:
+    except (ValueError, KeyError, IndexError, OSError, json.JSONDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT
 

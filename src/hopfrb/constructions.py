@@ -10,9 +10,9 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 
-from .hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, TensorElement,
-                        is_algebra_morphism, is_coalgebra_morphism, lincomb, tensor_mul)
-from .report import VerificationReport, first_failure, merge_reports
+from .hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, is_algebra_morphism,
+                        is_coalgebra_morphism, lincomb, tensor_mul)
+from .report import VerificationReport, first_failure, merge_reports, show
 from .rb_group import GroupTable
 from .scalars import FieldCtx, Scalar, _poly_divmod, _poly_mul, _poly_sub, multiplicative_order
 
@@ -239,24 +239,21 @@ def _family_algebra(params: FamilyParams) -> AlgebraData:
     return AlgebraData(ctx, dim, {0: ctx.one}, mult, labels)
 
 
-def _family_delta_generators(params: FamilyParams, alg: AlgebraData):
-    """Delta(g), Delta(x) as tensor elements; x as a reduced vector (it can
+def _family_delta_generators(params: FamilyParams):
+    """Delta(1) and Delta(x) as tensors; x as a reduced vector (it can
     collapse when l = 1)."""
     ctx = params.ctx
     i1 = params.index(0, 0)
     ig = params.index(1, 0)
-    unit_t = TensorElement(ctx, 2, {(i1, i1): ctx.one})
-    dg = TensorElement(ctx, 2, {(ig, ig): ctx.one})
     if params.l > 1:
         xs = {params.index(0, 1): ctx.one}
     else:
         a0 = params.f_coeffs[0]
         xs = {} if a0.is_zero else {i1: a0}
-    dx = TensorElement(ctx, 2)
-    for i, c in xs.items():
-        dx.add_term((i, i1), c)
-        dx.add_term((ig, i), c)
-    return unit_t, dg, dx, xs
+    # Delta(x) = x (x) 1 + g (x) x
+    dx = lincomb([(ctx.one, {(i, i1): c for i, c in xs.items()}),
+                  (ctx.one, {(ig, i): c for i, c in xs.items()})])
+    return {(i1, i1): ctx.one}, dx, xs
 
 
 def family_hypotheses(params: FamilyParams) -> VerificationReport:
@@ -285,18 +282,15 @@ def family_hypotheses(params: FamilyParams) -> VerificationReport:
     }
 
     alg = _family_algebra(params)
-    unit_t, _, dx, _ = _family_delta_generators(params, alg)
+    unit_t, dx, _ = _family_delta_generators(params)
     powers = [unit_t]
     for _ in range(l):
         powers.append(tensor_mul(alg, powers[-1], dx))
-    rhs = TensorElement(ctx, 2)
-    for p, a in enumerate(f):
-        if not a.is_zero:
-            rhs = rhs.add(powers[p].scale(a))
+    rhs = lincomb((a, powers[p]) for p, a in enumerate(f))
 
     def relation_witness(identity, indices, lhs, rhs) -> dict:
         return {"identity": identity, "lhs": "Delta(x)^l", "rhs": "Delta(f(x))",
-                "difference": lhs.sub(rhs).to_str(alg.labels)}
+                "difference": show(lincomb([(ctx.one, lhs), (-ctx.one, rhs)]), alg.labels)}
 
     parts["delta_relation"] = first_failure(
         "delta_relation", [((), powers[l], rhs)], relation_witness)
@@ -320,7 +314,7 @@ def family(params: FamilyParams, ctx: FieldCtx) -> HopfData:
         raise ValueError(f"family hypotheses fail at {hyp.identity}: {hyp.witness}")
     m, l = params.m, params.l
     alg = _family_algebra(params)
-    unit_t, dg, dx, xs = _family_delta_generators(params, alg)
+    unit_t, dx, xs = _family_delta_generators(params)
 
     dx_pow = [unit_t]
     for _ in range(l - 1):
@@ -328,10 +322,8 @@ def family(params: FamilyParams, ctx: FieldCtx) -> HopfData:
     delta: dict = {}
     for a in range(m):
         ga = params.index(a, 0)
-        ga_t = TensorElement(ctx, 2, {(ga, ga): ctx.one})
         for b in range(l):
-            t = tensor_mul(alg, ga_t, dx_pow[b])
-            delta[params.index(a, b)] = dict(t.terms)
+            delta[params.index(a, b)] = tensor_mul(alg, {(ga, ga): ctx.one}, dx_pow[b])
     counit = [ctx.one if b == 0 else ctx.zero for a in range(m) for b in range(l)]
     coalg = CoalgebraData(ctx, m * l, delta, counit, alg.labels)
 

@@ -1,7 +1,8 @@
 """Finite-dimensional Hopf algebras presented by structure constants.
 
-A vector is a sparse dict {basis index: nonzero scalar}, and lincomb is the
-one kernel that forms linear combinations of them.  A LinearMap stores one
+A vector is a sparse dict {basis index: nonzero scalar}, a tensor a sparse
+dict {index tuple: nonzero scalar}, and lincomb is the one kernel that forms
+linear combinations of either.  A LinearMap stores one
 such vector per column.  An algebra is a sparse multiplication table plus a
 unit vector, a coalgebra a sparse comultiplication table plus one counit
 scalar per basis element, and a Hopf algebra the pair together with an
@@ -14,8 +15,8 @@ Everything is exact (see scalars); dimensions are capped at MAX_DIM.
 
 from __future__ import annotations
 
-from .report import VerificationReport, first_failure, merge_reports
-from .scalars import FieldCtx, Scalar, parse_field, scalar_from_json
+from .report import VerificationReport, first_failure, labelled, merge_reports
+from .scalars import FieldCtx, Scalar, _json_int, parse_field, scalar_from_json
 
 MAX_DIM = 256
 
@@ -42,12 +43,6 @@ def _nonzero(v: dict) -> dict:
     return {k: c for k, c in v.items() if not c.is_zero}
 
 
-def _basis_order(v: dict) -> dict:
-    """v without its zero entries, keys ascending: witnesses that print a
-    dict list the entries of a column or unit in this order."""
-    return _nonzero(dict(sorted(v.items())))
-
-
 def _check_keys(keys, dim: int, what: str) -> None:
     for k in keys:
         if not 0 <= k < dim:
@@ -56,13 +51,13 @@ def _check_keys(keys, dim: int, what: str) -> None:
 
 class LinearMap:
     """Matrix stored by sparse columns: cols[j] is the image of e_j, with
-    zero entries dropped and keys in basis order."""
+    zero entries dropped."""
 
     __slots__ = ("ctx", "cols", "domain_dim", "codomain_dim")
 
     def __init__(self, ctx: FieldCtx, cols: list, codomain_dim: int):
         self.ctx = ctx
-        self.cols = [_basis_order(c) for c in cols]
+        self.cols = [_nonzero(c) for c in cols]
         self.domain_dim = len(self.cols)
         self.codomain_dim = codomain_dim
         for c in self.cols:
@@ -172,7 +167,7 @@ class AlgebraData:
         self.labels = _labels(labels, dim)
         self.ctx = ctx
         self.dim = dim
-        self.unit = _basis_order(unit)
+        self.unit = _nonzero(unit)
         _check_keys(self.unit, dim, "unit index")
         self.mult = {}
         for (i, j), terms in mult.items():
@@ -268,159 +263,78 @@ def _coalgebra_of(x) -> CoalgebraData:
 
 # ---------------------------------------------------------------------------
 # sparse tensors with Sweedler-leg operations
+#
+# An element of a tensor power is what a coproduct already is: a sparse dict
+# {index tuple: nonzero scalar}, one index per leg.  Every operation sums its
+# terms through lincomb, and two tensors are equal when their dicts are.
 
 
-class TensorElement:
-    """Sparse element of the rank-fold tensor power of one based space.
-
-    terms maps index tuples to nonzero scalars.
-    """
-
-    __slots__ = ("ctx", "rank", "terms")
-
-    def __init__(self, ctx: FieldCtx, rank: int, terms: dict | None = None):
-        self.ctx = ctx
-        self.rank = rank
-        self.terms: dict = {}
-        if terms:
-            for tup, c in terms.items():
-                assert len(tup) == rank
-                if not c.is_zero:
-                    self.terms[tup] = c
-
-    def add_term(self, tup: tuple, c: Scalar):
-        prev = self.terms.get(tup)
-        tot = c if prev is None else prev + c
-        if tot.is_zero:
-            self.terms.pop(tup, None)
-        else:
-            self.terms[tup] = tot
-
-    def add(self, other: "TensorElement") -> "TensorElement":
-        assert self.rank == other.rank
-        out = TensorElement(self.ctx, self.rank, dict(self.terms))
-        for tup, c in other.terms.items():
-            out.add_term(tup, c)
-        return out
-
-    def scale(self, c: Scalar) -> "TensorElement":
-        if c.is_zero:
-            return TensorElement(self.ctx, self.rank)
-        return TensorElement(self.ctx, self.rank, {t: c * x for t, x in self.terms.items()})
-
-    def sub(self, other: "TensorElement") -> "TensorElement":
-        return self.add(other.scale(self.ctx.from_int(-1)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.rank == other.rank and self.sub(other).is_zero
-
-    def to_str(self, labels: list[str]) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for tup in sorted(self.terms):
-            c = self.terms[tup]
-            parts.append(f"({c})*" + "(x)".join(labels[i] for i in tup))
-        return " + ".join(parts)
+def tensor_outer(a: dict, b: dict) -> dict:
+    return lincomb((ca, {ta + tb: cb for tb, cb in b.items()}) for ta, ca in a.items())
 
 
-def tensor_from_sparse_vec(ctx: FieldCtx, sv: dict) -> TensorElement:
-    return TensorElement(ctx, 1, {(i,): c for i, c in sv.items()})
-
-
-def tensor_outer(a: TensorElement, b: TensorElement) -> TensorElement:
-    out = TensorElement(a.ctx, a.rank + b.rank)
-    for ta, ca in a.terms.items():
-        for tb, cb in b.terms.items():
-            out.add_term(ta + tb, ca * cb)
-    return out
-
-
-def tensor_apply_delta(coalg: CoalgebraData, t: TensorElement, leg: int) -> TensorElement:
+def tensor_apply_delta(coalg: CoalgebraData, t: dict, leg: int) -> dict:
     """Replace one leg by its comultiplication, raising the rank by one."""
-    out = TensorElement(t.ctx, t.rank + 1)
-    for tup, c in t.terms.items():
-        for (j, k), d in coalg.delta_basis(tup[leg]).items():
-            out.add_term(tup[:leg] + (j, k) + tup[leg + 1:], c * d)
-    return out
+    return lincomb((c, {tup[:leg] + jk + tup[leg + 1:]: d
+                        for jk, d in coalg.delta_basis(tup[leg]).items()})
+                   for tup, c in t.items())
 
 
-def tensor_apply_counit(coalg: CoalgebraData, t: TensorElement, leg: int) -> TensorElement:
-    out = TensorElement(t.ctx, t.rank - 1)
-    for tup, c in t.terms.items():
-        w = coalg.counit[tup[leg]]
-        if not w.is_zero:
-            out.add_term(tup[:leg] + tup[leg + 1:], c * w)
-    return out
+def tensor_apply_counit(coalg: CoalgebraData, t: dict, leg: int) -> dict:
+    return lincomb((coalg.counit[tup[leg]], {tup[:leg] + tup[leg + 1:]: c})
+                   for tup, c in t.items())
 
 
-def tensor_apply_map(f: LinearMap, t: TensorElement, leg: int) -> TensorElement:
-    out = TensorElement(t.ctx, t.rank)
-    for tup, c in t.terms.items():
-        for k, x in f.cols[tup[leg]].items():
-            out.add_term(tup[:leg] + (k,) + tup[leg + 1:], c * x)
-    return out
+def tensor_apply_map(f: LinearMap, t: dict, leg: int) -> dict:
+    return lincomb((c, {tup[:leg] + (k,) + tup[leg + 1:]: x
+                        for k, x in f.cols[tup[leg]].items()})
+                   for tup, c in t.items())
 
 
-def tensor_mul_legs(alg: AlgebraData, t: TensorElement, leg: int) -> TensorElement:
+def tensor_mul_legs(alg: AlgebraData, t: dict, leg: int) -> dict:
     """Multiply legs leg and leg+1 together, lowering the rank by one."""
-    out = TensorElement(t.ctx, t.rank - 1)
-    for tup, c in t.terms.items():
-        for k, d in alg.mul_basis(tup[leg], tup[leg + 1]).items():
-            out.add_term(tup[:leg] + (k,) + tup[leg + 2:], c * d)
-    return out
+    return lincomb((c, {tup[:leg] + (k,) + tup[leg + 2:]: d
+                        for k, d in alg.mul_basis(tup[leg], tup[leg + 1]).items()})
+                   for tup, c in t.items())
 
 
-def tensor_permute(t: TensorElement, perm: list[int]) -> TensorElement:
+def tensor_permute(t: dict, perm: list[int]) -> dict:
     """Output slot s takes the source leg perm[s]."""
-    assert sorted(perm) == list(range(t.rank))
-    out = TensorElement(t.ctx, t.rank)
-    for tup, c in t.terms.items():
-        out.add_term(tuple(tup[p] for p in perm), c)
-    return out
+    rank = len(next(iter(t), perm))  # an empty tensor takes any permutation
+    if sorted(perm) != list(range(rank)):
+        raise ValueError(f"{perm} is not a permutation of {rank} legs")
+    return {tuple(tup[p] for p in perm): c for tup, c in t.items()}
 
 
-def tensor_mul(alg: AlgebraData, a: TensorElement, b: TensorElement) -> TensorElement:
+def tensor_mul(alg: AlgebraData, a: dict, b: dict) -> dict:
     """Componentwise product of two equal-rank tensors over one algebra."""
-    assert a.rank == b.rank
-    out = TensorElement(a.ctx, a.rank)
-    for ta, ca in a.terms.items():
-        for tb, cb in b.terms.items():
-            partial = {(): ca * cb}
-            for ia, ib in zip(ta, tb):
-                prod = alg.mul_basis(ia, ib)
-                if not prod:
-                    partial = {}
-                    break
-                nxt: dict = {}
-                for pref, c in partial.items():
-                    for k, d in prod.items():
-                        key = pref + (k,)
-                        prev = nxt.get(key)
-                        nxt[key] = c * d if prev is None else prev + c * d
-                partial = nxt
-            for tup, c in partial.items():
-                out.add_term(tup, c)
-    return out
+    def terms():
+        # e_ta * e_tb leg by leg: each choice of one term from the products
+        # of the leading legs, with the product of the last legs as a whole
+        for ta, ca in a.items():
+            for tb, cb in b.items():
+                prods = [alg.mul_basis(ia, ib) for ia, ib in zip(ta, tb, strict=True)]
+                heads = {(): ca * cb}
+                for p in prods[:-1]:
+                    heads = {h + (k,): c * d for h, c in heads.items() for k, d in p.items()}
+                for h, c in heads.items():
+                    yield c, {h + (k,): d for k, d in prods[-1].items()}
+
+    return lincomb(terms())
 
 
-def iterated_delta(coalg: CoalgebraData, sv: dict, legs: int) -> TensorElement:
+def iterated_delta(coalg: CoalgebraData, sv: dict, legs: int) -> dict:
     """Sweedler legs of a sparse vector: legs=1 is the vector itself,
     legs=2 is Delta, legs=3 is (Delta (x) id) Delta, and so on."""
-    assert legs >= 1
-    t = tensor_from_sparse_vec(coalg.ctx, sv)
+    if legs < 1:
+        raise ValueError(f"a tensor has at least one leg, not {legs}")
+    t = {(i,): c for i, c in sv.items() if not c.is_zero}
     for _ in range(legs - 1):
         t = tensor_apply_delta(coalg, t, 0)
     return t
 
 
-def delta_power(H, v: dict, k: int) -> TensorElement:
+def delta_power(H, v: dict, k: int) -> dict:
     """Delta of a sparse vector iterated into k Sweedler legs, k in 1..3."""
     if not 1 <= k <= 3:
         raise ValueError("delta_power supports 1 to 3 legs")
@@ -435,29 +349,18 @@ def delta_power(H, v: dict, k: int) -> TensorElement:
 _BASIS_RHS = ("unit", "counit_left", "counit_right")
 
 
-def _show(x, labels: list[str]) -> str:
-    """A tensor, sparse vector or scalar as witness text."""
-    if isinstance(x, TensorElement):
-        return x.to_str(labels)
-    if isinstance(x, dict):
-        return " + ".join(f"({c})*{labels[k]}" for k, c in sorted(x.items())) or "0"
-    return str(x)
-
-
 def _witness(labels: list[str], shown: list[str] | None = None):
     """first_failure formatter: indices name basis elements of labels, and
     both sides print over shown (labels unless given)."""
-    shown = labels if shown is None else shown
+    # at most three indices: associativity names a basis triple
+    witness = labelled([labels] * 3, labels if shown is None else shown)
 
-    def witness(identity, indices, lhs, rhs) -> dict:
-        return {
-            "identity": identity,
-            "indices": list(indices),
-            "labels": [labels[i] for i in indices],
-            "lhs": _show(lhs, shown),
-            "rhs": labels[indices[0]] if identity in _BASIS_RHS else _show(rhs, shown),
-        }
-    return witness
+    def basis_rhs(identity, indices, lhs, rhs) -> dict:
+        w = witness(identity, indices, lhs, rhs)
+        if identity in _BASIS_RHS:
+            w["rhs"] = labels[indices[0]]
+        return w
+    return basis_rhs
 
 
 def check_algebra(A) -> VerificationReport:
@@ -491,7 +394,7 @@ def check_coalgebra(C) -> VerificationReport:
         for i, t in enumerate(deltas):
             yield ("coassociativity", i), tensor_apply_delta(C, t, 0), tensor_apply_delta(C, t, 1)
         for i, t in enumerate(deltas):
-            e_i = TensorElement(C.ctx, 1, {(i,): one})
+            e_i = {(i,): one}
             yield ("counit_left", i), tensor_apply_counit(C, t, 0), e_i
             yield ("counit_right", i), tensor_apply_counit(C, t, 1), e_i
 
@@ -506,7 +409,7 @@ def check_bialgebra_compat(H: HopfData) -> VerificationReport:
     deltas = [iterated_delta(C, {i: one}, 2) for i in range(A.dim)]
 
     def cases():
-        unit = tensor_from_sparse_vec(A.ctx, su)
+        unit = iterated_delta(C, su, 1)
         yield ("delta_unit",), iterated_delta(C, su, 2), tensor_outer(unit, unit)
         yield ("counit_unit",), C.counit_sparse(su), one
         for i in range(A.dim):
@@ -528,8 +431,8 @@ def check_antipode(H: HopfData) -> VerificationReport:
     deltas = [iterated_delta(C, {i: A.ctx.one}, 2) for i in range(A.dim)]
     images = S.cols
 
-    def product(t: TensorElement) -> dict:
-        return {k: c for (k,), c in tensor_mul_legs(A, t, 0).terms.items()}
+    def product(t: dict) -> dict:
+        return {k: c for (k,), c in tensor_mul_legs(A, t, 0).items()}
 
     def cases():
         for i, t in enumerate(deltas):
@@ -628,7 +531,7 @@ def is_group_like(H, v: dict) -> bool:
     C = _coalgebra_of(H)
     if not v:
         return False
-    t = tensor_from_sparse_vec(C.ctx, v)
+    t = iterated_delta(C, v, 1)
     if iterated_delta(C, v, 2) != tensor_outer(t, t):
         return False
     return C.counit_sparse(v) == C.ctx.one
@@ -642,10 +545,10 @@ def group_like_basis_indices(H) -> list[int]:
 def is_primitive(H, v: dict, g: dict) -> bool:
     """Delta(v) = v (x) 1 + g (x) v, the skew-primitive law for group-like g."""
     C = _coalgebra_of(H)
-    ctx = C.ctx
-    tv = tensor_from_sparse_vec(ctx, v)
-    expected = tensor_outer(tv, tensor_from_sparse_vec(ctx, _algebra_of(H).unit))
-    expected = expected.add(tensor_outer(tensor_from_sparse_vec(ctx, g), tv))
+    one = C.ctx.one
+    tv = iterated_delta(C, v, 1)
+    expected = lincomb([(one, tensor_outer(tv, iterated_delta(C, _algebra_of(H).unit, 1))),
+                        (one, tensor_outer(iterated_delta(C, g, 1), tv))])
     return iterated_delta(C, v, 2) == expected
 
 
@@ -661,7 +564,10 @@ def check_cobrace_compat(m: AlgebraData, D1: CoalgebraData, D2: CoalgebraData,
     """
     A = _algebra_of(m)
     C1, C2 = _coalgebra_of(D1), _coalgebra_of(D2)
-    assert A.dim == C1.dim == C2.dim and A.ctx == C1.ctx == C2.ctx
+    if not A.dim == C1.dim == C2.dim == S.domain_dim == S.codomain_dim:
+        raise ValueError("algebra, coalgebras and antipode dimensions disagree")
+    if not A.ctx == C1.ctx == C2.ctx == S.ctx:
+        raise ValueError("algebra, coalgebras and antipode use different scalar fields")
     one = A.ctx.one
 
     def cases():
@@ -706,16 +612,17 @@ def hopf_to_json(H: HopfData) -> dict:
 
 def hopf_from_json(obj: dict, max_n: int = 64, max_p: int = 97) -> HopfData:
     ctx = parse_field(obj["field"], max_n=max_n, max_p=max_p)
-    dim = int(obj["dim"])
+    dim = _json_int(obj["dim"], "dim")
     labels = obj.get("labels")
     unit = [scalar_from_json(c, ctx) for c in obj["unit"]]
     if len(unit) != dim:
         raise ValueError("unit length does not match dim")
-    mult = {(int(e["i"]), int(e["j"])): {int(t["k"]): scalar_from_json(t["c"], ctx)
-                                         for t in e["terms"]}
+    mult = {(_json_int(e["i"], "mult i"), _json_int(e["j"], "mult j")):
+            {_json_int(t["k"], "mult k"): scalar_from_json(t["c"], ctx) for t in e["terms"]}
             for e in obj["mult"]}
-    delta = {int(e["i"]): {(int(t["j"]), int(t["k"])): scalar_from_json(t["c"], ctx)
-                           for t in e["terms"]}
+    delta = {_json_int(e["i"], "delta i"):
+             {(_json_int(t["j"], "delta j"), _json_int(t["k"], "delta k")):
+              scalar_from_json(t["c"], ctx) for t in e["terms"]}
              for e in obj["delta"]}
     counit = [scalar_from_json(c, ctx) for c in obj["counit"]]
     alg = AlgebraData(ctx, dim, dict(enumerate(unit)), mult, labels=labels)

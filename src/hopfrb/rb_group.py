@@ -21,6 +21,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .report import VerificationReport, first_failure, first_row_failure, merge_reports
+from .scalars import _json_int
 
 DEFAULT_CAP = 10 ** 8
 
@@ -735,4 +736,4 @@ def operator_to_json(G: GroupTable, B, weight: int) -> dict:
 
 
 def operator_from_json(obj: dict) -> tuple[str, int, tuple]:
-    return obj.get("group", ""), int(obj["weight"]), tuple(obj["map"])
+    return obj.get("group", ""), _json_int(obj["weight"], "weight"), tuple(obj["map"])

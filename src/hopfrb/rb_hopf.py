@@ -5,21 +5,20 @@ checks cover the four defining conditions, the circle product a o b =
 a_(1) * Phi_{B(a_(2))}(b), the derived Hopf algebra with antipode
 S_B(a) = Phi_{S_G(B(a_(1)))}(S_H(a_(2))), the Hopf-brace identity, the
 group-flavoured special case (adjoint action), and the exact-factorization
-construction on group algebras.  Vectors are sparse dicts (see hopf_core)
-and all Sweedler legs are materialized as sparse tensors and compared
-entry-wise.
+construction on group algebras.  Vectors and tensors are sparse dicts (see
+hopf_core): all Sweedler legs are materialized and compared entry-wise.
 """
 
 from __future__ import annotations
 
 from .constructions import group_algebra
-from .hopf_core import (AlgebraData, HopfData, LinearMap, TensorElement, _check_keys,
+from .hopf_core import (AlgebraData, HopfData, LinearMap, _check_keys,
                         group_like_basis_indices, is_coalgebra_morphism, iterated_delta,
                         lincomb, opposite_hopf, tensor_apply_delta, tensor_apply_map,
                         tensor_mul_legs, tensor_outer, tensor_permute)
 from .rb_group import GroupTable, is_subgroup
 from .report import VerificationReport, first_failure, labelled, merge_reports
-from .scalars import FieldCtx
+from .scalars import FieldCtx, _json_int, scalar_from_json
 
 
 class ActionData:
@@ -63,11 +62,11 @@ class ActionData:
 
 
 def action_from_json(obj: list, ctx: FieldCtx, dim_g: int, dim_h: int) -> ActionData:
-    from .scalars import scalar_from_json
     phi: dict = {}
     for row in obj:
-        terms = {int(t["i"]): scalar_from_json(t["c"], ctx) for t in row["terms"]}
-        phi[(int(row["g"]), int(row["h"]))] = terms
+        terms = {_json_int(t["i"], "phi term index"): scalar_from_json(t["c"], ctx)
+                 for t in row["terms"]}
+        phi[(_json_int(row["g"], "phi g"), _json_int(row["h"], "phi h"))] = terms
     return ActionData(ctx, dim_g, dim_h, phi)
 
 
@@ -129,12 +128,15 @@ def check_action(phi: ActionData, G: HopfData, H: HopfData) -> VerificationRepor
         "unit_acts_trivially": first_failure(
             "unit_acts_trivially",
             (((a,), phi.apply(unit_g, {a: one}), {a: one}) for a in range(H.dim)),
-            labelled([H.labels])),
+            labelled([H.labels], H.labels)),
         "action_composition": first_failure(
-            "action_composition", composition(), labelled([G.labels, G.labels, H.labels])),
+            "action_composition", composition(),
+            labelled([G.labels, G.labels, H.labels], H.labels)),
         "action_multiplicative": first_failure(
-            "action_multiplicative", multiplicative(), labelled([G.labels, H.labels, H.labels])),
-        "action_on_unit": first_failure("action_on_unit", on_unit(), labelled([G.labels])),
+            "action_multiplicative", multiplicative(),
+            labelled([G.labels, H.labels, H.labels], H.labels)),
+        "action_on_unit": first_failure("action_on_unit", on_unit(),
+                                        labelled([G.labels], H.labels)),
     })
 
 
@@ -147,33 +149,34 @@ def adjoint_action(H: HopfData) -> ActionData:
     return ActionData(H.ctx, H.dim, H.dim, phi)
 
 
-def _action_join(phi: ActionData, t: TensorElement, gleg: int, hleg: int) -> TensorElement:
+def _action_join(phi: ActionData, t: dict, gleg: int, hleg: int) -> dict:
     """Consume legs (gleg, hleg) into Phi_{e_g}(e_h); the result sits where
     hleg was, with gleg removed."""
-    assert gleg != hleg
-    out = TensorElement(t.ctx, t.rank - 1)
-    for tup, c in t.terms.items():
-        for k, ck in phi.apply_basis(tup[gleg], tup[hleg]).items():
-            lst = list(tup)
-            lst[hleg] = k
-            del lst[gleg]
-            out.add_term(tuple(lst), c * ck)
-    return out
+    if gleg == hleg:
+        raise ValueError(f"leg {gleg} cannot act on itself")
+
+    def joined(tup: tuple, k: int) -> tuple:
+        lst = list(tup)
+        lst[hleg] = k
+        del lst[gleg]
+        return tuple(lst)
+
+    return lincomb((c, {joined(tup, k): ck
+                        for k, ck in phi.apply_basis(tup[gleg], tup[hleg]).items()})
+                   for tup, c in t.items())
 
 
-def _delta_tensor(H: HopfData, i: int, legs: int) -> TensorElement:
+def _delta_tensor(H: HopfData, i: int, legs: int) -> dict:
     return iterated_delta(H.coalgebra, {i: H.ctx.one}, legs)
 
 
-def _cond3_sides(data: RelRBHopf, a: int, b: int) -> tuple[TensorElement, TensorElement]:
+def _cond3_sides(data: RelRBHopf, a: int, b: int) -> tuple[dict, dict]:
     """Both sides of the compatibility equation for basis elements a, b."""
     H, G, phi, B = data.H, data.G, data.phi, data.B
-    ctx = H.ctx
     # lhs: split a once, act on b, split the result, multiply a1 in
     t = _delta_tensor(H, a, 2)                       # [a1, a2]
     t = tensor_apply_map(B, t, 1)                    # [a1, B(a2)]
-    bt = TensorElement(ctx, 1, {(b,): ctx.one})
-    t = tensor_outer(t, bt)                          # [a1, B(a2), b]
+    t = tensor_outer(t, _delta_tensor(H, b, 1))      # [a1, B(a2), b]
     t = _action_join(phi, t, 1, 2)                   # [a1, u]
     t = tensor_apply_delta(H.coalgebra, t, 1)        # [a1, u1, u2]
     t = tensor_permute(t, [1, 0, 2])                 # [u1, a1, u2]
@@ -189,7 +192,7 @@ def _cond3_sides(data: RelRBHopf, a: int, b: int) -> tuple[TensorElement, Tensor
     return lhs, rhs
 
 
-def _cond3_remark_sides(data: RelRBHopf, a: int, b: int) -> tuple[TensorElement, TensorElement]:
+def _cond3_remark_sides(data: RelRBHopf, a: int, b: int) -> tuple[dict, dict]:
     """The antipode-expanded form: Delta(Phi_{B(a)}(b)) against the four-leg
     expansion Phi_{B(a2)}(b1) (x) S(a1) * a3 * Phi_{B(a4)}(b2)."""
     H, phi, B = data.H, data.phi, data.B
@@ -207,13 +210,11 @@ def _cond3_remark_sides(data: RelRBHopf, a: int, b: int) -> tuple[TensorElement,
 
 
 def circle(data: RelRBHopf, a: dict, b: dict) -> dict:
-    """a o b = a_(1) * Phi_{B(a_(2))}(b) for sparse vectors a, b; the keys
-    of the result are in basis order."""
+    """a o b = a_(1) * Phi_{B(a_(2))}(b) for sparse vectors a, b."""
     H, phi, B = data.H, data.phi, data.B
     one = H.ctx.one
-    out = lincomb((ai * c, H.algebra.mul_sparse({a1: one}, phi.apply(B.cols[a2], b)))
-                  for i, ai in a.items() for (a1, a2), c in H.coalgebra.delta_basis(i).items())
-    return dict(sorted(out.items()))
+    return lincomb((ai * c, H.algebra.mul_sparse({a1: one}, phi.apply(B.cols[a2], b)))
+                   for i, ai in a.items() for (a1, a2), c in H.coalgebra.delta_basis(i).items())
 
 
 def _circle_basis(data: RelRBHopf, i: int, j: int) -> dict:
@@ -229,7 +230,7 @@ def check_rrbo(data: RelRBHopf, full: bool = False) -> VerificationReport:
     """
     H, G, phi, B = data.H, data.G, data.phi, data.B
     pairs = [(a, b) for a in range(H.dim) for b in range(H.dim)]
-    pair_witness = labelled([H.labels, H.labels], lambda t: t.to_str(H.labels))
+    pair_witness = labelled([H.labels, H.labels], H.labels)
     parts = {"condition_1_coalgebra": is_coalgebra_morphism(B, H, G),
              "condition_1_unit": first_failure(
                  "condition_1_unit", [((), "1" if B.apply(H.unit) == G.unit else "B(1)", "1")])}
@@ -251,22 +252,19 @@ def check_rrbo(data: RelRBHopf, full: bool = False) -> VerificationReport:
         parts["condition_3_agreement"] = first_failure(
             "condition_3_agreement",
             ((p, c[0] == c[1], r[0] == r[1]) for p, c, r in zip(pairs, compat, remark)),
-            labelled([H.labels, H.labels], lambda v: f"compat {v}", lambda v: f"remark {v}"))
+            labelled([H.labels, H.labels], show_lhs=lambda v: f"compat {v}",
+                     show_rhs=lambda v: f"remark {v}"))
 
     if not done():
         images = B.cols
 
         def condition_4():
             for a, b in pairs:
-                # sorted, so that the witness lists the right side in basis order
                 yield ((a, b), G.algebra.mul_sparse(images[a], images[b]),
-                       dict(sorted(B.apply(_circle_basis(data, a, b)).items())))
-
-        def show(v: dict) -> str:
-            return str({G.labels[k]: str(c) for k, c in v.items()})
+                       B.apply(_circle_basis(data, a, b)))
 
         parts["condition_4_rb"] = first_failure(
-            "condition_4_rb", condition_4(), labelled([H.labels, H.labels], show))
+            "condition_4_rb", condition_4(), labelled([H.labels, H.labels], G.labels))
 
     return merge_reports(parts)
 
@@ -294,23 +292,24 @@ def check_hopf_brace(data: RelRBHopf) -> VerificationReport:
     ctx = H.ctx
     n = H.dim
     circ = {(i, j): _circle_basis(data, i, j) for i in range(n) for j in range(n)}
-    mul, S = H.algebra.mul_sparse, H.antipode
+    mul, mul_basis, S = H.algebra.mul_sparse, H.algebra.mul_basis, H.antipode
 
     def brace_cases():
         for a in range(n):
             d2 = iterated_delta(H.coalgebra, {a: ctx.one}, 3)
             for b in range(n):
                 for c in range(n):
-                    lhs = circle(data, {a: ctx.one}, H.algebra.mul_basis(b, c))
+                    # a o (b*c) by linearity of o in its right argument
+                    lhs = lincomb((ck, circ[(a, k)]) for k, ck in mul_basis(b, c).items())
                     rhs = lincomb((ct, mul(mul(circ[(a1, b)], S.cols[a2]), circ[(a3, c)]))
-                                  for (a1, a2, a3), ct in d2.terms.items())
+                                  for (a1, a2, a3), ct in d2.items())
                     yield (a, b, c), lhs, rhs
 
     invertible = {g: phi.matrix_for(g).is_invertible() for g in group_like_basis_indices(G)}
     out = merge_reports({
         "hopf_brace": first_failure(
             "hopf_brace", brace_cases(),
-            labelled([H.labels] * 3, lambda v: str({H.labels[k]: str(c) for k, c in v.items()}))),
+            labelled([H.labels] * 3, H.labels)),
         "phi_grouplike_invertible": first_failure(
             "phi_grouplike_invertible",
             (((g,), "invertible" if ok else "singular", "invertible")
@@ -401,7 +400,7 @@ def grbo_check(H: HopfData, B: LinearMap) -> VerificationReport:
             "associativity_display",
             (((a, b), *_grbo_display_sides(data, a, b))
              for a in range(H.dim) for b in range(H.dim)),
-            labelled([H.labels, H.labels], lambda t: t.to_str(H.labels))),
+            labelled([H.labels, H.labels], H.labels)),
     })
 
 
@@ -418,9 +417,8 @@ def _hrbo_display_sides(data: RelRBHopf, a: int, b: int):
     """The one-line compatibility condition of the H^op variant: b stays
     unsplit, the left side uses three a-legs and the right side five."""
     H, B = data.H, data.B
-    ctx = H.ctx
     SB = H.antipode.compose(B)
-    bt = TensorElement(ctx, 1, {(b,): ctx.one})
+    bt = _delta_tensor(H, b, 1)
     # lhs: S(B(a2)) b B(a3) (x) S(B(a1))
     t = tensor_outer(_delta_tensor(H, a, 3), bt)     # [a1, a2, a3, b]
     t = tensor_apply_map(SB, t, 0)
@@ -452,7 +450,7 @@ def hrbo_check(H: HopfData, B: LinearMap) -> VerificationReport:
             "display_condition_3",
             (((a, b), *_hrbo_display_sides(data, a, b))
              for a in range(H.dim) for b in range(H.dim)),
-            labelled([H.labels, H.labels], lambda t: t.to_str(H.labels))),
+            labelled([H.labels, H.labels], H.labels)),
         "rrbo": check_rrbo(data, full=True),
     })
 

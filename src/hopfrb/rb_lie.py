@@ -12,32 +12,33 @@ dicts combined by hopf_core.lincomb; operators and actions are LinearMaps.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .hopf_core import LinearMap, lincomb
-from .report import VerificationReport, first_failure, labelled, merge_reports
-from .scalars import FieldCtx, Scalar, parse_field, scalar_from_json
+from .report import VerificationReport, first_failure, labelled, merge_reports, show
+from .scalars import FieldCtx, Scalar, _json_int, parse_field, scalar_from_json
 
 
 class LieData:
     """Lie algebra by sparse brackets: brackets[(i, j)] expands [e_i, e_j].
 
-    A missing (j, i) entry is filled in as the negative of (i, j); nothing
-    else is verified at construction time, check_lie does that.
+    A missing (j, i) entry is filled in as the negative of (i, j); ranges
+    raise ValueError at construction time, and check_lie verifies the axioms.
     """
 
     __slots__ = ("ctx", "dim", "labels", "brackets")
 
     def __init__(self, ctx: FieldCtx, dim: int, brackets: dict,
                  labels: list[str] | None = None):
-        assert dim >= 1
+        if dim < 1:
+            raise ValueError(f"dimension {dim} must be at least 1")
         self.ctx = ctx
         self.dim = dim
         self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(dim)]
-        assert len(self.labels) == dim
+        if len(self.labels) != dim:
+            raise ValueError(f"{len(self.labels)} labels for dim {dim}")
         self.brackets = {}
         for (i, j), terms in brackets.items():
-            assert 0 <= i < dim and 0 <= j < dim
+            if not 0 <= i < dim or not 0 <= j < dim or any(not 0 <= k < dim for k in terms):
+                raise ValueError(f"bracket entry ({i},{j}) out of range for dim {dim}")
             t = {k: c for k, c in terms.items() if not c.is_zero}
             if t:
                 self.brackets[(i, j)] = t
@@ -54,12 +55,6 @@ class LieData:
                        if (t := brackets.get((i, j))))
 
 
-def _sp_str(L: LieData, s: dict) -> str:
-    if not s:
-        return "0"
-    return " + ".join(f"({s[k]})*{L.labels[k]}" for k in sorted(s))
-
-
 def check_lie(L: LieData) -> VerificationReport:
     """Antisymmetry (including [u,u] = 0) and the Jacobi identity."""
     zero = L.ctx.zero
@@ -73,8 +68,8 @@ def check_lie(L: LieData) -> VerificationReport:
 
     def antisymmetry_witness(identity, indices, lhs, rhs) -> dict:
         i, j = indices
-        return {"identity": identity, "indices": [i, j], "lhs": _sp_str(L, lhs),
-                "rhs": "0" if i == j else "-(" + _sp_str(L, L.bracket_basis(j, i)) + ")",
+        return {"identity": identity, "indices": [i, j], "lhs": show(lhs, L.labels),
+                "rhs": "0" if i == j else "-(" + show(L.bracket_basis(j, i), L.labels) + ")",
                 "labels": [L.labels[i]] if i == j else [L.labels[i], L.labels[j]]}
 
     def jacobi():
@@ -92,7 +87,7 @@ def check_lie(L: LieData) -> VerificationReport:
     return merge_reports({
         "antisymmetry": first_failure("antisymmetry", antisymmetry(), antisymmetry_witness),
         "jacobi": first_failure("jacobi", jacobi(),
-                                labelled([L.labels] * 3, partial(_sp_str, L), lambda _: "0")),
+                                labelled([L.labels] * 3, L.labels, show_rhs=lambda _: "0")),
     })
 
 
@@ -102,13 +97,17 @@ class DerivationAction:
     __slots__ = ("ctx", "dim_g", "dim_h", "mats")
 
     def __init__(self, ctx: FieldCtx, mats: list[LinearMap]):
-        assert mats
+        if not mats:
+            raise ValueError("a derivation action needs one matrix per basis element")
         self.ctx = ctx
         self.dim_g = len(mats)
         self.dim_h = mats[0].domain_dim
         for m in mats:
-            assert m.ctx == ctx
-            assert m.domain_dim == m.codomain_dim == self.dim_h
+            if m.ctx != ctx:
+                raise ValueError("action matrices use different scalar fields")
+            if not m.domain_dim == m.codomain_dim == self.dim_h:
+                raise ValueError(f"action matrix is {m.codomain_dim} x {m.domain_dim},"
+                                 f" expected {self.dim_h} x {self.dim_h}")
         self.mats = list(mats)
 
     def apply(self, gs: dict, hv: dict) -> dict:
@@ -126,7 +125,9 @@ def adjoint_lie_action(L: LieData) -> DerivationAction:
 def check_derivation_action(phi: DerivationAction, g: LieData, h: LieData) -> VerificationReport:
     """Each phi(e_i) derives the bracket of h, and phi is a Lie morphism
     into the commutator bracket on endomorphisms."""
-    assert phi.dim_g == g.dim and phi.dim_h == h.dim
+    if (phi.dim_g, phi.dim_h) != (g.dim, h.dim):
+        raise ValueError(f"phi has dims {phi.dim_g} x {phi.dim_h},"
+                         f" expected g x h = {g.dim} x {h.dim}")
     one = g.ctx.one
 
     def derivation():
@@ -152,11 +153,18 @@ def check_derivation_action(phi: DerivationAction, g: LieData, h: LieData) -> Ve
     return merge_reports({
         "derivation": first_failure(
             "derivation", derivation(),
-            labelled([g.labels, h.labels, h.labels], partial(_sp_str, h))),
+            labelled([g.labels, h.labels, h.labels], h.labels)),
         "lie_morphism": first_failure(
             "lie_morphism", lie_morphism(),
-            labelled([g.labels, g.labels], lambda _: "phi([u,v])", lambda _: "[phi(u),phi(v)]")),
+            labelled([g.labels, g.labels], show_lhs=lambda _: "phi([u,v])",
+                     show_rhs=lambda _: "[phi(u),phi(v)]")),
     })
+
+
+def _check_operator_dims(B: LinearMap, src: LieData, dst: LieData) -> None:
+    if (B.domain_dim, B.codomain_dim) != (src.dim, dst.dim):
+        raise ValueError(f"B maps dim {B.domain_dim} to dim {B.codomain_dim},"
+                         f" expected {src.dim} to {dst.dim}")
 
 
 def check_relative_rb_lie(g: LieData, h: LieData, phi: DerivationAction,
@@ -165,7 +173,7 @@ def check_relative_rb_lie(g: LieData, h: LieData, phi: DerivationAction,
     act = check_derivation_action(phi, g, h)
     if not act.ok:
         raise ValueError(f"invalid derivation action: fails {act.identity}")
-    assert B.domain_dim == h.dim and B.codomain_dim == g.dim
+    _check_operator_dims(B, h, g)
     one = g.ctx.one
 
     def cases():
@@ -178,7 +186,7 @@ def check_relative_rb_lie(g: LieData, h: LieData, phi: DerivationAction,
                 yield (u, v), g.bracket_sparse(bu, bv), B.apply(arg)
 
     return first_failure("relative_rb_lie", cases(),
-                         labelled([h.labels, h.labels], partial(_sp_str, g)))
+                         labelled([h.labels, h.labels], g.labels))
 
 
 def rescale_bracket(L: LieData, lam: Scalar) -> LieData:
@@ -193,7 +201,7 @@ def check_rb_lie_weight(g: LieData, B: LinearMap, lam: Scalar) -> VerificationRe
     This is check_relative_rb_lie over the lambda-rescaled bracket with the
     adjoint action, evaluated directly on g.
     """
-    assert B.domain_dim == B.codomain_dim == g.dim
+    _check_operator_dims(B, g, g)
     one = g.ctx.one
 
     def cases():
@@ -207,7 +215,7 @@ def check_rb_lie_weight(g: LieData, B: LinearMap, lam: Scalar) -> VerificationRe
                 yield (u, v), g.bracket_sparse(bu, bv), B.apply(arg)
 
     return first_failure("rb_lie_weight", cases(),
-                         labelled([g.labels, g.labels], partial(_sp_str, g)))
+                         labelled([g.labels, g.labels], g.labels))
 
 
 def sl2(ctx: FieldCtx) -> LieData:
@@ -227,9 +235,11 @@ def lie_to_json(L: LieData) -> dict:
 
 def lie_from_json(obj: dict) -> LieData:
     ctx = parse_field(obj["field"])
-    dim = int(obj["dim"])
+    dim = _json_int(obj["dim"], "dim")
     brackets: dict = {}
     for row in obj["brackets"]:
-        terms = {int(t["k"]): scalar_from_json(t["c"], ctx) for t in row["terms"]}
-        brackets[(int(row["i"]), int(row["j"]))] = terms
+        terms = {_json_int(t["k"], "term index"): scalar_from_json(t["c"], ctx)
+                 for t in row["terms"]}
+        ij = (_json_int(row["i"], "bracket index"), _json_int(row["j"], "bracket index"))
+        brackets[ij] = terms
     return LieData(ctx, dim, brackets, obj.get("labels"))

@@ -26,9 +26,11 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.status in ("pass", "fail")
+        if self.status not in ("pass", "fail"):
+            raise ValueError(f"status must be pass or fail, not {self.status!r}")
         # a failure with no witness is useless downstream; forbid it early
-        assert self.status == "pass" or self.witness is not None
+        if self.status == "fail" and self.witness is None:
+            raise ValueError("a failing report needs a witness")
 
     @property
     def ok(self) -> bool:
@@ -106,15 +108,32 @@ def _failing(identity: str, indices, lhs, rhs, witness, checked: int) -> Verific
     return VerificationReport.failing(name, w, identities_checked=checked)
 
 
-def labelled(labels: list, show=str, show_rhs=None):
+def show(x, labels=()) -> str:
+    """Witness text of a scalar, a sparse vector or a sparse tensor.
+
+    A dict prints as (c)*label terms in ascending key order, a tuple key as
+    the labels of its legs joined by (x), and an empty dict as 0; anything
+    else prints by str.
+    """
+    if not isinstance(x, dict):
+        return str(x)
+    terms = []
+    for k in sorted(x):
+        name = "(x)".join(labels[i] for i in k) if isinstance(k, tuple) else labels[k]
+        terms.append(f"({x[k]})*{name}")
+    return " + ".join(terms) or "0"
+
+
+def labelled(labels: list, shown=(), show_lhs=None, show_rhs=None):
     """first_failure formatter for identities on basis elements.
 
-    labels holds one label list per index position; both sides print by
-    show, the right side by show_rhs when given.
+    labels holds one label list per index position.  Both sides print by
+    show over the labels shown, each side by show_lhs or show_rhs when given.
     """
     def witness(identity, indices, lhs, rhs) -> dict:
         return {"identity": identity, "indices": list(indices),
-                "lhs": show(lhs), "rhs": (show_rhs or show)(rhs),
+                "lhs": show_lhs(lhs) if show_lhs else show(lhs, shown),
+                "rhs": show_rhs(rhs) if show_rhs else show(rhs, shown),
                 "labels": [names[i] for names, i in zip(labels, indices)]}
     return witness
 

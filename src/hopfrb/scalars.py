@@ -510,6 +510,13 @@ class Scalar:
         return {"n": self.ctx.n, "coeffs": [str(c) for c in self._fractions()]}
 
 
+def _json_int(v, what: str) -> int:
+    """An integer field of a JSON input; ValueError for floats, bools and strings."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, not {v!r}")
+    return v
+
+
 def scalar_from_json(obj, ctx: FieldCtx) -> Scalar:
     if isinstance(obj, str):
         # rational literals embed into any of the three field kinds
@@ -530,7 +537,7 @@ def scalar_from_json(obj, ctx: FieldCtx) -> Scalar:
         if ctx.kind != PRIME or ctx.p != obj.get("p"):
             raise MixedContextError(f"prime-field scalar mod {obj.get('p')} "
                                     f"does not live in {ctx.name()}")
-        return Scalar(ctx, int(obj["value"]) % ctx.p)
+        return Scalar(ctx, _json_int(obj["value"], "prime-field value") % ctx.p)
     raise ValueError(f"cannot parse scalar {obj!r}")
 
 

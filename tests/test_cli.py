@@ -285,3 +285,62 @@ def test_check_rrb_names_an_action_entry_out_of_range(tmp_path, capsys):
         path.write_text(json.dumps(bad))
         err = expect_input_error(capsys, "check-rrb", "--input", str(path))
         assert entry in err, err
+
+
+def test_json_integer_fields_are_not_truncated(tmp_path, capsys):
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"group": "Z3", "weight": 1.7, "map": [0, 0, 0]}))
+    err = expect_input_error(capsys, "check-group-rb", "--group", str(FIXTURES / "z3.json"),
+                             "--operator", str(op))
+    assert "weight" in err
+
+    obj = json.loads((FIXTURES / "h4-rrb-exact-factorization.json").read_text())
+    edits = [
+        lambda o: o["phi"][1]["terms"][0].__setitem__("i", 1.9),
+        lambda o: o["phi"][1].__setitem__("g", True),
+        lambda o: o["phi"][1].__setitem__("h", "1"),
+        lambda o: o["H"].__setitem__("dim", 4.0),
+        lambda o: o["H"]["mult"][0].__setitem__("j", 0.0),
+        lambda o: o["G"]["mult"][0]["terms"][0].__setitem__("k", "0"),
+        lambda o: o["G"]["delta"][2].__setitem__("i", 2.5),
+        lambda o: o["G"]["delta"][2]["terms"][0].__setitem__("j", False),
+    ]
+    for edit in edits:
+        bad = json.loads(json.dumps(obj))
+        edit(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        err = expect_input_error(capsys, "check-rrb", "--input", str(path))
+        assert "must be an integer" in err, err
+
+
+def test_lie_files_are_validated(tmp_path, capsys):
+    good = lie_to_json(sl2(FieldCtx.prime(5)))
+    assert good["brackets"][0]["terms"][0]["c"] == {"p": 5, "value": 3}  # [e, h] = -2e
+    edits = {
+        "must be an integer": [
+            lambda o: o.__setitem__("dim", "3"),
+            lambda o: o["brackets"][0].__setitem__("i", 1.0),
+            lambda o: o["brackets"][0]["terms"][0].__setitem__("k", 0.5),
+            lambda o: o["brackets"][0]["terms"][0]["c"].__setitem__("value", 2.0),
+        ],
+        "at least 1": [lambda o: o.update(dim=0, brackets=[], labels=[])],
+        "labels": [lambda o: o.__setitem__("labels", ["e", "h"])],
+        "out of range": [lambda o: o["brackets"][0].__setitem__("j", 3),
+                         lambda o: o["brackets"][0]["terms"][0].__setitem__("k", -1)],
+    }
+    for words, fns in edits.items():
+        for edit in fns:
+            bad = json.loads(json.dumps(good))
+            edit(bad)
+            path = tmp_path / "lie.json"
+            path.write_text(json.dumps(bad))
+            err = expect_input_error(capsys, "check-lie", "--input", str(path))
+            assert words in err, err
+
+    lie = tmp_path / "sl2.json"
+    lie.write_text(json.dumps(lie_to_json(sl2(FieldCtx.rationals()))))
+    small = tmp_path / "b.json"
+    small.write_text(json.dumps([["1", "0"], ["0", "1"]]))
+    err = expect_input_error(capsys, "check-lie", "--input", str(lie), "--b", str(small))
+    assert "B maps dim 2 to dim 2" in err

@@ -12,7 +12,7 @@ from hopfrb.rb_hopf import (ActionData, RelRBHopf, action_from_json, adjoint_act
                             check_action, check_hopf_brace, check_rrbo, circle,
                             derived_hopf, exact_factorization_rrb, grbo_check,
                             hrbo_action, hrbo_check, rrb_from_json, rrb_to_json,
-                            _grbo_display_sides)
+                            _action_join, _grbo_display_sides)
 from hopfrb.scalars import FieldCtx
 
 Q = FieldCtx.rationals()
@@ -170,15 +170,14 @@ def test_hopf_brace_negative():
 
 
 def test_hopf_brace_witness_text_is_pinned():
-    # the circle product lists its basis elements in basis order, and the
-    # right side in the order its products build them
+    # both sides print as labelled terms in basis order
     S3 = GroupTable.symmetric(3)
     data = exact_factorization_rrb(S3, [0, 3, 4], [0, 2], Q)
     cases = [
         ([[1, 0, 0, 1, 1, -1], [0, 1, 1, 0, 0, 1]], [5, 0, 1],
-         "{'g0': '1', 'g4': '-1'}", "{}"),
+         "(1)*g0 + (-1)*g4", "0"),
         ([[1, 0, 0, 1, 2, 0], [0, 1, 1, 0, -1, 1]], [4, 1, 1],
-         "{'g4': '1'}", "{'g4': '5', 'g3': '-2', 'g0': '-2'}"),
+         "(1)*g4", "(-2)*g0 + (-2)*g3 + (5)*g4"),
     ]
     for rows, indices, lhs, rhs in cases:
         B = LinearMap.from_rows(Q, [[Q.from_int(c) for c in row] for row in rows])
@@ -188,7 +187,7 @@ def test_hopf_brace_witness_text_is_pinned():
 
 
 def test_condition_4_witness_text_is_pinned():
-    # the right side B(a o b) lists its basis elements in basis order
+    # both sides print as labelled terms in basis order
     H = group_algebra(GroupTable.symmetric(3), Q)
     rows = [[0, 0, -1, 1, 0, 0], [-1, 0, -1, -1, -1, 0], [1, 0, 0, 0, 0, 0],
             [-1, -1, 1, 0, 0, -1], [1, 0, 0, -1, 0, -1], [0, 0, 0, 0, 0, 1]]
@@ -196,8 +195,8 @@ def test_condition_4_witness_text_is_pinned():
     rep = hrbo_check(H, B)
     assert rep.details["rrbo"]["details"]["condition_4_rb"]["witness"] == {
         "identity": "condition_4_rb", "indices": [0, 1], "labels": ["g0", "g1"],
-        "lhs": "{'g2': '1', 'g5': '-1', 'g4': '1', 'g0': '-1'}",
-        "rhs": "{'g0': '1', 'g1': '1', 'g3': '-2', 'g4': '-2', 'g5': '2'}"}
+        "lhs": "(-1)*g0 + (1)*g2 + (1)*g4 + (-1)*g5",
+        "rhs": "(1)*g0 + (1)*g1 + (-2)*g3 + (-2)*g4 + (2)*g5"}
 
 
 def test_grbo_check_linearized_operators():
@@ -287,3 +286,20 @@ def test_relative_operator_shapes_and_fields_are_checked():
         RelRBHopf(H4, H4, act, LinearMap.identity(FieldCtx.prime(5), 4))
     with pytest.raises(ValueError, match=r"phi entry \(4,0\)"):
         ActionData(Q, 4, 4, {(4, 0): {0: Q.one}})
+
+
+def test_hopf_brace_reads_its_left_side_from_the_circle_table(monkeypatch):
+    # a o (b*c) = sum_k c_k (a o e_k): only the n^2 table entries call circle
+    data = exact_factorization_rrb(GroupTable.symmetric(3), [0, 3, 4], [0, 2], Q)
+    calls = []
+    monkeypatch.setattr("hopfrb.rb_hopf.circle",
+                        lambda *args: calls.append(args) or circle(*args))
+    assert check_hopf_brace(data).ok
+    assert len(calls) == data.H.dim ** 2 == 36
+
+
+def test_action_join_needs_two_legs():
+    act = adjoint_action(sweedler_h4(Q))
+    assert _action_join(act, {(1, 2): Q.one}, 0, 1) == {(2,): -Q.one}  # g x g^-1 = -x
+    with pytest.raises(ValueError, match="cannot act on itself"):
+        _action_join(act, {(1, 2): Q.one}, 1, 1)

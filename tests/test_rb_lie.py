@@ -164,3 +164,22 @@ def test_lie_over_finite_field():
     assert check_lie(g).ok
     B = LinearMap(F5, [{j: -F5.one} for j in range(3)], 3)
     assert check_rb_lie_weight(g, B, F5.one).ok
+
+
+def test_derivation_actions_and_operators_are_checked():
+    g, s = sl2(Q), solvable_2dim()
+    ident2, ident3 = LinearMap.identity(Q, 2), LinearMap.identity(Q, 3)
+    with pytest.raises(ValueError, match="one matrix per basis element"):
+        DerivationAction(Q, [])
+    with pytest.raises(ValueError, match="different scalar fields"):
+        DerivationAction(Q, [LinearMap.identity(FieldCtx.prime(5), 2)])
+    with pytest.raises(ValueError, match="expected 2 x 2"):
+        DerivationAction(Q, [ident2, ident3])
+    with pytest.raises(ValueError, match="expected g x h = 3 x 3"):
+        check_derivation_action(DerivationAction(Q, [ident2, ident2]), g, g)
+    with pytest.raises(ValueError, match="B maps dim 2 to dim 2, expected 3 to 3"):
+        check_relative_rb_lie(g, g, adjoint_lie_action(g), ident2, Q.zero)
+    with pytest.raises(ValueError, match="B maps dim 3 to dim 3, expected 2 to 2"):
+        check_rb_lie_weight(s, ident3, Q.zero)
+    with pytest.raises(ValueError, match="out of range"):
+        LieData(Q, 2, {(0, 2): {0: Q.one}})

@@ -18,9 +18,9 @@ def test_passing_and_failing():
 
 
 def test_failing_requires_witness():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         VerificationReport(status="fail")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         VerificationReport(status="maybe")
 
 

@@ -14,7 +14,8 @@ from .hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, is_alge
                         is_coalgebra_morphism, lincomb, tensor_mul)
 from .report import VerificationReport, first_failure, merge_reports, show
 from .rb_group import GroupTable
-from .scalars import FieldCtx, Scalar, _poly_divmod, _poly_mul, _poly_sub, multiplicative_order
+from .scalars import (FieldCtx, Scalar, _json_int, _poly_divmod, _poly_mul, _poly_sub,
+                      multiplicative_order, parse_scalar, scalar_from_json)
 
 # ---------------------------------------------------------------------------
 # quantum binomial coefficients
@@ -473,14 +474,13 @@ def family_aut_search(params: FamilyParams, grid, jobs: int = 1) -> list:
 
 def family_params_from_json(obj: dict, ctx: FieldCtx) -> FamilyParams:
     """Parameter record {m, zeta, l, f}; zeta is {"order": n} or a scalar."""
-    from .scalars import parse_scalar, scalar_from_json
     z = obj["zeta"]
     if isinstance(z, dict) and "order" in z:
-        zeta = ctx.root_of_unity(int(z["order"]))
+        zeta = ctx.root_of_unity(_json_int(z["order"], "zeta order"))
     elif isinstance(z, str):
         zeta = parse_scalar(z, ctx)
     else:
         zeta = scalar_from_json(z, ctx)
     f = [parse_scalar(s, ctx) if isinstance(s, str) else scalar_from_json(s, ctx)
          for s in obj.get("f", [])]
-    return FamilyParams(int(obj["m"]), zeta, int(obj["l"]), f)
+    return FamilyParams(_json_int(obj["m"], "m"), zeta, _json_int(obj["l"], "l"), f)

@@ -317,28 +317,41 @@ def _validate_map(G: GroupTable, B, codomain: GroupTable | None = None) -> tuple
 # RB identities
 
 
+def _arg_row(G: GroupTable, weight: int):
+    """row(g, v): the tuple over h of (g^lam v h^lam v^-1)^mu, lam = weight.
+
+    With v = B(g) that is the argument whose image must be B(g)B(h). mu is
+    lam at weights 1 and -1 (g v h v^-1 and v h v^-1 g) and else the inverse
+    of lam modulo exp(G), with _lambda_root's ValueError when there is none.
+    """
+    n, t, inv = G.n, G.table, G.inv
+    cols = tuple(zip(*t))
+    if weight == 1:  # lam = mu = 1: both power maps are the identity
+        plam, right, outer = range(n), [_gather(r) for r in t], cols
+    else:
+        mu = -1 if weight == -1 else _lambda_root(G, weight)
+        plam = [G.power(g, weight) for g in range(n)]
+        pmu = [G.power(x, mu) for x in range(n)]
+        get_plam = _gather(plam)
+        right = [_gather(get_plam(r)) for r in t]  # right[x] picks index x h^lam over h
+        outer = [_gather(col)(pmu) for col in cols]  # outer[j][y] = (y j)^mu
+    return lambda g, v: right[t[plam[g]][v]](outer[inv[v]])
+
+
+def _rb_identity(G: GroupTable, B: tuple, weight: int, identity: str) -> VerificationReport:
+    """B(g)B(h) = B(arg) with arg from _arg_row; row g runs over h."""
+    t, row = G.table, _arg_row(G, weight)
+    get_b = _gather(B)
+    return first_row_failure(identity, (((g,), get_b(t[B[g]]), _gather(row(g, B[g]))(B))
+                                        for g in range(G.n)))
+
+
 def check_rb(G: GroupTable, B, weight: int) -> VerificationReport:
     """Weight +1 or -1 Rota-Baxter identity over all pairs."""
     B = _validate_map(G, B)
     if weight not in (1, -1):
         raise ValueError("weight must be +1 or -1; use check_rb_lambda for general weights")
-    t, inv = G.table, G.inv
-    cols = tuple(zip(*t))
-    gets = [_gather(row) for row in t]
-    get_b = _gather(B)
-
-    def rows():
-        # row g runs over h: B(g)B(h) against B of gB(g)hB(g)^-1 (weight 1)
-        # or of B(g)hB(g)^-1 g (weight -1)
-        for g in range(G.n):
-            bg = B[g]
-            if weight == 1:
-                arg = gets[t[g][bg]](cols[inv[bg]])
-            else:
-                arg = _gather(gets[bg](cols[inv[bg]]))(cols[g])
-            yield (g,), get_b(t[bg]), _gather(arg)(B)
-
-    return first_row_failure(f"rb_weight_{weight}", rows())
+    return _rb_identity(G, B, weight, f"rb_weight_{weight}")
 
 
 def weight_flip(B, G: GroupTable) -> tuple:
@@ -397,11 +410,9 @@ def derived_group(G: GroupTable, B) -> tuple[GroupTable, VerificationReport]:
     B = _validate_map(G, B)
     if not check_rb(G, B, 1).ok:
         raise ValueError("derived_group requires a verified weight-1 operator")
-    t, inv = G.table, G.inv
-    cols = tuple(zip(*t))
-    gets = [_gather(row) for row in t]
+    t, row = G.table, _arg_row(G, 1)
     get_b = _gather(B)
-    star = [gets[t[g][B[g]]](cols[inv[B[g]]]) for g in range(G.n)]
+    star = [row(g, B[g]) for g in range(G.n)]
     Gstar = GroupTable(star, name=(G.name + "*") if G.name else "star")
     return Gstar, merge_reports({
         "group_axioms": Gstar.axioms,
@@ -517,21 +528,7 @@ def check_star_compat(G: GroupTable, star: GroupTable) -> VerificationReport:
 def check_rb_lambda(G: GroupTable, B, lam: int) -> VerificationReport:
     """B(g)B(h) = B((g^lam B(g) h^lam B(g)^-1)^mu) over all pairs."""
     B = _validate_map(G, B)
-    mu = _lambda_root(G, lam)
-    t, inv = G.table, G.inv
-    cols = tuple(zip(*t))
-    plam = [G.power(g, lam) for g in range(G.n)]
-    pmu = tuple(G.power(g, mu) for g in range(G.n))
-    get_plam, get_b = _gather(plam), _gather(B)
-
-    def rows():
-        # row g runs over h: g^lam B(g) h^lam, then times B(g)^-1, then ^mu
-        for g in range(G.n):
-            bg = B[g]
-            arg = _gather(get_plam(t[t[plam[g]][bg]]))(cols[inv[bg]])
-            yield (g,), get_b(t[bg]), _gather(_gather(arg)(pmu))(B)
-
-    return first_row_failure("rb_weight_lambda", rows())
+    return _rb_identity(G, B, lam, "rb_weight_lambda")
 
 
 def skew_brace_check(dot: GroupTable, circ: GroupTable) -> VerificationReport:
@@ -590,22 +587,6 @@ def circ_from_rrb(G: GroupTable, star: GroupTable, B) -> tuple[GroupTable, Verif
 # enumeration
 
 
-def _arg_rows(G: GroupTable, weight: int) -> list[list[tuple]]:
-    """ARG[g][v][h]: the element whose image must be B(g)B(h) when B(g) = v.
-
-    That is (g^lam v h^lam v^-1)^mu with lam*mu = 1 modulo exp(G); weights 1
-    and -1 are the case mu = lam.  n^3 entries, built a row at a time.
-    """
-    n, t, inv = G.n, G.table, G.inv
-    mu = weight if weight in (1, -1) else _lambda_root(G, weight)
-    plam = [G.power(g, weight) for g in range(n)]
-    pmu = [G.power(x, mu) for x in range(n)]
-    get_plam = _gather(plam)
-    right = [_gather(get_plam(row)) for row in t]  # right[x] picks index x h^lam over h
-    outer = [_gather(col)(pmu) for col in zip(*t)]  # outer[j][y] = (y j)^mu
-    return [[right[t[plam[g]][v]](outer[inv[v]]) for v in range(n)] for g in range(n)]
-
-
 def _search_partition(table, weight: int, seeds, cap: int):
     """DFS over operator images with constraint propagation.
 
@@ -618,7 +599,8 @@ def _search_partition(table, weight: int, seeds, cap: int):
     """
     G = GroupTable(table)
     n, t = G.n, G.table
-    arg = _arg_rows(G, weight)
+    row = _arg_row(G, weight)
+    arg = [[row(g, v) for v in range(n)] for g in range(n)]
     img = [-1] * n
     order: list[int] = []
     count = 0

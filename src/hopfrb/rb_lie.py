@@ -167,6 +167,19 @@ def _check_operator_dims(B: LinearMap, src: LieData, dst: LieData) -> None:
                          f" expected {src.dim} to {dst.dim}")
 
 
+def _rb_lie_cases(g: LieData, h: LieData, act, B: LinearMap, lam: Scalar):
+    """Cases (u, v): [B(u), B(v)]_g against B(act(B(u), v) - act(B(v), u) + lambda*[u,v]_h),
+    act(x, y) taking sparse x in g and y in h."""
+    one = g.ctx.one
+    for u in range(h.dim):
+        bu = B.cols[u]
+        for v in range(h.dim):
+            bv = B.cols[v]
+            arg = lincomb([(one, act(bu, {v: one})), (-one, act(bv, {u: one})),
+                           (lam, h.bracket_basis(u, v))])
+            yield (u, v), g.bracket_sparse(bu, bv), B.apply(arg)
+
+
 def check_relative_rb_lie(g: LieData, h: LieData, phi: DerivationAction,
                           B: LinearMap, lam: Scalar) -> VerificationReport:
     """[B(u), B(v)]_g = B(phi(B(u))v - phi(B(v))u + lambda*[u,v]_h) on basis pairs."""
@@ -174,18 +187,7 @@ def check_relative_rb_lie(g: LieData, h: LieData, phi: DerivationAction,
     if not act.ok:
         raise ValueError(f"invalid derivation action: fails {act.identity}")
     _check_operator_dims(B, h, g)
-    one = g.ctx.one
-
-    def cases():
-        for u in range(h.dim):
-            bu = B.cols[u]
-            for v in range(h.dim):
-                bv = B.cols[v]
-                arg = lincomb([(one, phi.apply(bu, {v: one})), (-one, phi.apply(bv, {u: one})),
-                               (lam, h.bracket_basis(u, v))])
-                yield (u, v), g.bracket_sparse(bu, bv), B.apply(arg)
-
-    return first_failure("relative_rb_lie", cases(),
+    return first_failure("relative_rb_lie", _rb_lie_cases(g, h, phi.apply, B, lam),
                          labelled([h.labels, h.labels], g.labels))
 
 
@@ -202,19 +204,7 @@ def check_rb_lie_weight(g: LieData, B: LinearMap, lam: Scalar) -> VerificationRe
     adjoint action, evaluated directly on g.
     """
     _check_operator_dims(B, g, g)
-    one = g.ctx.one
-
-    def cases():
-        for u in range(g.dim):
-            bu = B.cols[u]
-            for v in range(g.dim):
-                bv = B.cols[v]
-                arg = lincomb([(one, g.bracket_sparse(bu, {v: one})),
-                               (-one, g.bracket_sparse(bv, {u: one})),
-                               (lam, g.bracket_basis(u, v))])
-                yield (u, v), g.bracket_sparse(bu, bv), B.apply(arg)
-
-    return first_failure("rb_lie_weight", cases(),
+    return first_failure("rb_lie_weight", _rb_lie_cases(g, g, g.bracket_sparse, B, lam),
                          labelled([g.labels, g.labels], g.labels))
 
 

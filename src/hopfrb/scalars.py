@@ -521,7 +521,7 @@ def scalar_from_json(obj, ctx: FieldCtx) -> Scalar:
     if isinstance(obj, str):
         # rational literals embed into any of the three field kinds
         return ctx.from_str(obj)
-    if isinstance(obj, (int,)):
+    if type(obj) is int:  # not bool: JSON true and false are no scalars
         return ctx.from_int(obj)
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse scalar {obj!r}")

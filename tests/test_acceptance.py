@@ -20,10 +20,12 @@ from hopfrb.rb_group import (GroupAction, GroupTable, automorphisms, check_rb,
                              lemma_checks, linearize_rb, power_star,
                              relative_rb_check, weight_flip)
 from hopfrb.rb_hopf import (RelRBHopf, adjoint_action, check_hopf_brace, check_rrbo,
-                            circle, derived_hopf, exact_factorization_rrb, grbo_check)
+                            circle, derived_hopf, exact_factorization_rrb, grbo_check,
+                            _cond3_sides)
 from hopfrb.rb_lie import (adjoint_lie_action, check_rb_lie_weight,
                            check_relative_rb_lie, rescale_bracket, sl2)
 from hopfrb.scalars import FieldCtx
+from test_rb_hopf import cond3_remark_sides, failing_pairs
 
 Q = FieldCtx.rationals()
 F3 = FieldCtx.prime(3)
@@ -320,9 +322,12 @@ def test_criterion_9_rrb_hopf_end_to_end():
         rep = check_rrbo(data, full=True)
         assert rep.ok
         for key in ("condition_1_coalgebra", "condition_1_unit", "condition_2_action",
-                    "condition_3_compat", "condition_3_remark", "condition_3_agreement",
-                    "condition_4_rb"):
+                    "condition_3_compat", "condition_4_rb"):
             assert rep.details[key]["status"] == "pass"
+        # the remark form of condition 3 holds on all 36 pairs, as the
+        # compatibility form does pair by pair
+        assert data.H.dim ** 2 == 36
+        assert failing_pairs(data, cond3_remark_sides) == failing_pairs(data, _cond3_sides) == []
         dim = data.H.dim
         vecs = [{i: Q.one} for i in range(dim)]
         triples = 0

@@ -314,6 +314,23 @@ def test_json_integer_fields_are_not_truncated(tmp_path, capsys):
         assert "must be an integer" in err, err
 
 
+def test_json_booleans_are_not_scalars(tmp_path, capsys):
+    # true once read as the scalar 1, which the h4 counit and unit products hold
+    obj = json.loads((FIXTURES / "h4-rrb-exact-factorization.json").read_text())
+    edits = [
+        lambda o: o["H"]["counit"].__setitem__(0, True),
+        lambda o: o["H"]["mult"][0]["terms"][0].__setitem__("c", True),
+        lambda o: o["G"]["counit"].__setitem__(2, False),
+    ]
+    for edit in edits:
+        bad = json.loads(json.dumps(obj))
+        edit(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        err = expect_input_error(capsys, "check-rrb", "--input", str(path))
+        assert "cannot parse scalar" in err, err
+
+
 def test_lie_files_are_validated(tmp_path, capsys):
     good = lie_to_json(sl2(FieldCtx.prime(5)))
     assert good["brackets"][0]["terms"][0]["c"] == {"p": 5, "value": 3}  # [e, h] = -2e

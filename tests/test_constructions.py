@@ -252,3 +252,13 @@ def test_family_params_from_json():
     z3 = FieldCtx.cyclotomic(3)
     params2 = family_params_from_json(obj2, z3)
     assert params2.zeta == z3.zeta
+
+
+def test_family_params_from_json_rejects_non_integers():
+    f3, z3 = FieldCtx.prime(3), FieldCtx.cyclotomic(3)
+    for obj, ctx, field in (({"m": 2.9, "zeta": "-1", "l": 2}, f3, "m"),
+                            ({"m": 2, "zeta": "-1", "l": 2.2}, f3, "l"),
+                            ({"m": True, "zeta": "1", "l": 1}, f3, "m"),
+                            ({"m": 3, "zeta": {"order": 3.0}, "l": 3}, z3, "zeta order")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            family_params_from_json(obj, ctx)

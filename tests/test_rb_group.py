@@ -14,7 +14,7 @@ from hopfrb.rb_group import (CapExceeded, GroupAction, GroupTable, automorphisms
                              operator_from_json, operator_to_json, power_star,
                              relative_rb_check, semidirect, skew_brace_check,
                              transport_group, weight_flip)
-from hopfrb.report import VerificationReport, first_failure
+from hopfrb.report import VerificationReport, first_failure, first_row_failure
 
 
 def test_table_validation():
@@ -209,6 +209,68 @@ def test_check_rb_weights():
         check_rb(Z4, (0, 0, 0, 0), 2)
     with pytest.raises(ValueError):
         check_rb(Z4, (0, 0, 0), 1)
+
+
+def check_rb_two_branches(G: GroupTable, B, weight: int) -> VerificationReport:
+    """Reference: the weight +1 and -1 identities with one argument formula
+    each, gB(g)hB(g)^-1 and B(g)hB(g)^-1 g, gathered a row at a time."""
+    t, inv = G.table, G.inv
+    cols = tuple(zip(*t))
+    gets = [rb_group._gather(row) for row in t]
+    get_b = rb_group._gather(B)
+
+    def rows():
+        for g in range(G.n):
+            bg = B[g]
+            if weight == 1:
+                arg = gets[t[g][bg]](cols[inv[bg]])
+            else:
+                arg = rb_group._gather(gets[bg](cols[inv[bg]]))(cols[g])
+            yield (g,), get_b(t[bg]), rb_group._gather(arg)(B)
+
+    return first_row_failure(f"rb_weight_{weight}", rows())
+
+
+def test_check_rb_matches_the_two_branch_reference():
+    rng = random.Random(13)
+    cases = []
+    for G in (GroupTable.symmetric(3), GroupTable.metacyclic(4, 2, 3), GroupTable.cyclic(6),
+              GroupTable.cyclic(1)):
+        for w in (1, -1):
+            for op in enumerate_rb(G, w):
+                cases.append((G, w, op))
+                near = list(op)
+                near[rng.randrange(G.n)] = rng.randrange(G.n)
+                cases.append((G, w, tuple(near)))
+            for _ in range(10):
+                B = [rng.randrange(G.n) for _ in range(G.n)]
+                cases.append((G, w, tuple(B)))
+                B[G.e] = G.e
+                cases.append((G, w, tuple(B)))
+    verdicts = []
+    for G, w, B in cases:
+        rep = check_rb(G, B, w)
+        assert rep.to_json() == check_rb_two_branches(G, B, w).to_json(), (G, w, B)
+        verdicts.append(rep.ok)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_argument_rows_at_b_are_the_descendent_group():
+    # (g^lam B(g) h^lam B(g)^-1)^mu over h is row g of the circle table of
+    # the lam-power star, and at lam = 1 of the derived group's table
+    S3, D8 = GroupTable.symmetric(3), GroupTable.metacyclic(4, 2, 3)
+    F21, Z5 = GroupTable.metacyclic(7, 3, 2), GroupTable.cyclic(5)
+    operators = 0
+    for G, lam in ((S3, 1), (S3, -1), (D8, 1), (D8, -1), (F21, 1), (F21, -1), (F21, 2),
+                   (Z5, 2), (Z5, 3), (Z5, 4)):
+        row, star = rb_group._arg_row(G, lam), power_star(G, lam)
+        for B in enumerate_rb(G, lam):
+            rows = tuple(row(g, B[g]) for g in range(G.n))
+            assert circ_from_rrb(G, star, B)[0].table == rows, (G, lam, B)
+            if lam == 1:
+                assert derived_group(G, B)[0].table == rows, (G, B)
+            operators += 1
+    assert operators == 2 * (8 + 56 + 30) + 30 + 3 * 5
 
 
 def brute_force_rb(G: GroupTable, weight: int) -> set:

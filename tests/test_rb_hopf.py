@@ -2,17 +2,19 @@
 
 import json
 import random
+from operator import ne
 
 import pytest
 
 from hopfrb.constructions import group_algebra, sweedler_h4
-from hopfrb.hopf_core import LinearMap, check_hopf, hopf_to_json
+from hopfrb.hopf_core import (LinearMap, check_hopf, hopf_to_json, iterated_delta,
+                              tensor_apply_map, tensor_mul_legs, tensor_outer, tensor_permute)
 from hopfrb.rb_group import GroupTable, enumerate_rb, linearize_rb
 from hopfrb.rb_hopf import (ActionData, RelRBHopf, action_from_json, adjoint_action,
                             check_action, check_hopf_brace, check_rrbo, circle,
                             derived_hopf, exact_factorization_rrb, grbo_check,
                             hrbo_action, hrbo_check, rrb_from_json, rrb_to_json,
-                            _action_join, _grbo_display_sides)
+                            _action_join, _cond3_sides, _delta_tensor, _grbo_display_sides)
 from hopfrb.scalars import FieldCtx
 
 Q = FieldCtx.rationals()
@@ -29,6 +31,29 @@ def counit_unit_operator(H) -> LinearMap:
         eps = H.coalgebra.counit[i]
         cols.append({k: eps * c for k, c in H.unit.items()})
     return LinearMap(H.ctx, cols, H.dim)
+
+
+def cond3_remark_sides(data: RelRBHopf, a: int, b: int) -> tuple[dict, dict]:
+    """Oracle for condition 3, the antipode-expanded form: Delta(Phi_{B(a)}(b))
+    against the four-leg expansion Phi_{B(a2)}(b1) (x) S(a1) * a3 * Phi_{B(a4)}(b2)."""
+    H, phi, B = data.H, data.phi, data.B
+    lhs = iterated_delta(H.coalgebra, phi.apply(B.cols[a], {b: H.ctx.one}), 2)
+    t = tensor_outer(_delta_tensor(H, a, 4), _delta_tensor(H, b, 2))  # [a1..a4, b1, b2]
+    t = tensor_apply_map(B, t, 1)
+    t = tensor_apply_map(B, t, 3)
+    t = tensor_apply_map(H.antipode, t, 0)           # [S(a1), B(a2), a3, B(a4), b1, b2]
+    t = _action_join(phi, t, 1, 4)                   # [S(a1), a3, B(a4), u, b2]
+    t = _action_join(phi, t, 2, 4)                   # [S(a1), a3, u, w]
+    t = tensor_permute(t, [2, 0, 1, 3])              # [u, S(a1), a3, w]
+    t = tensor_mul_legs(H.algebra, t, 1)
+    rhs = tensor_mul_legs(H.algebra, t, 1)           # [u, S(a1)*a3*w]
+    return lhs, rhs
+
+
+def failing_pairs(data: RelRBHopf, sides) -> list:
+    """The basis pairs (a, b) where sides(data, a, b) returns two unequal sides."""
+    n = data.H.dim
+    return [(a, b) for a in range(n) for b in range(n) if ne(*sides(data, a, b))]
 
 
 def test_adjoint_action_is_conjugation_on_group_algebra():
@@ -57,9 +82,10 @@ def test_check_rrbo_counit_unit_operator():
     rep = check_rrbo(data, full=True)
     assert rep.ok
     expected = {"condition_1_coalgebra", "condition_1_unit", "condition_2_action",
-                "condition_3_compat", "condition_3_remark", "condition_3_agreement",
-                "condition_4_rb"}
+                "condition_3_compat", "condition_4_rb"}
     assert set(rep.details) == expected
+    # the remark form holds on all 16 pairs
+    assert failing_pairs(data, cond3_remark_sides) == []
 
 
 def test_check_rrbo_stops_at_first_failure():
@@ -89,7 +115,9 @@ def test_condition_3_failure_with_valid_coalgebra_map():
     assert rep.details["condition_2_action"]["status"] == "pass"
     assert rep.details["condition_3_compat"]["status"] == "fail"
     # the antipode-expanded form fails in the same places
-    assert rep.details["condition_3_agreement"]["status"] == "pass"
+    compat = failing_pairs(data, _cond3_sides)
+    assert compat and failing_pairs(data, cond3_remark_sides) == compat
+    assert rep.details["condition_3_compat"]["witness"]["indices"] == list(compat[0])
 
 
 def test_condition_4_failure_identity_operator():

@@ -406,20 +406,17 @@ def lemma_checks(G: GroupTable, B) -> VerificationReport:
 
 def derived_group(G: GroupTable, B) -> tuple[GroupTable, VerificationReport]:
     """The star operation g*h = gB(g)hB(g)^-1: a group on which B is again
-    Rota-Baxter, with B a homomorphism back to (G, .)."""
+    Rota-Baxter, with B a homomorphism back to (G, .).  That B(g*h) = B(g)B(h)
+    is the weight-1 identity itself, so the precondition already decides it."""
     B = _validate_map(G, B)
     if not check_rb(G, B, 1).ok:
         raise ValueError("derived_group requires a verified weight-1 operator")
-    t, row = G.table, _arg_row(G, 1)
-    get_b = _gather(B)
+    row = _arg_row(G, 1)
     star = [row(g, B[g]) for g in range(G.n)]
     Gstar = GroupTable(star, name=(G.name + "*") if G.name else "star")
     return Gstar, merge_reports({
         "group_axioms": Gstar.axioms,
         "rb_on_star": check_rb(Gstar, B, 1),
-        "b_homomorphism": first_row_failure(
-            "b_homomorphism", (((g,), _gather(star[g])(B), get_b(t[B[g]]))
-                               for g in range(G.n))),
     })
 
 

@@ -1,12 +1,14 @@
 """Exact scalar arithmetic over Q, cyclotomic fields Q(zeta_n), and prime fields F_p.
 
-All values are exact and no floating point enters anywhere.  Rationals are
-Fractions in lowest terms and prime-field elements are residues in [0, p).
-A cyclotomic element is a tuple of integer numerators in the power basis
+All values are exact and no floating point enters anywhere.  Prime-field
+elements are residues in [0, p).  Q and Q(zeta_n) share one integer kernel:
+an element is a tuple of integer numerators in the power basis
 1, z, ..., z^(phi(n)-1) over one shared positive integer denominator, in
-lowest terms: gcd(den, *numerators) == 1, and zero is (0, ..., 0)/1.  Phi_n
-is monic, so products reduce modulo Phi_n in integers.  Fractions appear
-only at the edges: printing, JSON, and the extended gcd behind inverse().
+lowest terms: gcd(den, *numerators) == 1, and zero is (0, ..., 0)/1.  A
+rational is the degree-1 case, (numerator,)/den modulo Phi_1.  Phi_n is
+monic, so products reduce modulo Phi_n in integers.  Fractions appear only
+at the edges: parsing, printing, JSON, and the extended gcd behind inverse()
+at degree 2 and up.
 
 A FieldCtx pins the field and holds its zero and one, built once; a Scalar
 pairs a context with a canonical value.  Mixing scalars from different
@@ -24,7 +26,7 @@ from operator import add
 DEFAULT_MAX_CYCLOTOMIC = 64
 DEFAULT_MAX_PRIME = 97
 
-RATIONALS = "rationals"
+RATIONALS = "rational"
 CYCLOTOMIC = "cyclotomic"
 PRIME = "prime"
 
@@ -131,14 +133,11 @@ class FieldCtx:
         self.n = n
         self.p = p
         self._roots: dict[int, "Scalar"] = {}
-        if kind == RATIONALS:
-            self.degree = 1
-            self.modulus = ()
-            self._xpow = ()
-        elif kind == CYCLOTOMIC:
-            if not 1 <= n <= max_n:
+        if kind in (RATIONALS, CYCLOTOMIC):
+            if kind == CYCLOTOMIC and not 1 <= n <= max_n:
                 raise ValueError(f"cyclotomic order n={n} outside supported range 1..{max_n}")
-            self.modulus = cyclotomic_polynomial(n)
+            # Q is the degree-1 case of the cyclotomic kernel, modulo Phi_1
+            self.modulus = cyclotomic_polynomial(n if kind == CYCLOTOMIC else 1)
             self.degree = len(self.modulus) - 1
             self._xpow = self._build_xpow()
         elif kind == PRIME:
@@ -202,20 +201,16 @@ class FieldCtx:
 
     def from_fraction(self, fr) -> "Scalar":
         fr = Fraction(fr)
-        if self.kind == RATIONALS:
-            return Scalar(self, fr)
-        if self.kind == CYCLOTOMIC:
-            return Scalar(self, (fr.numerator,) + (0,) * (self.degree - 1), fr.denominator)
-        if fr.denominator % self.p == 0:
-            raise ZeroDivisionError(f"denominator divisible by p={self.p}")
-        return Scalar(self, fr.numerator * pow(fr.denominator, -1, self.p) % self.p)
+        if self.kind == PRIME:
+            if fr.denominator % self.p == 0:
+                raise ZeroDivisionError(f"denominator divisible by p={self.p}")
+            return Scalar(self, fr.numerator * pow(fr.denominator, -1, self.p) % self.p)
+        return Scalar(self, (fr.numerator,) + (0,) * (self.degree - 1), fr.denominator)
 
     def from_int(self, k: int) -> "Scalar":
-        if self.kind == RATIONALS:
-            return Scalar(self, Fraction(k))
-        if self.kind == CYCLOTOMIC:
-            return Scalar(self, (k,) + (0,) * (self.degree - 1))
-        return Scalar(self, k % self.p)
+        if self.kind == PRIME:
+            return Scalar(self, k % self.p)
+        return Scalar(self, (k,) + (0,) * (self.degree - 1))
 
     def from_str(self, s: str) -> "Scalar":
         return self.from_fraction(Fraction(s.strip()))
@@ -318,9 +313,9 @@ def parse_field(name: str, max_n: int = DEFAULT_MAX_CYCLOTOMIC,
 class Scalar:
     """Immutable field element tied to a FieldCtx.
 
-    val is a Fraction (rationals), a tuple of integer numerators in the power
-    basis over the positive denominator den (cyclotomic), or an int residue
-    (prime).  den is 1 outside the cyclotomic kind.
+    val is a tuple of integer numerators in the power basis over the positive
+    denominator den (Q and Q(zeta_n); a rational is a 1-tuple), or an int
+    residue (prime, where den is 1).
     """
 
     __slots__ = ("ctx", "val", "den")
@@ -347,10 +342,7 @@ class Scalar:
     def __add__(self, other):
         o = self._coerce(other)
         ctx = self.ctx
-        k = ctx.kind
-        if k == RATIONALS:
-            return Scalar(ctx, self.val + o.val)
-        if k == PRIME:
+        if ctx.kind == PRIME:
             return Scalar(ctx, (self.val + o.val) % ctx.p)
         da, db = self.den, o.den
         if da == db:
@@ -361,10 +353,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        k = self.ctx.kind
-        if k == RATIONALS:
-            return Scalar(self.ctx, -self.val)
-        if k == PRIME:
+        if self.ctx.kind == PRIME:
             return Scalar(self.ctx, (-self.val) % self.ctx.p)
         return Scalar(self.ctx, tuple(-a for a in self.val), self.den)
 
@@ -377,10 +366,7 @@ class Scalar:
     def __mul__(self, other):
         o = self._coerce(other)
         ctx = self.ctx
-        k = ctx.kind
-        if k == RATIONALS:
-            return Scalar(ctx, self.val * o.val)
-        if k == PRIME:
+        if ctx.kind == PRIME:
             return Scalar(ctx, (self.val * o.val) % ctx.p)
         b = o.val
         if not any(b):
@@ -408,13 +394,14 @@ class Scalar:
 
     def inverse(self) -> "Scalar":
         ctx = self.ctx
-        k = ctx.kind
         if self.is_zero:
             raise ZeroDivisionError("scalar inverse of zero")
-        if k == RATIONALS:
-            return Scalar(ctx, 1 / self.val)
-        if k == PRIME:
+        if ctx.kind == PRIME:
             return Scalar(ctx, pow(self.val, -1, ctx.p))
+        if ctx.degree == 1:
+            # (v/den)^-1 = den/v, the sign moved to the numerator
+            (v,) = self.val
+            return Scalar(ctx, (self.den if v > 0 else -self.den,), abs(v))
         # (v/den)^-1 = den * u, where u*v = 1 (mod Phi_n) from one extended gcd
         g, u = _poly_ext_gcd(_poly_trim([Fraction(c) for c in self.val]),
                              [Fraction(c) for c in ctx.modulus])
@@ -443,9 +430,9 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        if self.ctx.kind == CYCLOTOMIC:
-            return not any(self.val)
-        return not self.val
+        if self.ctx.kind == PRIME:
+            return not self.val
+        return not any(self.val)
 
     def __bool__(self):
         return not self.is_zero
@@ -472,10 +459,7 @@ class Scalar:
         return f"Scalar({self})"
 
     def __str__(self):
-        k = self.ctx.kind
-        if k == RATIONALS:
-            return str(self.val)
-        if k == PRIME:
+        if self.ctx.kind == PRIME:
             return str(self.val)
         var = f"z{self.ctx.n}"
         terms = []
@@ -504,7 +488,7 @@ class Scalar:
     def to_json(self):
         k = self.ctx.kind
         if k == RATIONALS:
-            return str(self.val)
+            return str(self)
         if k == PRIME:
             return {"p": self.ctx.p, "value": self.val}
         return {"n": self.ctx.n, "coeffs": [str(c) for c in self._fractions()]}

@@ -362,6 +362,15 @@ def test_derived_group():
             for h in range(6):
                 want = S3.mul(S3.mul(S3.mul(g, B[g]), h), S3.inverse(B[g]))
                 assert star.mul(g, h) == want
+    # B is a homomorphism (G, *) -> (G, .): B(g*h) = B(g)B(h)
+    operators = 0
+    for G in (S3, GroupTable.metacyclic(4, 2, 3), GroupTable.metacyclic(7, 3, 2)):
+        for B in enumerate_rb(G, 1):
+            star, _ = derived_group(G, B)
+            assert all(B[star.mul(g, h)] == G.mul(B[g], B[h])
+                       for g in range(G.n) for h in range(G.n)), (G, B)
+            operators += 1
+    assert operators == 8 + 56 + 30
     with pytest.raises(ValueError):
         derived_group(S3, (0, 1, 1, 1, 1, 1))
 
@@ -638,4 +647,4 @@ def test_passing_counts_on_s3():
     assert count(check_star_compat(S3, power_star(S3, 1))) == 440
     assert count(skew_brace_check(S3, star)) == 216
     assert count(circ_from_rrb(S3, star, S3.inv)[1]) == 655
-    assert count(derived_group(S3, S3.inv)[1]) == 295
+    assert count(derived_group(S3, S3.inv)[1]) == 259

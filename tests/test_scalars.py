@@ -277,16 +277,24 @@ def random_element(rng: random.Random, d: int) -> tuple:
 def assert_canonical(x: Scalar):
     assert x.den > 0 and gcd(x.den, *x.val) == 1
     assert len(x.val) == x.ctx.degree
+    assert all(type(c) is int for c in x.val)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12])
-def test_integer_kernel_matches_fraction_reference(n):
-    rng = random.Random(1000 + n)
-    ctx = FieldCtx.cyclotomic(n)
+@pytest.mark.parametrize("field", ["Q", 1, 2, 3, 4, 5, 6, 7, 8, 9, 12])
+def test_integer_kernel_matches_fraction_reference(field):
+    # Q is the degree-1 case: its reference is plain Fraction arithmetic,
+    # which the 1-tuple reference kernel modulo Phi_1 is
+    rational = field == "Q"
+    n = 1 if rational else field
+    rng = random.Random(1000 if rational else 1000 + n)
+    ctx = FieldCtx.rationals() if rational else FieldCtx.cyclotomic(n)
     d = ctx.degree
 
     def build(ref):
-        x = scalar_from_json({"n": n, "coeffs": [str(c) for c in ref]}, ctx)
+        if rational:
+            x = ctx.from_fraction(ref[0])
+        else:
+            x = scalar_from_json({"n": n, "coeffs": [str(c) for c in ref]}, ctx)
         assert_canonical(x)
         assert fractions_of(x) == ref
         return x
@@ -311,7 +319,11 @@ def test_integer_kernel_matches_fraction_reference(n):
             assert got == same and hash(got) == hash(same)
         assert (a == b) == (ra == rb)
         assert str(a) == ref_str(n, ra)
-        assert a.to_json() == {"n": n, "coeffs": [str(c) for c in ra]}
+        if rational:
+            assert str(a) == a.to_json() == str(ra[0])
+            assert a == ra[0]
+        else:
+            assert a.to_json() == {"n": n, "coeffs": [str(c) for c in ra]}
         assert a.is_zero == (not any(ra))
 
 

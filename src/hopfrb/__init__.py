@@ -7,7 +7,7 @@ from .constructions import (FamilyParams, antipode_closed_form, cauchy_check, fa
                             qbinom, qbinom_oracle, sweedler_h4, taft)
 from .hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, check_algebra,
                         check_antipode, check_bialgebra_compat, check_coalgebra,
-                        check_cobrace_compat, check_hopf,
+                        check_cobrace_compat, check_hopf, generating_set,
                         group_like_basis_indices, hopf_from_json, hopf_to_json,
                         is_algebra_morphism, is_coalgebra_morphism, is_cocommutative,
                         is_group_like, is_hopf_morphism, is_primitive, opposite_hopf)

@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from hopfrb.constructions import group_algebra, sweedler_h4, taft
+from hopfrb.constructions import FamilyParams, family, group_algebra, sweedler_h4, taft
 from hopfrb.hopf_core import (MAX_DIM, AlgebraData, CoalgebraData, HopfData, LinearMap,
                               check_algebra, check_antipode,
                               check_bialgebra_compat, check_coalgebra, check_cobrace_compat,
-                              check_hopf, delta_power, group_like_basis_indices,
+                              check_hopf, delta_power, generating_set,
+                              group_like_basis_indices,
                               hopf_from_json, hopf_to_json, is_algebra_morphism,
                               is_coalgebra_morphism, is_cocommutative, is_group_like,
                               is_hopf_morphism, is_primitive, iterated_delta, lincomb,
@@ -432,3 +433,76 @@ def test_mul_sparse_matches_dense_reference(ctx):
         got = H.algebra.mul_sparse(to_sparse(a), to_sparse(b))
         assert got == to_sparse(dense_mul(H.algebra, a, b))
         assert no_zeros(got)
+
+
+# ---------------------------------------------------------------------------
+# generating sets
+
+
+def dense_closure_rank(A: AlgebraData, gens: list) -> int:
+    """Dimension of the span of 1, 1*e_s, (1*e_s)*e_t, ... for s, t in gens,
+    by dense Gauss-Jordan elimination over rows normalized to pivot 1."""
+    ctx = A.ctx
+    rows = []   # (pivot, dense row with a 1 there and 0 at the other pivots)
+    queue = [to_dense(A.unit, ctx, A.dim)]
+    while queue:
+        v = queue.pop()
+        for p, row in rows:
+            if not v[p].is_zero:
+                v = [a - v[p] * b for a, b in zip(v, row)]
+        p = next((i for i, c in enumerate(v) if not c.is_zero), None)
+        if p is None:
+            continue
+        v = [c * v[p].inverse() for c in v]
+        rows = [(q, [a - r[p] * b for a, b in zip(r, v)]) for q, r in rows] + [(p, v)]
+        queue += [dense_mul(A, v, to_dense({s: ctx.one}, ctx, A.dim)) for s in gens]
+    return len(rows)
+
+
+def paper_algebras() -> dict:
+    F3 = FieldCtx.prime(3)
+    algebras = {"h4": sweedler_h4(Q),
+                "F3 family": family(FamilyParams(2, F3.from_int(-1), 6, None), F3)}
+    for m in range(2, 6):
+        algebras[f"taft{m}"] = taft(m, FieldCtx.cyclotomic(m))
+    return algebras
+
+
+def test_generating_set_of_the_paper_algebras():
+    # {g, x} for every two-generated algebra of the paper
+    for name, H in paper_algebras().items():
+        gens = generating_set(H)
+        assert sorted(H.labels[s] for s in gens) in (["g", "x"], ["g^0*x^1", "g^1*x^0"]), name
+        assert dense_closure_rank(H.algebra, gens) == H.dim, name
+    # k[G]: one generator for a cyclic group, two for S3 and F21
+    for G, size in ((GroupTable.cyclic(4), 1), (GroupTable.symmetric(3), 2),
+                    (GroupTable.metacyclic(7, 3, 2), 2)):
+        H = group_algebra(G, Q)
+        gens = generating_set(H)
+        assert len(gens) == size
+        assert dense_closure_rank(H.algebra, gens) == H.dim
+    three = Q.from_int(3)
+    one_dim = AlgebraData(Q, 1, {0: three.inverse()}, {(0, 0): {0: three}})
+    assert check_algebra(one_dim).ok
+    assert generating_set(one_dim) == []
+    # without a unit law the closure can stay a proper subspace
+    with pytest.raises(ValueError):
+        generating_set(AlgebraData(Q, 2, {0: Q.one}, {(0, 0): {0: Q.one}}))
+
+
+def test_generating_set_spans_after_a_change_of_basis():
+    # transported products are no longer multiples of basis elements, so
+    # the elimination behind generating_set really runs
+    from test_basis_change import random_basis_change, transport_hopf
+
+    rng = random.Random(11)
+    for H in (sweedler_h4(Q), group_algebra(GroupTable.symmetric(3), Q),
+              group_algebra(GroupTable.cyclic(4), Q), group_algebra(GroupTable.cyclic(6), Q)):
+        for _ in range(3):
+            moved = transport_hopf(H, *random_basis_change(H.dim, rng)).algebra
+            assert any(len(t) > 1 for t in moved.mult.values())
+            gens = generating_set(moved)
+            assert gens == sorted(set(gens))
+            assert dense_closure_rank(moved, gens) == moved.dim
+            # each pick is needed: dropping the last one loses the span
+            assert dense_closure_rank(moved, gens[:-1]) < moved.dim

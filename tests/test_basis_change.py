@@ -1,12 +1,13 @@
 """Verdicts do not depend on the basis: structure constants transported to a
-seeded random basis over Q still pass check_hopf and check_lie, and one-entry
-mutants still fail.
+seeded random basis over Q still pass check_hopf, check_rrbo and check_lie,
+and one-entry mutants still fail.
 
 The transport uses dense test-only arithmetic.  The change of basis P is a
 product of random elementary matrices, so its inverse is known exactly
 without elimination."""
 
 import importlib.util
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from hopfrb.constructions import group_algebra, sweedler_h4
 from hopfrb.hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, check_hopf,
                               hopf_from_json, hopf_to_json)
 from hopfrb.rb_group import GroupTable
+from hopfrb.rb_hopf import ActionData, RelRBHopf, check_rrbo, rrb_from_json
 from hopfrb.rb_lie import LieData, check_lie, sl2
 from hopfrb.scalars import FieldCtx
 
@@ -93,6 +95,23 @@ def transport_hopf(H: HopfData, P, Pinv) -> HopfData:
     return HopfData(alg, CoalgebraData(Q, n, delta, counit), LinearMap(Q, cols, n))
 
 
+def transport_rrb(data: RelRBHopf, PH, PHinv, PG, PGinv) -> RelRBHopf:
+    """(H, G, Phi, B) moved together: H to the basis given by PH, G to the
+    one given by PG."""
+    H, G = data.H, data.G
+    phi = {(g, h): dense_apply(PHinv, sum_terms((PG[i][g] * PH[j][h], data.phi.apply_basis(i, j))
+                                                for i in range(G.dim) for j in range(H.dim)))
+           for g in range(G.dim) for h in range(H.dim)}
+    cols = [dense_apply(PGinv, sum_terms((PH[j][h], data.B.cols[j]) for j in range(H.dim)))
+            for h in range(H.dim)]
+    return RelRBHopf(transport_hopf(H, PH, PHinv), transport_hopf(G, PG, PGinv),
+                     ActionData(Q, G.dim, H.dim, phi), LinearMap(Q, cols, G.dim))
+
+
+def failing_parts(rep) -> list:
+    return [name for name, part in rep.details.items() if part["status"] == "fail"]
+
+
 def one_entry_mutants(H: HopfData):
     spec = importlib.util.spec_from_file_location("make_witnesses",
                                                   ROOT / "tools" / "make_witnesses.py")
@@ -120,6 +139,24 @@ def test_hopf_verdicts_survive_a_change_of_basis():
         broken = hopf_from_json(mutant)
         assert not check_hopf(broken).ok, (name, mutant_name)
         assert not check_hopf(transport_hopf(broken, P, Pinv)).ok, (name, mutant_name)
+
+
+def test_relative_operator_verdicts_survive_a_change_of_basis():
+    rng = random.Random(20261018)
+    obj = json.loads((ROOT / "fixtures" / "h4-rrb-exact-factorization.json").read_text())
+    data = rrb_from_json(obj, str(ROOT / "fixtures"))
+    bases = (*random_basis_change(data.H.dim, rng), *random_basis_change(data.G.dim, rng))
+    moved = transport_rrb(data, *bases)
+    assert moved.B.cols != data.B.cols and moved.phi.phi != data.phi.phi
+    assert check_rrbo(moved, full=True).ok
+    obj["B"][2][2] = "2"
+    broken = rrb_from_json(obj, str(ROOT / "fixtures"))
+    for full in (False, True):
+        before = check_rrbo(broken, full=full)
+        after = check_rrbo(transport_rrb(broken, *bases), full=full)
+        assert not before.ok and not after.ok
+        assert failing_parts(before)[0] == failing_parts(after)[0] == "condition_3_compat"
+        assert failing_parts(before) == failing_parts(after)
 
 
 def test_lie_verdict_survives_a_change_of_basis():

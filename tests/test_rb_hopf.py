@@ -2,22 +2,26 @@
 
 import json
 import random
+from itertools import product
 from operator import ne
+from pathlib import Path
 
 import pytest
 
 from hopfrb.constructions import group_algebra, sweedler_h4
 from hopfrb.hopf_core import (LinearMap, check_hopf, hopf_to_json, iterated_delta,
-                              tensor_apply_map, tensor_mul_legs, tensor_outer, tensor_permute)
+                              opposite_hopf, tensor_apply_map, tensor_mul_legs, tensor_outer,
+                              tensor_permute)
 from hopfrb.rb_group import GroupTable, enumerate_rb, linearize_rb
 from hopfrb.rb_hopf import (ActionData, RelRBHopf, action_from_json, adjoint_action,
                             check_action, check_hopf_brace, check_rrbo, circle,
                             derived_hopf, exact_factorization_rrb, grbo_check,
                             hrbo_action, hrbo_check, rrb_from_json, rrb_to_json,
-                            _action_join, _cond3_sides, _delta_tensor, _grbo_display_sides)
+                            _action_join, _cond3_sides, _delta_tensor)
 from hopfrb.scalars import FieldCtx
 
 Q = FieldCtx.rationals()
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def sparse(v: list) -> dict:
@@ -48,6 +52,74 @@ def cond3_remark_sides(data: RelRBHopf, a: int, b: int) -> tuple[dict, dict]:
     t = tensor_mul_legs(H.algebra, t, 1)
     rhs = tensor_mul_legs(H.algebra, t, 1)           # [u, S(a1)*a3*w]
     return lhs, rhs
+
+
+def grbo_display_sides(data: RelRBHopf, a: int, b: int) -> tuple[dict, dict]:
+    """Oracle for the adjoint-action case, the one-line circle-associativity
+    display.  The compact form nests Sweedler subscripts inside operator
+    arguments; both sides are rank-7 tensors with the inner legs flattened
+    into one iterated coproduct."""
+    H, B = data.H, data.B
+    SB = H.antipode.compose(B)
+    t0 = tensor_outer(_delta_tensor(H, a, 5), _delta_tensor(H, b, 2))  # [t1..t5, b1, b2]
+    # lhs: B(t2) b1 S(B(t5)) (x) t1 B(t3) b2 S(B(t4))
+    t = tensor_apply_map(B, t0, 1)
+    t = tensor_apply_map(B, t, 2)
+    t = tensor_apply_map(SB, t, 3)
+    t = tensor_apply_map(SB, t, 4)
+    t = tensor_permute(t, [1, 5, 4, 0, 2, 6, 3])
+    for _ in range(2):
+        t = tensor_mul_legs(H.algebra, t, 0)
+    for _ in range(3):
+        t = tensor_mul_legs(H.algebra, t, 1)
+    lhs = t
+    # rhs: B(t1) b1 S(B(t2)) (x) t3 B(t4) b2 S(B(t5))
+    t = tensor_apply_map(B, t0, 0)
+    t = tensor_apply_map(SB, t, 1)
+    t = tensor_apply_map(B, t, 3)
+    t = tensor_apply_map(SB, t, 4)
+    t = tensor_permute(t, [0, 5, 1, 2, 3, 6, 4])
+    for _ in range(2):
+        t = tensor_mul_legs(H.algebra, t, 0)
+    for _ in range(3):
+        t = tensor_mul_legs(H.algebra, t, 1)
+    return lhs, t
+
+
+def hrbo_display_sides(data: RelRBHopf, a: int, b: int) -> tuple[dict, dict]:
+    """Oracle for the H^op case, the one-line condition-3 form: b stays
+    unsplit, the left side uses three a-legs and the right side five."""
+    H, B = data.H, data.B
+    SB = H.antipode.compose(B)
+    bt = _delta_tensor(H, b, 1)
+    # lhs: S(B(a2)) b B(a3) (x) S(B(a1))
+    t = tensor_outer(_delta_tensor(H, a, 3), bt)     # [a1, a2, a3, b]
+    t = tensor_apply_map(SB, t, 0)
+    t = tensor_apply_map(SB, t, 1)
+    t = tensor_apply_map(B, t, 2)
+    t = tensor_permute(t, [1, 3, 2, 0])              # [SB(a2), b, B(a3), SB(a1)]
+    t = tensor_mul_legs(H.algebra, t, 0)
+    lhs = tensor_mul_legs(H.algebra, t, 0)
+    # rhs: S(B(a2)) b B(a3) (x) S(a1) a4 S(B(a5))
+    t = tensor_outer(_delta_tensor(H, a, 5), bt)     # [a1..a5, b]
+    t = tensor_apply_map(H.antipode, t, 0)
+    t = tensor_apply_map(SB, t, 1)
+    t = tensor_apply_map(B, t, 2)
+    t = tensor_apply_map(SB, t, 4)
+    t = tensor_permute(t, [1, 5, 2, 0, 3, 4])        # [SB(a2), b, B(a3), S(a1), a4, SB(a5)]
+    t = tensor_mul_legs(H.algebra, t, 0)
+    t = tensor_mul_legs(H.algebra, t, 0)
+    t = tensor_mul_legs(H.algebra, t, 1)
+    rhs = tensor_mul_legs(H.algebra, t, 1)
+    return lhs, rhs
+
+
+def grbo_data(H, B) -> RelRBHopf:
+    return RelRBHopf(H, H, adjoint_action(H), B)
+
+
+def hrbo_data(H, B) -> RelRBHopf:
+    return RelRBHopf(H, opposite_hopf(H), hrbo_action(H), B)
 
 
 def failing_pairs(data: RelRBHopf, sides) -> list:
@@ -233,7 +305,10 @@ def test_grbo_check_linearized_operators():
             H, B = linearize_rb(G, op, Q)
             rep = grbo_check(H, B)
             assert rep.ok
-            data = RelRBHopf(H, H, adjoint_action(H), B)
+            data = grbo_data(H, B)
+            # grbo_check is check_rrbo on the adjoint action and nothing more
+            inner = check_rrbo(data)
+            assert rep.details == {"rrbo": inner.to_json()} and rep.stats == inner.stats
             for g in range(G.n):
                 for h in range(G.n):
                     want = G.mul(G.mul(G.mul(g, op[g]), h), G.inverse(op[g]))
@@ -248,11 +323,32 @@ def test_grbo_display_holds_for_any_map_when_cocommutative():
     H = group_algebra(G, Q)
     random.seed(8)
     cols = [[Q.from_int(random.randint(-2, 2)) for _ in range(6)] for _ in range(6)]
-    data = RelRBHopf(H, H, adjoint_action(H), LinearMap(Q, [sparse(c) for c in cols], 6))
-    for a in range(6):
-        for b in range(6):
-            lhs, rhs = _grbo_display_sides(data, a, b)
-            assert lhs == rhs
+    data = grbo_data(H, LinearMap(Q, [sparse(c) for c in cols], 6))
+    assert not check_rrbo(data).ok
+    assert failing_pairs(data, grbo_display_sides) == []
+
+
+def test_display_forms_agree_wherever_check_rrbo_passes():
+    # each display restates an identity that check_rrbo decides, so both of
+    # its sides agree on every basis pair of a relative operator
+    h4, kZ4 = sweedler_h4(Q), group_algebra(GroupTable.cyclic(4), Q)
+    cases = [(grbo_display_sides, grbo_data(*linearize_rb(G, op, Q)))
+             for G in (GroupTable.cyclic(4), GroupTable.symmetric(3))
+             for op in enumerate_rb(G, 1)]
+    assert len(cases) == 4 + 8
+    for H, B in ((h4, counit_unit_operator(h4)), (kZ4, counit_unit_operator(kZ4)),
+                 (kZ4, LinearMap.identity(Q, 4)), (kZ4, kZ4.antipode)):
+        cases += [(grbo_display_sides, grbo_data(H, B)), (hrbo_display_sides, hrbo_data(H, B))]
+    cases.append((hrbo_display_sides, hrbo_data(h4, LinearMap.identity(Q, 4))))
+    for sides, data in cases:
+        assert check_rrbo(data, full=True).ok
+        assert failing_pairs(data, sides) == []
+    # the H^op display decides less than check_rrbo: on k[S3] with the
+    # antipode it holds on every pair although condition 4 fails
+    kS3 = group_algebra(GroupTable.symmetric(3), Q)
+    data = hrbo_data(kS3, kS3.antipode)
+    assert check_rrbo(data, full=True).identity == "condition_4_rb"
+    assert failing_pairs(data, hrbo_display_sides) == []
 
 
 def test_grbo_check_negative():
@@ -274,8 +370,10 @@ def test_hrbo_check():
     rep = hrbo_check(S3, S3.antipode)
     assert not rep.ok
     assert rep.identity == "rrbo.condition_4_rb"
-    # the one-line condition-3 form holds even though the full check failed
-    assert rep.details["display_condition_3"]["status"] == "pass"
+    # hrbo_check is check_rrbo with every condition decided
+    assert rep.details == {"rrbo": check_rrbo(hrbo_data(S3, S3.antipode), full=True).to_json()}
+    # the antipode of H4 is no coalgebra map into H4^op
+    assert hrbo_check(H4, H4.antipode).identity == "rrbo.condition_1_coalgebra.morphism_comult"
 
 
 def test_rrb_json_round_trip(tmp_path):
@@ -318,12 +416,45 @@ def test_relative_operator_shapes_and_fields_are_checked():
 
 def test_hopf_brace_reads_its_left_side_from_the_circle_table(monkeypatch):
     # a o (b*c) = sum_k c_k (a o e_k): only the n^2 table entries call circle
-    data = exact_factorization_rrb(GroupTable.symmetric(3), [0, 3, 4], [0, 2], Q)
+    def s3():
+        return exact_factorization_rrb(GroupTable.symmetric(3), [0, 3, 4], [0, 2], Q)
+
     calls = []
     monkeypatch.setattr("hopfrb.rb_hopf.circle",
                         lambda *args: calls.append(args) or circle(*args))
+    data = s3()
     assert check_hopf_brace(data).ok
     assert len(calls) == data.H.dim ** 2 == 36
+    # condition 4, the brace and the derived product share one table
+    calls.clear()
+    data = s3()
+    assert check_rrbo(data, full=True).ok
+    assert check_hopf_brace(data).ok
+    derived_hopf(data)
+    assert len(calls) == 36
+
+
+def test_check_rrbo_catches_every_one_entry_change_of_the_h4_fixture():
+    # +1 on each of the 16 entries of B and on each of the 64 coefficients
+    # of Phi, zero or not
+    path = FIXTURES / "h4-rrb-exact-factorization.json"
+    data = rrb_from_json(json.loads(path.read_text()), str(FIXTURES))
+    H, G, phi, B = data.H, data.G, data.phi, data.B
+    assert check_rrbo(data, full=True).ok
+    mutants = []
+    for h, g in product(range(H.dim), range(G.dim)):
+        cols = [dict(c) for c in B.cols]
+        cols[h][g] = cols[h].get(g, Q.zero) + Q.one
+        mutants.append((("B", g, h), RelRBHopf(H, G, phi, LinearMap(Q, cols, G.dim))))
+    for g, h, k in product(range(G.dim), range(H.dim), range(H.dim)):
+        table = {key: dict(t) for key, t in phi.phi.items()}
+        terms = table.setdefault((g, h), {})
+        terms[k] = terms.get(k, Q.zero) + Q.one
+        mutants.append((("phi", g, h, k), RelRBHopf(H, G, ActionData(Q, G.dim, H.dim, table), B)))
+    assert len(mutants) == 16 + 64
+    for name, bad in mutants:
+        rep = check_rrbo(bad, full=True)
+        assert not rep.ok and rep.witness is not None, name
 
 
 def test_action_join_needs_two_legs():

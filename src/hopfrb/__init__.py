@@ -4,19 +4,18 @@ Hopf algebras, and Lie algebras, over Q, cyclotomic fields, and prime fields."""
 from .constructions import (FamilyParams, antipode_closed_form, cauchy_check, family,
                             family_aut_check, family_aut_report, family_aut_search,
                             family_hypotheses, family_params_from_json, group_algebra,
-                            qbinom, qbinom_oracle, sweedler_h4, taft)
+                            qbinom, sweedler_h4, taft)
 from .hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, check_algebra,
                         check_antipode, check_bialgebra_compat, check_coalgebra,
                         check_cobrace_compat, check_hopf, generating_set,
                         group_like_basis_indices, hopf_from_json, hopf_to_json,
                         is_algebra_morphism, is_coalgebra_morphism, is_cocommutative,
                         is_group_like, is_hopf_morphism, is_primitive, opposite_hopf)
-from .rb_group import (DEFAULT_CAP, CapExceeded, GroupAction, GroupTable, automorphisms,
-                       check_group, check_rb, check_rb_lambda, check_star_compat,
-                       circ_from_rrb, derived_group, enumerate_rb, graph_is_subgroup,
-                       group_from_json, lemma_checks, linearize_rb, operator_from_json,
-                       operator_to_json, power_star, relative_rb_check, semidirect,
-                       skew_brace_check, transport_group, weight_flip)
+from .rb_group import (DEFAULT_CAP, CapExceeded, GroupAction, GroupTable, check_group,
+                       check_rb, check_rb_lambda, check_star_compat, circ_from_rrb,
+                       derived_group, enumerate_rb, graph_is_subgroup, group_from_json,
+                       lemma_checks, linearize_rb, operator_from_json, operator_to_json,
+                       power_star, relative_rb_check, semidirect, skew_brace_check)
 from .rb_hopf import (ActionData, RelRBHopf, adjoint_action, check_action,
                       check_hopf_brace, check_rrbo, circle, derived_hopf,
                       exact_factorization_rrb, grbo_check, hrbo_action, hrbo_check,

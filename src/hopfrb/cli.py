@@ -8,6 +8,7 @@ strings; nothing is ever printed in decimal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -15,9 +16,9 @@ import sys
 from .constructions import (FamilyParams, family, family_aut_search, family_hypotheses,
                             group_algebra, sweedler_h4, taft)
 from .hopf_core import LinearMap, check_hopf
-from .rb_group import (DEFAULT_CAP, CapExceeded, check_rb, check_rb_lambda, circ_from_rrb,
-                       derived_group, enumerate_rb, group_from_json, lemma_checks,
-                       operator_to_json, power_star)
+from .rb_group import (DEFAULT_CAP, CapExceeded, check_rb, check_rb_lambda, check_star_compat,
+                       circ_from_rrb, derived_group, enumerate_rb, group_from_json,
+                       lemma_checks, operator_to_json, power_star, skew_brace_check)
 from .rb_hopf import check_rrbo, rrb_from_json
 from .rb_lie import check_lie, check_rb_lie_weight, lie_from_json
 from .report import VerificationReport, first_failure, merge_reports
@@ -129,13 +130,17 @@ def cmd_enum_rb(args) -> int:
     G = group_from_json(_load_json(args.group))
     ops = enumerate_rb(G, args.weight, cap=args.cap, jobs=args.jobs)
     star = power_star(G, args.weight)
+    # fixed by (G, weight), so decided once for every operator
+    fixed = {"star_compat": check_star_compat(G, star),
+             "dot_star_brace": skew_brace_check(G, star)}
     rows = []
     for op in ops:
         entry = operator_to_json(G, op, args.weight)
-        _, circ_rep = circ_from_rrb(G, star, op)
+        circ, circ_rep = circ_from_rrb(G, star, op, **fixed)
         entry["skew_brace"] = circ_rep.status
         if args.weight == 1:
-            _, drep = derived_group(G, op)
+            # the circle table on power_star(G, 1) is the derived star table
+            _, drep = derived_group(G, op, circle=circ)
             entry["derived_group"] = drep.status
             entry["lemma"] = lemma_checks(G, op).status
         else:
@@ -212,7 +217,10 @@ def cmd_check_group_rb(args) -> int:
     return _report_exit(args, rep, {"group": G.name, "order": G.n, "weight": weight})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it as
+    it was, since every value goes to the namespace it returns."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="Q", help="scalar field: Q, Q(zN), or Fp")
     common.add_argument("--jobs", type=int, default=1, help="worker processes")

@@ -1,7 +1,8 @@
 """Concrete Hopf algebras: group algebras, the Sweedler algebra, Taft
 algebras, and the family H_{m,zeta,l,f} with relations g^m = 1, x^l = f(x),
-x g = zeta g x.  Quantum binomial coefficients live here too, with an
-independent oracle that expands (u+v)^p in the rank-2 skew polynomial ring.
+x g = zeta g x.  Quantum binomial coefficients live here too; their
+oracle, which expands (u+v)^p in the rank-2 skew polynomial ring, is a test
+helper.
 """
 
 from __future__ import annotations
@@ -67,28 +68,6 @@ def qbinom(p: int, q: int, zeta: Scalar) -> Scalar:
     if table is None:
         table = _qbinom_tables[key] = QBinomTable(zeta)
     return table.value(p, q)
-
-
-def qbinom_oracle(p: int, q: int, zeta: Scalar) -> Scalar:
-    """Coefficient of u^(p-q) v^q in (u+v)^p with v u = zeta u v.
-
-    Expands by repeated right multiplication, normal-ordering so that every
-    monomial is u^a v^b; v^b * u = zeta^b u v^b.
-    """
-    ctx = zeta.ctx
-    if q < 0 or q > p:
-        return ctx.zero
-    acc = {(0, 0): ctx.one}
-    for _ in range(p):
-        nxt: dict = {}
-        for (a, b), c in acc.items():
-            cu = c * zeta ** b
-            k = (a + 1, b)
-            nxt[k] = nxt.get(k, ctx.zero) + cu
-            k = (a, b + 1)
-            nxt[k] = nxt.get(k, ctx.zero) + c
-        acc = nxt
-    return acc.get((p - q, q), ctx.zero)
 
 
 def _witness(keys: tuple = (), text=str):

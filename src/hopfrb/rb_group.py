@@ -10,7 +10,9 @@ CapExceeded.
 
 Identity checks on Cayley tables go a row at a time: _gather builds a C-level
 operator.itemgetter over one table row, both sides of a row of cases become
-tuples, and report.first_row_failure compares them whole.
+tuples, and report.first_row_failure compares them whole.  Associativity,
+conjugation compatibility and the skew brace identity are decided on rows
+at a generating set (GroupTable.gens); a failure there reruns every row.
 """
 
 from __future__ import annotations
@@ -49,18 +51,50 @@ def _square(table) -> tuple:
     """table as a tuple of row tuples; ValueError unless square with int entries in range."""
     t = tuple(tuple(row) for row in table)
     for row in t:
-        if any(type(v) is not int for v in row):
+        if not set(map(type, row)) <= {int}:
             raise ValueError("table entries must be integers")
         if len(row) != len(t) or min(row) < 0 or max(row) >= len(t):
             raise ValueError("table is not square with entries in range")
     return t
 
 
-def _associativity_rows(t):
-    """Rows of (ab)c = a(bc): row ("associativity", a, b) runs over c."""
-    gets = [_gather(row) for row in t]
+def _associativity_rows(t, middles):
+    """Rows of (ab)c = a(bc) for b in middles: row ("associativity", a, b)
+    runs over c."""
+    gets = [(b, _gather(t[b])) for b in middles]
     return ((("associativity", a, b), t[ta[b]], get(ta))
-            for a, ta in enumerate(t) for b, get in enumerate(gets))
+            for a, ta in enumerate(t) for b, get in gets)
+
+
+def _generators(t, e: int) -> list[int]:
+    """Elements S, picked in index order, such that the closure of e under
+    right multiplication by S is every element: s is picked when it lies
+    outside the closure so far, and then joins it as e s."""
+    gens: list[int] = []
+    reached = {e}
+    for s in range(len(t)):
+        if s not in reached:
+            gens.append(s)
+            new = reached
+            while new:
+                new = {t[x][g] for x in new for g in gens} - reached
+                reached |= new
+    return gens
+
+
+def _decide_rows(identity: str, rows, chosen, n: int) -> VerificationReport:
+    """first_row_failure over rows(chosen): the rows at the indices in
+    chosen, which the caller has shown to decide the rows at every index in
+    range(n) once they hold.
+
+    A failure there, or chosen None, runs rows(range(n)), so that a failing
+    report (witness and count) is the one every row gives.
+    """
+    if chosen is not None:
+        rep = first_row_failure(identity, rows(chosen))
+        if rep.ok:
+            return rep
+    return first_row_failure(identity, rows(range(n)))
 
 
 class _NotAGroup(ValueError):
@@ -77,11 +111,12 @@ class _NotAGroup(ValueError):
 class GroupTable:
     """A finite group as a validated Cayley table.
 
-    The constructor decides the axioms in one pass (see check_group), keeps
-    that pass's report as axioms, and raises ValueError if one fails.
+    The constructor decides the axioms (see check_group), keeps the report
+    as axioms and the generating set that decided associativity as gens,
+    and raises ValueError if one fails.
     """
 
-    __slots__ = ("n", "table", "e", "inv", "name", "axioms")
+    __slots__ = ("n", "table", "e", "inv", "name", "axioms", "gens")
 
     def __init__(self, table, name: str = ""):
         self.table = t = _square(table)
@@ -105,8 +140,14 @@ class GroupTable:
 
         # The n^2 checks run first, so a table that also fails associativity
         # is named by them. The count is that of deciding associativity first.
+        # With a two-sided identity the middles b at which (ab)c = a(bc) holds
+        # for every a and c hold e and are closed under products, and e times
+        # products of gens is every element, so middles from gens decide every
+        # triple (Light's associativity test).
         rep = first_failure("group", cases())
-        assoc = first_row_failure("group", _associativity_rows(t))
+        self.gens = _generators(t, e) if rep.ok else None
+        assoc = _decide_rows("group", lambda middles: _associativity_rows(t, middles),
+                             self.gens, n)
         if rep.ok and not assoc.ok:
             rep = assoc
         else:
@@ -292,17 +333,6 @@ class GroupAction:
         })
 
 
-def automorphisms(G: GroupTable) -> list[tuple]:
-    """All automorphisms of G, by filtering permutations; fine for n <= 8."""
-    out = []
-    for p in itertools.permutations(range(G.n)):
-        if p[G.e] != G.e:
-            continue
-        if all(p[G.table[a][b]] == G.table[p[a]][p[b]] for a in range(G.n) for b in range(G.n)):
-            out.append(p)
-    return out
-
-
 def _validate_map(G: GroupTable, B, codomain: GroupTable | None = None) -> tuple:
     B = tuple(B)
     cod = codomain or G
@@ -354,12 +384,6 @@ def check_rb(G: GroupTable, B, weight: int) -> VerificationReport:
     return _rb_identity(G, B, weight, f"rb_weight_{weight}")
 
 
-def weight_flip(B, G: GroupTable) -> tuple:
-    """C(a) = B(a^-1); swaps the weight +1 and -1 identities."""
-    B = _validate_map(G, B)
-    return tuple(B[G.inv[a]] for a in range(G.n))
-
-
 def ker_indices(G: GroupTable, B) -> list[int]:
     return [g for g in range(G.n) if B[g] == G.e]
 
@@ -372,7 +396,8 @@ def is_subgroup(G: GroupTable, elems) -> bool:
     s = set(elems)
     if G.e not in s:
         return False
-    return all(G.table[a][b] in s and G.inv[a] in s for a in s for b in s)
+    get = _gather(sorted(s))
+    return s.issuperset(get(G.inv)) and all(s.issuperset(get(G.table[a])) for a in s)
 
 
 def lemma_checks(G: GroupTable, B) -> VerificationReport:
@@ -404,16 +429,25 @@ def lemma_checks(G: GroupTable, B) -> VerificationReport:
     })
 
 
-def derived_group(G: GroupTable, B) -> tuple[GroupTable, VerificationReport]:
+def derived_group(G: GroupTable, B, *, circle: GroupTable | None = None
+                  ) -> tuple[GroupTable, VerificationReport]:
     """The star operation g*h = gB(g)hB(g)^-1: a group on which B is again
     Rota-Baxter, with B a homomorphism back to (G, .).  That B(g*h) = B(g)B(h)
-    is the weight-1 identity itself, so the precondition already decides it."""
+    is the weight-1 identity itself, so the precondition already decides it.
+
+    circle, when its table is the star table (as circ_from_rrb's group on
+    power_star(G, 1) is), is the group returned, with the axioms it keeps,
+    so that the table is decided once.
+    """
     B = _validate_map(G, B)
     if not check_rb(G, B, 1).ok:
         raise ValueError("derived_group requires a verified weight-1 operator")
     row = _arg_row(G, 1)
-    star = [row(g, B[g]) for g in range(G.n)]
-    Gstar = GroupTable(star, name=(G.name + "*") if G.name else "star")
+    star = tuple(row(g, B[g]) for g in range(G.n))
+    if circle is not None and circle.table == star:
+        Gstar = circle
+    else:
+        Gstar = GroupTable(star, name=(G.name + "*") if G.name else "star")
     return Gstar, merge_reports({
         "group_axioms": Gstar.axioms,
         "rb_on_star": check_rb(Gstar, B, 1),
@@ -469,17 +503,6 @@ def graph_is_subgroup(H: GroupTable, G: GroupTable, psi: GroupAction, B) -> bool
 # weight lambda
 
 
-def transport_group(G: GroupTable, f) -> GroupTable:
-    """Pull the multiplication back through a bijection: a*b = f^-1(f(a)f(b))."""
-    f = tuple(f)
-    if sorted(f) != list(range(G.n)):
-        raise ValueError("transport requires a bijection")
-    finv = [0] * G.n
-    for i, v in enumerate(f):
-        finv[v] = i
-    return GroupTable([[finv[G.table[f[a]][f[b]]] for b in range(G.n)] for a in range(G.n)])
-
-
 def _lambda_root(G: GroupTable, lam: int) -> int:
     """mu with lam*mu = 1 modulo exp(G); ValueError when lam is not invertible."""
     if lam == 0:
@@ -501,14 +524,18 @@ def power_star(G: GroupTable, lam: int) -> GroupTable:
 def check_star_compat(G: GroupTable, star: GroupTable) -> VerificationReport:
     """star, a group on G's carrier, shares G's unit, and conjugation by the
     original operation distributes over it; its group axioms are the report
-    kept when star was built."""
+    kept when star was built.
+
+    The g whose conjugation is a star-homomorphism hold e and are closed
+    under products, so g in G.gens decides every g.
+    """
     t, inv, st = G.table, G.inv, star.table
     cols = tuple(zip(*t))
     star_gets = [_gather(row) for row in st]
 
-    def conjugation_rows():
+    def conjugation_rows(gs):
         # row (g, h1) runs over h2
-        for g in range(G.n):
+        for g in gs:
             conj = _gather(t[g])(cols[inv[g]])
             get_conj = _gather(conj)
             for h1 in range(G.n):
@@ -517,8 +544,8 @@ def check_star_compat(G: GroupTable, star: GroupTable) -> VerificationReport:
     return merge_reports({
         "group_axioms": star.axioms,
         "shared_unit": first_failure("shared_unit", [((), star.e, G.e)]),
-        "conjugation_compatible": first_row_failure("conjugation_compatible",
-                                                    conjugation_rows()),
+        "conjugation_compatible": _decide_rows("conjugation_compatible", conjugation_rows,
+                                               G.gens, G.n),
     })
 
 
@@ -529,29 +556,39 @@ def check_rb_lambda(G: GroupTable, B, lam: int) -> VerificationReport:
 
 
 def skew_brace_check(dot: GroupTable, circ: GroupTable) -> VerificationReport:
-    """a circ (b dot c) = (a circ b) dot a^- dot (a circ c), a^- the dot-inverse."""
+    """a circ (b dot c) = (a circ b) dot a^- dot (a circ c), a^- the dot-inverse.
+
+    With l_a(b) = a^- dot (a circ b) the identity is l_a(bc) = l_a(b)l_a(c).
+    Row (a, e) holds iff a circ e = a, and then the b whose row holds are
+    closed under products; so rows at b in e and dot.gens decide every row.
+    """
     n, d, ct, inv = dot.n, dot.table, circ.table, dot.inv
     dot_gets = [_gather(row) for row in d]
 
-    def rows():
+    def rows(bs):
         # row (a, b) runs over c
         for a in range(n):
             ca, ainv = ct[a], inv[a]
             get_ca = _gather(ca)
-            for b in range(n):
+            for b in bs:
                 yield (a, b), dot_gets[b](ca), get_ca(d[d[ca[b]][ainv]])
 
-    return first_row_failure("skew_brace", rows())
+    return _decide_rows("skew_brace", rows, [dot.e] + dot.gens, n)
 
 
-def circ_from_rrb(G: GroupTable, star: GroupTable, B) -> tuple[GroupTable, VerificationReport]:
+def circ_from_rrb(G: GroupTable, star: GroupTable, B, *, star_compat=None,
+                  dot_star_brace=None) -> tuple[GroupTable, VerificationReport]:
     """g1 circ g2 = g1 * B(g1) g2 B(g1)^-1 with conjugation in (G, .).
 
     Verifies: circ is a group; (G, *, circ) is a skew brace; and when
-    (G, ., *) is itself a skew brace, so is (G, ., circ).
+    (G, ., *) is itself a skew brace, so is (G, ., circ).  star_compat and
+    dot_star_brace are the reports of check_star_compat(G, star) and
+    skew_brace_check(G, star), fixed for every operator on (G, star): a
+    caller that runs many operators decides them once and passes them in,
+    and a call without them decides them itself.
     """
     B = _validate_map(G, B)
-    pre = check_star_compat(G, star)
+    pre = check_star_compat(G, star) if star_compat is None else star_compat
     if not pre.ok:
         raise ValueError(f"star precondition fails: {pre.identity} witness {pre.witness}")
     t, inv = G.table, G.inv
@@ -572,7 +609,9 @@ def circ_from_rrb(G: GroupTable, star: GroupTable, B) -> tuple[GroupTable, Verif
         raise ValueError(f"circ operation is not a group: {e}") from None
     parts = {"circ_group": circ.axioms,
              "star_circ_brace": skew_brace_check(star, circ)}
-    if skew_brace_check(G, star).ok:
+    if dot_star_brace is None:
+        dot_star_brace = skew_brace_check(G, star)
+    if dot_star_brace.ok:
         parts["dot_circ_brace"] = skew_brace_check(G, circ)
     else:
         # only meaningful when (G, ., *) is itself a skew brace

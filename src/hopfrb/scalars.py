@@ -578,16 +578,3 @@ def multiplicative_order(z: Scalar, bound: int) -> int | None:
         if acc == z.ctx.one:
             return j
     return None
-
-
-def is_primitive_root(z: Scalar, m: int) -> bool:
-    """True when z has multiplicative order exactly m."""
-    if m < 1:
-        raise ValueError(f"order must be positive, got {m}")
-    return multiplicative_order(z, m) == m
-
-
-def zeta_power(ctx: FieldCtx, n: int, k: int = 1) -> Scalar:
-    """k-th power of the designated order-n root of unity in ctx."""
-    z = ctx.root_of_unity(n)
-    return z ** (k % n)

@@ -10,21 +10,21 @@ from itertools import product
 
 from hopfrb.constructions import (FamilyParams, antipode_closed_form, cauchy_check,
                                   family, family_aut_check, family_aut_search,
-                                  family_hypotheses, group_algebra, qbinom,
-                                  qbinom_oracle, sweedler_h4, taft)
+                                  family_hypotheses, group_algebra, qbinom, sweedler_h4,
+                                  taft)
 from hopfrb.hopf_core import (LinearMap, check_hopf, is_hopf_morphism, iterated_delta,
                               tensor_apply_map, tensor_mul_legs)
-from hopfrb.rb_group import (GroupAction, GroupTable, automorphisms, check_rb,
-                             check_rb_lambda, check_star_compat, circ_from_rrb,
-                             derived_group, enumerate_rb, graph_is_subgroup,
-                             lemma_checks, linearize_rb, power_star,
-                             relative_rb_check, weight_flip)
+from hopfrb.rb_group import (GroupAction, GroupTable, check_rb, check_rb_lambda,
+                             check_star_compat, circ_from_rrb, derived_group, enumerate_rb,
+                             graph_is_subgroup, lemma_checks, linearize_rb, power_star,
+                             relative_rb_check)
 from hopfrb.rb_hopf import (RelRBHopf, adjoint_action, check_hopf_brace, check_rrbo,
                             circle, derived_hopf, exact_factorization_rrb, grbo_check,
                             _cond3_sides)
 from hopfrb.rb_lie import (adjoint_lie_action, check_rb_lie_weight,
                            check_relative_rb_lie, rescale_bracket, sl2)
 from hopfrb.scalars import FieldCtx
+from helpers import automorphisms, qbinom_oracle, weight_flip
 from test_rb_hopf import cond3_remark_sides, failing_pairs
 
 Q = FieldCtx.rationals()

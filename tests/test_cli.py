@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from hopfrb.cli import _antipode_order_report, main
+from hopfrb.cli import _antipode_order_report, build_parser, main
 from hopfrb.constructions import group_algebra, taft
 from hopfrb.rb_group import GroupTable
 from hopfrb.rb_lie import lie_to_json, sl2
@@ -174,6 +174,30 @@ def test_check_group_rb_general_weight(capsys):
                         "--map", images, "--weight", "2")
     assert code == 0
     assert payload["weight"] == 2
+
+
+def test_consecutive_calls_share_one_parser(tmp_path, capsys):
+    # main() builds its parser once per process, and no value of one call
+    # reaches the next: each output is that of a call on a fresh parser
+    s3 = str(FIXTURES / "s3.json")
+    listing = tmp_path / "ops.json"
+    assert main(["enum-rb", "--group", s3, "--weight", "-1", "--out", str(listing)]) == 0
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(json.loads(listing.read_text())["operators"][-1]))
+    calls = [["enum-rb", "--group", s3, "--weight", "-1"],
+             ["check-group-rb", "--group", s3, "--operator", str(op)],
+             ["check-group-rb", "--group", s3, "--map", "0,0,0,0,0,0"]]
+    capsys.readouterr()
+    in_turn = [(main(argv), capsys.readouterr()) for argv in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr()))
+    assert in_turn == fresh
+    # the weight comes from the operator file, then from the default
+    weights = [json.loads(out.out)["weight"] for _, out in in_turn]
+    assert weights == [-1, -1, 1] and [code for code, _ in in_turn] == [0, 0, 0]
 
 
 def test_check_group_rb_operator_file(tmp_path, capsys):

@@ -5,10 +5,12 @@ import pytest
 from hopfrb.constructions import (FamilyParams, antipode_closed_form, cauchy_check, family,
                                   family_aut_check, family_aut_report, family_aut_search,
                                   family_hypotheses, family_params_from_json, group_algebra,
-                                  qbinom, qbinom_oracle, sweedler_h4, taft)
+                                  qbinom, sweedler_h4, taft)
 from hopfrb.hopf_core import LinearMap, check_hopf, is_hopf_morphism
 from hopfrb.rb_group import GroupTable
 from hopfrb.scalars import FieldCtx
+
+from helpers import qbinom_oracle
 
 Q = FieldCtx.rationals()
 

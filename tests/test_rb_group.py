@@ -2,19 +2,24 @@
 
 import gc
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from hopfrb import rb_group
-from hopfrb.rb_group import (CapExceeded, GroupAction, GroupTable, automorphisms, check_group,
-                             check_rb, check_rb_lambda, check_star_compat, circ_from_rrb,
+from hopfrb import cli, rb_group
+from hopfrb.rb_group import (CapExceeded, GroupAction, GroupTable, check_group, check_rb,
+                             check_rb_lambda, check_star_compat, circ_from_rrb,
                              derived_group, enumerate_rb, graph_is_subgroup, group_from_json,
                              image_indices, is_subgroup, ker_indices, lemma_checks,
                              operator_from_json, operator_to_json, power_star,
-                             relative_rb_check, semidirect, skew_brace_check,
-                             transport_group, weight_flip)
+                             relative_rb_check, semidirect, skew_brace_check)
 from hopfrb.report import VerificationReport, first_failure, first_row_failure
+
+from helpers import automorphisms, transport_group, weight_flip
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_table_validation():
@@ -159,11 +164,16 @@ def test_check_group_matches_the_two_type_reference():
                                     else "inverses"), t
         else:
             single += 1
+            if ref.ok:
+                # a group decides associativity on its generating set only:
+                # |gens| n^2 cases where the reference takes n^3
+                n = len(t)
+                ref.stats["identities_checked"] -= (n - len(G.gens)) * n * n
             assert rep.to_json() == ref.to_json(), t
     assert single > 40 and several > 20
 
 
-def test_circ_and_derived_group_decide_each_table_once(monkeypatch):
+def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
     S3 = GroupTable.symmetric(3)
     star = power_star(S3, 1)
     passes = []
@@ -175,6 +185,36 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch):
     # one pass for circ, one for the derived star; the star above was
     # decided when power_star built it
     assert len(passes) == 2
+
+    # enum-rb at weight 1: the star preconditions once per command, one
+    # table per operator, read by both the brace and the derived group
+    calls = {"group_from_json": [], "power_star": [], "check_star_compat": [],
+             "skew_brace_check": []}
+
+    def logged(fn, log):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            log.append((args, out))
+            return out
+        return call
+
+    for name, log in calls.items():
+        wrapper = logged(getattr(rb_group, name), log)
+        for module in (rb_group, cli):
+            monkeypatch.setattr(module, name, wrapper)
+    passes.clear()
+    assert cli.main(["enum-rb", "--group", str(FIXTURES / "s3.json")]) == 0
+    operators = json.loads(capsys.readouterr().out)["operators"]
+    assert len(operators) == 8
+    assert all(row[key] == "pass" for row in operators
+               for key in ("skew_brace", "derived_group", "lemma"))
+    [(_, G)] = calls["group_from_json"]
+    [(_, star)] = calls["power_star"]
+    assert [args for args, _ in calls["check_star_compat"]] == [(G, star)]
+    assert sum(args[0] is G and args[1] is star for args, _ in calls["skew_brace_check"]) == 1
+    # the group read from the file, the search's table and the star, then
+    # one circle table per operator
+    assert len(passes) == 3 + len(operators)
 
 
 def test_group_action_check():
@@ -621,8 +661,9 @@ def test_trivial_group_through_the_row_checks():
     # a one-entry row: itemgetter(*row) alone would return a bare element
     Z1 = GroupTable.cyclic(1)
     assert (Z1.e, Z1.inv) == (0, (0,))
-    assert Z1.axioms.stats["identities_checked"] == 3
-    assert check_star_compat(Z1, power_star(Z1, 1)).stats["identities_checked"] == 5
+    # e alone generates Z1, so no associativity or conjugation case is left
+    assert Z1.gens == [] and Z1.axioms.stats["identities_checked"] == 2
+    assert check_star_compat(Z1, power_star(Z1, 1)).stats["identities_checked"] == 3
     assert skew_brace_check(Z1, Z1).stats["identities_checked"] == 1
     for w in (1, -1):
         assert check_rb(Z1, (0,), w).stats["identities_checked"] == 1
@@ -630,7 +671,7 @@ def test_trivial_group_through_the_row_checks():
     assert rep.ok and star.table == ((0,),)
     circ, rep = circ_from_rrb(Z1, Z1, (0,))
     assert rep.ok and circ.table == ((0,),)
-    assert rep.stats["identities_checked"] == 5
+    assert rep.stats["identities_checked"] == 4
     for w in (1, -1, 2):
         assert enumerate_rb(Z1, w) == [(0,)]
 
@@ -643,8 +684,11 @@ def test_passing_counts_on_s3():
         assert rep.ok
         return rep.stats["identities_checked"]
 
-    assert count(check_group(S3.table)[1]) == 223
-    assert count(check_star_compat(S3, power_star(S3, 1))) == 440
-    assert count(skew_brace_check(S3, star)) == 216
-    assert count(circ_from_rrb(S3, star, S3.inv)[1]) == 655
-    assert count(derived_group(S3, S3.inv)[1]) == 259
+    # on the generators [1, 2]: 1 + 6 + 2*36 group cases, 2*36 conjugation
+    # rows and 6*(1 + 2)*6 brace cases (rows b in e and the generators)
+    assert S3.gens == [1, 2]
+    assert count(check_group(S3.table)[1]) == 79
+    assert count(check_star_compat(S3, power_star(S3, 1))) == 152
+    assert count(skew_brace_check(S3, star)) == 108
+    assert count(circ_from_rrb(S3, star, S3.inv)[1]) == 295
+    assert count(derived_group(S3, S3.inv)[1]) == 115

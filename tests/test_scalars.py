@@ -8,8 +8,9 @@ from math import gcd
 import pytest
 
 from hopfrb.scalars import (FieldCtx, MixedContextError, Scalar, cyclotomic_polynomial,
-                            is_primitive_root, multiplicative_order, parse_field,
-                            parse_scalar, scalar_from_json, zeta_power)
+                            multiplicative_order, parse_field, parse_scalar, scalar_from_json)
+
+from helpers import is_primitive_root, zeta_power
 
 
 def test_rational_ops():

@@ -24,8 +24,7 @@ from hopfrb.constructions import (FamilyParams, family_aut_report, family_hypoth
 from hopfrb.hopf_core import (AlgebraData, HopfData, LinearMap, check_hopf, hopf_from_json,
                               hopf_to_json, is_algebra_morphism, is_coalgebra_morphism)
 from hopfrb.rb_group import (GroupAction, GroupTable, check_group, check_rb, check_rb_lambda,
-                             check_star_compat, relative_rb_check, skew_brace_check,
-                             transport_group)
+                             check_star_compat, relative_rb_check, skew_brace_check)
 from hopfrb.rb_hopf import (ActionData, check_action, check_hopf_brace, check_rrbo,
                             grbo_check, hrbo_check, rrb_from_json)
 from hopfrb.rb_lie import (DerivationAction, LieData, adjoint_lie_action,
@@ -34,6 +33,9 @@ from hopfrb.rb_lie import (DerivationAction, LieData, adjoint_lie_action,
 from hopfrb.scalars import FieldCtx
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+from helpers import transport_group  # noqa: E402  (a test helper, not the library)
+
 OUT = os.path.join(ROOT, "tests", "data", "witnesses.json")
 FIXTURES = os.path.join(ROOT, "fixtures")
 

@@ -1,22 +1,21 @@
 """Concrete Hopf algebras: group algebras, the Sweedler algebra, Taft
 algebras, and the family H_{m,zeta,l,f} with relations g^m = 1, x^l = f(x),
-x g = zeta g x.  Quantum binomial coefficients live here too; their
-oracle, which expands (u+v)^p in the rank-2 skew polynomial ring, is a test
-helper.
+x g = zeta g x, and the search for its Hopf automorphisms.  Quantum
+binomial coefficients live here too.  Their oracle, which expands (u+v)^p in
+the rank-2 skew polynomial ring, the Cauchy identity they satisfy and the
+closed-form automorphism criteria are test helpers.
 """
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from math import gcd
 
 from .hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, is_algebra_morphism,
                         is_coalgebra_morphism, lincomb, tensor_mul)
 from .report import VerificationReport, first_failure, merge_reports, show
 from .rb_group import GroupTable
-from .scalars import (FieldCtx, Scalar, _json_int, _poly_divmod, _poly_mul, _poly_sub,
-                      multiplicative_order, parse_scalar, scalar_from_json)
+from .scalars import FieldCtx, Scalar, _json_int, parse_scalar, scalar_from_json
 
 # ---------------------------------------------------------------------------
 # quantum binomial coefficients
@@ -79,20 +78,6 @@ def _witness(keys: tuple = (), text=str):
     return witness
 
 
-def cauchy_check(q: int, zeta: Scalar) -> VerificationReport:
-    """prod_{t<q} (1 + zeta^t u) = sum_t {q choose t} zeta^(t(t-1)/2) u^t."""
-    ctx = zeta.ctx
-    lhs = [ctx.one]
-    zt = ctx.one
-    for _ in range(q):
-        lhs = _poly_mul(lhs, [ctx.one, zt])
-        zt = zt * zeta
-    rhs = [qbinom(q, t, zeta) * zeta ** (t * (t - 1) // 2) for t in range(q + 1)]
-    lhs = lhs + [ctx.zero] * (q + 1 - len(lhs))
-    return first_failure("cauchy_binomial", (((q, t), lhs[t], rhs[t]) for t in range(q + 1)),
-                         _witness(("q", "degree")))
-
-
 # ---------------------------------------------------------------------------
 # group algebras and the Sweedler algebra
 
@@ -142,12 +127,12 @@ def sweedler_h4(ctx: FieldCtx) -> HopfData:
 class FamilyParams:
     """Parameters m, zeta, l, f for g^m = 1, x^l = f(x), x g = zeta g x.
 
-    f_coeffs lists the coefficients of f by degree 0..l-1; d is the
-    multiplicative order of zeta.  Construction enforces zeta^m = 1 and the
-    grading constraint f(zeta x) = zeta^l f(x) coefficient-wise.
+    f_coeffs lists the coefficients of f by degree 0..l-1.  Construction
+    enforces zeta^m = 1 and the grading constraint f(zeta x) = zeta^l f(x)
+    coefficient-wise.
     """
 
-    __slots__ = ("m", "zeta", "l", "f_coeffs", "d")
+    __slots__ = ("m", "zeta", "l", "f_coeffs")
 
     def __init__(self, m: int, zeta: Scalar, l, f_coeffs=None):
         if not isinstance(m, int) or m < 1:
@@ -171,9 +156,6 @@ class FamilyParams:
         self.zeta = zeta
         self.l = l
         self.f_coeffs = coeffs
-        d = multiplicative_order(zeta, m)
-        assert d is not None
-        self.d = d
 
     @property
     def ctx(self) -> FieldCtx:
@@ -219,10 +201,11 @@ def _family_algebra(params: FamilyParams) -> AlgebraData:
     return AlgebraData(ctx, dim, {0: ctx.one}, mult, labels)
 
 
-def _family_delta_generators(params: FamilyParams):
-    """Delta(1) and Delta(x) as tensors; x as a reduced vector (it can
-    collapse when l = 1)."""
+def _family_parts(params: FamilyParams):
+    """The algebra, x as a reduced vector (it can collapse when l = 1), and
+    the tensors Delta(x)^b for b = 0..l, with Delta(x) = x (x) 1 + g (x) x."""
     ctx = params.ctx
+    alg = _family_algebra(params)
     i1 = params.index(0, 0)
     ig = params.index(1, 0)
     if params.l > 1:
@@ -230,10 +213,12 @@ def _family_delta_generators(params: FamilyParams):
     else:
         a0 = params.f_coeffs[0]
         xs = {} if a0.is_zero else {i1: a0}
-    # Delta(x) = x (x) 1 + g (x) x
     dx = lincomb([(ctx.one, {(i, i1): c for i, c in xs.items()}),
                   (ctx.one, {(ig, i): c for i, c in xs.items()})])
-    return {(i1, i1): ctx.one}, dx, xs
+    dx_pow = [{(i1, i1): ctx.one}]
+    for _ in range(params.l):
+        dx_pow.append(tensor_mul(alg, dx_pow[-1], dx))
+    return alg, xs, dx_pow
 
 
 def family_hypotheses(params: FamilyParams) -> VerificationReport:
@@ -243,6 +228,12 @@ def family_hypotheses(params: FamilyParams) -> VerificationReport:
     congruences, vanishing quantum binomials); the direct tensor computation
     Delta(x^l - f(x)) = 0 and its counit analogue are authoritative.
     """
+    alg, _, dx_pow = _family_parts(params)
+    return _hypotheses(params, alg, dx_pow)
+
+
+def _hypotheses(params: FamilyParams, alg: AlgebraData, dx_pow: list) -> VerificationReport:
+    """family_hypotheses, given the parts that family() builds as well."""
     ctx, m, l, zeta = params.ctx, params.m, params.l, params.zeta
     f = params.f_coeffs
     parts = {
@@ -260,20 +251,14 @@ def family_hypotheses(params: FamilyParams) -> VerificationReport:
              for p, a in enumerate(f) if not a.is_zero for q in range(2, p)),
             _witness(("p", "q"), lambda v, p, q: f"{{{p} choose {q}}} = {v}")),
     }
-
-    alg = _family_algebra(params)
-    unit_t, dx, _ = _family_delta_generators(params)
-    powers = [unit_t]
-    for _ in range(l):
-        powers.append(tensor_mul(alg, powers[-1], dx))
-    rhs = lincomb((a, powers[p]) for p, a in enumerate(f))
+    rhs = lincomb((a, dx_pow[p]) for p, a in enumerate(f))
 
     def relation_witness(identity, indices, lhs, rhs) -> dict:
         return {"identity": identity, "lhs": "Delta(x)^l", "rhs": "Delta(f(x))",
                 "difference": show(lincomb([(ctx.one, lhs), (-ctx.one, rhs)]), alg.labels)}
 
     parts["delta_relation"] = first_failure(
-        "delta_relation", [((), powers[l], rhs)], relation_witness)
+        "delta_relation", [((), dx_pow[l], rhs)], relation_witness)
 
     # counit well-definedness: eps(x)^l must equal sum_p a_p eps(x)^p
     eps_x = ctx.zero
@@ -289,16 +274,11 @@ def family(params: FamilyParams, ctx: FieldCtx) -> HopfData:
     """The Hopf algebra on g^a x^b (a major), given the hypotheses hold."""
     if ctx != params.ctx:
         raise ValueError("ctx does not match the context of the parameters")
-    hyp = family_hypotheses(params)
+    alg, xs, dx_pow = _family_parts(params)
+    hyp = _hypotheses(params, alg, dx_pow)
     if not hyp.ok:
         raise ValueError(f"family hypotheses fail at {hyp.identity}: {hyp.witness}")
     m, l = params.m, params.l
-    alg = _family_algebra(params)
-    unit_t, dx, xs = _family_delta_generators(params)
-
-    dx_pow = [unit_t]
-    for _ in range(l - 1):
-        dx_pow.append(tensor_mul(alg, dx_pow[-1], dx))
     delta: dict = {}
     for a in range(m):
         ga = params.index(a, 0)
@@ -368,18 +348,11 @@ def _aut_validate(params: FamilyParams, k: int, c) -> list:
     return c
 
 
-def family_aut_report(params: FamilyParams, k: int, c) -> VerificationReport:
-    """Full verdict for the candidate psi(g) = g^k, psi(x) = sum c_q x^q.
-
-    The morphism-plus-invertibility test decides; the closed-form criteria
-    (coprimality, vanishing binomials, k^2 = 1 mod d, polynomial
-    divisibility) ride along in the details.
-    """
-    c = _aut_validate(params, k, c)
-    ctx = params.ctx
-    H = family(params, ctx)
+def _aut_verdict(params: FamilyParams, H: HopfData, k: int, c: list) -> VerificationReport:
+    """The morphism-plus-invertibility verdict for a validated candidate,
+    decided against H = family(params)."""
     psi = _aut_candidate_map(params, H, k, c)
-    out = merge_reports({
+    return merge_reports({
         "algebra_morphism": is_algebra_morphism(psi, H, H),
         "coalgebra_morphism": is_coalgebra_morphism(psi, H, H),
         "invertible": first_failure(
@@ -388,47 +361,26 @@ def family_aut_report(params: FamilyParams, k: int, c) -> VerificationReport:
             _witness()),
     })
 
-    binoms_ok = True
-    for q, cq in enumerate(c):
-        if cq.is_zero:
-            continue
-        for t in range(1, q):
-            if not qbinom(q, t, params.zeta).is_zero:
-                binoms_ok = False
-    # (u^l - f(u)) must divide (psi_x(u)^l - f(psi_x(u)))
-    pu_pow = [[ctx.one]]
-    for _ in range(params.l):
-        pu_pow.append(_poly_mul(pu_pow[-1], c))
-    num = pu_pow[params.l]
-    for p, a in enumerate(params.f_coeffs):
-        if not a.is_zero:
-            num = _poly_sub(num, [a * x for x in pu_pow[p]])
-    den = [-a for a in params.f_coeffs] + [ctx.one]
-    _, rem = _poly_divmod(num, den)
-    out.details["theorem_conditions"] = {
-        "k_coprime_to_m": gcd(k, params.m) == 1 or params.m == 1,
-        "vanishing_binomials": binoms_ok,
-        "k_squared_mod_d": (k * k) % params.d == 1 % params.d,
-        "relation_divisibility": not rem,
-    }
-    return out
 
-
-def family_aut_check(params: FamilyParams, k: int, c) -> bool:
-    """True when the candidate extends to a Hopf automorphism."""
-    return family_aut_report(params, k, c).ok
+def family_aut_report(params: FamilyParams, k: int, c) -> VerificationReport:
+    """Full verdict for the candidate psi(g) = g^k, psi(x) = sum c_q x^q:
+    psi must be an algebra and a coalgebra morphism, and bijective."""
+    c = _aut_validate(params, k, c)
+    return _aut_verdict(params, family(params, params.ctx), k, c)
 
 
 def _aut_eval_chunk(params: FamilyParams, chunk: list) -> list:
-    return [(k, c) for k, c in chunk if family_aut_check(params, k, c)]
+    H = family(params, params.ctx)
+    return [(k, c) for k, c in chunk if _aut_verdict(params, H, k, c).ok]
 
 
 def family_aut_search(params: FamilyParams, grid, jobs: int = 1) -> list:
-    """All (k, c) from the grid that pass family_aut_check.
+    """All (k, c) from the grid whose family_aut_report passes.
 
     Candidates place grid values at the degrees q = k (mod m), 1 <= q < l,
     zero elsewhere; output keeps the deterministic generation order (k
-    ascending, grid order per position).
+    ascending, grid order per position).  family(params) is built once, or
+    once per chunk when jobs > 1, and raises when the hypotheses fail.
     """
     ctx = params.ctx
     grid = [x if isinstance(x, Scalar) else ctx.from_fraction(x) for x in grid]

@@ -560,7 +560,9 @@ def skew_brace_check(dot: GroupTable, circ: GroupTable) -> VerificationReport:
 
     With l_a(b) = a^- dot (a circ b) the identity is l_a(bc) = l_a(b)l_a(c).
     Row (a, e) holds iff a circ e = a, and then the b whose row holds are
-    closed under products; so rows at b in e and dot.gens decide every row.
+    closed under products; the row at any b implies a circ e = a (take
+    c = e), so rows at b in dot.gens decide every row, and the row at e
+    alone does when dot.gens is empty.
     """
     n, d, ct, inv = dot.n, dot.table, circ.table, dot.inv
     dot_gets = [_gather(row) for row in d]
@@ -573,7 +575,7 @@ def skew_brace_check(dot: GroupTable, circ: GroupTable) -> VerificationReport:
             for b in bs:
                 yield (a, b), dot_gets[b](ca), get_ca(d[d[ca[b]][ainv]])
 
-    return _decide_rows("skew_brace", rows, [dot.e] + dot.gens, n)
+    return _decide_rows("skew_brace", rows, dot.gens or [dot.e], n)
 
 
 def circ_from_rrb(G: GroupTable, star: GroupTable, B, *, star_compat=None,

@@ -280,11 +280,13 @@ def check_hopf_brace(data: RelRBHopf) -> VerificationReport:
         for a in range(n):
             d2 = iterated_delta(H.coalgebra, {a: ctx.one}, 3)
             for b in range(n):
+                # (a_(1) o b) * S(a_(2)) depends on (a, b) only
+                left = [(ct, mul(circ(a1, b), S.cols[a2]), a3)
+                        for (a1, a2, a3), ct in d2.items()]
                 for c in range(n):
                     # a o (b*c) by linearity of o in its right argument
                     lhs = lincomb((ck, circ(a, k)) for k, ck in mul_basis(b, c).items())
-                    rhs = lincomb((ct, mul(mul(circ(a1, b), S.cols[a2]), circ(a3, c)))
-                                  for (a1, a2, a3), ct in d2.items())
+                    rhs = lincomb((ct, mul(lb, circ(a3, c))) for ct, lb, a3 in left)
                     yield (a, b, c), lhs, rhs
 
     invertible = {g: phi.matrix_for(g).is_invertible() for g in group_like_basis_indices(G)}

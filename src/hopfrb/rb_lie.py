@@ -12,7 +12,7 @@ dicts combined by hopf_core.lincomb; operators and actions are LinearMaps.
 
 from __future__ import annotations
 
-from .hopf_core import LinearMap, lincomb
+from .hopf_core import LinearMap, _labels, lincomb
 from .report import VerificationReport, first_failure, labelled, merge_reports, show
 from .scalars import FieldCtx, Scalar, _json_int, parse_field, scalar_from_json
 
@@ -20,21 +20,18 @@ from .scalars import FieldCtx, Scalar, _json_int, parse_field, scalar_from_json
 class LieData:
     """Lie algebra by sparse brackets: brackets[(i, j)] expands [e_i, e_j].
 
-    A missing (j, i) entry is filled in as the negative of (i, j); ranges
-    raise ValueError at construction time, and check_lie verifies the axioms.
+    A missing (j, i) entry is filled in as the negative of (i, j); ranges,
+    labels and the dimension cap MAX_DIM raise ValueError at construction
+    time, and check_lie verifies the axioms.
     """
 
     __slots__ = ("ctx", "dim", "labels", "brackets")
 
     def __init__(self, ctx: FieldCtx, dim: int, brackets: dict,
                  labels: list[str] | None = None):
-        if dim < 1:
-            raise ValueError(f"dimension {dim} must be at least 1")
+        self.labels = _labels(labels, dim)
         self.ctx = ctx
         self.dim = dim
-        self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(dim)]
-        if len(self.labels) != dim:
-            raise ValueError(f"{len(self.labels)} labels for dim {dim}")
         self.brackets = {}
         for (i, j), terms in brackets.items():
             if not 0 <= i < dim or not 0 <= j < dim or any(not 0 <= k < dim for k in terms):

@@ -1,12 +1,17 @@
 """Helpers that only the tests and tools/make_witnesses.py use: the
 automorphisms of a small group, the weight flip of an operator, a group
-transported through a bijection, the quantum binomial by expansion, and two
-root-of-unity helpers."""
+transported through a bijection, the quantum binomial by expansion, the
+Cauchy identity for quantum binomials, the closed-form criteria for
+automorphisms of the family H_{m,zeta,l,f}, and two root-of-unity helpers."""
 
 import itertools
+from math import gcd
 
+from hopfrb.constructions import FamilyParams, _witness, qbinom
 from hopfrb.rb_group import GroupTable
-from hopfrb.scalars import FieldCtx, Scalar, multiplicative_order
+from hopfrb.report import VerificationReport, first_failure
+from hopfrb.scalars import (FieldCtx, Scalar, _poly_divmod, _poly_mul, _poly_sub,
+                            multiplicative_order)
 
 
 def automorphisms(G: GroupTable) -> list[tuple]:
@@ -56,6 +61,49 @@ def qbinom_oracle(p: int, q: int, zeta: Scalar) -> Scalar:
             nxt[k] = nxt.get(k, ctx.zero) + c
         acc = nxt
     return acc.get((p - q, q), ctx.zero)
+
+
+def cauchy_check(q: int, zeta: Scalar) -> VerificationReport:
+    """prod_{t<q} (1 + zeta^t u) = sum_t {q choose t} zeta^(t(t-1)/2) u^t."""
+    ctx = zeta.ctx
+    lhs = [ctx.one]
+    zt = ctx.one
+    for _ in range(q):
+        lhs = _poly_mul(lhs, [ctx.one, zt])
+        zt = zt * zeta
+    rhs = [qbinom(q, t, zeta) * zeta ** (t * (t - 1) // 2) for t in range(q + 1)]
+    lhs = lhs + [ctx.zero] * (q + 1 - len(lhs))
+    return first_failure("cauchy_binomial", (((q, t), lhs[t], rhs[t]) for t in range(q + 1)),
+                         _witness(("q", "degree")))
+
+
+def aut_theorem_conditions(params: FamilyParams, k: int, c) -> dict:
+    """The closed-form criteria for psi(g) = g^k, psi(x) = sum_q c_q x^q to
+    be a Hopf automorphism: k prime to m, vanishing binomials {q choose t}
+    for 0 < t < q at every nonzero c_q, k^2 = 1 modulo the order d of zeta,
+    and u^l - f(u) dividing psi_x(u)^l - f(psi_x(u)).  The tests show that
+    on the candidates of family_aut_search, family_aut_report passes exactly
+    when all four hold and c_1 != 0."""
+    ctx, m, l = params.ctx, params.m, params.l
+    c = [x if isinstance(x, Scalar) else ctx.from_fraction(x) for x in c]
+    binoms_ok = all(qbinom(q, t, params.zeta).is_zero
+                    for q, cq in enumerate(c) if not cq.is_zero for t in range(1, q))
+    pu_pow = [[ctx.one]]
+    for _ in range(l):
+        pu_pow.append(_poly_mul(pu_pow[-1], c))
+    num = pu_pow[l]
+    for p, a in enumerate(params.f_coeffs):
+        if not a.is_zero:
+            num = _poly_sub(num, [a * x for x in pu_pow[p]])
+    den = [-a for a in params.f_coeffs] + [ctx.one]
+    _, rem = _poly_divmod(num, den)
+    d = multiplicative_order(params.zeta, m)
+    return {
+        "k_coprime_to_m": gcd(k, m) == 1 or m == 1,
+        "vanishing_binomials": binoms_ok,
+        "k_squared_mod_d": (k * k) % d == 1 % d,
+        "relation_divisibility": not rem,
+    }
 
 
 def is_primitive_root(z: Scalar, m: int) -> bool:

@@ -3,10 +3,13 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from hopfrb.cli import _antipode_order_report, build_parser, main
 from hopfrb.constructions import group_algebra, taft
+from hopfrb.hopf_core import MAX_DIM
 from hopfrb.rb_group import GroupTable
-from hopfrb.rb_lie import lie_to_json, sl2
+from hopfrb.rb_lie import lie_from_json, lie_to_json, sl2
 from hopfrb.scalars import FieldCtx
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -385,3 +388,14 @@ def test_lie_files_are_validated(tmp_path, capsys):
     small.write_text(json.dumps([["1", "0"], ["0", "1"]]))
     err = expect_input_error(capsys, "check-lie", "--input", str(lie), "--b", str(small))
     assert "B maps dim 2 to dim 2" in err
+
+
+def test_lie_dimension_is_capped(tmp_path, capsys):
+    # rejected while the file is read, before a d^3 Jacobi loop could start
+    big = {"field": "Q", "dim": MAX_DIM + 1, "brackets": []}
+    with pytest.raises(ValueError, match=f"dimension {MAX_DIM + 1} exceeds cap {MAX_DIM}"):
+        lie_from_json(big)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big))
+    err = expect_input_error(capsys, "check-lie", "--input", str(path))
+    assert "exceeds cap" in err

@@ -2,15 +2,16 @@
 
 import pytest
 
-from hopfrb.constructions import (FamilyParams, antipode_closed_form, cauchy_check, family,
-                                  family_aut_check, family_aut_report, family_aut_search,
-                                  family_hypotheses, family_params_from_json, group_algebra,
-                                  qbinom, sweedler_h4, taft)
+from hopfrb import constructions
+from hopfrb.constructions import (FamilyParams, antipode_closed_form, family,
+                                  family_aut_report, family_aut_search, family_hypotheses,
+                                  family_params_from_json, group_algebra, qbinom, sweedler_h4,
+                                  taft)
 from hopfrb.hopf_core import LinearMap, check_hopf, is_hopf_morphism
 from hopfrb.rb_group import GroupTable
 from hopfrb.scalars import FieldCtx
 
-from helpers import qbinom_oracle
+from helpers import aut_theorem_conditions, cauchy_check, qbinom_oracle
 
 Q = FieldCtx.rationals()
 
@@ -213,13 +214,13 @@ def test_aut_reports():
     params = FamilyParams(2, Q.from_int(-1), 2, None)
     good = family_aut_report(params, 1, [Q.zero, Q.from_int(5)])
     assert good.ok
-    cond = good.details["theorem_conditions"]
+    assert "theorem_conditions" not in good.details
+    cond = aut_theorem_conditions(params, 1, [Q.zero, Q.from_int(5)])
     assert cond == {"k_coprime_to_m": True, "vanishing_binomials": True,
                     "k_squared_mod_d": True, "relation_divisibility": True}
     # psi(x) = 0 is not invertible
     zero = family_aut_report(params, 1, [Q.zero, Q.zero])
     assert not zero.ok
-    assert not family_aut_check(params, 1, [Q.zero, Q.zero])
     with pytest.raises(ValueError):
         family_aut_report(params, 1, [Q.one, Q.one])  # c_0 with wrong congruence
     with pytest.raises(ValueError):
@@ -231,7 +232,8 @@ def test_aut_taft3_lower_triangle():
     params = FamilyParams(3, z3.zeta, 3, None)
     bad = family_aut_report(params, 2, [z3.zero, z3.zero, z3.one])
     assert not bad.ok
-    assert bad.details["theorem_conditions"]["vanishing_binomials"] is False
+    assert aut_theorem_conditions(
+        params, 2, [z3.zero, z3.zero, z3.one])["vanishing_binomials"] is False
     hits = family_aut_search(params, [z3.zero, z3.one, z3.zeta])
     assert [(k, tuple(str(x) for x in c)) for k, c in hits] == [
         (1, ("0", "1", "0")), (1, ("0", "z3", "0"))]
@@ -244,6 +246,86 @@ def test_aut_search_h4_grid():
     assert all(k == 1 for k, _ in hits)
     assert sorted(str(c[1]) for _, c in hits) == ["-1", "1", "2"]
     assert family_aut_search(params, grid, jobs=2) == hits
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that appends to the returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_aut_search_builds_one_algebra(monkeypatch):
+    params = FamilyParams(2, Q.from_int(-1), 2, None)
+    grid = [Q.zero, Q.one, -Q.one, Q.from_int(2), Q.one / Q.from_int(3)]
+    builds = counting(monkeypatch, constructions, "family")
+    algebras = counting(monkeypatch, constructions, "_family_algebra")
+    hits = family_aut_search(params, grid)
+    assert (len(builds), len(algebras)) == (1, 1)
+    assert [str(c[1]) for _, c in hits] == ["1", "-1", "2", "1/3"]
+    # a report builds its own algebra, once
+    builds.clear()
+    algebras.clear()
+    assert family_aut_report(params, 1, [Q.zero, Q.one]).ok
+    assert (len(builds), len(algebras)) == (1, 1)
+    # under jobs > 1 each chunk builds once; workers are other processes, so
+    # the chunk function is counted here in this one
+    builds.clear()
+    for chunk in ([(1, [Q.zero, v])] for v in grid[:2]):
+        constructions._aut_eval_chunk(params, chunk)
+    assert len(builds) == 2
+    assert family_aut_search(params, grid, jobs=2) == hits
+
+
+def test_aut_search_raises_when_the_hypotheses_fail():
+    # {3 choose 2}_-1 = 1 is not zero, so x^3 = 0 admits no Hopf structure
+    params = FamilyParams(2, Q.from_int(-1), 3, None)
+    assert not family_hypotheses(params).ok
+    for grid in ([], [Q.one]):
+        with pytest.raises(ValueError, match="family hypotheses fail at top_binomials"):
+            family_aut_search(params, grid)
+
+
+def test_aut_verdicts_agree_with_the_closed_form_criteria(monkeypatch):
+    # every candidate of the searches: passes exactly when the closed-form
+    # criteria hold and psi(x) has a nonzero linear term
+    f3 = FieldCtx.prime(3)
+    z2, z3, z4 = (FieldCtx.cyclotomic(n) for n in (2, 3, 4))
+    cases = [
+        (FamilyParams(2, Q.from_int(-1), 2, None),
+         [Q.zero, Q.one, -Q.one, Q.from_int(2), Q.one / Q.from_int(3)]),
+        (FamilyParams(2, z2.root_of_unity(2), 2, None),
+         [z2.zero, z2.one, -z2.one, z2.from_int(5)]),
+        (FamilyParams(3, z3.zeta, 3, None), [z3.zero, z3.one, z3.zeta, -z3.zeta]),
+        (FamilyParams(4, z4.zeta, 4, None), [z4.zero, z4.zeta]),
+        (FamilyParams(2, f3.from_int(-1), 6, None), [f3.zero, f3.one]),
+        (FamilyParams(2, f3.from_int(-1), 6, [f3.zero, f3.zero, f3.one]),
+         [f3.zero, f3.from_int(2)]),
+    ]
+    verdicts = []
+    verdict = constructions._aut_verdict
+
+    def recording(params, H, k, c):
+        rep = verdict(params, H, k, c)
+        verdicts.append((params, k, c, rep.ok))
+        return rep
+    monkeypatch.setattr(constructions, "_aut_verdict", recording)
+    for params, grid in cases:
+        family_aut_search(params, grid)
+    monkeypatch.undo()
+    assert len(verdicts) == 6 + 5 + 9 + 7 + 12 + 12
+    passed = 0
+    for params, k, c, ok in verdicts:
+        assert family_aut_report(params, k, c).ok == ok
+        assert ok == (all(aut_theorem_conditions(params, k, c).values())
+                      and not c[1].is_zero), (params, k, [str(x) for x in c])
+        passed += ok
+    assert passed == 4 + 3 + 3 + 1 + 1 + 1
 
 
 def test_family_params_from_json():

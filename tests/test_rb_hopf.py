@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hopfrb.constructions import group_algebra, sweedler_h4
-from hopfrb.hopf_core import (LinearMap, check_hopf, hopf_to_json, iterated_delta,
+from hopfrb.hopf_core import (AlgebraData, LinearMap, check_hopf, hopf_to_json, iterated_delta,
                               opposite_hopf, tensor_apply_map, tensor_mul_legs, tensor_outer,
                               tensor_permute)
 from hopfrb.rb_group import GroupTable, enumerate_rb, linearize_rb
@@ -432,6 +432,20 @@ def test_hopf_brace_reads_its_left_side_from_the_circle_table(monkeypatch):
     assert check_hopf_brace(data).ok
     derived_hopf(data)
     assert len(calls) == 36
+
+
+def test_hopf_brace_multiplies_n_cubed_plus_n_squared_times(monkeypatch):
+    # (a_(1) o b) * S(a_(2)) is formed once per (a, b) and multiplied by
+    # a_(3) o c once per c; on a group algebra each a has one Delta^2 term
+    data = exact_factorization_rrb(GroupTable.symmetric(3), [0, 3, 4], [0, 2], Q)
+    assert check_rrbo(data, full=True).ok  # fills the circle table
+    calls = []
+    mul_sparse = AlgebraData.mul_sparse
+    monkeypatch.setattr(AlgebraData, "mul_sparse",
+                        lambda self, *args: calls.append(args) or mul_sparse(self, *args))
+    assert check_hopf_brace(data).ok
+    n = data.H.dim
+    assert len(calls) == n ** 3 + n ** 2 == 252
 
 
 def test_check_rrbo_catches_every_one_entry_change_of_the_h4_fixture():

@@ -13,8 +13,8 @@ import json
 import os
 import sys
 
-from .constructions import (FamilyParams, family, family_aut_search, family_hypotheses,
-                            group_algebra, sweedler_h4, taft)
+from .constructions import (FamilyParams, family_aut_search, family_with_hypotheses,
+                            group_algebra, sweedler_h4)
 from .hopf_core import LinearMap, check_hopf
 from .rb_group import (DEFAULT_CAP, CapExceeded, check_rb, check_rb_lambda, check_star_compat,
                        circ_from_rrb, derived_group, enumerate_rb, group_from_json,
@@ -88,6 +88,23 @@ def _antipode_order_report(H) -> VerificationReport:
                          lambda identity, indices, lhs, rhs: {"identity": rhs})
 
 
+def _family_params(args, ctx) -> FamilyParams:
+    """The parameters of --construction h4, taft or family."""
+    if args.construction == "h4":
+        return FamilyParams(2, ctx.from_int(-1), 2, None)
+    if args.construction == "taft":
+        if args.m is None:
+            raise ValueError("--m is required for taft")
+        return FamilyParams(args.m, ctx.root_of_unity(args.m), args.m, None)
+    if args.construction == "family":
+        if args.m is None or args.zeta is None or args.l is None:
+            raise ValueError("--m, --zeta and --l are required for family")
+        zeta = parse_scalar(args.zeta, ctx)
+        coeffs = _parse_coeffs(args.f, ctx) if args.f is not None else None
+        return FamilyParams(args.m, zeta, args.l, coeffs)
+    raise ValueError(f"unknown construction {args.construction!r}")
+
+
 def cmd_verify(args) -> int:
     ctx = parse_field(args.field)
     if args.construction == "group-algebra":
@@ -102,27 +119,12 @@ def cmd_verify(args) -> int:
         rep = merge_reports({"hopf": check_hopf(H),
                              "antipode_order_4": _antipode_order_report(H)})
         return _report_exit(args, rep, {"construction": "h4", "dim": H.dim})
-    if args.construction == "taft":
-        if args.m is None:
-            raise ValueError("--m is required for taft")
-        H = taft(args.m, ctx)
-        rep = merge_reports({"hopf": check_hopf(H),
-                             "hypotheses": family_hypotheses(
-                                 FamilyParams(args.m, ctx.root_of_unity(args.m),
-                                              args.m, None))})
-        return _report_exit(args, rep, {"construction": "taft", "dim": H.dim})
-    if args.construction == "family":
-        if args.m is None or args.zeta is None or args.l is None:
-            raise ValueError("--m, --zeta and --l are required for family")
-        zeta = parse_scalar(args.zeta, ctx)
-        coeffs = _parse_coeffs(args.f, ctx) if args.f is not None else None
-        params = FamilyParams(args.m, zeta, args.l, coeffs)
-        hyp = family_hypotheses(params)
-        if not hyp.ok:
-            return _report_exit(args, hyp, {"construction": "family"})
-        H = family(params, ctx)
+    if args.construction in ("taft", "family"):
+        H, hyp = family_with_hypotheses(_family_params(args, ctx))
+        if H is None:
+            return _report_exit(args, hyp, {"construction": args.construction})
         rep = merge_reports({"hypotheses": hyp, "hopf": check_hopf(H)})
-        return _report_exit(args, rep, {"construction": "family", "dim": H.dim})
+        return _report_exit(args, rep, {"construction": args.construction, "dim": H.dim})
     raise ValueError(f"unknown construction {args.construction!r}")
 
 
@@ -161,20 +163,7 @@ def cmd_check_rrb(args) -> int:
 def cmd_aut(args) -> int:
     ctx = parse_field(args.field)
     grid = _parse_coeffs(args.grid, ctx)
-    if args.construction == "h4":
-        params = FamilyParams(2, ctx.from_int(-1), 2, None)
-    elif args.construction == "taft":
-        if args.m is None:
-            raise ValueError("--m is required for taft")
-        params = FamilyParams(args.m, ctx.root_of_unity(args.m), args.m, None)
-    elif args.construction == "family":
-        if args.m is None or args.zeta is None or args.l is None:
-            raise ValueError("--m, --zeta and --l are required for family")
-        zeta = parse_scalar(args.zeta, ctx)
-        coeffs = _parse_coeffs(args.f, ctx) if args.f is not None else None
-        params = FamilyParams(args.m, zeta, args.l, coeffs)
-    else:
-        raise ValueError(f"unknown construction {args.construction!r}")
+    params = _family_params(args, ctx)
     hits = family_aut_search(params, grid, jobs=args.jobs)
     rows = [{"k": k, "c": [str(x) for x in c]} for k, c in hits]
     _emit(args, {"construction": args.construction, "grid": [str(x) for x in grid],

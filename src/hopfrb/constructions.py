@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 
-from .hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, is_algebra_morphism,
-                        is_coalgebra_morphism, lincomb, tensor_mul)
+from .hopf_core import (MAX_DIM, AlgebraData, CoalgebraData, HopfData, LinearMap,
+                        is_algebra_morphism, is_coalgebra_morphism, lincomb, tensor_mul)
 from .report import VerificationReport, first_failure, merge_reports, show
 from .rb_group import GroupTable
 from .scalars import FieldCtx, Scalar, _json_int, parse_scalar, scalar_from_json
@@ -128,8 +128,9 @@ class FamilyParams:
     """Parameters m, zeta, l, f for g^m = 1, x^l = f(x), x g = zeta g x.
 
     f_coeffs lists the coefficients of f by degree 0..l-1.  Construction
-    enforces zeta^m = 1 and the grading constraint f(zeta x) = zeta^l f(x)
-    coefficient-wise.
+    enforces zeta^m = 1, the grading constraint f(zeta x) = zeta^l f(x)
+    coefficient-wise and the cap MAX_DIM on the dimension m*l, so that no
+    product is formed for an algebra that AlgebraData would reject.
     """
 
     __slots__ = ("m", "zeta", "l", "f_coeffs")
@@ -152,6 +153,8 @@ class FamilyParams:
         for p, a in enumerate(coeffs):
             if not a.is_zero and a * zeta ** p != zl * a:
                 raise ValueError(f"f(zeta x) != zeta^l f(x): fails at degree {p}")
+        if m * l > MAX_DIM:
+            raise ValueError(f"dimension {m * l} exceeds cap {MAX_DIM}")
         self.m = m
         self.zeta = zeta
         self.l = l
@@ -270,14 +273,14 @@ def _hypotheses(params: FamilyParams, alg: AlgebraData, dx_pow: list) -> Verific
     return merge_reports(parts)
 
 
-def family(params: FamilyParams, ctx: FieldCtx) -> HopfData:
-    """The Hopf algebra on g^a x^b (a major), given the hypotheses hold."""
-    if ctx != params.ctx:
-        raise ValueError("ctx does not match the context of the parameters")
+def family_with_hypotheses(params: FamilyParams) -> tuple[HopfData | None, VerificationReport]:
+    """family(params) and family_hypotheses(params) from one build of the
+    algebra; None in place of the Hopf algebra when the hypotheses fail."""
+    ctx = params.ctx
     alg, xs, dx_pow = _family_parts(params)
     hyp = _hypotheses(params, alg, dx_pow)
     if not hyp.ok:
-        raise ValueError(f"family hypotheses fail at {hyp.identity}: {hyp.witness}")
+        return None, hyp
     m, l = params.m, params.l
     delta: dict = {}
     for a in range(m):
@@ -298,7 +301,17 @@ def family(params: FamilyParams, ctx: FieldCtx) -> HopfData:
     for _ in range(m - 1):
         sg_pow.append(alg.mul_sparse(sg_pow[-1], sg_vec))
     cols = [alg.mul_sparse(sx_pow[b], sg_pow[a]) for a in range(m) for b in range(l)]
-    return HopfData(alg, coalg, LinearMap(ctx, cols, m * l))
+    return HopfData(alg, coalg, LinearMap(ctx, cols, m * l)), hyp
+
+
+def family(params: FamilyParams, ctx: FieldCtx) -> HopfData:
+    """The Hopf algebra on g^a x^b (a major), given the hypotheses hold."""
+    if ctx != params.ctx:
+        raise ValueError("ctx does not match the context of the parameters")
+    H, hyp = family_with_hypotheses(params)
+    if H is None:
+        raise ValueError(f"family hypotheses fail at {hyp.identity}: {hyp.witness}")
+    return H
 
 
 def taft(m: int, ctx: FieldCtx) -> HopfData:

@@ -2,8 +2,9 @@
 
 A vector is a sparse dict {basis index: nonzero scalar}, a tensor a sparse
 dict {index tuple: nonzero scalar}, and lincomb is the one kernel that forms
-linear combinations of either.  A LinearMap stores one
-such vector per column.  An algebra is a sparse multiplication table plus a
+linear combinations of either.  A LinearMap stores one such vector per column
+and is inverted by _reduce, the one elimination kernel, which generating_set
+runs on as well.  An algebra is a sparse multiplication table plus a
 unit vector, a coalgebra a sparse comultiplication table plus one counit
 scalar per basis element, and a Hopf algebra the pair together with an
 antipode map.  Checkers decide the defining identities on basis elements
@@ -19,7 +20,7 @@ Everything is exact (see scalars); dimensions are capped at MAX_DIM.
 
 from __future__ import annotations
 
-from .report import VerificationReport, first_failure, labelled, merge_reports
+from .report import VerificationReport, decide_on, first_failure, labelled, merge_reports
 from .scalars import FieldCtx, Scalar, _json_int, parse_field, scalar_from_json
 
 MAX_DIM = 256
@@ -51,6 +52,28 @@ def _check_keys(keys, dim: int, what: str) -> None:
     for k in keys:
         if not 0 <= k < dim:
             raise ValueError(f"{what} {k} out of range for dim {dim}")
+
+
+def _reduce(rows: dict, v: dict, one: Scalar) -> dict:
+    """v less a combination of the echelon rows, with a least key that is
+    no pivot of theirs: empty exactly when v lies in their span.
+
+    rows maps each pivot to a vector whose least key is that pivot.  A row
+    with one term clears its pivot by dropping it, so only a collision with
+    a row of several terms divides.  This is the one elimination kernel:
+    LinearMap.inverse, LinearMap.is_invertible and generating_set run on it.
+    """
+    v = dict(v)
+    while v:
+        p = min(v)
+        row = rows.get(p)
+        if row is None:
+            break
+        if len(row) == 1:
+            del v[p]
+        else:
+            v = lincomb([(one, v), (-(v[p] * row[p].inverse()), row)])
+    return v
 
 
 class LinearMap:
@@ -97,39 +120,45 @@ class LinearMap:
             return NotImplemented
         return self.codomain_dim == other.codomain_dim and self.cols == other.cols
 
-    def inverse(self) -> "LinearMap":
-        """Exact inverse by Gauss-Jordan elimination; ValueError if singular."""
-        if self.domain_dim != self.codomain_dim:
-            raise ValueError("only square maps can be inverted")
+    def _echelon(self, tagged: bool) -> dict | None:
+        """The columns as echelon rows {pivot: row} (see _reduce), or None
+        when the map is not square or a column lies in the span of those
+        before it.  tagged adds the key n + j to column j, so that the keys
+        from n up of a row say which combination of columns it is."""
         n = self.domain_dim
-        a = self.to_rows()
-        inv = LinearMap.identity(self.ctx, n).to_rows()
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not a[r][col].is_zero:
-                    piv = r
-                    break
-            if piv is None:
-                raise ValueError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            scale = a[col][col].inverse()
-            a[col] = [scale * x for x in a[col]]
-            inv[col] = [scale * x for x in inv[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return LinearMap.from_rows(self.ctx, inv)
+        if n != self.codomain_dim:
+            return None
+        one = self.ctx.one
+        rows: dict = {}
+        for j, col in enumerate(self.cols):
+            r = _reduce(rows, {**col, n + j: one} if tagged else col, one)
+            if not r or min(r) >= n:
+                return None
+            rows[min(r)] = r
+        return rows
 
     def is_invertible(self) -> bool:
-        try:
-            self.inverse()
-            return True
-        except ValueError:
-            return False
+        return self._echelon(tagged=False) is not None
+
+    def inverse(self) -> "LinearMap":
+        """Exact inverse; ValueError if singular.
+
+        The tagged echelon rows are back-substituted from the largest pivot
+        down: cleared of its other keys below n and scaled, the row at pivot
+        p is e_p plus, in its tags, column p of the inverse.
+        """
+        if self.domain_dim != self.codomain_dim:
+            raise ValueError("only square maps can be inverted")
+        rows = self._echelon(tagged=True)
+        if rows is None:
+            raise ValueError("singular matrix")
+        n, one = self.domain_dim, self.ctx.one
+        for p in reversed(range(n)):
+            r = rows[p]
+            r = lincomb([(one, r)] + [(-r[q], rows[q]) for q in r if p < q < n])
+            rows[p] = r if r[p] == one else lincomb([(r[p].inverse(), r)])
+        return LinearMap(self.ctx, [{k - n: x for k, x in sorted(rows[p].items()) if k >= n}
+                                    for p in range(n)], n)
 
     def to_json(self):
         return [[c.to_json() for c in row] for row in self.to_rows()]
@@ -349,27 +378,6 @@ def delta_power(H, v: dict, k: int) -> dict:
 # generating sets
 
 
-def _reduce(rows: dict, v: dict, one: Scalar) -> dict:
-    """v less a combination of the echelon rows, with no key a pivot of
-    theirs: empty exactly when v lies in their span.
-
-    rows maps each pivot to a vector whose least key is that pivot.  A row
-    with one term clears its pivot by dropping it, so only a collision with
-    a row of several terms divides.
-    """
-    v = dict(v)
-    while v:
-        p = min(v)
-        row = rows.get(p)
-        if row is None:
-            break
-        if len(row) == 1:
-            del v[p]
-        else:
-            v = lincomb([(one, v), (-(v[p] * row[p].inverse()), row)])
-    return v
-
-
 def generating_set(A) -> list[int]:
     """Basis indices S, picked in index order, such that the closure of the
     unit under right multiplication by the e_s, s in S, spans A.
@@ -437,23 +445,6 @@ def _witness(labels: list[str], shown: list[str] | None = None):
     return basis_rhs
 
 
-def _decide(identity: str, cases, firsts, dim: int, shared: int,
-            witness) -> VerificationReport:
-    """first_failure over cases(firsts): an identity decided for first
-    arguments from firsts only, which the caller has shown to decide it for
-    every basis element.
-
-    A failure there is a failure on the whole basis as well.  One past the
-    first shared cases, which do not depend on firsts, is rerun over
-    cases(range(dim)), so that a failing report, witness and count, is the
-    whole basis's.
-    """
-    rep = first_failure(identity, cases(firsts), witness)
-    if rep.ok or rep.stats["identities_checked"] <= shared or len(firsts) == dim:
-        return rep
-    return first_failure(identity, cases(range(dim)), witness)
-
-
 def check_algebra(A) -> VerificationReport:
     """Two-sided unit, then associativity (e_i e_s) e_k = e_i (e_s e_k) for
     s in generating_set(A).
@@ -482,8 +473,9 @@ def check_algebra(A) -> VerificationReport:
     try:
         middles = generating_set(A)
     except ValueError:   # no unit, so a unit case fails
-        middles = range(A.dim)
-    return _decide("algebra", cases, middles, A.dim, 2 * A.dim, _witness(A.labels))
+        middles = None
+    return decide_on(first_failure, "algebra", cases, middles, A.dim, _witness(A.labels),
+                     shared=2 * A.dim)
 
 
 def check_coalgebra(C) -> VerificationReport:
@@ -530,8 +522,8 @@ def check_bialgebra_compat(H: HopfData, *, generators=None) -> VerificationRepor
                 yield (("counit_multiplicative", i, j), C.counit_sparse(prod),
                        C.counit[i] * C.counit[j])
 
-    firsts = range(A.dim) if generators is None else generators
-    return _decide("bialgebra_compat", cases, firsts, A.dim, 2, _witness(A.labels))
+    return decide_on(first_failure, "bialgebra_compat", cases, generators, A.dim,
+                     _witness(A.labels), shared=2)
 
 
 def check_antipode(H: HopfData, *, generators=None) -> VerificationReport:
@@ -566,8 +558,8 @@ def check_antipode(H: HopfData, *, generators=None) -> VerificationReport:
             yield (("antipode_antihom_comult", i), iterated_delta(C, images[i], 2),
                    tensor_permute(tensor_apply_map(S, tensor_apply_map(S, t, 0), 1), [1, 0]))
 
-    firsts = range(A.dim) if generators is None else generators
-    return _decide("antipode", cases, firsts, A.dim, 3 * A.dim + 1, _witness(A.labels))
+    return decide_on(first_failure, "antipode", cases, generators, A.dim,
+                     _witness(A.labels), shared=3 * A.dim + 1)
 
 
 def check_hopf(H: HopfData) -> VerificationReport:
@@ -734,8 +726,8 @@ def hopf_to_json(H: HopfData) -> dict:
     }
 
 
-def hopf_from_json(obj: dict, max_n: int = 64, max_p: int = 97) -> HopfData:
-    ctx = parse_field(obj["field"], max_n=max_n, max_p=max_p)
+def hopf_from_json(obj: dict) -> HopfData:
+    ctx = parse_field(obj["field"])
     dim = _json_int(obj["dim"], "dim")
     labels = obj.get("labels")
     unit = [scalar_from_json(c, ctx) for c in obj["unit"]]

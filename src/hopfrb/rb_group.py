@@ -22,7 +22,8 @@ from concurrent.futures import ProcessPoolExecutor
 from math import gcd, lcm
 from operator import itemgetter
 
-from .report import VerificationReport, first_failure, first_row_failure, merge_reports
+from .report import (VerificationReport, decide_on, first_failure, first_row_failure,
+                     merge_reports)
 from .scalars import _json_int
 
 DEFAULT_CAP = 10 ** 8
@@ -82,21 +83,6 @@ def _generators(t, e: int) -> list[int]:
     return gens
 
 
-def _decide_rows(identity: str, rows, chosen, n: int) -> VerificationReport:
-    """first_row_failure over rows(chosen): the rows at the indices in
-    chosen, which the caller has shown to decide the rows at every index in
-    range(n) once they hold.
-
-    A failure there, or chosen None, runs rows(range(n)), so that a failing
-    report (witness and count) is the one every row gives.
-    """
-    if chosen is not None:
-        rep = first_row_failure(identity, rows(chosen))
-        if rep.ok:
-            return rep
-    return first_row_failure(identity, rows(range(n)))
-
-
 class _NotAGroup(ValueError):
     """A square table that fails a group axiom; report is check_group's."""
 
@@ -146,8 +132,8 @@ class GroupTable:
         # triple (Light's associativity test).
         rep = first_failure("group", cases())
         self.gens = _generators(t, e) if rep.ok else None
-        assoc = _decide_rows("group", lambda middles: _associativity_rows(t, middles),
-                             self.gens, n)
+        assoc = decide_on(first_row_failure, "group",
+                          lambda middles: _associativity_rows(t, middles), self.gens, n)
         if rep.ok and not assoc.ok:
             rep = assoc
         else:
@@ -544,8 +530,8 @@ def check_star_compat(G: GroupTable, star: GroupTable) -> VerificationReport:
     return merge_reports({
         "group_axioms": star.axioms,
         "shared_unit": first_failure("shared_unit", [((), star.e, G.e)]),
-        "conjugation_compatible": _decide_rows("conjugation_compatible", conjugation_rows,
-                                               G.gens, G.n),
+        "conjugation_compatible": decide_on(first_row_failure, "conjugation_compatible",
+                                            conjugation_rows, G.gens, G.n),
     })
 
 
@@ -575,7 +561,7 @@ def skew_brace_check(dot: GroupTable, circ: GroupTable) -> VerificationReport:
             for b in bs:
                 yield (a, b), dot_gets[b](ca), get_ca(d[d[ca[b]][ainv]])
 
-    return _decide_rows("skew_brace", rows, dot.gens or [dot.e], n)
+    return decide_on(first_row_failure, "skew_brace", rows, dot.gens or [dot.e], n)
 
 
 def circ_from_rrb(G: GroupTable, star: GroupTable, B, *, star_compat=None,

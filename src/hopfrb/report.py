@@ -10,6 +10,8 @@ checker gathers both sides of a whole row into tuples (with C-level
 operator.itemgetter), one tuple comparison settles a row that holds, and only
 a row that differs is scanned for its first failing case, so its verdict,
 witness and count are those of first_failure over the expanded cases.
+decide_on runs either of them on the generators of an identity that they
+decide, and on every index once that fails.
 """
 
 from __future__ import annotations
@@ -98,6 +100,24 @@ def first_row_failure(identity: str, rows, witness=None) -> VerificationReport:
                                     checked + c + 1)
         checked += len(lhs)
     return VerificationReport.passing(identity, identities_checked=checked)
+
+
+def decide_on(decider, identity: str, cases, chosen, n: int, witness=None,
+              shared: int = 0) -> VerificationReport:
+    """decider (first_failure or first_row_failure) over cases(chosen): an
+    identity decided at the indices in chosen only, which the caller has
+    shown to decide it at every index in range(n).
+
+    A failure there is a failure at every index as well.  A failure past the
+    first shared cases, which do not depend on chosen, reruns
+    cases(range(n)), as does chosen None, so that a failing report (witness
+    and count) is the one every index gives.
+    """
+    if chosen is not None:
+        rep = decider(identity, cases(chosen), witness)
+        if rep.ok or rep.stats["identities_checked"] <= shared or len(chosen) == n:
+            return rep
+    return decider(identity, cases(range(n)), witness)
 
 
 def _failing(identity: str, indices, lhs, rhs, witness, checked: int) -> VerificationReport:

@@ -23,8 +23,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
-DEFAULT_MAX_CYCLOTOMIC = 64
-DEFAULT_MAX_PRIME = 97
+MAX_CYCLOTOMIC = 64
+MAX_PRIME = 97
 
 RATIONALS = "rational"
 CYCLOTOMIC = "cyclotomic"
@@ -127,15 +127,15 @@ class FieldCtx:
 
     __slots__ = ("kind", "n", "p", "degree", "modulus", "_xpow", "_roots", "zero", "one")
 
-    def __init__(self, kind: str, n: int = 0, p: int = 0,
-                 max_n: int = DEFAULT_MAX_CYCLOTOMIC, max_p: int = DEFAULT_MAX_PRIME):
+    def __init__(self, kind: str, n: int = 0, p: int = 0):
         self.kind = kind
         self.n = n
         self.p = p
         self._roots: dict[int, "Scalar"] = {}
         if kind in (RATIONALS, CYCLOTOMIC):
-            if kind == CYCLOTOMIC and not 1 <= n <= max_n:
-                raise ValueError(f"cyclotomic order n={n} outside supported range 1..{max_n}")
+            if kind == CYCLOTOMIC and not 1 <= n <= MAX_CYCLOTOMIC:
+                raise ValueError(f"cyclotomic order n={n} outside supported range "
+                                 f"1..{MAX_CYCLOTOMIC}")
             # Q is the degree-1 case of the cyclotomic kernel, modulo Phi_1
             self.modulus = cyclotomic_polynomial(n if kind == CYCLOTOMIC else 1)
             self.degree = len(self.modulus) - 1
@@ -143,8 +143,8 @@ class FieldCtx:
         elif kind == PRIME:
             if not is_prime(p):
                 raise ValueError(f"p={p} is not prime")
-            if p > max_p:
-                raise ValueError(f"prime p={p} above supported bound {max_p}")
+            if p > MAX_PRIME:
+                raise ValueError(f"prime p={p} above supported bound {MAX_PRIME}")
             self.degree = 1
             self.modulus = ()
             self._xpow = ()
@@ -160,12 +160,12 @@ class FieldCtx:
         return cls(RATIONALS)
 
     @classmethod
-    def cyclotomic(cls, n: int, max_n: int = DEFAULT_MAX_CYCLOTOMIC) -> "FieldCtx":
-        return cls(CYCLOTOMIC, n=n, max_n=max_n)
+    def cyclotomic(cls, n: int) -> "FieldCtx":
+        return cls(CYCLOTOMIC, n=n)
 
     @classmethod
-    def prime(cls, p: int, max_p: int = DEFAULT_MAX_PRIME) -> "FieldCtx":
-        return cls(PRIME, p=p, max_p=max_p)
+    def prime(cls, p: int) -> "FieldCtx":
+        return cls(PRIME, p=p)
 
     def _build_xpow(self):
         # x^k reduced mod Phi_n for k = 0 .. 2*(degree-1); products of reduced
@@ -284,8 +284,7 @@ class FieldCtx:
         return self.name()
 
 
-def parse_field(name: str, max_n: int = DEFAULT_MAX_CYCLOTOMIC,
-                max_p: int = DEFAULT_MAX_PRIME) -> FieldCtx:
+def parse_field(name: str) -> FieldCtx:
     """Parse field names: "Q", "Q(zN)" (also "QzN"), "Fp"."""
     s = name.strip()
     if s in ("Q", "q"):
@@ -300,14 +299,14 @@ def parse_field(name: str, max_n: int = DEFAULT_MAX_CYCLOTOMIC,
             p = int(low[1:])
         except ValueError:
             raise ValueError(f"cannot parse field name {name!r}")
-        return FieldCtx.prime(p, max_p=max_p)
+        return FieldCtx.prime(p)
     else:
         raise ValueError(f"cannot parse field name {name!r}")
     try:
         n = int(body)
     except ValueError:
         raise ValueError(f"cannot parse field name {name!r}")
-    return FieldCtx.cyclotomic(n, max_n=max_n)
+    return FieldCtx.cyclotomic(n)
 
 
 class Scalar:

@@ -2,7 +2,8 @@
 automorphisms of a small group, the weight flip of an operator, a group
 transported through a bijection, the quantum binomial by expansion, the
 Cauchy identity for quantum binomials, the closed-form criteria for
-automorphisms of the family H_{m,zeta,l,f}, and two root-of-unity helpers."""
+automorphisms of the family H_{m,zeta,l,f}, two root-of-unity helpers, and
+a call counter."""
 
 import itertools
 from math import gcd
@@ -117,3 +118,15 @@ def zeta_power(ctx: FieldCtx, n: int, k: int = 1) -> Scalar:
     """k-th power of the designated order-n root of unity in ctx."""
     z = ctx.root_of_unity(n)
     return z ** (k % n)
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that appends to the returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls

@@ -5,12 +5,15 @@ from pathlib import Path
 
 import pytest
 
+from hopfrb import constructions
 from hopfrb.cli import _antipode_order_report, build_parser, main
 from hopfrb.constructions import group_algebra, taft
 from hopfrb.hopf_core import MAX_DIM
 from hopfrb.rb_group import GroupTable
 from hopfrb.rb_lie import lie_from_json, lie_to_json, sl2
 from hopfrb.scalars import FieldCtx
+
+from helpers import counting
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -64,6 +67,26 @@ def test_verify_family_pass_and_fail(capsys):
     assert payload["status"] == "fail"
     assert payload["identity"].startswith("top_binomials")
     assert payload["witness"]["q"] == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--construction", "taft", "--m", "3", "--field", "Q(z3)"], 0),
+    (["--construction", "family", "--field", "F3", "--m", "2", "--zeta", "-1", "--l", "6"], 0),
+    (["--construction", "family", "--m", "2", "--zeta", "-1", "--l", "4"], 1),
+], ids=["taft", "family", "failing-hypotheses"])
+def test_verify_builds_the_algebra_once(monkeypatch, capsys, argv, code):
+    calls = counting(monkeypatch, constructions, "_family_algebra")
+    assert run(capsys, "verify", *argv)[0] == code
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["aut", "verify"])
+def test_family_dimension_is_capped_before_any_product(monkeypatch, capsys, command):
+    calls = counting(monkeypatch, constructions, "_family_algebra")
+    argv = [command, "--construction", "taft", "--m", "17", "--field", "Q(z17)"]
+    err = expect_input_error(capsys, *argv, *(["--grid", "1"] if command == "aut" else []))
+    assert f"dimension 289 exceeds cap {MAX_DIM}" in err
+    assert calls == []
 
 
 def test_enum_rb_z3(capsys):

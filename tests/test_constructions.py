@@ -5,13 +5,13 @@ import pytest
 from hopfrb import constructions
 from hopfrb.constructions import (FamilyParams, antipode_closed_form, family,
                                   family_aut_report, family_aut_search, family_hypotheses,
-                                  family_params_from_json, group_algebra, qbinom, sweedler_h4,
-                                  taft)
+                                  family_params_from_json, family_with_hypotheses, group_algebra,
+                                  qbinom, sweedler_h4, taft)
 from hopfrb.hopf_core import LinearMap, check_hopf, is_hopf_morphism
 from hopfrb.rb_group import GroupTable
-from hopfrb.scalars import FieldCtx
+from hopfrb.scalars import FieldCtx, Scalar
 
-from helpers import aut_theorem_conditions, cauchy_check, qbinom_oracle
+from helpers import aut_theorem_conditions, cauchy_check, counting, qbinom_oracle
 
 Q = FieldCtx.rationals()
 
@@ -248,18 +248,6 @@ def test_aut_search_h4_grid():
     assert family_aut_search(params, grid, jobs=2) == hits
 
 
-def counting(monkeypatch, module, name: str) -> list:
-    """Replace module.name by a wrapper that appends to the returned list."""
-    calls = []
-    fn = getattr(module, name)
-
-    def wrapper(*args):
-        calls.append(args)
-        return fn(*args)
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
 def test_aut_search_builds_one_algebra(monkeypatch):
     params = FamilyParams(2, Q.from_int(-1), 2, None)
     grid = [Q.zero, Q.one, -Q.one, Q.from_int(2), Q.one / Q.from_int(3)]
@@ -280,6 +268,29 @@ def test_aut_search_builds_one_algebra(monkeypatch):
         constructions._aut_eval_chunk(params, chunk)
     assert len(builds) == 2
     assert family_aut_search(params, grid, jobs=2) == hits
+
+
+def test_taft_aut_search_inverts_no_scalar(monkeypatch):
+    # every candidate map sends basis elements to multiples of basis
+    # elements, and the echelon kernel drops a one-term pivot without dividing
+    z4 = FieldCtx.cyclotomic(4)
+    params = FamilyParams(4, z4.root_of_unity(4), 4, None)
+    inverses = counting(monkeypatch, Scalar, "inverse")
+    hits = family_aut_search(params, [z4.zero, z4.one, -z4.one, z4.zeta])
+    assert [(k, str(c[1])) for k, c in hits] == [(1, "1"), (1, "-1"), (1, "z4")]
+    assert inverses == []
+
+
+def test_family_with_hypotheses_builds_once(monkeypatch):
+    algebras = counting(monkeypatch, constructions, "_family_algebra")
+    good = FamilyParams(2, Q.from_int(-1), 2, None)
+    H, hyp = family_with_hypotheses(good)
+    assert hyp.ok and check_hopf(H).ok and len(algebras) == 1
+    assert hyp.to_json() == family_hypotheses(good).to_json()
+    bad = FamilyParams(2, Q.from_int(-1), 3, None)
+    H, hyp = family_with_hypotheses(bad)
+    assert H is None and hyp.identity.startswith("top_binomials")
+    assert hyp.to_json() == family_hypotheses(bad).to_json()
 
 
 def test_aut_search_raises_when_the_hypotheses_fail():

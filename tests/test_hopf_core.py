@@ -371,12 +371,19 @@ def test_linear_map_matches_dense_reference(ctx):
         fg = f.compose(g)
         assert fg.cols == [to_sparse(c) for c in dense_compose(cols, inner, ctx, m)]
         assert all(no_zeros(c) for c in fg.cols)
+        for h in (f, g, fg):
+            if h.domain_dim != h.codomain_dim:
+                assert not h.is_invertible()
+                with pytest.raises(ValueError, match="only square maps"):
+                    h.inverse()
         # square maps: inverse against an independent determinant
         sq = [[rng.choice(vals) for _ in range(n)] for _ in range(n)]
         s = LinearMap(ctx, [to_sparse(c) for c in sq], n)
-        if dense_det(s.to_rows(), ctx).is_zero:
+        det = dense_det(s.to_rows(), ctx)
+        assert s.is_invertible() == (not det.is_zero)
+        if det.is_zero:
             singular += 1
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="singular matrix"):
                 s.inverse()
             continue
         inv = s.inverse()
@@ -387,6 +394,35 @@ def test_linear_map_matches_dense_reference(ctx):
         assert dense_compose(inv_cols, sq, ctx, n) == ident
         assert inv.compose(s) == LinearMap.identity(ctx, n)
     assert cancelled > 0 and 0 < singular < 40
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.name())
+def test_inverse_past_the_leibniz_range(ctx):
+    # invertible maps P U L (a permutation, an upper triangular map with a
+    # nonzero diagonal and a lower unitriangular one), and singular ones with
+    # a column that is a combination of two others
+    rng = random.Random(8)
+    vals = small_scalars(ctx)
+    units = [c for c in vals if not c.is_zero]
+    for _ in range(8):
+        n = rng.randint(5, 9)
+        perm = rng.sample(range(n), n)
+        P = LinearMap(ctx, [{perm[j]: ctx.one} for j in range(n)], n)
+        U = LinearMap(ctx, [{i: rng.choice(units) if i == j else rng.choice(vals)
+                             for i in range(j + 1)} for j in range(n)], n)
+        L = LinearMap(ctx, [{i: ctx.one if i == j else rng.choice(vals)
+                             for i in range(j, n)} for j in range(n)], n)
+        s = P.compose(U).compose(L)
+        assert s.is_invertible()
+        inv = s.inverse()
+        assert inv.compose(s) == s.compose(inv) == LinearMap.identity(ctx, n)
+        j, a, b = rng.sample(range(n), 3)
+        cols = list(s.cols)
+        cols[j] = lincomb([(rng.choice(vals), cols[a]), (rng.choice(vals), cols[b])])
+        t = LinearMap(ctx, cols, n)
+        assert not t.is_invertible()
+        with pytest.raises(ValueError, match="singular matrix"):
+            t.inverse()
 
 
 @pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.name())

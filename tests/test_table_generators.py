@@ -1,10 +1,10 @@
 """Cayley-table identities decided on generating sets, against full rows.
 
 GroupTable decides associativity for middles in G.gens only, check_star_compat
-the conjugations by G.gens only, and skew_brace_check the rows at b in e and
-dot.gens only.  The oracles here take every row.  On seeded inputs a failing
-report must have the oracle's status, identity, witness and count, and a
-passing one must be matched by a passing oracle (see agree)."""
+the conjugations by G.gens only, and skew_brace_check the rows at b in
+dot.gens or [dot.e] only.  The oracles here take every row.  On seeded inputs
+a failing report must have the oracle's status, identity, witness and count,
+and a passing one must be matched by a passing oracle (see agree)."""
 
 import random
 from math import gcd

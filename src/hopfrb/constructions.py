@@ -21,52 +21,24 @@ from .scalars import FieldCtx, Scalar, _json_int, parse_scalar, scalar_from_json
 # quantum binomial coefficients
 
 
-class QBinomTable:
-    """Rows of {p choose q}_zeta built by the recurrence
-    {p+1 choose q} = zeta^q {p choose q} + {p choose q-1}."""
-
-    __slots__ = ("zeta", "rows", "_zpow")
-
-    def __init__(self, zeta: Scalar):
-        self.zeta = zeta
-        one = zeta.ctx.one
-        self.rows = [[one]]
-        self._zpow = [one]
-
-    def value(self, p: int, q: int) -> Scalar:
-        assert 0 <= q <= p
-        while len(self.rows) <= p:
-            prev = self.rows[-1]
-            pp = len(prev) - 1
-            while len(self._zpow) <= pp + 1:
-                self._zpow.append(self._zpow[-1] * self.zeta)
-            zero = self.zeta.ctx.zero
-            row = []
-            for t in range(pp + 2):
-                c = zero
-                if t <= pp:
-                    c = c + self._zpow[t] * prev[t]
-                if t >= 1:
-                    c = c + prev[t - 1]
-                row.append(c)
-            for t in range(len(row) // 2 + 1):
-                assert row[t] == row[len(row) - 1 - t], "quantum binomial symmetry"
-            self.rows.append(row)
-        return self.rows[p][q]
-
-
-_qbinom_tables: dict = {}
+_qbinom_tables: dict = {}  # zeta -> the rows of {p choose q} built so far
 
 
 def qbinom(p: int, q: int, zeta: Scalar) -> Scalar:
-    """Gaussian binomial {p choose q} at zeta."""
+    """Gaussian binomial {p choose q} at zeta, from the rows of the recurrence
+    {p+1 choose q} = zeta^q {p choose q} + {p choose q-1}, kept per zeta."""
     if not 0 <= q <= p:
         raise ValueError(f"qbinom needs 0 <= q <= p, got p={p}, q={q}")
-    key = (zeta.ctx, zeta.val, zeta.den)
-    table = _qbinom_tables.get(key)
-    if table is None:
-        table = _qbinom_tables[key] = QBinomTable(zeta)
-    return table.value(p, q)
+    one = zeta.ctx.one
+    rows = _qbinom_tables.setdefault((zeta.ctx, zeta.val, zeta.den), [[one]])
+    while len(rows) <= p:
+        prev, zt, row = rows[-1], one, [one]
+        for t in range(1, len(prev)):
+            zt = zt * zeta
+            row.append(zt * prev[t] + prev[t - 1])
+        row.append(prev[-1])
+        rows.append(row)
+    return rows[p][q]
 
 
 def _witness(keys: tuple = (), text=str):

@@ -1,12 +1,17 @@
 """Rota-Baxter operators on finite groups, given by Cayley tables.
 
 Groups are index tables (elements 0..n-1); operators are image tuples.
-Weight 1 uses B(g)B(h) = B(gB(g)hB(g)^-1), weight -1 the flipped identity,
-and general weight lambda the mu-th-root form with lambda*mu = 1 modulo the
-group exponent.  Enumeration is a depth-first search over images with
-constraint propagation through precomputed argument rows; the cap bounds how
-many image assignments the search may perform before giving up with
-CapExceeded.
+Every Rota-Baxter identity here is one relative identity
+B(h1)B(h2) = B(h1 Psi_{B(h1)}(h2)), for B from a group H to a group G
+acting on H by automorphisms Psi.  An operator of weight lambda on G is a
+relative operator on (G_lambda, G, conjugation), with G_lambda the power
+star g*h = (g^lambda h^lambda)^mu, lambda*mu = 1 modulo the group exponent:
+G itself at weight 1 and its opposite at weight -1.  _relative_rows forms
+the argument rows of that identity; the weight checks, the relative check,
+the derived and circle tables and the enumeration all read them.
+Enumeration is a depth-first search over images with constraint
+propagation through those rows; the cap bounds how many image assignments
+the search may perform before giving up with CapExceeded.
 
 Identity checks on Cayley tables go a row at a time: _gather builds a C-level
 operator.itemgetter over one table row, both sides of a row of cases become
@@ -83,6 +88,21 @@ def _generators(t, e: int) -> list[int]:
     return gens
 
 
+class _ConjugationRows(dict):
+    """rows[v][h] = v h v^-1 for a group table, each row built when first read."""
+
+    __slots__ = ("table", "inv")
+
+    def __init__(self, table, inv):
+        super().__init__()
+        self.table, self.inv = table, inv
+
+    def __missing__(self, v):
+        t, vinv = self.table, self.inv[v]
+        self[v] = row = tuple(t[x][vinv] for x in t[v])
+        return row
+
+
 class _NotAGroup(ValueError):
     """A square table that fails a group axiom; report is check_group's."""
 
@@ -102,7 +122,7 @@ class GroupTable:
     and raises ValueError if one fails.
     """
 
-    __slots__ = ("n", "table", "e", "inv", "name", "axioms", "gens")
+    __slots__ = ("n", "table", "e", "inv", "name", "axioms", "gens", "_conj")
 
     def __init__(self, table, name: str = ""):
         self.table = t = _square(table)
@@ -142,6 +162,7 @@ class GroupTable:
         self.axioms = rep
         if not rep.ok:
             raise _NotAGroup(rep)
+        self._conj = _ConjugationRows(t, self.inv)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -292,7 +313,7 @@ class GroupAction:
 
     @classmethod
     def conjugation(cls, G: GroupTable) -> "GroupAction":
-        return cls([[G.conjugate(g, h) for h in range(G.n)] for g in range(G.n)])
+        return cls([G._conj[v] for v in range(G.n)])
 
     @classmethod
     def trivial(cls, H: GroupTable, G: GroupTable) -> "GroupAction":
@@ -301,6 +322,11 @@ class GroupAction:
     def check(self, H: GroupTable, G: GroupTable) -> VerificationReport:
         if len(self.maps) != G.n or any(len(m) != H.n for m in self.maps):
             raise ValueError("action shape does not match group orders")
+        for m in self.maps:
+            if not set(map(type, m)) <= {int}:
+                raise ValueError("action entries must be integers")
+            if min(m) < 0 or max(m) >= H.n:
+                raise ValueError("action entries are out of range")
         maps, t = self.maps, H.table
         ident = list(range(H.n))
         perm = "a permutation"
@@ -333,33 +359,41 @@ def _validate_map(G: GroupTable, B, codomain: GroupTable | None = None) -> tuple
 # RB identities
 
 
-def _arg_row(G: GroupTable, weight: int):
-    """row(g, v): the tuple over h of (g^lam v h^lam v^-1)^mu, lam = weight.
+def _relative_rows(table, maps):
+    """row(h, v): the tuple over h2 of h Psi_v(h2), for table the Cayley
+    table of H and maps[v] the permutation Psi_v of H.
 
-    With v = B(g) that is the argument whose image must be B(g)B(h). mu is
-    lam at weights 1 and -1 (g v h v^-1 and v h v^-1 g) and else the inverse
-    of lam modulo exp(G), with _lambda_root's ValueError when there is none.
+    With v = B(h) that is the argument whose image must be B(h)B(h2) in the
+    relative identity B(h)B(h2) = B(h Psi_{B(h)}(h2)).  maps[v] is read when
+    v first comes up, so a check reads only the maps at the images it reaches.
     """
-    n, t, inv = G.n, G.table, G.inv
-    cols = tuple(zip(*t))
-    if weight == 1:  # lam = mu = 1: both power maps are the identity
-        plam, right, outer = range(n), [_gather(r) for r in t], cols
-    else:
-        mu = -1 if weight == -1 else _lambda_root(G, weight)
-        plam = [G.power(g, weight) for g in range(n)]
-        pmu = [G.power(x, mu) for x in range(n)]
-        get_plam = _gather(plam)
-        right = [_gather(get_plam(r)) for r in t]  # right[x] picks index x h^lam over h
-        outer = [_gather(col)(pmu) for col in cols]  # outer[j][y] = (y j)^mu
-    return lambda g, v: right[t[plam[g]][v]](outer[inv[v]])
+    gets = {}
+
+    def row(h, v):
+        if v not in gets:
+            gets[v] = _gather(maps[v])
+        return gets[v](table[h])
+    return row
 
 
-def _rb_identity(G: GroupTable, B: tuple, weight: int, identity: str) -> VerificationReport:
-    """B(g)B(h) = B(arg) with arg from _arg_row; row g runs over h."""
-    t, row = G.table, _arg_row(G, weight)
-    get_b = _gather(B)
-    return first_row_failure(identity, (((g,), get_b(t[B[g]]), _gather(row(g, B[g]))(B))
-                                        for g in range(G.n)))
+def _relative_identity(table, maps, B: tuple, cod, identity: str) -> tuple:
+    """The relative identity of B into the group with table cod, row h over
+    h2: the report and the rows row(h, B(h)) formed for it, every row when
+    the report passes."""
+    row, get_b, rows = _relative_rows(table, maps), _gather(B), []
+
+    def cases():
+        for h, v in enumerate(B):
+            rows.append(row(h, v))
+            yield (h,), get_b(cod[v]), _gather(rows[-1])(B)
+
+    return first_row_failure(identity, cases()), rows
+
+
+def _rb_weight(G: GroupTable, B: tuple, lam: int, identity: str) -> tuple:
+    """The weight-lam identity of a validated map B: the relative identity
+    on (G_lam, G, conjugation)."""
+    return _relative_identity(_power_table(G, lam), G._conj, B, G.table, identity)
 
 
 def check_rb(G: GroupTable, B, weight: int) -> VerificationReport:
@@ -367,7 +401,7 @@ def check_rb(G: GroupTable, B, weight: int) -> VerificationReport:
     B = _validate_map(G, B)
     if weight not in (1, -1):
         raise ValueError("weight must be +1 or -1; use check_rb_lambda for general weights")
-    return _rb_identity(G, B, weight, f"rb_weight_{weight}")
+    return _rb_weight(G, B, weight, f"rb_weight_{weight}")[0]
 
 
 def ker_indices(G: GroupTable, B) -> list[int]:
@@ -390,7 +424,7 @@ def lemma_checks(G: GroupTable, B) -> VerificationReport:
     """The elementary consequences of the weight-1 identity, plus the
     subgroup property of kernel and image."""
     B = _validate_map(G, B)
-    if not check_rb(G, B, 1).ok:
+    if not _rb_weight(G, B, 1, "rb_weight_1")[0].ok:
         raise ValueError("lemma_checks requires a verified weight-1 operator")
     t, inv, n = G.table, G.inv, G.n
     ker = ker_indices(G, B)
@@ -426,17 +460,17 @@ def derived_group(G: GroupTable, B, *, circle: GroupTable | None = None
     so that the table is decided once.
     """
     B = _validate_map(G, B)
-    if not check_rb(G, B, 1).ok:
+    rb, star = _rb_weight(G, B, 1, "rb_weight_1")
+    if not rb.ok:
         raise ValueError("derived_group requires a verified weight-1 operator")
-    row = _arg_row(G, 1)
-    star = tuple(row(g, B[g]) for g in range(G.n))
+    star = tuple(star)
     if circle is not None and circle.table == star:
         Gstar = circle
     else:
         Gstar = GroupTable(star, name=(G.name + "*") if G.name else "star")
     return Gstar, merge_reports({
         "group_axioms": Gstar.axioms,
-        "rb_on_star": check_rb(Gstar, B, 1),
+        "rb_on_star": _rb_weight(Gstar, B, 1, "rb_weight_1")[0],
     })
 
 
@@ -446,15 +480,7 @@ def relative_rb_check(H: GroupTable, G: GroupTable, psi: GroupAction, B) -> Veri
     if not act.ok:
         raise ValueError(f"invalid action: {act.identity} witness {act.witness}")
     B = _validate_map(H, B, codomain=G)
-    g_t, h_t = G.table, H.table
-
-    def cases():
-        for h1 in range(H.n):
-            b1, acts = B[h1], psi.maps[B[h1]]
-            for h2 in range(H.n):
-                yield (h1, h2), g_t[b1][B[h2]], B[h_t[h1][acts[h2]]]
-
-    return first_failure("relative_rb", cases())
+    return _relative_identity(H.table, psi.maps, B, G.table, "relative_rb")[0]
 
 
 def semidirect(H: GroupTable, G: GroupTable, psi: GroupAction) -> GroupTable:
@@ -477,12 +503,7 @@ def semidirect(H: GroupTable, G: GroupTable, psi: GroupAction) -> GroupTable:
 def graph_is_subgroup(H: GroupTable, G: GroupTable, psi: GroupAction, B) -> bool:
     """Is {(h, B(h))} a subgroup of the semidirect product H x| G?"""
     B = _validate_map(H, B, codomain=G)
-    sd = semidirect(H, G, psi)
-    graph = {h * G.n + B[h] for h in range(H.n)}
-    if sd.e not in graph:
-        return False
-    return all(sd.table[a][b] in graph and sd.inv[a] in graph
-               for a in graph for b in graph)
+    return is_subgroup(semidirect(H, G, psi), [h * G.n + B[h] for h in range(H.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +520,24 @@ def _lambda_root(G: GroupTable, lam: int) -> int:
     return pow(lam % ex, -1, ex)
 
 
-def power_star(G: GroupTable, lam: int) -> GroupTable:
-    """g*h = (g^lam h^lam)^mu, the lambda-transported operation."""
+def _power_table(G: GroupTable, lam: int) -> tuple:
+    """The table of g*h = (g^lam h^lam)^mu: G's own at lam = 1 and its
+    transpose at -1.  Otherwise, with _lambda_root's errors, row g is the
+    row kernel on the table (xy)^mu and the one map y -> y^lam, at x = g^lam."""
+    if lam == 1:
+        return G.table
+    if lam == -1:
+        return tuple(zip(*G.table))
     mu = _lambda_root(G, lam)
     plam = [G.power(g, lam) for g in range(G.n)]
-    return GroupTable([[G.power(G.table[plam[a]][plam[b]], mu) for b in range(G.n)]
-                       for a in range(G.n)])
+    pmu = [G.power(x, mu) for x in range(G.n)]
+    row = _relative_rows([_gather(r)(pmu) for r in G.table], [plam])
+    return tuple(row(x, 0) for x in plam)
+
+
+def power_star(G: GroupTable, lam: int) -> GroupTable:
+    """g*h = (g^lam h^lam)^mu, the lambda-transported operation."""
+    return GroupTable(_power_table(G, lam))
 
 
 def check_star_compat(G: GroupTable, star: GroupTable) -> VerificationReport:
@@ -515,17 +548,15 @@ def check_star_compat(G: GroupTable, star: GroupTable) -> VerificationReport:
     The g whose conjugation is a star-homomorphism hold e and are closed
     under products, so g in G.gens decides every g.
     """
-    t, inv, st = G.table, G.inv, star.table
-    cols = tuple(zip(*t))
-    star_gets = [_gather(row) for row in st]
+    conj, star_gets = G._conj, [_gather(row) for row in star.table]
+    row = _relative_rows(star.table, conj)
 
     def conjugation_rows(gs):
-        # row (g, h1) runs over h2
+        # row (g, h1) runs over h2: g(h1*h2)g^-1 = (g h1 g^-1)*(g h2 g^-1)
         for g in gs:
-            conj = _gather(t[g])(cols[inv[g]])
-            get_conj = _gather(conj)
+            c = conj[g]
             for h1 in range(G.n):
-                yield (g, h1), star_gets[h1](conj), get_conj(st[conj[h1]])
+                yield (g, h1), star_gets[h1](c), row(c[h1], g)
 
     return merge_reports({
         "group_axioms": star.axioms,
@@ -538,7 +569,7 @@ def check_star_compat(G: GroupTable, star: GroupTable) -> VerificationReport:
 def check_rb_lambda(G: GroupTable, B, lam: int) -> VerificationReport:
     """B(g)B(h) = B((g^lam B(g) h^lam B(g)^-1)^mu) over all pairs."""
     B = _validate_map(G, B)
-    return _rb_identity(G, B, lam, "rb_weight_lambda")
+    return _rb_weight(G, B, lam, "rb_weight_lambda")[0]
 
 
 def skew_brace_check(dot: GroupTable, circ: GroupTable) -> VerificationReport:
@@ -579,13 +610,7 @@ def circ_from_rrb(G: GroupTable, star: GroupTable, B, *, star_compat=None,
     pre = check_star_compat(G, star) if star_compat is None else star_compat
     if not pre.ok:
         raise ValueError(f"star precondition fails: {pre.identity} witness {pre.witness}")
-    t, inv = G.table, G.inv
-    cols = tuple(zip(*t))
-    conj = [_gather(t[b])(cols[inv[b]]) for b in range(G.n)]  # conj[b][g] = b g b^-1
-    circ = [_gather(conj[B[g1]])(star.table[g1]) for g1 in range(G.n)]
-    get_b = _gather(B)
-    star_rb = first_row_failure("star_rb", (((g1,), get_b(t[B[g1]]), _gather(circ[g1])(B))
-                                            for g1 in range(G.n)))
+    star_rb, circ = _relative_identity(star.table, G._conj, B, G.table, "star_rb")
     if not star_rb.ok:
         w = star_rb.witness
         g1, g2 = w["indices"]
@@ -623,7 +648,7 @@ def _search_partition(table, weight: int, seeds, cap: int):
     """
     G = GroupTable(table)
     n, t = G.n, G.table
-    row = _arg_row(G, weight)
+    row = _relative_rows(_power_table(G, weight), G._conj)
     arg = [[row(g, v) for v in range(n)] for g in range(n)]
     img = [-1] * n
     order: list[int] = []
@@ -729,7 +754,7 @@ def linearize_rb(G: GroupTable, B, ctx):
     """The group algebra of G with B extended linearly; a weight-1 operator
     becomes a group Rota-Baxter operator on k[G]."""
     B = _validate_map(G, B)
-    if not check_rb(G, B, 1).ok:
+    if not _rb_weight(G, B, 1, "rb_weight_1")[0].ok:
         raise ValueError("linearize_rb requires a verified weight-1 operator")
     from .constructions import group_algebra
     from .hopf_core import LinearMap

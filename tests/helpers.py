@@ -1,6 +1,7 @@
 """Helpers that only the tests and tools/make_witnesses.py use: the
-automorphisms of a small group, the weight flip of an operator, a group
-transported through a bijection, the quantum binomial by expansion, the
+automorphisms of a small group, the weight flip of an operator, the
+argument of the weight-lambda Rota-Baxter identity, a group transported
+through a bijection, the quantum binomial by expansion, the
 Cauchy identity for quantum binomials, the closed-form criteria for
 automorphisms of the family H_{m,zeta,l,f}, two root-of-unity helpers, and
 a call counter."""
@@ -29,6 +30,15 @@ def automorphisms(G: GroupTable) -> list[tuple]:
 def weight_flip(B, G: GroupTable) -> tuple:
     """C(a) = B(a^-1); swaps the weight +1 and -1 identities."""
     return tuple(B[G.inv[a]] for a in range(G.n))
+
+
+def rb_argument(G: GroupTable, lam: int, g: int, v: int, h: int) -> int:
+    """(g^lam v h^lam v^-1)^mu with lam*mu = 1 modulo exp(G), written out
+    with G.power: the element whose image must be B(g)B(h) when B(g) = v."""
+    ex = G.exponent()
+    mu = pow(lam % ex, -1, ex)
+    t = G.table
+    return G.power(t[t[t[G.power(g, lam)][v]][G.power(h, lam)]][G.inv[v]], mu)
 
 
 def transport_group(G: GroupTable, f) -> GroupTable:

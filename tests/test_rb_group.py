@@ -17,7 +17,7 @@ from hopfrb.rb_group import (CapExceeded, GroupAction, GroupTable, check_group, 
                              relative_rb_check, semidirect, skew_brace_check)
 from hopfrb.report import VerificationReport, first_failure, first_row_failure
 
-from helpers import automorphisms, transport_group, weight_flip
+from helpers import automorphisms, rb_argument, transport_group, weight_flip
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -229,6 +229,20 @@ def test_group_action_check():
     assert not rep.ok
 
 
+def test_group_action_check_rejects_bad_entries():
+    Z3, Z2 = GroupTable.cyclic(3), GroupTable.cyclic(2)
+    for maps, message in (([[0, 1, 2], [0, 5, 2]], "out of range"),
+                          ([[0, 1, 2], [0, -1, 2]], "out of range"),
+                          ([[0, 1, 2], [0, 2.0, 1]], "integers"),
+                          ([[0, 1, 2], [0, True, 2]], "integers")):
+        act = GroupAction(maps)
+        for call in (lambda: act.check(Z3, Z2),
+                     lambda: relative_rb_check(Z3, Z2, act, (0, 0, 0)),
+                     lambda: graph_is_subgroup(Z3, Z2, act, (0, 0, 0))):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 def test_automorphism_counts():
     # |Aut|: Z2 -> 1, Z3 -> 2, Z4 -> 2, V4 -> 6, S3 -> 6
     assert len(automorphisms(GroupTable.cyclic(2))) == 1
@@ -303,9 +317,10 @@ def test_argument_rows_at_b_are_the_descendent_group():
     operators = 0
     for G, lam in ((S3, 1), (S3, -1), (D8, 1), (D8, -1), (F21, 1), (F21, -1), (F21, 2),
                    (Z5, 2), (Z5, 3), (Z5, 4)):
-        row, star = rb_group._arg_row(G, lam), power_star(G, lam)
+        star = power_star(G, lam)
         for B in enumerate_rb(G, lam):
-            rows = tuple(row(g, B[g]) for g in range(G.n))
+            rows = tuple(tuple(rb_argument(G, lam, g, B[g], h) for h in range(G.n))
+                         for g in range(G.n))
             assert circ_from_rrb(G, star, B)[0].table == rows, (G, lam, B)
             if lam == 1:
                 assert derived_group(G, B)[0].table == rows, (G, B)
@@ -508,6 +523,67 @@ def test_check_rb_lambda_reduces_to_weight_one():
         B = tuple(random.randrange(6) for _ in range(6))
         assert check_rb_lambda(S3, B, 1).ok == check_rb(S3, B, 1).ok
         assert check_rb_lambda(S3, B, -1).ok == check_rb(S3, B, -1).ok
+
+
+def rb_cases(G: GroupTable, B, lam: int):
+    """The weight-lambda identity one pair at a time, with the argument
+    formula of each weight written out: g B(g) h B(g)^-1 at 1,
+    B(g) h B(g)^-1 g at -1 and rb_argument otherwise."""
+    t, inv = G.table, G.inv
+    for g in range(G.n):
+        bg = B[g]
+        for h in range(G.n):
+            if lam == 1:
+                arg = t[t[t[g][bg]][h]][inv[bg]]
+            elif lam == -1:
+                arg = t[t[t[bg][h]][inv[bg]]][g]
+            else:
+                arg = rb_argument(G, lam, g, bg, h)
+            yield (g, h), t[bg][B[h]], B[arg]
+
+
+def relative_rb_cases(H: GroupTable, G: GroupTable, psi: GroupAction, B):
+    """B(h1)B(h2) = B(h1 Psi_{B(h1)}(h2)) one pair at a time."""
+    for h1 in range(H.n):
+        acts = psi.maps[B[h1]]
+        for h2 in range(H.n):
+            yield (h1, h2), G.table[B[h1]][B[h2]], B[H.table[h1][acts[h2]]]
+
+
+def test_every_weight_is_the_relative_identity_on_the_power_star():
+    # check_rb, check_rb_lambda and relative_rb_check on (G_lam, G,
+    # conjugation) give the reports of the case-by-case identities
+    rng = random.Random(15)
+    S3, D8 = GroupTable.symmetric(3), GroupTable.metacyclic(4, 2, 3)
+    F21, Z5 = GroupTable.metacyclic(7, 3, 2), GroupTable.cyclic(5)
+    verdicts = []
+    for G, lam in ((S3, 1), (S3, -1), (D8, 1), (D8, -1), (F21, 2), (F21, 5),
+                   (Z5, 2), (Z5, 3), (Z5, 4)):
+        maps = []
+        for op in enumerate_rb(G, lam):
+            maps.append(op)
+            near = list(op)
+            x = rng.randrange(G.n)
+            near[x] = (near[x] + rng.randrange(1, G.n)) % G.n
+            maps.append(tuple(near))
+        for _ in range(10):
+            B = [rng.randrange(G.n) for _ in range(G.n)]
+            maps.append(tuple(B))
+            B[G.e] = G.e
+            maps.append(tuple(B))
+        star, conj = power_star(G, lam), GroupAction.conjugation(G)
+        for B in maps:
+            want = first_failure("rb_weight_lambda", rb_cases(G, B, lam)).to_json()
+            assert check_rb_lambda(G, B, lam).to_json() == want, (G, lam, B)
+            if lam in (1, -1):
+                want_pm = first_failure(f"rb_weight_{lam}", rb_cases(G, B, lam)).to_json()
+                assert check_rb(G, B, lam).to_json() == want_pm, (G, lam, B)
+            rel = relative_rb_check(star, G, conj, B).to_json()
+            assert rel == first_failure("relative_rb", rb_cases(G, B, lam)).to_json()
+            assert rel == first_failure("relative_rb",
+                                        relative_rb_cases(star, G, conj, B)).to_json()
+            verdicts.append(rel["status"] == "pass")
+    assert 200 < sum(verdicts) < len(verdicts) - 200
 
 
 def test_check_rb_lambda_identity_map():

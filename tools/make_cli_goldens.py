@@ -1,0 +1,94 @@
+"""Regenerate tests/data/cli/, the golden outputs of the hopfrb command line.
+
+Each file holds the exact standard output of one command: check-group-rb on
+a passing operator and on a near miss of it (one image changed) at weights 1
+and -1 on S3 and D8 and weight 2 on F21, and enum-rb on S3 (weight 1), D8
+(weights 1 and -1), F21 (weight 2) and Z2^3 (weight 1).  The JSON carries
+every status, witness and count, so a change to any of them shows.
+tests/test_cli_goldens.py reruns every command and compares byte for byte.
+
+Run from the repository root:  python3 tools/make_cli_goldens.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from hopfrb import cli
+from hopfrb.rb_group import GroupTable
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUT = os.path.join(ROOT, "tests", "data", "cli")
+FIXTURES = os.path.join(ROOT, "fixtures")
+
+# file name -> (group, command arguments after the group, expected exit code)
+CASES = {
+    "check-group-rb-S3-w1-pass.json": ("S3", ["check-group-rb", "--map", "0,3,4,4,3,0"], 0),
+    "check-group-rb-S3-w1-near.json": ("S3", ["check-group-rb", "--map", "0,3,4,4,3,1"], 1),
+    "check-group-rb-S3-w-1-pass.json": ("S3", ["check-group-rb", "--weight=-1",
+                                               "--map", "0,3,4,3,4,0"], 0),
+    "check-group-rb-S3-w-1-near.json": ("S3", ["check-group-rb", "--weight=-1",
+                                               "--map", "0,3,4,3,4,2"], 1),
+    "check-group-rb-D8-w1-pass.json": ("D8", ["check-group-rb", "--map", "0,1,1,0,4,5,5,4"], 0),
+    "check-group-rb-D8-w1-near.json": ("D8", ["check-group-rb", "--map", "0,1,1,0,4,5,5,6"], 1),
+    "check-group-rb-D8-w-1-pass.json": ("D8", ["check-group-rb", "--weight=-1",
+                                               "--map", "0,1,1,4,4,5,5,0"], 0),
+    "check-group-rb-D8-w-1-near.json": ("D8", ["check-group-rb", "--weight=-1",
+                                               "--map", "0,1,1,4,4,5,2,0"], 1),
+    "check-group-rb-F21-w2-pass.json": (
+        "F21", ["check-group-rb", "--weight", "2",
+                "--map", "0,1,2,15,4,5,9,7,8,3,10,11,18,13,14,12,16,17,6,19,20"], 0),
+    "check-group-rb-F21-w2-near.json": (
+        "F21", ["check-group-rb", "--weight", "2",
+                "--map", "0,1,2,15,4,5,9,7,8,3,10,11,18,13,14,12,16,17,6,19,0"], 1),
+    "enum-rb-S3-w1.json": ("S3", ["enum-rb"], 0),
+    "enum-rb-D8-w1.json": ("D8", ["enum-rb"], 0),
+    "enum-rb-D8-w-1.json": ("D8", ["enum-rb", "--weight=-1"], 0),
+    "enum-rb-F21-w2.json": ("F21", ["enum-rb", "--weight", "2"], 0),
+    "enum-rb-Z2xZ2xZ2-w1.json": ("Z2^3", ["enum-rb"], 0),
+}
+
+
+def group_files(directory: str) -> dict:
+    """Group name -> file: S3 and F21 from fixtures/, D8 and Z2^3 written
+    into directory."""
+    Z2 = GroupTable.cyclic(2)
+    built = {"D8": GroupTable.metacyclic(4, 2, 3),
+             "Z2^3": GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2)}
+    paths = {"S3": os.path.join(FIXTURES, "s3.json"), "F21": os.path.join(FIXTURES, "f21.json")}
+    for name, G in built.items():
+        paths[name] = os.path.join(directory, name.replace("^", "") + ".json")
+        with open(paths[name], "w") as fh:
+            json.dump({"name": name, "table": [list(r) for r in G.table]}, fh)
+    return paths
+
+
+def outputs() -> dict:
+    """File name -> the standard output of its command."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = group_files(tmp)
+        for fname, (group, args, want) in CASES.items():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main([args[0], "--group", paths[group], *args[1:]])
+            if code != want:
+                raise RuntimeError(f"{fname}: exit {code}, expected {want}")
+            out[fname] = buf.getvalue()
+    return out
+
+
+def main() -> int:
+    os.makedirs(OUT, exist_ok=True)
+    for fname, text in outputs().items():
+        with open(os.path.join(OUT, fname), "w") as fh:
+            fh.write(text)
+    print(f"wrote {len(CASES)} files to {OUT}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

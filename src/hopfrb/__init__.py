@@ -1,9 +1,9 @@
 """Exact verification toolkit for Rota-Baxter operators on finite groups,
 Hopf algebras, and Lie algebras, over Q, cyclotomic fields, and prime fields."""
 
-from .constructions import (FamilyParams, antipode_closed_form, family, family_aut_report,
-                            family_aut_search, family_hypotheses, family_params_from_json,
-                            group_algebra, qbinom, sweedler_h4, taft)
+from .constructions import (FamilyParams, family, family_aut_report, family_aut_search,
+                            family_hypotheses, family_params_from_json, group_algebra,
+                            qbinom, sweedler_h4, taft)
 from .hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, check_algebra,
                         check_antipode, check_bialgebra_compat, check_coalgebra,
                         check_cobrace_compat, check_hopf, generating_set,

@@ -21,7 +21,7 @@ from .rb_group import (DEFAULT_CAP, CapExceeded, check_rb, check_rb_lambda, chec
                        lemma_checks, operator_to_json, power_star, skew_brace_check)
 from .rb_hopf import check_rrbo, rrb_from_json
 from .rb_lie import check_lie, check_rb_lie_weight, lie_from_json
-from .report import VerificationReport, first_failure, merge_reports
+from .report import VerificationReport, first_failure, labelled, merge_reports
 from .scalars import parse_field, parse_scalar
 
 EXIT_PASS = 0
@@ -84,8 +84,7 @@ def _antipode_order_report(H) -> VerificationReport:
     s2 = H.antipode.compose(H.antipode)
     cases = [((), "S^4 = id" if s2.compose(s2) == ident else "S^4 != id", "S^4 = id"),
              ((), "S^2 = id" if s2 == ident else "S^2 != id", "S^2 != id")]
-    return first_failure("antipode_order_4", cases,
-                         lambda identity, indices, lhs, rhs: {"identity": rhs})
+    return first_failure("antipode_order_4", cases, labelled([]))
 
 
 def _family_params(args, ctx) -> FamilyParams:

@@ -367,13 +367,6 @@ def iterated_delta(coalg: CoalgebraData, sv: dict, legs: int) -> dict:
     return t
 
 
-def delta_power(H, v: dict, k: int) -> dict:
-    """Delta of a sparse vector iterated into k Sweedler legs, k in 1..3."""
-    if not 1 <= k <= 3:
-        raise ValueError("delta_power supports 1 to 3 legs")
-    return iterated_delta(_coalgebra_of(H), v, k)
-
-
 # ---------------------------------------------------------------------------
 # generating sets
 
@@ -427,24 +420,6 @@ def generating_set(A) -> list[int]:
 # axiom checkers
 
 
-# identities whose right side is the basis element itself, shown by its label
-_BASIS_RHS = ("unit", "counit_left", "counit_right")
-
-
-def _witness(labels: list[str], shown: list[str] | None = None):
-    """first_failure formatter: indices name basis elements of labels, and
-    both sides print over shown (labels unless given)."""
-    # at most three indices: associativity names a basis triple
-    witness = labelled([labels] * 3, labels if shown is None else shown)
-
-    def basis_rhs(identity, indices, lhs, rhs) -> dict:
-        w = witness(identity, indices, lhs, rhs)
-        if identity in _BASIS_RHS:
-            w["rhs"] = labels[indices[0]]
-        return w
-    return basis_rhs
-
-
 def check_algebra(A) -> VerificationReport:
     """Two-sided unit, then associativity (e_i e_s) e_k = e_i (e_s e_k) for
     s in generating_set(A).
@@ -474,15 +449,15 @@ def check_algebra(A) -> VerificationReport:
         middles = generating_set(A)
     except ValueError:   # no unit, so a unit case fails
         middles = None
-    return decide_on(first_failure, "algebra", cases, middles, A.dim, _witness(A.labels),
-                     shared=2 * A.dim)
+    return decide_on(first_failure, "algebra", cases, middles, A.dim,
+                     labelled([A.labels] * 3, A.labels), shared=2 * A.dim)
 
 
 def check_coalgebra(C) -> VerificationReport:
     """Coassociativity and the two counit laws on every basis element."""
     C = _coalgebra_of(C)
     one = C.ctx.one
-    deltas = [iterated_delta(C, {i: one}, 2) for i in range(C.dim)]
+    deltas = [C.delta_basis(i) for i in range(C.dim)]
 
     def cases():
         for i, t in enumerate(deltas):
@@ -492,7 +467,7 @@ def check_coalgebra(C) -> VerificationReport:
             yield ("counit_left", i), tensor_apply_counit(C, t, 0), e_i
             yield ("counit_right", i), tensor_apply_counit(C, t, 1), e_i
 
-    return first_failure("coalgebra", cases(), _witness(C.labels))
+    return first_failure("coalgebra", cases(), labelled([C.labels], C.labels))
 
 
 def check_bialgebra_compat(H: HopfData, *, generators=None) -> VerificationReport:
@@ -508,7 +483,7 @@ def check_bialgebra_compat(H: HopfData, *, generators=None) -> VerificationRepor
     A, C = H.algebra, H.coalgebra
     one = A.ctx.one
     su = A.unit
-    deltas = [iterated_delta(C, {i: one}, 2) for i in range(A.dim)]
+    deltas = [C.delta_basis(i) for i in range(A.dim)]
 
     def cases(firsts):
         unit = iterated_delta(C, su, 1)
@@ -523,7 +498,7 @@ def check_bialgebra_compat(H: HopfData, *, generators=None) -> VerificationRepor
                        C.counit[i] * C.counit[j])
 
     return decide_on(first_failure, "bialgebra_compat", cases, generators, A.dim,
-                     _witness(A.labels), shared=2)
+                     labelled([A.labels] * 2, A.labels), shared=2)
 
 
 def check_antipode(H: HopfData, *, generators=None) -> VerificationReport:
@@ -536,7 +511,7 @@ def check_antipode(H: HopfData, *, generators=None) -> VerificationReport:
     """
     A, C, S = H.algebra, H.coalgebra, H.antipode
     one_vec = A.unit
-    deltas = [iterated_delta(C, {i: A.ctx.one}, 2) for i in range(A.dim)]
+    deltas = [C.delta_basis(i) for i in range(A.dim)]
     images = S.cols
 
     def product(t: dict) -> dict:
@@ -559,7 +534,7 @@ def check_antipode(H: HopfData, *, generators=None) -> VerificationReport:
                    tensor_permute(tensor_apply_map(S, tensor_apply_map(S, t, 0), 1), [1, 0]))
 
     return decide_on(first_failure, "antipode", cases, generators, A.dim,
-                     _witness(A.labels), shared=3 * A.dim + 1)
+                     labelled([A.labels] * 2, A.labels), shared=3 * A.dim + 1)
 
 
 def check_hopf(H: HopfData) -> VerificationReport:
@@ -582,7 +557,7 @@ def check_hopf(H: HopfData) -> VerificationReport:
 def is_cocommutative(H) -> bool:
     C = _coalgebra_of(H)
     for i in range(C.dim):
-        t = iterated_delta(C, {i: C.ctx.one}, 2)
+        t = C.delta_basis(i)
         if t != tensor_permute(t, [1, 0]):
             return False
     return True
@@ -616,23 +591,21 @@ def is_algebra_morphism(f: LinearMap, src, dst) -> VerificationReport:
                 yield (("morphism_mult", i, j), f.apply(A.mul_basis(i, j)),
                        B.mul_sparse(images[i], images[j]))
 
-    return first_failure("algebra_morphism", cases(), _witness(A.labels, B.labels))
+    return first_failure("algebra_morphism", cases(), labelled([A.labels] * 2, B.labels))
 
 
 def is_coalgebra_morphism(f: LinearMap, src, dst) -> VerificationReport:
     """Delta(f(a)) = (f (x) f)(Delta(a)) and counit preservation."""
     C, D = _coalgebra_of(src), _coalgebra_of(dst)
-    one = C.ctx.one
     images = f.cols
 
     def cases():
         for i in range(C.dim):
-            t = iterated_delta(C, {i: one}, 2)
             yield (("morphism_comult", i), iterated_delta(D, images[i], 2),
-                   tensor_apply_map(f, tensor_apply_map(f, t, 0), 1))
+                   tensor_apply_map(f, tensor_apply_map(f, C.delta_basis(i), 0), 1))
             yield ("morphism_counit", i), D.counit_sparse(images[i]), C.counit[i]
 
-    return first_failure("coalgebra_morphism", cases(), _witness(C.labels, D.labels))
+    return first_failure("coalgebra_morphism", cases(), labelled([C.labels], D.labels))
 
 
 def is_hopf_morphism(f: LinearMap, src: HopfData, dst: HopfData) -> VerificationReport:
@@ -688,7 +661,7 @@ def check_cobrace_compat(m: AlgebraData, D1: CoalgebraData, D2: CoalgebraData,
 
     def cases():
         for a in range(A.dim):
-            lhs = tensor_apply_delta(C1, iterated_delta(C2, {a: one}, 2), 1)
+            lhs = tensor_apply_delta(C1, C2.delta_basis(a), 1)
             t = iterated_delta(C1, {a: one}, 3)
             t = tensor_apply_delta(C2, t, 0)           # (11', 12', 2, 3)
             t = tensor_apply_delta(C2, t, 3)           # (11', 12', 2, 31', 32')
@@ -697,7 +670,7 @@ def check_cobrace_compat(m: AlgebraData, D1: CoalgebraData, D2: CoalgebraData,
             t = tensor_mul_legs(A, t, 0)
             yield (a,), lhs, tensor_mul_legs(A, t, 0)
 
-    return first_failure("cobrace_compat", cases(), _witness(A.labels))
+    return first_failure("cobrace_compat", cases(), labelled([A.labels], A.labels))
 
 
 # ---------------------------------------------------------------------------

@@ -181,23 +181,19 @@ def _action_join(phi: ActionData, t: dict, gleg: int, hleg: int) -> dict:
                    for tup, c in t.items())
 
 
-def _delta_tensor(H: HopfData, i: int, legs: int) -> dict:
-    return iterated_delta(H.coalgebra, {i: H.ctx.one}, legs)
-
-
 def _cond3_sides(data: RelRBHopf, a: int, b: int) -> tuple[dict, dict]:
     """Both sides of the compatibility equation for basis elements a, b."""
     H, G, phi, B = data.H, data.G, data.phi, data.B
+    C, one = H.coalgebra, H.ctx.one
     # lhs: split a once, act on b, split the result, multiply a1 in
-    t = _delta_tensor(H, a, 2)                       # [a1, a2]
-    t = tensor_apply_map(B, t, 1)                    # [a1, B(a2)]
-    t = tensor_outer(t, _delta_tensor(H, b, 1))      # [a1, B(a2), b]
+    t = tensor_apply_map(B, C.delta_basis(a), 1)     # [a1, B(a2)]
+    t = tensor_outer(t, {(b,): one})                 # [a1, B(a2), b]
     t = _action_join(phi, t, 1, 2)                   # [a1, u]
-    t = tensor_apply_delta(H.coalgebra, t, 1)        # [a1, u1, u2]
+    t = tensor_apply_delta(C, t, 1)                  # [a1, u1, u2]
     t = tensor_permute(t, [1, 0, 2])                 # [u1, a1, u2]
     lhs = tensor_mul_legs(H.algebra, t, 1)           # [u1, a1*u2]
     # rhs: split a thrice and b once
-    t = tensor_outer(_delta_tensor(H, a, 3), _delta_tensor(H, b, 2))  # [a1,a2,a3,b1,b2]
+    t = tensor_outer(iterated_delta(C, {a: one}, 3), C.delta_basis(b))  # [a1,a2,a3,b1,b2]
     t = tensor_apply_map(B, t, 0)
     t = tensor_apply_map(B, t, 2)
     t = _action_join(phi, t, 0, 3)                   # [a2, Ba3, u, b2]

@@ -145,10 +145,12 @@ def show(x, labels=()) -> str:
 
 
 def labelled(labels: list, shown=(), show_lhs=None, show_rhs=None):
-    """first_failure formatter for identities on basis elements.
+    """first_failure formatter for every witness whose sides print as text.
 
-    labels holds one label list per index position.  Both sides print by
-    show over the labels shown, each side by show_lhs or show_rhs when given.
+    labels holds one label list for each of the leading index positions it
+    names: basis elements, or the terms and binomials of the family's
+    hypotheses.  Both sides print by show over the labels shown, each side
+    by show_lhs or show_rhs when given.
     """
     def witness(identity, indices, lhs, rhs) -> dict:
         return {"identity": identity, "indices": list(indices),

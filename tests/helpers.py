@@ -2,16 +2,16 @@
 automorphisms of a small group, the weight flip of an operator, the
 argument of the weight-lambda Rota-Baxter identity, a group transported
 through a bijection, the quantum binomial by expansion, the
-Cauchy identity for quantum binomials, the closed-form criteria for
-automorphisms of the family H_{m,zeta,l,f}, two root-of-unity helpers, and
-a call counter."""
+Cauchy identity for quantum binomials, the closed forms of the antipode
+of the family H_{m,zeta,l,f} and of the criteria for its automorphisms,
+two root-of-unity helpers, and a call counter."""
 
 import itertools
 from math import gcd
 
-from hopfrb.constructions import FamilyParams, _witness, qbinom
+from hopfrb.constructions import FamilyParams, qbinom
 from hopfrb.rb_group import GroupTable
-from hopfrb.report import VerificationReport, first_failure
+from hopfrb.report import VerificationReport, first_failure, labelled
 from hopfrb.scalars import (FieldCtx, Scalar, _poly_divmod, _poly_mul, _poly_sub,
                             multiplicative_order)
 
@@ -85,7 +85,17 @@ def cauchy_check(q: int, zeta: Scalar) -> VerificationReport:
     rhs = [qbinom(q, t, zeta) * zeta ** (t * (t - 1) // 2) for t in range(q + 1)]
     lhs = lhs + [ctx.zero] * (q + 1 - len(lhs))
     return first_failure("cauchy_binomial", (((q, t), lhs[t], rhs[t]) for t in range(q + 1)),
-                         _witness(("q", "degree")))
+                         labelled([]))
+
+
+def antipode_closed_form(params: FamilyParams, p: int, q: int) -> tuple[Scalar, int]:
+    """Coefficient and basis index of S(g^p x^q): the sign-and-power formula
+    (-1)^q zeta^(-pq - q(q-1)/2) on g^(-p-q) x^q."""
+    if not (0 <= p < params.m and 0 <= q < params.l):
+        raise ValueError(f"basis exponents out of range: p={p}, q={q}")
+    zeta = params.zeta
+    coeff = (-params.ctx.one) ** q * zeta ** (-(p * q) - q * (q - 1) // 2)
+    return coeff, params.index((-p - q) % params.m, q)
 
 
 def aut_theorem_conditions(params: FamilyParams, k: int, c) -> dict:

@@ -8,9 +8,8 @@ import random
 import time
 from itertools import product
 
-from hopfrb.constructions import (FamilyParams, antipode_closed_form, family,
-                                  family_aut_report, family_aut_search, family_hypotheses,
-                                  group_algebra, qbinom, sweedler_h4, taft)
+from hopfrb.constructions import (FamilyParams, family, family_aut_report, family_aut_search,
+                                  family_hypotheses, group_algebra, qbinom, sweedler_h4, taft)
 from hopfrb.hopf_core import (LinearMap, check_hopf, is_hopf_morphism, iterated_delta,
                               tensor_apply_map, tensor_mul_legs)
 from hopfrb.rb_group import (GroupAction, GroupTable, check_rb, check_rb_lambda,
@@ -23,7 +22,8 @@ from hopfrb.rb_hopf import (RelRBHopf, adjoint_action, check_hopf_brace, check_r
 from hopfrb.rb_lie import (adjoint_lie_action, check_rb_lie_weight,
                            check_relative_rb_lie, rescale_bracket, sl2)
 from hopfrb.scalars import FieldCtx
-from helpers import automorphisms, cauchy_check, qbinom_oracle, weight_flip
+from helpers import (antipode_closed_form, automorphisms, cauchy_check, qbinom_oracle,
+                     weight_flip)
 from test_rb_hopf import cond3_remark_sides, failing_pairs
 
 Q = FieldCtx.rationals()

@@ -66,7 +66,7 @@ def test_verify_family_pass_and_fail(capsys):
     assert code == 1
     assert payload["status"] == "fail"
     assert payload["identity"].startswith("top_binomials")
-    assert payload["witness"]["q"] == 2
+    assert payload["witness"]["labels"] == ["{4 choose 2}"]
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -294,9 +294,13 @@ def test_every_part_reports_a_count(tmp_path, capsys):
 def test_antipode_order_failures_keep_their_witness():
     # S^2 = id in a group algebra; S^4 != id in the Taft algebra with m = 3
     rep = _antipode_order_report(group_algebra(GroupTable.cyclic(3), FieldCtx.rationals()))
-    assert (rep.identity, rep.witness) == ("antipode_order_4", {"identity": "S^2 != id"})
+    assert (rep.identity, rep.witness) == ("antipode_order_4", {
+        "identity": "antipode_order_4", "indices": [], "lhs": "S^2 = id", "rhs": "S^2 != id",
+        "labels": []})
     rep = _antipode_order_report(taft(3, FieldCtx.cyclotomic(3)))
-    assert (rep.identity, rep.witness) == ("antipode_order_4", {"identity": "S^4 = id"})
+    assert (rep.identity, rep.witness) == ("antipode_order_4", {
+        "identity": "antipode_order_4", "indices": [], "lhs": "S^4 != id", "rhs": "S^4 = id",
+        "labels": []})
 
 
 def expect_input_error(capsys, *argv) -> str:

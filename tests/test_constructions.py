@@ -1,17 +1,21 @@
 """Quantum binomials, the Sweedler and Taft algebras, the g,x family, automorphisms."""
 
+import random
+from math import gcd
+
 import pytest
 
 from hopfrb import constructions
-from hopfrb.constructions import (FamilyParams, antipode_closed_form, family,
-                                  family_aut_report, family_aut_search, family_hypotheses,
-                                  family_params_from_json, family_with_hypotheses, group_algebra,
-                                  qbinom, sweedler_h4, taft)
+from hopfrb.constructions import (FamilyParams, family, family_aut_report, family_aut_search,
+                                  family_hypotheses, family_params_from_json,
+                                  family_with_hypotheses, group_algebra, qbinom, sweedler_h4,
+                                  taft)
 from hopfrb.hopf_core import LinearMap, check_hopf, is_hopf_morphism
 from hopfrb.rb_group import GroupTable
-from hopfrb.scalars import FieldCtx, Scalar
+from hopfrb.scalars import FieldCtx, Scalar, parse_field
 
-from helpers import aut_theorem_conditions, cauchy_check, counting, qbinom_oracle
+from helpers import (antipode_closed_form, aut_theorem_conditions, cauchy_check, counting,
+                     qbinom_oracle)
 
 Q = FieldCtx.rationals()
 
@@ -117,7 +121,7 @@ def test_family_hypotheses_negative_cases():
     rep = family_hypotheses(FamilyParams(2, Q.from_int(-1), 3, None))
     assert not rep.ok
     assert rep.identity == "top_binomials"
-    assert rep.witness["q"] == 2
+    assert rep.witness["labels"] == ["{3 choose 1}"]
     # nonzero constant term
     rep = family_hypotheses(FamilyParams(2, Q.from_int(-1), 2, [Q.one]))
     assert rep.identity == "constant_term"
@@ -132,14 +136,45 @@ def test_family_hypotheses_negative_cases():
 
 
 def test_delta_relation_is_authoritative():
-    # m = 1, l = 2 over Q: every closed-form condition passes (the binomial
-    # range is empty) but Delta(x)^2 keeps the cross term 2 x (x) x
+    # m = 1, l = 2 over Q: Delta(x)^2 keeps the cross term {2 choose 1} x (x) x
+    # = 2 x (x) x, and the closed form for q = 1 names that coefficient
     rep = family_hypotheses(FamilyParams(1, Q.one, 2, None))
     assert not rep.ok
-    assert rep.identity == "delta_relation"
-    for name in ("constant_term", "degree_congruence", "top_binomials",
-                 "f_term_binomials"):
-        assert rep.details[name]["status"] == "pass"
+    assert rep.identity == "top_binomials"
+    assert rep.witness["labels"] == ["{2 choose 1}"]
+    assert rep.witness["lhs"] == "2"
+    assert rep.details["delta_relation"]["witness"]["lhs"] == "(2)*g^0*x^1(x)g^0*x^1"
+
+
+def test_closed_forms_agree_with_the_delta_relation():
+    # a seeded sweep over roots of unity zeta of order d in seven fields,
+    # m = d or 2d, l = 1..7 and f with random coefficients at the degrees p
+    # with zeta^p = zeta^l: the four closed forms pass together exactly when
+    # Delta(x)^l = Delta(f(x)) does
+    rng = random.Random(20261018)
+    roots = []
+    for name, n in (("Q", 2), ("Q(z3)", 3), ("Q(z4)", 4), ("Q(z6)", 6), ("F3", 2), ("F5", 4),
+                    ("F7", 6)):
+        w = parse_field(name).root_of_unity(n)
+        roots.append((-w, 6) if n == 3 else (w, n))    # -z3 has order 6
+    closed = ("constant_term", "degree_congruence", "top_binomials", "f_term_binomials")
+    disagree = []
+    for _ in range(250):
+        w, n = rng.choice(roots)
+        k = rng.randrange(n)
+        zeta, ctx = w ** k, w.ctx
+        m = n // gcd(n, k) * rng.choice((1, 2))
+        l = rng.randint(1, 7)
+        f = [ctx.from_int(rng.choice((0, 0, 1, -1, 2))) if zeta ** p == zeta ** l
+             else ctx.zero for p in range(l)]
+        if rng.random() < 0.5:
+            f[0] = ctx.zero
+        params = FamilyParams(m, zeta, l, f)
+        rep = family_hypotheses(params)
+        by_closed_forms = all(rep.details[name]["status"] == "pass" for name in closed)
+        if by_closed_forms != (rep.details["delta_relation"]["status"] == "pass"):
+            disagree.append(params)
+    assert disagree == []
 
 
 def test_family_f3_instances():

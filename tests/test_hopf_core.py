@@ -1,5 +1,6 @@
 """Structure-constant Hopf algebra kernel: axiom checkers and tensor legs."""
 
+import copy
 import itertools
 import json
 import random
@@ -10,7 +11,7 @@ from hopfrb.constructions import FamilyParams, family, group_algebra, sweedler_h
 from hopfrb.hopf_core import (MAX_DIM, AlgebraData, CoalgebraData, HopfData, LinearMap,
                               check_algebra, check_antipode,
                               check_bialgebra_compat, check_coalgebra, check_cobrace_compat,
-                              check_hopf, delta_power, generating_set,
+                              check_hopf, generating_set,
                               group_like_basis_indices,
                               hopf_from_json, hopf_to_json, is_algebra_morphism,
                               is_coalgebra_morphism, is_cocommutative, is_group_like,
@@ -93,19 +94,27 @@ def test_antipode_axiom_negative():
     assert rep.witness is not None
 
 
-def test_delta_power_h4_oracle():
+def test_iterated_delta_h4_oracle():
     H4 = sweedler_h4(Q)
     one = Q.one
     x = {2: one}
     # Delta(x) = x (x) 1 + g (x) x
-    d2 = delta_power(H4, x, 2)
+    d2 = iterated_delta(H4.coalgebra, x, 2)
     assert d2 == {(2, 0): one, (1, 2): one}
     # one more leg: x11 + gx1 + ggx
-    d3 = delta_power(H4, x, 3)
+    d3 = iterated_delta(H4.coalgebra, x, 3)
     assert d3 == {(2, 0, 0): one, (1, 2, 0): one, (1, 1, 2): one}
-    with pytest.raises(ValueError):
-        delta_power(H4, x, 4)
-    assert {len(k) for k in iterated_delta(H4.coalgebra, {2: one}, 4)} == {4}
+    assert {len(k) for k in iterated_delta(H4.coalgebra, x, 4)} == {4}
+
+
+def test_checkers_leave_the_coproduct_table_unchanged():
+    # the checkers read the stored Delta(e_i) in place
+    H4 = sweedler_h4(Q)
+    broken = HopfData(H4.algebra, H4.coalgebra, LinearMap.identity(Q, 4))
+    for H, ok in ((H4, True), (taft(3, FieldCtx.cyclotomic(3)), True), (broken, False)):
+        before = copy.deepcopy(H.coalgebra.delta)
+        assert check_hopf(H).ok == ok
+        assert H.coalgebra.delta == before
 
 
 def test_tensor_leg_operations():
@@ -125,7 +134,7 @@ def test_tensor_leg_arguments_are_checked():
     H4 = sweedler_h4(Q)
     with pytest.raises(ValueError, match="at least one leg"):
         iterated_delta(H4.coalgebra, {2: Q.one}, 0)
-    t = delta_power(H4, {2: Q.one}, 2)
+    t = H4.coalgebra.delta_basis(2)
     for perm in ([0, 0], [0, 1, 2], [1]):
         with pytest.raises(ValueError, match="not a permutation"):
             tensor_permute(t, perm)
@@ -135,7 +144,7 @@ def test_tensor_leg_arguments_are_checked():
 def test_counit_collapses_sweedler_leg():
     H4 = sweedler_h4(Q)
     for i in range(4):
-        t = delta_power(H4, {i: Q.one}, 2)
+        t = H4.coalgebra.delta_basis(i)
         left = tensor_apply_counit(H4.coalgebra, t, 0)
         assert left == {(i,): Q.one}
 

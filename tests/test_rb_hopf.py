@@ -1,5 +1,6 @@
 """Relative Rota-Baxter operators between Hopf algebras."""
 
+import copy
 import json
 import random
 from itertools import product
@@ -17,7 +18,7 @@ from hopfrb.rb_hopf import (ActionData, RelRBHopf, action_from_json, adjoint_act
                             check_action, check_hopf_brace, check_rrbo, circle,
                             derived_hopf, exact_factorization_rrb, grbo_check,
                             hrbo_action, hrbo_check, rrb_from_json, rrb_to_json,
-                            _action_join, _cond3_sides, _delta_tensor)
+                            _action_join, _cond3_sides)
 from hopfrb.scalars import FieldCtx
 
 Q = FieldCtx.rationals()
@@ -26,6 +27,10 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def sparse(v: list) -> dict:
     return {i: c for i, c in enumerate(v) if not c.is_zero}
+
+
+def _delta_tensor(H, i: int, legs: int) -> dict:
+    return iterated_delta(H.coalgebra, {i: H.ctx.one}, legs)
 
 
 def counit_unit_operator(H) -> LinearMap:
@@ -469,6 +474,17 @@ def test_check_rrbo_catches_every_one_entry_change_of_the_h4_fixture():
     for name, bad in mutants:
         rep = check_rrbo(bad, full=True)
         assert not rep.ok and rep.witness is not None, name
+
+
+def test_failing_check_rrbo_leaves_the_coproduct_tables_unchanged():
+    # condition 3 reads the stored Delta(e_a) and Delta(e_b) in place
+    obj = json.loads((FIXTURES / "h4-rrb-exact-factorization.json").read_text())
+    obj["B"][2][2] = "2"
+    data = rrb_from_json(obj, str(FIXTURES))
+    before = copy.deepcopy((data.H.coalgebra.delta, data.G.coalgebra.delta))
+    rep = check_rrbo(data, full=True)
+    assert not rep.ok and "condition_3_compat" in rep.details
+    assert (data.H.coalgebra.delta, data.G.coalgebra.delta) == before
 
 
 def test_action_join_needs_two_legs():

@@ -294,11 +294,15 @@ def lie_cases(out: dict) -> None:
 def family_cases(out: dict) -> None:
     m1 = Q.from_int(-1)
     f5 = FieldCtx.prime(5)
+    z3 = FieldCtx.cyclotomic(3)
     cases = {
         "constant_term": FamilyParams(2, m1, 2, [1]),
         "degree_congruence": FamilyParams(4, m1, 3, [0, 1]),
         "top_binomials": FamilyParams(2, m1, 4, None),
         "f_term_binomials": FamilyParams(1, f5.one, 5, [0, 0, 0, 1]),
+        # {2 choose 1} = 1 + zeta, the one binomial of the l = 2 and p = 2 cases
+        "top_binomials_l2": FamilyParams(3, z3.root_of_unity(3), 2, None),
+        "f_term_binomials_p2": FamilyParams(1, f5.one, 5, [0, 0, 1]),
     }
     for name, params in cases.items():
         out[f"family_hypotheses/{name}"] = verdict(family_hypotheses(params).to_json())

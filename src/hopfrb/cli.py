@@ -210,17 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it as
     it was, since every value goes to the namespace it returns."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default="Q", help="scalar field: Q, Q(zN), or Fp")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes")
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="assignment budget for enumerations")
     common.add_argument("--out", default=None, help="write output to this path")
     common.add_argument("--format", choices=("json", "tsv"), default="json")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", default="Q", help="scalar field: Q, Q(zN), or Fp")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     p = argparse.ArgumentParser(prog="hopfrb", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", parents=[common], help="build a construction and check it")
+    v = sub.add_parser("verify", parents=[common, field], help="build a construction and check it")
     v.add_argument("--construction", required=True,
                    choices=("group-algebra", "h4", "taft", "family"))
     v.add_argument("--group", help="group table file (group-algebra)")
@@ -230,8 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--f", help="comma-separated coefficients of f, constant first")
     v.set_defaults(func=cmd_verify)
 
-    e = sub.add_parser("enum-rb", parents=[common],
+    e = sub.add_parser("enum-rb", parents=[common, jobs],
                        help="enumerate Rota-Baxter operators on a finite group")
+    e.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="assignment budget for the enumeration")
     e.add_argument("--group", required=True, help="group table file")
     e.add_argument("--weight", type=int, default=1)
     e.set_defaults(func=cmd_enum_rb)
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate every condition instead of stopping at the first failure")
     c.set_defaults(func=cmd_check_rrb)
 
-    a = sub.add_parser("aut", parents=[common],
+    a = sub.add_parser("aut", parents=[common, field, jobs],
                        help="search Hopf algebra automorphisms over a coefficient grid")
     a.add_argument("--construction", required=True, choices=("h4", "taft", "family"))
     a.add_argument("--grid", required=True, help="comma-separated exact scalars")

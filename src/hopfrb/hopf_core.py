@@ -185,6 +185,28 @@ def _labels(labels, dim: int) -> list[str]:
     return out
 
 
+def _table(entries: dict, dims: tuple, what: str) -> dict:
+    """A structure-constant table {(i, j): sparse vector}, validated: i and j
+    below dims[0] and dims[1], every key of a vector below dims[2].  Zero
+    terms and the entries left empty are dropped."""
+    di, dj, dk = dims
+    out = {}
+    for (i, j), terms in entries.items():
+        if not 0 <= i < di or not 0 <= j < dj:
+            raise ValueError(f"{what} entry ({i},{j}) out of range for dims {di} x {dj}")
+        _check_keys(terms, dk, f"{what} ({i},{j}) term index")
+        t = _nonzero(terms)
+        if t:
+            out[(i, j)] = t
+    return out
+
+
+def _bilinear(table: dict, sa: dict, sb: dict) -> dict:
+    """The bilinear extension of a structure table to sparse vectors."""
+    return lincomb((ca * cb, t) for i, ca in sa.items() for j, cb in sb.items()
+                   if (t := table.get((i, j))))
+
+
 class AlgebraData:
     """Unital associative algebra by structure constants.
 
@@ -202,22 +224,13 @@ class AlgebraData:
         self.dim = dim
         self.unit = _nonzero(unit)
         _check_keys(self.unit, dim, "unit index")
-        self.mult = {}
-        for (i, j), terms in mult.items():
-            if not 0 <= i < dim or not 0 <= j < dim:
-                raise ValueError(f"mult entry ({i},{j}) out of range for dim {dim}")
-            _check_keys(terms, dim, "mult target")
-            t = _nonzero(terms)
-            if t:
-                self.mult[(i, j)] = t
+        self.mult = _table(mult, (dim, dim, dim), "mult")
 
     def mul_basis(self, i: int, j: int) -> dict:
         return self.mult.get((i, j), {})
 
     def mul_sparse(self, sa: dict, sb: dict) -> dict:
-        mult = self.mult
-        return lincomb((ca * cb, m) for i, ca in sa.items() for j, cb in sb.items()
-                       if (m := mult.get((i, j))))
+        return _bilinear(self.mult, sa, sb)
 
 
 class CoalgebraData:
@@ -284,6 +297,49 @@ class HopfData:
     @property
     def unit(self) -> dict:
         return self.algebra.unit
+
+
+class ActionData:
+    """An action by structure constants: phi[(g, h)] is the sparse expansion
+    of Phi_{e_g}(e_h).  It is a module-algebra action of a Hopf algebra G
+    on H (rb_hopf) or a derivation action of a Lie algebra g on h (rb_lie)."""
+
+    __slots__ = ("ctx", "dim_g", "dim_h", "phi")
+
+    def __init__(self, ctx: FieldCtx, dim_g: int, dim_h: int, phi: dict):
+        self.ctx = ctx
+        self.dim_g = dim_g
+        self.dim_h = dim_h
+        self.phi = _table(phi, (dim_g, dim_h, dim_h), "phi")
+
+    @classmethod
+    def from_matrices(cls, ctx: FieldCtx, mats: list) -> "ActionData":
+        """The action with Phi_{e_g} = mats[g]; the inverse of matrix_for."""
+        if not mats:
+            raise ValueError("an action needs one matrix per basis element")
+        n = mats[0].domain_dim
+        for m in mats:
+            if m.ctx != ctx:
+                raise ValueError("action matrices use different scalar fields")
+            if not m.domain_dim == m.codomain_dim == n:
+                raise ValueError(f"action matrix is {m.codomain_dim} x {m.domain_dim},"
+                                 f" expected {n} x {n}")
+        return cls(ctx, len(mats), n, {(g, h): col for g, m in enumerate(mats)
+                                       for h, col in enumerate(m.cols)})
+
+    def apply_basis(self, g: int, h: int) -> dict:
+        return self.phi.get((g, h), {})
+
+    def apply(self, sg: dict, sh: dict) -> dict:
+        """Phi of a sparse G-vector on a sparse H-vector."""
+        return _bilinear(self.phi, sg, sh)
+
+    def matrix_for(self, g: int) -> LinearMap:
+        return LinearMap(self.ctx, [self.apply_basis(g, h) for h in range(self.dim_h)],
+                         self.dim_h)
+
+    def to_json(self) -> list:
+        return _table_to_json(self.phi, "ghi")
 
 
 def _algebra_of(x) -> AlgebraData:
@@ -677,12 +733,24 @@ def check_cobrace_compat(m: AlgebraData, D1: CoalgebraData, D2: CoalgebraData,
 # serialization
 
 
+def _table_to_json(table: dict, keys: str) -> list:
+    """A structure table as rows {a: i, b: j, "terms": [{k: t, "c": x}]} in
+    sorted order, where keys spells a, b, k: "ijk" or "ghi"."""
+    a, b, k = keys
+    return [{a: i, b: j, "terms": [{k: t, "c": c.to_json()} for t, c in sorted(terms.items())]}
+            for (i, j), terms in sorted(table.items())]
+
+
+def _table_from_json(rows: list, ctx: FieldCtx, keys: str) -> dict:
+    """The inverse of _table_to_json; indices must be JSON integers."""
+    a, b, k = keys
+    return {(_json_int(r[a], f"entry {a}"), _json_int(r[b], f"entry {b}")):
+            {_json_int(t[k], f"term {k}"): scalar_from_json(t["c"], ctx) for t in r["terms"]}
+            for r in rows}
+
+
 def hopf_to_json(H: HopfData) -> dict:
     A, C = H.algebra, H.coalgebra
-    mult = []
-    for (i, j) in sorted(A.mult):
-        terms = [{"k": k, "c": c.to_json()} for k, c in sorted(A.mult[(i, j)].items())]
-        mult.append({"i": i, "j": j, "terms": terms})
     delta = []
     for i in sorted(C.delta):
         terms = [{"j": j, "k": k, "c": c.to_json()} for (j, k), c in sorted(C.delta[i].items())]
@@ -692,7 +760,7 @@ def hopf_to_json(H: HopfData) -> dict:
         "dim": A.dim,
         "labels": list(A.labels),
         "unit": [A.unit.get(i, A.ctx.zero).to_json() for i in range(A.dim)],
-        "mult": mult,
+        "mult": _table_to_json(A.mult, "ijk"),
         "delta": delta,
         "counit": [c.to_json() for c in C.counit],
         "antipode": H.antipode.to_json(),
@@ -706,9 +774,7 @@ def hopf_from_json(obj: dict) -> HopfData:
     unit = [scalar_from_json(c, ctx) for c in obj["unit"]]
     if len(unit) != dim:
         raise ValueError("unit length does not match dim")
-    mult = {(_json_int(e["i"], "mult i"), _json_int(e["j"], "mult j")):
-            {_json_int(t["k"], "mult k"): scalar_from_json(t["c"], ctx) for t in e["terms"]}
-            for e in obj["mult"]}
+    mult = _table_from_json(obj["mult"], ctx, "ijk")
     delta = {_json_int(e["i"], "delta i"):
              {(_json_int(t["j"], "delta j"), _json_int(t["k"], "delta k")):
               scalar_from_json(t["c"], ctx) for t in e["terms"]}

@@ -15,62 +15,17 @@ legs are materialized and compared entry-wise.
 from __future__ import annotations
 
 from .constructions import group_algebra
-from .hopf_core import (AlgebraData, HopfData, LinearMap, _check_keys,
+from .hopf_core import (ActionData, AlgebraData, HopfData, LinearMap, _table_from_json,
                         group_like_basis_indices, is_coalgebra_morphism, iterated_delta,
                         lincomb, opposite_hopf, tensor_apply_delta, tensor_apply_map,
                         tensor_mul_legs, tensor_outer, tensor_permute)
 from .rb_group import GroupTable, is_subgroup
 from .report import VerificationReport, first_failure, labelled, merge_reports
-from .scalars import FieldCtx, _json_int, scalar_from_json
-
-
-class ActionData:
-    """Phi: G tensor H -> H by structure constants: phi[(g, h)] is the
-    sparse expansion of Phi_{e_g}(e_h)."""
-
-    __slots__ = ("ctx", "dim_g", "dim_h", "phi")
-
-    def __init__(self, ctx: FieldCtx, dim_g: int, dim_h: int, phi: dict):
-        self.ctx = ctx
-        self.dim_g = dim_g
-        self.dim_h = dim_h
-        self.phi = {}
-        for (g, h), terms in phi.items():
-            if not 0 <= g < dim_g or not 0 <= h < dim_h:
-                raise ValueError(f"phi entry ({g},{h}) out of range for dims {dim_g} x {dim_h}")
-            _check_keys(terms, dim_h, f"phi ({g},{h}) term index")
-            t = {k: c for k, c in terms.items() if not c.is_zero}
-            if t:
-                self.phi[(g, h)] = t
-
-    def apply_basis(self, g: int, h: int) -> dict:
-        return self.phi.get((g, h), {})
-
-    def apply(self, gs: dict, hs: dict) -> dict:
-        """Phi of a sparse G-vector on a sparse H-vector."""
-        phi = self.phi
-        return lincomb((cg * ch, t) for g, cg in gs.items() for h, ch in hs.items()
-                       if (t := phi.get((g, h))))
-
-    def matrix_for(self, g: int) -> LinearMap:
-        return LinearMap(self.ctx, [self.apply_basis(g, h) for h in range(self.dim_h)],
-                         self.dim_h)
-
-    def to_json(self) -> list:
-        out = []
-        for (g, h), terms in sorted(self.phi.items()):
-            out.append({"g": g, "h": h,
-                        "terms": [{"i": k, "c": c.to_json()} for k, c in sorted(terms.items())]})
-        return out
+from .scalars import FieldCtx
 
 
 def action_from_json(obj: list, ctx: FieldCtx, dim_g: int, dim_h: int) -> ActionData:
-    phi: dict = {}
-    for row in obj:
-        terms = {_json_int(t["i"], "phi term index"): scalar_from_json(t["c"], ctx)
-                 for t in row["terms"]}
-        phi[(_json_int(row["g"], "phi g"), _json_int(row["h"], "phi h"))] = terms
-    return ActionData(ctx, dim_g, dim_h, phi)
+    return ActionData(ctx, dim_g, dim_h, _table_from_json(obj, ctx, "ghi"))
 
 
 def _check_action_dims(phi: ActionData, G: HopfData, H: HopfData) -> None:

@@ -7,14 +7,16 @@ The relative identity for B: h -> g under an action phi: g -> Der(h) is
 
 and rescaling the bracket of h by lambda with phi = ad reduces it to the
 plain weight-lambda Rota-Baxter identity on one algebra.  Vectors are sparse
-dicts combined by hopf_core.lincomb; operators and actions are LinearMaps.
+dicts combined by hopf_core.lincomb; operators are LinearMaps, and an action
+is a hopf_core.ActionData, the table of phi(e_i)(e_j) by structure constants.
 """
 
 from __future__ import annotations
 
-from .hopf_core import LinearMap, _labels, lincomb
+from .hopf_core import (ActionData, LinearMap, _bilinear, _labels, _table, _table_from_json,
+                        _table_to_json, lincomb)
 from .report import VerificationReport, first_failure, labelled, merge_reports
-from .scalars import FieldCtx, Scalar, _json_int, parse_field, scalar_from_json
+from .scalars import FieldCtx, Scalar, _json_int, parse_field
 
 
 class LieData:
@@ -32,13 +34,7 @@ class LieData:
         self.labels = _labels(labels, dim)
         self.ctx = ctx
         self.dim = dim
-        self.brackets = {}
-        for (i, j), terms in brackets.items():
-            if not 0 <= i < dim or not 0 <= j < dim or any(not 0 <= k < dim for k in terms):
-                raise ValueError(f"bracket entry ({i},{j}) out of range for dim {dim}")
-            t = {k: c for k, c in terms.items() if not c.is_zero}
-            if t:
-                self.brackets[(i, j)] = t
+        self.brackets = _table(brackets, (dim, dim, dim), "bracket")
         for (i, j), terms in list(self.brackets.items()):
             if (j, i) not in self.brackets and i != j:
                 self.brackets[(j, i)] = {k: -c for k, c in terms.items()}
@@ -47,14 +43,11 @@ class LieData:
         return self.brackets.get((i, j), {})
 
     def bracket_sparse(self, sa: dict, sb: dict) -> dict:
-        brackets = self.brackets
-        return lincomb((ca * cb, t) for i, ca in sa.items() for j, cb in sb.items()
-                       if (t := brackets.get((i, j))))
+        return _bilinear(self.brackets, sa, sb)
 
 
 def check_lie(L: LieData) -> VerificationReport:
     """Antisymmetry (including [u,u] = 0) and the Jacobi identity."""
-    zero = L.ctx.zero
     one = L.ctx.one
 
     def antisymmetry():
@@ -68,54 +61,23 @@ def check_lie(L: LieData) -> VerificationReport:
         for i in range(L.dim):
             for j in range(L.dim):
                 for k in range(L.dim):
-                    acc: dict = {}
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = L.bracket_basis(a, b)
-                        for t, ct in L.bracket_sparse(inner, {c: one}).items():
-                            acc[t] = acc.get(t, zero) + ct
-                    # cancelled entries stay in acc, and the witness shows them
-                    yield (i, j, k), acc, {t: zero for t in acc}
+                    cyclic = lincomb((one, L.bracket_sparse(L.bracket_basis(a, b), {c: one}))
+                                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+                    yield (i, j, k), cyclic, {}
 
     return merge_reports({
         "antisymmetry": first_failure("antisymmetry", antisymmetry(),
                                       labelled([L.labels] * 2, L.labels)),
-        "jacobi": first_failure("jacobi", jacobi(),
-                                labelled([L.labels] * 3, L.labels, show_rhs=lambda _: "0")),
+        "jacobi": first_failure("jacobi", jacobi(), labelled([L.labels] * 3, L.labels)),
     })
 
 
-class DerivationAction:
-    """phi: g -> Der(h) by one matrix per g-basis element."""
-
-    __slots__ = ("ctx", "dim_g", "dim_h", "mats")
-
-    def __init__(self, ctx: FieldCtx, mats: list[LinearMap]):
-        if not mats:
-            raise ValueError("a derivation action needs one matrix per basis element")
-        self.ctx = ctx
-        self.dim_g = len(mats)
-        self.dim_h = mats[0].domain_dim
-        for m in mats:
-            if m.ctx != ctx:
-                raise ValueError("action matrices use different scalar fields")
-            if not m.domain_dim == m.codomain_dim == self.dim_h:
-                raise ValueError(f"action matrix is {m.codomain_dim} x {m.domain_dim},"
-                                 f" expected {self.dim_h} x {self.dim_h}")
-        self.mats = list(mats)
-
-    def apply(self, gs: dict, hv: dict) -> dict:
-        """phi(u)(v) for sparse u in g and v in h."""
-        return lincomb((c, self.mats[i].apply(hv)) for i, c in gs.items())
+def adjoint_lie_action(L: LieData) -> ActionData:
+    """phi = ad: phi(u)(v) = [u, v], whose table is the bracket table."""
+    return ActionData(L.ctx, L.dim, L.dim, L.brackets)
 
 
-def adjoint_lie_action(L: LieData) -> DerivationAction:
-    """phi = ad: phi(u)(v) = [u, v]."""
-    return DerivationAction(L.ctx, [
-        LinearMap(L.ctx, [L.bracket_basis(i, j) for j in range(L.dim)], L.dim)
-        for i in range(L.dim)])
-
-
-def check_derivation_action(phi: DerivationAction, g: LieData, h: LieData) -> VerificationReport:
+def check_derivation_action(phi: ActionData, g: LieData, h: LieData) -> VerificationReport:
     """Each phi(e_i) derives the bracket of h, and phi is a Lie morphism
     into the commutator bracket on endomorphisms."""
     if (phi.dim_g, phi.dim_h) != (g.dim, h.dim):
@@ -125,22 +87,19 @@ def check_derivation_action(phi: DerivationAction, g: LieData, h: LieData) -> Ve
 
     def derivation():
         for i in range(g.dim):
-            m = phi.mats[i]
             for u in range(h.dim):
                 for v in range(h.dim):
-                    rhs = lincomb([(one, h.bracket_sparse(m.cols[u], {v: one})),
-                                   (one, h.bracket_sparse({u: one}, m.cols[v]))])
-                    yield (i, u, v), m.apply(h.bracket_basis(u, v)), rhs
+                    rhs = lincomb([(one, h.bracket_sparse(phi.apply_basis(i, u), {v: one})),
+                                   (one, h.bracket_sparse({u: one}, phi.apply_basis(i, v)))])
+                    yield (i, u, v), phi.apply({i: one}, h.bracket_basis(u, v)), rhs
 
     def lie_morphism():
         for i in range(g.dim):
             for j in range(g.dim):
-                mi, mj = phi.mats[i], phi.mats[j]
-                comm_cols = [lincomb([(one, mi.apply(mj.cols[u])), (-one, mj.apply(mi.cols[u]))])
+                comm_cols = [lincomb([(one, phi.apply({i: one}, phi.apply_basis(j, u))),
+                                      (-one, phi.apply({j: one}, phi.apply_basis(i, u)))])
                              for u in range(h.dim)]
-                lhs_cols = [lincomb((c, phi.mats[k].cols[u])
-                                    for k, c in g.bracket_basis(i, j).items())
-                            for u in range(h.dim)]
+                lhs_cols = [phi.apply(g.bracket_basis(i, j), {u: one}) for u in range(h.dim)]
                 yield (i, j), lhs_cols, comm_cols
 
     return merge_reports({
@@ -173,7 +132,7 @@ def _rb_lie_cases(g: LieData, h: LieData, act, B: LinearMap, lam: Scalar):
             yield (u, v), g.bracket_sparse(bu, bv), B.apply(arg)
 
 
-def check_relative_rb_lie(g: LieData, h: LieData, phi: DerivationAction,
+def check_relative_rb_lie(g: LieData, h: LieData, phi: ActionData,
                           B: LinearMap, lam: Scalar) -> VerificationReport:
     """[B(u), B(v)]_g = B(phi(B(u))v - phi(B(v))u + lambda*[u,v]_h) on basis pairs."""
     act = check_derivation_action(phi, g, h)
@@ -209,20 +168,11 @@ def sl2(ctx: FieldCtx) -> LieData:
 
 
 def lie_to_json(L: LieData) -> dict:
-    rows = []
-    for (i, j), terms in sorted(L.brackets.items()):
-        rows.append({"i": i, "j": j,
-                     "terms": [{"k": k, "c": c.to_json()} for k, c in sorted(terms.items())]})
-    return {"dim": L.dim, "field": L.ctx.name(), "brackets": rows, "labels": L.labels}
+    return {"dim": L.dim, "field": L.ctx.name(), "brackets": _table_to_json(L.brackets, "ijk"),
+            "labels": L.labels}
 
 
 def lie_from_json(obj: dict) -> LieData:
     ctx = parse_field(obj["field"])
     dim = _json_int(obj["dim"], "dim")
-    brackets: dict = {}
-    for row in obj["brackets"]:
-        terms = {_json_int(t["k"], "term index"): scalar_from_json(t["c"], ctx)
-                 for t in row["terms"]}
-        ij = (_json_int(row["i"], "bracket index"), _json_int(row["j"], "bracket index"))
-        brackets[ij] = terms
-    return LieData(ctx, dim, brackets, obj.get("labels"))
+    return LieData(ctx, dim, _table_from_json(obj["brackets"], ctx, "ijk"), obj.get("labels"))

@@ -1,6 +1,7 @@
 """Command line interface, driven in process through main(argv)."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,8 @@ from hopfrb.scalars import FieldCtx
 
 from helpers import counting
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -426,3 +428,34 @@ def test_lie_dimension_is_capped(tmp_path, capsys):
     path.write_text(json.dumps(big))
     err = expect_input_error(capsys, "check-lie", "--input", str(path))
     assert "exceeds cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-lie", "--input", str(FIXTURES / "sl2.json"), "--field", "F5"],
+    ["check-rrb", "--input", str(FIXTURES / "h4-rrb-exact-factorization.json"), "--jobs", "4"],
+    ["check-group-rb", "--group", str(FIXTURES / "z3.json"), "--map", "0,0,0", "--cap", "1"],
+    ["verify", "--construction", "h4", "--jobs", "2"],
+])
+def test_subcommands_reject_shared_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def readme_commands() -> list:
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line)[1:] for line in section.splitlines() if line.startswith("hopfrb ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # from the repository root, where the README's fixture paths resolve
+    monkeypatch.chdir(ROOT)
+    commands = readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / "out.json")
+        code = main(argv)
+        assert code in (0, 1), (argv, capsys.readouterr().err)

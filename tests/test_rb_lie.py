@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from hopfrb.hopf_core import LinearMap
-from hopfrb.rb_lie import (DerivationAction, LieData, adjoint_lie_action,
+from hopfrb.hopf_core import ActionData, LinearMap
+from hopfrb.rb_lie import (LieData, adjoint_lie_action,
                            check_derivation_action, check_lie,
                            check_rb_lie_weight, check_relative_rb_lie,
                            lie_from_json, lie_to_json, rescale_bracket, sl2)
@@ -62,7 +62,7 @@ def test_check_derivation_action_negative():
     g = solvable_2dim()
     # phi(x) = phi(y) = identity: the identity is not a derivation of [x,y]=x
     ident = LinearMap.identity(Q, 2)
-    rep = check_derivation_action(DerivationAction(Q, [ident, ident]), g, g)
+    rep = check_derivation_action(ActionData.from_matrices(Q, [ident, ident]), g, g)
     assert not rep.ok
     assert rep.identity.startswith("derivation")
 
@@ -78,7 +78,7 @@ def test_relative_rb_rejects_invalid_action():
     g = solvable_2dim()
     ident = LinearMap.identity(Q, 2)
     with pytest.raises(ValueError) as exc:
-        check_relative_rb_lie(g, g, DerivationAction(Q, [ident, ident]),
+        check_relative_rb_lie(g, g, ActionData.from_matrices(Q, [ident, ident]),
                               ident, Q.zero)
     assert "invalid derivation action" in str(exc.value)
 
@@ -170,13 +170,13 @@ def test_derivation_actions_and_operators_are_checked():
     g, s = sl2(Q), solvable_2dim()
     ident2, ident3 = LinearMap.identity(Q, 2), LinearMap.identity(Q, 3)
     with pytest.raises(ValueError, match="one matrix per basis element"):
-        DerivationAction(Q, [])
+        ActionData.from_matrices(Q, [])
     with pytest.raises(ValueError, match="different scalar fields"):
-        DerivationAction(Q, [LinearMap.identity(FieldCtx.prime(5), 2)])
+        ActionData.from_matrices(Q, [LinearMap.identity(FieldCtx.prime(5), 2)])
     with pytest.raises(ValueError, match="expected 2 x 2"):
-        DerivationAction(Q, [ident2, ident3])
+        ActionData.from_matrices(Q, [ident2, ident3])
     with pytest.raises(ValueError, match="expected g x h = 3 x 3"):
-        check_derivation_action(DerivationAction(Q, [ident2, ident2]), g, g)
+        check_derivation_action(ActionData.from_matrices(Q, [ident2, ident2]), g, g)
     with pytest.raises(ValueError, match="B maps dim 2 to dim 2, expected 3 to 3"):
         check_relative_rb_lie(g, g, adjoint_lie_action(g), ident2, Q.zero)
     with pytest.raises(ValueError, match="B maps dim 3 to dim 3, expected 2 to 2"):

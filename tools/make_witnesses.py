@@ -27,7 +27,7 @@ from hopfrb.rb_group import (GroupAction, GroupTable, check_group, check_rb, che
                              check_star_compat, relative_rb_check, skew_brace_check)
 from hopfrb.rb_hopf import (ActionData, check_action, check_hopf_brace, check_rrbo,
                             grbo_check, hrbo_check, rrb_from_json)
-from hopfrb.rb_lie import (DerivationAction, LieData, adjoint_lie_action,
+from hopfrb.rb_lie import (LieData, adjoint_lie_action,
                            check_derivation_action, check_lie, check_rb_lie_weight,
                            check_relative_rb_lie, sl2)
 from hopfrb.scalars import FieldCtx
@@ -266,11 +266,12 @@ def lie_cases(out: dict) -> None:
     out["check_lie/not_jacobi"] = verdict(check_lie(not_jacobi).to_json())
 
     ident = LinearMap.identity(Q, 3)
+    identities = ActionData.from_matrices(Q, [ident, ident, ident])
     out["check_derivation_action/sl2/identity"] = verdict(
-        check_derivation_action(DerivationAction(Q, [ident, ident, ident]), g, g).to_json())
+        check_derivation_action(identities, g, g).to_json())
     ad = adjoint_lie_action(g)
     # ad(e), ad(h) and ad(h) again: each a derivation, but not a Lie morphism
-    mixed = DerivationAction(Q, [ad.mats[0], ad.mats[1], ad.mats[1]])
+    mixed = ActionData.from_matrices(Q, [ad.matrix_for(0), ad.matrix_for(1), ad.matrix_for(1)])
     out["check_derivation_action/sl2/ad_e,ad_h,ad_h"] = verdict(
         check_derivation_action(mixed, g, g).to_json())
 

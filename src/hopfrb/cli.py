@@ -130,23 +130,24 @@ def cmd_verify(args) -> int:
 def cmd_enum_rb(args) -> int:
     G = group_from_json(_load_json(args.group))
     ops = enumerate_rb(G, args.weight, cap=args.cap, jobs=args.jobs)
-    star = power_star(G, args.weight)
-    # fixed by (G, weight), so decided once for every operator
-    fixed = {"star_compat": check_star_compat(G, star),
-             "dot_star_brace": skew_brace_check(G, star)}
-    rows = []
-    for op in ops:
-        entry = operator_to_json(G, op, args.weight)
-        circ, circ_rep = circ_from_rrb(G, star, op, **fixed)
-        entry["skew_brace"] = circ_rep.status
-        if args.weight == 1:
-            # the circle table on power_star(G, 1) is the derived star table
-            _, drep = derived_group(G, op, circle=circ)
+    rows = [operator_to_json(G, op, args.weight) for op in ops]
+    if args.weight == 1:
+        # the star of weight 1 is G's own table and the circle group the
+        # derived one, so both braces of circ_from_rrb are this one
+        for op, entry in zip(ops, rows):
+            derived, drep = derived_group(G, op)
+            entry["skew_brace"] = skew_brace_check(G, derived).status
             entry["derived_group"] = drep.status
             entry["lemma"] = lemma_checks(G, op).status
-        else:
+    else:
+        star = power_star(G, args.weight)
+        # fixed by (G, weight), so decided once for every operator
+        fixed = {"star_compat": check_star_compat(G, star),
+                 "dot_star_brace": skew_brace_check(G, star)}
+        for op, entry in zip(ops, rows):
+            _, circ_rep = circ_from_rrb(G, star, op, **fixed)
+            entry["skew_brace"] = circ_rep.status
             entry["derived_group"] = circ_rep.details["circ_group"]["status"]
-        rows.append(entry)
     _emit(args, {"group": G.name, "order": G.n, "weight": args.weight,
                  "count": len(rows), "operators": rows})
     return EXIT_PASS

@@ -10,10 +10,12 @@ scalar per basis element, and a Hopf algebra the pair together with an
 antipode map.  Checkers decide the defining identities on basis elements
 and return the first counterexample in lexicographic basis order.  An
 identity that is multiplicative in its first argument (associativity,
-Delta and the counit as morphisms, S as an antimorphism) is decided on the
-elements of a generating set only, which is exact once the unit law (and,
-for the last three, associativity) holds; a check that fails there is rerun
-on the whole basis, so a failing report is the whole basis's.
+Delta and the counit as morphisms) is decided on the elements of a
+generating set only, which is exact once the unit law (and, for the last
+two, associativity) holds; a check that fails there is rerun on the whole
+basis, so a failing report is the whole basis's.  The antipode is decided
+by its definition, the two convolution laws, which on a bialgebra imply
+every other antipode identity.
 
 Everything is exact (see scalars); dimensions are capped at MAX_DIM.
 """
@@ -557,40 +559,28 @@ def check_bialgebra_compat(H: HopfData, *, generators=None) -> VerificationRepor
                      labelled([A.labels] * 2, A.labels), shared=2)
 
 
-def check_antipode(H: HopfData, *, generators=None) -> VerificationReport:
-    """Both convolution-inverse laws, the antihomomorphism identities for
-    multiplication and comultiplication, S(1) = 1, and counit invariance.
+def check_antipode(H: HopfData) -> VerificationReport:
+    """The definition of an antipode: S(a_(1))a_(2) = e(a)1 = a_(1)S(a_(2))
+    on every basis element.
 
-    generators is as for check_bialgebra_compat: S(ab) = S(b)S(a) is then
-    decided for a among them, since with S(1) = 1 and associativity the a
-    at which it holds for every b form a subalgebra.
+    On a bialgebra these convolution laws imply S(1) = 1, e S = e, S(ab) =
+    S(b)S(a) and Delta S = (S (x) S) tau Delta (Sweedler, Hopf Algebras,
+    Prop. 4.0.1), and S is the unique convolution inverse of the identity,
+    so a changed entry of S fails them.
     """
     A, C, S = H.algebra, H.coalgebra, H.antipode
-    one_vec = A.unit
-    deltas = [C.delta_basis(i) for i in range(A.dim)]
-    images = S.cols
 
     def product(t: dict) -> dict:
         return {k: c for (k,), c in tensor_mul_legs(A, t, 0).items()}
 
-    def cases(firsts):
-        for i, t in enumerate(deltas):
-            target = lincomb([(C.counit[i], one_vec)])
+    def cases():
+        for i in range(A.dim):
+            t = C.delta_basis(i)
+            target = lincomb([(C.counit[i], A.unit)])
             yield ("antipode_left", i), product(tensor_apply_map(S, t, 0)), target
             yield ("antipode_right", i), product(tensor_apply_map(S, t, 1)), target
-        yield ("antipode_unit",), S.apply(one_vec), one_vec
-        for i in range(A.dim):
-            yield ("antipode_counit", i), C.counit_sparse(images[i]), C.counit[i]
-        for i in firsts:
-            for j in range(A.dim):
-                yield (("antipode_antihom_mult", i, j), S.apply(A.mul_basis(i, j)),
-                       A.mul_sparse(images[j], images[i]))
-        for i, t in enumerate(deltas):
-            yield (("antipode_antihom_comult", i), iterated_delta(C, images[i], 2),
-                   tensor_permute(tensor_apply_map(S, tensor_apply_map(S, t, 0), 1), [1, 0]))
 
-    return decide_on(first_failure, "antipode", cases, generators, A.dim,
-                     labelled([A.labels] * 2, A.labels), shared=3 * A.dim + 1)
+    return first_failure("antipode", cases(), labelled([A.labels], A.labels))
 
 
 def check_hopf(H: HopfData) -> VerificationReport:
@@ -598,7 +588,7 @@ def check_hopf(H: HopfData) -> VerificationReport:
 
     Once the algebra part passes, the algebra is associative and unital,
     so one generating set decides the multiplicative identities of the
-    bialgebra and antipode parts; otherwise they take every basis pair.
+    bialgebra part; otherwise it takes every basis pair.
     """
     algebra = check_algebra(H)
     gens = generating_set(H.algebra) if algebra.ok else None
@@ -606,7 +596,7 @@ def check_hopf(H: HopfData) -> VerificationReport:
         "algebra": algebra,
         "coalgebra": check_coalgebra(H),
         "bialgebra_compat": check_bialgebra_compat(H, generators=gens),
-        "antipode": check_antipode(H, generators=gens),
+        "antipode": check_antipode(H),
     })
 
 

@@ -449,25 +449,17 @@ def lemma_checks(G: GroupTable, B) -> VerificationReport:
     })
 
 
-def derived_group(G: GroupTable, B, *, circle: GroupTable | None = None
-                  ) -> tuple[GroupTable, VerificationReport]:
+def derived_group(G: GroupTable, B) -> tuple[GroupTable, VerificationReport]:
     """The star operation g*h = gB(g)hB(g)^-1: a group on which B is again
     Rota-Baxter, with B a homomorphism back to (G, .).  That B(g*h) = B(g)B(h)
     is the weight-1 identity itself, so the precondition already decides it.
-
-    circle, when its table is the star table (as circ_from_rrb's group on
-    power_star(G, 1) is), is the group returned, with the axioms it keeps,
-    so that the table is decided once.
+    On G's own table this is the circle operation of circ_from_rrb.
     """
     B = _validate_map(G, B)
     rb, star = _rb_weight(G, B, 1, "rb_weight_1")
     if not rb.ok:
         raise ValueError("derived_group requires a verified weight-1 operator")
-    star = tuple(star)
-    if circle is not None and circle.table == star:
-        Gstar = circle
-    else:
-        Gstar = GroupTable(star, name=(G.name + "*") if G.name else "star")
+    Gstar = GroupTable(star, name=(G.name + "*") if G.name else "star")
     return Gstar, merge_reports({
         "group_axioms": Gstar.axioms,
         "rb_on_star": _rb_weight(Gstar, B, 1, "rb_weight_1")[0],

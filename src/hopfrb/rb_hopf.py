@@ -136,26 +136,27 @@ def _action_join(phi: ActionData, t: dict, gleg: int, hleg: int) -> dict:
                    for tup, c in t.items())
 
 
-def _cond3_sides(data: RelRBHopf, a: int, b: int) -> tuple[dict, dict]:
-    """Both sides of the compatibility equation for basis elements a, b."""
-    H, G, phi, B = data.H, data.G, data.phi, data.B
+def _cond3_cases(data: RelRBHopf):
+    """Both sides of the compatibility equation at every basis pair (a, b),
+    with the tensors of a alone formed once per a."""
+    H, phi, B = data.H, data.phi, data.B
     C, one = H.coalgebra, H.ctx.one
-    # lhs: split a once, act on b, split the result, multiply a1 in
-    t = tensor_apply_map(B, C.delta_basis(a), 1)     # [a1, B(a2)]
-    t = tensor_outer(t, {(b,): one})                 # [a1, B(a2), b]
-    t = _action_join(phi, t, 1, 2)                   # [a1, u]
-    t = tensor_apply_delta(C, t, 1)                  # [a1, u1, u2]
-    t = tensor_permute(t, [1, 0, 2])                 # [u1, a1, u2]
-    lhs = tensor_mul_legs(H.algebra, t, 1)           # [u1, a1*u2]
-    # rhs: split a thrice and b once
-    t = tensor_outer(iterated_delta(C, {a: one}, 3), C.delta_basis(b))  # [a1,a2,a3,b1,b2]
-    t = tensor_apply_map(B, t, 0)
-    t = tensor_apply_map(B, t, 2)
-    t = _action_join(phi, t, 0, 3)                   # [a2, Ba3, u, b2]
-    t = _action_join(phi, t, 1, 3)                   # [a2, u, w]
-    t = tensor_permute(t, [1, 0, 2])                 # [u, a2, w]
-    rhs = tensor_mul_legs(H.algebra, t, 1)           # [u, a2*w]
-    return lhs, rhs
+    for a in range(H.dim):
+        left = tensor_apply_map(B, C.delta_basis(a), 1)              # [a1, B(a2)]
+        right = iterated_delta(C, {a: one}, 3)
+        right = tensor_apply_map(B, tensor_apply_map(B, right, 0), 2)  # [Ba1, a2, Ba3]
+        for b in range(H.dim):
+            # lhs: act with B(a2) on b, split the result, multiply a1 in
+            t = _action_join(phi, tensor_outer(left, {(b,): one}), 1, 2)  # [a1, u]
+            t = tensor_apply_delta(C, t, 1)                  # [a1, u1, u2]
+            t = tensor_permute(t, [1, 0, 2])                 # [u1, a1, u2]
+            lhs = tensor_mul_legs(H.algebra, t, 1)           # [u1, a1*u2]
+            # rhs: split b once and act with B(a1) and B(a3) on its legs
+            t = tensor_outer(right, C.delta_basis(b))        # [Ba1, a2, Ba3, b1, b2]
+            t = _action_join(phi, t, 0, 3)                   # [a2, Ba3, u, b2]
+            t = _action_join(phi, t, 1, 3)                   # [a2, u, w]
+            t = tensor_permute(t, [1, 0, 2])                 # [u, a2, w]
+            yield (a, b), lhs, tensor_mul_legs(H.algebra, t, 1)   # [u, a2*w]
 
 
 def circle(data: RelRBHopf, a: dict, b: dict) -> dict:
@@ -185,8 +186,7 @@ def check_rrbo(data: RelRBHopf, full: bool = False) -> VerificationReport:
 
     if not done():
         parts["condition_3_compat"] = first_failure(
-            "condition_3_compat", ((p, *_cond3_sides(data, *p)) for p in pairs),
-            labelled([H.labels, H.labels], H.labels))
+            "condition_3_compat", _cond3_cases(data), labelled([H.labels, H.labels], H.labels))
 
     if not done():
         images = B.cols

@@ -94,13 +94,14 @@ def check_derivation_action(phi: ActionData, g: LieData, h: LieData) -> Verifica
                     yield (i, u, v), phi.apply({i: one}, h.bracket_basis(u, v)), rhs
 
     def lie_morphism():
+        # phi([e_i,e_j]) e_u against phi(e_i)phi(e_j) e_u - phi(e_j)phi(e_i) e_u
         for i in range(g.dim):
             for j in range(g.dim):
-                comm_cols = [lincomb([(one, phi.apply({i: one}, phi.apply_basis(j, u))),
-                                      (-one, phi.apply({j: one}, phi.apply_basis(i, u)))])
-                             for u in range(h.dim)]
-                lhs_cols = [phi.apply(g.bracket_basis(i, j), {u: one}) for u in range(h.dim)]
-                yield (i, j), lhs_cols, comm_cols
+                bracket = g.bracket_basis(i, j)
+                for u in range(h.dim):
+                    comm = lincomb([(one, phi.apply({i: one}, phi.apply_basis(j, u))),
+                                    (-one, phi.apply({j: one}, phi.apply_basis(i, u)))])
+                    yield (i, j, u), phi.apply(bracket, {u: one}), comm
 
     return merge_reports({
         "derivation": first_failure(
@@ -108,8 +109,7 @@ def check_derivation_action(phi: ActionData, g: LieData, h: LieData) -> Verifica
             labelled([g.labels, h.labels, h.labels], h.labels)),
         "lie_morphism": first_failure(
             "lie_morphism", lie_morphism(),
-            labelled([g.labels, g.labels], show_lhs=lambda _: "phi([u,v])",
-                     show_rhs=lambda _: "[phi(u),phi(v)]")),
+            labelled([g.labels, g.labels, h.labels], h.labels)),
     })
 
 

@@ -144,18 +144,16 @@ def show(x, labels=()) -> str:
     return " + ".join(terms) or "0"
 
 
-def labelled(labels: list, shown=(), show_lhs=None, show_rhs=None):
+def labelled(labels: list, shown=()):
     """first_failure formatter for every witness whose sides print as text.
 
     labels holds one label list for each of the leading index positions it
     names: basis elements, or the terms and binomials of the family's
-    hypotheses.  Both sides print by show over the labels shown, each side
-    by show_lhs or show_rhs when given.
+    hypotheses.  Both sides print by show over the labels shown.
     """
     def witness(identity, indices, lhs, rhs) -> dict:
         return {"identity": identity, "indices": list(indices),
-                "lhs": show_lhs(lhs) if show_lhs else show(lhs, shown),
-                "rhs": show_rhs(rhs) if show_rhs else show(rhs, shown),
+                "lhs": show(lhs, shown), "rhs": show(rhs, shown),
                 "labels": [names[i] for names, i in zip(labels, indices)]}
     return witness
 

@@ -4,14 +4,18 @@ argument of the weight-lambda Rota-Baxter identity, a group transported
 through a bijection, the quantum binomial by expansion, the
 Cauchy identity for quantum binomials, the closed forms of the antipode
 of the family H_{m,zeta,l,f} and of the criteria for its automorphisms,
-two root-of-unity helpers, and a call counter."""
+two root-of-unity helpers, a call counter, and the antipode identities that
+the convolution laws imply on a bialgebra."""
 
 import itertools
 from math import gcd
 
 from hopfrb.constructions import FamilyParams, qbinom
+from hopfrb.hopf_core import (check_algebra, check_antipode, check_bialgebra_compat,
+                              check_coalgebra, iterated_delta, tensor_apply_map,
+                              tensor_permute)
 from hopfrb.rb_group import GroupTable
-from hopfrb.report import VerificationReport, first_failure, labelled
+from hopfrb.report import VerificationReport, first_failure, labelled, merge_reports
 from hopfrb.scalars import (FieldCtx, Scalar, _poly_divmod, _poly_mul, _poly_sub,
                             multiplicative_order)
 
@@ -150,3 +154,52 @@ def counting(monkeypatch, module, name: str) -> list:
         return fn(*args)
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def antipode_implied(H) -> VerificationReport:
+    """S(1) = 1, e S = e, S(ab) = S(b)S(a) and Delta S = (S (x) S) tau Delta,
+    on every basis element and pair: what the convolution laws imply on a
+    bialgebra (Sweedler, Hopf Algebras, Prop. 4.0.1), decided on its own."""
+    A, C, S = H.algebra, H.coalgebra, H.antipode
+    images = S.cols
+
+    def cases():
+        yield ("antipode_unit",), S.apply(A.unit), A.unit
+        for i in range(A.dim):
+            yield ("antipode_counit", i), C.counit_sparse(images[i]), C.counit[i]
+        for i in range(A.dim):
+            for j in range(A.dim):
+                yield (("antipode_antihom_mult", i, j), S.apply(A.mul_basis(i, j)),
+                       A.mul_sparse(images[j], images[i]))
+        for i in range(A.dim):
+            twisted = tensor_apply_map(S, tensor_apply_map(S, C.delta_basis(i), 0), 1)
+            yield (("antipode_antihom_comult", i), iterated_delta(C, images[i], 2),
+                   tensor_permute(twisted, [1, 0]))
+
+    return first_failure("antipode_implied", cases(), labelled([A.labels] * 2, A.labels))
+
+
+def antipode_with_implied(H) -> VerificationReport:
+    """The convolution laws of check_antipode, then antipode_implied, as one
+    identity named antipode: count, witness and failing identity are those
+    of first_failure over both case lists in turn."""
+    conv = check_antipode(H)
+    if not conv.ok:
+        return conv
+    rest = antipode_implied(H)
+    checked = conv.stats["identities_checked"] + rest.stats["identities_checked"]
+    if rest.ok:
+        return VerificationReport.passing("antipode", identities_checked=checked)
+    rest.stats["identities_checked"] = checked
+    return rest
+
+
+def check_hopf_with_implied(H) -> VerificationReport:
+    """check_hopf with every multiplicative identity on every basis pair and
+    the antipode part antipode_with_implied."""
+    return merge_reports({
+        "algebra": check_algebra(H),
+        "coalgebra": check_coalgebra(H),
+        "bialgebra_compat": check_bialgebra_compat(H),
+        "antipode": antipode_with_implied(H),
+    })

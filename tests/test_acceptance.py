@@ -17,14 +17,13 @@ from hopfrb.rb_group import (GroupAction, GroupTable, check_rb, check_rb_lambda,
                              graph_is_subgroup, lemma_checks, linearize_rb, power_star,
                              relative_rb_check)
 from hopfrb.rb_hopf import (RelRBHopf, adjoint_action, check_hopf_brace, check_rrbo,
-                            circle, derived_hopf, exact_factorization_rrb, grbo_check,
-                            _cond3_sides)
+                            circle, derived_hopf, exact_factorization_rrb, grbo_check)
 from hopfrb.rb_lie import (adjoint_lie_action, check_rb_lie_weight,
                            check_relative_rb_lie, rescale_bracket, sl2)
 from hopfrb.scalars import FieldCtx
 from helpers import (antipode_closed_form, automorphisms, cauchy_check, qbinom_oracle,
                      weight_flip)
-from test_rb_hopf import cond3_remark_sides, failing_pairs
+from test_rb_hopf import compat_failing_pairs, cond3_remark_sides, failing_pairs
 
 Q = FieldCtx.rationals()
 F3 = FieldCtx.prime(3)
@@ -326,7 +325,7 @@ def test_criterion_9_rrb_hopf_end_to_end():
         # the remark form of condition 3 holds on all 36 pairs, as the
         # compatibility form does pair by pair
         assert data.H.dim ** 2 == 36
-        assert failing_pairs(data, cond3_remark_sides) == failing_pairs(data, _cond3_sides) == []
+        assert failing_pairs(data, cond3_remark_sides) == compat_failing_pairs(data) == []
         dim = data.H.dim
         vecs = [{i: Q.one} for i in range(dim)]
         triples = 0

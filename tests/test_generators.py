@@ -4,23 +4,32 @@ The full-basis evaluation is the oracle: with generating_set replaced by
 "every basis index", check_hopf takes the whole basis everywhere.  On seeded
 one-entry mutants (the mutation kinds of the hopf-verify benchmark, rebuilt
 here) both paths must give the same status, identity and witness, part by
-part, and a failing part the same report byte for byte."""
+part, and a failing part the same report byte for byte.
+
+The antipode part decides the convolution laws only; helpers.antipode_implied
+decides what they imply on a bialgebra, and on the same mutants and on the
+opposite and derived algebras check_hopf keeps the verdict of the check that
+also decides it."""
 
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hopfrb import hopf_core
 from hopfrb.constructions import FamilyParams, family, group_algebra, sweedler_h4, taft
 from hopfrb.hopf_core import (check_antipode, check_bialgebra_compat, check_hopf,
-                              hopf_from_json, hopf_to_json)
+                              hopf_from_json, hopf_to_json, opposite_hopf)
 from hopfrb.rb_group import GroupTable
+from hopfrb.rb_hopf import derived_hopf, exact_factorization_rrb, rrb_from_json
 from hopfrb.scalars import FieldCtx, Scalar
+from helpers import antipode_implied, check_hopf_with_implied
 
 Q, QZ5, F5 = FieldCtx.rationals(), FieldCtx.cyclotomic(5), FieldCtx.prime(5)
 F3 = FieldCtx.prime(3)
+ROOT = Path(__file__).resolve().parent.parent
 RATIONAL_SHIFTS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3)]
 PARTS = ("algebra", "coalgebra", "bialgebra_compat", "antipode")
 
@@ -116,22 +125,62 @@ def assert_same_verdicts(fast, full, name) -> None:
                     <= want["stats"]["identities_checked"]), (name, part)
 
 
-def test_generator_path_agrees_with_the_full_basis(monkeypatch):
+def seeded_inputs() -> list:
+    """(name, Hopf data) of every base of oracle_bases and its seeded mutants."""
     rng = random.Random(20261018)
+    return [(f"{base} {label}", M) for base, (H, count) in oracle_bases().items()
+            for label, M in [("base", H)] + draw_mutants(rng, H, count)]
+
+
+def test_generator_path_agrees_with_the_full_basis(monkeypatch):
     drawn = failing = algebra_failures = 0
-    for base, (H, count) in oracle_bases().items():
-        for label, M in [("base", H)] + draw_mutants(rng, H, count):
-            name = f"{base} {label}"
-            rep = check_hopf(M)
-            assert_same_verdicts(rep, full_basis_check_hopf(M, monkeypatch), name)
-            drawn += 1
-            failing += not rep.ok
-            if not rep.details["algebra"]["status"] == "pass":
-                # associativity unknown: Delta, e and S are decided on every pair
-                algebra_failures += 1
-                assert rep.details["bialgebra_compat"] == check_bialgebra_compat(M).to_json()
-                assert rep.details["antipode"] == check_antipode(M).to_json()
+    for name, M in seeded_inputs():
+        rep = check_hopf(M)
+        assert_same_verdicts(rep, full_basis_check_hopf(M, monkeypatch), name)
+        drawn += 1
+        failing += not rep.ok
+        if not rep.details["algebra"]["status"] == "pass":
+            # associativity unknown: Delta and e are decided on every pair
+            algebra_failures += 1
+            assert rep.details["bialgebra_compat"] == check_bialgebra_compat(M).to_json()
+            assert rep.details["antipode"] == check_antipode(M).to_json()
     assert failing > drawn // 2 and algebra_failures > 0
+
+
+def derived_and_opposite_inputs() -> list:
+    """(name, Hopf data): the opposite_hopf and derived_hopf outputs that
+    the other tests check."""
+    S3 = GroupTable.symmetric(3)
+    fixture = ROOT / "fixtures" / "h4-rrb-exact-factorization.json"
+    out = [(f"op {name}", opposite_hopf(H)) for name, H in (
+        ("h4/Q", sweedler_h4(Q)), ("kS3/Q", group_algebra(S3, Q)),
+        ("taft3/Q(z3)", taft(3, FieldCtx.cyclotomic(3))))]
+    out += [(f"derived S3 {A}{L}", derived_hopf(exact_factorization_rrb(S3, A, L, Q)))
+            for A, L in (([0, 3, 4], [0, 2]), ([0, 2], [0, 3, 4]))]
+    data = rrb_from_json(json.loads(fixture.read_text()), base_dir=str(fixture.parent))
+    return out + [("derived h4 fixture", derived_hopf(data))]
+
+
+def test_the_convolution_laws_keep_every_check_hopf_verdict():
+    """check_antipode decides the convolution laws only.  check_hopf keeps
+    the status, identity and witness of the check that also decides every
+    identity they imply, and those identities hold wherever check_hopf
+    passes: it decides the bialgebra before the antipode."""
+    passing = implied_only = 0
+    for name, M in seeded_inputs() + derived_and_opposite_inputs():
+        rep, ref = check_hopf(M), check_hopf_with_implied(M)
+        assert verdict(rep.to_json()) == verdict(ref.to_json()), name
+        antipode = rep.details["antipode"]
+        assert antipode["stats"]["identities_checked"] <= 2 * M.dim, name
+        if rep.ok:
+            passing += 1
+            assert antipode_implied(M).ok, name
+        elif antipode["status"] == "pass" and ref.details["antipode"]["status"] == "fail":
+            # an earlier part fails, and an implied identity, no longer
+            # decided, would fail too
+            implied_only += 1
+    # every base, opposite and derived algebra passes
+    assert passing >= len(oracle_bases()) + 6 and implied_only > 0
 
 
 def test_passing_counts_fall_to_the_generator_cases(monkeypatch):
@@ -142,8 +191,8 @@ def test_passing_counts_fall_to_the_generator_cases(monkeypatch):
     counts = {p: fast.details[p]["stats"]["identities_checked"] for p in PARTS}
     assert counts == {"algebra": 2 * d + d * gens * d, "coalgebra": 3 * d,
                       "bialgebra_compat": 2 + 2 * gens * d,
-                      "antipode": 3 * d + 1 + gens * d + d}
-    assert full.stats["identities_checked"] == d ** 3 + 3 * d * d + 9 * d + 3
+                      "antipode": 2 * d}
+    assert full.stats["identities_checked"] == d ** 3 + 2 * d * d + 7 * d + 2
 
 
 def test_monomial_algebras_never_invert(monkeypatch):
@@ -182,7 +231,7 @@ def test_p_integral_structures_keep_their_verdict_over_f_p(p):
         rep = check_hopf(reduced)
         assert rep.ok, name
         d = H.dim
-        assert rep.stats["identities_checked"] < d ** 3 + 3 * d * d + 9 * d + 3, name
+        assert rep.stats["identities_checked"] < d ** 3 + 2 * d * d + 7 * d + 2, name
         kind, site = rng.choice(mutation_sites(obj))
         mutant = mutate(obj, kind, site, rng.choice([1, -1]))
         assert not check_hopf(hopf_from_json(mutant)).ok, (name, kind, site)

@@ -1,6 +1,7 @@
 """Structure-constant Hopf algebra kernel: axiom checkers and tensor legs."""
 
 import copy
+import inspect
 import itertools
 import json
 import random
@@ -92,6 +93,21 @@ def test_antipode_axiom_negative():
     rep = check_antipode(broken)
     assert not rep.ok
     assert rep.witness is not None
+
+
+def test_check_antipode_decides_the_convolution_laws_only():
+    for H in (sweedler_h4(Q), taft(3, FieldCtx.cyclotomic(3)),
+              group_algebra(GroupTable.symmetric(3), Q)):
+        rep = check_antipode(H)
+        assert rep.ok and rep.stats == {"identities_checked": 2 * H.dim}
+    assert list(inspect.signature(check_antipode).parameters) == ["H"]
+    # S is the unique convolution inverse of the identity: changing one
+    # entry breaks a convolution law
+    H4 = sweedler_h4(Q)
+    cols = [dict(c) for c in H4.antipode.cols]
+    cols[2][3] = Q.one
+    rep = check_antipode(HopfData(H4.algebra, H4.coalgebra, LinearMap(Q, cols, 4)))
+    assert rep.identity in ("antipode_left", "antipode_right")
 
 
 def test_iterated_delta_h4_oracle():

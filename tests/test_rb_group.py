@@ -186,10 +186,11 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
     # decided when power_star built it
     assert len(passes) == 2
 
-    # enum-rb at weight 1: the star preconditions once per command, one
-    # table per operator, read by both the brace and the derived group
+    # enum-rb at weight 1: the derived group of each operator is its circle
+    # group on G's own table, so no star, and one table and one brace per
+    # operator
     calls = {"group_from_json": [], "power_star": [], "check_star_compat": [],
-             "skew_brace_check": []}
+             "skew_brace_check": [], "derived_group": []}
 
     def logged(fn, log):
         def call(*args, **kwargs):
@@ -202,12 +203,33 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
         wrapper = logged(getattr(rb_group, name), log)
         for module in (rb_group, cli):
             monkeypatch.setattr(module, name, wrapper)
-    passes.clear()
-    assert cli.main(["enum-rb", "--group", str(FIXTURES / "s3.json")]) == 0
-    operators = json.loads(capsys.readouterr().out)["operators"]
+
+    def enum_rb(*extra):
+        for log in calls.values():
+            log.clear()
+        passes.clear()
+        assert cli.main(["enum-rb", "--group", str(FIXTURES / "s3.json"), *extra]) == 0
+        return json.loads(capsys.readouterr().out)["operators"]
+
+    operators = enum_rb()
     assert len(operators) == 8
     assert all(row[key] == "pass" for row in operators
                for key in ("skew_brace", "derived_group", "lemma"))
+    [(_, G)] = calls["group_from_json"]
+    assert calls["power_star"] == calls["check_star_compat"] == []
+    derived = [out[0] for _, out in calls["derived_group"]]
+    assert len(derived) == len(operators)
+    assert [args for args, _ in calls["skew_brace_check"]] == [(G, D) for D in derived]
+    # the group read from the file and the search's table, then one derived
+    # table per operator
+    assert len(passes) == 2 + len(operators)
+
+    # enum-rb at weight -1: the star preconditions once per command, one
+    # circle table per operator
+    operators = enum_rb("--weight=-1")
+    assert len(operators) == 8
+    assert all(row[key] == "pass" for row in operators
+               for key in ("skew_brace", "derived_group"))
     [(_, G)] = calls["group_from_json"]
     [(_, star)] = calls["power_star"]
     assert [args for args, _ in calls["check_star_compat"]] == [(G, star)]

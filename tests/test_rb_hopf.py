@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from hopfrb import rb_hopf
 from hopfrb.constructions import group_algebra, sweedler_h4
 from hopfrb.hopf_core import (AlgebraData, LinearMap, check_hopf, hopf_to_json, iterated_delta,
                               opposite_hopf, tensor_apply_map, tensor_mul_legs, tensor_outer,
@@ -18,8 +19,9 @@ from hopfrb.rb_hopf import (ActionData, RelRBHopf, action_from_json, adjoint_act
                             check_action, check_hopf_brace, check_rrbo, circle,
                             derived_hopf, exact_factorization_rrb, grbo_check,
                             hrbo_action, hrbo_check, rrb_from_json, rrb_to_json,
-                            _action_join, _cond3_sides)
+                            _action_join, _cond3_cases)
 from hopfrb.scalars import FieldCtx
+from helpers import counting
 
 Q = FieldCtx.rationals()
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -133,6 +135,12 @@ def failing_pairs(data: RelRBHopf, sides) -> list:
     return [(a, b) for a in range(n) for b in range(n) if ne(*sides(data, a, b))]
 
 
+def compat_failing_pairs(data: RelRBHopf) -> list:
+    """The basis pairs where condition 3 fails in the compatibility form
+    that check_rrbo decides."""
+    return [p for p, lhs, rhs in _cond3_cases(data) if ne(lhs, rhs)]
+
+
 def test_adjoint_action_is_conjugation_on_group_algebra():
     G = GroupTable.symmetric(3)
     H = group_algebra(G, Q)
@@ -192,7 +200,7 @@ def test_condition_3_failure_with_valid_coalgebra_map():
     assert rep.details["condition_2_action"]["status"] == "pass"
     assert rep.details["condition_3_compat"]["status"] == "fail"
     # the antipode-expanded form fails in the same places
-    compat = failing_pairs(data, _cond3_sides)
+    compat = compat_failing_pairs(data)
     assert compat and failing_pairs(data, cond3_remark_sides) == compat
     assert rep.details["condition_3_compat"]["witness"]["indices"] == list(compat[0])
 
@@ -492,3 +500,12 @@ def test_action_join_needs_two_legs():
     assert _action_join(act, {(1, 2): Q.one}, 0, 1) == {(2,): -Q.one}  # g x g^-1 = -x
     with pytest.raises(ValueError, match="cannot act on itself"):
         _action_join(act, {(1, 2): Q.one}, 1, 1)
+
+
+def test_condition_3_splits_each_a_once(monkeypatch):
+    # Delta^2(e_a) is formed once per a, not once per pair (a, b)
+    path = FIXTURES / "h4-rrb-exact-factorization.json"
+    data = rrb_from_json(json.loads(path.read_text()), str(FIXTURES))
+    calls = counting(monkeypatch, rb_hopf, "iterated_delta")
+    assert check_rrbo(data, full=True).ok
+    assert data.H.dim == 4 and len(calls) == 4

@@ -56,6 +56,8 @@ def test_adjoint_action_is_derivation_action():
     rep = check_derivation_action(adjoint_lie_action(g), g, g)
     assert rep.ok
     assert set(rep.details) == {"derivation", "lie_morphism"}
+    # one case per (i, j, u): phi([e_i,e_j]) e_u against the commutator
+    assert rep.details["lie_morphism"]["stats"]["identities_checked"] == 3 * 3 * 3
 
 
 def test_check_derivation_action_negative():

@@ -3,7 +3,9 @@
 Each file holds the exact standard output of one command: check-group-rb on
 a passing operator and on a near miss of it (one image changed) at weights 1
 and -1 on S3 and D8 and weight 2 on F21, and enum-rb on S3 (weight 1), D8
-(weights 1 and -1), F21 (weight 2) and Z2^3 (weight 1).  The JSON carries
+(weights 1 and -1), F21 (weight 2) and Z2^3 (weight 1), and verify on h4 over
+Q, the Taft algebra m = 3 over Q(z3), the group algebra of S3 and a family
+whose hypotheses fail (m = 3, zeta = z3, l = 2).  The JSON carries
 every status, witness and count, so a change to any of them shows.
 tests/test_cli_goldens.py reruns every command and compares byte for byte.
 
@@ -24,7 +26,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "tests", "data", "cli")
 FIXTURES = os.path.join(ROOT, "fixtures")
 
-# file name -> (group, command arguments after the group, expected exit code)
+# file name -> (group or None, command arguments after the group, expected
+# exit code)
 CASES = {
     "check-group-rb-S3-w1-pass.json": ("S3", ["check-group-rb", "--map", "0,3,4,4,3,0"], 0),
     "check-group-rb-S3-w1-near.json": ("S3", ["check-group-rb", "--map", "0,3,4,4,3,1"], 1),
@@ -49,6 +52,13 @@ CASES = {
     "enum-rb-D8-w-1.json": ("D8", ["enum-rb", "--weight=-1"], 0),
     "enum-rb-F21-w2.json": ("F21", ["enum-rb", "--weight", "2"], 0),
     "enum-rb-Z2xZ2xZ2-w1.json": ("Z2^3", ["enum-rb"], 0),
+    "verify-h4-Q.json": (None, ["verify", "--construction", "h4", "--field", "Q"], 0),
+    "verify-taft3-Qz3.json": (None, ["verify", "--construction", "taft", "--m", "3",
+                                     "--field", "Q(z3)"], 0),
+    "verify-group-algebra-S3-Q.json": ("S3", ["verify", "--construction", "group-algebra",
+                                              "--field", "Q"], 0),
+    "verify-family-m3-l2-Qz3.json": (None, ["verify", "--construction", "family", "--m", "3",
+                                            "--zeta", "z3", "--l", "2", "--field", "Q(z3)"], 1),
 }
 
 
@@ -74,7 +84,8 @@ def outputs() -> dict:
         for fname, (group, args, want) in CASES.items():
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                code = cli.main([args[0], "--group", paths[group], *args[1:]])
+                where = [] if group is None else ["--group", paths[group]]
+                code = cli.main([args[0], *where, *args[1:]])
             if code != want:
                 raise RuntimeError(f"{fname}: exit {code}, expected {want}")
             out[fname] = buf.getvalue()

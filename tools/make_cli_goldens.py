@@ -3,9 +3,11 @@
 Each file holds the exact standard output of one command: check-group-rb on
 a passing operator and on a near miss of it (one image changed) at weights 1
 and -1 on S3 and D8 and weight 2 on F21, and enum-rb on S3 (weight 1), D8
-(weights 1 and -1), F21 (weight 2) and Z2^3 (weight 1), and verify on h4 over
+(weights 1 and -1), F21 (weight 2) and Z2^3 (weight 1), verify on h4 over
 Q, the Taft algebra m = 3 over Q(z3), the group algebra of S3 and a family
-whose hypotheses fail (m = 3, zeta = z3, l = 2).  The JSON carries
+whose hypotheses fail (m = 3, zeta = z3, l = 2), and check-rrb on the h4
+exact-factorization fixture (with and without --full) and on a copy whose
+operator is B(h) = e(h)g, a coalgebra map with B(1) = g.  The JSON carries
 every status, witness and count, so a change to any of them shows.
 tests/test_cli_goldens.py reruns every command and compares byte for byte.
 
@@ -26,8 +28,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "tests", "data", "cli")
 FIXTURES = os.path.join(ROOT, "fixtures")
 
-# file name -> (group or None, command arguments after the group, expected
-# exit code)
+# file name -> (input file or None, command arguments after it, expected
+# exit code); check-rrb reads its file from --input, the others from --group
 CASES = {
     "check-group-rb-S3-w1-pass.json": ("S3", ["check-group-rb", "--map", "0,3,4,4,3,0"], 0),
     "check-group-rb-S3-w1-near.json": ("S3", ["check-group-rb", "--map", "0,3,4,4,3,1"], 1),
@@ -59,20 +61,31 @@ CASES = {
                                               "--field", "Q"], 0),
     "verify-family-m3-l2-Qz3.json": (None, ["verify", "--construction", "family", "--m", "3",
                                             "--zeta", "z3", "--l", "2", "--field", "Q(z3)"], 1),
+    "check-rrb-h4.json": ("h4-rrb", ["check-rrb"], 0),
+    "check-rrb-h4-full.json": ("h4-rrb", ["check-rrb", "--full"], 0),
+    "check-rrb-h4-unit-g.json": ("h4-rrb-unit-g", ["check-rrb"], 1),
 }
 
 
-def group_files(directory: str) -> dict:
-    """Group name -> file: S3 and F21 from fixtures/, D8 and Z2^3 written
-    into directory."""
+def input_files(directory: str) -> dict:
+    """Input name -> file: S3, F21 and h4-rrb from fixtures/; D8, Z2^3 and
+    h4-rrb-unit-g written into directory."""
     Z2 = GroupTable.cyclic(2)
     built = {"D8": GroupTable.metacyclic(4, 2, 3),
              "Z2^3": GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2)}
-    paths = {"S3": os.path.join(FIXTURES, "s3.json"), "F21": os.path.join(FIXTURES, "f21.json")}
+    paths = {"S3": os.path.join(FIXTURES, "s3.json"), "F21": os.path.join(FIXTURES, "f21.json"),
+             "h4-rrb": os.path.join(FIXTURES, "h4-rrb-exact-factorization.json")}
     for name, G in built.items():
         paths[name] = os.path.join(directory, name.replace("^", "") + ".json")
         with open(paths[name], "w") as fh:
             json.dump({"name": name, "table": [list(r) for r in G.table]}, fh)
+    with open(paths["h4-rrb"]) as fh:
+        rrb = json.load(fh)
+    # B(h) = e(h)g: the row of g (basis index 1) is the counit of H
+    rrb["B"] = [["0"] * 4, rrb["H"]["counit"], ["0"] * 4, ["0"] * 4]
+    paths["h4-rrb-unit-g"] = os.path.join(directory, "h4-rrb-unit-g.json")
+    with open(paths["h4-rrb-unit-g"], "w") as fh:
+        json.dump(rrb, fh)
     return paths
 
 
@@ -80,11 +93,12 @@ def outputs() -> dict:
     """File name -> the standard output of its command."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        paths = group_files(tmp)
-        for fname, (group, args, want) in CASES.items():
+        paths = input_files(tmp)
+        for fname, (name, args, want) in CASES.items():
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                where = [] if group is None else ["--group", paths[group]]
+                flag = "--input" if args[0] == "check-rrb" else "--group"
+                where = [] if name is None else [flag, paths[name]]
                 code = cli.main([args[0], *where, *args[1:]])
             if code != want:
                 raise RuntimeError(f"{fname}: exit {code}, expected {want}")

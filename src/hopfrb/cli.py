@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("--field", default="Q", help="scalar field: Q, Q(zN), or Fp")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1, help="worker processes")
+    jobs.add_argument("--jobs", type=int, default=1,
+                      help="worker processes, at most one per task and per core")
 
     p = argparse.ArgumentParser(prog="hopfrb", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .hopf_core import (MAX_DIM, AlgebraData, CoalgebraData, HopfData, LinearMap,
                         is_algebra_morphism, is_coalgebra_morphism, lincomb, tensor_mul)
 from .report import VerificationReport, first_failure, labelled, merge_reports
-from .rb_group import GroupTable
+from .rb_group import GroupTable, pool_size
 from .scalars import FieldCtx, Scalar, _json_int, parse_scalar, scalar_from_json
 
 # ---------------------------------------------------------------------------
@@ -346,12 +346,13 @@ def family_aut_search(params: FamilyParams, grid, jobs: int = 1) -> list:
             for q, v in zip(positions, values):
                 c[q] = v
             candidates.append((k, c))
-    if jobs <= 1 or len(candidates) < 4:
+    workers = pool_size(jobs, len(candidates))
+    if workers == 1 or len(candidates) < 4:
         return _aut_eval_chunk(params, candidates)
-    step = (len(candidates) + jobs - 1) // jobs
+    step = (len(candidates) + workers - 1) // workers
     chunks = [candidates[i:i + step] for i in range(0, len(candidates), step)]
     hits = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_aut_eval_chunk, itertools.repeat(params), chunks):
             hits.extend(part)
     return hits

@@ -508,7 +508,7 @@ def check_algebra(A) -> VerificationReport:
     except ValueError:   # no unit, so a unit case fails
         middles = None
     return decide_on(first_failure, "algebra", cases, middles, A.dim,
-                     labelled([A.labels] * 3, A.labels), shared=2 * A.dim)
+                     labelled([A.labels] * 3, A.labels))
 
 
 def check_coalgebra(C) -> VerificationReport:
@@ -556,7 +556,7 @@ def check_bialgebra_compat(H: HopfData, *, generators=None) -> VerificationRepor
                        C.counit[i] * C.counit[j])
 
     return decide_on(first_failure, "bialgebra_compat", cases, generators, A.dim,
-                     labelled([A.labels] * 2, A.labels), shared=2)
+                     labelled([A.labels] * 2, A.labels))
 
 
 def check_antipode(H: HopfData) -> VerificationReport:

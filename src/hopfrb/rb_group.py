@@ -23,7 +23,8 @@ at a generating set (GroupTable.gens); a failure there reruns every row.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -39,6 +40,19 @@ class CapExceeded(RuntimeError):
         super().__init__(f"enumeration budget exhausted: {evaluations} evaluations > cap {cap}")
         self.evaluations = evaluations
         self.cap = cap
+
+    def __reduce__(self):
+        # a worker process hands the exception back pickled
+        return CapExceeded, (self.evaluations, self.cap)
+
+
+def pool_size(jobs: int, tasks: int) -> int:
+    """The worker processes for --jobs over this many tasks: never more than
+    the tasks or the cores.  ValueError for jobs < 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    # os.cpu_count reads the system's cpu list, which a serial search skips
+    return 1 if jobs == 1 else min(jobs, tasks, os.cpu_count() or 1)
 
 
 def _gather(row):
@@ -719,27 +733,35 @@ def enumerate_rb(G: GroupTable, weight: int, cap: int = DEFAULT_CAP, jobs: int =
     """All operators of the given weight, lexicographically sorted.
 
     cap limits the total number of image assignments the search performs
-    (CapExceeded beyond); jobs > 1 partitions on the first free image."""
+    (CapExceeded beyond); jobs > 1 partitions on the first free image, and
+    the search stops once the finished partitions together pass cap."""
     if weight not in (1, -1):
         _lambda_root(G, weight)  # raise early on a bad weight
     n = G.n
     seeds = [(G.e, G.e)]
     first = next((i for i in range(n) if i != G.e), None)
-    if first is None or jobs <= 1:
+    workers = pool_size(jobs, n)
+    if first is None or workers == 1:
         hits, _ = _search_partition(G.table, weight, seeds, cap)
         return sorted(hits)
     results: list[tuple] = []
     total = 0
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futs = [pool.submit(_search_partition, G.table, weight, seeds + [(first, v)], cap)
                 for v in range(n)]
-        for f in futs:
-            hits, cnt = f.result()
+        for f in as_completed(futs):
+            try:
+                hits, cnt = f.result()
+            except CapExceeded as e:
+                hits, cnt = [], e.evaluations
             results.extend(hits)
             total += cnt
-    if total > cap:
-        raise CapExceeded(total, cap)
-    return sorted(set(results))
+            if total > cap:
+                for g in futs:
+                    g.cancel()  # the partitions not yet started
+                raise CapExceeded(total, cap)
+    # partitions fix distinct images of first, so no hit repeats
+    return sorted(results)
 
 
 def linearize_rb(G: GroupTable, B, ctx):

@@ -176,7 +176,7 @@ def check_rrbo(data: RelRBHopf, full: bool = False) -> VerificationReport:
     pairs = [(a, b) for a in range(H.dim) for b in range(H.dim)]
     parts = {"condition_1_coalgebra": is_coalgebra_morphism(B, H, G),
              "condition_1_unit": first_failure(
-                 "condition_1_unit", [((), "1" if B.apply(H.unit) == G.unit else "B(1)", "1")])}
+                 "condition_1_unit", [((), B.apply(H.unit), G.unit)], labelled([], G.labels))}
 
     def done() -> bool:
         return not full and any(not p.ok for p in parts.values())

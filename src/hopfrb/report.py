@@ -102,20 +102,19 @@ def first_row_failure(identity: str, rows, witness=None) -> VerificationReport:
     return VerificationReport.passing(identity, identities_checked=checked)
 
 
-def decide_on(decider, identity: str, cases, chosen, n: int, witness=None,
-              shared: int = 0) -> VerificationReport:
+def decide_on(decider, identity: str, cases, chosen, n: int,
+              witness=None) -> VerificationReport:
     """decider (first_failure or first_row_failure) over cases(chosen): an
     identity decided at the indices in chosen only, which the caller has
     shown to decide it at every index in range(n).
 
-    A failure there is a failure at every index as well.  A failure past the
-    first shared cases, which do not depend on chosen, reruns
+    A failure there is a failure at every index as well.  It reruns
     cases(range(n)), as does chosen None, so that a failing report (witness
     and count) is the one every index gives.
     """
     if chosen is not None:
         rep = decider(identity, cases(chosen), witness)
-        if rep.ok or rep.stats["identities_checked"] <= shared or len(chosen) == n:
+        if rep.ok or len(chosen) == n:
             return rep
     return decider(identity, cases(range(n)), witness)
 

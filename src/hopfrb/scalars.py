@@ -11,8 +11,10 @@ at the edges: parsing, printing, JSON, and the extended gcd behind inverse()
 at degree 2 and up.
 
 A FieldCtx pins the field and holds its zero and one, built once; a Scalar
-pairs a context with a canonical value.  Mixing scalars from different
-contexts raises MixedContextError rather than coercing silently.
+pairs a context with a canonical value.  Scalars combine only with Scalars
+of their own field: a number operand raises TypeError, a scalar of another
+field MixedContextError.  Rationals enter through FieldCtx.from_int,
+FieldCtx.from_fraction (which rejects floats) and parse_scalar.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class MixedContextError(ValueError):
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers, coefficients low degree first; they work over
-# Fractions and over Scalars alike, taking zero from their inputs
+# Fractions and over Scalars alike, taking zero as x - x and inverses as x ** -1
 
 
 def _poly_trim(c: list) -> list:
@@ -49,7 +51,7 @@ def _poly_trim(c: list) -> list:
 def _poly_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    out = [0 * a[0]] * (len(a) + len(b) - 1)
+    out = [a[0] - a[0]] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -61,9 +63,10 @@ def _poly_mul(a: list, b: list) -> list:
 def _poly_divmod(num: list, den: list) -> tuple[list, list]:
     num = list(num)
     assert den, "division by zero polynomial"
-    q = [0 * den[-1]] * max(0, len(num) - len(den) + 1)
+    lead = den[-1]
+    q = [lead - lead] * max(0, len(num) - len(den) + 1)
     # one inversion per division: a cyclotomic inverse runs an extended gcd
-    lead_inv = 1 / den[-1]
+    lead_inv = lead ** -1
     for k in range(len(num) - len(den), -1, -1):
         coef = num[k + len(den) - 1] * lead_inv
         if coef:
@@ -76,7 +79,8 @@ def _poly_divmod(num: list, den: list) -> tuple[list, list]:
 def _poly_sub(a: list, b: list) -> list:
     if not a and not b:
         return []
-    zero = 0 * (a or b)[0]
+    x = (a or b)[0]
+    zero = x - x
     out = [(a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero)
            for i in range(max(len(a), len(b)))]
     return _poly_trim(out)
@@ -200,6 +204,8 @@ class FieldCtx:
     # -- element construction
 
     def from_fraction(self, fr) -> "Scalar":
+        if isinstance(fr, (float, bool)):
+            raise ValueError(f"scalars are exact: {fr!r} is no int, Fraction or string")
         fr = Fraction(fr)
         if self.kind == PRIME:
             if fr.denominator % self.p == 0:
@@ -325,16 +331,13 @@ class Scalar:
         self.den = den
 
     def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.ctx is self.ctx or other.ctx == self.ctx:
-                return other
+        """other itself, when it is a Scalar of this field."""
+        if not isinstance(other, Scalar):
+            raise TypeError(f"cannot combine Scalar with {type(other).__name__}")
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise MixedContextError(
                 f"cannot combine scalars from {self.ctx.name()} and {other.ctx.name()}")
-        if isinstance(other, int):
-            return self.ctx.from_int(other)
-        if isinstance(other, Fraction):
-            return self.ctx.from_fraction(other)
-        raise TypeError(f"cannot combine Scalar with {type(other).__name__}")
+        return other
 
     # -- ring operations
 
@@ -358,9 +361,6 @@ class Scalar:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -410,9 +410,6 @@ class Scalar:
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
             return self.inverse() ** (-k)
@@ -438,10 +435,10 @@ class Scalar:
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, (int, float, Fraction)):
                 return NotImplemented
-            other = self.ctx.from_fraction(other)
-        elif other.ctx is not self.ctx and other.ctx != self.ctx:
+            raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise MixedContextError(
                 f"cannot compare scalars from {self.ctx.name()} and {other.ctx.name()}")
         return self.val == other.val and self.den == other.den

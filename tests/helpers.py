@@ -4,12 +4,17 @@ argument of the weight-lambda Rota-Baxter identity, a group transported
 through a bijection, the quantum binomial by expansion, the
 Cauchy identity for quantum binomials, the closed forms of the antipode
 of the family H_{m,zeta,l,f} and of the criteria for its automorphisms,
-two root-of-unity helpers, a call counter, and the antipode identities that
-the convolution laws imply on a bialgebra."""
+two root-of-unity helpers, a call counter, an in-process stand-in for the
+worker pools, and the antipode identities that the convolution laws imply
+on a bialgebra."""
 
+import functools
 import itertools
+import os
+from concurrent.futures import Future
 from math import gcd
 
+from hopfrb import constructions, rb_group
 from hopfrb.constructions import FamilyParams, qbinom
 from hopfrb.hopf_core import (check_algebra, check_antipode, check_bialgebra_compat,
                               check_coalgebra, iterated_delta, tensor_apply_map,
@@ -154,6 +159,41 @@ def counting(monkeypatch, module, name: str) -> list:
         return fn(*args)
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+class InlinePool:
+    """ProcessPoolExecutor as the searches use it, running every task at once
+    in this process; it records the worker count it was asked for."""
+
+    def __init__(self, started: list, max_workers: int):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as e:
+            fut.set_exception(e)
+        return fut
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+def inline_pools(monkeypatch, cores: int) -> list:
+    """Run the pools of enumerate_rb and family_aut_search inline on a host
+    of this many cores; the returned list receives each pool's worker count."""
+    started = []
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    for module in (rb_group, constructions):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", functools.partial(InlinePool, started))
+    return started
 
 
 def antipode_implied(H) -> VerificationReport:

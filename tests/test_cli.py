@@ -313,6 +313,18 @@ def expect_input_error(capsys, *argv) -> str:
     return err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--construction", "taft"], "--m is required for taft"),
+    (["aut", "--construction", "family", "--m", "2", "--grid", "0"],
+     "--m, --zeta and --l are required for family"),
+    (["verify", "--construction", "group-algebra"], "--group FILE is required for group-algebra"),
+    (["check-group-rb", "--group", str(FIXTURES / "s3.json")],
+     "one of --map or --operator is required"),
+], ids=["taft", "family", "group-algebra", "check-group-rb"])
+def test_missing_flags_are_input_errors(capsys, argv, message):
+    assert expect_input_error(capsys, *argv) == f"error: {message}\n"
+
+
 def test_group_tables_take_integers_only(tmp_path, capsys):
     for table in ([["a"]], [[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]]):
         path = tmp_path / "group.json"

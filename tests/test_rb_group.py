@@ -9,15 +9,16 @@ from pathlib import Path
 import pytest
 
 from hopfrb import cli, rb_group
-from hopfrb.rb_group import (CapExceeded, GroupAction, GroupTable, check_group, check_rb,
-                             check_rb_lambda, check_star_compat, circ_from_rrb,
+from hopfrb.rb_group import (DEFAULT_CAP, CapExceeded, GroupAction, GroupTable, check_group,
+                             check_rb, check_rb_lambda, check_star_compat, circ_from_rrb,
                              derived_group, enumerate_rb, graph_is_subgroup, group_from_json,
                              image_indices, is_subgroup, ker_indices, lemma_checks,
-                             operator_from_json, operator_to_json, power_star,
+                             linearize_rb, operator_from_json, operator_to_json, power_star,
                              relative_rb_check, semidirect, skew_brace_check)
+from hopfrb.scalars import FieldCtx
 from hopfrb.report import VerificationReport, first_failure, first_row_failure
 
-from helpers import automorphisms, rb_argument, transport_group, weight_flip
+from helpers import automorphisms, inline_pools, rb_argument, transport_group, weight_flip
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -500,6 +501,25 @@ def test_relative_rb_rejects_invalid_action():
         relative_rb_check(S3, Z2, broken, (0,) * 6)
 
 
+S3, Z3, Z2 = GroupTable.symmetric(3), GroupTable.cyclic(3), GroupTable.cyclic(2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: circ_from_rrb(S3, power_star(S3, 1), tuple(range(6))),
+     r"B does not satisfy the star RB identity at \(1,2\): 4 != 3"),
+    (lambda: group_from_json(dict(Z3.to_json(), identity=1)),
+     "declared identity does not match table"),
+    (lambda: GroupAction([[0, 1, 2]]).check(Z3, Z2), "action shape does not match group orders"),
+    (lambda: semidirect(Z3, Z2, GroupAction([(0, 1, 2), (0, 0, 0)])),
+     "invalid action: bijective witness"),
+    (lambda: linearize_rb(S3, tuple(range(6)), FieldCtx.rationals()),
+     "linearize_rb requires a verified weight-1 operator"),
+], ids=["circ_from_rrb", "group_from_json", "action_shape", "semidirect", "linearize_rb"])
+def test_invalid_input_is_rejected_with_its_reason(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_semidirect():
     Z3 = GroupTable.cyclic(3)
     Z2 = GroupTable.cyclic(2)
@@ -690,6 +710,55 @@ def test_enumerate_parallel_and_cap():
         enumerate_rb(S3, 1, cap=3)
     assert exc.value.cap == 3
     assert exc.value.evaluations > 3
+
+
+@pytest.mark.parametrize("jobs, cores, workers", [(100_000, 64, 6), (3, 64, 3), (100_000, 2, 2),
+                                                  (4, 1, None)])
+def test_enumeration_starts_no_more_workers_than_partitions_or_cores(monkeypatch, jobs, cores,
+                                                                     workers):
+    # S3 splits into six partitions; one worker runs in process
+    S3 = GroupTable.symmetric(3)
+    serial = enumerate_rb(S3, 1)
+    started = inline_pools(monkeypatch, cores)
+    assert enumerate_rb(S3, 1, jobs=jobs) == serial
+    assert started == ([] if workers is None else [workers])
+
+
+def test_enumeration_rejects_jobs_below_one(capsys):
+    for G in (GroupTable.symmetric(3), GroupTable.cyclic(1)):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match=f"jobs must be at least 1, not {jobs}"):
+                enumerate_rb(G, 1, jobs=jobs)
+    for command in ("enum-rb", "aut"):
+        where = (["--group", str(FIXTURES / "s3.json")] if command == "enum-rb"
+                 else ["--construction", "h4", "--grid", "0,1"])
+        assert cli.main([command, *where, "--jobs", "0"]) == 2
+        assert capsys.readouterr().err == "error: jobs must be at least 1, not 0\n"
+
+
+def test_parallel_enumeration_keeps_one_budget(monkeypatch):
+    # S3 x S3 at weight 1: the serial search makes 85,769 assignments and the
+    # 36 partitions on the first free image 85,804, at most 13,822 each; the
+    # search stops once the finished partitions together pass the cap
+    S3 = GroupTable.symmetric(3)
+    G = GroupTable.direct_product(S3, S3)
+    first = next(i for i in range(G.n) if i != G.e)
+    counts = [rb_group._search_partition(G.table, 1, [(G.e, G.e), (first, v)], DEFAULT_CAP)[1]
+              for v in range(G.n)]
+    assert (sum(counts), max(counts)) == (85_804, 13_822)
+    cap = 20_000
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_rb(G, 1, cap=cap, jobs=2)
+    assert cap < exc.value.evaluations <= cap + max(counts)
+    # a partition over the cap on its own comes back from its worker
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_rb(S3, 1, cap=3, jobs=2)
+    assert exc.value.evaluations > 3
+    # in process, partition by partition, the same bound holds
+    inline_pools(monkeypatch, 4)
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_rb(G, 1, cap=cap, jobs=4)
+    assert cap < exc.value.evaluations <= cap + max(counts)
 
 
 def test_operator_json_round_trip():

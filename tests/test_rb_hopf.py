@@ -35,6 +35,31 @@ def _delta_tensor(H, i: int, legs: int) -> dict:
     return iterated_delta(H.coalgebra, {i: H.ctx.one}, legs)
 
 
+def h4_rrb_json() -> dict:
+    return json.loads((FIXTURES / "h4-rrb-exact-factorization.json").read_text())
+
+
+def test_unit_condition_is_decided_on_vectors():
+    # B(h) = e(h)g is a coalgebra map, since g is group-like, with B(1) = g
+    obj = h4_rrb_json()
+    obj["B"] = [["0"] * 4, obj["H"]["counit"], ["0"] * 4, ["0"] * 4]
+    rep = check_rrbo(rrb_from_json(obj))
+    assert rep.details["condition_1_coalgebra"]["status"] == "pass"
+    assert rep.identity == "condition_1_unit"
+    assert rep.witness == {"identity": "condition_1_unit", "indices": [], "labels": [],
+                           "lhs": "(1)*g", "rhs": "(1)*1"}
+
+
+def test_invalid_input_is_rejected_with_its_reason():
+    S3 = GroupTable.symmetric(3)
+    with pytest.raises(ValueError, match="L is not a subgroup"):
+        exact_factorization_rrb(S3, [0, 2], [0, 3], Q)
+    obj = h4_rrb_json()
+    obj["G"]["field"] = "F5"
+    with pytest.raises(ValueError, match="H and G use different scalar fields"):
+        rrb_from_json(obj)
+
+
 def counit_unit_operator(H) -> LinearMap:
     """B(a) = eps(a) 1, a relative Rota-Baxter operator for any adjoint action."""
     cols = []

@@ -99,8 +99,10 @@ def test_mixed_context_rejected():
         _ = q.one == f7.one
 
 
-@pytest.mark.parametrize("ctx", [FieldCtx.rationals(), FieldCtx.cyclotomic(5),
-                                 FieldCtx.prime(7)], ids=str)
+THREE_KINDS = [FieldCtx.rationals(), FieldCtx.cyclotomic(5), FieldCtx.prime(7)]
+
+
+@pytest.mark.parametrize("ctx", THREE_KINDS, ids=str)
 def test_scalars_combine_with_scalars_of_one_field_only(ctx):
     s = ctx.from_int(3)
     for op in (lambda: s + 1, lambda: 1 + s, lambda: s - Fraction(1), lambda: 1 - s,
@@ -121,8 +123,7 @@ def test_scalars_combine_with_scalars_of_one_field_only(ctx):
     assert not {"__rsub__", "__rtruediv__"} & set(Scalar.__dict__)
 
 
-@pytest.mark.parametrize("ctx", [FieldCtx.rationals(), FieldCtx.cyclotomic(5),
-                                 FieldCtx.prime(7)], ids=str)
+@pytest.mark.parametrize("ctx", THREE_KINDS, ids=str)
 def test_from_fraction_takes_exact_input_only(ctx):
     for bad in (0.1, 1.0, float("nan"), True, False):
         with pytest.raises(ValueError, match="exact"):

@@ -16,9 +16,9 @@ import sys
 from .constructions import (FamilyParams, family_aut_search, family_with_hypotheses,
                             group_algebra, sweedler_h4)
 from .hopf_core import LinearMap, check_hopf
-from .rb_group import (DEFAULT_CAP, CapExceeded, check_rb, check_rb_lambda, check_star_compat,
-                       circ_from_rrb, derived_group, enumerate_rb, group_from_json,
-                       lemma_checks, operator_to_json, power_star, skew_brace_check)
+from .rb_group import (DEFAULT_CAP, CapExceeded, check_rb, check_rb_lambda, circ_from_rrb,
+                       derived_group, enumerate_rb, group_from_json, lemma_checks,
+                       operator_to_json, power_star)
 from .rb_hopf import check_rrbo, rrb_from_json
 from .rb_lie import check_lie, check_rb_lie_weight, lie_from_json
 from .report import VerificationReport, first_failure, labelled, merge_reports
@@ -131,23 +131,13 @@ def cmd_enum_rb(args) -> int:
     G = group_from_json(_load_json(args.group))
     ops = enumerate_rb(G, args.weight, cap=args.cap, jobs=args.jobs)
     rows = [operator_to_json(G, op, args.weight) for op in ops]
-    if args.weight == 1:
-        # the star of weight 1 is G's own table and the circle group the
-        # derived one, so both braces of circ_from_rrb are this one
-        for op, entry in zip(ops, rows):
-            derived, drep = derived_group(G, op)
-            entry["skew_brace"] = skew_brace_check(G, derived).status
-            entry["derived_group"] = drep.status
+    star = power_star(G, args.weight)
+    for op, entry in zip(ops, rows):
+        _, rep = circ_from_rrb(G, star, op)
+        entry["skew_brace"] = rep.status
+        entry["derived_group"] = rep.details["circ_group"]["status"]
+        if args.weight == 1:
             entry["lemma"] = lemma_checks(G, op).status
-    else:
-        star = power_star(G, args.weight)
-        # fixed by (G, weight), so decided once for every operator
-        fixed = {"star_compat": check_star_compat(G, star),
-                 "dot_star_brace": skew_brace_check(G, star)}
-        for op, entry in zip(ops, rows):
-            _, circ_rep = circ_from_rrb(G, star, op, **fixed)
-            entry["skew_brace"] = circ_rep.status
-            entry["derived_group"] = circ_rep.details["circ_group"]["status"]
     _emit(args, {"group": G.name, "order": G.n, "weight": args.weight,
                  "count": len(rows), "operators": rows})
     return EXIT_PASS

@@ -133,10 +133,11 @@ class GroupTable:
 
     The constructor decides the axioms (see check_group), keeps the report
     as axioms and the generating set that decided associativity as gens,
-    and raises ValueError if one fails.
+    and raises ValueError if one fails.  _conj, the conjugation rows, and
+    _stars, circ_from_rrb's facts about (G, star) per star, fill lazily.
     """
 
-    __slots__ = ("n", "table", "e", "inv", "name", "axioms", "gens", "_conj")
+    __slots__ = ("n", "table", "e", "inv", "name", "axioms", "gens", "_conj", "_stars")
 
     def __init__(self, table, name: str = ""):
         self.table = t = _square(table)
@@ -176,7 +177,7 @@ class GroupTable:
         self.axioms = rep
         if not rep.ok:
             raise _NotAGroup(rep)
-        self._conj = _ConjugationRows(t, self.inv)
+        self._conj, self._stars = _ConjugationRows(t, self.inv), {}
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -546,14 +547,20 @@ def power_star(G: GroupTable, lam: int) -> GroupTable:
     return GroupTable(_power_table(G, lam))
 
 
+def _same_order(G: GroupTable, H: GroupTable) -> None:
+    if G.n != H.n:
+        raise ValueError(f"groups of different orders: {G.n} and {H.n}")
+
+
 def check_star_compat(G: GroupTable, star: GroupTable) -> VerificationReport:
     """star, a group on G's carrier, shares G's unit, and conjugation by the
     original operation distributes over it; its group axioms are the report
-    kept when star was built.
+    kept when star was built.  ValueError unless the orders agree.
 
     The g whose conjugation is a star-homomorphism hold e and are closed
     under products, so g in G.gens decides every g.
     """
+    _same_order(G, star)
     conj, star_gets = G._conj, [_gather(row) for row in star.table]
     row = _relative_rows(star.table, conj)
 
@@ -585,8 +592,9 @@ def skew_brace_check(dot: GroupTable, circ: GroupTable) -> VerificationReport:
     Row (a, e) holds iff a circ e = a, and then the b whose row holds are
     closed under products; the row at any b implies a circ e = a (take
     c = e), so rows at b in dot.gens decide every row, and the row at e
-    alone does when dot.gens is empty.
+    alone does when dot.gens is empty.  ValueError unless the orders agree.
     """
+    _same_order(dot, circ)
     n, d, ct, inv = dot.n, dot.table, circ.table, dot.inv
     dot_gets = [_gather(row) for row in d]
 
@@ -601,19 +609,21 @@ def skew_brace_check(dot: GroupTable, circ: GroupTable) -> VerificationReport:
     return decide_on(first_row_failure, "skew_brace", rows, dot.gens or [dot.e], n)
 
 
-def circ_from_rrb(G: GroupTable, star: GroupTable, B, *, star_compat=None,
-                  dot_star_brace=None) -> tuple[GroupTable, VerificationReport]:
+def circ_from_rrb(G: GroupTable, star: GroupTable, B) -> tuple[GroupTable, VerificationReport]:
     """g1 circ g2 = g1 * B(g1) g2 B(g1)^-1 with conjugation in (G, .).
 
     Verifies: circ is a group; (G, *, circ) is a skew brace; and when
-    (G, ., *) is itself a skew brace, so is (G, ., circ).  star_compat and
-    dot_star_brace are the reports of check_star_compat(G, star) and
-    skew_brace_check(G, star), fixed for every operator on (G, star): a
-    caller that runs many operators decides them once and passes them in,
-    and a call without them decides them itself.
+    (G, ., *) is itself a skew brace, so is (G, ., circ).  The facts
+    check_star_compat(G, star) and, when it passes, skew_brace_check(G, star)
+    are decided on the first call with star and kept on G.  When star has
+    G's own table (weight 1) the two braces are one identity on the same
+    tables, so one report stands for both.
     """
     B = _validate_map(G, B)
-    pre = check_star_compat(G, star) if star_compat is None else star_compat
+    if star not in G._stars:
+        pre = check_star_compat(G, star)
+        G._stars[star] = pre, skew_brace_check(G, star) if pre.ok else None
+    pre, dot_star_brace = G._stars[star]
     if not pre.ok:
         raise ValueError(f"star precondition fails: {pre.identity} witness {pre.witness}")
     star_rb, circ = _relative_identity(star.table, G._conj, B, G.table, "star_rb")
@@ -628,9 +638,9 @@ def circ_from_rrb(G: GroupTable, star: GroupTable, B, *, star_compat=None,
         raise ValueError(f"circ operation is not a group: {e}") from None
     parts = {"circ_group": circ.axioms,
              "star_circ_brace": skew_brace_check(star, circ)}
-    if dot_star_brace is None:
-        dot_star_brace = skew_brace_check(G, star)
-    if dot_star_brace.ok:
+    if star.table == G.table:
+        parts["dot_circ_brace"] = parts["star_circ_brace"]
+    elif dot_star_brace.ok:
         parts["dot_circ_brace"] = skew_brace_check(G, circ)
     else:
         # only meaningful when (G, ., *) is itself a skew brace
@@ -642,8 +652,8 @@ def circ_from_rrb(G: GroupTable, star: GroupTable, B, *, star_compat=None,
 # enumeration
 
 
-def _search_partition(table, weight: int, seeds, cap: int):
-    """DFS over operator images with constraint propagation.
+def _search_partition(G: GroupTable, weight: int, seeds, cap: int):
+    """DFS over operator images of the group G with constraint propagation.
 
     seeds is a list of (index, value) preassignments. Returns (hits, count)
     where count is the number of image assignments performed. The identity
@@ -652,7 +662,6 @@ def _search_partition(table, weight: int, seeds, cap: int):
     The DFS runs on an explicit stack: a recursive closure would refer to
     itself and keep every search's tables alive until a full GC pass.
     """
-    G = GroupTable(table)
     n, t = G.n, G.table
     row = _relative_rows(_power_table(G, weight), G._conj)
     arg = [[row(g, v) for v in range(n)] for g in range(n)]
@@ -742,12 +751,12 @@ def enumerate_rb(G: GroupTable, weight: int, cap: int = DEFAULT_CAP, jobs: int =
     first = next((i for i in range(n) if i != G.e), None)
     workers = pool_size(jobs, n)
     if first is None or workers == 1:
-        hits, _ = _search_partition(G.table, weight, seeds, cap)
+        hits, _ = _search_partition(G, weight, seeds, cap)
         return sorted(hits)
     results: list[tuple] = []
     total = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(_search_partition, G.table, weight, seeds + [(first, v)], cap)
+        futs = [pool.submit(_search_partition, G, weight, seeds + [(first, v)], cap)
                 for v in range(n)]
         for f in as_completed(futs):
             try:

@@ -187,9 +187,9 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
     # decided when power_star built it
     assert len(passes) == 2
 
-    # enum-rb at weight 1: the derived group of each operator is its circle
-    # group on G's own table, so no star, and one table and one brace per
-    # operator
+    # enum-rb, one path at every weight: the star, its precondition and the
+    # brace (G, ., *) once per command, then one circle table per operator;
+    # at weight 1 the star has G's table, so the two braces are one
     calls = {"group_from_json": [], "power_star": [], "check_star_compat": [],
              "skew_brace_check": [], "derived_group": []}
 
@@ -203,41 +203,98 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
     for name, log in calls.items():
         wrapper = logged(getattr(rb_group, name), log)
         for module in (rb_group, cli):
-            monkeypatch.setattr(module, name, wrapper)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    built = []
+    missing = rb_group._ConjugationRows.__missing__
+    monkeypatch.setattr(rb_group._ConjugationRows, "__missing__",
+                        lambda rows, v: built.append(rows) or missing(rows, v))
 
     def enum_rb(*extra):
-        for log in calls.values():
+        for log in (*calls.values(), passes, built):
             log.clear()
-        passes.clear()
         assert cli.main(["enum-rb", "--group", str(FIXTURES / "s3.json"), *extra]) == 0
         return json.loads(capsys.readouterr().out)["operators"]
 
-    operators = enum_rb()
-    assert len(operators) == 8
-    assert all(row[key] == "pass" for row in operators
-               for key in ("skew_brace", "derived_group", "lemma"))
-    [(_, G)] = calls["group_from_json"]
-    assert calls["power_star"] == calls["check_star_compat"] == []
-    derived = [out[0] for _, out in calls["derived_group"]]
-    assert len(derived) == len(operators)
-    assert [args for args, _ in calls["skew_brace_check"]] == [(G, D) for D in derived]
-    # the group read from the file and the search's table, then one derived
-    # table per operator
-    assert len(passes) == 2 + len(operators)
+    for weight, braces in ((1, 1), (-1, 2)):
+        operators = enum_rb(f"--weight={weight}")
+        assert len(operators) == 8
+        keys = ("skew_brace", "derived_group") + (("lemma",) if weight == 1 else ())
+        assert all(row[key] == "pass" for row in operators for key in keys)
+        [(_, G)] = calls["group_from_json"]
+        [(_, star)] = calls["power_star"]
+        assert [args for args, _ in calls["check_star_compat"]] == [(G, star)]
+        brace_args = [args for args, _ in calls["skew_brace_check"]]
+        assert sum(args[0] is G and args[1] is star for args in brace_args) == 1
+        assert len(brace_args) == 1 + braces * len(operators)
+        assert calls["derived_group"] == []
+        # the group read from the file and the star, then one circle table
+        # per operator
+        assert len(passes) == 2 + len(operators)
+        # the search, the star facts, the circle tables and the lemmas all
+        # read G's own conjugation rows
+        assert built and all(rows is G._conj for rows in built)
 
-    # enum-rb at weight -1: the star preconditions once per command, one
-    # circle table per operator
-    operators = enum_rb("--weight=-1")
-    assert len(operators) == 8
-    assert all(row[key] == "pass" for row in operators
-               for key in ("skew_brace", "derived_group"))
-    [(_, G)] = calls["group_from_json"]
-    [(_, star)] = calls["power_star"]
-    assert [args for args, _ in calls["check_star_compat"]] == [(G, star)]
-    assert sum(args[0] is G and args[1] is star for args, _ in calls["skew_brace_check"]) == 1
-    # the group read from the file, the search's table and the star, then
-    # one circle table per operator
-    assert len(passes) == 3 + len(operators)
+
+def test_circ_from_rrb_keeps_the_star_facts_on_the_group(monkeypatch):
+    D8 = GroupTable.metacyclic(4, 2, 3)
+    decided = []
+    compat = rb_group.check_star_compat
+    monkeypatch.setattr(rb_group, "check_star_compat",
+                        lambda G, star: decided.append(star) or compat(G, star))
+    star = power_star(D8, 1)
+    operators = enumerate_rb(D8, 1)[:10]
+    assert len(operators) == 10
+    for B in operators:
+        _, rep = circ_from_rrb(D8, star, B)
+        assert rep.ok
+        assert rep.details["dot_circ_brace"] == rep.details["star_circ_brace"]
+    assert decided == [star]
+    # a second star on the same group gets facts of its own
+    opposite = power_star(D8, -1)
+    for B in enumerate_rb(D8, -1)[:3]:
+        assert circ_from_rrb(D8, opposite, B)[1].ok
+    assert decided == [star, opposite]
+    # a star that fails the precondition fails the same way on every call
+    S3, Z6 = GroupTable.symmetric(3), GroupTable.cyclic(6)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="star precondition fails") as exc:
+            circ_from_rrb(S3, Z6, (0,) * 6)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and decided[2:] == [Z6]
+
+
+def test_groups_of_different_orders_are_an_input_error():
+    S3, Z4, Z8 = GroupTable.symmetric(3), GroupTable.cyclic(4), GroupTable.cyclic(8)
+    for call, orders in ((lambda: check_star_compat(S3, Z4), (6, 4)),
+                         (lambda: check_star_compat(S3, Z8), (6, 8)),
+                         (lambda: skew_brace_check(S3, Z4), (6, 4)),
+                         (lambda: skew_brace_check(Z4, S3), (4, 6)),
+                         (lambda: circ_from_rrb(S3, Z4, S3.inv), (6, 4))):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "groups of different orders: {} and {}".format(*orders)
+
+
+def test_circle_group_at_weight_one_is_the_derived_group():
+    # enum-rb reads the derived group of a weight-1 operator as its circle
+    # group over the star G itself; derived_group builds it on its own path
+    # and decides that B is again Rota-Baxter on it
+    S3 = GroupTable.symmetric(3)
+    groups = [S3, GroupTable.metacyclic(4, 2, 3),
+              GroupTable.direct_product(GroupTable.cyclic(4), GroupTable.cyclic(2))]
+    cases = [(G, enumerate_rb(G, 1)) for G in groups]
+    S3xS3 = GroupTable.direct_product(S3, S3)
+    cases.append((S3xS3, random.Random(20).sample(enumerate_rb(S3xS3, 1), 20)))
+    for G, operators in cases:
+        star = power_star(G, 1)
+        for B in operators:
+            circ, _ = circ_from_rrb(G, star, B)
+            derived, rep = derived_group(G, B)
+            assert circ.table == derived.table, (G, B)
+            assert rep.details["rb_on_star"]["status"] == "pass", (G, B)
 
 
 def test_group_action_check():
@@ -743,7 +800,7 @@ def test_parallel_enumeration_keeps_one_budget(monkeypatch):
     S3 = GroupTable.symmetric(3)
     G = GroupTable.direct_product(S3, S3)
     first = next(i for i in range(G.n) if i != G.e)
-    counts = [rb_group._search_partition(G.table, 1, [(G.e, G.e), (first, v)], DEFAULT_CAP)[1]
+    counts = [rb_group._search_partition(G, 1, [(G.e, G.e), (first, v)], DEFAULT_CAP)[1]
               for v in range(G.n)]
     assert (sum(counts), max(counts)) == (85_804, 13_822)
     cap = 20_000

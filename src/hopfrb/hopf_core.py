@@ -485,7 +485,8 @@ def check_algebra(A) -> VerificationReport:
     Given the unit law, the middles s at which the identity holds for every
     i and k form a subspace that holds 1 and is closed under products, so
     it is A: the generating set decides every basis triple (Light's
-    associativity test).
+    associativity test).  A passing report keeps that set as its
+    generators, for the checks that reduce on it next.
     """
     A = _algebra_of(A)
     one = A.ctx.one
@@ -587,15 +588,14 @@ def check_hopf(H: HopfData) -> VerificationReport:
     """Full Hopf-algebra verification; reports the first failing identity.
 
     Once the algebra part passes, the algebra is associative and unital,
-    so one generating set decides the multiplicative identities of the
-    bialgebra part; otherwise it takes every basis pair.
+    so the generating set it was decided on decides the multiplicative
+    identities of the bialgebra part; otherwise it takes every basis pair.
     """
     algebra = check_algebra(H)
-    gens = generating_set(H.algebra) if algebra.ok else None
     return merge_reports({
         "algebra": algebra,
         "coalgebra": check_coalgebra(H),
-        "bialgebra_compat": check_bialgebra_compat(H, generators=gens),
+        "bialgebra_compat": check_bialgebra_compat(H, generators=algebra.generators),
         "antipode": check_antipode(H),
     })
 

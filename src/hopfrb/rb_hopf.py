@@ -8,19 +8,23 @@ group-flavoured case (the adjoint action, grbo_check) and the H^op case
 (hrbo_check) are check_rrbo on a fixed action.  The exact-factorization
 construction gives operators on group algebras.  A RelRBHopf keeps one table
 of basis circle products, read by condition 4, the brace and the derived
-product.  Vectors and tensors are sparse dicts (see hopf_core): all Sweedler
-legs are materialized and compared entry-wise.
+product.  The action laws that act by a product of G are decided on a
+generating set of G, and the brace identity on one of H, each under premises
+decided in the same call (see check_action and check_hopf_brace).  Vectors
+and tensors are sparse dicts (see hopf_core): all Sweedler legs are
+materialized and compared entry-wise.
 """
 
 from __future__ import annotations
 
 from .constructions import group_algebra
 from .hopf_core import (ActionData, AlgebraData, HopfData, LinearMap, _table_from_json,
-                        group_like_basis_indices, is_coalgebra_morphism, iterated_delta,
-                        lincomb, opposite_hopf, tensor_apply_delta, tensor_apply_map,
-                        tensor_mul_legs, tensor_outer, tensor_permute)
+                        check_algebra, check_antipode, check_bialgebra_compat,
+                        check_coalgebra, group_like_basis_indices, is_coalgebra_morphism,
+                        iterated_delta, lincomb, opposite_hopf, tensor_apply_delta,
+                        tensor_apply_map, tensor_mul_legs, tensor_outer, tensor_permute)
 from .rb_group import GroupTable, is_subgroup
-from .report import VerificationReport, first_failure, labelled, merge_reports
+from .report import VerificationReport, decide_on, first_failure, labelled, merge_reports
 from .scalars import FieldCtx
 
 
@@ -66,21 +70,40 @@ class RelRBHopf:
 
 
 def check_action(phi: ActionData, G: HopfData, H: HopfData) -> VerificationReport:
-    """The four module-algebra laws, first failure witnessed."""
+    """The four module-algebra laws, first failure witnessed.
+
+    The two laws that act by a product of G are decided for g in the
+    generating set of G's algebra only, which is exact under premises about
+    G decided here; if one fails, the law takes every g.  Either way a
+    failing report is the one every g gives.
+
+    action_composition, Phi_g Phi_h = Phi_gh for every h, given that G's
+    algebra passes and Phi_1 is the identity: the g at which it holds form a
+    subspace that holds 1 and is closed under products, as Phi_gg' Phi_h =
+    Phi_g Phi_g'h = Phi_(gg')h.  So it is G.
+
+    action_multiplicative, Phi_g(ab) = Phi_g1(a) Phi_g2(b) for every a and
+    b, given also that action_composition passes and Delta is an algebra
+    morphism of G (check_bialgebra_compat on the same generators): the g at
+    which it holds form a subspace that holds 1 (Delta(1) = 1 (x) 1) and is
+    closed under products, as Phi_gg'(ab) = Phi_g(Phi_g'1(a) Phi_g'2(b)) =
+    Phi_(gg')1(a) Phi_(gg')2(b).  So it is G.  Each proof needs the law at
+    every a and b, so H is not reduced as well.
+    """
     _check_action_dims(phi, G, H)
     one = H.ctx.one
     unit_g, unit_h = G.unit, H.unit
 
-    def composition():
-        for g in range(G.dim):
+    def composition(gs):
+        for g in gs:
             for h in range(G.dim):
                 gh = G.algebra.mul_basis(g, h)
                 for a in range(H.dim):
                     yield ((g, h, a), phi.apply({g: one}, phi.apply_basis(h, a)),
                            phi.apply(gh, {a: one}))
 
-    def multiplicative():
-        for g in range(G.dim):
+    def multiplicative(gs):
+        for g in gs:
             dg = G.coalgebra.delta_basis(g)
             for a in range(H.dim):
                 for b in range(H.dim):
@@ -94,16 +117,21 @@ def check_action(phi: ActionData, G: HopfData, H: HopfData) -> VerificationRepor
             yield ((g,), phi.apply({g: one}, unit_h),
                    lincomb([(G.coalgebra.counit[g], unit_h)]))
 
+    unit = first_failure(
+        "unit_acts_trivially",
+        (((a,), phi.apply(unit_g, {a: one}), {a: one}) for a in range(H.dim)),
+        labelled([H.labels], H.labels))
+    gens = check_algebra(G).generators if unit.ok else None
+    composed = decide_on(first_failure, "action_composition", composition, gens, G.dim,
+                         labelled([G.labels, G.labels, H.labels], H.labels))
+    gens = composed.generators
+    if gens is not None and not check_bialgebra_compat(G, generators=gens).ok:
+        gens = None
     return merge_reports({
-        "unit_acts_trivially": first_failure(
-            "unit_acts_trivially",
-            (((a,), phi.apply(unit_g, {a: one}), {a: one}) for a in range(H.dim)),
-            labelled([H.labels], H.labels)),
-        "action_composition": first_failure(
-            "action_composition", composition(),
-            labelled([G.labels, G.labels, H.labels], H.labels)),
-        "action_multiplicative": first_failure(
-            "action_multiplicative", multiplicative(),
+        "unit_acts_trivially": unit,
+        "action_composition": composed,
+        "action_multiplicative": decide_on(
+            first_failure, "action_multiplicative", multiplicative, gens, G.dim,
             labelled([G.labels, H.labels, H.labels], H.labels)),
         "action_on_unit": first_failure("action_on_unit", on_unit(),
                                         labelled([G.labels], H.labels)),
@@ -218,19 +246,44 @@ def derived_hopf(data: RelRBHopf) -> HopfData:
     return HopfData(alg, H.coalgebra, LinearMap(ctx, cols, n))
 
 
+def _brace_generators(data: RelRBHopf) -> list | None:
+    """The generating set that decides the Hopf brace identity, or None
+    when a premise of check_hopf_brace fails."""
+    H = data.H
+    gens = check_algebra(H).generators
+    if gens is None or not (check_coalgebra(H).ok and check_antipode(H).ok):
+        return None
+    for a in range(H.dim):   # a o 1 = a
+        if lincomb((c, data._circle(a, k)) for k, c in H.unit.items()) != {a: H.ctx.one}:
+            return None
+    return gens
+
+
 def check_hopf_brace(data: RelRBHopf) -> VerificationReport:
-    """a o (b*c) = (a_(1) o b) * S_H(a_(2)) * (a_(3) o c) over all basis
-    triples, plus invertibility of Phi_g for each group-like g of G."""
+    """a o (b*c) = (a_(1) o b) * S_H(a_(2)) * (a_(3) o c) for every basis a
+    and c and b in the generating set of H's algebra, plus invertibility of
+    Phi_g for each group-like g of G.
+
+    The premises, decided here, are that H's algebra, coalgebra and antipode
+    pass and that a o 1 = a for every basis a; if one fails, b takes every
+    basis element, and a failure on the generators is rerun on every b, so
+    a failing report is the one every b gives.  Given them, the b at which
+    the identity holds for every a and c form a subspace.  It holds 1: by
+    a o 1 = a and a_(1) S(a_(2)) (x) a_(3) = 1 (x) a, the right side at b = 1
+    is a o c.  It is closed under products: expanding a o (bb'c) at b and
+    then at b' at a_(3), and (a_(1) o bb') at b with c = b', gives one
+    expression by coassociativity.  So it is H.
+    """
     H, G, phi = data.H, data.G, data.phi
     ctx = H.ctx
     n = H.dim
     circ = data._circle
     mul, mul_basis, S = H.algebra.mul_sparse, H.algebra.mul_basis, H.antipode
 
-    def brace_cases():
+    def brace_cases(bs):
         for a in range(n):
             d2 = iterated_delta(H.coalgebra, {a: ctx.one}, 3)
-            for b in range(n):
+            for b in bs:
                 # (a_(1) o b) * S(a_(2)) depends on (a, b) only
                 left = [(ct, mul(circ(a1, b), S.cols[a2]), a3)
                         for (a1, a2, a3), ct in d2.items()]
@@ -242,8 +295,8 @@ def check_hopf_brace(data: RelRBHopf) -> VerificationReport:
 
     invertible = {g: phi.matrix_for(g).is_invertible() for g in group_like_basis_indices(G)}
     out = merge_reports({
-        "hopf_brace": first_failure(
-            "hopf_brace", brace_cases(),
+        "hopf_brace": decide_on(
+            first_failure, "hopf_brace", brace_cases, _brace_generators(data), n,
             labelled([H.labels] * 3, H.labels)),
         "phi_grouplike_invertible": first_failure(
             "phi_grouplike_invertible",

@@ -26,6 +26,9 @@ class VerificationReport:
     witness: dict | None = None
     stats: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
+    # the indices a passing decide_on report was decided at, when it was
+    # reduced to them (None: every index); not part of the JSON
+    generators: list | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.status not in ("pass", "fail"):
@@ -110,10 +113,14 @@ def decide_on(decider, identity: str, cases, chosen, n: int,
 
     A failure there is a failure at every index as well.  It reruns
     cases(range(n)), as does chosen None, so that a failing report (witness
-    and count) is the one every index gives.
+    and count) is the one every index gives.  A report that passes on chosen
+    keeps it as its generators, for a caller that reduces a later identity
+    on the same set.
     """
     if chosen is not None:
         rep = decider(identity, cases(chosen), witness)
+        if rep.ok:
+            rep.generators = list(chosen)
         if rep.ok or len(chosen) == n:
             return rep
     return decider(identity, cases(range(n)), witness)

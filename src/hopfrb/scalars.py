@@ -11,9 +11,10 @@ at the edges: parsing, printing, JSON, and the extended gcd behind inverse()
 at degree 2 and up.
 
 A FieldCtx pins the field and holds its zero and one, built once; a Scalar
-pairs a context with a canonical value.  Scalars combine only with Scalars
-of their own field: a number operand raises TypeError, a scalar of another
-field MixedContextError.  Rationals enter through FieldCtx.from_int,
+pairs a context with a canonical value.  A product by that one returns the
+other operand itself.  Scalars combine only with Scalars of their own
+field: a number operand raises TypeError, a scalar of another field
+MixedContextError.  Rationals enter through FieldCtx.from_int,
 FieldCtx.from_fraction (which rejects floats) and parse_scalar.
 """
 
@@ -365,6 +366,11 @@ class Scalar:
     def __mul__(self, other):
         o = self._coerce(other)
         ctx = self.ctx
+        # scalars are immutable, so a product by one may share the other operand
+        if o is ctx.one:
+            return self
+        if self is ctx.one and o.ctx is ctx:
+            return o
         if ctx.kind == PRIME:
             return Scalar(ctx, (self.val * o.val) % ctx.p)
         b = o.val

@@ -5,8 +5,8 @@ through a bijection, the quantum binomial by expansion, the
 Cauchy identity for quantum binomials, the closed forms of the antipode
 of the family H_{m,zeta,l,f} and of the criteria for its automorphisms,
 two root-of-unity helpers, a call counter, an in-process stand-in for the
-worker pools, and the antipode identities that the convolution laws imply
-on a bialgebra."""
+worker pools, the antipode identities that the convolution laws imply
+on a bialgebra, and the operator B(a) = e(a)1."""
 
 import functools
 import itertools
@@ -16,9 +16,9 @@ from math import gcd
 
 from hopfrb import constructions, rb_group
 from hopfrb.constructions import FamilyParams, qbinom
-from hopfrb.hopf_core import (check_algebra, check_antipode, check_bialgebra_compat,
-                              check_coalgebra, iterated_delta, tensor_apply_map,
-                              tensor_permute)
+from hopfrb.hopf_core import (LinearMap, check_algebra, check_antipode,
+                              check_bialgebra_compat, check_coalgebra, iterated_delta,
+                              tensor_apply_map, tensor_permute)
 from hopfrb.rb_group import GroupTable
 from hopfrb.report import VerificationReport, first_failure, labelled, merge_reports
 from hopfrb.scalars import (FieldCtx, Scalar, _poly_divmod, _poly_mul, _poly_sub,
@@ -243,3 +243,12 @@ def check_hopf_with_implied(H) -> VerificationReport:
         "bialgebra_compat": check_bialgebra_compat(H),
         "antipode": antipode_with_implied(H),
     })
+
+
+def counit_unit_operator(H) -> LinearMap:
+    """B(a) = eps(a) 1, a relative Rota-Baxter operator for any adjoint action."""
+    cols = []
+    for i in range(H.dim):
+        eps = H.coalgebra.counit[i]
+        cols.append({k: eps * c for k, c in H.unit.items()})
+    return LinearMap(H.ctx, cols, H.dim)

@@ -3,7 +3,7 @@
 import copy
 import json
 import random
-from itertools import product
+from itertools import permutations, product
 from operator import ne
 from pathlib import Path
 
@@ -11,9 +11,9 @@ import pytest
 
 from hopfrb import rb_hopf
 from hopfrb.constructions import group_algebra, sweedler_h4
-from hopfrb.hopf_core import (AlgebraData, LinearMap, check_hopf, hopf_to_json, iterated_delta,
-                              opposite_hopf, tensor_apply_map, tensor_mul_legs, tensor_outer,
-                              tensor_permute)
+from hopfrb.hopf_core import (AlgebraData, LinearMap, check_algebra, check_hopf, hopf_to_json,
+                              iterated_delta, opposite_hopf, tensor_apply_map, tensor_mul_legs,
+                              tensor_outer, tensor_permute)
 from hopfrb.rb_group import GroupTable, enumerate_rb, linearize_rb
 from hopfrb.rb_hopf import (ActionData, RelRBHopf, action_from_json, adjoint_action,
                             check_action, check_hopf_brace, check_rrbo, circle,
@@ -21,7 +21,7 @@ from hopfrb.rb_hopf import (ActionData, RelRBHopf, action_from_json, adjoint_act
                             hrbo_action, hrbo_check, rrb_from_json, rrb_to_json,
                             _action_join, _cond3_cases)
 from hopfrb.scalars import FieldCtx
-from helpers import counting
+from helpers import counting, counit_unit_operator
 
 Q = FieldCtx.rationals()
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -58,15 +58,6 @@ def test_invalid_input_is_rejected_with_its_reason():
     obj["G"]["field"] = "F5"
     with pytest.raises(ValueError, match="H and G use different scalar fields"):
         rrb_from_json(obj)
-
-
-def counit_unit_operator(H) -> LinearMap:
-    """B(a) = eps(a) 1, a relative Rota-Baxter operator for any adjoint action."""
-    cols = []
-    for i in range(H.dim):
-        eps = H.coalgebra.counit[i]
-        cols.append({k: eps * c for k, c in H.unit.items()})
-    return LinearMap(H.ctx, cols, H.dim)
 
 
 def cond3_remark_sides(data: RelRBHopf, a: int, b: int) -> tuple[dict, dict]:
@@ -472,18 +463,51 @@ def test_hopf_brace_reads_its_left_side_from_the_circle_table(monkeypatch):
     assert len(calls) == 36
 
 
-def test_hopf_brace_multiplies_n_cubed_plus_n_squared_times(monkeypatch):
-    # (a_(1) o b) * S(a_(2)) is formed once per (a, b) and multiplied by
-    # a_(3) o c once per c; on a group algebra each a has one Delta^2 term
+def test_hopf_brace_multiplies_n_squared_times_each_generator(monkeypatch):
+    # b runs over generating_set(H) = [1, 2]: (a_(1) o b) * S(a_(2)) is formed
+    # once per (a, b) and multiplied by a_(3) o c once per c; on a group
+    # algebra each a has one Delta^2 term.  The premise check_algebra(H)
+    # makes the other products.
     data = exact_factorization_rrb(GroupTable.symmetric(3), [0, 3, 4], [0, 2], Q)
     assert check_rrbo(data, full=True).ok  # fills the circle table
     calls = []
     mul_sparse = AlgebraData.mul_sparse
     monkeypatch.setattr(AlgebraData, "mul_sparse",
                         lambda self, *args: calls.append(args) or mul_sparse(self, *args))
+    assert check_algebra(data.H).ok
+    premise = len(calls)
+    calls.clear()
     assert check_hopf_brace(data).ok
-    n = data.H.dim
-    assert len(calls) == n ** 3 + n ** 2 == 252
+    n, gens = data.H.dim, 2
+    assert len(calls) - premise == n * gens * n + n * gens == 84
+
+
+def s4_factorization() -> RelRBHopf:
+    """k[S4] = k[Stab(3)] k[<(0 1 2 3)>], as in the relative-rb benchmark."""
+    S4 = GroupTable.symmetric(4)
+    perms = list(permutations(range(4)))
+    A = [i for i, p in enumerate(perms) if p[3] == 3]
+    L = [perms.index(q) for q in ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2))]
+    return exact_factorization_rrb(S4, A, L, Q)
+
+
+def test_s4_counts_fall_to_the_generator_cases():
+    # generating_set(k[S4]) has 3 elements and that of k[Z4]^op one
+    data = s4_factorization()
+    n, m = data.H.dim, data.G.dim
+    assert (n, m) == (24, 4)
+    rep = check_rrbo(data, full=True)
+    assert rep.ok
+    action = rep.details["condition_2_action"]["details"]
+    counts = {part: action[part]["stats"]["identities_checked"] for part in action}
+    # g runs over one generator of G, not all 4: 96 of 384 and 576 of 2304
+    assert counts == {"unit_acts_trivially": n, "action_composition": 1 * m * n,
+                      "action_multiplicative": 1 * n * n, "action_on_unit": m}
+    assert (counts["action_composition"], counts["action_multiplicative"]) == (96, 576)
+    brace = check_hopf_brace(data)
+    assert brace.ok
+    # b runs over three generators of H, not all 24: 1728 of 13,824 triples
+    assert brace.details["hopf_brace"]["stats"]["identities_checked"] == n * 3 * n == 1728
 
 
 def test_check_rrbo_catches_every_one_entry_change_of_the_h4_fixture():

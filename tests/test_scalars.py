@@ -387,3 +387,24 @@ def test_context_zero_and_one_are_built_once():
     for ctx in (FieldCtx.rationals(), FieldCtx.cyclotomic(7), FieldCtx.prime(5)):
         assert ctx.zero is ctx.zero and ctx.one is ctx.one
         assert ctx.zero.is_zero and ctx.one == ctx.from_int(1)
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx.rationals(), FieldCtx.cyclotomic(5), FieldCtx.prime(5)],
+                         ids=str)
+def test_a_product_by_one_is_the_other_operand(ctx):
+    one = ctx.one
+    values = [ctx.zero, one, -one, ctx.from_int(3), one / ctx.from_int(2)]
+    if ctx.kind == "cyclotomic":
+        values.append(ctx.from_fraction(Fraction(2, 3)) * ctx.zeta + ctx.zeta ** 3)
+    for x in values:
+        assert x * one is x and one * x is x
+    # the shortcut comes after the operand check: numbers still raise
+    for op in (lambda: one * 2, lambda: 2 * one, lambda: one * Fraction(1),
+               lambda: Fraction(1) * one, lambda: one * 1.0):
+        with pytest.raises(TypeError):
+            op()
+    # an equal field built again multiplies as before, in the left operand's field
+    again = parse_field(ctx.name())
+    assert again is not ctx
+    y = again.from_int(3)
+    assert one * y == ctx.from_int(3) and (one * y).ctx is ctx

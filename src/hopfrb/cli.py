@@ -16,8 +16,8 @@ import sys
 from .constructions import (FamilyParams, family_aut_search, family_with_hypotheses,
                             group_algebra, sweedler_h4)
 from .hopf_core import LinearMap, check_hopf
-from .rb_group import (DEFAULT_CAP, CapExceeded, check_rb, check_rb_lambda, circ_from_rrb,
-                       derived_group, enumerate_rb, group_from_json, lemma_checks,
+from .rb_group import (DEFAULT_CAP, CapExceeded, _lemma_parts, _weight_one_parts, check_rb,
+                       check_rb_lambda, circ_from_rrb, enumerate_rb, group_from_json,
                        operator_to_json, power_star)
 from .rb_hopf import check_rrbo, rrb_from_json
 from .rb_lie import check_lie, check_rb_lie_weight, lie_from_json
@@ -136,8 +136,8 @@ def cmd_enum_rb(args) -> int:
         _, rep = circ_from_rrb(G, star, op)
         entry["skew_brace"] = rep.status
         entry["derived_group"] = rep.details["circ_group"]["status"]
-        if args.weight == 1:
-            entry["lemma"] = lemma_checks(G, op).status
+        if args.weight == 1:  # the search has decided the identity
+            entry["lemma"] = _lemma_parts(G, op).status
     _emit(args, {"group": G.name, "order": G.n, "weight": args.weight,
                  "count": len(rows), "operators": rows})
     return EXIT_PASS
@@ -184,14 +184,12 @@ def cmd_check_group_rb(args) -> int:
     else:
         raise ValueError("one of --map or --operator is required")
     weight = 1 if args.weight is None else args.weight
-    parts: dict = {}
-    if weight in (1, -1):
-        parts["rb"] = check_rb(G, B, weight)
+    if weight == 1:
+        parts = _weight_one_parts(G, B)
+    elif weight == -1:
+        parts = {"rb": check_rb(G, B, weight)}
     else:
-        parts["rb"] = check_rb_lambda(G, B, weight)
-    if weight == 1 and parts["rb"].ok:
-        parts["lemma"] = lemma_checks(G, B)
-        _, parts["derived_group"] = derived_group(G, B)
+        parts = {"rb": check_rb_lambda(G, B, weight)}
     rep = merge_reports(parts)
     return _report_exit(args, rep, {"group": G.name, "order": G.n, "weight": weight})
 

@@ -5,7 +5,8 @@ through a bijection, the quantum binomial by expansion, the
 Cauchy identity for quantum binomials, the closed forms of the antipode
 of the family H_{m,zeta,l,f} and of the criteria for its automorphisms,
 two root-of-unity helpers, a call counter, an in-process stand-in for the
-worker pools, the antipode identities that the convolution laws imply
+worker pools, the operator search that checks every pair of assigned
+elements, the antipode identities that the convolution laws imply
 on a bialgebra, and the operator B(a) = e(a)1."""
 
 import functools
@@ -194,6 +195,75 @@ def inline_pools(monkeypatch, cores: int) -> list:
     for module in (rb_group, constructions):
         monkeypatch.setattr(module, "ProcessPoolExecutor", functools.partial(InlinePool, started))
     return started
+
+
+def all_pairs_search(G: GroupTable, weight: int, seeds, cap: int):
+    """rb_group._search_partition as it was before it checked only the rows
+    of decided elements: (hits, count) by the same depth-first search, with
+    every element taken from the queue paired, both ways round, with itself
+    and every element assigned before it."""
+    n, t = G.n, G.table
+    row = rb_group._relative_rows(rb_group._power_table(G, weight), G._conj)
+    arg = [[row(g, v) for v in range(n)] for g in range(n)]
+    img = [-1] * n
+    order: list[int] = []
+    count = 0
+
+    def force(k: int, rhs: int) -> bool:
+        nonlocal count
+        cur = img[k]
+        if cur == -1:
+            count += 1
+            if count > cap:
+                raise rb_group.CapExceeded(count, cap)
+            img[k] = rhs
+            order.append(k)
+            return True
+        return cur == rhs
+
+    def assign(x: int, v: int) -> bool:
+        nonlocal count
+        count += 1
+        if count > cap:
+            raise rb_group.CapExceeded(count, cap)
+        img[x] = v
+        order.append(x)
+        qi = len(order) - 1
+        while qi < len(order):
+            a = order[qi]
+            va = img[a]
+            for b in order[:qi + 1]:
+                vb = img[b]
+                if not (force(arg[a][va][b], t[va][vb]) and force(arg[b][vb][a], t[vb][va])):
+                    return False
+            qi += 1
+        return True
+
+    for x, v in seeds:
+        if not (assign(x, v) if img[x] == -1 else img[x] == v):
+            return [], count
+    hits: list[tuple] = []
+    stack: list[list[int]] = []  # frames [element, next image to try, len(order) on entry]
+
+    def descend():
+        if -1 in img:
+            stack.append([img.index(-1), 0, len(order)])
+        else:
+            hits.append(tuple(img))
+
+    descend()
+    while stack:
+        frame = stack[-1]
+        x, v, mark = frame
+        while len(order) > mark:
+            img[order.pop()] = -1
+        if v == n:
+            stack.pop()
+            continue
+        frame[1] = v + 1
+        if assign(x, v):
+            descend()
+    return hits, count
 
 
 def antipode_implied(H) -> VerificationReport:

@@ -18,7 +18,8 @@ from hopfrb.rb_group import (DEFAULT_CAP, CapExceeded, GroupAction, GroupTable, 
 from hopfrb.scalars import FieldCtx
 from hopfrb.report import VerificationReport, first_failure, first_row_failure
 
-from helpers import automorphisms, inline_pools, rb_argument, transport_group, weight_flip
+from helpers import (all_pairs_search, automorphisms, counting, inline_pools, rb_argument,
+                     transport_group, weight_flip)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -234,6 +235,27 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
         # the search, the star facts, the circle tables and the lemmas all
         # read G's own conjugation rows
         assert built and all(rows is G._conj for rows in built)
+
+
+def test_commands_decide_the_weight_one_identity_once_per_operator(monkeypatch, capsys):
+    # check-group-rb on a passing operator: the identity once, its rows on
+    # to the lemma parts and the derived group, and rb_on_star; enum-rb: only
+    # the star identity of circ_from_rrb, as the search has decided the rest
+    calls = counting(monkeypatch, rb_group, "_relative_identity")
+    S3 = GroupTable.symmetric(3)
+    s3 = str(FIXTURES / "s3.json")
+    B = ",".join(map(str, S3.inv))
+    assert cli.main(["check-group-rb", "--group", s3, "--map", B]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "pass" and set(out["details"]) == {"rb", "lemma", "derived_group"}
+    assert len(calls) == 2
+    calls.clear()
+    assert cli.main(["enum-rb", "--group", s3]) == 0
+    assert len(json.loads(capsys.readouterr().out)["operators"]) == len(calls) == 8
+    # the public checkers keep their preconditions
+    calls.clear()
+    assert lemma_checks(S3, S3.inv).ok and derived_group(S3, S3.inv)[1].ok
+    assert len(calls) == 3
 
 
 def test_circ_from_rrb_keeps_the_star_facts_on_the_group(monkeypatch):
@@ -793,16 +815,48 @@ def test_enumeration_rejects_jobs_below_one(capsys):
         assert capsys.readouterr().err == "error: jobs must be at least 1, not 0\n"
 
 
+def test_search_on_decided_rows_finds_what_the_all_pairs_search_finds():
+    # the same depth-first tree, so the same hits in the same order: serially,
+    # in every partition on the first free image, and from seeds that assign
+    # every element (operators and one-image near misses, in both orders)
+    def fixture(name):
+        return group_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+
+    S3, Z2 = fixture("s3"), GroupTable.cyclic(2)
+    groups = {"S3": S3, "Z4": fixture("z4"), "D8": GroupTable.metacyclic(4, 2, 3),
+              "F21": fixture("f21"), "S3xZ2": GroupTable.direct_product(S3, Z2),
+              "Z2^3": GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2),
+              "S3xS3": GroupTable.direct_product(S3, S3), "S4": GroupTable.symmetric(4)}
+    rng = random.Random(22)
+    for name, G in groups.items():
+        first = next(i for i in range(G.n) if i != G.e)
+        for weight in (1, -1) + ((2, -2) if name == "F21" else ()):
+            seedings = [[(G.e, G.e)]]
+            if name in ("S3xS3", "F21"):
+                seedings += [[(G.e, G.e), (first, v)] for v in range(G.n)]
+            if name in ("S3", "D8", "F21"):
+                for op in rng.sample(enumerate_rb(G, weight), 6):
+                    x = rng.randrange(G.n)
+                    near = op[:x] + ((op[x] + rng.randrange(1, G.n)) % G.n,) + op[x + 1:]
+                    seedings += [order for B in (op, near)
+                                 for order in (list(enumerate(B)), list(enumerate(B))[::-1])]
+            for seeds in seedings:
+                hits, _ = rb_group._search_partition(G, weight, seeds, DEFAULT_CAP)
+                assert hits == all_pairs_search(G, weight, seeds, DEFAULT_CAP)[0], (name, weight,
+                                                                                    seeds)
+
+
 def test_parallel_enumeration_keeps_one_budget(monkeypatch):
-    # S3 x S3 at weight 1: the serial search makes 85,769 assignments and the
-    # 36 partitions on the first free image 85,804, at most 13,822 each; the
-    # search stops once the finished partitions together pass the cap
+    # S3 x S3 at weight 1: the serial search makes 98,661 assignments, forced
+    # ones included, and the 36 partitions on the first free image 98,696, at
+    # most 15,726 each; the search stops once the finished partitions
+    # together pass the cap
     S3 = GroupTable.symmetric(3)
     G = GroupTable.direct_product(S3, S3)
     first = next(i for i in range(G.n) if i != G.e)
     counts = [rb_group._search_partition(G, 1, [(G.e, G.e), (first, v)], DEFAULT_CAP)[1]
               for v in range(G.n)]
-    assert (sum(counts), max(counts)) == (85_804, 13_822)
+    assert (sum(counts), max(counts)) == (98_696, 15_726)
     cap = 20_000
     with pytest.raises(CapExceeded) as exc:
         enumerate_rb(G, 1, cap=cap, jobs=2)

@@ -758,7 +758,13 @@ def hopf_to_json(H: HopfData) -> dict:
 
 
 def hopf_from_json(obj: dict) -> HopfData:
-    ctx = parse_field(obj["field"])
+    return _hopf_from_json_in(obj, parse_field(obj["field"]))
+
+
+def _hopf_from_json_in(obj: dict, ctx: FieldCtx) -> HopfData:
+    """hopf_from_json with its scalars parsed in ctx, which the caller has
+    matched with obj["field"]: Hopf data read in one context share its
+    parsed literals, its zero and its one."""
     dim = _json_int(obj["dim"], "dim")
     labels = obj.get("labels")
     unit = [scalar_from_json(c, ctx) for c in obj["unit"]]

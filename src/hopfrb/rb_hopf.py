@@ -25,7 +25,7 @@ from .hopf_core import (ActionData, AlgebraData, HopfData, LinearMap, _table_fro
                         tensor_apply_map, tensor_mul_legs, tensor_outer, tensor_permute)
 from .rb_group import GroupTable, is_subgroup
 from .report import VerificationReport, decide_on, first_failure, labelled, merge_reports
-from .scalars import FieldCtx
+from .scalars import FieldCtx, parse_field
 
 
 def action_from_json(obj: list, ctx: FieldCtx, dim_g: int, dim_h: int) -> ActionData:
@@ -378,22 +378,25 @@ def rrb_to_json(data: RelRBHopf) -> dict:
 
 
 def rrb_from_json(obj: dict, base_dir: str = ".") -> RelRBHopf:
-    """The H and G entries may be inline Hopf data or a path string."""
+    """The H and G entries may be inline Hopf data or a path string.  G, phi
+    and B are parsed in H's field context, so that products mixing them
+    share its zero and one."""
     import json
     import os
 
-    from .hopf_core import hopf_from_json
+    from .hopf_core import _hopf_from_json_in, hopf_from_json
 
-    def load(side):
+    def read(side):
         if isinstance(side, str):
             with open(os.path.join(base_dir, side)) as fh:
-                return hopf_from_json(json.load(fh))
-        return hopf_from_json(side)
+                return json.load(fh)
+        return side
 
-    H = load(obj["H"])
-    G = load(obj["G"])
-    if H.ctx != G.ctx:
+    H = hopf_from_json(read(obj["H"]))
+    g = read(obj["G"])
+    if parse_field(g["field"]) != H.ctx:
         raise ValueError("H and G use different scalar fields")
+    G = _hopf_from_json_in(g, H.ctx)
     act = action_from_json(obj["phi"], H.ctx, G.dim, H.dim)
     B = LinearMap.from_json(obj["B"], H.ctx)
     return RelRBHopf(H, G, act, B)

@@ -16,6 +16,14 @@ other operand itself.  Scalars combine only with Scalars of their own
 field: a number operand raises TypeError, a scalar of another field
 MixedContextError.  Rationals enter through FieldCtx.from_int,
 FieldCtx.from_fraction (which rejects floats) and parse_scalar.
+
+A FieldCtx also keeps every literal it has parsed, so each literal is parsed
+once per context: FieldCtx.from_str and scalar_from_json look a string, a
+JSON integer or a tuple of cyclotomic coefficients up before they parse it,
+and parse_scalar reads its rational terms through from_str.  A parsed value
+of 0 or 1 is the context's own zero or one, so a product by a parsed one
+takes the shortcut above.  The memo lives and dies with its context, and a
+literal that fails to parse stores nothing: it raises on every call.
 """
 
 from __future__ import annotations
@@ -130,13 +138,16 @@ def is_prime(p: int) -> bool:
 class FieldCtx:
     """One of Q, Q(zeta_n), or F_p, with the data needed to canonicalize elements."""
 
-    __slots__ = ("kind", "n", "p", "degree", "modulus", "_xpow", "_roots", "zero", "one")
+    __slots__ = ("kind", "n", "p", "degree", "modulus", "_xpow", "_roots", "_literals",
+                 "zero", "one")
 
     def __init__(self, kind: str, n: int = 0, p: int = 0):
         self.kind = kind
         self.n = n
         self.p = p
         self._roots: dict[int, "Scalar"] = {}
+        # parsed literals: a str, an int or a tuple of cyclotomic coefficients
+        self._literals: dict = {}
         if kind in (RATIONALS, CYCLOTOMIC):
             if kind == CYCLOTOMIC and not 1 <= n <= MAX_CYCLOTOMIC:
                 raise ValueError(f"cyclotomic order n={n} outside supported range "
@@ -220,7 +231,47 @@ class FieldCtx:
         return Scalar(self, (k,) + (0,) * (self.degree - 1))
 
     def from_str(self, s: str) -> "Scalar":
-        return self.from_fraction(Fraction(s.strip()))
+        """The rational literal s, parsed once per context; 0 and 1 give zero and one."""
+        x = self._literals.get(s)
+        if x is None:
+            x = self._literals[s] = self._canonical(self.from_fraction(Fraction(s.strip())))
+        return x
+
+    def _canonical(self, x: "Scalar") -> "Scalar":
+        """x, or this context's own zero or one when x has that value."""
+        if x.den == 1:
+            if x.val == self.zero.val:
+                return self.zero
+            if x.val == self.one.val:
+                return self.one
+        return x
+
+    def _from_json_int(self, k: int) -> "Scalar":
+        """The integer literal k (a JSON int or a prime-field value), parsed once."""
+        x = self._literals.get(k)
+        if x is None:
+            x = self._literals[k] = self._canonical(self.from_int(k))
+        return x
+
+    def _from_coeffs(self, coeffs) -> "Scalar":
+        """The cyclotomic literal with these power-basis coefficients, parsed once.
+
+        The entries are checked before the lookup: True and 1.0 equal 1, so a
+        bool or a float would otherwise find the entry of an int."""
+        if type(coeffs) is not list:
+            raise ValueError(f"cyclotomic coeffs must be a list, not {coeffs!r}")
+        for c in coeffs:
+            if type(c) is not str and type(c) is not int:
+                raise ValueError(f"scalars are exact: cyclotomic coefficient {c!r}"
+                                 " is no int or string")
+        key = tuple(coeffs)
+        x = self._literals.get(key)
+        if x is None:
+            if len(key) > self.degree:
+                raise ValueError("cyclotomic coefficient vector longer than field degree")
+            x = self._literals[key] = self._canonical(
+                self._from_fractions([Fraction(c) for c in key]))
+        return x
 
     @property
     def zeta(self) -> "Scalar":
@@ -504,26 +555,26 @@ def _json_int(v, what: str) -> int:
 
 
 def scalar_from_json(obj, ctx: FieldCtx) -> Scalar:
+    """The scalar of a JSON literal: a rational string, an int, {"n", "coeffs"}
+    or {"p", "value"}.  Each literal is parsed once per ctx, and a value of 0
+    or 1 is ctx.zero or ctx.one."""
     if isinstance(obj, str):
         # rational literals embed into any of the three field kinds
         return ctx.from_str(obj)
     if type(obj) is int:  # not bool: JSON true and false are no scalars
-        return ctx.from_int(obj)
+        return ctx._from_json_int(obj)
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse scalar {obj!r}")
     if "coeffs" in obj:
         if ctx.kind != CYCLOTOMIC or ctx.n != obj.get("n"):
             raise MixedContextError(f"cyclotomic scalar of order {obj.get('n')} "
                                     f"does not live in {ctx.name()}")
-        coeffs = [Fraction(s) for s in obj["coeffs"]]
-        if len(coeffs) > ctx.degree:
-            raise ValueError("cyclotomic coefficient vector longer than field degree")
-        return ctx._from_fractions(coeffs)
+        return ctx._from_coeffs(obj["coeffs"])
     if "value" in obj:
         if ctx.kind != PRIME or ctx.p != obj.get("p"):
             raise MixedContextError(f"prime-field scalar mod {obj.get('p')} "
                                     f"does not live in {ctx.name()}")
-        return Scalar(ctx, _json_int(obj["value"], "prime-field value") % ctx.p)
+        return ctx._from_json_int(_json_int(obj["value"], "prime-field value"))
     raise ValueError(f"cannot parse scalar {obj!r}")
 
 
@@ -550,7 +601,9 @@ def parse_scalar(text: str, ctx: FieldCtx) -> Scalar:
     """Parse a scalar from command-line text or a printed witness.
 
     Accepts sums of terms like "-1", "2/3", "z6^2", "1/3*z6", "z5^-1" in any
-    field where the named root exists; a bare residue in a prime field.
+    field where the named root exists; a bare residue in a prime field.  The
+    rational terms go through ctx.from_str, and a sum of value 0 or 1 is
+    ctx.zero or ctx.one.
     """
     s = text.strip().replace(" ", "")
     if not s:
@@ -567,7 +620,7 @@ def parse_scalar(text: str, ctx: FieldCtx) -> Scalar:
                 sign = -ctx.one
             term = term[1:]
         out = out + sign * _parse_term(term, ctx)
-    return out
+    return ctx._canonical(out)
 
 
 def multiplicative_order(z: Scalar, bound: int) -> int | None:

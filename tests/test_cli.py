@@ -152,6 +152,18 @@ def test_aut_h4(capsys):
     assert all(hit["k"] == 1 for hit in payload["hits"])
 
 
+def test_aut_h4_prints_the_same_hits_under_jobs(capsys):
+    # the grid's parsed 1 is the context's own one; the workers receive the
+    # context, its parsed literals and the grid in one pickle
+    argv = ["aut", "--construction", "h4", "--grid", "0,1,-1,2/2,1/3,5"]
+    outs = []
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["count"] == 5
+
+
 def test_aut_bad_grid_term_is_input_error(capsys):
     code = main(["aut", "--construction", "h4", "--field", "Q", "--grid", "5z"])
     assert code == 2

@@ -7,8 +7,11 @@ and -1 on S3 and D8 and weight 2 on F21, and enum-rb on S3 (weight 1), D8
 Q, the Taft algebra m = 3 over Q(z3), the group algebra of S3 and a family
 whose hypotheses fail (m = 3, zeta = z3, l = 2), and check-rrb on the h4
 exact-factorization fixture (with and without --full) and on a copy whose
-operator is B(h) = e(h)g, a coalgebra map with B(1) = g.  The JSON carries
-every status, witness and count, so a change to any of them shows.
+operator is B(h) = e(h)g, a coalgebra map with B(1) = g, aut over exact
+grids on h4, the Taft algebra m = 3 and the curled F3 family (grid values
+spelled as 2/2 and 4 among them), and check-lie on the sl2 fixture, alone
+and with its weight-1 operator.  The JSON carries every status, witness and
+count, so a change to any of them shows.
 tests/test_cli_goldens.py reruns every command and compares byte for byte.
 
 Run from the repository root:  python3 tools/make_cli_goldens.py
@@ -29,7 +32,8 @@ OUT = os.path.join(ROOT, "tests", "data", "cli")
 FIXTURES = os.path.join(ROOT, "fixtures")
 
 # file name -> (input file or None, command arguments after it, expected
-# exit code); check-rrb reads its file from --input, the others from --group
+# exit code); check-rrb and check-lie read their file from --input, the
+# others from --group
 CASES = {
     "check-group-rb-S3-w1-pass.json": ("S3", ["check-group-rb", "--map", "0,3,4,4,3,0"], 0),
     "check-group-rb-S3-w1-near.json": ("S3", ["check-group-rb", "--map", "0,3,4,4,3,1"], 1),
@@ -64,6 +68,17 @@ CASES = {
     "check-rrb-h4.json": ("h4-rrb", ["check-rrb"], 0),
     "check-rrb-h4-full.json": ("h4-rrb", ["check-rrb", "--full"], 0),
     "check-rrb-h4-unit-g.json": ("h4-rrb-unit-g", ["check-rrb"], 1),
+    "aut-h4-Q.json": (None, ["aut", "--construction", "h4", "--field", "Q",
+                             "--grid", "0,1,-1,2/2,1/3,5"], 0),
+    "aut-taft3-Qz3.json": (None, ["aut", "--construction", "taft", "--m", "3",
+                                  "--field", "Q(z3)", "--grid", "0,1,z3,2/2*z3^2"], 0),
+    "aut-family-curled-F3.json": (None, ["aut", "--construction", "family", "--field", "F3",
+                                         "--m", "2", "--zeta=-1", "--l", "6", "--f", "0,0,1",
+                                         "--grid", "0,4"], 0),
+    "check-lie-sl2.json": ("sl2", ["check-lie"], 0),
+    "check-lie-sl2-rb-w1.json": ("sl2", ["check-lie", "--b",
+                                         os.path.join(FIXTURES, "sl2-minus-identity.json"),
+                                         "--weight", "2/2"], 0),
 }
 
 
@@ -74,7 +89,8 @@ def input_files(directory: str) -> dict:
     built = {"D8": GroupTable.metacyclic(4, 2, 3),
              "Z2^3": GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2)}
     paths = {"S3": os.path.join(FIXTURES, "s3.json"), "F21": os.path.join(FIXTURES, "f21.json"),
-             "h4-rrb": os.path.join(FIXTURES, "h4-rrb-exact-factorization.json")}
+             "h4-rrb": os.path.join(FIXTURES, "h4-rrb-exact-factorization.json"),
+             "sl2": os.path.join(FIXTURES, "sl2.json")}
     for name, G in built.items():
         paths[name] = os.path.join(directory, name.replace("^", "") + ".json")
         with open(paths[name], "w") as fh:
@@ -97,7 +113,7 @@ def outputs() -> dict:
         for fname, (name, args, want) in CASES.items():
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                flag = "--input" if args[0] == "check-rrb" else "--group"
+                flag = "--input" if args[0] in ("check-rrb", "check-lie") else "--group"
                 where = [] if name is None else [flag, paths[name]]
                 code = cli.main([args[0], *where, *args[1:]])
             if code != want:

@@ -16,7 +16,7 @@ from .hopf_core import (MAX_DIM, AlgebraData, CoalgebraData, HopfData, LinearMap
                         is_algebra_morphism, is_coalgebra_morphism, lincomb, tensor_mul)
 from .report import VerificationReport, first_failure, labelled, merge_reports
 from .rb_group import GroupTable, pool_size
-from .scalars import FieldCtx, Scalar, _json_int, parse_scalar, scalar_from_json
+from .scalars import FieldCtx, Scalar
 
 # ---------------------------------------------------------------------------
 # quantum binomial coefficients
@@ -357,16 +357,3 @@ def family_aut_search(params: FamilyParams, grid, jobs: int = 1) -> list:
             hits.extend(part)
     return hits
 
-
-def family_params_from_json(obj: dict, ctx: FieldCtx) -> FamilyParams:
-    """Parameter record {m, zeta, l, f}; zeta is {"order": n} or a scalar."""
-    z = obj["zeta"]
-    if isinstance(z, dict) and "order" in z:
-        zeta = ctx.root_of_unity(_json_int(z["order"], "zeta order"))
-    elif isinstance(z, str):
-        zeta = parse_scalar(z, ctx)
-    else:
-        zeta = scalar_from_json(z, ctx)
-    f = [parse_scalar(s, ctx) if isinstance(s, str) else scalar_from_json(s, ctx)
-         for s in obj.get("f", [])]
-    return FamilyParams(_json_int(obj["m"], "m"), zeta, _json_int(obj["l"], "l"), f)

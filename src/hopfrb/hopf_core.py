@@ -600,15 +600,6 @@ def check_hopf(H: HopfData) -> VerificationReport:
     })
 
 
-def is_cocommutative(H) -> bool:
-    C = _coalgebra_of(H)
-    for i in range(C.dim):
-        t = C.delta_basis(i)
-        if t != tensor_permute(t, [1, 0]):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # constructions and structural predicates
 
@@ -675,48 +666,6 @@ def is_group_like(H, v: dict) -> bool:
 def group_like_basis_indices(H) -> list[int]:
     C = _coalgebra_of(H)
     return [i for i in range(C.dim) if is_group_like(H, {i: C.ctx.one})]
-
-
-def is_primitive(H, v: dict, g: dict) -> bool:
-    """Delta(v) = v (x) 1 + g (x) v, the skew-primitive law for group-like g."""
-    C = _coalgebra_of(H)
-    one = C.ctx.one
-    tv = iterated_delta(C, v, 1)
-    expected = lincomb([(one, tensor_outer(tv, iterated_delta(C, _algebra_of(H).unit, 1))),
-                        (one, tensor_outer(iterated_delta(C, g, 1), tv))])
-    return iterated_delta(C, v, 2) == expected
-
-
-def check_cobrace_compat(m: AlgebraData, D1: CoalgebraData, D2: CoalgebraData,
-                         S: LinearMap) -> VerificationReport:
-    """Compatibility of a second comultiplication with a first Hopf structure:
-
-        (id (x) Delta_1) Delta_2(a)
-            = a_(11') S(a_(2)) a_(31') (x) a_(12') (x) a_(32')
-
-    where primes are Delta_2 legs, bare digits Delta_1 legs, m is the shared
-    multiplication, and S is the antipode belonging to Delta_1.
-    """
-    A = _algebra_of(m)
-    C1, C2 = _coalgebra_of(D1), _coalgebra_of(D2)
-    if not A.dim == C1.dim == C2.dim == S.domain_dim == S.codomain_dim:
-        raise ValueError("algebra, coalgebras and antipode dimensions disagree")
-    if not A.ctx == C1.ctx == C2.ctx == S.ctx:
-        raise ValueError("algebra, coalgebras and antipode use different scalar fields")
-    one = A.ctx.one
-
-    def cases():
-        for a in range(A.dim):
-            lhs = tensor_apply_delta(C1, C2.delta_basis(a), 1)
-            t = iterated_delta(C1, {a: one}, 3)
-            t = tensor_apply_delta(C2, t, 0)           # (11', 12', 2, 3)
-            t = tensor_apply_delta(C2, t, 3)           # (11', 12', 2, 31', 32')
-            t = tensor_apply_map(S, t, 2)              # S on the middle Delta_1 leg
-            t = tensor_permute(t, [0, 2, 3, 1, 4])     # (11', S(2), 31', 12', 32')
-            t = tensor_mul_legs(A, t, 0)
-            yield (a,), lhs, tensor_mul_legs(A, t, 0)
-
-    return first_failure("cobrace_compat", cases(), labelled([A.labels], A.labels))
 
 
 # ---------------------------------------------------------------------------

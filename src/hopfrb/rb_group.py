@@ -219,10 +219,6 @@ class GroupTable:
     def exponent(self) -> int:
         return lcm(*(self.order_of(g) for g in range(self.n)))
 
-    def is_abelian(self) -> bool:
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in range(self.n) for b in range(a))
-
     # -- constructors
 
     @classmethod
@@ -262,30 +258,6 @@ class GroupTable:
                         table[i1 * n + j1][i2 * n + j2] = i * n + (j1 + j2) % n
         return cls(table, name=f"Z{m}:Z{n}")
 
-    @classmethod
-    def from_permutations(cls, gens, name: str = "") -> "GroupTable":
-        """Close a list of permutation tuples under composition."""
-        if not gens:
-            raise ValueError("from_permutations needs at least one generator")
-        deg = len(gens[0])
-        ident = tuple(range(deg))
-        elems = [ident]
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for q in gens:
-                    r = tuple(p[q[i]] for i in range(deg))
-                    if r not in seen:
-                        seen.add(r)
-                        elems.append(r)
-                        nxt.append(r)
-            frontier = nxt
-        index = {p: i for i, p in enumerate(elems)}
-        table = [[index[tuple(p[q[i]] for i in range(deg))] for q in elems] for p in elems]
-        return cls(table, name=name)
-
     def __repr__(self):
         return f"GroupTable({self.name or 'order ' + str(self.n)})"
 
@@ -296,9 +268,9 @@ class GroupTable:
 
 def group_from_json(obj: dict) -> GroupTable:
     G = GroupTable(obj["table"], name=obj.get("name", ""))
-    if "order" in obj and obj["order"] != G.n:
+    if "order" in obj and _json_int(obj["order"], "order") != G.n:
         raise ValueError("declared order does not match table size")
-    if "identity" in obj and obj["identity"] != G.e:
+    if "identity" in obj and _json_int(obj["identity"], "identity") != G.e:
         raise ValueError("declared identity does not match table")
     return G
 
@@ -516,29 +488,6 @@ def relative_rb_check(H: GroupTable, G: GroupTable, psi: GroupAction, B) -> Veri
         raise ValueError(f"invalid action: {act.identity} witness {act.witness}")
     B = _validate_map(H, B, codomain=G)
     return _relative_identity(H.table, psi.maps, B, G.table, "relative_rb")[0]
-
-
-def semidirect(H: GroupTable, G: GroupTable, psi: GroupAction) -> GroupTable:
-    """H x| G with (h1,g1)(h2,g2) = (h1 Psi_{g1}(h2), g1 g2); pair (h,g) at
-    index h*|G| + g."""
-    act = psi.check(H, G)
-    if not act.ok:
-        raise ValueError(f"invalid action: {act.identity} witness {act.witness}")
-    n = H.n * G.n
-    table = [[0] * n for _ in range(n)]
-    for h1 in range(H.n):
-        for g1 in range(G.n):
-            for h2 in range(H.n):
-                for g2 in range(G.n):
-                    h = H.table[h1][psi.apply(g1, h2)]
-                    table[h1 * G.n + g1][h2 * G.n + g2] = h * G.n + G.table[g1][g2]
-    return GroupTable(table, name=f"{H.name}:{G.name}")
-
-
-def graph_is_subgroup(H: GroupTable, G: GroupTable, psi: GroupAction, B) -> bool:
-    """Is {(h, B(h))} a subgroup of the semidirect product H x| G?"""
-    B = _validate_map(H, B, codomain=G)
-    return is_subgroup(semidirect(H, G, psi), [h * G.n + B[h] for h in range(H.n)])
 
 
 # ---------------------------------------------------------------------------

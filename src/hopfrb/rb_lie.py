@@ -143,12 +143,6 @@ def check_relative_rb_lie(g: LieData, h: LieData, phi: ActionData,
                          labelled([h.labels, h.labels], g.labels))
 
 
-def rescale_bracket(L: LieData, lam: Scalar) -> LieData:
-    scaled = {ij: {k: lam * c for k, c in terms.items()}
-              for ij, terms in L.brackets.items()}
-    return LieData(L.ctx, L.dim, scaled, L.labels)
-
-
 def check_rb_lie_weight(g: LieData, B: LinearMap, lam: Scalar) -> VerificationReport:
     """[B(u), B(v)] = B([B(u),v] - [B(v),u] + lambda*[u,v]) on basis pairs.
 

@@ -6,9 +6,10 @@ an element is a tuple of integer numerators in the power basis
 1, z, ..., z^(phi(n)-1) over one shared positive integer denominator, in
 lowest terms: gcd(den, *numerators) == 1, and zero is (0, ..., 0)/1.  A
 rational is the degree-1 case, (numerator,)/den modulo Phi_1.  Phi_n is
-monic, so products reduce modulo Phi_n in integers.  Fractions appear only
-at the edges: parsing, printing, JSON, and the extended gcd behind inverse()
-at degree 2 and up.
+monic, so products reduce modulo Phi_n in integers, and inverse() stays in
+integers too: at degree 2 and up it divides the product w of the other
+Galois conjugates by the norm N(v) = v*w, a positive integer.  Fractions
+appear only at the edges: parsing, printing and JSON.
 
 A FieldCtx pins the field and holds its zero and one, built once; a Scalar
 pairs a context with a canonical value.  A product by that one returns the
@@ -46,82 +47,25 @@ class MixedContextError(ValueError):
     """Raised when an operation mixes scalars from different field contexts."""
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers, coefficients low degree first; they work over
-# Fractions and over Scalars alike, taking zero as x - x and inverses as x ** -1
-
-
-def _poly_trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [a[0] - a[0]] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    num = list(num)
-    assert den, "division by zero polynomial"
-    lead = den[-1]
-    q = [lead - lead] * max(0, len(num) - len(den) + 1)
-    # one inversion per division: a cyclotomic inverse runs an extended gcd
-    lead_inv = lead ** -1
-    for k in range(len(num) - len(den), -1, -1):
-        coef = num[k + len(den) - 1] * lead_inv
-        if coef:
-            q[k] = coef
-            for i, di in enumerate(den):
-                num[k + i] -= coef * di
-    return _poly_trim(q), _poly_trim(num)
-
-
-def _poly_sub(a: list, b: list) -> list:
-    if not a and not b:
-        return []
-    x = (a or b)[0]
-    zero = x - x
-    out = [(a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero)
-           for i in range(max(len(a), len(b)))]
-    return _poly_trim(out)
-
-
-def _poly_ext_gcd(a: list, b: list) -> tuple[list, list]:
-    """Return (g, u) with u*a = g (mod b) and g the monic gcd of a, b."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [Fraction(1)], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-    if not r0:
-        raise ZeroDivisionError("polynomial gcd of zero inputs")
-    lead = r0[-1]
-    return [c / lead for c in r0], [c / lead for c in u0]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n (low degree first), via (x^n - 1) / prod of Phi_d."""
+    """Coefficients of Phi_n (low degree first): x^n - 1 divided exactly, in
+    integers, by the monic Phi_d of every proper divisor d of n."""
     assert n >= 1
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    den = [Fraction(1)]
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, [Fraction(c) for c in cyclotomic_polynomial(d)])
-    q, r = _poly_divmod(num, den)
-    assert not r, "cyclotomic division must be exact"
-    assert all(c.denominator == 1 for c in q)
-    return tuple(c.numerator for c in q)
+            phi = cyclotomic_polynomial(d)
+            k = len(phi) - 1
+            q = [0] * (len(num) - k)
+            for i in range(len(q) - 1, -1, -1):
+                c = q[i] = num[i + k]
+                if c:
+                    for j, m in enumerate(phi):
+                        num[i + j] -= c * m
+            assert not any(num[:k]), "cyclotomic division must be exact"
+            num = q
+    return tuple(num)
 
 
 def is_prime(p: int) -> bool:
@@ -184,12 +128,13 @@ class FieldCtx:
         return cls(PRIME, p=p)
 
     def _build_xpow(self):
-        # x^k reduced mod Phi_n for k = 0 .. 2*(degree-1); products of reduced
-        # elements never need more.  Phi_n is monic, so the rows are integers.
+        # x^k reduced mod Phi_n for k = 0 .. max(2*(degree-1), n-1): products
+        # of reduced elements need up to 2*(degree-1), the conjugates z -> z^k
+        # behind inverse() up to n-1.  Phi_n is monic, so the rows are integers.
         d = self.degree
         neg_top = [-c for c in self.modulus[:d]]
         rows = [[1] + [0] * (d - 1)]
-        for _ in range(2 * d - 2):
+        for _ in range(max(2 * d - 1, self.n) - 1):
             prev = rows[-1]
             top = prev[d - 1]
             row = [0] + prev[: d - 1]
@@ -205,13 +150,6 @@ class FieldCtx:
             nums = [c // g for c in nums]
             den //= g
         return Scalar(self, tuple(nums), den)
-
-    def _from_fractions(self, coeffs: list) -> "Scalar":
-        """The cyclotomic element with these power-basis Fraction coefficients."""
-        assert len(coeffs) <= self.degree
-        den = lcm(*(c.denominator for c in coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
-        return self._cyclotomic(nums + [0] * (self.degree - len(nums)), den)
 
     # -- element construction
 
@@ -269,8 +207,11 @@ class FieldCtx:
         if x is None:
             if len(key) > self.degree:
                 raise ValueError("cyclotomic coefficient vector longer than field degree")
+            fracs = [Fraction(c) for c in key]
+            den = lcm(*(c.denominator for c in fracs))
+            nums = [c.numerator * (den // c.denominator) for c in fracs]
             x = self._literals[key] = self._canonical(
-                self._from_fractions([Fraction(c) for c in key]))
+                self._cyclotomic(nums + [0] * (self.degree - len(nums)), den))
         return x
 
     @property
@@ -458,11 +399,22 @@ class Scalar:
             # (v/den)^-1 = den/v, the sign moved to the numerator
             (v,) = self.val
             return Scalar(ctx, (self.den if v > 0 else -self.den,), abs(v))
-        # (v/den)^-1 = den * u, where u*v = 1 (mod Phi_n) from one extended gcd
-        g, u = _poly_ext_gcd(_poly_trim([Fraction(c) for c in self.val]),
-                             [Fraction(c) for c in ctx.modulus])
-        assert g == [1], "cyclotomic modulus is irreducible over Q"
-        return ctx._from_fractions([c * self.den for c in u])
+        # (v/den)^-1 = den*w / N(v), with w the product of the conjugates
+        # v(z^k) for 1 < k < n prime to n; the norm N(v) = v*w is an integer,
+        # positive since the conjugates come in complex-conjugate pairs (n >= 3)
+        n, d, xpow = ctx.n, ctx.degree, ctx._xpow
+        w = ctx.one
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conj = [0] * d
+                for i, c in enumerate(self.val):
+                    if c:
+                        for j, r in enumerate(xpow[i * k % n]):
+                            conj[j] += c * r
+                w = w * Scalar(ctx, tuple(conj))
+        norm, *rest = (Scalar(ctx, self.val) * w).val
+        assert norm > 0 and not any(rest), "the norm is a positive integer"
+        return ctx._cyclotomic([self.den * c for c in w.val], norm)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -566,13 +518,15 @@ def scalar_from_json(obj, ctx: FieldCtx) -> Scalar:
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse scalar {obj!r}")
     if "coeffs" in obj:
-        if ctx.kind != CYCLOTOMIC or ctx.n != obj.get("n"):
-            raise MixedContextError(f"cyclotomic scalar of order {obj.get('n')} "
+        n = _json_int(obj.get("n"), "cyclotomic order n")
+        if ctx.kind != CYCLOTOMIC or ctx.n != n:
+            raise MixedContextError(f"cyclotomic scalar of order {n} "
                                     f"does not live in {ctx.name()}")
         return ctx._from_coeffs(obj["coeffs"])
     if "value" in obj:
-        if ctx.kind != PRIME or ctx.p != obj.get("p"):
-            raise MixedContextError(f"prime-field scalar mod {obj.get('p')} "
+        p = _json_int(obj.get("p"), "prime-field modulus p")
+        if ctx.kind != PRIME or ctx.p != p:
+            raise MixedContextError(f"prime-field scalar mod {p} "
                                     f"does not live in {ctx.name()}")
         return ctx._from_json_int(_json_int(obj["value"], "prime-field value"))
     raise ValueError(f"cannot parse scalar {obj!r}")

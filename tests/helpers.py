@@ -1,5 +1,7 @@
-"""Helpers that only the tests and tools/make_witnesses.py use: the
-automorphisms of a small group, the weight flip of an operator, the
+"""Helpers that only the tests and tools/make_witnesses.py use: dense
+polynomial arithmetic over Scalars, the automorphisms of a small group,
+whether a group is abelian, the semidirect product and the graph criterion
+for relative Rota-Baxter operators, the weight flip of an operator, the
 argument of the weight-lambda Rota-Baxter identity, a group transported
 through a bijection, the quantum binomial by expansion, the
 Cauchy identity for quantum binomials, the closed forms of the antipode
@@ -7,7 +9,8 @@ of the family H_{m,zeta,l,f} and of the criteria for its automorphisms,
 two root-of-unity helpers, a call counter, an in-process stand-in for the
 worker pools, the operator search that checks every pair of assigned
 elements, the antipode identities that the convolution laws imply
-on a bialgebra, and the operator B(a) = e(a)1."""
+on a bialgebra, the operator B(a) = e(a)1, and a Lie bracket rescaled
+by lambda."""
 
 import functools
 import itertools
@@ -20,10 +23,55 @@ from hopfrb.constructions import FamilyParams, qbinom
 from hopfrb.hopf_core import (LinearMap, check_algebra, check_antipode,
                               check_bialgebra_compat, check_coalgebra, iterated_delta,
                               tensor_apply_map, tensor_permute)
-from hopfrb.rb_group import GroupTable
+from hopfrb.rb_group import GroupAction, GroupTable, is_subgroup
+from hopfrb.rb_lie import LieData
 from hopfrb.report import VerificationReport, first_failure, labelled, merge_reports
-from hopfrb.scalars import (FieldCtx, Scalar, _poly_divmod, _poly_mul, _poly_sub,
-                            multiplicative_order)
+from hopfrb.scalars import FieldCtx, Scalar, multiplicative_order
+
+# dense polynomials over Scalars, coefficients low degree first
+
+
+def _poly_trim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _poly_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [a[0] - a[0]] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return _poly_trim(out)
+
+
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    num = list(num)
+    assert den, "division by zero polynomial"
+    lead = den[-1]
+    q = [lead - lead] * max(0, len(num) - len(den) + 1)
+    lead_inv = lead ** -1
+    for k in range(len(num) - len(den), -1, -1):
+        coef = num[k + len(den) - 1] * lead_inv
+        if coef:
+            q[k] = coef
+            for i, di in enumerate(den):
+                num[k + i] -= coef * di
+    return _poly_trim(q), _poly_trim(num)
+
+
+def _poly_sub(a: list, b: list) -> list:
+    if not a and not b:
+        return []
+    x = (a or b)[0]
+    zero = x - x
+    out = [(a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero)
+           for i in range(max(len(a), len(b)))]
+    return _poly_trim(out)
 
 
 def automorphisms(G: GroupTable) -> list[tuple]:
@@ -35,6 +83,35 @@ def automorphisms(G: GroupTable) -> list[tuple]:
         if all(p[G.table[a][b]] == G.table[p[a]][p[b]] for a in range(G.n) for b in range(G.n)):
             out.append(p)
     return out
+
+
+def is_abelian(G: GroupTable) -> bool:
+    return all(G.table[a][b] == G.table[b][a] for a in range(G.n) for b in range(a))
+
+
+def semidirect(H: GroupTable, G: GroupTable, psi: GroupAction) -> GroupTable:
+    """H x| G with (h1,g1)(h2,g2) = (h1 Psi_{g1}(h2), g1 g2); pair (h,g) at
+    index h*|G| + g."""
+    act = psi.check(H, G)
+    if not act.ok:
+        raise ValueError(f"invalid action: {act.identity} witness {act.witness}")
+    n = H.n * G.n
+    table = [[0] * n for _ in range(n)]
+    for h1 in range(H.n):
+        for g1 in range(G.n):
+            for h2 in range(H.n):
+                for g2 in range(G.n):
+                    h = H.table[h1][psi.apply(g1, h2)]
+                    table[h1 * G.n + g1][h2 * G.n + g2] = h * G.n + G.table[g1][g2]
+    return GroupTable(table, name=f"{H.name}:{G.name}")
+
+
+def graph_is_subgroup(H: GroupTable, G: GroupTable, psi: GroupAction, B) -> bool:
+    """Is {(h, B(h))} a subgroup of the semidirect product H x| G?  B is a
+    relative Rota-Baxter operator exactly when it is: the criterion that
+    rb_group.relative_rb_check is compared against."""
+    B = rb_group._validate_map(H, B, codomain=G)
+    return is_subgroup(semidirect(H, G, psi), [h * G.n + B[h] for h in range(H.n)])
 
 
 def weight_flip(B, G: GroupTable) -> tuple:
@@ -322,3 +399,11 @@ def counit_unit_operator(H) -> LinearMap:
         eps = H.coalgebra.counit[i]
         cols.append({k: eps * c for k, c in H.unit.items()})
     return LinearMap(H.ctx, cols, H.dim)
+
+
+def rescale_bracket(L: LieData, lam: Scalar) -> LieData:
+    """The bracket lambda*[u, v]: with the adjoint action, the relative
+    identity over it is the weight-lambda identity of check_rb_lie_weight."""
+    scaled = {ij: {k: lam * c for k, c in terms.items()}
+              for ij, terms in L.brackets.items()}
+    return LieData(L.ctx, L.dim, scaled, L.labels)

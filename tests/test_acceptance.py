@@ -14,15 +14,14 @@ from hopfrb.hopf_core import (LinearMap, check_hopf, is_hopf_morphism, iterated_
                               tensor_apply_map, tensor_mul_legs)
 from hopfrb.rb_group import (GroupAction, GroupTable, check_rb, check_rb_lambda,
                              check_star_compat, circ_from_rrb, derived_group, enumerate_rb,
-                             graph_is_subgroup, lemma_checks, linearize_rb, power_star,
-                             relative_rb_check)
+                             lemma_checks, linearize_rb, power_star, relative_rb_check)
 from hopfrb.rb_hopf import (RelRBHopf, adjoint_action, check_hopf_brace, check_rrbo,
                             circle, derived_hopf, exact_factorization_rrb, grbo_check)
 from hopfrb.rb_lie import (adjoint_lie_action, check_rb_lie_weight,
-                           check_relative_rb_lie, rescale_bracket, sl2)
+                           check_relative_rb_lie, sl2)
 from hopfrb.scalars import FieldCtx
-from helpers import (antipode_closed_form, automorphisms, cauchy_check, qbinom_oracle,
-                     weight_flip)
+from helpers import (antipode_closed_form, automorphisms, cauchy_check, graph_is_subgroup,
+                     qbinom_oracle, rescale_bracket, weight_flip)
 from test_rb_hopf import compat_failing_pairs, cond3_remark_sides, failing_pairs
 
 Q = FieldCtx.rationals()

@@ -7,7 +7,7 @@ import pytest
 
 from hopfrb import constructions
 from hopfrb.constructions import (FamilyParams, family, family_aut_report, family_aut_search,
-                                  family_hypotheses, family_params_from_json,
+                                  family_hypotheses,
                                   family_with_hypotheses, group_algebra, qbinom, sweedler_h4,
                                   taft)
 from hopfrb.hopf_core import LinearMap, check_hopf, is_hopf_morphism
@@ -406,25 +406,3 @@ def test_aut_verdicts_agree_with_the_closed_form_criteria(monkeypatch):
                       and not c[1].is_zero), (params, k, [str(x) for x in c])
         passed += ok
     assert passed == 4 + 3 + 3 + 1 + 1 + 1
-
-
-def test_family_params_from_json():
-    f3 = FieldCtx.prime(3)
-    obj = {"m": 2, "zeta": "-1", "l": 6, "f": ["0", "0", "1"]}
-    params = family_params_from_json(obj, f3)
-    assert params.m == 2 and params.l == 6
-    assert family_hypotheses(params).ok
-    obj2 = {"m": 3, "zeta": {"order": 3}, "l": 3}
-    z3 = FieldCtx.cyclotomic(3)
-    params2 = family_params_from_json(obj2, z3)
-    assert params2.zeta == z3.zeta
-
-
-def test_family_params_from_json_rejects_non_integers():
-    f3, z3 = FieldCtx.prime(3), FieldCtx.cyclotomic(3)
-    for obj, ctx, field in (({"m": 2.9, "zeta": "-1", "l": 2}, f3, "m"),
-                            ({"m": 2, "zeta": "-1", "l": 2.2}, f3, "l"),
-                            ({"m": True, "zeta": "1", "l": 1}, f3, "m"),
-                            ({"m": 3, "zeta": {"order": 3.0}, "l": 3}, z3, "zeta order")):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            family_params_from_json(obj, ctx)

@@ -11,12 +11,12 @@ import pytest
 from hopfrb.constructions import FamilyParams, family, group_algebra, sweedler_h4, taft
 from hopfrb.hopf_core import (MAX_DIM, AlgebraData, CoalgebraData, HopfData, LinearMap,
                               check_algebra, check_antipode,
-                              check_bialgebra_compat, check_coalgebra, check_cobrace_compat,
+                              check_bialgebra_compat, check_coalgebra,
                               check_hopf, generating_set,
                               group_like_basis_indices,
                               hopf_from_json, hopf_to_json, is_algebra_morphism,
-                              is_coalgebra_morphism, is_cocommutative, is_group_like,
-                              is_hopf_morphism, is_primitive, iterated_delta, lincomb,
+                              is_coalgebra_morphism, is_group_like,
+                              is_hopf_morphism, iterated_delta, lincomb,
                               opposite_hopf, tensor_apply_counit, tensor_mul_legs,
                               tensor_outer, tensor_permute)
 from hopfrb.rb_group import GroupTable
@@ -172,13 +172,6 @@ def test_group_like_and_primitive_detection():
     x = {2: Q.one}
     assert is_group_like(H4, g)
     assert not is_group_like(H4, x)
-    assert is_primitive(H4, x, g)
-    assert not is_primitive(H4, g, g)
-
-
-def test_cocommutativity():
-    assert is_cocommutative(group_algebra(GroupTable.symmetric(3), Q))
-    assert not is_cocommutative(taft(3, FieldCtx.cyclotomic(3)))
 
 
 def test_opposite_hopf():
@@ -208,26 +201,6 @@ def test_antipode_is_morphism_into_opposite():
     # on a cocommutative algebra S: H -> H^op is a full Hopf morphism
     H = group_algebra(GroupTable.symmetric(3), Q)
     assert is_hopf_morphism(H.antipode, H, opposite_hopf(H)).ok
-
-
-def test_cobrace_compat():
-    H = group_algebra(GroupTable.symmetric(3), Q)
-    rep = check_cobrace_compat(H.algebra, H.coalgebra, H.coalgebra, H.antipode)
-    assert rep.ok
-    one = Q.one
-    # second comultiplication sends g1 to g2 (x) g1: the first output slot
-    # becomes g2 g1^-1 g2 on one side but g2 on the other
-    bad = {i: {(i, i): one} for i in range(6)}
-    bad[1] = {(2, 1): one}
-    D2 = CoalgebraData(Q, 6, bad, list(H.coalgebra.counit))
-    rep = check_cobrace_compat(H.algebra, H.coalgebra, D2, H.antipode)
-    assert not rep.ok
-    H4 = sweedler_h4(Q)
-    with pytest.raises(ValueError, match="dimensions disagree"):
-        check_cobrace_compat(H.algebra, H.coalgebra, H4.coalgebra, H.antipode)
-    with pytest.raises(ValueError, match="different scalar fields"):
-        check_cobrace_compat(H.algebra, H.coalgebra, H.coalgebra,
-                             LinearMap.identity(FieldCtx.prime(5), 6))
 
 
 def test_hopf_json_round_trip():

@@ -107,6 +107,7 @@ def test_each_context_keeps_its_own_literals():
     ({"n": 5, "coeffs": ["1"]}, MixedContextError),
     (True, ValueError),
     (1.0, ValueError),
+    ({"n": 3.0, "coeffs": ["1", "2"]}, ValueError),
 ])
 def test_a_bad_literal_raises_on_every_call(literal, error):
     ctx = parse_field("Q(z3)")
@@ -124,10 +125,19 @@ def test_a_bad_prime_literal_raises_on_every_call():
     assert scalar_from_json({"p": 5, "value": 1}, F5) is F5.one
     for literal, error in (("1/5", ZeroDivisionError), ({"p": 5, "value": True}, ValueError),
                            ({"p": 5, "value": "1"}, ValueError), ({"p": 5, "value": 1.0},
-                                                                   ValueError)):
+                                                                   ValueError),
+                           ({"p": 5.0, "value": 2}, ValueError)):
         for _ in range(3):
             with pytest.raises(error):
                 scalar_from_json(literal, F5)
+
+
+def test_the_field_of_a_literal_is_named_by_an_int():
+    # True == 1 and 2.0 == 2, so a comparison with the context alone lets these in
+    for field, literal in (("Q(z1)", {"n": True, "coeffs": ["1"]}),
+                           ("Q(z2)", {"n": 2.0, "coeffs": ["1"]})):
+        with pytest.raises(ValueError, match="must be an integer"):
+            scalar_from_json(literal, parse_field(field))
 
 
 def test_cyclotomic_coefficients_are_exact():

@@ -11,15 +11,16 @@ import pytest
 from hopfrb import cli, rb_group
 from hopfrb.rb_group import (DEFAULT_CAP, CapExceeded, GroupAction, GroupTable, check_group,
                              check_rb, check_rb_lambda, check_star_compat, circ_from_rrb,
-                             derived_group, enumerate_rb, graph_is_subgroup, group_from_json,
-                             image_indices, is_subgroup, ker_indices, lemma_checks,
-                             linearize_rb, operator_from_json, operator_to_json, power_star,
-                             relative_rb_check, semidirect, skew_brace_check)
+                             derived_group, enumerate_rb, group_from_json, image_indices,
+                             is_subgroup, ker_indices, lemma_checks, linearize_rb,
+                             operator_from_json, operator_to_json, power_star,
+                             relative_rb_check, skew_brace_check)
 from hopfrb.scalars import FieldCtx
 from hopfrb.report import VerificationReport, first_failure, first_row_failure
 
-from helpers import (all_pairs_search, automorphisms, counting, inline_pools, rb_argument,
-                     transport_group, weight_flip)
+from helpers import (all_pairs_search, automorphisms, counting, graph_is_subgroup,
+                     inline_pools, is_abelian, rb_argument, semidirect, transport_group,
+                     weight_flip)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -41,22 +42,15 @@ def test_table_validation():
 
 def test_basic_constructors():
     Z6 = GroupTable.cyclic(6)
-    assert Z6.n == 6 and Z6.is_abelian() and Z6.exponent() == 6
+    assert Z6.n == 6 and is_abelian(Z6) and Z6.exponent() == 6
     S3 = GroupTable.symmetric(3)
-    assert S3.n == 6 and not S3.is_abelian() and S3.exponent() == 6
+    assert S3.n == 6 and not is_abelian(S3) and S3.exponent() == 6
     V4 = GroupTable.direct_product(GroupTable.cyclic(2), GroupTable.cyclic(2))
     assert V4.n == 4 and V4.exponent() == 2
     F21 = GroupTable.metacyclic(7, 3, 2)
-    assert F21.n == 21 and not F21.is_abelian() and F21.exponent() == 21
+    assert F21.n == 21 and not is_abelian(F21) and F21.exponent() == 21
     with pytest.raises(ValueError):
         GroupTable.metacyclic(7, 3, 3)  # 3^3 != 1 mod 7
-
-
-def test_from_permutations():
-    S3 = GroupTable.from_permutations([(1, 0, 2), (1, 2, 0)], name="S3")
-    assert S3.n == 6
-    A3 = GroupTable.from_permutations([(1, 2, 0)])
-    assert A3.n == 3 and A3.is_abelian()
 
 
 def test_element_helpers():
@@ -605,9 +599,9 @@ def test_semidirect():
     inv_action = GroupAction([(0, 1, 2), (0, 2, 1)])
     assert inv_action.check(Z3, Z2).ok
     D3 = semidirect(Z3, Z2, inv_action)
-    assert D3.n == 6 and not D3.is_abelian() and D3.exponent() == 6
+    assert D3.n == 6 and not is_abelian(D3) and D3.exponent() == 6
     direct = semidirect(Z3, Z2, GroupAction.trivial(Z3, Z2))
-    assert direct.is_abelian()
+    assert is_abelian(direct)
 
 
 def test_transport_group():
@@ -887,11 +881,12 @@ def test_group_json_rejects_mismatched_metadata():
     obj["order"] = 4
     with pytest.raises(ValueError):
         group_from_json(obj)
-
-
-def test_from_permutations_rejects_no_generators():
-    with pytest.raises(ValueError):
-        GroupTable.from_permutations([])
+    # 3.0 == 3 and False == 0, so the declared fields must be ints to match
+    for group, key, value in ((3, "order", 3.0), (2, "identity", False), (2, "identity", 0.0)):
+        obj = GroupTable.cyclic(group).to_json()
+        obj[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            group_from_json(obj)
 
 
 def brute_force_rb_lambda(G: GroupTable, lam: int) -> set:

@@ -9,8 +9,10 @@ from hopfrb.hopf_core import ActionData, LinearMap
 from hopfrb.rb_lie import (LieData, adjoint_lie_action,
                            check_derivation_action, check_lie,
                            check_rb_lie_weight, check_relative_rb_lie,
-                           lie_from_json, lie_to_json, rescale_bracket, sl2)
+                           lie_from_json, lie_to_json, sl2)
 from hopfrb.scalars import FieldCtx
+
+from helpers import rescale_bracket
 
 Q = FieldCtx.rationals()
 

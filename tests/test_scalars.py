@@ -7,10 +7,12 @@ from math import gcd
 
 import pytest
 
-from hopfrb.scalars import (FieldCtx, MixedContextError, Scalar, cyclotomic_polynomial,
-                            multiplicative_order, parse_field, parse_scalar, scalar_from_json)
+from hopfrb import scalars
+from hopfrb.scalars import (MAX_CYCLOTOMIC, FieldCtx, MixedContextError, Scalar,
+                            cyclotomic_polynomial, multiplicative_order, parse_field,
+                            parse_scalar, scalar_from_json)
 
-from helpers import is_primitive_root, zeta_power
+from helpers import counting, is_primitive_root, zeta_power
 
 
 def test_rational_ops():
@@ -36,6 +38,21 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    # x^n - 1 is the product of Phi_d over the divisors d of n
+    for n in range(1, MAX_CYCLOTOMIC + 1):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic_polynomial(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_degree_one_cyclotomic_contexts():
@@ -314,7 +331,7 @@ def assert_canonical(x: Scalar):
     assert all(type(c) is int for c in x.val)
 
 
-@pytest.mark.parametrize("field", ["Q", 1, 2, 3, 4, 5, 6, 7, 8, 9, 12])
+@pytest.mark.parametrize("field", ["Q", 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 21, 24])
 def test_integer_kernel_matches_fraction_reference(field):
     # Q is the degree-1 case: its reference is plain Fraction arithmetic,
     # which the 1-tuple reference kernel modulo Phi_1 is
@@ -359,6 +376,24 @@ def test_integer_kernel_matches_fraction_reference(field):
         else:
             assert a.to_json() == {"n": n, "coeffs": [str(c) for c in ra]}
         assert a.is_zero == (not any(ra))
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_cyclotomic_inverse_builds_no_fraction(monkeypatch, n):
+    ctx = FieldCtx.cyclotomic(n)
+    rng = random.Random(2000 + n)
+    refs = [random_element(rng, ctx.degree) for _ in range(20)]
+    refs = [r for r in refs if any(r)]
+    values = [scalar_from_json({"n": n, "coeffs": [str(c) for c in r]}, ctx) for r in refs]
+    built = counting(monkeypatch, scalars, "Fraction")
+    inverses = [x.inverse() for x in values]
+    assert built == []
+    # the count sees the Fractions that parsing builds
+    ctx.from_str("5/7")
+    assert ("5/7",) in built
+    monkeypatch.undo()
+    for r, inv in zip(refs, inverses):
+        assert fractions_of(inv) == ref_inverse(n, r)
 
 
 def test_one_value_has_one_canonical_form():

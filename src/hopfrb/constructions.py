@@ -207,6 +207,11 @@ def _hypotheses(params: FamilyParams, alg: AlgebraData, dx_pow: list) -> Verific
     f = params.f_coeffs
     terms = labelled([[f"x^{p}" for p in range(l)]])
     difference = lincomb([(ctx.one, dx_pow[l])] + [(-a, dx_pow[p]) for p, a in enumerate(f)])
+
+    def binomial(identity, indices, lhs, rhs) -> dict:   # labels x^p and {p choose q}
+        return {**terms(identity, indices, lhs, rhs),
+                "labels": [f"x^{indices[0]}", "{%d choose %d}" % tuple(indices)]}
+
     return merge_reports({
         "constant_term": first_failure("constant_term", [((0,), f[0], ctx.zero)], terms),
         "degree_congruence": first_failure(
@@ -218,7 +223,7 @@ def _hypotheses(params: FamilyParams, alg: AlgebraData, dx_pow: list) -> Verific
         "f_term_binomials": first_failure(
             "f_term_binomials",
             (((p, q), qbinom(p, q, zeta), ctx.zero)
-             for p, a in enumerate(f) if not a.is_zero for q in range(1, p)), terms),
+             for p, a in enumerate(f) if not a.is_zero for q in range(1, p)), binomial),
         "delta_relation": first_failure("delta_relation", [((), difference, {})],
                                         labelled([], alg.labels)),
     })

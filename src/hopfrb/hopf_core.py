@@ -8,7 +8,9 @@ runs on as well.  An algebra is a sparse multiplication table plus a
 unit vector, a coalgebra a sparse comultiplication table plus one counit
 scalar per basis element, and a Hopf algebra the pair together with an
 antipode map.  Checkers decide the defining identities on basis elements
-and return the first counterexample in lexicographic basis order.  An
+and return the first counterexample in lexicographic basis order; each
+side is one lincomb over the Sweedler terms a_(1) (x) a_(2) of the stored
+coproducts, as in sum S(a_(1))a_(2) for the antipode.  An
 identity that is multiplicative in its first argument (associativity,
 Delta and the counit as morphisms) is decided on the elements of a
 generating set only, which is exact once the unit law (and, for the last
@@ -353,11 +355,13 @@ def _coalgebra_of(x) -> CoalgebraData:
 
 
 # ---------------------------------------------------------------------------
-# sparse tensors with Sweedler-leg operations
+# sparse tensors
 #
 # An element of a tensor power is what a coproduct already is: a sparse dict
 # {index tuple: nonzero scalar}, one index per leg.  Every operation sums its
-# terms through lincomb, and two tensors are equal when their dicts are.
+# terms through lincomb, and two tensors are equal when their dicts are.  A
+# checker forms each side of an identity as one lincomb over the Sweedler
+# terms of the stored coproducts; these four build the tensors it compares.
 
 
 def tensor_outer(a: dict, b: dict) -> dict:
@@ -369,32 +373,6 @@ def tensor_apply_delta(coalg: CoalgebraData, t: dict, leg: int) -> dict:
     return lincomb((c, {tup[:leg] + jk + tup[leg + 1:]: d
                         for jk, d in coalg.delta_basis(tup[leg]).items()})
                    for tup, c in t.items())
-
-
-def tensor_apply_counit(coalg: CoalgebraData, t: dict, leg: int) -> dict:
-    return lincomb((coalg.counit[tup[leg]], {tup[:leg] + tup[leg + 1:]: c})
-                   for tup, c in t.items())
-
-
-def tensor_apply_map(f: LinearMap, t: dict, leg: int) -> dict:
-    return lincomb((c, {tup[:leg] + (k,) + tup[leg + 1:]: x
-                        for k, x in f.cols[tup[leg]].items()})
-                   for tup, c in t.items())
-
-
-def tensor_mul_legs(alg: AlgebraData, t: dict, leg: int) -> dict:
-    """Multiply legs leg and leg+1 together, lowering the rank by one."""
-    return lincomb((c, {tup[:leg] + (k,) + tup[leg + 2:]: d
-                        for k, d in alg.mul_basis(tup[leg], tup[leg + 1]).items()})
-                   for tup, c in t.items())
-
-
-def tensor_permute(t: dict, perm: list[int]) -> dict:
-    """Output slot s takes the source leg perm[s]."""
-    rank = len(next(iter(t), perm))  # an empty tensor takes any permutation
-    if sorted(perm) != list(range(rank)):
-        raise ValueError(f"{perm} is not a permutation of {rank} legs")
-    return {tuple(tup[p] for p in perm): c for tup, c in t.items()}
 
 
 def tensor_mul(alg: AlgebraData, a: dict, b: dict) -> dict:
@@ -515,16 +493,16 @@ def check_algebra(A) -> VerificationReport:
 def check_coalgebra(C) -> VerificationReport:
     """Coassociativity and the two counit laws on every basis element."""
     C = _coalgebra_of(C)
-    one = C.ctx.one
+    one, eps = C.ctx.one, C.counit
     deltas = [C.delta_basis(i) for i in range(C.dim)]
 
     def cases():
         for i, t in enumerate(deltas):
             yield ("coassociativity", i), tensor_apply_delta(C, t, 0), tensor_apply_delta(C, t, 1)
         for i, t in enumerate(deltas):
-            e_i = {(i,): one}
-            yield ("counit_left", i), tensor_apply_counit(C, t, 0), e_i
-            yield ("counit_right", i), tensor_apply_counit(C, t, 1), e_i
+            e_i = {i: one}
+            yield ("counit_left", i), lincomb((eps[j], {k: c}) for (j, k), c in t.items()), e_i
+            yield ("counit_right", i), lincomb((eps[k], {j: c}) for (j, k), c in t.items()), e_i
 
     return first_failure("coalgebra", cases(), labelled([C.labels], C.labels))
 
@@ -569,17 +547,18 @@ def check_antipode(H: HopfData) -> VerificationReport:
     Prop. 4.0.1), and S is the unique convolution inverse of the identity,
     so a changed entry of S fails them.
     """
-    A, C, S = H.algebra, H.coalgebra, H.antipode
-
-    def product(t: dict) -> dict:
-        return {k: c for (k,), c in tensor_mul_legs(A, t, 0).items()}
+    A, C, images = H.algebra, H.coalgebra, H.antipode.cols
 
     def cases():
         for i in range(A.dim):
             t = C.delta_basis(i)
             target = lincomb([(C.counit[i], A.unit)])
-            yield ("antipode_left", i), product(tensor_apply_map(S, t, 0)), target
-            yield ("antipode_right", i), product(tensor_apply_map(S, t, 1)), target
+            yield ("antipode_left", i), lincomb(
+                (c * x, A.mul_basis(s, k)) for (j, k), c in t.items()
+                for s, x in images[j].items()), target
+            yield ("antipode_right", i), lincomb(
+                (c * x, A.mul_basis(j, s)) for (j, k), c in t.items()
+                for s, x in images[k].items()), target
 
     return first_failure("antipode", cases(), labelled([A.labels], A.labels))
 
@@ -616,9 +595,16 @@ def opposite_hopf(H: HopfData) -> HopfData:
     return HopfData(alg, H.coalgebra, s_inv)
 
 
+def _check_map_dims(f: LinearMap, src, dst) -> None:
+    if (f.domain_dim, f.codomain_dim) != (src.dim, dst.dim):
+        raise ValueError(f"f maps dim {f.domain_dim} to dim {f.codomain_dim},"
+                         f" expected dim {src.dim} to dim {dst.dim}")
+
+
 def is_algebra_morphism(f: LinearMap, src, dst) -> VerificationReport:
     """f(1) = 1 and f(ab) = f(a)f(b) on basis pairs."""
     A, B = _algebra_of(src), _algebra_of(dst)
+    _check_map_dims(f, A, B)
     images = f.cols
 
     def cases():
@@ -632,14 +618,17 @@ def is_algebra_morphism(f: LinearMap, src, dst) -> VerificationReport:
 
 
 def is_coalgebra_morphism(f: LinearMap, src, dst) -> VerificationReport:
-    """Delta(f(a)) = (f (x) f)(Delta(a)) and counit preservation."""
+    """Delta(f(a)) = f(a_(1)) (x) f(a_(2)) and counit preservation."""
     C, D = _coalgebra_of(src), _coalgebra_of(dst)
+    _check_map_dims(f, C, D)
     images = f.cols
 
     def cases():
         for i in range(C.dim):
             yield (("morphism_comult", i), iterated_delta(D, images[i], 2),
-                   tensor_apply_map(f, tensor_apply_map(f, C.delta_basis(i), 0), 1))
+                   lincomb((c * x, {(s, t): y for t, y in images[k].items()})
+                           for (j, k), c in C.delta_basis(i).items()
+                           for s, x in images[j].items()))
             yield ("morphism_counit", i), D.counit_sparse(images[i]), C.counit[i]
 
     return first_failure("coalgebra_morphism", cases(), labelled([C.labels], D.labels))

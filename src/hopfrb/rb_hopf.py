@@ -11,8 +11,9 @@ of basis circle products, read by condition 4, the brace and the derived
 product.  The action laws that act by a product of G are decided on a
 generating set of G, and the brace identity on one of H, each under premises
 decided in the same call (see check_action and check_hopf_brace).  Vectors
-and tensors are sparse dicts (see hopf_core): all Sweedler legs are
-materialized and compared entry-wise.
+and tensors are sparse dicts (see hopf_core), and each side of an identity
+is one lincomb over Sweedler terms; condition 3 sums over the vectors
+Phi_{B(e_j)}(e_k), each formed once per call.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .constructions import group_algebra
 from .hopf_core import (ActionData, AlgebraData, HopfData, LinearMap, _table_from_json,
                         check_algebra, check_antipode, check_bialgebra_compat,
                         check_coalgebra, group_like_basis_indices, is_coalgebra_morphism,
-                        iterated_delta, lincomb, opposite_hopf, tensor_apply_delta,
-                        tensor_apply_map, tensor_mul_legs, tensor_outer, tensor_permute)
+                        iterated_delta, lincomb, opposite_hopf)
 from .rb_group import GroupTable, is_subgroup
 from .report import VerificationReport, decide_on, first_failure, labelled, merge_reports
 from .scalars import FieldCtx, parse_field
@@ -147,44 +147,30 @@ def adjoint_action(H: HopfData) -> ActionData:
     return ActionData(H.ctx, H.dim, H.dim, phi)
 
 
-def _action_join(phi: ActionData, t: dict, gleg: int, hleg: int) -> dict:
-    """Consume legs (gleg, hleg) into Phi_{e_g}(e_h); the result sits where
-    hleg was, with gleg removed."""
-    if gleg == hleg:
-        raise ValueError(f"leg {gleg} cannot act on itself")
-
-    def joined(tup: tuple, k: int) -> tuple:
-        lst = list(tup)
-        lst[hleg] = k
-        del lst[gleg]
-        return tuple(lst)
-
-    return lincomb((c, {joined(tup, k): ck
-                        for k, ck in phi.apply_basis(tup[gleg], tup[hleg]).items()})
-                   for tup, c in t.items())
-
-
 def _cond3_cases(data: RelRBHopf):
-    """Both sides of the compatibility equation at every basis pair (a, b),
-    with the tensors of a alone formed once per a."""
+    """Both sides of the compatibility equation at every basis pair (a, b)
+    as Sweedler sums: with u = Phi_{B(a_(2))}(b),
+
+        sum u_(1) (x) a_(1) u_(2) = sum Phi_{B(a_(1))}(b_(1)) (x) a_(2) Phi_{B(a_(3))}(b_(2)).
+
+    Each Phi_{B(e_j)}(e_k) is formed once per call, Delta^2(e_a) once per a."""
     H, phi, B = data.H, data.phi, data.B
-    C, one = H.coalgebra, H.ctx.one
+    A, C, one = H.algebra, H.coalgebra, H.ctx.one
+    act = {(j, k): phi.apply(B.cols[j], {k: one}) for j in range(H.dim) for k in range(H.dim)}
+
+    def outer(v: dict, w: dict) -> dict:
+        return {(p, r): x * y for p, x in v.items() for r, y in w.items()}
+
     for a in range(H.dim):
-        left = tensor_apply_map(B, C.delta_basis(a), 1)              # [a1, B(a2)]
-        right = iterated_delta(C, {a: one}, 3)
-        right = tensor_apply_map(B, tensor_apply_map(B, right, 0), 2)  # [Ba1, a2, Ba3]
+        da, d2a = C.delta_basis(a), iterated_delta(C, {a: one}, 3)
         for b in range(H.dim):
-            # lhs: act with B(a2) on b, split the result, multiply a1 in
-            t = _action_join(phi, tensor_outer(left, {(b,): one}), 1, 2)  # [a1, u]
-            t = tensor_apply_delta(C, t, 1)                  # [a1, u1, u2]
-            t = tensor_permute(t, [1, 0, 2])                 # [u1, a1, u2]
-            lhs = tensor_mul_legs(H.algebra, t, 1)           # [u1, a1*u2]
-            # rhs: split b once and act with B(a1) and B(a3) on its legs
-            t = tensor_outer(right, C.delta_basis(b))        # [Ba1, a2, Ba3, b1, b2]
-            t = _action_join(phi, t, 0, 3)                   # [a2, Ba3, u, b2]
-            t = _action_join(phi, t, 1, 3)                   # [a2, u, w]
-            t = tensor_permute(t, [1, 0, 2])                 # [u, a2, w]
-            yield (a, b), lhs, tensor_mul_legs(H.algebra, t, 1)   # [u, a2*w]
+            db = C.delta_basis(b)
+            lhs = lincomb((c * x * d, outer({u1: one}, A.mul_basis(a1, u2)))
+                          for (a1, a2), c in da.items() for u, x in act[a2, b].items()
+                          for (u1, u2), d in C.delta_basis(u).items())
+            rhs = lincomb((c * d, outer(act[a1, b1], A.mul_sparse({a2: one}, act[a3, b2])))
+                          for (a1, a2, a3), c in d2a.items() for (b1, b2), d in db.items())
+            yield (a, b), lhs, rhs
 
 
 def circle(data: RelRBHopf, a: dict, b: dict) -> dict:

@@ -9,8 +9,16 @@ of the family H_{m,zeta,l,f} and of the criteria for its automorphisms,
 two root-of-unity helpers, a call counter, an in-process stand-in for the
 worker pools, the operator search that checks every pair of assigned
 elements, the antipode identities that the convolution laws imply
-on a bialgebra, the operator B(a) = e(a)1, and a Lie bracket rescaled
-by lambda."""
+on a bialgebra, the operator B(a) = e(a)1, a Lie bracket rescaled
+by lambda, and the Sweedler-leg toolkit.
+
+The leg toolkit (tensor_apply_counit, tensor_apply_map, tensor_mul_legs,
+tensor_permute, _action_join) belongs to the oracles: the library forms
+each side of an identity as one Sweedler sum, and the oracles compose leg
+operations on rank-2 to rank-7 tensors instead, so they compute the same
+sides a second, independent way.  cond3_leg_sides, coalgebra_leg_form,
+antipode_leg_form and coalgebra_morphism_leg_form are the leg forms of
+condition 3, check_coalgebra, check_antipode and is_coalgebra_morphism."""
 
 import functools
 import itertools
@@ -20,9 +28,10 @@ from math import gcd
 
 from hopfrb import constructions, rb_group
 from hopfrb.constructions import FamilyParams, qbinom
-from hopfrb.hopf_core import (LinearMap, check_algebra, check_antipode,
-                              check_bialgebra_compat, check_coalgebra, iterated_delta,
-                              tensor_apply_map, tensor_permute)
+from hopfrb.hopf_core import (ActionData, AlgebraData, CoalgebraData, LinearMap,
+                              check_algebra, check_antipode, check_bialgebra_compat,
+                              check_coalgebra, iterated_delta, lincomb, tensor_apply_delta,
+                              tensor_outer)
 from hopfrb.rb_group import GroupAction, GroupTable, is_subgroup
 from hopfrb.rb_lie import LieData
 from hopfrb.report import VerificationReport, first_failure, labelled, merge_reports
@@ -407,3 +416,126 @@ def rescale_bracket(L: LieData, lam: Scalar) -> LieData:
     scaled = {ij: {k: lam * c for k, c in terms.items()}
               for ij, terms in L.brackets.items()}
     return LieData(L.ctx, L.dim, scaled, L.labels)
+
+
+# ---------------------------------------------------------------------------
+# the Sweedler-leg toolkit of the oracles
+#
+# Each operation acts on one or two legs of a sparse tensor {index tuple:
+# scalar}.  The library forms the sides of its identities as Sweedler sums;
+# the oracles below and in the test modules compose these operations
+# instead, so they are a second, independent computation of the same sides.
+
+
+def tensor_apply_counit(coalg: CoalgebraData, t: dict, leg: int) -> dict:
+    return lincomb((coalg.counit[tup[leg]], {tup[:leg] + tup[leg + 1:]: c})
+                   for tup, c in t.items())
+
+
+def tensor_apply_map(f: LinearMap, t: dict, leg: int) -> dict:
+    return lincomb((c, {tup[:leg] + (k,) + tup[leg + 1:]: x
+                        for k, x in f.cols[tup[leg]].items()})
+                   for tup, c in t.items())
+
+
+def tensor_mul_legs(alg: AlgebraData, t: dict, leg: int) -> dict:
+    """Multiply legs leg and leg+1 together, lowering the rank by one."""
+    return lincomb((c, {tup[:leg] + (k,) + tup[leg + 2:]: d
+                        for k, d in alg.mul_basis(tup[leg], tup[leg + 1]).items()})
+                   for tup, c in t.items())
+
+
+def tensor_permute(t: dict, perm: list[int]) -> dict:
+    """Output slot s takes the source leg perm[s]."""
+    rank = len(next(iter(t), perm))  # an empty tensor takes any permutation
+    if sorted(perm) != list(range(rank)):
+        raise ValueError(f"{perm} is not a permutation of {rank} legs")
+    return {tuple(tup[p] for p in perm): c for tup, c in t.items()}
+
+
+def _action_join(phi: ActionData, t: dict, gleg: int, hleg: int) -> dict:
+    """Consume legs (gleg, hleg) into Phi_{e_g}(e_h); the result sits where
+    hleg was, with gleg removed."""
+    if gleg == hleg:
+        raise ValueError(f"leg {gleg} cannot act on itself")
+
+    def joined(tup: tuple, k: int) -> tuple:
+        lst = list(tup)
+        lst[hleg] = k
+        del lst[gleg]
+        return tuple(lst)
+
+    return lincomb((c, {joined(tup, k): ck
+                        for k, ck in phi.apply_basis(tup[gleg], tup[hleg]).items()})
+                   for tup, c in t.items())
+
+
+def cond3_leg_sides(data):
+    """The cases of rb_hopf._cond3_cases by leg operations: the a-only
+    tensors once per a, then per b an action join, a coproduct of the
+    joined leg and a leg product on the left, two joins and a leg product
+    on the right."""
+    H, phi, B = data.H, data.phi, data.B
+    C, one = H.coalgebra, H.ctx.one
+    for a in range(H.dim):
+        left = tensor_apply_map(B, C.delta_basis(a), 1)              # [a1, B(a2)]
+        right = iterated_delta(C, {a: one}, 3)
+        right = tensor_apply_map(B, tensor_apply_map(B, right, 0), 2)  # [Ba1, a2, Ba3]
+        for b in range(H.dim):
+            t = _action_join(phi, tensor_outer(left, {(b,): one}), 1, 2)  # [a1, u]
+            t = tensor_apply_delta(C, t, 1)                  # [a1, u1, u2]
+            t = tensor_permute(t, [1, 0, 2])                 # [u1, a1, u2]
+            lhs = tensor_mul_legs(H.algebra, t, 1)           # [u1, a1*u2]
+            t = tensor_outer(right, C.delta_basis(b))        # [Ba1, a2, Ba3, b1, b2]
+            t = _action_join(phi, t, 0, 3)                   # [a2, Ba3, u, b2]
+            t = _action_join(phi, t, 1, 3)                   # [a2, u, w]
+            t = tensor_permute(t, [1, 0, 2])                 # [u, a2, w]
+            yield (a, b), lhs, tensor_mul_legs(H.algebra, t, 1)   # [u, a2*w]
+
+
+def coalgebra_leg_form(C) -> VerificationReport:
+    """check_coalgebra with the counit laws as counit legs of rank-2
+    tensors, compared with e_i as a rank-1 tensor."""
+    one = C.ctx.one
+    deltas = [C.delta_basis(i) for i in range(C.dim)]
+
+    def cases():
+        for i, t in enumerate(deltas):
+            yield ("coassociativity", i), tensor_apply_delta(C, t, 0), tensor_apply_delta(C, t, 1)
+        for i, t in enumerate(deltas):
+            e_i = {(i,): one}
+            yield ("counit_left", i), tensor_apply_counit(C, t, 0), e_i
+            yield ("counit_right", i), tensor_apply_counit(C, t, 1), e_i
+
+    return first_failure("coalgebra", cases(), labelled([C.labels], C.labels))
+
+
+def antipode_leg_form(H) -> VerificationReport:
+    """check_antipode with S applied to one leg of Delta(e_i) and the two
+    legs multiplied together."""
+    A, C, S = H.algebra, H.coalgebra, H.antipode
+
+    def product(t: dict) -> dict:
+        return {k: c for (k,), c in tensor_mul_legs(A, t, 0).items()}
+
+    def cases():
+        for i in range(A.dim):
+            t = C.delta_basis(i)
+            target = lincomb([(C.counit[i], A.unit)])
+            yield ("antipode_left", i), product(tensor_apply_map(S, t, 0)), target
+            yield ("antipode_right", i), product(tensor_apply_map(S, t, 1)), target
+
+    return first_failure("antipode", cases(), labelled([A.labels], A.labels))
+
+
+def coalgebra_morphism_leg_form(f: LinearMap, C, D) -> VerificationReport:
+    """is_coalgebra_morphism with (f (x) f)(Delta(a)) as f on each leg in turn."""
+    images = f.cols
+
+    def cases():
+        for i in range(C.dim):
+            yield (("morphism_comult", i), iterated_delta(D, images[i], 2),
+                   tensor_apply_map(f, tensor_apply_map(f, C.delta_basis(i), 0), 1))
+            yield ("morphism_counit", i), D.counit_sparse(images[i]), C.counit[i]
+
+    return first_failure("coalgebra_morphism", cases(), labelled([C.labels], D.labels))

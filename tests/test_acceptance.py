@@ -10,8 +10,7 @@ from itertools import product
 
 from hopfrb.constructions import (FamilyParams, family, family_aut_report, family_aut_search,
                                   family_hypotheses, group_algebra, qbinom, sweedler_h4, taft)
-from hopfrb.hopf_core import (LinearMap, check_hopf, is_hopf_morphism, iterated_delta,
-                              tensor_apply_map, tensor_mul_legs)
+from hopfrb.hopf_core import LinearMap, check_hopf, is_hopf_morphism, iterated_delta
 from hopfrb.rb_group import (GroupAction, GroupTable, check_rb, check_rb_lambda,
                              check_star_compat, circ_from_rrb, derived_group, enumerate_rb,
                              lemma_checks, linearize_rb, power_star, relative_rb_check)
@@ -21,7 +20,8 @@ from hopfrb.rb_lie import (adjoint_lie_action, check_rb_lie_weight,
                            check_relative_rb_lie, sl2)
 from hopfrb.scalars import FieldCtx
 from helpers import (antipode_closed_form, automorphisms, cauchy_check, graph_is_subgroup,
-                     qbinom_oracle, rescale_bracket, weight_flip)
+                     qbinom_oracle, rescale_bracket, tensor_apply_map, tensor_mul_legs,
+                     weight_flip)
 from test_rb_hopf import compat_failing_pairs, cond3_remark_sides, failing_pairs
 
 Q = FieldCtx.rationals()

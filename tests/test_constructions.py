@@ -133,6 +133,8 @@ def test_family_hypotheses_negative_cases():
     rep = family_hypotheses(FamilyParams(2, f3.from_int(-1), 6,
                                          [f3.zero, f3.zero, f3.zero, f3.zero, f3.one]))
     assert rep.identity == "f_term_binomials"
+    assert rep.witness["indices"] == [4, 2]
+    assert rep.witness["labels"] == ["x^4", "{4 choose 2}"]
 
 
 def test_delta_relation_is_authoritative():

@@ -20,12 +20,14 @@ import pytest
 
 from hopfrb import hopf_core
 from hopfrb.constructions import FamilyParams, family, group_algebra, sweedler_h4, taft
-from hopfrb.hopf_core import (check_antipode, check_bialgebra_compat, check_hopf,
-                              hopf_from_json, hopf_to_json, opposite_hopf)
+from hopfrb.hopf_core import (LinearMap, check_antipode, check_bialgebra_compat,
+                              check_coalgebra, check_hopf, hopf_from_json, hopf_to_json,
+                              is_coalgebra_morphism, opposite_hopf)
 from hopfrb.rb_group import GroupTable
 from hopfrb.rb_hopf import derived_hopf, exact_factorization_rrb, rrb_from_json
 from hopfrb.scalars import FieldCtx, Scalar
-from helpers import antipode_implied, check_hopf_with_implied
+from helpers import (antipode_implied, antipode_leg_form, check_hopf_with_implied,
+                     coalgebra_leg_form, coalgebra_morphism_leg_form)
 
 Q, QZ5, F5 = FieldCtx.rationals(), FieldCtx.cyclotomic(5), FieldCtx.prime(5)
 F3 = FieldCtx.prime(3)
@@ -181,6 +183,29 @@ def test_the_convolution_laws_keep_every_check_hopf_verdict():
             implied_only += 1
     # every base, opposite and derived algebra passes
     assert passing >= len(oracle_bases()) + 6 and implied_only > 0
+
+
+def test_sweedler_sums_agree_with_the_leg_forms():
+    """check_coalgebra, check_antipode and is_coalgebra_morphism (with the
+    identity and the antipode as maps of M to itself) give the report of
+    their leg forms in helpers: the same status, identity, witness and
+    count."""
+    inputs = seeded_inputs() + derived_and_opposite_inputs()
+    assert len(inputs) == 135
+    failing = {}
+    for name, M in inputs:
+        C = M.coalgebra
+        pairs = [(check_coalgebra(M), coalgebra_leg_form(C)),
+                 (check_antipode(M), antipode_leg_form(M))]
+        pairs += [(is_coalgebra_morphism(f, M, M), coalgebra_morphism_leg_form(f, C, C))
+                  for f in (LinearMap.identity(M.ctx, M.dim), M.antipode)]
+        for got, want in pairs:
+            assert got.to_json() == want.to_json(), name
+            if not got.ok:
+                failing[got.identity] = failing.get(got.identity, 0) + 1
+    # failing reports of every identity the Sweedler sums form
+    assert {"counit_left", "counit_right", "antipode_left",
+            "morphism_comult"} <= set(failing), failing
 
 
 def test_passing_counts_fall_to_the_generator_cases(monkeypatch):

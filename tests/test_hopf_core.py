@@ -17,10 +17,10 @@ from hopfrb.hopf_core import (MAX_DIM, AlgebraData, CoalgebraData, HopfData, Lin
                               hopf_from_json, hopf_to_json, is_algebra_morphism,
                               is_coalgebra_morphism, is_group_like,
                               is_hopf_morphism, iterated_delta, lincomb,
-                              opposite_hopf, tensor_apply_counit, tensor_mul_legs,
-                              tensor_outer, tensor_permute)
+                              opposite_hopf, tensor_outer)
 from hopfrb.rb_group import GroupTable
 from hopfrb.scalars import FieldCtx
+from helpers import tensor_apply_counit, tensor_mul_legs, tensor_permute
 
 Q = FieldCtx.rationals()
 
@@ -201,6 +201,20 @@ def test_antipode_is_morphism_into_opposite():
     # on a cocommutative algebra S: H -> H^op is a full Hopf morphism
     H = group_algebra(GroupTable.symmetric(3), Q)
     assert is_hopf_morphism(H.antipode, H, opposite_hopf(H)).ok
+
+
+def test_morphism_checks_reject_a_map_of_the_wrong_shape():
+    # on k[Z2], every map must go from dim 2 to dim 2
+    H = group_algebra(GroupTable.cyclic(2), Q)
+    one = Q.one
+    maps = {(3, 2): LinearMap(Q, [{0: one}, {1: one}, {0: one}], 2),
+            (2, 3): LinearMap(Q, [{0: one}, {1: one}], 3),
+            (1, 2): LinearMap(Q, [{0: one}], 2)}
+    for (src, dst), f in maps.items():
+        for check in (is_algebra_morphism, is_coalgebra_morphism, is_hopf_morphism):
+            with pytest.raises(ValueError, match=f"f maps dim {src} to dim {dst},"
+                                                 " expected dim 2 to dim 2"):
+                check(f, H, H)
 
 
 def test_hopf_json_round_trip():

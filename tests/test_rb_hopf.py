@@ -12,16 +12,16 @@ import pytest
 from hopfrb import rb_hopf
 from hopfrb.constructions import group_algebra, sweedler_h4
 from hopfrb.hopf_core import (AlgebraData, LinearMap, check_algebra, check_hopf, hopf_to_json,
-                              iterated_delta, opposite_hopf, tensor_apply_map, tensor_mul_legs,
-                              tensor_outer, tensor_permute)
+                              iterated_delta, opposite_hopf, tensor_outer)
 from hopfrb.rb_group import GroupTable, enumerate_rb, linearize_rb
 from hopfrb.rb_hopf import (ActionData, RelRBHopf, action_from_json, adjoint_action,
                             check_action, check_hopf_brace, check_rrbo, circle,
                             derived_hopf, exact_factorization_rrb, grbo_check,
                             hrbo_action, hrbo_check, rrb_from_json, rrb_to_json,
-                            _action_join, _cond3_cases)
+                            _cond3_cases)
 from hopfrb.scalars import FieldCtx
-from helpers import counting, counit_unit_operator
+from helpers import (_action_join, counting, counit_unit_operator, tensor_apply_map,
+                     tensor_mul_legs, tensor_permute)
 
 Q = FieldCtx.rationals()
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -549,6 +549,17 @@ def test_action_join_needs_two_legs():
     assert _action_join(act, {(1, 2): Q.one}, 0, 1) == {(2,): -Q.one}  # g x g^-1 = -x
     with pytest.raises(ValueError, match="cannot act on itself"):
         _action_join(act, {(1, 2): Q.one}, 1, 1)
+
+
+def test_condition_3_acts_once_per_basis_pair(monkeypatch):
+    # Phi_{B(e_j)}(e_k) is formed once per (j, k), with no per-leg action
+    path = FIXTURES / "h4-rrb-exact-factorization.json"
+    data = rrb_from_json(json.loads(path.read_text()), str(FIXTURES))
+    applied = counting(monkeypatch, ActionData, "apply")
+    per_leg = counting(monkeypatch, ActionData, "apply_basis")
+    cases = list(_cond3_cases(data))
+    assert len(cases) == 16 and all(lhs == rhs for _, lhs, rhs in cases)
+    assert 0 < len(applied) <= data.H.dim ** 2 and per_leg == []
 
 
 def test_condition_3_splits_each_a_once(monkeypatch):

@@ -21,11 +21,12 @@ from hopfrb.constructions import group_algebra, sweedler_h4
 from hopfrb.hopf_core import (ActionData, AlgebraData, CoalgebraData, HopfData, LinearMap,
                               check_algebra, check_bialgebra_compat, opposite_hopf)
 from hopfrb.rb_group import GroupTable, enumerate_rb, linearize_rb
-from hopfrb.rb_hopf import (RelRBHopf, adjoint_action, check_action, check_hopf_brace,
-                            check_rrbo, exact_factorization_rrb, hrbo_action, rrb_from_json)
+from hopfrb.rb_hopf import (RelRBHopf, _cond3_cases, adjoint_action, check_action,
+                            check_hopf_brace, check_rrbo, exact_factorization_rrb, hrbo_action,
+                            rrb_from_json)
 from hopfrb.report import VerificationReport
 from hopfrb.scalars import FieldCtx
-from helpers import counit_unit_operator
+from helpers import cond3_leg_sides, counit_unit_operator
 
 Q = FieldCtx.rationals()
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -160,6 +161,22 @@ def test_generator_paths_agree_with_the_full_basis(monkeypatch):
         assert action.to_json() == check_rrbo(M, full=True).details["condition_2_action"]
     # the draws fail often, and the generators decide many passing parts
     assert failing > len(inputs) // 2 and reduced > len(inputs)
+
+
+def test_condition_3_sweedler_sums_agree_with_the_leg_pipeline():
+    # _cond3_cases against helpers.cond3_leg_sides, pair by pair
+    inputs = seeded_inputs()
+    assert len(inputs) == 17 * 13
+    pairs = differing = 0
+    for name, M in inputs:
+        got, want = list(_cond3_cases(M)), list(cond3_leg_sides(M))
+        assert [p for p, _, _ in got] == [p for p, _, _ in want], name
+        for (p, lhs, rhs), (_, leg_lhs, leg_rhs) in zip(got, want):
+            assert lhs == leg_lhs and rhs == leg_rhs, (name, p)
+            pairs += 1
+            differing += lhs != rhs
+    # many pairs fail condition 3, so both forms agree on failing sides too
+    assert differing > 0 and pairs > differing
 
 
 # ---------------------------------------------------------------------------

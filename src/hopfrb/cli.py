@@ -16,9 +16,9 @@ import sys
 from .constructions import (FamilyParams, family_aut_search, family_with_hypotheses,
                             group_algebra, sweedler_h4)
 from .hopf_core import LinearMap, check_hopf
-from .rb_group import (DEFAULT_CAP, CapExceeded, _lemma_parts, _weight_one_parts, check_rb,
-                       check_rb_lambda, circ_from_rrb, enumerate_rb, group_from_json,
-                       operator_to_json, power_star)
+from .rb_group import (DEFAULT_CAP, CapExceeded, _group_rb_report, _lemma_parts, circ_from_rrb,
+                       enumerate_rb, group_from_json, operator_from_json, operator_to_json,
+                       power_star)
 from .rb_hopf import check_rrbo, rrb_from_json
 from .rb_lie import check_lie, check_rb_lie_weight, lie_from_json
 from .report import VerificationReport, first_failure, labelled, merge_reports
@@ -177,21 +177,14 @@ def cmd_check_group_rb(args) -> int:
     if args.map is not None:
         B = tuple(int(x.strip()) for x in args.map.split(","))
     elif args.operator is not None:
-        from .rb_group import operator_from_json
         _, w, B = operator_from_json(_load_json(args.operator))
         if args.weight is None:
             args.weight = w
     else:
         raise ValueError("one of --map or --operator is required")
     weight = 1 if args.weight is None else args.weight
-    if weight == 1:
-        parts = _weight_one_parts(G, B)
-    elif weight == -1:
-        parts = {"rb": check_rb(G, B, weight)}
-    else:
-        parts = {"rb": check_rb_lambda(G, B, weight)}
-    rep = merge_reports(parts)
-    return _report_exit(args, rep, {"group": G.name, "order": G.n, "weight": weight})
+    return _report_exit(args, _group_rb_report(G, B, weight),
+                        {"group": G.name, "order": G.n, "weight": weight})
 
 
 @functools.cache
@@ -206,18 +199,20 @@ def build_parser() -> argparse.ArgumentParser:
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int, default=1,
                       help="worker processes, at most one per task and per core")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--m", type=int)
+    family.add_argument("--zeta", help="root of unity, exact scalar string")
+    family.add_argument("--l", type=int)
+    family.add_argument("--f", help="comma-separated coefficients of f, constant first")
 
     p = argparse.ArgumentParser(prog="hopfrb", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", parents=[common, field], help="build a construction and check it")
+    v = sub.add_parser("verify", parents=[common, field, family],
+                       help="build a construction and check it")
     v.add_argument("--construction", required=True,
                    choices=("group-algebra", "h4", "taft", "family"))
     v.add_argument("--group", help="group table file (group-algebra)")
-    v.add_argument("--m", type=int)
-    v.add_argument("--zeta", help="root of unity, exact scalar string")
-    v.add_argument("--l", type=int)
-    v.add_argument("--f", help="comma-separated coefficients of f, constant first")
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("enum-rb", parents=[common, jobs],
@@ -235,14 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate every condition instead of stopping at the first failure")
     c.set_defaults(func=cmd_check_rrb)
 
-    a = sub.add_parser("aut", parents=[common, field, jobs],
+    a = sub.add_parser("aut", parents=[common, field, jobs, family],
                        help="search Hopf algebra automorphisms over a coefficient grid")
     a.add_argument("--construction", required=True, choices=("h4", "taft", "family"))
     a.add_argument("--grid", required=True, help="comma-separated exact scalars")
-    a.add_argument("--m", type=int)
-    a.add_argument("--zeta")
-    a.add_argument("--l", type=int)
-    a.add_argument("--f")
     a.set_defaults(func=cmd_aut)
 
     l = sub.add_parser("check-lie", parents=[common],

@@ -197,13 +197,14 @@ def family_hypotheses(params: FamilyParams) -> VerificationReport:
     Delta(x)^l - Delta(f(x)) = 0 is authoritative.  Each witness labels the
     term x^p or the binomial it decides.
     """
-    alg, _, dx_pow = _family_parts(params)
-    return _hypotheses(params, alg, dx_pow)
+    return family_with_hypotheses(params)[1]
 
 
-def _hypotheses(params: FamilyParams, alg: AlgebraData, dx_pow: list) -> VerificationReport:
-    """family_hypotheses, given the parts that family() builds as well."""
+def family_with_hypotheses(params: FamilyParams) -> tuple[HopfData | None, VerificationReport]:
+    """family(params) and family_hypotheses(params) from one build of the
+    algebra; None in place of the Hopf algebra when the hypotheses fail."""
     ctx, m, l, zeta = params.ctx, params.m, params.l, params.zeta
+    alg, xs, dx_pow = _family_parts(params)
     f = params.f_coeffs
     terms = labelled([[f"x^{p}" for p in range(l)]])
     difference = lincomb([(ctx.one, dx_pow[l])] + [(-a, dx_pow[p]) for p, a in enumerate(f)])
@@ -212,7 +213,7 @@ def _hypotheses(params: FamilyParams, alg: AlgebraData, dx_pow: list) -> Verific
         return {**terms(identity, indices, lhs, rhs),
                 "labels": [f"x^{indices[0]}", "{%d choose %d}" % tuple(indices)]}
 
-    return merge_reports({
+    hyp = merge_reports({
         "constant_term": first_failure("constant_term", [((0,), f[0], ctx.zero)], terms),
         "degree_congruence": first_failure(
             "degree_congruence",
@@ -227,17 +228,8 @@ def _hypotheses(params: FamilyParams, alg: AlgebraData, dx_pow: list) -> Verific
         "delta_relation": first_failure("delta_relation", [((), difference, {})],
                                         labelled([], alg.labels)),
     })
-
-
-def family_with_hypotheses(params: FamilyParams) -> tuple[HopfData | None, VerificationReport]:
-    """family(params) and family_hypotheses(params) from one build of the
-    algebra; None in place of the Hopf algebra when the hypotheses fail."""
-    ctx = params.ctx
-    alg, xs, dx_pow = _family_parts(params)
-    hyp = _hypotheses(params, alg, dx_pow)
     if not hyp.ok:
         return None, hyp
-    m, l = params.m, params.l
     delta: dict = {}
     for a in range(m):
         ga = params.index(a, 0)

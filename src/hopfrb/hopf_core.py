@@ -25,7 +25,7 @@ Everything is exact (see scalars); dimensions are capped at MAX_DIM.
 from __future__ import annotations
 
 from .report import VerificationReport, decide_on, first_failure, labelled, merge_reports
-from .scalars import FieldCtx, Scalar, _json_int, parse_field, scalar_from_json
+from .scalars import FieldCtx, Scalar, _json_shape, parse_field, scalar_from_json
 
 MAX_DIM = 256
 
@@ -169,7 +169,8 @@ class LinearMap:
 
     @classmethod
     def from_json(cls, obj, ctx: FieldCtx) -> "LinearMap":
-        rows = [[scalar_from_json(c, ctx) for c in row] for row in obj]
+        rows = [[scalar_from_json(c, ctx) for c in _json_shape(row, "matrix row", list)]
+                for row in _json_shape(obj, "matrix", list)]
         return cls.from_rows(ctx, rows)
 
 
@@ -186,6 +187,8 @@ def _labels(labels, dim: int) -> list[str]:
     out = list(labels) if labels is not None else [f"e{i}" for i in range(dim)]
     if len(out) != dim:
         raise ValueError(f"{len(out)} labels for dim {dim}")
+    if any(type(label) is not str for label in out):
+        raise ValueError("labels must be strings")
     return out
 
 
@@ -669,12 +672,22 @@ def _table_to_json(table: dict, keys: str) -> list:
             for (i, j), terms in sorted(table.items())]
 
 
+# any JSON value: a coefficient "c" is decided by scalar_from_json
+_ANY = (dict, list, str, int, float, bool, type(None))
+
+
 def _table_from_json(rows: list, ctx: FieldCtx, keys: str) -> dict:
     """The inverse of _table_to_json; indices must be JSON integers."""
     a, b, k = keys
-    return {(_json_int(r[a], f"entry {a}"), _json_int(r[b], f"entry {b}")):
-            {_json_int(t[k], f"term {k}"): scalar_from_json(t["c"], ctx) for t in r["terms"]}
-            for r in rows}
+    entry, term = {a: int, b: int, "terms": list}, {k: int, "c": _ANY}
+    out = {}
+    for r in _json_shape(rows, "table", list):
+        _json_shape(r, "table entry", dict, entry)
+        vec = out[r[a], r[b]] = {}
+        for t in r["terms"]:
+            _json_shape(t, "term", dict, term)
+            vec[t[k]] = scalar_from_json(t["c"], ctx)
+    return out
 
 
 def hopf_to_json(H: HopfData) -> dict:
@@ -696,23 +709,30 @@ def hopf_to_json(H: HopfData) -> dict:
 
 
 def hopf_from_json(obj: dict) -> HopfData:
-    return _hopf_from_json_in(obj, parse_field(obj["field"]))
+    return _hopf_from_json_in(obj, parse_field(_json_shape(obj, "Hopf data", dict,
+                                                           {"field": str})["field"]))
 
 
 def _hopf_from_json_in(obj: dict, ctx: FieldCtx) -> HopfData:
     """hopf_from_json with its scalars parsed in ctx, which the caller has
     matched with obj["field"]: Hopf data read in one context share its
     parsed literals, its zero and its one."""
-    dim = _json_int(obj["dim"], "dim")
-    labels = obj.get("labels")
+    _json_shape(obj, "Hopf data", dict, {"dim": int, "unit": list, "mult": list, "delta": list,
+                                         "counit": list, "antipode": list},
+                {"labels": (list, type(None))})
+    dim, labels = obj["dim"], obj.get("labels")
     unit = [scalar_from_json(c, ctx) for c in obj["unit"]]
     if len(unit) != dim:
         raise ValueError("unit length does not match dim")
     mult = _table_from_json(obj["mult"], ctx, "ijk")
-    delta = {_json_int(e["i"], "delta i"):
-             {(_json_int(t["j"], "delta j"), _json_int(t["k"], "delta k")):
-              scalar_from_json(t["c"], ctx) for t in e["terms"]}
-             for e in obj["delta"]}
+    entry, term = {"i": int, "terms": list}, {"j": int, "k": int, "c": _ANY}
+    delta = {}
+    for e in obj["delta"]:
+        _json_shape(e, "delta entry", dict, entry)
+        vec = delta[e["i"]] = {}
+        for t in e["terms"]:
+            _json_shape(t, "delta term", dict, term)
+            vec[t["j"], t["k"]] = scalar_from_json(t["c"], ctx)
     counit = [scalar_from_json(c, ctx) for c in obj["counit"]]
     alg = AlgebraData(ctx, dim, dict(enumerate(unit)), mult, labels=labels)
     coalg = CoalgebraData(ctx, dim, delta, counit, labels=labels)

@@ -6,9 +6,9 @@ B(h1)B(h2) = B(h1 Psi_{B(h1)}(h2)), for B from a group H to a group G
 acting on H by automorphisms Psi.  An operator of weight lambda on G is a
 relative operator on (G_lambda, G, conjugation), with G_lambda the power
 star g*h = (g^lambda h^lambda)^mu, lambda*mu = 1 modulo the group exponent:
-G itself at weight 1 and its opposite at weight -1.  _relative_rows forms
-the argument rows of that identity; the weight checks, the relative check,
-the derived and circle tables and the enumeration all read them.
+G itself at weight 1 and its opposite at weight -1; G keeps each it builds.
+_relative_rows forms the argument rows of that identity for the checks and
+the search, and _descendent_group the derived and circle groups on them.
 Enumeration is a depth-first search over images with constraint
 propagation through those rows.  It checks the identity only on the rows
 of decided elements (the seeds and the branch choices) and their columns
@@ -33,9 +33,10 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from math import gcd, lcm
 from operator import itemgetter
 
+from .hopf_core import LinearMap
 from .report import (VerificationReport, decide_on, first_failure, first_row_failure,
                      merge_reports)
-from .scalars import _json_int
+from .scalars import _json_shape
 
 DEFAULT_CAP = 10 ** 8
 
@@ -138,11 +139,11 @@ class GroupTable:
 
     The constructor decides the axioms (see check_group), keeps the report
     as axioms and the generating set that decided associativity as gens,
-    and raises ValueError if one fails.  _conj, the conjugation rows, and
-    _stars, circ_from_rrb's facts about (G, star) per star, fill lazily.
+    and raises ValueError if one fails.  _conj, the conjugation rows, _stars,
+    circ_from_rrb's facts per star, and _powers, the power tables, fill lazily.
     """
 
-    __slots__ = ("n", "table", "e", "inv", "name", "axioms", "gens", "_conj", "_stars")
+    __slots__ = ("n", "table", "e", "inv", "name", "axioms", "gens", "_conj", "_stars", "_powers")
 
     def __init__(self, table, name: str = ""):
         self.table = t = _square(table)
@@ -182,7 +183,7 @@ class GroupTable:
         self.axioms = rep
         if not rep.ok:
             raise _NotAGroup(rep)
-        self._conj, self._stars = _ConjugationRows(t, self.inv), {}
+        self._conj, self._stars, self._powers = _ConjugationRows(t, self.inv), {}, {1: t}
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -267,10 +268,12 @@ class GroupTable:
 
 
 def group_from_json(obj: dict) -> GroupTable:
-    G = GroupTable(obj["table"], name=obj.get("name", ""))
-    if "order" in obj and _json_int(obj["order"], "order") != G.n:
+    _json_shape(obj, "group", dict, {"table": list}, {"name": str, "order": int, "identity": int})
+    G = GroupTable([_json_shape(row, "table row", list) for row in obj["table"]],
+                   name=obj.get("name", ""))
+    if obj.get("order", G.n) != G.n:
         raise ValueError("declared order does not match table size")
-    if "identity" in obj and _json_int(obj["identity"], "identity") != G.e:
+    if obj.get("identity", G.e) != G.e:
         raise ValueError("declared identity does not match table")
     return G
 
@@ -382,10 +385,10 @@ def _relative_identity(table, maps, B: tuple, cod, identity: str) -> tuple:
     return first_row_failure(identity, cases()), rows
 
 
-def _rb_weight(G: GroupTable, B: tuple, lam: int, identity: str) -> tuple:
+def _rb_weight(G: GroupTable, B: tuple, lam: int, identity: str) -> VerificationReport:
     """The weight-lam identity of a validated map B: the relative identity
     on (G_lam, G, conjugation)."""
-    return _relative_identity(_power_table(G, lam), G._conj, B, G.table, identity)
+    return _relative_identity(_power_table(G, lam), G._conj, B, G.table, identity)[0]
 
 
 def check_rb(G: GroupTable, B, weight: int) -> VerificationReport:
@@ -393,7 +396,7 @@ def check_rb(G: GroupTable, B, weight: int) -> VerificationReport:
     B = _validate_map(G, B)
     if weight not in (1, -1):
         raise ValueError("weight must be +1 or -1; use check_rb_lambda for general weights")
-    return _rb_weight(G, B, weight, f"rb_weight_{weight}")[0]
+    return _rb_weight(G, B, weight, f"rb_weight_{weight}")
 
 
 def ker_indices(G: GroupTable, B) -> list[int]:
@@ -438,32 +441,40 @@ def _lemma_parts(G: GroupTable, B: tuple) -> VerificationReport:
     })
 
 
-def _derived_parts(G: GroupTable, B: tuple, star) -> tuple[GroupTable, VerificationReport]:
-    """derived_group on a validated weight-1 operator B, with star the rows
-    of the weight-1 identity that decided it."""
-    Gstar = GroupTable(star, name=(G.name + "*") if G.name else "star")
-    return Gstar, merge_reports({
-        "group_axioms": Gstar.axioms,
-        "rb_on_star": _rb_weight(Gstar, B, 1, "rb_weight_1")[0],
-    })
+def _descendent_group(G: GroupTable, table, B: tuple, identity: str) -> tuple:
+    """The relative identity of a validated B on (table, conjugation) into G,
+    and the descendent group G* on its rows, or None when it fails.  That is
+    a group when conjugation acts on table by automorphisms; GroupTable still
+    decides its axioms."""
+    rep, rows = _relative_identity(table, G._conj, B, G.table, identity)
+    return rep, GroupTable(rows, (G.name + "*") if G.name else "star") if rep.ok else None
 
 
-def _weight_one_parts(G: GroupTable, B) -> dict:
-    """The weight-1 report of a map as check-group-rb gives it: "rb", and
-    when it passes "lemma" and "derived_group", with the identity decided
-    once and its rows handed on to the derived group."""
+def _derived_parts(Gstar: GroupTable, B: tuple) -> VerificationReport:
+    """derived_group's report on Gstar, the derived group of B."""
+    return merge_reports({"group_axioms": Gstar.axioms,
+                          "rb_on_star": _rb_weight(Gstar, B, 1, "rb_weight_1")})
+
+
+def _group_rb_report(G: GroupTable, B, weight: int) -> VerificationReport:
+    """check-group-rb's report on a map: the identity of the weight as "rb",
+    and at weight 1, when it passes, "lemma" and "derived_group" on its rows."""
     B = _validate_map(G, B)
-    rb, star = _rb_weight(G, B, 1, "rb_weight_1")
+    if weight != 1:
+        identity = "rb_weight_-1" if weight == -1 else "rb_weight_lambda"
+        return merge_reports({"rb": _rb_weight(G, B, weight, identity)})
+    rb, Gstar = _descendent_group(G, G.table, B, "rb_weight_1")
     if not rb.ok:
-        return {"rb": rb}
-    return {"rb": rb, "lemma": _lemma_parts(G, B), "derived_group": _derived_parts(G, B, star)[1]}
+        return merge_reports({"rb": rb})
+    return merge_reports({"rb": rb, "lemma": _lemma_parts(G, B),
+                          "derived_group": _derived_parts(Gstar, B)})
 
 
 def lemma_checks(G: GroupTable, B) -> VerificationReport:
     """The elementary consequences of the weight-1 identity, plus the
     subgroup property of kernel and image."""
     B = _validate_map(G, B)
-    if not _rb_weight(G, B, 1, "rb_weight_1")[0].ok:
+    if not _rb_weight(G, B, 1, "rb_weight_1").ok:
         raise ValueError("lemma_checks requires a verified weight-1 operator")
     return _lemma_parts(G, B)
 
@@ -475,10 +486,10 @@ def derived_group(G: GroupTable, B) -> tuple[GroupTable, VerificationReport]:
     On G's own table this is the circle operation of circ_from_rrb.
     """
     B = _validate_map(G, B)
-    rb, star = _rb_weight(G, B, 1, "rb_weight_1")
+    rb, Gstar = _descendent_group(G, G.table, B, "rb_weight_1")
     if not rb.ok:
         raise ValueError("derived_group requires a verified weight-1 operator")
-    return _derived_parts(G, B, star)
+    return Gstar, _derived_parts(Gstar, B)
 
 
 def relative_rb_check(H: GroupTable, G: GroupTable, psi: GroupAction, B) -> VerificationReport:
@@ -505,18 +516,18 @@ def _lambda_root(G: GroupTable, lam: int) -> int:
 
 
 def _power_table(G: GroupTable, lam: int) -> tuple:
-    """The table of g*h = (g^lam h^lam)^mu: G's own at lam = 1 and its
-    transpose at -1.  Otherwise, with _lambda_root's errors, row g is the
-    row kernel on the table (xy)^mu and the one map y -> y^lam, at x = g^lam."""
-    if lam == 1:
-        return G.table
-    if lam == -1:
-        return tuple(zip(*G.table))
-    mu = _lambda_root(G, lam)
-    plam = [G.power(g, lam) for g in range(G.n)]
-    pmu = [G.power(x, mu) for x in range(G.n)]
-    row = _relative_rows([_gather(r)(pmu) for r in G.table], [plam])
-    return tuple(row(x, 0) for x in plam)
+    """The table of g*h = (g^lam h^lam)^mu, kept on G from G's own at
+    lam = 1.  Any other weight, -1 included, is built once with
+    _lambda_root's errors: row g is the row kernel on the table (xy)^mu and
+    the one map y -> y^lam, at x = g^lam."""
+    table = G._powers.get(lam)
+    if table is None:
+        mu = _lambda_root(G, lam)
+        plam = [G.power(g, lam) for g in range(G.n)]
+        pmu = [G.power(x, mu) for x in range(G.n)]
+        row = _relative_rows([_gather(r)(pmu) for r in G.table], [plam])
+        table = G._powers[lam] = tuple(row(x, 0) for x in plam)
+    return table
 
 
 def power_star(G: GroupTable, lam: int) -> GroupTable:
@@ -559,7 +570,7 @@ def check_star_compat(G: GroupTable, star: GroupTable) -> VerificationReport:
 def check_rb_lambda(G: GroupTable, B, lam: int) -> VerificationReport:
     """B(g)B(h) = B((g^lam B(g) h^lam B(g)^-1)^mu) over all pairs."""
     B = _validate_map(G, B)
-    return _rb_weight(G, B, lam, "rb_weight_lambda")[0]
+    return _rb_weight(G, B, lam, "rb_weight_lambda")
 
 
 def skew_brace_check(dot: GroupTable, circ: GroupTable) -> VerificationReport:
@@ -603,16 +614,12 @@ def circ_from_rrb(G: GroupTable, star: GroupTable, B) -> tuple[GroupTable, Verif
     pre, dot_star_brace = G._stars[star]
     if not pre.ok:
         raise ValueError(f"star precondition fails: {pre.identity} witness {pre.witness}")
-    star_rb, circ = _relative_identity(star.table, G._conj, B, G.table, "star_rb")
+    star_rb, circ = _descendent_group(G, star.table, B, "star_rb")
     if not star_rb.ok:
         w = star_rb.witness
         g1, g2 = w["indices"]
         raise ValueError(f"B does not satisfy the star RB identity at ({g1},{g2}):"
                          f" {w['lhs']} != {w['rhs']}")
-    try:
-        circ = GroupTable(circ)
-    except ValueError as e:
-        raise ValueError(f"circ operation is not a group: {e}") from None
     parts = {"circ_group": circ.axioms,
              "star_circ_brace": skew_brace_check(star, circ)}
     if star.table == G.table:
@@ -746,8 +753,7 @@ def enumerate_rb(G: GroupTable, weight: int, cap: int = DEFAULT_CAP, jobs: int =
     meets its contradiction than a search over every pair would, so a given
     cap is reached sooner than by such a search (98,661 assignments against
     85,769 on S3 x S3 at weight 1)."""
-    if weight not in (1, -1):
-        _lambda_root(G, weight)  # raise early on a bad weight
+    _power_table(G, weight)  # raises early on a bad weight; the search reads this table
     n = G.n
     seeds = [(G.e, G.e)]
     first = next((i for i in range(n) if i != G.e), None)
@@ -779,10 +785,9 @@ def linearize_rb(G: GroupTable, B, ctx):
     """The group algebra of G with B extended linearly; a weight-1 operator
     becomes a group Rota-Baxter operator on k[G]."""
     B = _validate_map(G, B)
-    if not _rb_weight(G, B, 1, "rb_weight_1")[0].ok:
+    if not _rb_weight(G, B, 1, "rb_weight_1").ok:
         raise ValueError("linearize_rb requires a verified weight-1 operator")
-    from .constructions import group_algebra
-    from .hopf_core import LinearMap
+    from .constructions import group_algebra  # constructions imports this module
     H = group_algebra(G, ctx)
     return H, LinearMap(ctx, [{B[j]: ctx.one} for j in range(G.n)], G.n)
 
@@ -792,4 +797,5 @@ def operator_to_json(G: GroupTable, B, weight: int) -> dict:
 
 
 def operator_from_json(obj: dict) -> tuple[str, int, tuple]:
-    return obj.get("group", ""), _json_int(obj["weight"], "weight"), tuple(obj["map"])
+    _json_shape(obj, "operator", dict, {"weight": int, "map": list}, {"group": str})
+    return obj.get("group", ""), obj["weight"], tuple(obj["map"])

@@ -18,14 +18,17 @@ Phi_{B(e_j)}(e_k), each formed once per call.
 
 from __future__ import annotations
 
+import json
+import os
+
 from .constructions import group_algebra
-from .hopf_core import (ActionData, AlgebraData, HopfData, LinearMap, _table_from_json,
-                        check_algebra, check_antipode, check_bialgebra_compat,
-                        check_coalgebra, group_like_basis_indices, is_coalgebra_morphism,
-                        iterated_delta, lincomb, opposite_hopf)
+from .hopf_core import (ActionData, AlgebraData, HopfData, LinearMap, _hopf_from_json_in,
+                        _table_from_json, check_algebra, check_antipode, check_bialgebra_compat,
+                        check_coalgebra, group_like_basis_indices, hopf_from_json, hopf_to_json,
+                        is_coalgebra_morphism, iterated_delta, lincomb, opposite_hopf)
 from .rb_group import GroupTable, is_subgroup
 from .report import VerificationReport, decide_on, first_failure, labelled, merge_reports
-from .scalars import FieldCtx, parse_field
+from .scalars import FieldCtx, _json_shape, parse_field
 
 
 def action_from_json(obj: list, ctx: FieldCtx, dim_g: int, dim_h: int) -> ActionData:
@@ -358,7 +361,6 @@ def hrbo_check(H: HopfData, B: LinearMap) -> VerificationReport:
 
 
 def rrb_to_json(data: RelRBHopf) -> dict:
-    from .hopf_core import hopf_to_json
     return {"H": hopf_to_json(data.H), "G": hopf_to_json(data.G),
             "phi": data.phi.to_json(), "B": data.B.to_json()}
 
@@ -367,10 +369,8 @@ def rrb_from_json(obj: dict, base_dir: str = ".") -> RelRBHopf:
     """The H and G entries may be inline Hopf data or a path string.  G, phi
     and B are parsed in H's field context, so that products mixing them
     share its zero and one."""
-    import json
-    import os
-
-    from .hopf_core import _hopf_from_json_in, hopf_from_json
+    _json_shape(obj, "relative operator", dict,
+                {"H": (dict, str), "G": (dict, str), "phi": list, "B": list})
 
     def read(side):
         if isinstance(side, str):
@@ -379,7 +379,7 @@ def rrb_from_json(obj: dict, base_dir: str = ".") -> RelRBHopf:
         return side
 
     H = hopf_from_json(read(obj["H"]))
-    g = read(obj["G"])
+    g = _json_shape(read(obj["G"]), "Hopf data", dict, {"field": str})
     if parse_field(g["field"]) != H.ctx:
         raise ValueError("H and G use different scalar fields")
     G = _hopf_from_json_in(g, H.ctx)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .hopf_core import (ActionData, LinearMap, _bilinear, _labels, _table, _table_from_json,
                         _table_to_json, lincomb)
 from .report import VerificationReport, first_failure, labelled, merge_reports
-from .scalars import FieldCtx, Scalar, _json_int, parse_field
+from .scalars import FieldCtx, Scalar, _json_shape, parse_field
 
 
 class LieData:
@@ -167,6 +167,8 @@ def lie_to_json(L: LieData) -> dict:
 
 
 def lie_from_json(obj: dict) -> LieData:
+    _json_shape(obj, "Lie algebra", dict, {"field": str, "dim": int, "brackets": list},
+                {"labels": (list, type(None))})
     ctx = parse_field(obj["field"])
-    dim = _json_int(obj["dim"], "dim")
-    return LieData(ctx, dim, _table_from_json(obj["brackets"], ctx, "ijk"), obj.get("labels"))
+    return LieData(ctx, obj["dim"], _table_from_json(obj["brackets"], ctx, "ijk"),
+                   obj.get("labels"))

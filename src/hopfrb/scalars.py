@@ -29,6 +29,7 @@ literal that fails to parse stores nothing: it raises on every call.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -503,6 +504,32 @@ def _json_int(v, what: str) -> int:
     """An integer field of a JSON input; ValueError for floats, bools and strings."""
     if type(v) is not int:
         raise ValueError(f"{what} must be an integer, not {v!r}")
+    return v
+
+
+def _json_shape(v, what: str, kind=dict, fields: dict = {}, optional: dict = {}):
+    """v, a value read from JSON and named what in errors, checked to be of
+    kind: dict, list, str, int (a JSON integer, never a bool or a float),
+    type(None), or a tuple of them.  An object must also hold every key of
+    fields, and each key of fields, and of optional where present, must be
+    of the kind given there.  ValueError naming what or the first key that
+    is missing or of another kind; v when none is."""
+    if type(v) is not kind and (type(kind) is not tuple or type(v) not in kind):
+        names = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+                 type(None): "null"}
+        wanted = " or ".join(map(names.get, kind if type(kind) is tuple else (kind,)))
+        shown = names[type(v)] if type(v) in (dict, list) else json.dumps(v)
+        raise ValueError(f"{what} must be {wanted}, not {shown}")
+    try:
+        for key, k in fields.items():
+            x = v[key]
+            if type(x) is not k and (type(k) is not tuple or type(x) not in k):
+                _json_shape(x, key, k)  # raises, naming the key
+    except KeyError:
+        raise ValueError(f"{what} has no field {key!r}") from None
+    for key, k in optional.items():
+        if key in v:
+            _json_shape(v[key], key, k)
     return v
 
 

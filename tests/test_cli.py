@@ -1,6 +1,7 @@
 """Command line interface, driven in process through main(argv)."""
 
 import json
+import random
 import shlex
 from pathlib import Path
 
@@ -483,3 +484,101 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
             argv[argv.index("--out") + 1] = str(tmp_path / "out.json")
         code = main(argv)
         assert code in (0, 1), (argv, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (["enum-rb", "--group"], [1, 2], "group must be an object, not an array"),
+    (["check-lie", "--input"], [], "Lie algebra must be an object, not an array"),
+    (["check-rrb", "--input"], {"H": 3}, "H must be an object or a string, not 3"),
+    (["check-group-rb", "--group", str(FIXTURES / "z3.json"), "--operator"], [],
+     "operator must be an object, not an array"),
+    (["check-group-rb", "--map", "0,1", "--group"], {}, "group has no field 'table'"),
+    (["check-group-rb", "--map", "0,1", "--group"], {"table": [[0, 1], [1, 0]], "name": 5},
+     "name must be a string, not 5"),
+], ids=["enum-rb", "check-lie", "check-rrb", "operator", "no-table", "name"])
+def test_malformed_files_name_the_field(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert expect_input_error(capsys, *argv, str(path)) == f"error: {message}\n"
+
+
+def json_nodes(value, path=()):
+    """Every (path, node) of a JSON value, the root first."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from json_nodes(child, path + (key,))
+
+
+def edited(value, path, new=None):
+    """A copy of value with the node at path replaced by new, or deleted when
+    new is None."""
+    out = json.loads(json.dumps(value))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return out
+
+
+def malformed(base, rng, count: int) -> list:
+    """Wrong inputs made from the valid JSON value base: the top level as
+    each JSON type or empty, then count seeded edits below it, each a key
+    that is not optional deleted, a node replaced by a value that no field
+    takes (1.5 or true), or a container by the other kind of container.
+    Each is (the key that the error must name or None, the input)."""
+    optional = {"name", "order", "identity", "labels", "group"}
+    edits = []
+    for path, node in list(json_nodes(base))[1:]:
+        named = path[-1] if isinstance(path[-1], str) else None
+        edits += [(named, path, 1.5), (named, path, True)]
+        if isinstance(node, (dict, list)):
+            edits.append((named, path, [] if isinstance(node, dict) else {}))
+        if named is not None and named not in optional:
+            edits.append((named, path, None))
+    top = [(None, other) for other in ([], [1, 2], {}, 5, "x", None)]
+    return top + [(named, edited(base, path, new))
+                  for named, path, new in rng.sample(edits, min(count, len(edits)))]
+
+
+def test_malformed_files_are_input_errors(tmp_path, capsys):
+    # every subcommand and file flag: exit 2 and one line that names the
+    # field, never a traceback; the whole suite also runs under python -O
+    rng = random.Random(26)
+    s3, z3, sl2_file = (str(FIXTURES / name) for name in ("s3.json", "z3.json", "sl2.json"))
+    rrb = json.loads((FIXTURES / "h4-rrb-exact-factorization.json").read_text())
+    path, side = tmp_path / "input.json", tmp_path / "side.json"
+    # (valid base, command on the input file, whether the edits go to the
+    # Hopf file that a check-rrb input names as its H)
+    flags = [
+        (s3, lambda f: ["enum-rb", "--group", f], False),
+        (s3, lambda f: ["check-group-rb", "--group", f, "--map", "0,0,0,0,0,0"], False),
+        ({"group": "Z3", "weight": 1, "map": [0, 0, 0]},
+         lambda f: ["check-group-rb", "--group", z3, "--operator", f], False),
+        (s3, lambda f: ["verify", "--construction", "group-algebra", "--group", f], False),
+        (rrb, lambda f: ["check-rrb", "--input", f], False),
+        (rrb["H"], lambda f: ["check-rrb", "--input", f], True),
+        (sl2_file, lambda f: ["check-lie", "--input", f], False),
+        (str(FIXTURES / "sl2-minus-identity.json"),
+         lambda f: ["check-lie", "--input", sl2_file, "--b", f, "--weight", "1"], False),
+    ]
+    runs = 0
+    for base, argv, in_side in flags:
+        if isinstance(base, str):
+            base = json.loads(Path(base).read_text())
+        for named, bad in malformed(base, rng, 40):
+            top, hopf = (dict(rrb, H=side.name), bad) if in_side else (bad, rrb["H"])
+            path.write_text(json.dumps(top))
+            side.write_text(json.dumps(hopf))
+            err = expect_input_error(capsys, *argv(str(path)))
+            assert err.count("\n") == 1 and "Traceback" not in err, err
+            if named is not None:
+                # a coefficient c of the wrong type is named as the scalar it is not
+                assert (f"{named} must be" in err or f"no field {named!r}" in err
+                        or named == "c" and "cannot parse scalar" in err), (named, err)
+            runs += 1
+    # the operator and matrix files have 15 and 27 edits in all
+    assert runs == 6 * 46 + (6 + 15) + (6 + 27)

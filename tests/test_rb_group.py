@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -250,6 +251,52 @@ def test_commands_decide_the_weight_one_identity_once_per_operator(monkeypatch, 
     calls.clear()
     assert lemma_checks(S3, S3.inv).ok and derived_group(S3, S3.inv)[1].ok
     assert len(calls) == 3
+
+
+def test_each_power_table_is_built_once_per_group(monkeypatch, capsys):
+    S3 = GroupTable.symmetric(3)
+    S3xS3, F21 = GroupTable.direct_product(S3, S3), GroupTable.metacyclic(7, 3, 2)
+    built = counting(monkeypatch, rb_group, "_lambda_root")
+    for G, weights in ((S3xS3, (-1, 5)), (F21, (-1, 2, 5))):
+        assert rb_group._power_table(G, 1) is G.table
+        for lam in weights:
+            assert rb_group._power_table(G, lam) is rb_group._power_table(G, lam)
+        # -1 is the formula at mu = -1: the transpose
+        assert rb_group._power_table(G, -1) == tuple(zip(*G.table))
+        assert sorted(G._powers) == sorted({1, *weights})
+    assert len(built) == 5
+    for _ in range(2):  # a weight with no root is refused each time and never kept
+        with pytest.raises(ValueError, match="not invertible"):
+            rb_group._power_table(S3xS3, 2)
+    assert 2 not in S3xS3._powers
+    # a --jobs worker receives G pickled, and its tables with it
+    assert pickle.loads(pickle.dumps(F21))._powers == F21._powers
+
+    # enum-rb: the early weight check, the search and the star read one table
+    built.clear()
+    assert cli.main(["enum-rb", "--group", str(FIXTURES / "f21.json"), "--weight", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] > 0
+    assert len(built) == 1
+
+
+def test_descendent_groups_are_built_once_by_one_builder(monkeypatch):
+    S3 = GroupTable.symmetric(3)
+    stars = {lam: power_star(S3, lam) for lam in (1, -1)}
+    builds = counting(monkeypatch, rb_group, "_descendent_group")
+    tables = []
+    init = GroupTable.__init__
+    monkeypatch.setattr(GroupTable, "__init__",
+                        lambda G, table, name="": tables.append(table) or init(G, table, name))
+    cases = [(lambda B: derived_group(S3, B), 1), (lambda B: circ_from_rrb(S3, stars[1], B), 1),
+             (lambda B: circ_from_rrb(S3, stars[-1], B), -1)]
+    for call, weight in cases:
+        for B in enumerate_rb(S3, weight):
+            builds.clear()
+            tables.clear()
+            group, _ = call(B)
+            assert len(builds) == 1 and list(map(tuple, tables)) == [group.table], (weight, B)
+            # a circle group keeps only its own table among the power tables
+            assert group._powers == {1: group.table}
 
 
 def test_circ_from_rrb_keeps_the_star_facts_on_the_group(monkeypatch):

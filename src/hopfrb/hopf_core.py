@@ -685,7 +685,8 @@ def _table_from_json(rows: list, ctx: FieldCtx, keys: str) -> dict:
         _json_shape(r, "table entry", dict, entry)
         vec = out[r[a], r[b]] = {}
         for t in r["terms"]:
-            _json_shape(t, "term", dict, term)
+            if type(t) is not dict or type(t.get(k)) is not int or "c" not in t:
+                _json_shape(t, "term", dict, term)  # raises, naming the field
             vec[t[k]] = scalar_from_json(t["c"], ctx)
     return out
 
@@ -731,7 +732,9 @@ def _hopf_from_json_in(obj: dict, ctx: FieldCtx) -> HopfData:
         _json_shape(e, "delta entry", dict, entry)
         vec = delta[e["i"]] = {}
         for t in e["terms"]:
-            _json_shape(t, "delta term", dict, term)
+            if (type(t) is not dict or type(t.get("j")) is not int
+                    or type(t.get("k")) is not int or "c" not in t):
+                _json_shape(t, "delta term", dict, term)  # raises, naming the field
             vec[t["j"], t["k"]] = scalar_from_json(t["c"], ctx)
     counit = [scalar_from_json(c, ctx) for c in obj["counit"]]
     alg = AlgebraData(ctx, dim, dict(enumerate(unit)), mult, labels=labels)

@@ -10,13 +10,9 @@ G itself at weight 1 and its opposite at weight -1; G keeps each it builds.
 _relative_rows forms the argument rows of that identity for the checks and
 the search, and _descendent_group the derived and circle groups on them.
 Enumeration is a depth-first search over images with constraint
-propagation through those rows.  It checks the identity only on the rows
-of decided elements (the seeds and the branch choices) and their columns
-over every assigned element; a set closed under those rows is closed under
-the whole identity (the lemma at _search_partition), so the tree is that
-of a search over every pair.  The cap bounds how many image assignments,
-forced ones included, the search may perform before giving up with
-CapExceeded.
+propagation through those rows, which checks only the rows of decided
+elements (see _search_partition); the cap bounds its image assignments,
+forced ones included, and CapExceeded reports going past it.
 
 Identity checks on Cayley tables go a row at a time: _gather builds a C-level
 operator.itemgetter over one table row, both sides of a row of cases become
@@ -645,10 +641,10 @@ def _search_partition(G: GroupTable, weight: int, seeds, cap: int):
     weight and Psi conjugation, so that the identity reads
     B(a o s) = B(a)B(s); it forces an image whenever a and s are assigned,
     so the tree collapses quickly, and candidates with B(e) != e never
-    appear.  The identity is checked only on the rows of decided elements,
-    the seeds and the branch choices (a set A that holds e): a decided x
-    is checked in its row (x, s) over every assigned s, and each element
-    assigned after it in its column (a, k) for every a in A.
+    appear.  The identity is checked only at pairs (a, s) with a in the
+    set A of decided elements (the seeds and the branch choices): by
+    assign's column pass when s is assigned from the decision of a on, and
+    by the leaf pass, at a leaf, when s was assigned before it.
 
     Lemma: let S be closed under a o . for every a in A, with
     B(a o s) = B(a)B(s) for a in A and s in S.  Then S is closed under o
@@ -657,9 +653,12 @@ def _search_partition(G: GroupTable, weight: int, seeds, cap: int):
     forced as a o s, with a in A and s assigned earlier.  Psi_{B(a)} is a
     *-automorphism and Psi a homomorphism, so (a o s) o y = a o (s o y),
     and B((a o s) o y) = B(a)B(s)B(y) = B(a o s)B(y); induction on the
-    order of assignment gives S in T.  So a node passes exactly when the
-    identity holds on every pair of its assigned elements, with the same
-    S, and the tree is that of the all-pairs search.
+    order of assignment gives S in T.  Every check is an instance of the
+    identity, so no operator with the seeded images is pruned and each
+    image forced on its path is its own; at a leaf the two passes have
+    checked A x G, so the lemma with S = G makes it an operator.  So the
+    hits are exactly those operators, in lexicographic order, as each
+    branch decides the least unassigned element at its images in order.
     The DFS runs on an explicit stack: a recursive closure would refer to
     itself and keep every search's tables alive until a full GC pass.
     """
@@ -668,13 +667,13 @@ def _search_partition(G: GroupTable, weight: int, seeds, cap: int):
     arg = [[row(g, v) for v in range(n)] for g in range(n)]
     img = [-1] * n
     order: list[int] = []
-    rows: list[tuple] = []  # (arg[a][B(a)], t[B(a)]) for each decided a
+    rows: list[tuple] = []  # (arg[a][B(a)], t[B(a)], len(order) before a) per decided a
     count = 0
 
     def assign(x: int, v: int) -> bool:
-        """Decide B(x) = v and propagate; False on a contradiction.  The row
-        of x runs over the elements assigned before it, then each element
-        from x on is checked in its column under every decided element."""
+        """Decide B(x) = v and propagate; False on a contradiction.  The
+        column pass: each element from x on is checked or forced in its
+        column under every decided element, x included."""
         nonlocal count
         count += 1
         if count > cap:
@@ -682,25 +681,11 @@ def _search_partition(G: GroupTable, weight: int, seeds, cap: int):
         img[x] = v
         qi = len(order)
         order.append(x)
-        arg_x, tx = arg[x][v], t[v]
-        rows.append((arg_x, tx))
-        # the check-or-force step is written out in both loops: as a call per
-        # pair it made the all-pairs search about 1.6 times slower
-        for s in order[:qi]:
-            k, rhs = arg_x[s], tx[img[s]]
-            cur = img[k]
-            if cur == -1:
-                count += 1
-                if count > cap:
-                    raise CapExceeded(count, cap)
-                img[k] = rhs
-                order.append(k)
-            elif cur != rhs:
-                return False
+        rows.append((arg[x][v], t[v], qi))
         while qi < len(order):
             s = order[qi]
             vs = img[s]
-            for arg_a, ta in rows:
+            for arg_a, ta, _ in rows:
                 k, rhs = arg_a[s], ta[vs]
                 cur = img[k]
                 if cur == -1:
@@ -724,7 +709,8 @@ def _search_partition(G: GroupTable, weight: int, seeds, cap: int):
     def descend():
         if -1 in img:
             stack.append([img.index(-1), 0, len(order), len(rows)])
-        else:
+        # the leaf pass: each decided row at the elements assigned before it
+        elif all(img[arg_a[s]] == ta[img[s]] for arg_a, ta, mark in rows for s in order[:mark]):
             hits.append(tuple(img))
 
     descend()
@@ -749,18 +735,16 @@ def enumerate_rb(G: GroupTable, weight: int, cap: int = DEFAULT_CAP, jobs: int =
     cap limits the total number of image assignments the search performs,
     the forced ones included (CapExceeded beyond); jobs > 1 partitions on
     the first free image, and the search stops once the finished partitions
-    together pass cap.  A node that fails may force more images before it
-    meets its contradiction than a search over every pair would, so a given
-    cap is reached sooner than by such a search (98,661 assignments against
-    85,769 on S3 x S3 at weight 1)."""
+    together pass cap.  That is reached later or sooner than by a search
+    over every pair: at weight 1 on S3 x S3 after 67,425 assignments
+    against 85,769, but on S4 after 11,765 against 9,172."""
     _power_table(G, weight)  # raises early on a bad weight; the search reads this table
     n = G.n
     seeds = [(G.e, G.e)]
     first = next((i for i in range(n) if i != G.e), None)
     workers = pool_size(jobs, n)
     if first is None or workers == 1:
-        hits, _ = _search_partition(G, weight, seeds, cap)
-        return sorted(hits)
+        return _search_partition(G, weight, seeds, cap)[0]  # hits come sorted
     results: list[tuple] = []
     total = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:

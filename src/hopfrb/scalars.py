@@ -48,6 +48,10 @@ class MixedContextError(ValueError):
     """Raised when an operation mixes scalars from different field contexts."""
 
 
+class _ZeroDenominator(ValueError, ZeroDivisionError):
+    """A scalar literal whose denominator is 0 in its field."""
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n (low degree first): x^n - 1 divided exactly, in
@@ -154,13 +158,21 @@ class FieldCtx:
 
     # -- element construction
 
+    def _fraction(self, x) -> Fraction:
+        """Fraction(x); _ZeroDenominator naming x when its denominator is 0 here."""
+        try:
+            fr = Fraction(x)
+            if self.kind == PRIME and fr.denominator % self.p == 0:
+                raise ZeroDivisionError
+        except ZeroDivisionError:
+            raise _ZeroDenominator(f"denominator of {x} is 0 in {self.name()}") from None
+        return fr
+
     def from_fraction(self, fr) -> "Scalar":
         if isinstance(fr, (float, bool)):
             raise ValueError(f"scalars are exact: {fr!r} is no int, Fraction or string")
-        fr = Fraction(fr)
+        fr = self._fraction(fr)
         if self.kind == PRIME:
-            if fr.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by p={self.p}")
             return Scalar(self, fr.numerator * pow(fr.denominator, -1, self.p) % self.p)
         return Scalar(self, (fr.numerator,) + (0,) * (self.degree - 1), fr.denominator)
 
@@ -173,7 +185,7 @@ class FieldCtx:
         """The rational literal s, parsed once per context; 0 and 1 give zero and one."""
         x = self._literals.get(s)
         if x is None:
-            x = self._literals[s] = self._canonical(self.from_fraction(Fraction(s.strip())))
+            x = self._literals[s] = self._canonical(self.from_fraction(s.strip()))
         return x
 
     def _canonical(self, x: "Scalar") -> "Scalar":
@@ -208,7 +220,7 @@ class FieldCtx:
         if x is None:
             if len(key) > self.degree:
                 raise ValueError("cyclotomic coefficient vector longer than field degree")
-            fracs = [Fraction(c) for c in key]
+            fracs = [self._fraction(c) for c in key]
             den = lcm(*(c.denominator for c in fracs))
             nums = [c.numerator * (den // c.denominator) for c in fracs]
             x = self._literals[key] = self._canonical(

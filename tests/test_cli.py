@@ -338,6 +338,26 @@ def test_missing_flags_are_input_errors(capsys, argv, message):
     assert expect_input_error(capsys, *argv) == f"error: {message}\n"
 
 
+def test_zero_denominators_are_input_errors(tmp_path, capsys):
+    # a literal whose denominator is 0 in its field, in a file or a flag
+    sl2 = json.loads((FIXTURES / "sl2.json").read_text())
+    sl2["brackets"][0]["terms"][0]["c"] = "1/0"
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(sl2))
+    sl2_file, b_file = (str(FIXTURES / name) for name in ("sl2.json", "sl2-minus-identity.json"))
+    for argv, literal, field in [
+        (["check-lie", "--input", str(path)], "1/0", "Q"),
+        (["verify", "--construction", "family", "--field", "F3", "--m", "2", "--zeta=-1",
+          "--l", "6", "--f", "0,0,1/3"], "1/3", "F3"),
+        (["check-lie", "--input", sl2_file, "--b", b_file, "--weight", "1/0"], "1/0", "Q"),
+        (["aut", "--construction", "h4", "--grid", "1,1/0"], "1/0", "Q"),
+        (["verify", "--construction", "family", "--field", "Q(z3)", "--m", "3", "--zeta", "1/0",
+          "--l", "2"], "1/0", "Q(z3)"),
+    ]:
+        err = expect_input_error(capsys, *argv)
+        assert err == f"error: denominator of {literal} is 0 in {field}\n", (argv, err)
+
+
 def test_group_tables_take_integers_only(tmp_path, capsys):
     for table in ([["a"]], [[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]]):
         path = tmp_path / "group.json"

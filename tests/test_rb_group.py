@@ -857,9 +857,9 @@ def test_enumeration_rejects_jobs_below_one(capsys):
 
 
 def test_search_on_decided_rows_finds_what_the_all_pairs_search_finds():
-    # the same depth-first tree, so the same hits in the same order: serially,
-    # in every partition on the first free image, and from seeds that assign
-    # every element (operators and one-image near misses, in both orders)
+    # the same hits in the same order: serially, in every partition on the
+    # first free image, and from seeds that assign every element (operators
+    # and one-image near misses, in both orders)
     def fixture(name):
         return group_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
 
@@ -867,7 +867,8 @@ def test_search_on_decided_rows_finds_what_the_all_pairs_search_finds():
     groups = {"S3": S3, "Z4": fixture("z4"), "D8": GroupTable.metacyclic(4, 2, 3),
               "F21": fixture("f21"), "S3xZ2": GroupTable.direct_product(S3, Z2),
               "Z2^3": GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2),
-              "S3xS3": GroupTable.direct_product(S3, S3), "S4": GroupTable.symmetric(4)}
+              "S3xS3": GroupTable.direct_product(S3, S3), "S4": GroupTable.symmetric(4),
+              "S3xZ4": GroupTable.direct_product(S3, GroupTable.cyclic(4))}
     rng = random.Random(22)
     for name, G in groups.items():
         first = next(i for i in range(G.n) if i != G.e)
@@ -887,17 +888,29 @@ def test_search_on_decided_rows_finds_what_the_all_pairs_search_finds():
                                                                                     seeds)
 
 
+def test_serial_search_checks_each_decided_pair_once():
+    # assignments, forced ones included, at weight 1: each pair of a decided
+    # element and an assigned one is checked or forced in one place, and the
+    # tree is smaller here than with a second pass over the row of each
+    # decision (98,661 and 501,097 assignments)
+    S3 = GroupTable.symmetric(3)
+    for G, count in ((GroupTable.direct_product(S3, S3), 67_425),
+                     (GroupTable.direct_product(GroupTable.cyclic(2), GroupTable.symmetric(4)),
+                      191_479)):
+        assert rb_group._search_partition(G, 1, [(G.e, G.e)], DEFAULT_CAP)[1] == count
+
+
 def test_parallel_enumeration_keeps_one_budget(monkeypatch):
-    # S3 x S3 at weight 1: the serial search makes 98,661 assignments, forced
-    # ones included, and the 36 partitions on the first free image 98,696, at
-    # most 15,726 each; the search stops once the finished partitions
+    # S3 x S3 at weight 1: the serial search makes 67,425 assignments, forced
+    # ones included, and the 36 partitions on the first free image 67,460, at
+    # most 10,792 each; the search stops once the finished partitions
     # together pass the cap
     S3 = GroupTable.symmetric(3)
     G = GroupTable.direct_product(S3, S3)
     first = next(i for i in range(G.n) if i != G.e)
     counts = [rb_group._search_partition(G, 1, [(G.e, G.e), (first, v)], DEFAULT_CAP)[1]
               for v in range(G.n)]
-    assert (sum(counts), max(counts)) == (98_696, 15_726)
+    assert (sum(counts), max(counts)) == (67_460, 10_792)
     cap = 20_000
     with pytest.raises(CapExceeded) as exc:
         enumerate_rb(G, 1, cap=cap, jobs=2)

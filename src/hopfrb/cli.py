@@ -22,17 +22,12 @@ from .rb_group import (DEFAULT_CAP, CapExceeded, _group_rb_report, _lemma_parts,
 from .rb_hopf import check_rrbo, rrb_from_json
 from .rb_lie import check_lie, check_rb_lie_weight, lie_from_json
 from .report import VerificationReport, first_failure, labelled, merge_reports
-from .scalars import parse_field, parse_scalar
+from .scalars import _load_json, parse_field, parse_scalar
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
-
-
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _tsv_cell(v) -> str:

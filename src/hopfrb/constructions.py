@@ -22,24 +22,26 @@ from .scalars import FieldCtx, Scalar
 # quantum binomial coefficients
 
 
-_qbinom_tables: dict = {}  # zeta -> the rows of {p choose q} built so far
-
-
-def qbinom(p: int, q: int, zeta: Scalar) -> Scalar:
-    """Gaussian binomial {p choose q} at zeta, from the rows of the recurrence
-    {p+1 choose q} = zeta^q {p choose q} + {p choose q-1}, kept per zeta."""
-    if not 0 <= q <= p:
-        raise ValueError(f"qbinom needs 0 <= q <= p, got p={p}, q={q}")
+def _qbinom_rows(top: int, zeta: Scalar) -> list[list[Scalar]]:
+    """rows[p][q] = {p choose q} at zeta for 0 <= q <= p <= top, from the
+    recurrence {p+1 choose q} = zeta^q {p choose q} + {p choose q-1}."""
     one = zeta.ctx.one
-    rows = _qbinom_tables.setdefault((zeta.ctx, zeta.val, zeta.den), [[one]])
-    while len(rows) <= p:
+    rows = [[one]]
+    for _ in range(top):
         prev, zt, row = rows[-1], one, [one]
         for t in range(1, len(prev)):
             zt = zt * zeta
             row.append(zt * prev[t] + prev[t - 1])
         row.append(prev[-1])
         rows.append(row)
-    return rows[p][q]
+    return rows
+
+
+def qbinom(p: int, q: int, zeta: Scalar) -> Scalar:
+    """Gaussian binomial {p choose q} at zeta."""
+    if not 0 <= q <= p:
+        raise ValueError(f"qbinom needs 0 <= q <= p, got p={p}, q={q}")
+    return _qbinom_rows(p, zeta)[p][q]
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,7 @@ def family_with_hypotheses(params: FamilyParams) -> tuple[HopfData | None, Verif
     f = params.f_coeffs
     terms = labelled([[f"x^{p}" for p in range(l)]])
     difference = lincomb([(ctx.one, dx_pow[l])] + [(-a, dx_pow[p]) for p, a in enumerate(f)])
+    binoms = _qbinom_rows(l, zeta)
 
     def binomial(identity, indices, lhs, rhs) -> dict:   # labels x^p and {p choose q}
         return {**terms(identity, indices, lhs, rhs),
@@ -219,11 +222,11 @@ def family_with_hypotheses(params: FamilyParams) -> tuple[HopfData | None, Verif
             "degree_congruence",
             (((p,), 0 if a.is_zero else (l - p) % m, 0) for p, a in enumerate(f)), terms),
         "top_binomials": first_failure(
-            "top_binomials", (((q,), qbinom(l, q, zeta), ctx.zero) for q in range(1, l)),
+            "top_binomials", (((q,), binoms[l][q], ctx.zero) for q in range(1, l)),
             labelled([[f"{{{l} choose {q}}}" for q in range(l)]])),
         "f_term_binomials": first_failure(
             "f_term_binomials",
-            (((p, q), qbinom(p, q, zeta), ctx.zero)
+            (((p, q), binoms[p][q], ctx.zero)
              for p, a in enumerate(f) if not a.is_zero for q in range(1, p)), binomial),
         "delta_relation": first_failure("delta_relation", [((), difference, {})],
                                         labelled([], alg.labels)),
@@ -320,9 +323,21 @@ def family_aut_report(params: FamilyParams, k: int, c) -> VerificationReport:
     return _aut_verdict(params, family(params, params.ctx), k, c)
 
 
-def _aut_eval_chunk(params: FamilyParams, chunk: list) -> list:
-    H = family(params, params.ctx)
+def _aut_eval_chunk(params: FamilyParams, chunk, H: HopfData | None = None) -> list:
+    H = family(params, params.ctx) if H is None else H
     return [(k, c) for k, c in chunk if _aut_verdict(params, H, k, c).ok]
+
+
+def _aut_candidates(params: FamilyParams, grid: list):
+    """The candidates (k, c) of family_aut_search in its order, one at a time."""
+    ctx, m, l = params.ctx, params.m, params.l
+    for k in range(m):
+        positions = range(k or m, l, m)  # every q = k (mod m) with 1 <= q < l
+        for values in itertools.product(grid, repeat=len(positions)):
+            c = [ctx.zero] * l
+            for q, v in zip(positions, values):
+                c[q] = v
+            yield k, c
 
 
 def family_aut_search(params: FamilyParams, grid, jobs: int = 1) -> list:
@@ -330,24 +345,20 @@ def family_aut_search(params: FamilyParams, grid, jobs: int = 1) -> list:
 
     Candidates place grid values at the degrees q = k (mod m), 1 <= q < l,
     zero elsewhere; output keeps the deterministic generation order (k
-    ascending, grid order per position).  family(params) is built once, or
-    once per chunk when jobs > 1, and raises when the hypotheses fail.
-    """
-    ctx = params.ctx
+    ascending, grid order per position).  family(params) is built before
+    any candidate is formed, and raises when the hypotheses fail; the
+    serial search forms one candidate at a time.  Each chunk under jobs > 1
+    builds its own."""
+    ctx, m, l = params.ctx, params.m, params.l
     grid = [x if isinstance(x, Scalar) else ctx.from_fraction(x) for x in grid]
-    candidates = []
-    for k in range(params.m):
-        positions = [q for q in range(1, params.l) if q % params.m == k % params.m]
-        for values in itertools.product(grid, repeat=len(positions)):
-            c = [ctx.zero] * params.l
-            for q, v in zip(positions, values):
-                c[q] = v
-            candidates.append((k, c))
-    workers = pool_size(jobs, len(candidates))
-    if workers == 1 or len(candidates) < 4:
-        return _aut_eval_chunk(params, candidates)
-    step = (len(candidates) + workers - 1) // workers
-    chunks = [candidates[i:i + step] for i in range(0, len(candidates), step)]
+    H = family(params, ctx)
+    total = sum(len(grid) ** len(range(k or m, l, m)) for k in range(m))
+    workers = pool_size(jobs, total)
+    if workers == 1 or total < 4:
+        return _aut_eval_chunk(params, _aut_candidates(params, grid), H)
+    candidates = list(_aut_candidates(params, grid))
+    step = (total + workers - 1) // workers
+    chunks = [candidates[i:i + step] for i in range(0, total, step)]
     hits = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_aut_eval_chunk, itertools.repeat(params), chunks):

@@ -349,6 +349,13 @@ class ActionData:
         return _table_to_json(self.phi, "ghi")
 
 
+def _check_action_dims(phi: ActionData, G, H, names: str) -> None:
+    """ValueError unless phi acts by G on H; names is "G x H" or "g x h"."""
+    if (phi.dim_g, phi.dim_h) != (G.dim, H.dim):
+        raise ValueError(f"phi has dims {phi.dim_g} x {phi.dim_h},"
+                         f" expected {names} = {G.dim} x {H.dim}")
+
+
 def _algebra_of(x) -> AlgebraData:
     return x.algebra if isinstance(x, HopfData) else x
 
@@ -598,16 +605,16 @@ def opposite_hopf(H: HopfData) -> HopfData:
     return HopfData(alg, H.coalgebra, s_inv)
 
 
-def _check_map_dims(f: LinearMap, src, dst) -> None:
+def _check_map_dims(f: LinearMap, src, dst, name: str) -> None:
     if (f.domain_dim, f.codomain_dim) != (src.dim, dst.dim):
-        raise ValueError(f"f maps dim {f.domain_dim} to dim {f.codomain_dim},"
+        raise ValueError(f"{name} maps dim {f.domain_dim} to dim {f.codomain_dim},"
                          f" expected dim {src.dim} to dim {dst.dim}")
 
 
 def is_algebra_morphism(f: LinearMap, src, dst) -> VerificationReport:
     """f(1) = 1 and f(ab) = f(a)f(b) on basis pairs."""
     A, B = _algebra_of(src), _algebra_of(dst)
-    _check_map_dims(f, A, B)
+    _check_map_dims(f, A, B, "f")
     images = f.cols
 
     def cases():
@@ -623,7 +630,7 @@ def is_algebra_morphism(f: LinearMap, src, dst) -> VerificationReport:
 def is_coalgebra_morphism(f: LinearMap, src, dst) -> VerificationReport:
     """Delta(f(a)) = f(a_(1)) (x) f(a_(2)) and counit preservation."""
     C, D = _coalgebra_of(src), _coalgebra_of(dst)
-    _check_map_dims(f, C, D)
+    _check_map_dims(f, C, D, "f")
     images = f.cols
 
     def cases():

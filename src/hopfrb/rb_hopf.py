@@ -18,27 +18,21 @@ Phi_{B(e_j)}(e_k), each formed once per call.
 
 from __future__ import annotations
 
-import json
 import os
 
 from .constructions import group_algebra
-from .hopf_core import (ActionData, AlgebraData, HopfData, LinearMap, _hopf_from_json_in,
-                        _table_from_json, check_algebra, check_antipode, check_bialgebra_compat,
-                        check_coalgebra, group_like_basis_indices, hopf_from_json, hopf_to_json,
+from .hopf_core import (ActionData, AlgebraData, HopfData, LinearMap, _check_action_dims,
+                        _check_map_dims, _hopf_from_json_in, _table_from_json, check_algebra,
+                        check_antipode, check_bialgebra_compat, check_coalgebra,
+                        group_like_basis_indices, hopf_from_json, hopf_to_json,
                         is_coalgebra_morphism, iterated_delta, lincomb, opposite_hopf)
 from .rb_group import GroupTable, is_subgroup
 from .report import VerificationReport, decide_on, first_failure, labelled, merge_reports
-from .scalars import FieldCtx, _json_shape, parse_field
+from .scalars import FieldCtx, _json_shape, _load_json, parse_field
 
 
 def action_from_json(obj: list, ctx: FieldCtx, dim_g: int, dim_h: int) -> ActionData:
     return ActionData(ctx, dim_g, dim_h, _table_from_json(obj, ctx, "ghi"))
-
-
-def _check_action_dims(phi: ActionData, G: HopfData, H: HopfData) -> None:
-    if (phi.dim_g, phi.dim_h) != (G.dim, H.dim):
-        raise ValueError(f"phi has dims {phi.dim_g} x {phi.dim_h},"
-                         f" expected G x H = {G.dim} x {H.dim}")
 
 
 class RelRBHopf:
@@ -53,10 +47,8 @@ class RelRBHopf:
     def __init__(self, H: HopfData, G: HopfData, phi: ActionData, B: LinearMap):
         if not H.ctx == G.ctx == phi.ctx == B.ctx:
             raise ValueError("H, G, phi and B use different scalar fields")
-        _check_action_dims(phi, G, H)
-        if (B.domain_dim, B.codomain_dim) != (H.dim, G.dim):
-            raise ValueError(f"B maps dim {B.domain_dim} to dim {B.codomain_dim},"
-                             f" expected H (dim {H.dim}) to G (dim {G.dim})")
+        _check_action_dims(phi, G, H, "G x H")
+        _check_map_dims(B, H, G, "B")
         self.H = H
         self.G = G
         self.phi = phi
@@ -93,7 +85,7 @@ def check_action(phi: ActionData, G: HopfData, H: HopfData) -> VerificationRepor
     Phi_(gg')1(a) Phi_(gg')2(b).  So it is G.  Each proof needs the law at
     every a and b, so H is not reduced as well.
     """
-    _check_action_dims(phi, G, H)
+    _check_action_dims(phi, G, H, "G x H")
     one = H.ctx.one
     unit_g, unit_h = G.unit, H.unit
 
@@ -371,15 +363,10 @@ def rrb_from_json(obj: dict, base_dir: str = ".") -> RelRBHopf:
     share its zero and one."""
     _json_shape(obj, "relative operator", dict,
                 {"H": (dict, str), "G": (dict, str), "phi": list, "B": list})
-
-    def read(side):
-        if isinstance(side, str):
-            with open(os.path.join(base_dir, side)) as fh:
-                return json.load(fh)
-        return side
-
-    H = hopf_from_json(read(obj["H"]))
-    g = _json_shape(read(obj["G"]), "Hopf data", dict, {"field": str})
+    h, g = (_load_json(os.path.join(base_dir, side)) if isinstance(side, str) else side
+            for side in (obj["H"], obj["G"]))
+    H = hopf_from_json(h)
+    g = _json_shape(g, "Hopf data", dict, {"field": str})
     if parse_field(g["field"]) != H.ctx:
         raise ValueError("H and G use different scalar fields")
     G = _hopf_from_json_in(g, H.ctx)

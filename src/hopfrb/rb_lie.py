@@ -13,8 +13,8 @@ is a hopf_core.ActionData, the table of phi(e_i)(e_j) by structure constants.
 
 from __future__ import annotations
 
-from .hopf_core import (ActionData, LinearMap, _bilinear, _labels, _table, _table_from_json,
-                        _table_to_json, lincomb)
+from .hopf_core import (ActionData, LinearMap, _bilinear, _check_action_dims, _check_map_dims,
+                        _labels, _table, _table_from_json, _table_to_json, lincomb)
 from .report import VerificationReport, first_failure, labelled, merge_reports
 from .scalars import FieldCtx, Scalar, _json_shape, parse_field
 
@@ -80,9 +80,7 @@ def adjoint_lie_action(L: LieData) -> ActionData:
 def check_derivation_action(phi: ActionData, g: LieData, h: LieData) -> VerificationReport:
     """Each phi(e_i) derives the bracket of h, and phi is a Lie morphism
     into the commutator bracket on endomorphisms."""
-    if (phi.dim_g, phi.dim_h) != (g.dim, h.dim):
-        raise ValueError(f"phi has dims {phi.dim_g} x {phi.dim_h},"
-                         f" expected g x h = {g.dim} x {h.dim}")
+    _check_action_dims(phi, g, h, "g x h")
     one = g.ctx.one
 
     def derivation():
@@ -113,12 +111,6 @@ def check_derivation_action(phi: ActionData, g: LieData, h: LieData) -> Verifica
     })
 
 
-def _check_operator_dims(B: LinearMap, src: LieData, dst: LieData) -> None:
-    if (B.domain_dim, B.codomain_dim) != (src.dim, dst.dim):
-        raise ValueError(f"B maps dim {B.domain_dim} to dim {B.codomain_dim},"
-                         f" expected {src.dim} to {dst.dim}")
-
-
 def _rb_lie_cases(g: LieData, h: LieData, act, B: LinearMap, lam: Scalar):
     """Cases (u, v): [B(u), B(v)]_g against B(act(B(u), v) - act(B(v), u) + lambda*[u,v]_h),
     act(x, y) taking sparse x in g and y in h."""
@@ -138,7 +130,7 @@ def check_relative_rb_lie(g: LieData, h: LieData, phi: ActionData,
     act = check_derivation_action(phi, g, h)
     if not act.ok:
         raise ValueError(f"invalid derivation action: fails {act.identity}")
-    _check_operator_dims(B, h, g)
+    _check_map_dims(B, h, g, "B")
     return first_failure("relative_rb_lie", _rb_lie_cases(g, h, phi.apply, B, lam),
                          labelled([h.labels, h.labels], g.labels))
 
@@ -149,7 +141,7 @@ def check_rb_lie_weight(g: LieData, B: LinearMap, lam: Scalar) -> VerificationRe
     This is check_relative_rb_lie over the lambda-rescaled bracket with the
     adjoint action, evaluated directly on g.
     """
-    _check_operator_dims(B, g, g)
+    _check_map_dims(B, g, g, "B")
     return first_failure("rb_lie_weight", _rb_lie_cases(g, g, g.bracket_sparse, B, lam),
                          labelled([g.labels, g.labels], g.labels))
 

@@ -512,13 +512,6 @@ class Scalar:
         return {"n": self.ctx.n, "coeffs": [str(c) for c in self._fractions()]}
 
 
-def _json_int(v, what: str) -> int:
-    """An integer field of a JSON input; ValueError for floats, bools and strings."""
-    if type(v) is not int:
-        raise ValueError(f"{what} must be an integer, not {v!r}")
-    return v
-
-
 def _json_shape(v, what: str, kind=dict, fields: dict = {}, optional: dict = {}):
     """v, a value read from JSON and named what in errors, checked to be of
     kind: dict, list, str, int (a JSON integer, never a bool or a float),
@@ -545,6 +538,15 @@ def _json_shape(v, what: str, kind=dict, fields: dict = {}, optional: dict = {})
     return v
 
 
+def _load_json(path: str):
+    """The JSON value of the file at path; ValueError if it nests too deeply."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests too deeply to decode") from None
+
+
 def scalar_from_json(obj, ctx: FieldCtx) -> Scalar:
     """The scalar of a JSON literal: a rational string, an int, {"n", "coeffs"}
     or {"p", "value"}.  Each literal is parsed once per ctx, and a value of 0
@@ -557,17 +559,17 @@ def scalar_from_json(obj, ctx: FieldCtx) -> Scalar:
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse scalar {obj!r}")
     if "coeffs" in obj:
-        n = _json_int(obj.get("n"), "cyclotomic order n")
+        n = _json_shape(obj.get("n"), "cyclotomic order n", int)
         if ctx.kind != CYCLOTOMIC or ctx.n != n:
             raise MixedContextError(f"cyclotomic scalar of order {n} "
                                     f"does not live in {ctx.name()}")
         return ctx._from_coeffs(obj["coeffs"])
     if "value" in obj:
-        p = _json_int(obj.get("p"), "prime-field modulus p")
+        p = _json_shape(obj.get("p"), "prime-field modulus p", int)
         if ctx.kind != PRIME or ctx.p != p:
             raise MixedContextError(f"prime-field scalar mod {p} "
                                     f"does not live in {ctx.name()}")
-        return ctx._from_json_int(_json_int(obj["value"], "prime-field value"))
+        return ctx._from_json_int(_json_shape(obj["value"], "prime-field value", int))
     raise ValueError(f"cannot parse scalar {obj!r}")
 
 

@@ -1,6 +1,7 @@
 """Verdicts do not depend on the basis: structure constants transported to a
-seeded random basis over Q still pass check_hopf, check_rrbo and check_lie,
-and one-entry mutants still fail.
+seeded random basis over Q still pass check_hopf, check_rrbo, check_lie and
+check_hopf_brace, one-entry mutants still fail, and the derived Hopf algebra
+moves with its operator.
 
 The transport uses dense test-only arithmetic.  The change of basis P is a
 product of random elementary matrices, so its inverse is known exactly
@@ -16,7 +17,8 @@ from hopfrb.constructions import group_algebra, sweedler_h4
 from hopfrb.hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, check_hopf,
                               hopf_from_json, hopf_to_json)
 from hopfrb.rb_group import GroupTable
-from hopfrb.rb_hopf import ActionData, RelRBHopf, check_rrbo, rrb_from_json
+from hopfrb.rb_hopf import (ActionData, RelRBHopf, check_hopf_brace, check_rrbo, derived_hopf,
+                            exact_factorization_rrb, rrb_from_json)
 from hopfrb.rb_lie import LieData, check_lie, sl2
 from hopfrb.scalars import FieldCtx
 
@@ -157,6 +159,19 @@ def test_relative_operator_verdicts_survive_a_change_of_basis():
         assert not before.ok and not after.ok
         assert failing_parts(before)[0] == failing_parts(after)[0] == "condition_3_compat"
         assert failing_parts(before) == failing_parts(after)
+
+
+def test_hopf_brace_and_derived_hopf_survive_a_change_of_basis():
+    rng = random.Random(20261019)
+    S3 = GroupTable.symmetric(3)
+    for A, L in (([0, 3, 4], [0, 2]), ([0, 2], [0, 3, 4])):
+        data = exact_factorization_rrb(S3, A, L, Q)
+        PH, PHinv = random_basis_change(data.H.dim, rng)
+        moved = transport_rrb(data, PH, PHinv, *random_basis_change(data.G.dim, rng))
+        assert moved.B.cols != data.B.cols, (A, L)
+        assert check_hopf_brace(moved).status == check_hopf_brace(data).status == "pass"
+        assert (hopf_to_json(derived_hopf(moved))
+                == hopf_to_json(transport_hopf(derived_hopf(data), PH, PHinv))), (A, L)
 
 
 def test_lie_verdict_survives_a_change_of_basis():

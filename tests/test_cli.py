@@ -602,3 +602,25 @@ def test_malformed_files_are_input_errors(tmp_path, capsys):
             runs += 1
     # the operator and matrix files have 15 and 27 edits in all
     assert runs == 6 * 46 + (6 + 15) + (6 + 27)
+
+
+def test_deeply_nested_files_are_input_errors(tmp_path, capsys):
+    # the decoder recurses once per level; every subcommand and file flag,
+    # check-rrb's H and G paths too: exit 2 and one line that names the file
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    rrb = json.loads((FIXTURES / "h4-rrb-exact-factorization.json").read_text())
+    for side in ("H", "G"):
+        (tmp_path / f"{side}.json").write_text(json.dumps(dict(rrb, **{side: deep.name})))
+    d, z3, sl2_file = str(deep), str(FIXTURES / "z3.json"), str(FIXTURES / "sl2.json")
+    for argv in (["enum-rb", "--group", d],
+                 ["check-group-rb", "--group", d, "--map", "0"],
+                 ["check-group-rb", "--group", z3, "--operator", d],
+                 ["verify", "--construction", "group-algebra", "--group", d],
+                 ["check-rrb", "--input", d],
+                 ["check-rrb", "--input", str(tmp_path / "H.json")],
+                 ["check-rrb", "--input", str(tmp_path / "G.json")],
+                 ["check-lie", "--input", d],
+                 ["check-lie", "--input", sl2_file, "--b", d]):
+        err = expect_input_error(capsys, *argv)
+        assert err == f"error: {d} nests too deeply to decode\n", (argv, err)

@@ -1,5 +1,6 @@
 """Quantum binomials, the Sweedler and Taft algebras, the g,x family, automorphisms."""
 
+import itertools
 import random
 from math import gcd
 
@@ -39,6 +40,13 @@ def test_qbinom_matches_oracle():
         for p in range(0, 9):
             for q in range(0, p + 1):
                 assert qbinom(p, q, zeta) == qbinom_oracle(p, q, zeta)
+
+
+def test_qbinom_answers_in_the_context_of_zeta():
+    # two equal contexts: each gets scalars of its own, none kept from the other
+    for _ in range(2):
+        ctx = parse_field("Q(z3)")
+        assert qbinom(3, 1, ctx.root_of_unity(3)).ctx is ctx
 
 
 def test_qbinom_range_behaviour():
@@ -371,6 +379,20 @@ def test_aut_search_raises_when_the_hypotheses_fail():
     for grid in ([], [Q.one]):
         with pytest.raises(ValueError, match="family hypotheses fail at top_binomials"):
             family_aut_search(params, grid)
+
+
+def test_aut_search_forms_no_candidate_before_the_hypotheses_fail(monkeypatch):
+    # {8 choose q} at zeta = 1 is not zero over Q; the grid would make 2^7 candidates
+    formed, product = [], itertools.product
+
+    def spy(*args, **kwargs):
+        for values in product(*args, **kwargs):
+            formed.append(values)
+            yield values
+    monkeypatch.setattr(itertools, "product", spy)
+    with pytest.raises(ValueError, match="family hypotheses fail at top_binomials"):
+        family_aut_search(FamilyParams(1, Q.one, 8, None), [Q.zero, Q.one])
+    assert formed == []
 
 
 def test_aut_verdicts_agree_with_the_closed_form_criteria(monkeypatch):

@@ -181,9 +181,9 @@ def test_derivation_actions_and_operators_are_checked():
         ActionData.from_matrices(Q, [ident2, ident3])
     with pytest.raises(ValueError, match="expected g x h = 3 x 3"):
         check_derivation_action(ActionData.from_matrices(Q, [ident2, ident2]), g, g)
-    with pytest.raises(ValueError, match="B maps dim 2 to dim 2, expected 3 to 3"):
+    with pytest.raises(ValueError, match="B maps dim 2 to dim 2, expected dim 3 to dim 3"):
         check_relative_rb_lie(g, g, adjoint_lie_action(g), ident2, Q.zero)
-    with pytest.raises(ValueError, match="B maps dim 3 to dim 3, expected 2 to 2"):
+    with pytest.raises(ValueError, match="B maps dim 3 to dim 3, expected dim 2 to dim 2"):
         check_rb_lie_weight(s, ident3, Q.zero)
     with pytest.raises(ValueError, match="out of range"):
         LieData(Q, 2, {(0, 2): {0: Q.one}})

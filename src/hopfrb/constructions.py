@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .hopf_core import (MAX_DIM, AlgebraData, CoalgebraData, HopfData, LinearMap,
                         is_algebra_morphism, is_coalgebra_morphism, lincomb, tensor_mul)
 from .report import VerificationReport, first_failure, labelled, merge_reports
-from .rb_group import GroupTable, pool_size
+from .rb_group import _SPAWN, GroupTable, pool_size
 from .scalars import FieldCtx, Scalar
 
 # ---------------------------------------------------------------------------
@@ -360,7 +360,7 @@ def family_aut_search(params: FamilyParams, grid, jobs: int = 1) -> list:
     step = (total + workers - 1) // workers
     chunks = [candidates[i:i + step] for i in range(0, total, step)]
     hits = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=_SPAWN) as pool:
         for part in pool.map(_aut_eval_chunk, itertools.repeat(params), chunks):
             hits.extend(part)
     return hits

@@ -26,6 +26,7 @@ the lemma parts go case by case.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from math import gcd, lcm
@@ -37,6 +38,9 @@ from .report import (VerificationReport, decide_on, first_failure, first_row_fai
 from .scalars import _json_shape
 
 DEFAULT_CAP = 10 ** 8
+# the --jobs pools start their workers by spawn: a fork copies one thread of
+# a process that may run others (a pool's own), and the child can deadlock
+_SPAWN = multiprocessing.get_context("spawn")
 
 
 class CapExceeded(RuntimeError):
@@ -737,7 +741,7 @@ def enumerate_rb(G: GroupTable, weight: int, cap: int = DEFAULT_CAP, jobs: int =
         return _search_partition(G, weight, seeds, cap)[0]  # hits come sorted
     results: list[tuple] = []
     total = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=_SPAWN) as pool:
         futs = [pool.submit(_search_partition, G, weight, seeds + [(first, v)], cap)
                 for v in range(n)]
         for f in as_completed(futs):

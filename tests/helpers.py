@@ -10,15 +10,17 @@ two root-of-unity helpers, a call counter, an in-process stand-in for the
 worker pools, the operator search that checks every pair of assigned
 elements, the antipode identities that the convolution laws imply
 on a bialgebra, the operator B(a) = e(a)1, a Lie bracket rescaled
-by lambda, and the Sweedler-leg toolkit.
+by lambda, the invertibility of Phi at group-likes that check_hopf(G) and
+check_action imply, and the Sweedler-leg toolkit.
 
 The leg toolkit (tensor_apply_counit, tensor_apply_map, tensor_mul_legs,
 tensor_permute, _action_join) belongs to the oracles: the library forms
 each side of an identity as one Sweedler sum, and the oracles compose leg
 operations on rank-2 to rank-7 tensors instead, so they compute the same
 sides a second, independent way.  cond3_leg_sides, coalgebra_leg_form,
-antipode_leg_form and coalgebra_morphism_leg_form are the leg forms of
-condition 3, check_coalgebra, check_antipode and is_coalgebra_morphism."""
+brace_leg_sides, antipode_leg_form and coalgebra_morphism_leg_form are the
+leg forms of condition 3, the Hopf brace, check_coalgebra, check_antipode and
+is_coalgebra_morphism."""
 
 import functools
 import itertools
@@ -30,9 +32,10 @@ from hopfrb import constructions, rb_group
 from hopfrb.constructions import FamilyParams, qbinom
 from hopfrb.hopf_core import (ActionData, AlgebraData, CoalgebraData, LinearMap,
                               check_algebra, check_antipode, check_bialgebra_compat,
-                              check_coalgebra, iterated_delta, lincomb, tensor_apply_delta,
-                              tensor_outer)
+                              check_coalgebra, check_hopf, is_group_like, iterated_delta,
+                              lincomb, tensor_apply_delta, tensor_outer)
 from hopfrb.rb_group import GroupAction, GroupTable, is_subgroup
+from hopfrb.rb_hopf import check_action, circle
 from hopfrb.rb_lie import LieData
 from hopfrb.report import VerificationReport, first_failure, labelled, merge_reports
 from hopfrb.scalars import FieldCtx, Scalar, multiplicative_order
@@ -250,9 +253,10 @@ def counting(monkeypatch, module, name: str) -> list:
 
 class InlinePool:
     """ProcessPoolExecutor as the searches use it, running every task at once
-    in this process; it records the worker count it was asked for."""
+    in this process; it records the worker count it was asked for and takes
+    no notice of the start method."""
 
-    def __init__(self, started: list, max_workers: int):
+    def __init__(self, started: list, max_workers: int, mp_context=None):
         started.append(max_workers)
 
     def __enter__(self):
@@ -418,6 +422,22 @@ def rescale_bracket(L: LieData, lam: Scalar) -> LieData:
     return LieData(L.ctx, L.dim, scaled, L.labels)
 
 
+def action_at(phi: ActionData, v: dict) -> LinearMap:
+    """Phi_v on H, for a sparse vector v of G."""
+    one = phi.ctx.one
+    return LinearMap(phi.ctx, [phi.apply(v, {h: one}) for h in range(phi.dim_h)], phi.dim_h)
+
+
+def group_likes_act_invertibly(phi: ActionData, G, H, group_likes) -> bool | None:
+    """Is Phi_v invertible at each group-like vector v of G?  None when
+    check_hopf(G) or check_action fails; when both pass it must be True, as
+    v S(v) = S(v) v = 1 gives Phi_v Phi_S(v) = Phi_S(v) Phi_v = Phi_1 = id."""
+    if not (check_hopf(G).ok and check_action(phi, G, H).ok):
+        return None
+    assert group_likes and all(is_group_like(G, v) for v in group_likes)
+    return all(action_at(phi, v).is_invertible() for v in group_likes)
+
+
 # ---------------------------------------------------------------------------
 # the Sweedler-leg toolkit of the oracles
 #
@@ -491,6 +511,26 @@ def cond3_leg_sides(data):
             t = _action_join(phi, t, 1, 3)                   # [a2, u, w]
             t = tensor_permute(t, [1, 0, 2])                 # [u, a2, w]
             yield (a, b), lhs, tensor_mul_legs(H.algebra, t, 1)   # [u, a2*w]
+
+
+def brace_leg_sides(data):
+    """The cases of rb_hopf.check_hopf_brace at every basis b by leg
+    operations: on Delta^2(a), the maps x -> x o b and x -> x o c on the
+    outer legs, S on the middle one and two leg products; on the left,
+    circle at a and the product b*c."""
+    H = data.H
+    A, n, one = H.algebra, H.dim, H.ctx.one
+    right = [LinearMap(H.ctx, [circle(data, {x: one}, {b: one}) for x in range(n)], n)
+             for b in range(n)]
+    for a in range(n):
+        t = tensor_apply_map(H.antipode, iterated_delta(H.coalgebra, {a: one}, 3), 1)
+        for b in range(n):
+            tb = tensor_apply_map(right[b], t, 0)             # [a1 o b, S(a2), a3]
+            for c in range(n):
+                t3 = tensor_apply_map(right[c], tb, 2)        # [a1 o b, S(a2), a3 o c]
+                rhs = tensor_mul_legs(A, tensor_mul_legs(A, t3, 0), 0)
+                lhs = circle(data, {a: one}, A.mul_basis(b, c))
+                yield (a, b, c), lhs, {k: x for (k,), x in rhs.items()}
 
 
 def coalgebra_leg_form(C) -> VerificationReport:

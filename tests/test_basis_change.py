@@ -1,7 +1,7 @@
 """Verdicts do not depend on the basis: structure constants transported to a
 seeded random basis over Q still pass check_hopf, check_rrbo, check_lie and
-check_hopf_brace, one-entry mutants still fail, and the derived Hopf algebra
-moves with its operator.
+check_hopf_brace, one-entry mutants still fail, at the same part, and the
+derived Hopf algebra moves with its operator.
 
 The transport uses dense test-only arithmetic.  The change of basis P is a
 product of random elementary matrices, so its inverse is known exactly
@@ -172,6 +172,22 @@ def test_hopf_brace_and_derived_hopf_survive_a_change_of_basis():
         assert check_hopf_brace(moved).status == check_hopf_brace(data).status == "pass"
         assert (hopf_to_json(derived_hopf(moved))
                 == hopf_to_json(transport_hopf(derived_hopf(data), PH, PHinv))), (A, L)
+
+
+def test_a_failing_brace_still_fails_in_a_random_basis():
+    # the h4 fixture with the coefficient of phi[5] set to 2: Phi_g(g) = 2g
+    # breaks the action laws and the brace identity, in every basis
+    obj = json.loads((ROOT / "fixtures" / "h4-rrb-exact-factorization.json").read_text())
+    obj["phi"][5]["terms"][0]["c"] = "2"
+    broken = rrb_from_json(obj, str(ROOT / "fixtures"))
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        bases = (*random_basis_change(broken.H.dim, rng), *random_basis_change(broken.G.dim, rng))
+        moved = transport_rrb(broken, *bases)
+        assert moved.phi.phi != broken.phi.phi, seed
+        for data in (broken, moved):
+            assert check_hopf_brace(data).identity == "hopf_brace", seed
+            assert failing_parts(check_rrbo(data, full=True))[0] == "condition_2_action", seed
 
 
 def test_lie_verdict_survives_a_change_of_basis():

@@ -3,13 +3,17 @@
 import gc
 import itertools
 import json
+import os
 import pickle
 import random
+import threading
+import warnings
 from pathlib import Path
 
 import pytest
 
 from hopfrb import cli, rb_group
+from hopfrb.constructions import FamilyParams, family_aut_search
 from hopfrb.rb_group import (DEFAULT_CAP, CapExceeded, GroupAction, GroupTable, check_group,
                              check_rb, check_rb_lambda, check_star_compat, circ_from_rrb,
                              derived_group, enumerate_rb, group_from_json, image_indices,
@@ -830,6 +834,30 @@ def test_enumerate_parallel_and_cap():
         enumerate_rb(S3, 1, cap=3)
     assert exc.value.cap == 3
     assert exc.value.evaluations > 3
+
+
+def test_parallel_searches_fork_no_process(monkeypatch):
+    # both --jobs pools start their workers by spawn while another thread
+    # runs: os.fork is never called, so Python 3.12 and later do not warn
+    # that a fork of this multi-threaded process may deadlock in the child
+    S3, Q = GroupTable.symmetric(3), FieldCtx.rationals()
+    params = FamilyParams(2, Q.from_int(-1), 2, None)
+    grid = [Q.zero, Q.one, Q.from_int(-1), Q.from_int(2)]
+    serial = enumerate_rb(S3, 1), family_aut_search(params, grid)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    forks = counting(monkeypatch, os, "fork")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            parallel = enumerate_rb(S3, 1, jobs=2), family_aut_search(params, grid, jobs=2)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and parallel == serial
+    assert forks == [] and not [w for w in seen if "fork()" in str(w.message)]
 
 
 @pytest.mark.parametrize("jobs, cores, workers", [(100_000, 64, 6), (3, 64, 3), (100_000, 2, 2),

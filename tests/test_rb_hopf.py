@@ -257,9 +257,7 @@ def test_exact_factorization_s3():
     assert data.B.cols[2] == {1: Q.one}
     D = derived_hopf(data)
     assert check_hopf(D).ok
-    brace = check_hopf_brace(data)
-    assert brace.ok
-    assert all(brace.details["phi_invertibility"].values())
+    assert check_hopf_brace(data).ok
 
 
 def test_exact_factorization_flipped_and_trivial():
@@ -569,3 +567,14 @@ def test_condition_3_splits_each_a_once(monkeypatch):
     calls = counting(monkeypatch, rb_hopf, "iterated_delta")
     assert check_rrbo(data, full=True).ok
     assert data.H.dim == 4 and len(calls) == 4
+
+
+def test_the_brace_forms_no_threefold_coproduct(monkeypatch):
+    # the right side reads Delta(a) and, per (b, a'), Delta(a'): no Delta^2(a)
+    path = FIXTURES / "h4-rrb-exact-factorization.json"
+    fixture = rrb_from_json(json.loads(path.read_text()), str(FIXTURES))
+    s3 = exact_factorization_rrb(GroupTable.symmetric(3), [0, 3, 4], [0, 2], Q)
+    calls = counting(monkeypatch, rb_hopf, "iterated_delta")
+    for data in (fixture, s3):
+        assert check_hopf_brace(data).ok
+    assert calls == []

@@ -7,11 +7,19 @@ check_hopf_brace decide every case.  On relative operators and their seeded
 one-entry mutants (of Phi, B, H.mult, H.delta, H.antipode and G.mult) both
 paths must give the same status, identity and witness, part by part, and a
 failing part the same report byte for byte.  A premise that fails makes its
-law take every case, as the full path does, so the count is the full one."""
+law take every case, as the full path does, so the count is the full one.
+The brace on every b is also compared with helpers.brace_leg_sides, which
+reads the threefold coproduct that check_hopf_brace regroups.
+
+Phi_g is invertible at every group-like g of G once check_hopf(G) and
+check_action pass, and rb_hopf does not decide it: helpers holds it as an
+oracle, run here at the group-like basis elements, at the group-likes of G
+moved to a random basis, and on actions made singular at a group-like."""
 
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -19,14 +27,17 @@ import pytest
 from hopfrb import hopf_core, rb_hopf
 from hopfrb.constructions import group_algebra, sweedler_h4
 from hopfrb.hopf_core import (ActionData, AlgebraData, CoalgebraData, HopfData, LinearMap,
-                              check_algebra, check_bialgebra_compat, opposite_hopf)
+                              check_algebra, check_bialgebra_compat, group_like_basis_indices,
+                              opposite_hopf)
 from hopfrb.rb_group import GroupTable, enumerate_rb, linearize_rb
 from hopfrb.rb_hopf import (RelRBHopf, _cond3_cases, adjoint_action, check_action,
                             check_hopf_brace, check_rrbo, exact_factorization_rrb, hrbo_action,
                             rrb_from_json)
-from hopfrb.report import VerificationReport
+from hopfrb.report import VerificationReport, first_failure, labelled
 from hopfrb.scalars import FieldCtx
-from helpers import cond3_leg_sides, counit_unit_operator
+from helpers import (action_at, brace_leg_sides, cond3_leg_sides, counit_unit_operator,
+                     group_likes_act_invertibly)
+from test_basis_change import random_basis_change, sum_terms, transport_hopf
 
 Q = FieldCtx.rationals()
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -179,6 +190,19 @@ def test_condition_3_sweedler_sums_agree_with_the_leg_pipeline():
     assert differing > 0 and pairs > differing
 
 
+def test_the_brace_on_every_b_agrees_with_the_leg_pipeline(monkeypatch):
+    # check_hopf_brace reads Delta(a) and Delta(a'); the oracle reads
+    # Delta^2(a): the same report, byte for byte, on every input
+    inputs, failing = seeded_inputs(), 0
+    for name, M in inputs:
+        got = full_basis(monkeypatch, check_hopf_brace, M).to_json()["details"]["hopf_brace"]
+        want = first_failure("hopf_brace", brace_leg_sides(M),
+                             labelled([M.H.labels] * 3, M.H.labels)).to_json()
+        assert got == want, name
+        failing += got["status"] == "fail"
+    assert 0 < failing < len(inputs)
+
+
 # ---------------------------------------------------------------------------
 # one broken premise each: the law passes and takes every case
 
@@ -285,3 +309,86 @@ def test_a_failing_check_of_h_takes_every_b(monkeypatch, premise):
     failing = VerificationReport.failing(premise, {"identity": premise})
     monkeypatch.setattr(rb_hopf, premise, lambda H: failing)
     assert brace_count(s3_factorization()) == 6 ** 3
+
+
+# ---------------------------------------------------------------------------
+# Phi at the group-likes of G, the oracle for what check_hopf(G) and
+# check_action imply
+
+
+def action_settings() -> list:
+    """(name, H, G, Phi): the S3 and S4 exact factorizations, the h4
+    fixture, and the adjoint actions grbo_check builds for k[S3] and k[Z4]."""
+    perms = list(permutations(range(4)))
+    s4 = ([i for i, p in enumerate(perms) if p[3] == 3],
+          [perms.index(q) for q in ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2))])
+    out = [(f"S3 {A} {L}", exact_factorization_rrb(S3, A, L, Q))
+           for A, L in (([0, 3, 4], [0, 2]), ([0, 2], [0, 3, 4]))]
+    out.append(("S4", exact_factorization_rrb(GroupTable.symmetric(4), *s4, Q)))
+    fixture = FIXTURES / "h4-rrb-exact-factorization.json"
+    out.append(("h4 fixture", rrb_from_json(json.loads(fixture.read_text()), str(FIXTURES))))
+    out = [(name, M.H, M.G, M.phi) for name, M in out]
+    for G in (S3, Z4):
+        H = group_algebra(G, Q)
+        out.append((f"adjoint k[{G.name}]", H, H, adjoint_action(H)))
+    return out
+
+
+def basis_group_likes(G: HopfData) -> list:
+    return [{g: Q.one} for g in group_like_basis_indices(G)]
+
+
+def test_phi_is_invertible_at_the_group_like_basis_elements():
+    # every seeded input (the S3, h4 and adjoint settings and their mutants)
+    # and the settings above; the oracle decides those where both checks pass
+    inputs = [(name, M.H, M.G, M.phi) for name, M in seeded_inputs()] + action_settings()
+    decided = 0
+    for name, H, G, phi in inputs:
+        verdict = group_likes_act_invertibly(phi, G, H, basis_group_likes(G))
+        assert verdict is not False, name
+        decided += verdict is True
+    assert decided > len(inputs) // 2
+
+
+def zero_column(phi: ActionData, g: int, h: int) -> ActionData:
+    """phi with Phi_{e_g}(e_h) set to 0, so that Phi_{e_g} is singular."""
+    return ActionData(Q, phi.dim_g, phi.dim_h, {**phi.phi, (g, h): {}})
+
+
+def move_acting_side(phi: ActionData, P) -> ActionData:
+    """Phi with G moved to the basis f_a = sum_i P[i][a] e_i, H kept."""
+    return ActionData(Q, phi.dim_g, phi.dim_h, {
+        (a, h): sum_terms((P[i][a], phi.apply_basis(i, h)) for i in range(phi.dim_g))
+        for a in range(phi.dim_g) for h in range(phi.dim_h)})
+
+
+def test_phi_is_invertible_at_the_group_likes_of_g_in_a_random_basis():
+    # in the basis of P the group-like e_g has coordinates P^-1 e_g; a scan
+    # of the basis elements finds few of them, or none
+    rng = random.Random(20261020)
+    missed = 0
+    for name, H, G, phi in action_settings():
+        P, Pinv = random_basis_change(G.dim, rng)
+        moved = transport_hopf(G, P, Pinv)
+        likes = group_like_basis_indices(G)
+        vectors = [{r: Pinv[r][g] for r in range(G.dim) if not Pinv[r][g].is_zero}
+                   for g in likes]
+        missed += len(likes) - len(group_like_basis_indices(moved))
+        assert group_likes_act_invertibly(move_acting_side(phi, P), moved, H, vectors), name
+        g, h = rng.choice(likes), rng.randrange(H.dim)
+        bad = move_acting_side(zero_column(phi, g, h), P)
+        assert not action_at(bad, vectors[likes.index(g)]).is_invertible(), (name, g, h)
+        assert group_likes_act_invertibly(bad, moved, H, vectors) is None, (name, g, h)
+    assert missed > 0
+
+
+def test_a_singular_phi_at_a_group_like_fails_the_action_check():
+    # Phi_g(e_h) = 0 at each group-like basis element g and a seeded h: the
+    # oracle's premises fail, so it would never see the singular Phi_g
+    rng = random.Random(20261020)
+    for name, H, G, phi in action_settings():
+        likes = basis_group_likes(G)
+        for g in group_like_basis_indices(G):
+            bad = zero_column(phi, g, rng.randrange(H.dim))
+            assert not action_at(bad, {g: Q.one}).is_invertible(), (name, g)
+            assert group_likes_act_invertibly(bad, G, H, likes) is None, (name, g)

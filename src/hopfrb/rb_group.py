@@ -8,7 +8,8 @@ relative operator on (G_lambda, G, conjugation), with G_lambda the power
 star g*h = (g^lambda h^lambda)^mu, lambda*mu = 1 modulo the group exponent:
 G itself at weight 1 and its opposite at weight -1; G keeps each it builds.
 _relative_rows forms the argument rows of that identity for the checks and
-the search, and _descendent_group the derived and circle groups on them.
+the search, and _descendent_group the derived and circle groups on them
+(enum-rb's on the search's own rows) with no shape check (_gathered).
 Enumeration is a depth-first search over images with constraint
 propagation through those rows, which checks only the rows of decided
 elements (see _search_partition); the cap bounds its image assignments,
@@ -18,9 +19,9 @@ The Rota-Baxter identities, associativity, conjugation compatibility and
 the skew brace identity go a row at a time: _gather builds a C-level
 operator.itemgetter over one table row, both sides of a row of cases become
 tuples, and report.first_row_failure compares them whole.  The last three
-are decided on rows at a generating set (GroupTable.gens); a failure there
-reruns every row.  The identity and inverse axioms, GroupAction.check and
-the lemma parts go case by case.
+are decided on rows at a generating set (GroupTable.gens; the skew brace at
+generators of both groups); a failure there reruns every row.  The identity
+and inverse axioms, GroupAction.check and the lemma parts go case by case.
 """
 
 from __future__ import annotations
@@ -151,9 +152,19 @@ class GroupTable:
     __slots__ = ("n", "table", "e", "inv", "name", "axioms", "gens", "_conj", "_stars", "_powers")
 
     def __init__(self, table, name: str = ""):
-        self.n = n = len(table)
-        self.table = t = _int_rows(table, n, n, n, "table", "its row count")
-        self.name = name
+        n = len(table)
+        self._decide(_int_rows(table, n, n, n, "table", "its row count"), name)
+
+    @classmethod
+    def _gathered(cls, rows, name: str = "") -> "GroupTable":
+        """The group on rows gathered from a validated table: no shape check."""
+        G = cls.__new__(cls)
+        G._decide(tuple(rows), name)
+        return G
+
+    def _decide(self, t: tuple, name: str) -> None:
+        self.n = n = len(t)
+        self.table, self.name = t, name
         cols = tuple(zip(*t))
         ident = tuple(range(n))
         self.e = e = next((c for c in range(n) if t[c] == ident and cols[c] == ident), None)
@@ -433,19 +444,16 @@ def _lemma_parts(G: GroupTable, B: tuple) -> VerificationReport:
     })
 
 
-def _descendent_group(G: GroupTable, table, B: tuple, identity: str) -> tuple:
-    """The relative identity of a validated B on (table, conjugation) into G,
-    and the descendent group G* on its rows, or None when it fails.  That is
-    a group when conjugation acts on table by automorphisms; GroupTable still
-    decides its axioms."""
-    rep, rows = _relative_identity(table, G._conj, B, G.table, identity)
-    return rep, GroupTable(rows, (G.name + "*") if G.name else "star") if rep.ok else None
+def _descendent_group(G: GroupTable, rows) -> GroupTable:
+    """The descendent group on the rows of a relative identity into G that holds."""
+    return GroupTable._gathered(rows, (G.name + "*") if G.name else "star")
 
 
-def _derived_parts(Gstar: GroupTable, B: tuple) -> VerificationReport:
-    """derived_group's report on Gstar, the derived group of B."""
-    return merge_reports({"group_axioms": Gstar.axioms,
-                          "rb_on_star": _rb_weight(Gstar, B, 1, "rb_weight_1")})
+def _derived_parts(G: GroupTable, rows, B: tuple) -> tuple:
+    """derived_group on the rows of B's weight-1 identity, which holds."""
+    Gstar = _descendent_group(G, rows)
+    return Gstar, merge_reports({"group_axioms": Gstar.axioms,
+                                 "rb_on_star": _rb_weight(Gstar, B, 1, "rb_weight_1")})
 
 
 def _group_rb_report(G: GroupTable, B, weight: int) -> VerificationReport:
@@ -455,11 +463,11 @@ def _group_rb_report(G: GroupTable, B, weight: int) -> VerificationReport:
     if weight != 1:
         identity = "rb_weight_-1" if weight == -1 else "rb_weight_lambda"
         return merge_reports({"rb": _rb_weight(G, B, weight, identity)})
-    rb, Gstar = _descendent_group(G, G.table, B, "rb_weight_1")
+    rb, rows = _relative_identity(G.table, G._conj, B, G.table, "rb_weight_1")
     if not rb.ok:
         return merge_reports({"rb": rb})
     return merge_reports({"rb": rb, "lemma": _lemma_parts(G, B),
-                          "derived_group": _derived_parts(Gstar, B)})
+                          "derived_group": _derived_parts(G, rows, B)[1]})
 
 
 def lemma_checks(G: GroupTable, B) -> VerificationReport:
@@ -478,10 +486,10 @@ def derived_group(G: GroupTable, B) -> tuple[GroupTable, VerificationReport]:
     On G's own table this is the circle operation of circ_from_rrb.
     """
     B = _validate_map(G, B)
-    rb, Gstar = _descendent_group(G, G.table, B, "rb_weight_1")
+    rb, rows = _relative_identity(G.table, G._conj, B, G.table, "rb_weight_1")
     if not rb.ok:
         raise ValueError("derived_group requires a verified weight-1 operator")
-    return Gstar, _derived_parts(Gstar, B)
+    return _derived_parts(G, rows, B)
 
 
 def relative_rb_check(H: GroupTable, G: GroupTable, psi: GroupAction, B) -> VerificationReport:
@@ -524,7 +532,7 @@ def _power_table(G: GroupTable, lam: int) -> tuple:
 
 def power_star(G: GroupTable, lam: int) -> GroupTable:
     """g*h = (g^lam h^lam)^mu, the lambda-transported operation."""
-    return GroupTable(_power_table(G, lam))
+    return GroupTable._gathered(_power_table(G, lam))
 
 
 def _same_order(G: GroupTable, H: GroupTable) -> None:
@@ -571,22 +579,27 @@ def skew_brace_check(dot: GroupTable, circ: GroupTable) -> VerificationReport:
     With l_a(b) = a^- dot (a circ b) the identity is l_a(bc) = l_a(b)l_a(c).
     Row (a, e) holds iff a circ e = a, and then the b whose row holds are
     closed under products; the row at any b implies a circ e = a (take
-    c = e), so rows at b in dot.gens decide every row, and the row at e
-    alone does when dot.gens is empty.  ValueError unless the orders agree.
+    c = e), so rows at b in dot.gens (e when there are none) decide row a.
+    The a with l_a a dot-endomorphism are closed under circ: l_a keeps
+    inverses, so l_a l_a'(x) = l_a(a'^-) l_a(a' circ x) = l_{a circ a'}(x)
+    by associativity of circ, and the circ-closure of circ.e under circ.gens
+    is every element, so rows at a in [circ.e] + circ.gens decide every row,
+    and a failure reruns them all.  ValueError unless the orders agree.
     """
     _same_order(dot, circ)
     n, d, ct, inv = dot.n, dot.table, circ.table, dot.inv
     dot_gets = [_gather(row) for row in d]
 
-    def rows(bs):
+    def rows(As, bs):
         # row (a, b) runs over c
-        for a in range(n):
+        for a in As:
             ca, ainv = ct[a], inv[a]
             get_ca = _gather(ca)
             for b in bs:
                 yield (a, b), dot_gets[b](ca), get_ca(d[d[ca[b]][ainv]])
 
-    return decide_on(first_row_failure, "skew_brace", rows, dot.gens or [dot.e], n)
+    rep = first_row_failure("skew_brace", rows([circ.e] + circ.gens, dot.gens or [dot.e]))
+    return rep if rep.ok else first_row_failure("skew_brace", rows(range(n), range(n)))
 
 
 def circ_from_rrb(G: GroupTable, star: GroupTable, B) -> tuple[GroupTable, VerificationReport]:
@@ -595,23 +608,28 @@ def circ_from_rrb(G: GroupTable, star: GroupTable, B) -> tuple[GroupTable, Verif
     Verifies: circ is a group; (G, *, circ) is a skew brace; and when
     (G, ., *) is itself a skew brace, so is (G, ., circ).  The facts
     check_star_compat(G, star) and, when it passes, skew_brace_check(G, star)
-    are decided on the first call with star and kept on G.  When star has
-    G's own table (weight 1) the two braces are one identity on the same
-    tables, so one report stands for both.
+    are decided on the first call with star and kept on G.
     """
     B = _validate_map(G, B)
+    _same_order(G, star)
+    star_rb, rows = _relative_identity(star.table, G._conj, B, G.table, "star_rb")
+    if not star_rb.ok:
+        w = star_rb.witness
+        raise ValueError("B does not satisfy the star RB identity at ({},{}): {} != {}".format(
+            *w["indices"], w["lhs"], w["rhs"]))
+    return _circle(G, star, rows)
+
+
+def _circle(G: GroupTable, star: GroupTable, rows) -> tuple[GroupTable, VerificationReport]:
+    """circ_from_rrb on the rows of B's star identity, known to hold; at
+    weight 1 the two braces are one identity, so one report stands for both."""
     if star not in G._stars:
         pre = check_star_compat(G, star)
         G._stars[star] = pre, skew_brace_check(G, star) if pre.ok else None
     pre, dot_star_brace = G._stars[star]
     if not pre.ok:
         raise ValueError(f"star precondition fails: {pre.identity} witness {pre.witness}")
-    star_rb, circ = _descendent_group(G, star.table, B, "star_rb")
-    if not star_rb.ok:
-        w = star_rb.witness
-        g1, g2 = w["indices"]
-        raise ValueError(f"B does not satisfy the star RB identity at ({g1},{g2}):"
-                         f" {w['lhs']} != {w['rhs']}")
+    circ = _descendent_group(G, rows)
     parts = {"circ_group": circ.axioms,
              "star_circ_brace": skew_brace_check(star, circ)}
     if star.table == G.table:
@@ -731,11 +749,13 @@ def enumerate_rb(G: GroupTable, weight: int, cap: int = DEFAULT_CAP, jobs: int =
     cap limits the total number of image assignments the search performs,
     the forced ones included (CapExceeded beyond); jobs > 1 partitions on
     the first free image, and the search stops once the finished partitions
-    together pass cap."""
+    together pass cap.  ValueError for cap < 0."""
     _power_table(G, weight)  # raises early on a bad weight; the search reads this table
     n = G.n
     seeds = [(G.e, G.e)]
     first = next((i for i in range(n) if i != G.e), None)
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, not {cap}")
     workers = pool_size(jobs, n)
     if first is None or workers == 1:
         return _search_partition(G, weight, seeds, cap)[0]  # hits come sorted

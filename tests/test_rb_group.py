@@ -238,8 +238,9 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
 
 def test_commands_decide_the_weight_one_identity_once_per_operator(monkeypatch, capsys):
     # check-group-rb on a passing operator: the identity once, its rows on
-    # to the lemma parts and the derived group, and rb_on_star; enum-rb: only
-    # the star identity of circ_from_rrb, as the search has decided the rest
+    # to the lemma parts and the derived group, and rb_on_star; enum-rb: none,
+    # as the search has decided each operator's identity on the rows that
+    # are its circle table
     calls = counting(monkeypatch, rb_group, "_relative_identity")
     S3 = GroupTable.symmetric(3)
     s3 = str(FIXTURES / "s3.json")
@@ -250,11 +251,65 @@ def test_commands_decide_the_weight_one_identity_once_per_operator(monkeypatch, 
     assert len(calls) == 2
     calls.clear()
     assert cli.main(["enum-rb", "--group", s3]) == 0
-    assert len(json.loads(capsys.readouterr().out)["operators"]) == len(calls) == 8
+    assert len(json.loads(capsys.readouterr().out)["operators"]) == 8 and calls == []
     # the public checkers keep their preconditions
     calls.clear()
     assert lemma_checks(S3, S3.inv).ok and derived_group(S3, S3.inv)[1].ok
     assert len(calls) == 3
+
+
+def test_enum_rb_builds_each_circle_table_once_from_the_search_rows(monkeypatch, capsys):
+    # at weights 1, -1 and 2: no relative identity after the search, the
+    # shape check of the group file only, and the axioms of the group, its
+    # star and then one circle table per operator, circ_from_rrb's table
+    identities = counting(monkeypatch, rb_group, "_relative_identity")
+    shapes = counting(monkeypatch, rb_group, "_int_rows")
+    decided = []
+    decide = GroupTable._decide
+    monkeypatch.setattr(GroupTable, "_decide",
+                        lambda G, t, name: decided.append(t) or decide(G, t, name))
+    for name, weight in (("s3", 1), ("s3", -1), ("f21", 2)):
+        path = FIXTURES / f"{name}.json"
+        for log in (identities, shapes, decided):
+            log.clear()
+        assert cli.main(["enum-rb", "--group", str(path), f"--weight={weight}"]) == 0
+        operators = [row["map"] for row in json.loads(capsys.readouterr().out)["operators"]]
+        assert operators and identities == [] and len(shapes) == 1
+        tables = decided[:]
+        G = group_from_json(json.loads(path.read_text()))
+        star = power_star(G, weight)
+        assert tables == [G.table, star.table] + [circ_from_rrb(G, star, B)[0].table
+                                                  for B in operators]
+
+
+def test_gathered_tables_decide_the_group_axioms():
+    # circle rows of near misses (one image changed) are square, with
+    # entries in range, and often no group: the gathered path fails as the
+    # shape-checked constructor does, or builds the same group
+    rng = random.Random(30)
+    S3, D8 = GroupTable.symmetric(3), GroupTable.metacyclic(4, 2, 3)
+    plan = [(S3, 1), (S3, -1), (D8, 1), (D8, -1), (GroupTable.metacyclic(7, 3, 2), 2),
+            (GroupTable.direct_product(S3, S3), 1)]
+    failed = {"identity": 0, "inverses": 0, "associativity": 0}
+    for G, lam in plan:
+        row = rb_group._relative_rows(rb_group._power_table(G, lam), G._conj)
+        operators = enumerate_rb(G, lam)
+        for _ in range(25):
+            B = list(rng.choice(operators))
+            x = rng.randrange(G.n)
+            B[x] = (B[x] + rng.randrange(1, G.n)) % G.n
+            rows = [row(g, v) for g, v in enumerate(B)]
+            outcomes = []
+            for build in (GroupTable, GroupTable._gathered):
+                try:
+                    H = build(rows)
+                    outcomes.append((H.table, H.e, H.inv, H.gens, H.axioms.to_json()))
+                except rb_group._NotAGroup as exc:
+                    outcomes.append((str(exc), exc.report.to_json()))
+            assert outcomes[0] == outcomes[1], (G, lam, B)
+            if len(outcomes[0]) == 2:
+                failed[outcomes[0][1]["identity"]] += 1
+    assert min(failed.values()) > 5, failed
 
 
 def test_each_power_table_is_built_once_per_group(monkeypatch, capsys):
@@ -284,13 +339,16 @@ def test_each_power_table_is_built_once_per_group(monkeypatch, capsys):
 
 
 def test_descendent_groups_are_built_once_by_one_builder(monkeypatch):
+    # one table per build, gathered from rows, so with no shape check
     S3 = GroupTable.symmetric(3)
     stars = {lam: power_star(S3, lam) for lam in (1, -1)}
     builds = counting(monkeypatch, rb_group, "_descendent_group")
-    tables = []
-    init = GroupTable.__init__
+    tables, shaped = [], []
+    init, gathered = GroupTable.__init__, GroupTable._gathered
     monkeypatch.setattr(GroupTable, "__init__",
-                        lambda G, table, name="": tables.append(table) or init(G, table, name))
+                        lambda G, table, name="": shaped.append(table) or init(G, table, name))
+    monkeypatch.setattr(GroupTable, "_gathered", classmethod(
+        lambda cls, rows, name="": tables.append(rows) or gathered(rows, name)))
     cases = [(lambda B: derived_group(S3, B), 1), (lambda B: circ_from_rrb(S3, stars[1], B), 1),
              (lambda B: circ_from_rrb(S3, stars[-1], B), -1)]
     for call, weight in cases:
@@ -299,6 +357,7 @@ def test_descendent_groups_are_built_once_by_one_builder(monkeypatch):
             tables.clear()
             group, _ = call(B)
             assert len(builds) == 1 and list(map(tuple, tables)) == [group.table], (weight, B)
+            assert shaped == []
             # a circle group keeps only its own table among the power tables
             assert group._powers == {1: group.table}
 
@@ -884,6 +943,20 @@ def test_enumeration_rejects_jobs_below_one(capsys):
         assert capsys.readouterr().err == "error: jobs must be at least 1, not 0\n"
 
 
+def test_enumeration_rejects_a_negative_cap(capsys):
+    # a negative cap is bad input, where cap 0 is hit by the first assignment
+    for G in (GroupTable.symmetric(3), GroupTable.cyclic(1)):
+        for cap in (-1, -5):
+            with pytest.raises(ValueError, match=f"cap must be at least 0, not {cap}"):
+                enumerate_rb(G, 1, cap=cap)
+        with pytest.raises(CapExceeded):
+            enumerate_rb(G, 1, cap=0)
+    s3 = str(FIXTURES / "s3.json")
+    assert cli.main(["enum-rb", "--group", s3, "--cap=-5"]) == 2
+    assert capsys.readouterr().err == "error: cap must be at least 0, not -5\n"
+    assert cli.main(["enum-rb", "--group", s3, "--cap=0"]) == 3
+
+
 def test_search_on_decided_rows_finds_what_the_all_pairs_search_finds():
     # the same hits in the same order: serially, in every partition on the
     # first free image, and from seeds that assign every element (operators
@@ -1046,10 +1119,12 @@ def test_passing_counts_on_s3():
         return rep.stats["identities_checked"]
 
     # on the generators [1, 2]: 1 + 6 + 2*36 group cases, 2*36 conjugation
-    # rows and 6*2*6 brace cases (rows b in the generators)
+    # rows and 3*2*6 brace cases (rows a in [e, 1, 2], b in the generators);
+    # circ_from_rrb's circle group (the opposite group) has the generators
+    # [1, 2] as well, and one brace report stands for both
     assert S3.gens == [1, 2]
     assert count(check_group(S3.table)[1]) == 79
     assert count(check_star_compat(S3, power_star(S3, 1))) == 152
-    assert count(skew_brace_check(S3, star)) == 72
-    assert count(circ_from_rrb(S3, star, S3.inv)[1]) == 223
+    assert count(skew_brace_check(S3, star)) == 36
+    assert count(circ_from_rrb(S3, star, S3.inv)[1]) == 79 + 2 * 36
     assert count(derived_group(S3, S3.inv)[1]) == 115

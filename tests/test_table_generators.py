@@ -1,10 +1,11 @@
 """Cayley-table identities decided on generating sets, against full rows.
 
 GroupTable decides associativity for middles in G.gens only, check_star_compat
-the conjugations by G.gens only, and skew_brace_check the rows at b in
-dot.gens or [dot.e] only.  The oracles here take every row.  On seeded inputs
-a failing report must have the oracle's status, identity, witness and count,
-and a passing one must be matched by a passing oracle (see agree)."""
+the conjugations by G.gens only, and skew_brace_check the rows (a, b) at a in
+[circ.e] + circ.gens and b in dot.gens or [dot.e] only.  The oracles here
+take every row.  On seeded inputs a failing report must have the oracle's
+status, identity, witness and count, and a passing one must be matched by a
+passing oracle (see agree)."""
 
 import random
 from math import gcd
@@ -184,3 +185,47 @@ def test_brace_matches_the_full_row_oracle_on_circle_groups():
                 verdicts.append(agree(skew_brace_check(dot, other),
                                       skew_brace_oracle(dot, other), (G, lam, B)))
     assert 20 < sum(verdicts) < len(verdicts) - 10, (sum(verdicts), len(verdicts))
+
+
+def test_brace_on_circle_generators_matches_the_full_row_oracle():
+    # skew_brace_check decides rows at a in [circ.e] + circ.gens only, on the
+    # pairs enum-rb decides: (G, *, circ) and (G, ., circ) for every operator
+    rng = random.Random(30)
+    G = groups()
+    plan = [(G[name], lam) for name in ("S3", "D8", "Z2^3") for lam in (1, -1)]
+    plan += [(G["F21"], lam) for lam in (1, -1, 2)]
+    cases = [(H, lam, B) for H, lam in plan for B in enumerate_rb(H, lam)]
+    S3xS3 = G["S3xS3"]
+    cases += rng.sample([(S3xS3, lam, B) for lam in (1, -1) for B in enumerate_rb(S3xS3, lam)],
+                        50)
+    oracles = {}
+
+    def oracle(dot, circ):
+        key = dot.table, circ.table
+        if key not in oracles:
+            oracles[key] = skew_brace_oracle(dot, circ)
+        return oracles[key]
+
+    verdicts, relabelled = [], []
+    for H, lam, B in cases:
+        star = power_star(H, lam)
+        circ = circ_from_rrb(H, star, B)[0]
+        for dot in (star, H):
+            verdicts.append(agree(skew_brace_check(dot, circ), oracle(dot, circ), (H, lam, B)))
+        # circ^s(a, b) = s^-1(s a circ s b): a group on the carrier that is
+        # mostly no brace with either operation
+        if rng.random() < 0.1:
+            sigma = rng.sample(range(H.n), H.n)
+            moved = transport_group(circ, sigma)
+            for dot in (star, H):
+                rep = skew_brace_check(dot, moved)
+                if not agree(rep, skew_brace_oracle(dot, moved), (H, lam, B, sigma)):
+                    a, b, _ = rep.witness["indices"]
+                    relabelled.append((a in [moved.e] + moved.gens, b in dot.gens))
+    assert len(oracles) < len(verdicts) and sum(verdicts) > len(verdicts) // 2
+    # The first failing a is always one of the reduced rows: the a whose rows
+    # hold form a subgroup of (G, circ), so the least a outside it is not in
+    # the circ-closure of the generators picked before it.  Its first failing
+    # b need not be, and then only the rerun over every row gives the witness.
+    assert len(relabelled) > 20 and all(a for a, _ in relabelled)
+    assert not all(b for _, b in relabelled)

@@ -8,8 +8,8 @@ from .hopf_core import (ActionData, AlgebraData, CoalgebraData, HopfData, Linear
                         check_coalgebra, check_hopf, generating_set, group_like_basis_indices,
                         hopf_from_json, hopf_to_json, is_algebra_morphism,
                         is_coalgebra_morphism, is_group_like, is_hopf_morphism, opposite_hopf)
-from .rb_group import (DEFAULT_CAP, CapExceeded, GroupAction, GroupTable, check_group,
-                       check_rb, check_rb_lambda, check_star_compat, circ_from_rrb,
+from .rb_group import (DEFAULT_CAP, CapExceeded, GroupAction, GroupTable, automorphisms,
+                       check_group, check_rb, check_rb_lambda, check_star_compat, circ_from_rrb,
                        derived_group, enumerate_rb, group_from_json, lemma_checks,
                        linearize_rb, operator_from_json, operator_to_json, power_star,
                        relative_rb_check, skew_brace_check)

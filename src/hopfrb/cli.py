@@ -16,9 +16,9 @@ import sys
 from .constructions import (FamilyParams, family_aut_search, family_with_hypotheses,
                             group_algebra, sweedler_h4)
 from .hopf_core import LinearMap, check_hopf
-from .rb_group import (DEFAULT_CAP, CapExceeded, _circle, _group_rb_report, _lemma_parts,
-                       _relative_rows, enumerate_rb, group_from_json, operator_from_json,
-                       operator_to_json, power_star)
+from .rb_group import (DEFAULT_CAP, CapExceeded, _group_rb_report, _orbit_verdicts,
+                       enumerate_rb, group_from_json, operator_from_json, operator_to_json,
+                       power_star)
 from .rb_hopf import check_rrbo, rrb_from_json
 from .rb_lie import check_lie, check_rb_lie_weight, lie_from_json
 from .report import VerificationReport, first_failure, labelled, merge_reports
@@ -126,16 +126,9 @@ def cmd_enum_rb(args) -> int:
     G = group_from_json(_load_json(args.group))
     ops = enumerate_rb(G, args.weight, cap=args.cap, jobs=args.jobs)
     rows = [operator_to_json(G, op, args.weight) for op in ops]
-    star = power_star(G, args.weight)
-    # the search has decided each operator's star identity on this kernel's
-    # rows, which are its circle table
-    row = _relative_rows(star.table, G._conj)
-    for op, entry in zip(ops, rows):
-        _, rep = _circle(G, star, [row(g, v) for g, v in enumerate(op)])
-        entry["skew_brace"] = rep.status
-        entry["derived_group"] = rep.details["circ_group"]["status"]
-        if args.weight == 1:  # the search has decided the identity
-            entry["lemma"] = _lemma_parts(G, op).status
+    verdicts = _orbit_verdicts(G, power_star(G, args.weight), ops, args.weight)
+    for entry, statuses in zip(rows, verdicts):
+        entry.update(statuses)
     _emit(args, {"group": G.name, "order": G.n, "weight": args.weight,
                  "count": len(rows), "operators": rows})
     return EXIT_PASS

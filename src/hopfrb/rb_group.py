@@ -22,6 +22,16 @@ tuples, and report.first_row_failure compares them whole.  The last three
 are decided on rows at a generating set (GroupTable.gens; the skew brace at
 generators of both groups); a failure there reruns every row.  The identity
 and inverse axioms, GroupAction.check and the lemma parts go case by case.
+
+enum-rb decides its statuses once per Aut(G)-orbit (_orbit_verdicts).  An
+automorphism phi of (G, .) commutes with powers and conjugation, so it is
+one of each power star, B' = phi B phi^-1 is an operator of B's weight, and
+phi carries B's circle group, skew braces and lemma parts (identities in the
+product, the inverse, B, its kernel and image) onto those of B'.
+automorphisms backtracks over images of G.gens of the same orders; _extend
+sets phi(x s) = phi(x) phi(s) over x reached and s in gens, so a pass with no
+clash or repeated image is a bijection with phi(xb) = phi(x) phi(b), by
+induction on the length of b as a word in gens.
 """
 
 from __future__ import annotations
@@ -309,6 +319,42 @@ def check_group(table, name: str = "") -> tuple[GroupTable | None, VerificationR
     except _NotAGroup as e:
         return None, e.report
     return G, G.axioms
+
+
+def _extend(G: GroupTable, images) -> list[int] | None:
+    """phi(x s) = phi(x) c from phi(e) = e over the closure of e under the
+    generators s given images c (-1 off it); None on a clash or repeated image."""
+    t, phi, used, queue = G.table, [-1] * G.n, {G.e}, [G.e]
+    phi[G.e] = G.e
+    for x in queue:
+        for s, c in zip(G.gens, images):
+            y, want = t[x][s], t[phi[x]][c]
+            if phi[y] == -1 and want not in used:
+                phi[y] = want
+                used.add(want)
+                queue.append(y)
+            elif phi[y] != want:
+                return None
+    return phi
+
+
+def automorphisms(G: GroupTable) -> list[tuple]:
+    """Every automorphism of G as an image tuple, sorted: a backtrack over
+    images of G.gens of the same element orders (see the module docstring)."""
+    orders = [G.order_of(g) for g in range(G.n)]
+    out, stack = [], [()]
+    while stack:
+        images = stack.pop()
+        phi = _extend(G, images)
+        if phi is None:
+            continue
+        if len(images) == len(G.gens):
+            out.append(tuple(phi))
+        else:
+            s, taken = G.gens[len(images)], set(phi)
+            stack += (images + (c,) for c in range(G.n) if orders[c] == orders[s]
+                      and c not in taken)
+    return sorted(out)
 
 
 class GroupAction:
@@ -640,6 +686,37 @@ def _circle(G: GroupTable, star: GroupTable, rows) -> tuple[GroupTable, Verifica
         # only meaningful when (G, ., *) is itself a skew brace
         parts["dot_circ_brace"] = VerificationReport.passing(skipped=1)
     return circ, merge_reports(parts)
+
+
+def _orbit_verdicts(G: GroupTable, star: GroupTable, ops: list, weight: int) -> list[dict]:
+    """enum-rb's statuses of each operator in ops, the search's full list at
+    the weight of the power star star: decided on the first operator of each
+    Aut(G)-orbit and copied to the orbit when all pass, else decided on each
+    member (see the module docstring); RuntimeError if an orbit leaves ops."""
+    row = _relative_rows(star.table, G._conj)  # the search's kernel: B's circle rows
+
+    def decide(B):
+        _, rep = _circle(G, star, [row(g, v) for g, v in enumerate(B)])
+        out = {"skew_brace": rep.status, "derived_group": rep.details["circ_group"]["status"]}
+        if weight == 1:  # the search has decided the identity
+            out["lemma"] = _lemma_parts(G, B).status
+        return out
+
+    # B -> phi B phi^-1 as (the getter of phi^-1, phi)
+    moves = [(_gather(sorted(range(G.n), key=phi.__getitem__)), phi)
+             for phi in (automorphisms(G) if ops else ())]
+    index, verdicts = {B: i for i, B in enumerate(ops)}, [None] * len(ops)
+    for i, B in enumerate(ops):
+        if verdicts[i] is None:
+            verdicts[i] = first = decide(B)
+            passed = all(status == "pass" for status in first.values())
+            for get_inv, phi in moves:
+                j = index.get(_gather(get_inv(B))(phi))
+                if j is None:
+                    raise RuntimeError(f"an automorphism of {G!r} moves {B} out of the list")
+                if verdicts[j] is None:
+                    verdicts[j] = first if passed else decide(ops[j])
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

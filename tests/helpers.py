@@ -1,6 +1,9 @@
 """Helpers that only the tests and tools/make_witnesses.py use: dense
-polynomial arithmetic over Scalars, the automorphisms of a small group,
-whether a group is abelian, the semidirect product and the graph criterion
+polynomial arithmetic over Scalars, the automorphisms of a small group by
+filtering permutations (the oracle of rb_group.automorphisms), the
+quaternion group, an operator moved by an automorphism, the first operator
+of each automorphism orbit, enum-rb's statuses decided on every operator
+itself, whether a group is abelian, the semidirect product and the graph criterion
 for relative Rota-Baxter operators, the weight flip of an operator, the
 argument of the weight-lambda Rota-Baxter identity, a group transported
 through a bijection, the quantum binomial by expansion, the
@@ -94,6 +97,56 @@ def automorphisms(G: GroupTable) -> list[tuple]:
             continue
         if all(p[G.table[a][b]] == G.table[p[a]][p[b]] for a in range(G.n) for b in range(G.n)):
             out.append(p)
+    return out
+
+
+def quaternion_table() -> GroupTable:
+    units = {(0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+             (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+             (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+             (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0)}
+
+    def mul(a, b):
+        s, u = units[(a // 2, b // 2)]
+        if (a % 2) + (b % 2) == 1:
+            s = -s
+        return 2 * u + (0 if s == 1 else 1)
+
+    return GroupTable([[mul(a, b) for b in range(8)] for a in range(8)], name="Q8")
+
+
+def moved_operator(phi, B) -> tuple:
+    """phi B phi^-1 for an automorphism phi: the image phi(B(g)) at phi(g)."""
+    out = [0] * len(B)
+    for g, b in enumerate(B):
+        out[phi[g]] = phi[b]
+    return tuple(out)
+
+
+def orbit_representatives(ops, auts) -> list[tuple]:
+    """The first operator of each orbit of ops under B -> phi B phi^-1, phi
+    in auts, in list order."""
+    seen, reps = set(), []
+    for B in ops:
+        if B not in seen:
+            reps.append(B)
+            seen.update(moved_operator(phi, B) for phi in auts)
+    return reps
+
+
+def per_operator_verdicts(G: GroupTable, weight: int, ops) -> list[dict]:
+    """enum-rb's statuses decided on every operator itself, as enum-rb did
+    before it decided one operator per Aut(G)-orbit: _circle on the
+    search's rows, and _lemma_parts at weight 1."""
+    star = rb_group.power_star(G, weight)
+    row = rb_group._relative_rows(star.table, G._conj)
+    out = []
+    for op in ops:
+        _, rep = rb_group._circle(G, star, [row(g, v) for g, v in enumerate(op)])
+        entry = {"skew_brace": rep.status, "derived_group": rep.details["circ_group"]["status"]}
+        if weight == 1:
+            entry["lemma"] = rb_group._lemma_parts(G, op).status
+        out.append(entry)
     return out
 
 

@@ -11,7 +11,7 @@ from itertools import product
 from hopfrb.constructions import (FamilyParams, family, family_aut_report, family_aut_search,
                                   family_hypotheses, group_algebra, qbinom, sweedler_h4, taft)
 from hopfrb.hopf_core import LinearMap, check_hopf, is_hopf_morphism, iterated_delta
-from hopfrb.rb_group import (GroupAction, GroupTable, check_rb, check_rb_lambda,
+from hopfrb.rb_group import (GroupAction, GroupTable, automorphisms, check_rb, check_rb_lambda,
                              check_star_compat, circ_from_rrb, derived_group, enumerate_rb,
                              lemma_checks, linearize_rb, power_star, relative_rb_check)
 from hopfrb.rb_hopf import (RelRBHopf, adjoint_action, check_hopf_brace, check_rrbo,
@@ -19,8 +19,8 @@ from hopfrb.rb_hopf import (RelRBHopf, adjoint_action, check_hopf_brace, check_r
 from hopfrb.rb_lie import (adjoint_lie_action, check_rb_lie_weight,
                            check_relative_rb_lie, sl2)
 from hopfrb.scalars import FieldCtx
-from helpers import (antipode_closed_form, automorphisms, cauchy_check, graph_is_subgroup,
-                     qbinom_oracle, rescale_bracket, tensor_apply_map, tensor_mul_legs,
+from helpers import (antipode_closed_form, cauchy_check, graph_is_subgroup, qbinom_oracle,
+                     quaternion_table, rescale_bracket, tensor_apply_map, tensor_mul_legs,
                      weight_flip)
 from test_rb_hopf import compat_failing_pairs, cond3_remark_sides, failing_pairs
 
@@ -38,21 +38,6 @@ def run_criterion(n: int, body):
     dt = time.monotonic() - t0
     print(f"criterion {n}: PASS ({dt:.2f}s) {detail}")
     return dt
-
-
-def quaternion_table() -> GroupTable:
-    units = {(0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-             (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-             (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-             (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0)}
-
-    def mul(a, b):
-        s, u = units[(a // 2, b // 2)]
-        if (a % 2) + (b % 2) == 1:
-            s = -s
-        return 2 * u + (0 if s == 1 else 1)
-
-    return GroupTable([[mul(a, b) for b in range(8)] for a in range(8)], name="Q8")
 
 
 def test_criterion_1_sweedler_antipode_order():

@@ -14,18 +14,19 @@ import pytest
 
 from hopfrb import cli, rb_group
 from hopfrb.constructions import FamilyParams, family_aut_search
-from hopfrb.rb_group import (DEFAULT_CAP, CapExceeded, GroupAction, GroupTable, check_group,
-                             check_rb, check_rb_lambda, check_star_compat, circ_from_rrb,
-                             derived_group, enumerate_rb, group_from_json, image_indices,
-                             is_subgroup, ker_indices, lemma_checks, linearize_rb,
-                             operator_from_json, operator_to_json, power_star,
+from hopfrb.rb_group import (DEFAULT_CAP, CapExceeded, GroupAction, GroupTable, automorphisms,
+                             check_group, check_rb, check_rb_lambda, check_star_compat,
+                             circ_from_rrb, derived_group, enumerate_rb, group_from_json,
+                             image_indices, is_subgroup, ker_indices, lemma_checks,
+                             linearize_rb, operator_from_json, operator_to_json, power_star,
                              relative_rb_check, skew_brace_check)
 from hopfrb.scalars import FieldCtx
-from hopfrb.report import VerificationReport, first_failure, first_row_failure
+from hopfrb.report import VerificationReport, first_failure, first_row_failure, merge_reports
 
-from helpers import (all_pairs_search, automorphisms, counting, graph_is_subgroup,
-                     inline_pools, is_abelian, rb_argument, semidirect, transport_group,
-                     weight_flip)
+import helpers
+from helpers import (all_pairs_search, counting, graph_is_subgroup, inline_pools, is_abelian,
+                     moved_operator, orbit_representatives, per_operator_verdicts,
+                     quaternion_table, rb_argument, semidirect, transport_group, weight_flip)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -188,8 +189,9 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
     assert len(passes) == 2
 
     # enum-rb, one path at every weight: the star, its precondition and the
-    # brace (G, ., *) once per command, then one circle table per operator;
-    # at weight 1 the star has G's table, so the two braces are one
+    # brace (G, ., *) once per command, then one circle table per orbit of
+    # Aut(G) on the operators, decided on its first operator; at weight 1 the
+    # star has G's table, so the two braces are one
     calls = {"group_from_json": [], "power_star": [], "check_star_compat": [],
              "skew_brace_check": [], "derived_group": []}
 
@@ -223,14 +225,17 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
         assert all(row[key] == "pass" for row in operators for key in keys)
         [(_, G)] = calls["group_from_json"]
         [(_, star)] = calls["power_star"]
+        maps = [tuple(row["map"]) for row in operators]
+        orbits = len(orbit_representatives(maps, helpers.automorphisms(G)))
+        assert orbits == 4
         assert [args for args, _ in calls["check_star_compat"]] == [(G, star)]
         brace_args = [args for args, _ in calls["skew_brace_check"]]
         assert sum(args[0] is G and args[1] is star for args in brace_args) == 1
-        assert len(brace_args) == 1 + braces * len(operators)
+        assert len(brace_args) == 1 + braces * orbits
         assert calls["derived_group"] == []
         # the group read from the file and the star, then one circle table
-        # per operator
-        assert len(passes) == 2 + len(operators)
+        # per orbit
+        assert len(passes) == 2 + orbits
         # the search, the star facts, the circle tables and the lemmas all
         # read G's own conjugation rows
         assert built and all(rows is G._conj for rows in built)
@@ -261,7 +266,8 @@ def test_commands_decide_the_weight_one_identity_once_per_operator(monkeypatch, 
 def test_enum_rb_builds_each_circle_table_once_from_the_search_rows(monkeypatch, capsys):
     # at weights 1, -1 and 2: no relative identity after the search, the
     # shape check of the group file only, and the axioms of the group, its
-    # star and then one circle table per operator, circ_from_rrb's table
+    # star and then one circle table per Aut(G)-orbit, circ_from_rrb's table
+    # of its first operator
     identities = counting(monkeypatch, rb_group, "_relative_identity")
     shapes = counting(monkeypatch, rb_group, "_int_rows")
     decided = []
@@ -273,13 +279,143 @@ def test_enum_rb_builds_each_circle_table_once_from_the_search_rows(monkeypatch,
         for log in (identities, shapes, decided):
             log.clear()
         assert cli.main(["enum-rb", "--group", str(path), f"--weight={weight}"]) == 0
-        operators = [row["map"] for row in json.loads(capsys.readouterr().out)["operators"]]
+        operators = [tuple(row["map"])
+                     for row in json.loads(capsys.readouterr().out)["operators"]]
         assert operators and identities == [] and len(shapes) == 1
         tables = decided[:]
         G = group_from_json(json.loads(path.read_text()))
         star = power_star(G, weight)
+        firsts = orbit_representatives(operators, automorphisms(G))
+        assert len(firsts) == {"s3": 4, "f21": 6}[name]
         assert tables == [G.table, star.table] + [circ_from_rrb(G, star, B)[0].table
-                                                  for B in operators]
+                                                  for B in firsts]
+
+
+def group_file(tmp_path, G: GroupTable) -> str:
+    path = tmp_path / f"{G.name}.json"
+    path.write_text(json.dumps(G.to_json()))
+    return str(path)
+
+
+def enum_rb_rows(path: str, weight: int, capsys) -> list[dict]:
+    assert cli.main(["enum-rb", "--group", path, f"--weight={weight}"]) == 0
+    return json.loads(capsys.readouterr().out)["operators"]
+
+
+def statuses(row: dict) -> dict:
+    return {k: row[k] for k in ("skew_brace", "derived_group", "lemma") if k in row}
+
+
+def test_enum_rb_statuses_match_the_per_operator_oracle(tmp_path, capsys):
+    # enum-rb decides the first operator of each Aut(G)-orbit; the oracle
+    # decides every operator itself
+    S3, Z2, F21 = GroupTable.symmetric(3), GroupTable.cyclic(2), GroupTable.metacyclic(7, 3, 2)
+    cases = [(G, w) for G in (S3, GroupTable.metacyclic(4, 2, 3), F21,
+                              GroupTable.direct_product(S3, S3)) for w in (1, -1)]
+    cases += [(F21, 2), (GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2), 1)]
+    for G, weight in cases:
+        rows = enum_rb_rows(group_file(tmp_path, G), weight, capsys)
+        ops = [tuple(row["map"]) for row in rows]
+        assert ops == enumerate_rb(G, weight)
+        assert list(map(statuses, rows)) == per_operator_verdicts(G, weight, ops), (G, weight)
+
+
+def test_enum_rb_builds_one_circle_group_per_orbit(tmp_path, monkeypatch, capsys):
+    S3, Z2 = GroupTable.symmetric(3), GroupTable.cyclic(2)
+    cases = [(GroupTable.direct_product(S3, S3), 1, 784, 52),
+             (GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2), 1, 512, 14),
+             (GroupTable.metacyclic(4, 2, 3), 1, 56, 18),
+             (GroupTable.direct_product(Z2, GroupTable.symmetric(4)), 1, 1888, 126),
+             (GroupTable.metacyclic(7, 3, 2), 2, 30, 6)]
+    circles = counting(monkeypatch, rb_group, "_circle")
+    lemmas = counting(monkeypatch, rb_group, "_lemma_parts")
+    for G, weight, count, orbits in cases:
+        path = group_file(tmp_path, G)
+        circles.clear()
+        lemmas.clear()
+        rows = enum_rb_rows(path, weight, capsys)
+        assert len(rows) == count
+        assert all(status == "pass" for row in rows for status in statuses(row).values())
+        assert len(circles) == orbits, G
+        assert len(lemmas) == (orbits if weight == 1 else 0), G
+
+
+@pytest.mark.parametrize("weight, key", [(1, "lemma"), (-1, "skew_brace")])
+def test_a_failing_orbit_is_decided_member_by_member(tmp_path, monkeypatch, capsys,
+                                                     weight, key):
+    # a check made to fail on the first operator of an orbit and on one more
+    # member: no status is copied in that orbit, each of its members is
+    # decided itself, and the output shows exactly the two failures.  F21
+    # has a trivial centre, so each operator has a circle table of its own.
+    F21 = GroupTable.metacyclic(7, 3, 2)
+    ops, auts = enumerate_rb(F21, weight), automorphisms(F21)
+    firsts = orbit_representatives(ops, auts)
+    orbits = {B: {moved_operator(phi, B) for phi in auts} for B in firsts}
+    first = next(B for B in firsts if len(orbits[B]) > 2)
+    failing = {first, max(orbits[first])}
+    row = rb_group._relative_rows(power_star(F21, weight).table, F21._conj)
+    operator_at = {tuple(row(g, v) for g, v in enumerate(B)): B for B in ops}
+    assert len(operator_at) == len(ops)
+    circle, lemma = rb_group._circle, rb_group._lemma_parts
+    broken = first_failure(key, [((0,), 1, 0)])
+    decided = []
+
+    def failing_circle(G, star, rows):
+        B = operator_at[tuple(rows)]
+        decided.append(B)
+        circ, rep = circle(G, star, rows)
+        if key == "skew_brace" and B in failing:
+            rep = merge_reports({"circ_group": circ.axioms, "star_circ_brace": broken})
+        return circ, rep
+
+    monkeypatch.setattr(rb_group, "_circle", failing_circle)
+    monkeypatch.setattr(rb_group, "_lemma_parts",
+                        lambda G, B: broken if B in failing else lemma(G, B))
+    rows = enum_rb_rows(group_file(tmp_path, F21), weight, capsys)
+    assert [tuple(row["map"]) for row in rows] == ops
+    assert [tuple(row["map"]) for row in rows if row[key] == "fail"] == sorted(failing)
+    assert all(status == "pass" for row in rows for k, status in statuses(row).items()
+               if k != key)
+    # once each: every member of that orbit, and the first operator of the others
+    assert len(decided) == len(set(decided))
+    assert set(decided) == set(firsts) | orbits[first]
+
+
+def test_an_operator_missing_from_its_orbit_is_an_error():
+    D8 = GroupTable.metacyclic(4, 2, 3)
+    ops = enumerate_rb(D8, 1)
+    auts = automorphisms(D8)
+    B = next(B for B in ops if len({moved_operator(phi, B) for phi in auts}) > 1)
+    moved = max(moved_operator(phi, B) for phi in auts)
+    kept = [op for op in ops if op != moved]
+    with pytest.raises(RuntimeError, match="out of the list"):
+        rb_group._orbit_verdicts(D8, power_star(D8, 1), kept, 1)
+
+
+def test_weight_one_lists_are_closed_under_the_twisted_inverse():
+    # B~(g) = g^-1 B(g^-1) is again an operator of weight 1 (Guo-Lang-Sheng),
+    # and B~~ = B
+    S3, Z2 = GroupTable.symmetric(3), GroupTable.cyclic(2)
+    for G in (S3, GroupTable.metacyclic(4, 2, 3), GroupTable.metacyclic(7, 3, 2),
+              GroupTable.direct_product(S3, S3),
+              GroupTable.direct_product(Z2, GroupTable.symmetric(4))):
+        ops = enumerate_rb(G, 1)
+        t, inv = G.table, G.inv
+        assert {tuple(t[inv[g]][B[inv[g]]] for g in range(G.n)) for B in ops} == set(ops), G
+
+
+def test_automorphisms_keep_each_operator_list():
+    # the premise of enum-rb's orbit rule: phi B phi^-1 is in the search's
+    # list for every operator B and every automorphism phi
+    S3, Z2 = GroupTable.symmetric(3), GroupTable.cyclic(2)
+    F21 = GroupTable.metacyclic(7, 3, 2)
+    cases = [(G, w) for G in (S3, GroupTable.metacyclic(4, 2, 3), F21,
+                              GroupTable.direct_product(S3, S3)) for w in (1, -1)]
+    cases += [(F21, 2), (GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2), 1),
+              (GroupTable.direct_product(Z2, GroupTable.symmetric(4)), 1)]
+    for G, weight in cases:
+        ops, auts = set(enumerate_rb(G, weight)), automorphisms(G)
+        assert all(moved_operator(phi, B) in ops for phi in auts for B in ops), (G, weight)
 
 
 def test_gathered_tables_decide_the_group_axioms():
@@ -450,13 +586,38 @@ def test_group_action_check_rejects_bad_entries():
 
 
 def test_automorphism_counts():
-    # |Aut|: Z2 -> 1, Z3 -> 2, Z4 -> 2, V4 -> 6, S3 -> 6
-    assert len(automorphisms(GroupTable.cyclic(2))) == 1
-    assert len(automorphisms(GroupTable.cyclic(3))) == 2
-    assert len(automorphisms(GroupTable.cyclic(4))) == 2
-    V4 = GroupTable.direct_product(GroupTable.cyclic(2), GroupTable.cyclic(2))
-    assert len(automorphisms(V4)) == 6
-    assert len(automorphisms(GroupTable.symmetric(3))) == 6
+    # the backtrack over images of generators finds exactly the permutations
+    # that respect the table, on every test group of order at most 8
+    Z2, Z4 = GroupTable.cyclic(2), GroupTable.cyclic(4)
+    V4 = GroupTable.direct_product(Z2, Z2)
+    groups = {"Z2": (Z2, 1), "Z3": (GroupTable.cyclic(3), 2), "Z4": (Z4, 2), "V4": (V4, 6),
+              "S3": (GroupTable.symmetric(3), 6), "D8": (GroupTable.metacyclic(4, 2, 3), 8),
+              "Q8": (quaternion_table(), 24), "Z4xZ2": (GroupTable.direct_product(Z4, Z2), 8),
+              "Z2^3": (GroupTable.direct_product(V4, Z2), 168)}
+    for name, (G, order) in groups.items():
+        auts = automorphisms(G)
+        assert auts == helpers.automorphisms(G), name
+        assert len(auts) == order, name
+
+
+def test_automorphism_group_orders_and_closure():
+    S3, Z2 = GroupTable.symmetric(3), GroupTable.cyclic(2)
+    S3xS3 = GroupTable.direct_product(S3, S3)
+    for G, order in ((S3xS3, 72), (GroupTable.direct_product(Z2, GroupTable.symmetric(4)), 48),
+                     (GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2), 168),
+                     (GroupTable.metacyclic(7, 3, 2), 42), (GroupTable.cyclic(1), 1)):
+        auts = automorphisms(G)
+        assert len(auts) == len(set(auts)) == order, G
+        assert all(sorted(phi) == list(range(G.n)) and phi[G.e] == G.e for phi in auts), G
+        assert tuple(range(G.n)) in auts
+    # Aut(S3xS3) is a group: closed under composition and inverses, and
+    # every member respects the table
+    auts = automorphisms(S3xS3)
+    members, t = set(auts), S3xS3.table
+    for phi in auts:
+        assert all(phi[t[a][b]] == t[phi[a]][phi[b]] for a in range(36) for b in range(36))
+        assert tuple(sorted(range(36), key=phi.__getitem__)) in members
+        assert all(tuple(phi[x] for x in psi) in members for psi in auts)
 
 
 def test_check_rb_weights():

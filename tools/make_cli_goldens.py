@@ -3,7 +3,8 @@
 Each file holds the exact standard output of one command: check-group-rb on
 a passing operator and on a near miss of it (one image changed) at weights 1
 and -1 on S3 and D8 and weight 2 on F21, and enum-rb on S3 (weight 1), D8
-(weights 1 and -1), F21 (weight 2) and Z2^3 (weight 1), verify on h4 over
+(weights 1 and -1), F21 (weight 2), Z2^3 and Z4xZ2 (weight 1) and S3xZ2
+(weight -1), verify on h4 over
 Q, the Taft algebra m = 3 over Q(z3), the group algebra of S3 and a family
 whose hypotheses fail (m = 3, zeta = z3, l = 2), and check-rrb on the h4
 exact-factorization fixture (with and without --full) and on a copy whose
@@ -58,6 +59,8 @@ CASES = {
     "enum-rb-D8-w-1.json": ("D8", ["enum-rb", "--weight=-1"], 0),
     "enum-rb-F21-w2.json": ("F21", ["enum-rb", "--weight", "2"], 0),
     "enum-rb-Z2xZ2xZ2-w1.json": ("Z2^3", ["enum-rb"], 0),
+    "enum-rb-Z4xZ2-w1.json": ("Z4xZ2", ["enum-rb"], 0),
+    "enum-rb-S3xZ2-w-1.json": ("S3xZ2", ["enum-rb", "--weight=-1"], 0),
     "verify-h4-Q.json": (None, ["verify", "--construction", "h4", "--field", "Q"], 0),
     "verify-taft3-Qz3.json": (None, ["verify", "--construction", "taft", "--m", "3",
                                      "--field", "Q(z3)"], 0),
@@ -83,11 +86,13 @@ CASES = {
 
 
 def input_files(directory: str) -> dict:
-    """Input name -> file: S3, F21 and h4-rrb from fixtures/; D8, Z2^3 and
-    h4-rrb-unit-g written into directory."""
+    """Input name -> file: S3, F21 and h4-rrb from fixtures/; D8, Z2^3,
+    Z4xZ2, S3xZ2 and h4-rrb-unit-g written into directory."""
     Z2 = GroupTable.cyclic(2)
     built = {"D8": GroupTable.metacyclic(4, 2, 3),
-             "Z2^3": GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2)}
+             "Z2^3": GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2),
+             "Z4xZ2": GroupTable.direct_product(GroupTable.cyclic(4), Z2),
+             "S3xZ2": GroupTable.direct_product(GroupTable.symmetric(3), Z2)}
     paths = {"S3": os.path.join(FIXTURES, "s3.json"), "F21": os.path.join(FIXTURES, "f21.json"),
              "h4-rrb": os.path.join(FIXTURES, "h4-rrb-exact-factorization.json"),
              "sl2": os.path.join(FIXTURES, "sl2.json")}

@@ -124,7 +124,7 @@ def cmd_verify(args) -> int:
 
 def cmd_enum_rb(args) -> int:
     G = group_from_json(_load_json(args.group))
-    ops = enumerate_rb(G, args.weight, cap=args.cap, jobs=args.jobs)
+    ops = enumerate_rb(G, args.weight, cap=args.cap)
     rows = [operator_to_json(G, op, args.weight) for op in ops]
     verdicts = _orbit_verdicts(G, power_star(G, args.weight), ops, args.weight)
     for entry, statuses in zip(rows, verdicts):
@@ -145,7 +145,7 @@ def cmd_aut(args) -> int:
     ctx = parse_field(args.field)
     grid = _parse_coeffs(args.grid, ctx)
     params = _family_params(args, ctx)
-    hits = family_aut_search(params, grid, jobs=args.jobs)
+    hits = family_aut_search(params, grid)
     rows = [{"k": k, "c": [str(x) for x in c]} for k, c in hits]
     _emit(args, {"construction": args.construction, "grid": [str(x) for x in grid],
                  "count": len(rows), "hits": rows})
@@ -187,9 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "tsv"), default="json")
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("--field", default="Q", help="scalar field: Q, Q(zN), or Fp")
-    jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1,
-                      help="worker processes, at most one per task and per core")
     family = argparse.ArgumentParser(add_help=False)
     family.add_argument("--m", type=int)
     family.add_argument("--zeta", help="root of unity, exact scalar string")
@@ -206,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--group", help="group table file (group-algebra)")
     v.set_defaults(func=cmd_verify)
 
-    e = sub.add_parser("enum-rb", parents=[common, jobs],
+    e = sub.add_parser("enum-rb", parents=[common],
                        help="enumerate Rota-Baxter operators on a finite group")
     e.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="assignment budget for the enumeration")
@@ -221,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate every condition instead of stopping at the first failure")
     c.set_defaults(func=cmd_check_rrb)
 
-    a = sub.add_parser("aut", parents=[common, field, jobs, family],
+    a = sub.add_parser("aut", parents=[common, field, family],
                        help="search Hopf algebra automorphisms over a coefficient grid")
     a.add_argument("--construction", required=True, choices=("h4", "taft", "family"))
     a.add_argument("--grid", required=True, help="comma-separated exact scalars")

@@ -10,12 +10,11 @@ helpers.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 
 from .hopf_core import (MAX_DIM, AlgebraData, CoalgebraData, HopfData, LinearMap,
                         is_algebra_morphism, is_coalgebra_morphism, lincomb, tensor_mul)
 from .report import VerificationReport, first_failure, labelled, merge_reports
-from .rb_group import _SPAWN, GroupTable, pool_size
+from .rb_group import GroupTable
 from .scalars import FieldCtx, Scalar
 
 # ---------------------------------------------------------------------------
@@ -323,11 +322,6 @@ def family_aut_report(params: FamilyParams, k: int, c) -> VerificationReport:
     return _aut_verdict(params, family(params, params.ctx), k, c)
 
 
-def _aut_eval_chunk(params: FamilyParams, chunk, H: HopfData | None = None) -> list:
-    H = family(params, params.ctx) if H is None else H
-    return [(k, c) for k, c in chunk if _aut_verdict(params, H, k, c).ok]
-
-
 def _aut_candidates(params: FamilyParams, grid: list):
     """The candidates (k, c) of family_aut_search in its order, one at a time."""
     ctx, m, l = params.ctx, params.m, params.l
@@ -340,28 +334,14 @@ def _aut_candidates(params: FamilyParams, grid: list):
             yield k, c
 
 
-def family_aut_search(params: FamilyParams, grid, jobs: int = 1) -> list:
+def family_aut_search(params: FamilyParams, grid) -> list:
     """All (k, c) from the grid whose family_aut_report passes.
 
     Candidates place grid values at the degrees q = k (mod m), 1 <= q < l,
     zero elsewhere; output keeps the deterministic generation order (k
-    ascending, grid order per position).  family(params) is built before
-    any candidate is formed, and raises when the hypotheses fail; the
-    serial search forms one candidate at a time.  Each chunk under jobs > 1
-    builds its own."""
-    ctx, m, l = params.ctx, params.m, params.l
-    grid = [x if isinstance(x, Scalar) else ctx.from_fraction(x) for x in grid]
-    H = family(params, ctx)
-    total = sum(len(grid) ** len(range(k or m, l, m)) for k in range(m))
-    workers = pool_size(jobs, total)
-    if workers == 1 or total < 4:
-        return _aut_eval_chunk(params, _aut_candidates(params, grid), H)
-    candidates = list(_aut_candidates(params, grid))
-    step = (total + workers - 1) // workers
-    chunks = [candidates[i:i + step] for i in range(0, total, step)]
-    hits = []
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_SPAWN) as pool:
-        for part in pool.map(_aut_eval_chunk, itertools.repeat(params), chunks):
-            hits.extend(part)
-    return hits
-
+    ascending, grid order per position).  family(params) is built once,
+    before any candidate is formed, and raises when the hypotheses fail;
+    the search forms one candidate at a time."""
+    grid = [x if isinstance(x, Scalar) else params.ctx.from_fraction(x) for x in grid]
+    H = family(params, params.ctx)
+    return [(k, c) for k, c in _aut_candidates(params, grid) if _aut_verdict(params, H, k, c).ok]

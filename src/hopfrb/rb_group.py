@@ -37,9 +37,6 @@ induction on the length of b as a word in gens.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -49,9 +46,6 @@ from .report import (VerificationReport, decide_on, first_failure, first_row_fai
 from .scalars import _json_shape
 
 DEFAULT_CAP = 10 ** 8
-# the --jobs pools start their workers by spawn: a fork copies one thread of
-# a process that may run others (a pool's own), and the child can deadlock
-_SPAWN = multiprocessing.get_context("spawn")
 
 
 class CapExceeded(RuntimeError):
@@ -59,19 +53,6 @@ class CapExceeded(RuntimeError):
         super().__init__(f"enumeration budget exhausted: {evaluations} evaluations > cap {cap}")
         self.evaluations = evaluations
         self.cap = cap
-
-    def __reduce__(self):
-        # a worker process hands the exception back pickled
-        return CapExceeded, (self.evaluations, self.cap)
-
-
-def pool_size(jobs: int, tasks: int) -> int:
-    """The worker processes for --jobs over this many tasks: never more than
-    the tasks or the cores.  ValueError for jobs < 1."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs}")
-    # os.cpu_count reads the system's cpu list, which a serial search skips
-    return 1 if jobs == 1 else min(jobs, tasks, os.cpu_count() or 1)
 
 
 def _gather(row):
@@ -820,40 +801,15 @@ def _search_partition(G: GroupTable, weight: int, seeds, cap: int):
     return hits, count
 
 
-def enumerate_rb(G: GroupTable, weight: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> list[tuple]:
+def enumerate_rb(G: GroupTable, weight: int, cap: int = DEFAULT_CAP) -> list[tuple]:
     """All operators of the given weight, lexicographically sorted.
 
     cap limits the total number of image assignments the search performs,
-    the forced ones included (CapExceeded beyond); jobs > 1 partitions on
-    the first free image, and the search stops once the finished partitions
-    together pass cap.  ValueError for cap < 0."""
+    the forced ones included (CapExceeded beyond).  ValueError for cap < 0."""
     _power_table(G, weight)  # raises early on a bad weight; the search reads this table
-    n = G.n
-    seeds = [(G.e, G.e)]
-    first = next((i for i in range(n) if i != G.e), None)
     if cap < 0:
         raise ValueError(f"cap must be at least 0, not {cap}")
-    workers = pool_size(jobs, n)
-    if first is None or workers == 1:
-        return _search_partition(G, weight, seeds, cap)[0]  # hits come sorted
-    results: list[tuple] = []
-    total = 0
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_SPAWN) as pool:
-        futs = [pool.submit(_search_partition, G, weight, seeds + [(first, v)], cap)
-                for v in range(n)]
-        for f in as_completed(futs):
-            try:
-                hits, cnt = f.result()
-            except CapExceeded as e:
-                hits, cnt = [], e.evaluations
-            results.extend(hits)
-            total += cnt
-            if total > cap:
-                for g in futs:
-                    g.cancel()  # the partitions not yet started
-                raise CapExceeded(total, cap)
-    # partitions fix distinct images of first, so no hit repeats
-    return sorted(results)
+    return _search_partition(G, weight, [(G.e, G.e)], cap)[0]  # hits come sorted
 
 
 def linearize_rb(G: GroupTable, B, ctx):

@@ -55,8 +55,10 @@ class _ZeroDenominator(ValueError, ZeroDivisionError):
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n (low degree first): x^n - 1 divided exactly, in
-    integers, by the monic Phi_d of every proper divisor d of n."""
-    assert n >= 1
+    integers, by the monic Phi_d of every proper divisor d of n.  ValueError
+    for n < 1."""
+    if n < 1:
+        raise ValueError(f"cyclotomic order n={n} must be at least 1")
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:

@@ -9,12 +9,11 @@ argument of the weight-lambda Rota-Baxter identity, a group transported
 through a bijection, the quantum binomial by expansion, the
 Cauchy identity for quantum binomials, the closed forms of the antipode
 of the family H_{m,zeta,l,f} and of the criteria for its automorphisms,
-two root-of-unity helpers, a call counter, an in-process stand-in for the
-worker pools, the operator search that checks every pair of assigned
-elements, the antipode identities that the convolution laws imply
-on a bialgebra, the operator B(a) = e(a)1, a Lie bracket rescaled
-by lambda, the invertibility of Phi at group-likes that check_hopf(G) and
-check_action imply, and the Sweedler-leg toolkit.
+two root-of-unity helpers, a call counter, the operator search that checks
+every pair of assigned elements, the antipode identities that the
+convolution laws imply on a bialgebra, the operator B(a) = e(a)1, a Lie
+bracket rescaled by lambda, the invertibility of Phi at group-likes that
+check_hopf(G) and check_action imply, and the Sweedler-leg toolkit.
 
 The leg toolkit (tensor_apply_counit, tensor_apply_map, tensor_mul_legs,
 tensor_permute, _action_join) belongs to the oracles: the library forms
@@ -25,13 +24,10 @@ brace_leg_sides, antipode_leg_form and coalgebra_morphism_leg_form are the
 leg forms of condition 3, the Hopf brace, check_coalgebra, check_antipode and
 is_coalgebra_morphism."""
 
-import functools
 import itertools
-import os
-from concurrent.futures import Future
 from math import gcd
 
-from hopfrb import constructions, rb_group
+from hopfrb import rb_group
 from hopfrb.constructions import FamilyParams, qbinom
 from hopfrb.hopf_core import (ActionData, AlgebraData, CoalgebraData, LinearMap,
                               check_algebra, check_antipode, check_bialgebra_compat,
@@ -302,42 +298,6 @@ def counting(monkeypatch, module, name: str) -> list:
         return fn(*args)
     monkeypatch.setattr(module, name, wrapper)
     return calls
-
-
-class InlinePool:
-    """ProcessPoolExecutor as the searches use it, running every task at once
-    in this process; it records the worker count it was asked for and takes
-    no notice of the start method."""
-
-    def __init__(self, started: list, max_workers: int, mp_context=None):
-        started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = Future()
-        try:
-            fut.set_result(fn(*args))
-        except Exception as e:
-            fut.set_exception(e)
-        return fut
-
-    def map(self, fn, *iterables):
-        return list(map(fn, *iterables))
-
-
-def inline_pools(monkeypatch, cores: int) -> list:
-    """Run the pools of enumerate_rb and family_aut_search inline on a host
-    of this many cores; the returned list receives each pool's worker count."""
-    started = []
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    for module in (rb_group, constructions):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", functools.partial(InlinePool, started))
-    return started
 
 
 def all_pairs_search(G: GroupTable, weight: int, seeds, cap: int):

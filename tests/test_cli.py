@@ -1,12 +1,16 @@
 """Command line interface, driven in process through main(argv)."""
 
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hopfrb
 from hopfrb import constructions
 from hopfrb.cli import _antipode_order_report, build_parser, main
 from hopfrb.constructions import group_algebra, taft
@@ -151,18 +155,6 @@ def test_aut_h4(capsys):
     assert code == 0
     assert payload["count"] == 5
     assert all(hit["k"] == 1 for hit in payload["hits"])
-
-
-def test_aut_h4_prints_the_same_hits_under_jobs(capsys):
-    # the grid's parsed 1 is the context's own one; the workers receive the
-    # context, its parsed literals and the grid in one pickle
-    argv = ["aut", "--construction", "h4", "--grid", "0,1,-1,2/2,1/3,5"]
-    outs = []
-    for jobs in ("1", "2"):
-        assert main(argv + ["--jobs", jobs]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["count"] == 5
 
 
 def test_aut_bad_grid_term_is_input_error(capsys):
@@ -480,12 +472,24 @@ def test_lie_dimension_is_capped(tmp_path, capsys):
     ["check-rrb", "--input", str(FIXTURES / "h4-rrb-exact-factorization.json"), "--jobs", "4"],
     ["check-group-rb", "--group", str(FIXTURES / "z3.json"), "--map", "0,0,0", "--cap", "1"],
     ["verify", "--construction", "h4", "--jobs", "2"],
+    ["enum-rb", "--group", str(FIXTURES / "s3.json"), "--jobs", "2"],
+    ["aut", "--construction", "h4", "--grid", "0,1", "--jobs", "2"],
 ])
 def test_subcommands_reject_shared_flags_they_do_not_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_cli_loads_no_process_pool():
+    # every search runs in this process, so nothing starts a worker pool
+    code = ("import sys, hopfrb.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(hopfrb.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
 
 
 def readme_commands() -> list:

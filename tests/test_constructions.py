@@ -16,7 +16,7 @@ from hopfrb.rb_group import GroupTable
 from hopfrb.scalars import FieldCtx, Scalar, parse_field
 
 from helpers import (antipode_closed_form, aut_theorem_conditions, cauchy_check, counting,
-                     inline_pools, qbinom_oracle)
+                     qbinom_oracle)
 
 Q = FieldCtx.rationals()
 
@@ -290,7 +290,6 @@ def test_aut_search_h4_grid():
     hits = family_aut_search(params, grid)
     assert all(k == 1 for k, _ in hits)
     assert sorted(str(c[1]) for _, c in hits) == ["-1", "1", "2"]
-    assert family_aut_search(params, grid, jobs=2) == hits
 
 
 def test_aut_search_builds_one_algebra(monkeypatch):
@@ -306,13 +305,6 @@ def test_aut_search_builds_one_algebra(monkeypatch):
     algebras.clear()
     assert family_aut_report(params, 1, [Q.zero, Q.one]).ok
     assert (len(builds), len(algebras)) == (1, 1)
-    # under jobs > 1 each chunk builds once; workers are other processes, so
-    # the chunk function is counted here in this one
-    builds.clear()
-    for chunk in ([(1, [Q.zero, v])] for v in grid[:2]):
-        constructions._aut_eval_chunk(params, chunk)
-    assert len(builds) == 2
-    assert family_aut_search(params, grid, jobs=2) == hits
 
 
 def test_family_inputs_are_exact():
@@ -327,26 +319,6 @@ def test_family_inputs_are_exact():
             call()
     hits = family_aut_search(params, [0, 1, "1/2"])
     assert [str(c[1]) for _, c in hits] == ["1", "1/2"]
-
-
-@pytest.mark.parametrize("jobs, cores, workers", [(100_000, 64, 5), (3, 64, 3), (100_000, 2, 2),
-                                                  (4, 1, None)])
-def test_aut_search_starts_no_more_workers_than_candidates_or_cores(monkeypatch, jobs, cores,
-                                                                    workers):
-    # the h4 grid below makes five candidates; one worker runs in process
-    params = FamilyParams(2, Q.from_int(-1), 2, None)
-    grid = [Q.zero, Q.one, -Q.one, Q.from_int(2)]
-    serial = family_aut_search(params, grid)
-    started = inline_pools(monkeypatch, cores)
-    assert family_aut_search(params, grid, jobs=jobs) == serial
-    assert started == ([] if workers is None else [workers])
-
-
-def test_aut_search_rejects_jobs_below_one():
-    params = FamilyParams(2, Q.from_int(-1), 2, None)
-    for jobs in (0, -1):
-        with pytest.raises(ValueError, match=f"jobs must be at least 1, not {jobs}"):
-            family_aut_search(params, [Q.one], jobs=jobs)
 
 
 def test_taft_aut_search_inverts_no_scalar(monkeypatch):

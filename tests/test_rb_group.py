@@ -3,17 +3,13 @@
 import gc
 import itertools
 import json
-import os
 import pickle
 import random
-import threading
-import warnings
 from pathlib import Path
 
 import pytest
 
 from hopfrb import cli, rb_group
-from hopfrb.constructions import FamilyParams, family_aut_search
 from hopfrb.rb_group import (DEFAULT_CAP, CapExceeded, GroupAction, GroupTable, automorphisms,
                              check_group, check_rb, check_rb_lambda, check_star_compat,
                              circ_from_rrb, derived_group, enumerate_rb, group_from_json,
@@ -24,9 +20,9 @@ from hopfrb.scalars import FieldCtx
 from hopfrb.report import VerificationReport, first_failure, first_row_failure, merge_reports
 
 import helpers
-from helpers import (all_pairs_search, counting, graph_is_subgroup, inline_pools, is_abelian,
-                     moved_operator, orbit_representatives, per_operator_verdicts,
-                     quaternion_table, rb_argument, semidirect, transport_group, weight_flip)
+from helpers import (all_pairs_search, counting, graph_is_subgroup, is_abelian, moved_operator,
+                     orbit_representatives, per_operator_verdicts, quaternion_table, rb_argument,
+                     semidirect, transport_group, weight_flip)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -464,7 +460,7 @@ def test_each_power_table_is_built_once_per_group(monkeypatch, capsys):
         with pytest.raises(ValueError, match="not invertible"):
             rb_group._power_table(S3xS3, 2)
     assert 2 not in S3xS3._powers
-    # a --jobs worker receives G pickled, and its tables with it
+    # G pickles with its tables, so a copy of it keeps every power table
     assert pickle.loads(pickle.dumps(F21))._powers == F21._powers
 
     # enum-rb: the early weight check, the search and the star read one table
@@ -1047,61 +1043,12 @@ def test_circ_from_rrb_f21():
         circ_from_rrb(F21, GroupTable.cyclic(21), tuple([F21.e] * 21))
 
 
-def test_enumerate_parallel_and_cap():
+def test_enumerate_cap():
     S3 = GroupTable.symmetric(3)
-    assert enumerate_rb(S3, 1, jobs=2) == enumerate_rb(S3, 1)
     with pytest.raises(CapExceeded) as exc:
         enumerate_rb(S3, 1, cap=3)
     assert exc.value.cap == 3
     assert exc.value.evaluations > 3
-
-
-def test_parallel_searches_fork_no_process(monkeypatch):
-    # both --jobs pools start their workers by spawn while another thread
-    # runs: os.fork is never called, so Python 3.12 and later do not warn
-    # that a fork of this multi-threaded process may deadlock in the child
-    S3, Q = GroupTable.symmetric(3), FieldCtx.rationals()
-    params = FamilyParams(2, Q.from_int(-1), 2, None)
-    grid = [Q.zero, Q.one, Q.from_int(-1), Q.from_int(2)]
-    serial = enumerate_rb(S3, 1), family_aut_search(params, grid)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    forks = counting(monkeypatch, os, "fork")
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait)
-    other.start()
-    try:
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            parallel = enumerate_rb(S3, 1, jobs=2), family_aut_search(params, grid, jobs=2)
-    finally:
-        stop.set()
-        other.join(timeout=10)
-    assert not other.is_alive() and parallel == serial
-    assert forks == [] and not [w for w in seen if "fork()" in str(w.message)]
-
-
-@pytest.mark.parametrize("jobs, cores, workers", [(100_000, 64, 6), (3, 64, 3), (100_000, 2, 2),
-                                                  (4, 1, None)])
-def test_enumeration_starts_no_more_workers_than_partitions_or_cores(monkeypatch, jobs, cores,
-                                                                     workers):
-    # S3 splits into six partitions; one worker runs in process
-    S3 = GroupTable.symmetric(3)
-    serial = enumerate_rb(S3, 1)
-    started = inline_pools(monkeypatch, cores)
-    assert enumerate_rb(S3, 1, jobs=jobs) == serial
-    assert started == ([] if workers is None else [workers])
-
-
-def test_enumeration_rejects_jobs_below_one(capsys):
-    for G in (GroupTable.symmetric(3), GroupTable.cyclic(1)):
-        for jobs in (0, -1):
-            with pytest.raises(ValueError, match=f"jobs must be at least 1, not {jobs}"):
-                enumerate_rb(G, 1, jobs=jobs)
-    for command in ("enum-rb", "aut"):
-        where = (["--group", str(FIXTURES / "s3.json")] if command == "enum-rb"
-                 else ["--construction", "h4", "--grid", "0,1"])
-        assert cli.main([command, *where, "--jobs", "0"]) == 2
-        assert capsys.readouterr().err == "error: jobs must be at least 1, not 0\n"
 
 
 def test_enumeration_rejects_a_negative_cap(capsys):
@@ -1160,32 +1107,6 @@ def test_serial_search_checks_each_decided_pair_once():
                      (GroupTable.direct_product(GroupTable.cyclic(2), GroupTable.symmetric(4)),
                       191_479)):
         assert rb_group._search_partition(G, 1, [(G.e, G.e)], DEFAULT_CAP)[1] == count
-
-
-def test_parallel_enumeration_keeps_one_budget(monkeypatch):
-    # S3 x S3 at weight 1: the serial search makes 67,425 assignments, forced
-    # ones included, and the 36 partitions on the first free image 67,460, at
-    # most 10,792 each; the search stops once the finished partitions
-    # together pass the cap
-    S3 = GroupTable.symmetric(3)
-    G = GroupTable.direct_product(S3, S3)
-    first = next(i for i in range(G.n) if i != G.e)
-    counts = [rb_group._search_partition(G, 1, [(G.e, G.e), (first, v)], DEFAULT_CAP)[1]
-              for v in range(G.n)]
-    assert (sum(counts), max(counts)) == (67_460, 10_792)
-    cap = 20_000
-    with pytest.raises(CapExceeded) as exc:
-        enumerate_rb(G, 1, cap=cap, jobs=2)
-    assert cap < exc.value.evaluations <= cap + max(counts)
-    # a partition over the cap on its own comes back from its worker
-    with pytest.raises(CapExceeded) as exc:
-        enumerate_rb(S3, 1, cap=3, jobs=2)
-    assert exc.value.evaluations > 3
-    # in process, partition by partition, the same bound holds
-    inline_pools(monkeypatch, 4)
-    with pytest.raises(CapExceeded) as exc:
-        enumerate_rb(G, 1, cap=cap, jobs=4)
-    assert cap < exc.value.evaluations <= cap + max(counts)
 
 
 def test_operator_json_round_trip():

@@ -38,6 +38,10 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    # an input check, so python -O raises too rather than returning Phi_1
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"cyclotomic order n={n} must be at least 1"):
+            cyclotomic_polynomial(n)
 
 
 def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():

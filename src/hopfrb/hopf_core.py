@@ -2,7 +2,13 @@
 
 A vector is a sparse dict {basis index: nonzero scalar}, a tensor a sparse
 dict {index tuple: nonzero scalar}, and lincomb is the one kernel that forms
-linear combinations of either.  A LinearMap stores one such vector per column
+linear combinations of either.  No zero entry reaches the kernel from
+outside: AlgebraData, CoalgebraData, ActionData and LinearMap, and the JSON
+readers through them, drop the zeros of their input.  lincomb relies on it:
+over a field, c*x with x nonzero is zero only when c is, so it filters zeros
+only when some coefficient is zero or some key receives a second term, and
+_bilinear reads the product of two one-term vectors straight from the table
+entry.  A LinearMap stores one such vector per column
 and is inverted by _reduce, the one elimination kernel, which generating_set
 runs on as well.  An algebra is a sparse multiplication table plus a
 unit vector, a coalgebra a sparse comultiplication table plus one counit
@@ -38,14 +44,24 @@ def lincomb(terms) -> dict:
     """The sum of c*v over (c, v) pairs of a scalar and a sparse vector.
 
     Entries that sum to zero are dropped; the other keys keep the order in
-    which they first appear.
+    which they first appear.  The vectors must be sparse, with no zero entry:
+    over a field c*x is then zero only when c is, so the zero filter runs
+    only when some coefficient c is zero or some key receives a second term.
     """
     out: dict = {}
+    filter_zeros = False
     for c, v in terms:
+        # not c.is_zero: a number coefficient must still raise TypeError at c * x
+        if not c:
+            filter_zeros = True
         for k, x in v.items():
             prev = out.get(k)
-            out[k] = c * x if prev is None else prev + c * x
-    return {k: x for k, x in out.items() if not x.is_zero}
+            if prev is None:
+                out[k] = c * x
+            else:
+                out[k] = prev + c * x
+                filter_zeros = True
+    return {k: x for k, x in out.items() if not x.is_zero} if filter_zeros else out
 
 
 def _nonzero(v: dict) -> dict:
@@ -209,7 +225,25 @@ def _table(entries: dict, dims: tuple, what: str) -> dict:
 
 
 def _bilinear(table: dict, sa: dict, sb: dict) -> dict:
-    """The bilinear extension of a structure table to sparse vectors."""
+    """The bilinear extension of a structure table to sparse vectors.
+
+    Two one-term operands c*e_i and d*e_j read the entry t at (i, j) alone:
+    a copy of t when c*d is one, {} when c*d is zero, else t scaled by c*d,
+    which has no zero entry since t has none.  These are the entries lincomb
+    would give, with no sum and no zero filter.  Other operands sum through
+    lincomb."""
+    if len(sa) == 1 == len(sb):
+        (i, ca), = sa.items()
+        (j, cb), = sb.items()
+        t = table.get((i, j))
+        if not t:
+            return {}
+        c = ca * cb
+        if c is c.ctx.one:
+            return dict(t)
+        if c.is_zero:
+            return {}
+        return {k: c * x for k, x in t.items()}
     return lincomb((ca * cb, t) for i, ca in sa.items() for j, cb in sb.items()
                    if (t := table.get((i, j))))
 

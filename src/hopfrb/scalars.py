@@ -15,8 +15,16 @@ A FieldCtx pins the field and holds its zero and one, built once; a Scalar
 pairs a context with a canonical value.  A product by that one returns the
 other operand itself.  Scalars combine only with Scalars of their own
 field: a number operand raises TypeError, a scalar of another field
-MixedContextError.  Rationals enter through FieldCtx.from_int,
+MixedContextError.  + and * test for a Scalar of the very same context
+inline, and only another operand goes through _coerce, which raises those
+errors and accepts a scalar of an equal context built again (FieldCtx
+instances are not interned); a product by the context's own one returns the
+left operand before any test.  Rationals enter through FieldCtx.from_int,
 FieldCtx.from_fraction (which rejects floats) and parse_scalar.
+
+Each context is a field, so a product of nonzero scalars is never zero.
+hopf_core.lincomb relies on this: its vectors hold nonzero scalars only, so
+it runs its zero filter only when a coefficient is zero or a sum is formed.
 
 A FieldCtx also keeps every literal it has parsed, so each literal is parsed
 once per context: FieldCtx.from_str and scalar_from_json look a string, a
@@ -350,8 +358,8 @@ class Scalar:
     # -- ring operations
 
     def __add__(self, other):
-        o = self._coerce(other)
         ctx = self.ctx
+        o = other if type(other) is Scalar and other.ctx is ctx else self._coerce(other)
         if ctx.kind == PRIME:
             return Scalar(ctx, (self.val + o.val) % ctx.p)
         da, db = self.den, o.den
@@ -371,13 +379,16 @@ class Scalar:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        o = self._coerce(other)
         ctx = self.ctx
         # scalars are immutable, so a product by one may share the other operand
-        if o is ctx.one:
+        if other is ctx.one:
             return self
-        if self is ctx.one and o.ctx is ctx:
-            return o
+        if type(other) is Scalar and other.ctx is ctx:
+            if self is ctx.one:
+                return other
+            o = other
+        else:
+            o = self._coerce(other)
         if ctx.kind == PRIME:
             return Scalar(ctx, (self.val * o.val) % ctx.p)
         b = o.val

@@ -1,5 +1,6 @@
 """Command line interface, driven in process through main(argv)."""
 
+import itertools
 import json
 import os
 import random
@@ -13,8 +14,10 @@ import pytest
 import hopfrb
 from hopfrb import constructions
 from hopfrb.cli import _antipode_order_report, build_parser, main
-from hopfrb.constructions import group_algebra, taft
-from hopfrb.hopf_core import MAX_DIM
+from hopfrb.constructions import group_algebra, sweedler_h4, taft
+from hopfrb.hopf_core import (MAX_DIM, HopfData, LinearMap, check_hopf, hopf_from_json,
+                              hopf_to_json)
+from hopfrb.report import merge_reports
 from hopfrb.rb_group import GroupTable
 from hopfrb.rb_lie import lie_from_json, lie_to_json, sl2
 from hopfrb.scalars import FieldCtx
@@ -308,6 +311,103 @@ def test_antipode_order_failures_keep_their_witness():
     assert (rep.identity, rep.witness) == ("antipode_order_4", {
         "identity": "antipode_order_4", "indices": [], "lhs": "S^4 != id", "rhs": "S^4 = id",
         "labels": []})
+
+
+# ---------------------------------------------------------------------------
+# explicit zero coefficients: the sparse kernel filters zeros only where sums
+# can make them, so every reader must drop the zeros an input spells out
+
+
+ZERO_SPELLINGS = ["0", 0, "0/3", "-0"]
+
+
+def with_zero_terms(rows: list, heads: dict, terms: dict, rng) -> list:
+    """Table rows (mult, delta or phi) with explicit zero terms: one more
+    term in every row at an index the row lacks, and a row of one zero term
+    for every pair the table lacks.  heads and terms map the index names of
+    a row and of a term to their ranges."""
+    indices = list(itertools.product(*map(range, terms.values())))
+
+    def zero_term(idx):
+        return {**dict(zip(terms, idx)), "c": rng.choice(ZERO_SPELLINGS)}
+
+    out = []
+    for row in rows:
+        ts = list(row["terms"])
+        taken = {tuple(t[k] for k in terms) for t in ts}
+        free = [idx for idx in indices if idx not in taken]
+        if free:
+            ts.insert(rng.randrange(len(ts) + 1), zero_term(rng.choice(free)))
+        out.append(dict(row, terms=ts))
+    have = {tuple(row[k] for k in heads) for row in rows}
+    out += [{**dict(zip(heads, idx)), "terms": [zero_term(rng.choice(indices))]}
+            for idx in itertools.product(*map(range, heads.values())) if idx not in have]
+    return out
+
+
+def respelled_zeros(dense: list, rng) -> list:
+    """A dense vector or matrix with each "0" spelled another way."""
+    if isinstance(dense[0], list):
+        return [respelled_zeros(row, rng) for row in dense]
+    return [rng.choice(ZERO_SPELLINGS) if c == "0" else c for c in dense]
+
+
+def hopf_with_zeros(obj: dict, rng) -> dict:
+    dim = obj["dim"]
+    return dict(obj, unit=respelled_zeros(obj["unit"], rng),
+                antipode=respelled_zeros(obj["antipode"], rng),
+                mult=with_zero_terms(obj["mult"], {"i": dim, "j": dim}, {"k": dim}, rng),
+                delta=with_zero_terms(obj["delta"], {"i": dim}, {"j": dim, "k": dim}, rng))
+
+
+def verify_bytes(H) -> str:
+    """The report of verify on H, as the h4 construction prints it."""
+    rep = merge_reports({"hopf": check_hopf(H), "antipode_order_4": _antipode_order_report(H)})
+    return json.dumps(rep.to_json(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["h4", "k[S3]"])
+def test_explicit_zero_coefficients_change_no_verify_report(name):
+    Q = FieldCtx.rationals()
+    H = sweedler_h4(Q) if name == "h4" else group_algebra(GroupTable.symmetric(3), Q)
+    rng = random.Random(12)
+    mutant = hopf_to_json(H)
+    mutant["mult"][-1]["terms"][0]["c"] = "2"
+    for obj in (hopf_to_json(H), mutant):
+        want = verify_bytes(hopf_from_json(obj))
+        for _ in range(3):
+            zeroed = hopf_from_json(hopf_with_zeros(obj, rng))
+            assert zeroed.algebra.mult == hopf_from_json(obj).algebra.mult
+            assert verify_bytes(zeroed) == want
+    # the antipode as dense rows of zero scalars that are not ctx.zero
+    zero = Q.one - Q.one
+    assert zero is not Q.zero
+    rows = [[c if not c.is_zero else zero for c in row] for row in H.antipode.to_rows()]
+    S = LinearMap.from_rows(Q, rows)
+    assert S.cols == H.antipode.cols
+    assert verify_bytes(HopfData(H.algebra, H.coalgebra, S)) == verify_bytes(H)
+
+
+def test_explicit_zero_coefficients_change_no_check_rrb_report(tmp_path, capsys):
+    obj = json.loads((FIXTURES / "h4-rrb-exact-factorization.json").read_text())
+    corrupted = json.loads(json.dumps(obj))
+    corrupted["B"][0][2] = "1"
+    rng = random.Random(13)
+    for data in (obj, corrupted):
+        plain, zeroed = tmp_path / "plain.json", tmp_path / "zeroed.json"
+        plain.write_text(json.dumps(data))
+        dim_g, dim_h = data["G"]["dim"], data["H"]["dim"]
+        zeroed.write_text(json.dumps(dict(
+            data, H=hopf_with_zeros(data["H"], rng), G=hopf_with_zeros(data["G"], rng),
+            phi=with_zero_terms(data["phi"], {"g": dim_g, "h": dim_h}, {"i": dim_h}, rng),
+            B=respelled_zeros(data["B"], rng))))
+        for full in ((), ("--full",)):
+            outs = []
+            for path in (plain, zeroed):
+                code = main(["check-rrb", "--input", str(path), *full])
+                outs.append((code, capsys.readouterr().out))
+            assert outs[0] == outs[1]
+            assert outs[0][0] == (0 if data is obj else 1)
 
 
 def expect_input_error(capsys, *argv) -> str:

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -481,6 +482,72 @@ def test_mul_sparse_matches_dense_reference(ctx):
         got = H.algebra.mul_sparse(to_sparse(a), to_sparse(b))
         assert got == to_sparse(dense_mul(H.algebra, a, b))
         assert no_zeros(got)
+
+
+def first_appearance(A: AlgebraData, sa: dict, sb: dict) -> list:
+    """The keys of the terms of sa*sb, in the order the table entries list them."""
+    return list(dict.fromkeys(k for i in sa for j in sb for k in A.mul_basis(i, j)))
+
+
+def test_lincomb_still_rejects_a_number_coefficient():
+    v = {0: Q.one, 1: Q.from_int(3)}
+    for c in (2, 0, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            lincomb([(c, v)])
+        with pytest.raises(TypeError):
+            lincomb([(Q.one, v), (c, v)])
+
+
+def test_one_term_products_are_fresh_dicts():
+    H = sweedler_h4(Q)
+    A = H.algebra
+    before = copy.deepcopy(A.mult)
+    for (i, j), t in before.items():
+        got = A.mul_sparse({i: Q.one}, {j: Q.one})
+        assert got == t and got is not A.mult[(i, j)]
+        got[max(got) + 1] = Q.one
+        got.pop(next(iter(t)))
+    assert A.mult == before
+    # a zero coefficient product gives the empty vector, not zero entries
+    for i, j in before:
+        assert A.mul_sparse({i: Q.zero}, {j: Q.one}) == {}
+        assert A.mul_sparse({i: Q.from_int(2)}, {j: Q.zero}) == {}
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=lambda c: c.name())
+def test_one_term_products_match_dense_reference(ctx):
+    # one-term operands with coefficient one, with other coefficients, and
+    # two-term operands whose products cancel, on tables with entries of
+    # several terms
+    rng = random.Random(9)
+    vals = small_scalars(ctx)
+    units = [c for c in vals if not c.is_zero]
+    cancelled = 0
+    for _ in range(15):
+        n = rng.randint(2, 4)
+        mult = {(i, j): to_sparse([rng.choice(vals) for _ in range(n)])
+                for i in range(n) for j in range(n) if rng.random() < 0.8}
+        A = AlgebraData(ctx, n, {0: ctx.one}, mult)
+        for _ in range(10):
+            i, j = rng.randrange(n), rng.randrange(n)
+            for c, d in ((ctx.one, ctx.one), (rng.choice(units), ctx.one),
+                         (ctx.one, rng.choice(units)), (rng.choice(units), rng.choice(units))):
+                sa, sb = {i: c}, {j: d}
+                got = A.mul_sparse(sa, sb)
+                a, b = to_dense(sa, ctx, n), to_dense(sb, ctx, n)
+                assert got == to_sparse(dense_mul(A, a, b))
+                assert no_zeros(got)
+                assert list(got) == first_appearance(A, sa, sb)
+            i2 = rng.choice([k for k in range(n) if k != i])
+            c = rng.choice(units)
+            sa, sb = {i: c, i2: -c}, {j: rng.choice(units)}
+            got = A.mul_sparse(sa, sb)
+            assert got == to_sparse(dense_mul(A, to_dense(sa, ctx, n), to_dense(sb, ctx, n)))
+            assert no_zeros(got)
+            seen = first_appearance(A, sa, sb)
+            assert list(got) == [k for k in seen if k in got]
+            cancelled += len(seen) - len(got)
+    assert cancelled > 0
 
 
 # ---------------------------------------------------------------------------

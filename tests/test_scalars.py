@@ -133,10 +133,25 @@ def test_scalars_combine_with_scalars_of_one_field_only(ctx):
         with pytest.raises(TypeError):
             op()
     other = FieldCtx.cyclotomic(3) if ctx.kind == "prime" else FieldCtx.prime(5)
+    # another field's one is no shortcut, in either order
     for op in (lambda: s + other.one, lambda: s * other.one, lambda: s - other.one,
-               lambda: s / other.one, lambda: s == other.one):
+               lambda: s / other.one, lambda: s == other.one, lambda: other.one * s,
+               lambda: other.one + s, lambda: ctx.one * other.one):
         with pytest.raises(MixedContextError):
             op()
+    # a product by this field's one is the other operand
+    for x in (ctx.zero, ctx.one, -s, s / ctx.from_int(2)):
+        assert x * ctx.one is x and ctx.one * x is x
+    # an equal field built again is no interned copy, yet combines exactly,
+    # in the left operand's field
+    again = parse_field(ctx.name())
+    assert again is not ctx and again == ctx
+    a, b = s / ctx.from_int(2), again.from_int(5)
+    for x, y in ((a, b), (b, a)):
+        assert x + y == ctx.from_int(13) / ctx.from_int(2)
+        assert x * y == ctx.from_int(15) / ctx.from_int(2)
+        assert (x + y).ctx is x.ctx and (x * y).ctx is x.ctx
+    assert again.one * a == a * again.one == a and again.one + a == a + ctx.one
     # an object that is no number compares unequal, as Python objects do
     assert s != "3"
     # the tracer of perfbench/ wraps these four entries of the class
@@ -447,3 +462,4 @@ def test_a_product_by_one_is_the_other_operand(ctx):
     assert again is not ctx
     y = again.from_int(3)
     assert one * y == ctx.from_int(3) and (one * y).ctx is ctx
+

@@ -20,8 +20,10 @@ the skew brace identity go a row at a time: _gather builds a C-level
 operator.itemgetter over one table row, both sides of a row of cases become
 tuples, and report.first_row_failure compares them whole.  The last three
 are decided on rows at a generating set (GroupTable.gens; the skew brace at
-generators of both groups); a failure there reruns every row.  The identity
-and inverse axioms, GroupAction.check and the lemma parts go case by case.
+generators of both groups); a failure there reruns every row.  A group's
+axioms go a table at a time, one comparison for its inverses and one per
+middle in gens; a table that fails them is decided case by case for its
+report.  GroupAction.check and the lemma parts go case by case.
 
 enum-rb decides its statuses once per Aut(G)-orbit (_orbit_verdicts).  An
 automorphism phi of (G, .) commutes with powers and conjugation, so it is
@@ -29,9 +31,11 @@ one of each power star, B' = phi B phi^-1 is an operator of B's weight, and
 phi carries B's circle group, skew braces and lemma parts (identities in the
 product, the inverse, B, its kernel and image) onto those of B'.
 automorphisms backtracks over images of G.gens of the same orders; _extend
-sets phi(x s) = phi(x) phi(s) over x reached and s in gens, so a pass with no
-clash or repeated image is a bijection with phi(xb) = phi(x) phi(b), by
-induction on the length of b as a word in gens.
+takes a node's map on the closure of e under the generators chosen so far
+and sets phi(x s) = phi(x) phi(s) over x reached and s in them (each pair
+once along the path), so a leaf with no clash or repeated image is a
+bijection with phi(xb) = phi(x) phi(b), by induction on the length of b as a
+word in gens.
 """
 
 from __future__ import annotations
@@ -73,7 +77,11 @@ def _int_rows(rows, count: int, width: int, bound: int, what: str, shape: str) -
     t = tuple(map(tuple, rows))
     if len(t) != count or any(len(row) != width for row in t):
         raise ValueError(f"{what} shape does not match {shape}")
-    for row in t:
+    flat = list(itertools.chain.from_iterable(t))
+    # on exact ints, membership in range(bound) is the range check
+    if flat and set(map(type, flat)) <= {int} and set(range(bound)).issuperset(flat):
+        return t
+    for row in t:  # the first failing row names the error
         if not set(map(type, row)) <= {int}:
             raise ValueError(f"{what} entries must be integers")
         if min(row) < 0 or max(row) >= bound:
@@ -136,7 +144,9 @@ class GroupTable:
 
     The constructor decides the axioms (see check_group), keeps the report
     as axioms and the generating set that decided associativity as gens,
-    and raises ValueError if one fails.  _conj, the conjugation rows, _stars,
+    and raises ValueError if one fails.  A group passes on whole-table
+    comparisons; any other table is decided again case by case, so its
+    witness and count are check_group's.  _conj, the conjugation rows, _stars,
     circ_from_rrb's facts per star, and _powers, the power tables, fill lazily.
     """
 
@@ -159,6 +169,17 @@ class GroupTable:
         cols = tuple(zip(*t))
         ident = tuple(range(n))
         self.e = e = next((c for c in range(n) if t[c] == ident and cols[c] == ident), None)
+        # A group passes on whole-table comparisons: g's inverse is the h
+        # with gh = e when also hg = e, and at each middle b in gens one
+        # comparison decides (ab)c = a(bc) for every a and c (Light's test,
+        # below).  Any failure reruns the cases below for its report.
+        inv = [row.index(e) for row in t] if e is not None and all(e in r for r in t) else None
+        if inv is not None and [col[h] for col, h in zip(cols, inv)] == [e] * n:
+            self.gens = gens = _generators(t, e)
+            if all(_gather(cols[b])(t) == tuple(map(_gather(t[b]), t)) for b in gens):
+                self._group(inv, VerificationReport.passing(
+                    "group", identities_checked=1 + n + n * n * len(gens)))
+                return
         inv = []
 
         def cases():
@@ -186,10 +207,13 @@ class GroupTable:
             rep = assoc
         else:
             rep.stats["identities_checked"] += assoc.stats["identities_checked"]
-        self.inv = tuple(inv)
-        self.axioms = rep
-        if not rep.ok:
-            raise _NotAGroup(rep)
+        self._group(inv, rep)
+
+    def _group(self, inv, axioms: VerificationReport) -> None:
+        self.inv, self.axioms = tuple(inv), axioms
+        if not axioms.ok:
+            raise _NotAGroup(axioms)
+        t = self.table
         self._conj, self._stars, self._powers = _ConjugationRows(t, self.inv), {}, {1: t}
 
     def mul(self, a: int, b: int) -> int:
@@ -302,39 +326,44 @@ def check_group(table, name: str = "") -> tuple[GroupTable | None, VerificationR
     return G, G.axioms
 
 
-def _extend(G: GroupTable, images) -> list[int] | None:
-    """phi(x s) = phi(x) c from phi(e) = e over the closure of e under the
-    generators s given images c (-1 off it); None on a clash or repeated image."""
-    t, phi, used, queue = G.table, [-1] * G.n, {G.e}, [G.e]
-    phi[G.e] = G.e
-    for x in queue:
-        for s, c in zip(G.gens, images):
-            y, want = t[x][s], t[phi[x]][c]
-            if phi[y] == -1 and want not in used:
-                phi[y] = want
-                used.add(want)
+def _extend(G: GroupTable, node: tuple, c: int) -> tuple | None:
+    """The child of a backtrack node (images, phi, phi^-1, reached) that maps
+    the next generator s to c, or None on a clash or repeated image.  phi
+    (-1 off reached) is given on reached, the closure of e under the
+    generators before s; the child sets phi(x g) = phi(x) phi(g) for x it
+    reaches and g among those generators and s, at s alone on the parent's
+    reached, where the parent has set the rest."""
+    images, phi, pre, queue = node[0] + (c,), node[1][:], node[2][:], node[3][:]
+    t, pairs, held = G.table, list(zip(G.gens, images)), len(queue)
+    for i, x in enumerate(queue):
+        for g, image in (pairs[-1:] if i < held else pairs):
+            y, want = t[x][g], t[phi[x]][image]
+            if phi[y] == -1 and pre[want] == -1:
+                phi[y], pre[want] = want, y
                 queue.append(y)
             elif phi[y] != want:
                 return None
-    return phi
+    return images, phi, pre, queue
 
 
 def automorphisms(G: GroupTable) -> list[tuple]:
     """Every automorphism of G as an image tuple, sorted: a backtrack over
-    images of G.gens of the same element orders (see the module docstring)."""
+    images of G.gens of the same element orders, each node's map extended
+    from its parent's (see the module docstring)."""
     orders = [G.order_of(g) for g in range(G.n)]
-    out, stack = [], [()]
+    root = [-1] * G.n
+    root[G.e] = G.e
+    out, stack = [], [((), root, root[:], [G.e])]
     while stack:
-        images = stack.pop()
-        phi = _extend(G, images)
-        if phi is None:
-            continue
+        node = stack.pop()
+        images, phi, pre, _ = node
         if len(images) == len(G.gens):
             out.append(tuple(phi))
-        else:
-            s, taken = G.gens[len(images)], set(phi)
-            stack += (images + (c,) for c in range(G.n) if orders[c] == orders[s]
-                      and c not in taken)
+            continue
+        s = G.gens[len(images)]
+        children = (_extend(G, node, c) for c in range(G.n)
+                    if orders[c] == orders[s] and pre[c] == -1)
+        stack += filter(None, children)
     return sorted(out)
 
 

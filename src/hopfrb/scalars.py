@@ -78,7 +78,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
                 if c:
                     for j, m in enumerate(phi):
                         num[i + j] -= c * m
-            assert not any(num[:k]), "cyclotomic division must be exact"
+            if any(num[:k]):
+                raise RuntimeError(f"x^{n} - 1 is not divisible by Phi_{d}")
             num = q
     return tuple(num)
 
@@ -275,7 +276,8 @@ class FieldCtx:
                 if multiplicative_order(s, n) == n:
                     z = s
                     break
-            assert z is not None
+            if z is None:
+                raise RuntimeError(f"F_{self.p} has no element of order {n}")
         self._roots[n] = z
         return z
 
@@ -439,7 +441,8 @@ class Scalar:
                             conj[j] += c * r
                 w = w * Scalar(ctx, tuple(conj))
         norm, *rest = (Scalar(ctx, self.val) * w).val
-        assert norm > 0 and not any(rest), "the norm is a positive integer"
+        if norm <= 0 or any(rest):
+            raise RuntimeError(f"the norm of {self} is not a positive integer")
         return ctx._cyclotomic([self.den * c for c in w.val], norm)
 
     def __truediv__(self, other):

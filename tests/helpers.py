@@ -1,10 +1,12 @@
 """Helpers that only the tests and tools/make_witnesses.py use: dense
-polynomial arithmetic over Scalars, the automorphisms of a small group by
-filtering permutations (the oracle of rb_group.automorphisms), the
-quaternion group, an operator moved by an automorphism, the first operator
-of each automorphism orbit, enum-rb's statuses decided on every operator
-itself, whether a group is abelian, the semidirect product and the graph criterion
-for relative Rota-Baxter operators, the weight flip of an operator, the
+polynomial arithmetic over Scalars, the group axioms of a table decided
+case by case (the oracle of GroupTable's whole-table path), the
+automorphisms of a small group by filtering permutations (the oracle of
+rb_group.automorphisms), the quaternion group, an operator moved by an
+automorphism, the first operator of each automorphism orbit, enum-rb's
+statuses decided on every operator itself, whether a group is abelian,
+the semidirect product and the graph criterion for relative Rota-Baxter
+operators, the weight flip of an operator, the
 argument of the weight-lambda Rota-Baxter identity, a group transported
 through a bijection, the quantum binomial by expansion, the
 Cauchy identity for quantum binomials, the closed forms of the antipode
@@ -36,7 +38,8 @@ from hopfrb.hopf_core import (ActionData, AlgebraData, CoalgebraData, LinearMap,
 from hopfrb.rb_group import GroupAction, GroupTable, is_subgroup
 from hopfrb.rb_hopf import check_action, circle
 from hopfrb.rb_lie import LieData
-from hopfrb.report import VerificationReport, first_failure, labelled, merge_reports
+from hopfrb.report import (VerificationReport, decide_on, first_failure, first_row_failure,
+                           labelled, merge_reports)
 from hopfrb.scalars import FieldCtx, Scalar, multiplicative_order
 
 # dense polynomials over Scalars, coefficients low degree first
@@ -83,6 +86,42 @@ def _poly_sub(a: list, b: list) -> list:
     out = [(a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero)
            for i in range(max(len(a), len(b)))]
     return _poly_trim(out)
+
+
+def group_by_cases(t) -> tuple:
+    """GroupTable._decide on the square table t as it was before it decided
+    a group a table at a time: identity and inverses case by case, then
+    associativity a row at a time at G.gens.  (e, inv, gens, axioms JSON) of a
+    group, else ("not a group", the _NotAGroup text, the report JSON)."""
+    t = tuple(map(tuple, t))
+    n = len(t)
+    cols = tuple(zip(*t))
+    ident = tuple(range(n))
+    e = next((c for c in range(n) if t[c] == ident and cols[c] == ident), None)
+    inv = []
+
+    def cases():
+        found = "no two-sided identity" if e is None else "identity element"
+        yield ("identity",), found, "identity element"
+        for g in range(n):
+            pairs = list(zip(t[g], cols[g]))
+            has = (e, e) in pairs
+            if has:  # the inverse is the first h with gh = hg = e
+                inv.append(pairs.index((e, e)))
+            inverse = f"inverse of {g}"
+            yield ("inverses", g), inverse if has else "no inverse", inverse
+
+    rep = first_failure("group", cases())
+    gens = rb_group._generators(t, e) if rep.ok else None
+    assoc = decide_on(first_row_failure, "group",
+                      lambda middles: rb_group._associativity_rows(t, middles), gens, n)
+    if rep.ok and not assoc.ok:
+        rep = assoc
+    else:
+        rep.stats["identities_checked"] += assoc.stats["identities_checked"]
+    if not rep.ok:
+        return "not a group", str(rb_group._NotAGroup(rep)), rep.to_json()
+    return e, tuple(inv), gens, rep.to_json()
 
 
 def automorphisms(G: GroupTable) -> list[tuple]:

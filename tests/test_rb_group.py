@@ -171,18 +171,202 @@ def test_check_group_matches_the_two_type_reference():
     assert single > 40 and several > 20
 
 
+def _test_groups() -> list[GroupTable]:
+    """Every group the tests build, fixtures included."""
+    S3, Z2, Z4 = GroupTable.symmetric(3), GroupTable.cyclic(2), GroupTable.cyclic(4)
+    V4 = GroupTable.direct_product(Z2, Z2)
+    groups = [GroupTable.cyclic(n) for n in range(1, 9)]
+    groups += [V4, GroupTable.direct_product(Z4, Z2), GroupTable.direct_product(V4, Z2),
+               GroupTable.direct_product(V4, V4), S3, GroupTable.metacyclic(4, 2, 3),
+               quaternion_table(), GroupTable.metacyclic(7, 3, 2), GroupTable.symmetric(4),
+               GroupTable.direct_product(S3, S3), GroupTable.direct_product(Z2, S3),
+               GroupTable.direct_product(S3, Z4),
+               GroupTable.direct_product(Z2, GroupTable.symmetric(4)),
+               GroupTable.direct_product(GroupTable.direct_product(GroupTable.cyclic(3),
+                                                                   GroupTable.cyclic(3)),
+                                         GroupTable.cyclic(3))]
+    groups += [group_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+               for name in ("s3", "f21", "z2", "z3", "z4")]
+    return groups
+
+
+def _one_entry_mutants(G: GroupTable, rng: random.Random, per_axiom: int) -> list[list]:
+    """Tables of G with one entry changed: per_axiom in e's row or column
+    (no identity), at (g, g^-1) for g != e (an element with no inverse), and
+    at (a, b) with a, b, ab != e to a value other than e (not a Latin square,
+    so associativity fails), and per_axiom at random entries."""
+    n, e, t = G.n, G.e, G.table
+    others = [g for g in range(n) if g != e]
+    plain = [(a, b) for a in others for b in others if t[a][b] != e]
+    positions = ([rng.choice([(e, b) for b in range(n)] + [(a, e) for a in range(n)])
+                  for _ in range(per_axiom)]
+                 + [(g, G.inv[g]) for g in rng.choices(others, k=per_axiom)]
+                 + rng.choices(plain, k=per_axiom)
+                 + [(rng.randrange(n), rng.randrange(n)) for _ in range(per_axiom)])
+    tables = []
+    for k, (a, b) in enumerate(positions):
+        m = [list(row) for row in t]
+        m[a][b] = rng.choice([v for v in range(n) if v != t[a][b]
+                              and (v != e or not 2 <= k // per_axiom < 3)])
+        tables.append(m)
+    return tables
+
+
+def _random_loop(n: int, rng: random.Random) -> list[list]:
+    """A random Latin square on range(n) with 0 a two-sided identity: a loop,
+    for n >= 5 most often one that is not a group."""
+    t = [[a if b == 0 else b if a == 0 else -1 for b in range(n)] for a in range(n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        a, b = cells[i]
+        used = set(t[a]) | {row[b] for row in t}
+        for v in rng.sample(range(n), n):
+            if v not in used:
+                t[a][b] = v
+                if fill(i + 1):
+                    return True
+        t[a][b] = -1
+        return False
+
+    fill(0)
+    return t
+
+
+def _times_cyclic(t: list, k: int) -> list[list]:
+    """The product of the table t and Z_k, (x, z) at index x*k + z.  Index 1
+    is (0, 1), which associates with every pair when 0 is t's identity, so
+    G.gens starts at a middle where (ab)c = a(bc) holds for every a and c."""
+    n = len(t)
+    return [[t[x][y] * k + (z + w) % k for y in range(n) for w in range(k)]
+            for x in range(n) for z in range(k)]
+
+
+def _decided(build, table) -> tuple:
+    """group_by_cases's tuple for the group build(table) makes."""
+    try:
+        G = build(table)
+    except rb_group._NotAGroup as err:
+        return "not a group", str(err), err.report.to_json()
+    return G.e, G.inv, G.gens, G.axioms.to_json()
+
+
+def test_group_axioms_agree_with_the_case_by_case_oracle():
+    # a group passes on whole-table comparisons; every table, group or one
+    # entry off one, gets the identity, inverses, generators and report (or
+    # the error text) of deciding every case in turn
+    rng = random.Random(34)
+    tables = [[list(row) for row in G.table] for G in _test_groups()]
+    S3, Z2 = GroupTable.symmetric(3), GroupTable.cyclic(2)
+    for G in (S3, GroupTable.metacyclic(4, 2, 3), GroupTable.metacyclic(7, 3, 2),
+              GroupTable.direct_product(S3, S3)):
+        mutants = _one_entry_mutants(G, rng, 6)
+        failed = [helpers.group_by_cases(m)[2]["witness"]["identity"] for m in mutants
+                  if helpers.group_by_cases(m)[0] == "not a group"]
+        assert all(failed.count(axiom) >= 5 for axiom in
+                   ("identity", "inverses", "associativity")), (G, failed)
+        tables += mutants
+    # loops that are not groups fail at inverses or at associativity on
+    # every row, and times Z2 or Z3, at some generator but the first
+    loops = [_random_loop(n, rng) for n in (5, 6, 7) for _ in range(12)]
+    failed = [want[-1].get("witness", {}).get("identity")
+              for want in map(helpers.group_by_cases, loops)]
+    assert failed.count("inverses") >= 5 and failed.count("associativity") >= 5
+    tables += loops + [_times_cyclic(t, k) for t, axiom in zip(loops, failed)
+                       if axiom == "associativity" for k in (2, 3)]
+    tables += [[[0, 1], [1, 1]], [[1, 0], [0, 1]], [[0]], []]
+    groups = 0
+    for table in tables:
+        want = helpers.group_by_cases(table)
+        assert _decided(GroupTable, table) == want, table
+        assert _decided(lambda t: GroupTable._gathered(map(tuple, t)), table) == want, table
+        G, rep = check_group(table)
+        assert rep.to_json() == want[-1] and (G is None) == (want[0] == "not a group"), table
+        if G is not None:
+            assert (G.e, G.inv, G.gens) == want[:3] and G.axioms is rep
+            groups += 1
+    assert groups > 20
+    # the derived, circle and power-star groups, built on gathered rows
+    for G, weight in ((S3, 1), (S3, -1), (GroupTable.direct_product(Z2, S3), 1),
+                      (GroupTable.metacyclic(7, 3, 2), 2)):
+        star = power_star(G, weight)
+        assert _decided(GroupTable._gathered, star.table) == helpers.group_by_cases(star.table)
+        for B in enumerate_rb(G, weight)[:10]:
+            if weight == 1:
+                Gstar, _ = derived_group(G, B)
+                assert (Gstar.e, Gstar.inv, Gstar.gens, Gstar.axioms.to_json()) == \
+                    helpers.group_by_cases(Gstar.table)
+            circ, _ = circ_from_rrb(G, star, B)
+            assert (circ.e, circ.inv, circ.gens, circ.axioms.to_json()) == \
+                helpers.group_by_cases(circ.table)
+
+
+def test_a_group_is_decided_without_the_case_by_case_path(monkeypatch):
+    cases = counting(monkeypatch, rb_group, "first_failure")
+    rows = counting(monkeypatch, rb_group, "_associativity_rows")
+    for G in _test_groups():
+        table = [list(row) for row in G.table]
+        assert GroupTable(table).axioms.ok and check_group(table)[1].ok
+        assert GroupTable._gathered(G.table).axioms.ok
+        group_from_json(G.to_json())
+    power_star(GroupTable.symmetric(3), -1)
+    assert cases == [] and rows == []
+    # a table that fails takes it, for the witness and count of its report
+    t = [list(row) for row in GroupTable.symmetric(3).table]
+    t[1][2] = 5 if t[1][2] != 5 else 4
+    assert not check_group(t)[1].ok and len(cases) == 1 and rows
+
+
+def test_int_rows_errors_keep_their_precedence():
+    # the whole table is checked at once, and a table that fails names the
+    # first failing row's error, as a row-by-row check did
+    def error(call):
+        with pytest.raises(ValueError) as err:
+            call()
+        return str(err.value)
+
+    integers, out_of_range = "table entries must be integers", "table entries are out of range"
+    for table, message in (([[0, 2], [1, "x"]], out_of_range),
+                           ([[0, 1.0], [1, 2]], integers),
+                           ([[0, 1], [1, 0.0]], integers),
+                           ([[0, True], [True, 0]], integers),
+                           ([[False, 1], [1, 0]], integers),
+                           ([[0, 1], [1, -1]], out_of_range),
+                           ([[0, -1], [1, None]], out_of_range),
+                           ([[0, 1], [1, 2]], out_of_range),
+                           ([[0, 1], [1]], "table shape does not match its row count")):
+        assert error(lambda: GroupTable(table)) == message, table
+        assert error(lambda: check_group(table)) == message, table
+    # the empty table has the shape of its row count and no identity
+    assert rb_group._int_rows([], 0, 0, 0, "table", "its row count") == ()
+    assert error(lambda: GroupTable([])) == "no two-sided identity element"
+    assert check_group([])[1].witness["identity"] == "identity"
+    Z1 = GroupTable.cyclic(1)
+    assert rb_group._validate_map(Z1, [0]) == (0,)
+    for B, message in (([1], "operator map entries are out of range"),
+                       ([-1], "operator map entries are out of range"),
+                       ([True], "operator map entries must be integers"),
+                       ([0.0], "operator map entries must be integers"),
+                       (["0"], "operator map entries must be integers"),
+                       ([0, 0], "operator map shape does not match group order"),
+                       ([], "operator map shape does not match group order")):
+        assert error(lambda: rb_group._validate_map(Z1, B)) == message, B
+
+
 def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
     S3 = GroupTable.symmetric(3)
     star = power_star(S3, 1)
-    passes = []
-    rows = rb_group._associativity_rows
-    monkeypatch.setattr(rb_group, "_associativity_rows",
-                        lambda *args: passes.append(args) or rows(*args))
+    decided = []  # the table of each group whose axioms are decided
+    decide = GroupTable._decide
+    monkeypatch.setattr(GroupTable, "_decide",
+                        lambda G, t, name: decided.append(t) or decide(G, t, name))
     assert circ_from_rrb(S3, star, S3.inv)[1].ok
     assert derived_group(S3, S3.inv)[1].ok
-    # one pass for circ, one for the derived star; the star above was
+    # one table for circ, one for the derived star; the star above was
     # decided when power_star built it
-    assert len(passes) == 2
+    assert len(decided) == 2
 
     # enum-rb, one path at every weight: the star, its precondition and the
     # brace (G, ., *) once per command, then one circle table per orbit of
@@ -209,7 +393,7 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
                         lambda rows, v: built.append(rows) or missing(rows, v))
 
     def enum_rb(*extra):
-        for log in (*calls.values(), passes, built):
+        for log in (*calls.values(), decided, built):
             log.clear()
         assert cli.main(["enum-rb", "--group", str(FIXTURES / "s3.json"), *extra]) == 0
         return json.loads(capsys.readouterr().out)["operators"]
@@ -231,7 +415,7 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
         assert calls["derived_group"] == []
         # the group read from the file and the star, then one circle table
         # per orbit
-        assert len(passes) == 2 + orbits
+        assert len(decided) == 2 + orbits
         # the search, the star facts, the circle tables and the lemmas all
         # read G's own conjugation rows
         assert built and all(rows is G._conj for rows in built)
@@ -586,7 +770,10 @@ def test_automorphism_counts():
     # that respect the table, on every test group of order at most 8
     Z2, Z4 = GroupTable.cyclic(2), GroupTable.cyclic(4)
     V4 = GroupTable.direct_product(Z2, Z2)
-    groups = {"Z2": (Z2, 1), "Z3": (GroupTable.cyclic(3), 2), "Z4": (Z4, 2), "V4": (V4, 6),
+    groups = {"Z1": (GroupTable.cyclic(1), 1), "Z5": (GroupTable.cyclic(5), 4),
+              "Z6": (GroupTable.cyclic(6), 2), "Z7": (GroupTable.cyclic(7), 6),
+              "Z8": (GroupTable.cyclic(8), 4),
+              "Z2": (Z2, 1), "Z3": (GroupTable.cyclic(3), 2), "Z4": (Z4, 2), "V4": (V4, 6),
               "S3": (GroupTable.symmetric(3), 6), "D8": (GroupTable.metacyclic(4, 2, 3), 8),
               "Q8": (quaternion_table(), 24), "Z4xZ2": (GroupTable.direct_product(Z4, Z2), 8),
               "Z2^3": (GroupTable.direct_product(V4, Z2), 168)}
@@ -599,8 +786,10 @@ def test_automorphism_counts():
 def test_automorphism_group_orders_and_closure():
     S3, Z2 = GroupTable.symmetric(3), GroupTable.cyclic(2)
     S3xS3 = GroupTable.direct_product(S3, S3)
+    V4 = GroupTable.direct_product(Z2, Z2)
     for G, order in ((S3xS3, 72), (GroupTable.direct_product(Z2, GroupTable.symmetric(4)), 48),
-                     (GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2), 168),
+                     (GroupTable.direct_product(V4, Z2), 168),
+                     (GroupTable.direct_product(V4, V4), 20160),
                      (GroupTable.metacyclic(7, 3, 2), 42), (GroupTable.cyclic(1), 1)):
         auts = automorphisms(G)
         assert len(auts) == len(set(auts)) == order, G

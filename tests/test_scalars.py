@@ -463,3 +463,11 @@ def test_a_product_by_one_is_the_other_operand(ctx):
     y = again.from_int(3)
     assert one * y == ctx.from_int(3) and (one * y).ctx is ctx
 
+
+
+def test_a_missing_root_of_unity_is_an_explicit_error(monkeypatch):
+    # F_7 has elements of order 3; with none found the search raises, also
+    # under python -O
+    monkeypatch.setattr(scalars, "multiplicative_order", lambda s, n: 0)
+    with pytest.raises(RuntimeError, match="F_7 has no element of order 3"):
+        FieldCtx.prime(7).root_of_unity(3)

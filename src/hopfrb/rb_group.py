@@ -29,13 +29,17 @@ enum-rb decides its statuses once per Aut(G)-orbit (_orbit_verdicts).  An
 automorphism phi of (G, .) commutes with powers and conjugation, so it is
 one of each power star, B' = phi B phi^-1 is an operator of B's weight, and
 phi carries B's circle group, skew braces and lemma parts (identities in the
-product, the inverse, B, its kernel and image) onto those of B'.
-automorphisms backtracks over images of G.gens of the same orders; _extend
-takes a node's map on the closure of e under the generators chosen so far
-and sets phi(x s) = phi(x) phi(s) over x reached and s in them (each pair
-once along the path), so a leaf with no clash or repeated image is a
+product, the inverse, B, its kernel and image) onto those of B'.  The
+search uses the same action (see _search_partition): it branches once per
+orbit of the automorphisms that fix its decisions and moves each hit onto
+the rest of the orbit.  automorphisms backtracks over images, of the same
+orders, of its own generating set (_aut_generators: few elements, of
+higher order first; G.gens, which decides the table, is not changed);
+_extend takes a node's map on the closure of e under the generators chosen
+so far and sets phi(x s) = phi(x) phi(s) over x reached and s in them (each
+pair once along the path), so a leaf with no clash or repeated image is a
 bijection with phi(xb) = phi(x) phi(b), by induction on the length of b as a
-word in gens.
+word in those generators.
 """
 
 from __future__ import annotations
@@ -97,6 +101,15 @@ def _associativity_rows(t, middles):
             for a, ta in enumerate(t) for b, get in gets)
 
 
+def _closure(t, reached: set, gens) -> set:
+    """reached, closed in place under right multiplication by gens."""
+    new = reached
+    while new:
+        new = {t[x][g] for x in new for g in gens} - reached
+        reached |= new
+    return reached
+
+
 def _generators(t, e: int) -> list[int]:
     """Elements S, picked in index order, such that the closure of e under
     right multiplication by S is every element: s is picked when it lies
@@ -106,10 +119,7 @@ def _generators(t, e: int) -> list[int]:
     for s in range(len(t)):
         if s not in reached:
             gens.append(s)
-            new = reached
-            while new:
-                new = {t[x][g] for x in new for g in gens} - reached
-                reached |= new
+            _closure(t, reached, gens)
     return gens
 
 
@@ -326,15 +336,15 @@ def check_group(table, name: str = "") -> tuple[GroupTable | None, VerificationR
     return G, G.axioms
 
 
-def _extend(G: GroupTable, node: tuple, c: int) -> tuple | None:
+def _extend(t, gens: list, node: tuple, c: int) -> tuple | None:
     """The child of a backtrack node (images, phi, phi^-1, reached) that maps
-    the next generator s to c, or None on a clash or repeated image.  phi
-    (-1 off reached) is given on reached, the closure of e under the
+    the next generator s of gens to c, or None on a clash or repeated image.
+    phi (-1 off reached) is given on reached, the closure of e under the
     generators before s; the child sets phi(x g) = phi(x) phi(g) for x it
     reaches and g among those generators and s, at s alone on the parent's
     reached, where the parent has set the rest."""
     images, phi, pre, queue = node[0] + (c,), node[1][:], node[2][:], node[3][:]
-    t, pairs, held = G.table, list(zip(G.gens, images)), len(queue)
+    pairs, held = list(zip(gens, images)), len(queue)
     for i, x in enumerate(queue):
         for g, image in (pairs[-1:] if i < held else pairs):
             y, want = t[x][g], t[phi[x]][image]
@@ -346,22 +356,45 @@ def _extend(G: GroupTable, node: tuple, c: int) -> tuple | None:
     return images, phi, pre, queue
 
 
+def _aut_generators(G: GroupTable, orders: list) -> list[int]:
+    """automorphisms' generating set: elements of higher order first, each
+    pick the first that completes the group with those already chosen, or,
+    when none does, the first outside their closure.  The first pick is an
+    element of the highest order, which generates G alone if any does."""
+    t, n = G.table, G.n
+    ranked = sorted(range(n), key=lambda g: -orders[g])
+    gens, reached = [], {G.e}
+    while len(reached) < n:
+        pick = None
+        for s in ranked:
+            if s not in reached:
+                grown = _closure(t, set(reached), gens + [s])
+                if pick is None or len(grown) == n:
+                    pick = s, grown
+                if len(grown) == n or not gens:
+                    break
+        gens.append(pick[0])
+        reached = pick[1]
+    return gens
+
+
 def automorphisms(G: GroupTable) -> list[tuple]:
     """Every automorphism of G as an image tuple, sorted: a backtrack over
-    images of G.gens of the same element orders, each node's map extended
-    from its parent's (see the module docstring)."""
+    images of _aut_generators(G) of the same element orders, each node's map
+    extended from its parent's (see the module docstring)."""
     orders = [G.order_of(g) for g in range(G.n)]
+    gens = _aut_generators(G, orders)
     root = [-1] * G.n
     root[G.e] = G.e
     out, stack = [], [((), root, root[:], [G.e])]
     while stack:
         node = stack.pop()
         images, phi, pre, _ = node
-        if len(images) == len(G.gens):
+        if len(images) == len(gens):
             out.append(tuple(phi))
             continue
-        s = G.gens[len(images)]
-        children = (_extend(G, node, c) for c in range(G.n)
+        s = gens[len(images)]
+        children = (_extend(G.table, gens, node, c) for c in range(G.n)
                     if orders[c] == orders[s] and pre[c] == -1)
         stack += filter(None, children)
     return sorted(out)
@@ -698,11 +731,13 @@ def _circle(G: GroupTable, star: GroupTable, rows) -> tuple[GroupTable, Verifica
     return circ, merge_reports(parts)
 
 
-def _orbit_verdicts(G: GroupTable, star: GroupTable, ops: list, weight: int) -> list[dict]:
+def _orbit_verdicts(G: GroupTable, star: GroupTable, ops: list, weight: int,
+                    auts: list) -> list[dict]:
     """enum-rb's statuses of each operator in ops, the search's full list at
     the weight of the power star star: decided on the first operator of each
-    Aut(G)-orbit and copied to the orbit when all pass, else decided on each
-    member (see the module docstring); RuntimeError if an orbit leaves ops."""
+    orbit of auts, which is Aut(G), and copied to the orbit when all pass,
+    else decided on each member (see the module docstring); RuntimeError if
+    an orbit leaves ops."""
     row = _relative_rows(star.table, G._conj)  # the search's kernel: B's circle rows
 
     def decide(B):
@@ -713,8 +748,7 @@ def _orbit_verdicts(G: GroupTable, star: GroupTable, ops: list, weight: int) -> 
         return out
 
     # B -> phi B phi^-1 as (the getter of phi^-1, phi)
-    moves = [(_gather(sorted(range(G.n), key=phi.__getitem__)), phi)
-             for phi in (automorphisms(G) if ops else ())]
+    moves = [(_gather(sorted(range(G.n), key=phi.__getitem__)), phi) for phi in auts]
     index, verdicts = {B: i for i, B in enumerate(ops)}, [None] * len(ops)
     for i, B in enumerate(ops):
         if verdicts[i] is None:
@@ -733,13 +767,14 @@ def _orbit_verdicts(G: GroupTable, star: GroupTable, ops: list, weight: int) -> 
 # enumeration
 
 
-def _search_partition(G: GroupTable, weight: int, seeds, cap: int):
+def _search_partition(G: GroupTable, weight: int, seeds, cap: int, auts=None):
     """DFS over operator images of the group G with constraint propagation.
 
     seeds is a list of (index, value) preassignments. Returns (hits, count)
     where count is the number of image assignments performed, forced ones
-    included. Write a o s = a * Psi_{B(a)}(s) for the power star * of the
-    weight and Psi conjugation, so that the identity reads
+    included (moving hits assigns nothing). Write a o s = a * Psi_{B(a)}(s)
+    for the power star * of the weight and Psi conjugation, so that the
+    identity reads
     B(a o s) = B(a)B(s); it forces an image whenever a and s are assigned,
     so the tree collapses quickly, and candidates with B(e) != e never
     appear.  The identity is checked only at pairs (a, s) with a in the
@@ -758,8 +793,36 @@ def _search_partition(G: GroupTable, weight: int, seeds, cap: int):
     identity, so no operator with the seeded images is pruned and each
     image forced on its path is its own; at a leaf the two passes have
     checked A x G, so the lemma with S = G makes it an operator.  So the
-    hits are exactly those operators, in lexicographic order, as each
-    branch decides the least unassigned element at its images in order.
+    hits are exactly those operators, as each branch decides the least
+    unassigned element x at its images in order, less the two cuts below;
+    they are sorted once at the end.
+
+    Square cut: x is not tried at a value v whose square refutes it, that
+    is, x o_v x is assigned with an image other than v v, or equals a o x
+    for a decided a with B(a) != v (e o x = x, so with B(e) = e decided
+    this drops every v != e with x o_v x = x).  An operator extending the
+    decisions with B(x) = v has B(x o x) = v v and B(a o x) = B(a) v, so
+    the first case contradicts an assigned image and the second gives
+    B(a) v = v v, B(a) = v: such a v extends to no operator.
+
+    Orbit cut: each frame carries K, the automorphisms given in auts (Aut(G),
+    computed when None) that fix every seed and branch decision, both the
+    element and its image.  Sending B to phi B phi^-1 maps the operators of
+    the weight onto themselves (module docstring), and for phi in K it keeps
+    every decision, so it maps the completions of the frame's decisions onto
+    themselves.  phi in Stab_K(x) maps the completions with B(x) = v
+    bijectively onto those with B(x) = phi(v), and these sets are disjoint
+    for distinct values.  So at x the search tries one value v per
+    Stab_K(x)-orbit, the least that the square cut keeps (a value it drops
+    has no completions, so neither has its orbit); the child frame gets the
+    stabilizer of v in Stab_K(x); and when the search moves past v, the hits
+    added since it assigned v, exactly the completions with B(x) = v, are
+    moved by one phi per other member w of the orbit, with phi(v) = w.
+    Inner frames move their hits first, so the moves compose on one flat
+    list, and every operator appears exactly once.  A trivial stabilizer
+    skips the orbit work.  This holds at every weight, since phi commutes
+    with powers and conjugation.
+
     The DFS runs on an explicit stack: a recursive closure would refer to
     itself and keep every search's tables alive until a full GC pass.
     """
@@ -803,30 +866,69 @@ def _search_partition(G: GroupTable, weight: int, seeds, cap: int):
     for x, v in seeds:
         if not (assign(x, v) if img[x] == -1 else img[x] == v):
             return [], count
-    hits: list[tuple] = []
-    # frames [element, next image to try, len(order) and len(rows) on entry]
-    stack: list[list[int]] = []
+    points = tuple(itertools.chain.from_iterable(seeds))  # K fixes each seed and its image
+    K = [phi for phi in (automorphisms(G) if auts is None else auts)
+         if tuple(map(phi.__getitem__, points)) == points]
+    # x o_v x per (x, v), whose image the identity at (x, x) sets to v v
+    squares = [[arg_v[x] for arg_v in arg[x]] for x in range(n)]
+    vv, e = [t[v][v] for v in range(n)], G.e
 
-    def descend():
+    def branches(x: int, K: list) -> list:
+        """(v, moves, K') per value tried at x, last first: the least value
+        of each Stab_K(x)-orbit that its square does not refute, the moves
+        B -> phi B phi^-1 onto the orbit's other members, and K', the
+        stabilizer of v in Stab_K(x)."""
+        into: dict[int, int] = {}  # a o x for decided a -> B(a), -1 where two differ
+        for arg_a, ta, _ in rows:
+            k, b = arg_a[x], ta[e]
+            into[k] = b if into.get(k, b) == b else -1
+        live = [v for v, k in enumerate(squares[x]) if (img[k] == -1 or img[k] == vv[v])
+                and (k not in into or into[k] == v)]
+        stab = [phi for phi in K if phi[x] == x]
+        if len(stab) == 1:
+            return [(v, (), stab) for v in reversed(live)]
+        out, seen = [], set()
+        for v in live:
+            if v not in seen:
+                orbit = {}
+                for phi in stab:
+                    orbit.setdefault(phi[v], phi)
+                seen.update(orbit)
+                moves = [(_gather(sorted(range(n), key=phi.__getitem__)), phi)
+                         for w, phi in orbit.items() if w != v]
+                out.append((v, moves, [phi for phi in stab if phi[v] == v]))
+        return out[::-1]
+
+    hits: list[tuple] = []
+    # frames [element, branches left, len(order) and len(rows) on entry,
+    #         moves of the value last tried, len(hits) before it]
+    stack: list[list] = []
+
+    def descend(K: list) -> None:
         if -1 in img:
-            stack.append([img.index(-1), 0, len(order), len(rows)])
+            x = img.index(-1)
+            stack.append([x, branches(x, K), len(order), len(rows), (), 0])
         # the leaf pass: each decided row at the elements assigned before it
         elif all(img[arg_a[s]] == ta[img[s]] for arg_a, ta, mark in rows for s in order[:mark]):
             hits.append(tuple(img))
 
-    descend()
+    descend(K)
     while stack:
         frame = stack[-1]
-        x, v, mark, decided = frame
+        x, todo, mark, decided, moves, since = frame
+        if moves:
+            hits += [_gather(get_inv(B))(phi) for B in hits[since:] for get_inv, phi in moves]
         while len(order) > mark:
             img[order.pop()] = -1
         del rows[decided:]
-        if v == n:
+        if not todo:
             stack.pop()
             continue
-        frame[1] = v + 1
+        v, frame[4], child = todo.pop()
+        frame[5] = len(hits)
         if assign(x, v):
-            descend()
+            descend(child)
+    hits.sort()
     return hits, count
 
 
@@ -835,10 +937,16 @@ def enumerate_rb(G: GroupTable, weight: int, cap: int = DEFAULT_CAP) -> list[tup
 
     cap limits the total number of image assignments the search performs,
     the forced ones included (CapExceeded beyond).  ValueError for cap < 0."""
+    return _enumerate(G, weight, cap)[0]
+
+
+def _enumerate(G: GroupTable, weight: int, cap: int, auts=None) -> tuple[list[tuple], int]:
+    """enumerate_rb's operators and the search's assignment count, with
+    auts as Aut(G) (computed when None)."""
     _power_table(G, weight)  # raises early on a bad weight; the search reads this table
     if cap < 0:
         raise ValueError(f"cap must be at least 0, not {cap}")
-    return _search_partition(G, weight, [(G.e, G.e)], cap)[0]  # hits come sorted
+    return _search_partition(G, weight, [(G.e, G.e)], cap, auts)
 
 
 def linearize_rb(G: GroupTable, B, ctx):

@@ -1,5 +1,6 @@
 """Command line interface, driven in process through main(argv)."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -103,12 +104,35 @@ def test_enum_rb_z3(capsys):
     code, payload = run(capsys, "enum-rb", "--group", str(FIXTURES / "z3.json"))
     assert code == 0
     assert payload["count"] == 3
+    assert payload["assignments"] > 0
     for row in payload["operators"]:
         assert row["skew_brace"] == "pass"
         assert row["derived_group"] == "pass"
         assert row["lemma"] == "pass"
     maps = {tuple(row["map"]) for row in payload["operators"]}
     assert (0, 0, 0) in maps
+
+
+def test_enum_rb_outputs_with_no_golden_keep_their_bytes(tmp_path, capsys):
+    # the full stdout on groups where branching once per automorphism orbit
+    # prunes most of the search, so a change to any operator, status or
+    # count shows
+    S3 = GroupTable.symmetric(3)
+    groups = {"S3xS3": GroupTable.direct_product(S3, S3), "S4": GroupTable.symmetric(4),
+              "Z2xS4": GroupTable.direct_product(GroupTable.cyclic(2), GroupTable.symmetric(4))}
+    pinned = {
+        ("S3xS3", 1): "a60637873cdcb4b0cbbdc0590ce34e55358991c128c5b1041964c3e3a43d8e2a",
+        ("S3xS3", -1): "94f365efd8b47c04d34624470a242861130a0fdc21abb5ab1781c872ccf8f750",
+        ("Z2xS4", 1): "f08249ae2207f2c9ff5a9b0a3f571ef3ae2932ffc39e2fae0ef9987d6183de22",
+        ("S4", 1): "e4b58829d1cfad04c22c45d835089930de5eb95f0350ebde64aa2e3be9df058c",
+        ("S4", -1): "dd7be92faea7cd589148cae6465989317b429256a3cfa90cc0f358716de1dc1e",
+    }
+    for (name, weight), digest in pinned.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(groups[name].to_json()))
+        assert main(["enum-rb", "--group", str(path), f"--weight={weight}"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, (name,
+                                                                                        weight)
 
 
 def test_enum_rb_output_is_reproducible(tmp_path, capsys):

@@ -569,7 +569,7 @@ def test_an_operator_missing_from_its_orbit_is_an_error():
     moved = max(moved_operator(phi, B) for phi in auts)
     kept = [op for op in ops if op != moved]
     with pytest.raises(RuntimeError, match="out of the list"):
-        rb_group._orbit_verdicts(D8, power_star(D8, 1), kept, 1)
+        rb_group._orbit_verdicts(D8, power_star(D8, 1), kept, 1, auts)
 
 
 def test_weight_one_lists_are_closed_under_the_twisted_inverse():
@@ -781,6 +781,20 @@ def test_automorphism_counts():
         auts = automorphisms(G)
         assert auts == helpers.automorphisms(G), name
         assert len(auts) == order, name
+
+
+def test_automorphisms_backtrack_over_few_generators_of_higher_order():
+    S3, Z2 = GroupTable.symmetric(3), GroupTable.cyclic(2)
+    S3xS3 = GroupTable.direct_product(S3, S3)
+    for G in (S3xS3, GroupTable.direct_product(Z2, GroupTable.symmetric(4)),
+              GroupTable.symmetric(4), GroupTable.direct_product(S3, Z2)):
+        orders = [G.order_of(g) for g in range(G.n)]
+        gens = rb_group._aut_generators(G, orders)
+        assert len(gens) == 2 and rb_group._closure(G.table, {G.e}, gens) == set(range(G.n)), G
+        assert orders[gens[0]] == max(orders), G
+    assert rb_group._aut_generators(S3xS3, [S3xS3.order_of(g) for g in range(36)]) == [9, 19]
+    # the group's own generating set, which decides its table, is unchanged
+    assert S3xS3.gens == [1, 2, 6, 12]
 
 
 def test_automorphism_group_orders_and_closure():
@@ -1256,24 +1270,36 @@ def test_enumeration_rejects_a_negative_cap(capsys):
 
 def test_search_on_decided_rows_finds_what_the_all_pairs_search_finds():
     # the same hits in the same order: serially, in every partition on the
-    # first free image, and from seeds that assign every element (operators
-    # and one-image near misses, in both orders)
+    # first free image, from seeds that fix part of Aut(G), and from seeds
+    # that assign every element (operators and one-image near misses, in
+    # both orders)
     def fixture(name):
         return group_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
 
     S3, Z2 = fixture("s3"), GroupTable.cyclic(2)
+    V4 = GroupTable.direct_product(Z2, Z2)
     groups = {"S3": S3, "Z4": fixture("z4"), "D8": GroupTable.metacyclic(4, 2, 3),
               "F21": fixture("f21"), "S3xZ2": GroupTable.direct_product(S3, Z2),
-              "Z2^3": GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2),
+              "Z2^3": GroupTable.direct_product(V4, Z2),
               "S3xS3": GroupTable.direct_product(S3, S3), "S4": GroupTable.symmetric(4),
-              "S3xZ4": GroupTable.direct_product(S3, GroupTable.cyclic(4))}
+              "S3xZ4": GroupTable.direct_product(S3, GroupTable.cyclic(4)),
+              "Q8": quaternion_table(), "Z4xZ2": GroupTable.direct_product(fixture("z4"), Z2),
+              "D8xZ2": GroupTable.direct_product(GroupTable.metacyclic(4, 2, 3), Z2),
+              "Z2^4": GroupTable.direct_product(V4, V4)}
     rng = random.Random(22)
     for name, G in groups.items():
-        first = next(i for i in range(G.n) if i != G.e)
+        first, auts = next(i for i in range(G.n) if i != G.e), automorphisms(G)
         for weight in (1, -1) + ((2, -2) if name == "F21" else ()):
             seedings = [[(G.e, G.e)]]
             if name in ("S3xS3", "F21"):
                 seedings += [[(G.e, G.e), (first, v)] for v in range(G.n)]
+            if name in ("Q8", "Z4xZ2", "D8xZ2", "Z2^4"):
+                # an operator's image at the first free element, at the last
+                # and at both, and a random image at the first
+                op, last = rng.choice(enumerate_rb(G, weight)), G.n - 1
+                seedings += [[(G.e, G.e), (first, op[first])], [(G.e, G.e), (last, op[last])],
+                             [(G.e, G.e), (first, op[first]), (last, op[last])],
+                             [(G.e, G.e), (first, rng.randrange(G.n))]]
             if name in ("S3", "D8", "F21"):
                 for op in rng.sample(enumerate_rb(G, weight), 6):
                     x = rng.randrange(G.n)
@@ -1281,21 +1307,45 @@ def test_search_on_decided_rows_finds_what_the_all_pairs_search_finds():
                     seedings += [order for B in (op, near)
                                  for order in (list(enumerate(B)), list(enumerate(B))[::-1])]
             for seeds in seedings:
-                hits, _ = rb_group._search_partition(G, weight, seeds, DEFAULT_CAP)
+                hits, _ = rb_group._search_partition(G, weight, seeds, DEFAULT_CAP, auts)
                 assert hits == all_pairs_search(G, weight, seeds, DEFAULT_CAP)[0], (name, weight,
                                                                                     seeds)
 
 
 def test_serial_search_checks_each_decided_pair_once():
     # assignments, forced ones included, at weight 1: each pair of a decided
-    # element and an assigned one is checked or forced in one place, and the
-    # tree is smaller here than with a second pass over the row of each
-    # decision (98,661 and 501,097 assignments)
+    # element and an assigned one is checked or forced in one place, and each
+    # branch tries one value per orbit of its automorphisms and no value its
+    # own square refutes.  Trying every value took 67,425 and 191,479
+    # assignments; a second pass over the row of each decision as well took
+    # 98,661 and 501,097
     S3 = GroupTable.symmetric(3)
-    for G, count in ((GroupTable.direct_product(S3, S3), 67_425),
+    for G, count in ((GroupTable.direct_product(S3, S3), 26_407),
                      (GroupTable.direct_product(GroupTable.cyclic(2), GroupTable.symmetric(4)),
-                      191_479)):
+                      98_545)):
         assert rb_group._search_partition(G, 1, [(G.e, G.e)], DEFAULT_CAP)[1] == count
+
+
+def test_search_tries_one_value_per_stabilizer_orbit_that_its_square_keeps():
+    # at the root of S3xS3 only e is decided and the search branches on
+    # x = 1.  The identity at (x, x) sends x o x = x v x v^-1 to v v, so with
+    # img[e] = e it refutes each v that commutes with x and has v v != e.
+    # The search tries the least member of each Stab(x)-orbit of the other
+    # values and nothing else: its count is 1 for (e, e) plus what each of
+    # those branches counts from its seed
+    S3 = GroupTable.symmetric(3)
+    G = GroupTable.direct_product(S3, S3)
+    t, e, x = G.table, G.e, 1
+    stab = [phi for phi in automorphisms(G) if phi[x] == x]
+    assert len(stab) == 12
+    refuted = {v for v in range(G.n) if t[x][G.conjugate(v, x)] == e and t[v][v] != e}
+    assert len(refuted) == 4
+    tried = [v for v in range(G.n) if v not in refuted
+             and v == min(phi[v] for phi in stab)]
+    assert len(tried) < G.n - len(refuted)
+    branches = [rb_group._search_partition(G, 1, [(e, e), (x, v)], DEFAULT_CAP)[1] - 1
+                for v in tried]
+    assert rb_group._search_partition(G, 1, [(e, e)], DEFAULT_CAP)[1] == 1 + sum(branches)
 
 
 def test_operator_json_round_trip():

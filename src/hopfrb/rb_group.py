@@ -9,11 +9,12 @@ star g*h = (g^lambda h^lambda)^mu, lambda*mu = 1 modulo the group exponent:
 G itself at weight 1 and its opposite at weight -1; G keeps each it builds.
 _relative_rows forms the argument rows of that identity for the checks and
 the search, and _descendent_group the derived and circle groups on them
-(enum-rb's on the search's own rows) with no shape check (_gathered).
-Enumeration is a depth-first search over images with constraint
-propagation through those rows, which checks only the rows of decided
-elements (see _search_partition); the cap bounds its image assignments,
-forced ones included, and CapExceeded reports going past it.
+with no shape check (_gathered).  Enumeration is a depth-first search over
+weight-1 images with constraint propagation through G's rows, which checks
+only the rows of decided elements (see _search_partition); weight lambda
+reads its hits through g -> g^lambda (_enumerate).  The cap bounds the
+search's image assignments, forced ones included, and CapExceeded reports
+going past it.
 
 The Rota-Baxter identities, associativity, conjugation compatibility and
 the skew brace identity go a row at a time: _gather builds a C-level
@@ -731,6 +732,12 @@ def _circle(G: GroupTable, star: GroupTable, rows) -> tuple[GroupTable, Verifica
     return circ, merge_reports(parts)
 
 
+def _conjugators(auts, n: int) -> list:
+    """(get, phi) per phi in auts, get the getter at phi^-1: B -> phi B phi^-1
+    is B -> _gather(get(B))(phi), applied inline with no call of its own."""
+    return [(_gather(sorted(range(n), key=phi.__getitem__)), phi) for phi in auts]
+
+
 def _orbit_verdicts(G: GroupTable, star: GroupTable, ops: list, weight: int,
                     auts: list) -> list[dict]:
     """enum-rb's statuses of each operator in ops, the search's full list at
@@ -738,7 +745,7 @@ def _orbit_verdicts(G: GroupTable, star: GroupTable, ops: list, weight: int,
     orbit of auts, which is Aut(G), and copied to the orbit when all pass,
     else decided on each member (see the module docstring); RuntimeError if
     an orbit leaves ops."""
-    row = _relative_rows(star.table, G._conj)  # the search's kernel: B's circle rows
+    row = _relative_rows(star.table, G._conj)  # B's circle rows, on the star
 
     def decide(B):
         _, rep = _circle(G, star, [row(g, v) for g, v in enumerate(B)])
@@ -747,8 +754,7 @@ def _orbit_verdicts(G: GroupTable, star: GroupTable, ops: list, weight: int,
             out["lemma"] = _lemma_parts(G, B).status
         return out
 
-    # B -> phi B phi^-1 as (the getter of phi^-1, phi)
-    moves = [(_gather(sorted(range(G.n), key=phi.__getitem__)), phi) for phi in auts]
+    moves = _conjugators(auts, G.n)
     index, verdicts = {B: i for i, B in enumerate(ops)}, [None] * len(ops)
     for i, B in enumerate(ops):
         if verdicts[i] is None:
@@ -767,17 +773,15 @@ def _orbit_verdicts(G: GroupTable, star: GroupTable, ops: list, weight: int,
 # enumeration
 
 
-def _search_partition(G: GroupTable, weight: int, seeds, cap: int, auts=None):
-    """DFS over operator images of the group G with constraint propagation.
+def _search_partition(G: GroupTable, seeds, cap: int, auts=None):
+    """DFS over weight-1 operator images of G with constraint propagation.
 
     seeds is a list of (index, value) preassignments. Returns (hits, count)
     where count is the number of image assignments performed, forced ones
-    included (moving hits assigns nothing). Write a o s = a * Psi_{B(a)}(s)
-    for the power star * of the weight and Psi conjugation, so that the
-    identity reads
-    B(a o s) = B(a)B(s); it forces an image whenever a and s are assigned,
-    so the tree collapses quickly, and candidates with B(e) != e never
-    appear.  The identity is checked only at pairs (a, s) with a in the
+    included (moving hits assigns nothing). Write a o s = a Psi_{B(a)}(s)
+    for Psi conjugation, so that the identity reads B(a o s) = B(a)B(s); it
+    forces an image whenever a and s are assigned, so the tree collapses
+    quickly, and candidates with B(e) != e never appear.  The identity is checked only at pairs (a, s) with a in the
     set A of decided elements (the seeds and the branch choices): by
     assign's column pass when s is assigned from the decision of a on, and
     by the leaf pass, at a leaf, when s was assigned before it.
@@ -786,8 +790,8 @@ def _search_partition(G: GroupTable, weight: int, seeds, cap: int, auts=None):
     B(a o s) = B(a)B(s) for a in A and s in S.  Then S is closed under o
     and the identity holds on all of S x S.  Proof: let T be the x in S
     whose whole row holds on S; A lies in T.  Every other element of S was
-    forced as a o s, with a in A and s assigned earlier.  Psi_{B(a)} is a
-    *-automorphism and Psi a homomorphism, so (a o s) o y = a o (s o y),
+    forced as a o s, with a in A and s assigned earlier.  Psi_{B(a)} is an
+    automorphism and Psi a homomorphism, so (a o s) o y = a o (s o y),
     and B((a o s) o y) = B(a)B(s)B(y) = B(a o s)B(y); induction on the
     order of assignment gives S in T.  Every check is an instance of the
     identity, so no operator with the seeded images is pruned and each
@@ -807,8 +811,8 @@ def _search_partition(G: GroupTable, weight: int, seeds, cap: int, auts=None):
 
     Orbit cut: each frame carries K, the automorphisms given in auts (Aut(G),
     computed when None) that fix every seed and branch decision, both the
-    element and its image.  Sending B to phi B phi^-1 maps the operators of
-    the weight onto themselves (module docstring), and for phi in K it keeps
+    element and its image.  Sending B to phi B phi^-1 maps the operators
+    onto themselves (module docstring), and for phi in K it keeps
     every decision, so it maps the completions of the frame's decisions onto
     themselves.  phi in Stab_K(x) maps the completions with B(x) = v
     bijectively onto those with B(x) = phi(v), and these sets are disjoint
@@ -820,14 +824,13 @@ def _search_partition(G: GroupTable, weight: int, seeds, cap: int, auts=None):
     moved by one phi per other member w of the orbit, with phi(v) = w.
     Inner frames move their hits first, so the moves compose on one flat
     list, and every operator appears exactly once.  A trivial stabilizer
-    skips the orbit work.  This holds at every weight, since phi commutes
-    with powers and conjugation.
+    skips the orbit work.
 
     The DFS runs on an explicit stack: a recursive closure would refer to
     itself and keep every search's tables alive until a full GC pass.
     """
     n, t = G.n, G.table
-    row = _relative_rows(_power_table(G, weight), G._conj)
+    row = _relative_rows(t, G._conj)
     arg = [[row(g, v) for v in range(n)] for g in range(n)]
     img = [-1] * n
     order: list[int] = []
@@ -894,8 +897,7 @@ def _search_partition(G: GroupTable, weight: int, seeds, cap: int, auts=None):
                 for phi in stab:
                     orbit.setdefault(phi[v], phi)
                 seen.update(orbit)
-                moves = [(_gather(sorted(range(n), key=phi.__getitem__)), phi)
-                         for w, phi in orbit.items() if w != v]
+                moves = _conjugators([phi for w, phi in orbit.items() if w != v], n)
                 out.append((v, moves, [phi for phi in stab if phi[v] == v]))
         return out[::-1]
 
@@ -941,12 +943,15 @@ def enumerate_rb(G: GroupTable, weight: int, cap: int = DEFAULT_CAP) -> list[tup
 
 
 def _enumerate(G: GroupTable, weight: int, cap: int, auts=None) -> tuple[list[tuple], int]:
-    """enumerate_rb's operators and the search's assignment count, with
-    auts as Aut(G) (computed when None)."""
-    _power_table(G, weight)  # raises early on a bad weight; the search reads this table
+    """enumerate_rb's operators and the weight-1 search's assignment count,
+    with auts as Aut(G) (computed when None)."""
+    _power_table(G, weight)  # raises early on a bad weight; enum-rb's star reuses it
     if cap < 0:
         raise ValueError(f"cap must be at least 0, not {cap}")
-    return _search_partition(G, weight, [(G.e, G.e)], cap, auts)
+    hits, count = _search_partition(G, [(G.e, G.e)], cap, auts)
+    if weight != 1:  # the weight's operators are the C o p, p(g) = g^weight (README)
+        hits = sorted(map(_gather([G.power(g, weight) for g in range(G.n)]), hits))
+    return hits, count
 
 
 def linearize_rb(G: GroupTable, B, ctx):

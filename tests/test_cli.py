@@ -125,7 +125,7 @@ def test_enum_rb_outputs_with_no_golden_keep_their_bytes(tmp_path, capsys):
         ("S3xS3", -1): "94f365efd8b47c04d34624470a242861130a0fdc21abb5ab1781c872ccf8f750",
         ("Z2xS4", 1): "f08249ae2207f2c9ff5a9b0a3f571ef3ae2932ffc39e2fae0ef9987d6183de22",
         ("S4", 1): "e4b58829d1cfad04c22c45d835089930de5eb95f0350ebde64aa2e3be9df058c",
-        ("S4", -1): "dd7be92faea7cd589148cae6465989317b429256a3cfa90cc0f358716de1dc1e",
+        ("S4", -1): "de82e7b1e5f01e07ad238f50ec2d07d093c95246bd40c4e1578bcf5066e518af",
     }
     for (name, weight), digest in pinned.items():
         path = tmp_path / f"{name}.json"

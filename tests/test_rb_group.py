@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import math
 import pickle
 import random
 from pathlib import Path
@@ -1252,6 +1253,14 @@ def test_enumerate_cap():
         enumerate_rb(S3, 1, cap=3)
     assert exc.value.cap == 3
     assert exc.value.evaluations > 3
+    # exact away from weight 1 too: the search stops at its first
+    # assignment past the cap, and a cap of the whole count is enough
+    for G, weight in ((GroupTable.metacyclic(7, 3, 2), 2), (GroupTable.symmetric(4), -1)):
+        ops, a = rb_group._enumerate(G, weight, DEFAULT_CAP)
+        assert enumerate_rb(G, weight, cap=a) == ops
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_rb(G, weight, cap=a - 1)
+        assert (exc.value.evaluations, exc.value.cap) == (a, a - 1)
 
 
 def test_enumeration_rejects_a_negative_cap(capsys):
@@ -1290,6 +1299,10 @@ def test_search_on_decided_rows_finds_what_the_all_pairs_search_finds():
     for name, G in groups.items():
         first, auts = next(i for i in range(G.n) if i != G.e), automorphisms(G)
         for weight in (1, -1) + ((2, -2) if name == "F21" else ()):
+            # the search runs at weight 1: a seed B(x) = v at this weight is
+            # C(p(x)) = v for C = B o p^-1, and its hits C read back as C o p
+            p = [G.power(g, weight) for g in range(G.n)]
+            relabel = rb_group._gather(p)
             seedings = [[(G.e, G.e)]]
             if name in ("S3xS3", "F21"):
                 seedings += [[(G.e, G.e), (first, v)] for v in range(G.n)]
@@ -1307,9 +1320,28 @@ def test_search_on_decided_rows_finds_what_the_all_pairs_search_finds():
                     seedings += [order for B in (op, near)
                                  for order in (list(enumerate(B)), list(enumerate(B))[::-1])]
             for seeds in seedings:
-                hits, _ = rb_group._search_partition(G, weight, seeds, DEFAULT_CAP, auts)
-                assert hits == all_pairs_search(G, weight, seeds, DEFAULT_CAP)[0], (name, weight,
-                                                                                    seeds)
+                hits, _ = rb_group._search_partition(G, [(p[x], v) for x, v in seeds],
+                                                     DEFAULT_CAP, auts)
+                want = all_pairs_search(G, weight, seeds, DEFAULT_CAP)[0]
+                assert sorted(map(relabel, hits)) == want, (name, weight, seeds)
+
+
+def test_every_invertible_weight_matches_the_search_at_that_weight():
+    # enumerate_rb reads weight lambda through p(g) = g^lambda from the
+    # weight-1 search; the all-pairs search runs on the power star of
+    # lambda itself, so it checks that relabelling
+    S3 = GroupTable.symmetric(3)
+    groups = [S3, GroupTable.metacyclic(4, 2, 3), GroupTable.metacyclic(7, 3, 2),
+              GroupTable.direct_product(GroupTable.cyclic(4), GroupTable.cyclic(2)),
+              GroupTable.cyclic(9), GroupTable.symmetric(4)]
+    pairs = [(G, lam) for G in groups for lam in range(-G.exponent(), G.exponent() + 1)
+             if math.gcd(lam, G.exponent()) == 1]
+    S3xS3 = GroupTable.direct_product(S3, S3)
+    pairs += [(S3xS3, 1), (S3xS3, -1)]
+    assert len(pairs) == 58
+    for G, lam in pairs:
+        want = all_pairs_search(G, lam, [(G.e, G.e)], DEFAULT_CAP)[0]
+        assert enumerate_rb(G, lam) == want, (G, lam)
 
 
 def test_serial_search_checks_each_decided_pair_once():
@@ -1323,7 +1355,7 @@ def test_serial_search_checks_each_decided_pair_once():
     for G, count in ((GroupTable.direct_product(S3, S3), 26_407),
                      (GroupTable.direct_product(GroupTable.cyclic(2), GroupTable.symmetric(4)),
                       98_545)):
-        assert rb_group._search_partition(G, 1, [(G.e, G.e)], DEFAULT_CAP)[1] == count
+        assert rb_group._search_partition(G, [(G.e, G.e)], DEFAULT_CAP)[1] == count
 
 
 def test_search_tries_one_value_per_stabilizer_orbit_that_its_square_keeps():
@@ -1343,9 +1375,9 @@ def test_search_tries_one_value_per_stabilizer_orbit_that_its_square_keeps():
     tried = [v for v in range(G.n) if v not in refuted
              and v == min(phi[v] for phi in stab)]
     assert len(tried) < G.n - len(refuted)
-    branches = [rb_group._search_partition(G, 1, [(e, e), (x, v)], DEFAULT_CAP)[1] - 1
+    branches = [rb_group._search_partition(G, [(e, e), (x, v)], DEFAULT_CAP)[1] - 1
                 for v in tried]
-    assert rb_group._search_partition(G, 1, [(e, e)], DEFAULT_CAP)[1] == 1 + sum(branches)
+    assert rb_group._search_partition(G, [(e, e)], DEFAULT_CAP)[1] == 1 + sum(branches)
 
 
 def test_operator_json_round_trip():

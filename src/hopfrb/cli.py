@@ -17,8 +17,7 @@ from .constructions import (FamilyParams, family_aut_search, family_with_hypothe
                             group_algebra, sweedler_h4)
 from .hopf_core import LinearMap, check_hopf
 from .rb_group import (DEFAULT_CAP, CapExceeded, _enumerate, _group_rb_report, _orbit_verdicts,
-                       automorphisms, group_from_json, operator_from_json, operator_to_json,
-                       power_star)
+                       automorphisms, group_from_json, operator_from_json, operator_to_json)
 from .rb_hopf import check_rrbo, rrb_from_json
 from .rb_lie import check_lie, check_rb_lie_weight, lie_from_json
 from .report import VerificationReport, first_failure, labelled, merge_reports
@@ -127,7 +126,7 @@ def cmd_enum_rb(args) -> int:
     auts = automorphisms(G)  # one Aut(G) for the search and the orbit verdicts
     ops, assignments = _enumerate(G, args.weight, args.cap, auts)
     rows = [operator_to_json(G, op, args.weight) for op in ops]
-    verdicts = _orbit_verdicts(G, power_star(G, args.weight), ops, args.weight, auts)
+    verdicts = _orbit_verdicts(G, ops, args.weight, auts)
     for entry, statuses in zip(rows, verdicts):
         entry.update(statuses)
     _emit(args, {"group": G.name, "order": G.n, "weight": args.weight,

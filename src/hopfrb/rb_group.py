@@ -6,7 +6,7 @@ B(h1)B(h2) = B(h1 Psi_{B(h1)}(h2)), for B from a group H to a group G
 acting on H by automorphisms Psi.  An operator of weight lambda on G is a
 relative operator on (G_lambda, G, conjugation), with G_lambda the power
 star g*h = (g^lambda h^lambda)^mu, lambda*mu = 1 modulo the group exponent:
-G itself at weight 1 and its opposite at weight -1; G keeps each it builds.
+G itself at weight 1 and its opposite at weight -1.
 _relative_rows forms the argument rows of that identity for the checks and
 the search, and _descendent_group the derived and circle groups on them
 with no shape check (_gathered).  Enumeration is a depth-first search over
@@ -157,11 +157,11 @@ class GroupTable:
     as axioms and the generating set that decided associativity as gens,
     and raises ValueError if one fails.  A group passes on whole-table
     comparisons; any other table is decided again case by case, so its
-    witness and count are check_group's.  _conj, the conjugation rows, _stars,
-    circ_from_rrb's facts per star, and _powers, the power tables, fill lazily.
+    witness and count are check_group's.  _conj, the conjugation rows, and
+    _stars, circ_from_rrb's facts per star, fill lazily.
     """
 
-    __slots__ = ("n", "table", "e", "inv", "name", "axioms", "gens", "_conj", "_stars", "_powers")
+    __slots__ = ("n", "table", "e", "inv", "name", "axioms", "gens", "_conj", "_stars")
 
     def __init__(self, table, name: str = ""):
         n = len(table)
@@ -225,7 +225,7 @@ class GroupTable:
         if not axioms.ok:
             raise _NotAGroup(axioms)
         t = self.table
-        self._conj, self._stars, self._powers = _ConjugationRows(t, self.inv), {}, {1: t}
+        self._conj, self._stars = _ConjugationRows(t, self.inv), {}
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -606,18 +606,17 @@ def _lambda_root(G: GroupTable, lam: int) -> int:
 
 
 def _power_table(G: GroupTable, lam: int) -> tuple:
-    """The table of g*h = (g^lam h^lam)^mu, kept on G from G's own at
-    lam = 1.  Any other weight, -1 included, is built once with
-    _lambda_root's errors: row g is the row kernel on the table (xy)^mu and
-    the one map y -> y^lam, at x = g^lam."""
-    table = G._powers.get(lam)
-    if table is None:
-        mu = _lambda_root(G, lam)
-        plam = [G.power(g, lam) for g in range(G.n)]
-        pmu = [G.power(x, mu) for x in range(G.n)]
-        row = _relative_rows([_gather(r)(pmu) for r in G.table], [plam])
-        table = G._powers[lam] = tuple(row(x, 0) for x in plam)
-    return table
+    """The table of g*h = (g^lam h^lam)^mu: G's own at lam = 1.  Any other
+    weight, -1 included, is built on each call with _lambda_root's errors:
+    row g is the row kernel on the table (xy)^mu and the one map
+    y -> y^lam, at x = g^lam."""
+    if lam == 1:
+        return G.table
+    mu = _lambda_root(G, lam)
+    plam = [G.power(g, lam) for g in range(G.n)]
+    pmu = [G.power(x, mu) for x in range(G.n)]
+    row = _relative_rows([_gather(r)(pmu) for r in G.table], [plam])
+    return tuple(row(x, 0) for x in plam)
 
 
 def power_star(G: GroupTable, lam: int) -> GroupTable:
@@ -738,13 +737,12 @@ def _conjugators(auts, n: int) -> list:
     return [(_gather(sorted(range(n), key=phi.__getitem__)), phi) for phi in auts]
 
 
-def _orbit_verdicts(G: GroupTable, star: GroupTable, ops: list, weight: int,
-                    auts: list) -> list[dict]:
+def _orbit_verdicts(G: GroupTable, ops: list, weight: int, auts: list) -> list[dict]:
     """enum-rb's statuses of each operator in ops, the search's full list at
-    the weight of the power star star: decided on the first operator of each
-    orbit of auts, which is Aut(G), and copied to the orbit when all pass,
-    else decided on each member (see the module docstring); RuntimeError if
-    an orbit leaves ops."""
+    weight: decided on the first operator of each orbit of auts, which is
+    Aut(G), and copied to the orbit when all pass, else decided on each
+    member (see the module docstring); RuntimeError if an orbit leaves ops."""
+    star = power_star(G, weight)
     row = _relative_rows(star.table, G._conj)  # B's circle rows, on the star
 
     def decide(B):
@@ -802,12 +800,9 @@ def _search_partition(G: GroupTable, seeds, cap: int, auts=None):
     they are sorted once at the end.
 
     Square cut: x is not tried at a value v whose square refutes it, that
-    is, x o_v x is assigned with an image other than v v, or equals a o x
-    for a decided a with B(a) != v (e o x = x, so with B(e) = e decided
-    this drops every v != e with x o_v x = x).  An operator extending the
-    decisions with B(x) = v has B(x o x) = v v and B(a o x) = B(a) v, so
-    the first case contradicts an assigned image and the second gives
-    B(a) v = v v, B(a) = v: such a v extends to no operator.
+    is, x o_v x is assigned with an image other than v v.  An operator
+    extending the decisions with B(x) = v has B(x o x) = v v, so such a v
+    extends to no operator.
 
     Orbit cut: each frame carries K, the automorphisms given in auts (Aut(G),
     computed when None) that fix every seed and branch decision, both the
@@ -874,19 +869,14 @@ def _search_partition(G: GroupTable, seeds, cap: int, auts=None):
          if tuple(map(phi.__getitem__, points)) == points]
     # x o_v x per (x, v), whose image the identity at (x, x) sets to v v
     squares = [[arg_v[x] for arg_v in arg[x]] for x in range(n)]
-    vv, e = [t[v][v] for v in range(n)], G.e
+    vv = [t[v][v] for v in range(n)]
 
     def branches(x: int, K: list) -> list:
         """(v, moves, K') per value tried at x, last first: the least value
         of each Stab_K(x)-orbit that its square does not refute, the moves
         B -> phi B phi^-1 onto the orbit's other members, and K', the
         stabilizer of v in Stab_K(x)."""
-        into: dict[int, int] = {}  # a o x for decided a -> B(a), -1 where two differ
-        for arg_a, ta, _ in rows:
-            k, b = arg_a[x], ta[e]
-            into[k] = b if into.get(k, b) == b else -1
-        live = [v for v, k in enumerate(squares[x]) if (img[k] == -1 or img[k] == vv[v])
-                and (k not in into or into[k] == v)]
+        live = [v for v, k in enumerate(squares[x]) if img[k] == -1 or img[k] == vv[v]]
         stab = [phi for phi in K if phi[x] == x]
         if len(stab) == 1:
             return [(v, (), stab) for v in reversed(live)]
@@ -945,7 +935,8 @@ def enumerate_rb(G: GroupTable, weight: int, cap: int = DEFAULT_CAP) -> list[tup
 def _enumerate(G: GroupTable, weight: int, cap: int, auts=None) -> tuple[list[tuple], int]:
     """enumerate_rb's operators and the weight-1 search's assignment count,
     with auts as Aut(G) (computed when None)."""
-    _power_table(G, weight)  # raises early on a bad weight; enum-rb's star reuses it
+    if weight != 1:
+        _lambda_root(G, weight)  # raises early on a bad weight
     if cap < 0:
         raise ValueError(f"cap must be at least 0, not {cap}")
     hits, count = _search_partition(G, [(G.e, G.e)], cap, auts)

@@ -170,17 +170,16 @@ def orbit_representatives(ops, auts) -> list[tuple]:
 
 
 def per_operator_verdicts(G: GroupTable, weight: int, ops) -> list[dict]:
-    """enum-rb's statuses decided on every operator itself, as enum-rb did
-    before it decided one operator per Aut(G)-orbit: _circle on the
-    search's rows, and _lemma_parts at weight 1."""
+    """enum-rb's statuses decided on every operator itself through the
+    public checks, each deciding B's identity again: circ_from_rrb on the
+    power star of the weight, and lemma_checks at weight 1."""
     star = rb_group.power_star(G, weight)
-    row = rb_group._relative_rows(star.table, G._conj)
     out = []
     for op in ops:
-        _, rep = rb_group._circle(G, star, [row(g, v) for g, v in enumerate(op)])
+        _, rep = rb_group.circ_from_rrb(G, star, op)
         entry = {"skew_brace": rep.status, "derived_group": rep.details["circ_group"]["status"]}
         if weight == 1:
-            entry["lemma"] = rb_group._lemma_parts(G, op).status
+            entry["lemma"] = rb_group.lemma_checks(G, op).status
         out.append(entry)
     return out
 

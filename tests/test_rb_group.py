@@ -4,7 +4,6 @@ import gc
 import itertools
 import json
 import math
-import pickle
 import random
 from pathlib import Path
 
@@ -570,7 +569,7 @@ def test_an_operator_missing_from_its_orbit_is_an_error():
     moved = max(moved_operator(phi, B) for phi in auts)
     kept = [op for op in ops if op != moved]
     with pytest.raises(RuntimeError, match="out of the list"):
-        rb_group._orbit_verdicts(D8, power_star(D8, 1), kept, 1, auts)
+        rb_group._orbit_verdicts(D8, kept, 1, auts)
 
 
 def test_weight_one_lists_are_closed_under_the_twisted_inverse():
@@ -630,29 +629,28 @@ def test_gathered_tables_decide_the_group_axioms():
 
 
 def test_each_power_table_is_built_once_per_group(monkeypatch, capsys):
+    # weight 1 is G's own table; any other weight is built by the call that
+    # reads it
     S3 = GroupTable.symmetric(3)
     S3xS3, F21 = GroupTable.direct_product(S3, S3), GroupTable.metacyclic(7, 3, 2)
-    built = counting(monkeypatch, rb_group, "_lambda_root")
-    for G, weights in ((S3xS3, (-1, 5)), (F21, (-1, 2, 5))):
+    for G in (S3xS3, F21):
         assert rb_group._power_table(G, 1) is G.table
-        for lam in weights:
-            assert rb_group._power_table(G, lam) is rb_group._power_table(G, lam)
         # -1 is the formula at mu = -1: the transpose
         assert rb_group._power_table(G, -1) == tuple(zip(*G.table))
-        assert sorted(G._powers) == sorted({1, *weights})
-    assert len(built) == 5
-    for _ in range(2):  # a weight with no root is refused each time and never kept
-        with pytest.raises(ValueError, match="not invertible"):
-            rb_group._power_table(S3xS3, 2)
-    assert 2 not in S3xS3._powers
-    # G pickles with its tables, so a copy of it keeps every power table
-    assert pickle.loads(pickle.dumps(F21))._powers == F21._powers
+    with pytest.raises(ValueError, match="not invertible"):
+        rb_group._power_table(S3xS3, 2)
 
-    # enum-rb: the early weight check, the search and the star read one table
-    built.clear()
-    assert cli.main(["enum-rb", "--group", str(FIXTURES / "f21.json"), "--weight", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["count"] > 0
-    assert len(built) == 1
+    # enum-rb builds one table, its star's, at a weight other than 1 and
+    # none at weight 1; check-group-rb builds one for the identity
+    calls = counting(monkeypatch, rb_group, "_power_table")
+    f21, s3 = str(FIXTURES / "f21.json"), str(FIXTURES / "s3.json")
+    runs = [(["enum-rb", "--group", f21, "--weight", "2"], 1), (["enum-rb", "--group", f21], 0),
+            (["check-group-rb", "--group", s3, "--weight=-1", "--map", "0,3,4,3,4,0"], 1)]
+    for argv, built in runs:
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)
+        assert len([lam for _, lam in calls if lam != 1]) == built, argv
 
 
 def test_descendent_groups_are_built_once_by_one_builder(monkeypatch):
@@ -675,8 +673,6 @@ def test_descendent_groups_are_built_once_by_one_builder(monkeypatch):
             group, _ = call(B)
             assert len(builds) == 1 and list(map(tuple, tables)) == [group.table], (weight, B)
             assert shaped == []
-            # a circle group keeps only its own table among the power tables
-            assert group._powers == {1: group.table}
 
 
 def test_circ_from_rrb_keeps_the_star_facts_on_the_group(monkeypatch):
@@ -723,8 +719,9 @@ def test_groups_of_different_orders_are_an_input_error():
 
 def test_circle_group_at_weight_one_is_the_derived_group():
     # enum-rb reads the derived group of a weight-1 operator as its circle
-    # group over the star G itself; derived_group builds it on its own path
-    # and decides that B is again Rota-Baxter on it
+    # group over the star G itself: circ_from_rrb forms B's rows on the star
+    # and derived_group on G, both build through _descendent_group, and
+    # derived_group also decides that B is again Rota-Baxter on it
     S3 = GroupTable.symmetric(3)
     groups = [S3, GroupTable.metacyclic(4, 2, 3),
               GroupTable.direct_product(GroupTable.cyclic(4), GroupTable.cyclic(2))]
@@ -1347,14 +1344,16 @@ def test_every_invertible_weight_matches_the_search_at_that_weight():
 def test_serial_search_checks_each_decided_pair_once():
     # assignments, forced ones included, at weight 1: each pair of a decided
     # element and an assigned one is checked or forced in one place, and each
-    # branch tries one value per orbit of its automorphisms and no value its
-    # own square refutes.  Trying every value took 67,425 and 191,479
-    # assignments; a second pass over the row of each decision as well took
-    # 98,661 and 501,097
+    # branch tries one value per orbit of its automorphisms and no value v
+    # whose square x o_v x is assigned an image other than v v.  Trying every
+    # value took 67,425 and 191,479 assignments; a second pass over the row
+    # of each decision as well took 98,661 and 501,097; also dropping each v
+    # with x o_v x = a o x for a decided a with B(a) != v took 26,407 and
+    # 98,545
     S3 = GroupTable.symmetric(3)
-    for G, count in ((GroupTable.direct_product(S3, S3), 26_407),
+    for G, count in ((GroupTable.direct_product(S3, S3), 29_343),
                      (GroupTable.direct_product(GroupTable.cyclic(2), GroupTable.symmetric(4)),
-                      98_545)):
+                      99_025)):
         assert rb_group._search_partition(G, [(G.e, G.e)], DEFAULT_CAP)[1] == count
 
 

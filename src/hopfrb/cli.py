@@ -166,14 +166,14 @@ def cmd_check_lie(args) -> int:
 def cmd_check_group_rb(args) -> int:
     G = group_from_json(_load_json(args.group))
     if args.map is not None:
-        B = tuple(int(x.strip()) for x in args.map.split(","))
+        name, file_weight, B = "", None, tuple(int(x.strip()) for x in args.map.split(","))
     elif args.operator is not None:
-        _, w, B = operator_from_json(_load_json(args.operator))
-        if args.weight is None:
-            args.weight = w
+        name, file_weight, B = operator_from_json(_load_json(args.operator))
     else:
         raise ValueError("one of --map or --operator is required")
-    weight = 1 if args.weight is None else args.weight
+    if name and G.name and name != G.name:
+        raise ValueError(f"the operator file is for group {name!r}, the group file is {G.name!r}")
+    weight = next(w for w in (args.weight, file_weight, 1) if w is not None)
     return _report_exit(args, _group_rb_report(G, B, weight),
                         {"group": G.name, "order": G.n, "weight": weight})
 

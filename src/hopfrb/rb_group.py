@@ -26,7 +26,8 @@ axioms go a table at a time, one comparison for its inverses and one per
 middle in gens; a table that fails them is decided case by case for its
 report.  GroupAction.check and the lemma parts go case by case.
 
-enum-rb decides its statuses once per Aut(G)-orbit (_orbit_verdicts).  An
+enum-rb decides its statuses once per Aut(G)-orbit, on its first operator,
+and copies them to the orbit, pass or fail (_orbit_verdicts).  An
 automorphism phi of (G, .) commutes with powers and conjugation, so it is
 one of each power star, B' = phi B phi^-1 is an operator of B's weight, and
 phi carries B's circle group, skew braces and lemma parts (identities in the
@@ -158,7 +159,8 @@ class GroupTable:
     and raises ValueError if one fails.  A group passes on whole-table
     comparisons; any other table is decided again case by case, so its
     witness and count are check_group's.  _conj, the conjugation rows, and
-    _stars, circ_from_rrb's facts per star, fill lazily.
+    _stars, circ_from_rrb's facts per star whose table is not G's own (a
+    star with G's table needs none; see _circle), fill lazily.
     """
 
     __slots__ = ("n", "table", "e", "inv", "name", "axioms", "gens", "_conj", "_stars")
@@ -697,7 +699,8 @@ def circ_from_rrb(G: GroupTable, star: GroupTable, B) -> tuple[GroupTable, Verif
     Verifies: circ is a group; (G, *, circ) is a skew brace; and when
     (G, ., *) is itself a skew brace, so is (G, ., circ).  The facts
     check_star_compat(G, star) and, when it passes, skew_brace_check(G, star)
-    are decided on the first call with star and kept on G.
+    are decided on the first call with star and kept on G, unless star has
+    G's own table, where they hold (see _circle).
     """
     B = _validate_map(G, B)
     _same_order(G, star)
@@ -710,14 +713,21 @@ def circ_from_rrb(G: GroupTable, star: GroupTable, B) -> tuple[GroupTable, Verif
 
 
 def _circle(G: GroupTable, star: GroupTable, rows) -> tuple[GroupTable, VerificationReport]:
-    """circ_from_rrb on the rows of B's star identity, known to hold; at
-    weight 1 the two braces are one identity, so one report stands for both."""
-    if star not in G._stars:
-        pre = check_star_compat(G, star)
-        G._stars[star] = pre, skew_brace_check(G, star) if pre.ok else None
-    pre, dot_star_brace = G._stars[star]
-    if not pre.ok:
-        raise ValueError(f"star precondition fails: {pre.identity} witness {pre.witness}")
+    """circ_from_rrb on the rows of B's star identity, known to hold.
+
+    A star whose table is not G's has its facts, check_star_compat(G, star)
+    and then skew_brace_check(G, star), decided once and kept in G._stars.
+    A star with G's table needs none: it shares G's unit, conjugation by g
+    is an automorphism of G, and (G, ., .) is the trivial skew brace, as
+    a(bc) = (ab)a^-1(ac).  There the two braces (G, *, circ) and
+    (G, ., circ) are one identity, so one report stands for both."""
+    if star.table != G.table:
+        if star not in G._stars:
+            pre = check_star_compat(G, star)
+            G._stars[star] = pre, skew_brace_check(G, star) if pre.ok else None
+        pre, dot_star_brace = G._stars[star]
+        if not pre.ok:
+            raise ValueError(f"star precondition fails: {pre.identity} witness {pre.witness}")
     circ = _descendent_group(G, rows)
     parts = {"circ_group": circ.axioms,
              "star_circ_brace": skew_brace_check(star, circ)}
@@ -740,30 +750,25 @@ def _conjugators(auts, n: int) -> list:
 def _orbit_verdicts(G: GroupTable, ops: list, weight: int, auts: list) -> list[dict]:
     """enum-rb's statuses of each operator in ops, the search's full list at
     weight: decided on the first operator of each orbit of auts, which is
-    Aut(G), and copied to the orbit when all pass, else decided on each
-    member (see the module docstring); RuntimeError if an orbit leaves ops."""
-    star = power_star(G, weight)
+    Aut(G), and copied to every member of that orbit, pass or fail (see the
+    module docstring); RuntimeError if an orbit leaves ops.  The star is G
+    itself at weight 1, so _circle decides no star facts there."""
+    star = G if weight == 1 else power_star(G, weight)
     row = _relative_rows(star.table, G._conj)  # B's circle rows, on the star
-
-    def decide(B):
-        _, rep = _circle(G, star, [row(g, v) for g, v in enumerate(B)])
-        out = {"skew_brace": rep.status, "derived_group": rep.details["circ_group"]["status"]}
-        if weight == 1:  # the search has decided the identity
-            out["lemma"] = _lemma_parts(G, B).status
-        return out
-
     moves = _conjugators(auts, G.n)
     index, verdicts = {B: i for i, B in enumerate(ops)}, [None] * len(ops)
     for i, B in enumerate(ops):
         if verdicts[i] is None:
-            verdicts[i] = first = decide(B)
-            passed = all(status == "pass" for status in first.values())
+            _, rep = _circle(G, star, [row(g, v) for g, v in enumerate(B)])
+            first = {"skew_brace": rep.status,
+                     "derived_group": rep.details["circ_group"]["status"]}
+            if weight == 1:  # the search has decided the identity
+                first["lemma"] = _lemma_parts(G, B).status
             for get_inv, phi in moves:
                 j = index.get(_gather(get_inv(B))(phi))
                 if j is None:
                     raise RuntimeError(f"an automorphism of {G!r} moves {B} out of the list")
-                if verdicts[j] is None:
-                    verdicts[j] = first if passed else decide(ops[j])
+                verdicts[j] = first
     return verdicts
 
 

@@ -279,6 +279,26 @@ def test_check_group_rb_operator_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_an_operator_file_must_name_the_group_it_is_checked_on(tmp_path, capsys):
+    # Z2's zero map read on Z3's table would be a different operator; a
+    # file or a group with no name is checked as before
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"group": "Z2", "weight": 1, "map": [0, 0, 0]}))
+    err = expect_input_error(capsys, "check-group-rb", "--group", str(FIXTURES / "z3.json"),
+                             "--operator", str(op))
+    assert err == "error: the operator file is for group 'Z2', the group file is 'Z3'\n"
+    unnamed = tmp_path / "z3.json"
+    unnamed.write_text(json.dumps({"table": [[(a + b) % 3 for b in range(3)]
+                                             for a in range(3)]}))
+    for group, name in ((FIXTURES / "z3.json", ""), (unnamed, "Z2")):
+        op.write_text(json.dumps({"group": name, "weight": -1, "map": [0, 0, 0]}))
+        # the weight comes from --weight, then from the file, then 1
+        for flag, weight in (([], -1), (["--weight", "1"], 1)):
+            code, payload = run(capsys, "check-group-rb", "--group", str(group),
+                                "--operator", str(op), *flag)
+            assert (code, payload["weight"]) == (0, weight), (group, name, flag)
+
+
 def test_tsv_formats(capsys):
     code = main(["enum-rb", "--group", str(FIXTURES / "z2.json"),
                  "--format", "tsv"])

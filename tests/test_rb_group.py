@@ -368,10 +368,11 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
     # decided when power_star built it
     assert len(decided) == 2
 
-    # enum-rb, one path at every weight: the star, its precondition and the
-    # brace (G, ., *) once per command, then one circle table per orbit of
-    # Aut(G) on the operators, decided on its first operator; at weight 1 the
-    # star has G's table, so the two braces are one
+    # enum-rb, one path at every weight: at weight -1 the star, its
+    # precondition and the brace (G, ., *) once per command; at weight 1 the
+    # star is G itself, with no star facts, and the two braces are one.  Then
+    # one circle table per orbit of Aut(G) on the operators, decided on its
+    # first operator
     calls = {"group_from_json": [], "power_star": [], "check_star_compat": [],
              "skew_brace_check": [], "derived_group": []}
 
@@ -398,24 +399,25 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
         assert cli.main(["enum-rb", "--group", str(FIXTURES / "s3.json"), *extra]) == 0
         return json.loads(capsys.readouterr().out)["operators"]
 
-    for weight, braces in ((1, 1), (-1, 2)):
+    for weight, stars, braces in ((1, 0, 1), (-1, 1, 2)):
         operators = enum_rb(f"--weight={weight}")
         assert len(operators) == 8
         keys = ("skew_brace", "derived_group") + (("lemma",) if weight == 1 else ())
         assert all(row[key] == "pass" for row in operators for key in keys)
         [(_, G)] = calls["group_from_json"]
-        [(_, star)] = calls["power_star"]
+        assert len(calls["power_star"]) == stars
+        star = calls["power_star"][0][1] if stars else G
         maps = [tuple(row["map"]) for row in operators]
         orbits = len(orbit_representatives(maps, helpers.automorphisms(G)))
         assert orbits == 4
-        assert [args for args, _ in calls["check_star_compat"]] == [(G, star)]
+        assert [args for args, _ in calls["check_star_compat"]] == [(G, star)] * stars
         brace_args = [args for args, _ in calls["skew_brace_check"]]
-        assert sum(args[0] is G and args[1] is star for args in brace_args) == 1
-        assert len(brace_args) == 1 + braces * orbits
+        assert sum(args[0] is G and args[1] is star for args in brace_args) == stars
+        assert len(brace_args) == stars + braces * orbits
         assert calls["derived_group"] == []
-        # the group read from the file and the star, then one circle table
-        # per orbit
-        assert len(decided) == 2 + orbits
+        # the group read from the file and the star at weight -1, then one
+        # circle table per orbit
+        assert len(decided) == 1 + stars + orbits
         # the search, the star facts, the circle tables and the lemmas all
         # read G's own conjugation rows
         assert built and all(rows is G._conj for rows in built)
@@ -446,8 +448,9 @@ def test_commands_decide_the_weight_one_identity_once_per_operator(monkeypatch, 
 def test_enum_rb_builds_each_circle_table_once_from_the_search_rows(monkeypatch, capsys):
     # at weights 1, -1 and 2: no relative identity after the search, the
     # shape check of the group file only, and the axioms of the group, its
-    # star and then one circle table per Aut(G)-orbit, circ_from_rrb's table
-    # of its first operator
+    # star unless the weight is 1 (the star is G itself), and then one
+    # circle table per Aut(G)-orbit, circ_from_rrb's table of its first
+    # operator
     identities = counting(monkeypatch, rb_group, "_relative_identity")
     shapes = counting(monkeypatch, rb_group, "_int_rows")
     decided = []
@@ -467,8 +470,9 @@ def test_enum_rb_builds_each_circle_table_once_from_the_search_rows(monkeypatch,
         star = power_star(G, weight)
         firsts = orbit_representatives(operators, automorphisms(G))
         assert len(firsts) == {"s3": 4, "f21": 6}[name]
-        assert tables == [G.table, star.table] + [circ_from_rrb(G, star, B)[0].table
-                                                  for B in firsts]
+        stars = [star.table] if weight != 1 else []
+        assert tables == [G.table, *stars] + [circ_from_rrb(G, star, B)[0].table
+                                              for B in firsts]
 
 
 def group_file(tmp_path, G: GroupTable) -> str:
@@ -521,44 +525,42 @@ def test_enum_rb_builds_one_circle_group_per_orbit(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("weight, key", [(1, "lemma"), (-1, "skew_brace")])
-def test_a_failing_orbit_is_decided_member_by_member(tmp_path, monkeypatch, capsys,
-                                                     weight, key):
-    # a check made to fail on the first operator of an orbit and on one more
-    # member: no status is copied in that orbit, each of its members is
-    # decided itself, and the output shows exactly the two failures.  F21
+def test_a_failing_orbit_copies_the_statuses_of_its_first_operator(tmp_path, monkeypatch,
+                                                                   capsys, weight, key):
+    # a check made to fail on the first operator of an orbit fails every
+    # member of that orbit and no other operator: each orbit is decided once,
+    # on its first operator, and its statuses are copied pass or fail.  F21
     # has a trivial centre, so each operator has a circle table of its own.
     F21 = GroupTable.metacyclic(7, 3, 2)
     ops, auts = enumerate_rb(F21, weight), automorphisms(F21)
     firsts = orbit_representatives(ops, auts)
-    orbits = {B: {moved_operator(phi, B) for phi in auts} for B in firsts}
-    first = next(B for B in firsts if len(orbits[B]) > 2)
-    failing = {first, max(orbits[first])}
-    row = rb_group._relative_rows(power_star(F21, weight).table, F21._conj)
+    first = next(B for B in firsts if len({moved_operator(phi, B) for phi in auts}) > 2)
+    orbit = {moved_operator(phi, first) for phi in auts}
+    row = rb_group._relative_rows(rb_group._power_table(F21, weight), F21._conj)
     operator_at = {tuple(row(g, v) for g, v in enumerate(B)): B for B in ops}
     assert len(operator_at) == len(ops)
     circle, lemma = rb_group._circle, rb_group._lemma_parts
     broken = first_failure(key, [((0,), 1, 0)])
-    decided = []
+    circles, lemmas = [], []
 
     def failing_circle(G, star, rows):
         B = operator_at[tuple(rows)]
-        decided.append(B)
+        circles.append(B)
         circ, rep = circle(G, star, rows)
-        if key == "skew_brace" and B in failing:
+        if key == "skew_brace" and B == first:
             rep = merge_reports({"circ_group": circ.axioms, "star_circ_brace": broken})
         return circ, rep
 
     monkeypatch.setattr(rb_group, "_circle", failing_circle)
     monkeypatch.setattr(rb_group, "_lemma_parts",
-                        lambda G, B: broken if B in failing else lemma(G, B))
+                        lambda G, B: lemmas.append(B) or (broken if B == first else lemma(G, B)))
     rows = enum_rb_rows(group_file(tmp_path, F21), weight, capsys)
     assert [tuple(row["map"]) for row in rows] == ops
-    assert [tuple(row["map"]) for row in rows if row[key] == "fail"] == sorted(failing)
+    assert {tuple(row["map"]) for row in rows if row[key] == "fail"} == orbit
     assert all(status == "pass" for row in rows for k, status in statuses(row).items()
                if k != key)
-    # once each: every member of that orbit, and the first operator of the others
-    assert len(decided) == len(set(decided))
-    assert set(decided) == set(firsts) | orbits[first]
+    # one call per orbit, on its first operator
+    assert circles == firsts and lemmas == (firsts if weight == 1 else [])
 
 
 def test_an_operator_missing_from_its_orbit_is_an_error():
@@ -681,19 +683,25 @@ def test_circ_from_rrb_keeps_the_star_facts_on_the_group(monkeypatch):
     compat = rb_group.check_star_compat
     monkeypatch.setattr(rb_group, "check_star_compat",
                         lambda G, star: decided.append(star) or compat(G, star))
-    star = power_star(D8, 1)
-    operators = enumerate_rb(D8, 1)[:10]
-    assert len(operators) == 10
-    for B in operators:
-        _, rep = circ_from_rrb(D8, star, B)
+    # a star with G's own table needs no facts, and its two braces are one
+    for B in enumerate_rb(D8, 1)[:3]:
+        _, rep = circ_from_rrb(D8, power_star(D8, 1), B)
         assert rep.ok
         assert rep.details["dot_circ_brace"] == rep.details["star_circ_brace"]
-    assert decided == [star]
-    # a second star on the same group gets facts of its own
-    opposite = power_star(D8, -1)
-    for B in enumerate_rb(D8, -1)[:3]:
-        assert circ_from_rrb(D8, opposite, B)[1].ok
-    assert decided == [star, opposite]
+    assert decided == [] and D8._stars == {}
+    # any other star's facts are decided on its first call and kept on G
+    star = power_star(D8, -1)
+    operators = enumerate_rb(D8, -1)[:10]
+    assert len(operators) == 10
+    for B in operators:
+        assert circ_from_rrb(D8, star, B)[1].ok
+    assert decided == [star] and list(D8._stars) == [star]
+    # a second star on the same group gets facts of its own, here the star
+    # of weight 3, which is -1 modulo exp(D8) = 4
+    other = power_star(D8, 3)
+    for B in enumerate_rb(D8, 3)[:3]:
+        assert circ_from_rrb(D8, other, B)[1].ok
+    assert decided == [star, other]
     # a star that fails the precondition fails the same way on every call
     S3, Z6 = GroupTable.symmetric(3), GroupTable.cyclic(6)
     messages = []
@@ -1082,9 +1090,19 @@ def test_transport_group():
 
 def test_power_star():
     F21 = GroupTable.metacyclic(7, 3, 2)
-    star = power_star(F21, 2)
-    rep = check_star_compat(F21, star)
-    assert rep.ok
+    S3, S4, Z2 = GroupTable.symmetric(3), GroupTable.symmetric(4), GroupTable.cyclic(2)
+    # every power star shares G's unit and is compatible with conjugation
+    for G in (S3, GroupTable.metacyclic(4, 2, 3), F21, S4,
+              GroupTable.direct_product(GroupTable.cyclic(4), Z2),
+              GroupTable.direct_product(S3, Z2)):
+        ex = G.exponent()
+        for lam in range(-ex, ex + 1):
+            if math.gcd(lam, ex) == 1:
+                assert check_star_compat(G, power_star(G, lam)).ok, (G, lam)
+    # (G, ., *) need not be a skew brace, so circ_from_rrb can skip
+    # dot_circ_brace
+    for G, lam, ok in ((F21, 2, False), (S4, 5, False), (S4, 11, True)):
+        assert skew_brace_check(G, power_star(G, lam)).ok is ok, (G, lam)
     # lambda = 1 reproduces the group itself
     assert power_star(F21, 1).table == F21.table
     with pytest.raises(ValueError):

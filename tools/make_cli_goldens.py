@@ -3,8 +3,8 @@
 Each file holds the exact standard output of one command: check-group-rb on
 a passing operator and on a near miss of it (one image changed) at weights 1
 and -1 on S3 and D8 and weight 2 on F21, and enum-rb on S3 (weight 1), D8
-(weights 1 and -1), F21 (weight 2), Z2^3 and Z4xZ2 (weight 1) and S3xZ2
-(weight -1), verify on h4 over
+(weights 1 and -1), F21 (weight 2), Z2^3 (weight 1), Z4xZ2 (weights 1 and
+-1) and S3xZ2 (weight -1), verify on h4 over
 Q, the Taft algebra m = 3 over Q(z3), the group algebra of S3 and a family
 whose hypotheses fail (m = 3, zeta = z3, l = 2), and check-rrb on the h4
 exact-factorization fixture (with and without --full) and on a copy whose
@@ -60,6 +60,7 @@ CASES = {
     "enum-rb-F21-w2.json": ("F21", ["enum-rb", "--weight", "2"], 0),
     "enum-rb-Z2xZ2xZ2-w1.json": ("Z2^3", ["enum-rb"], 0),
     "enum-rb-Z4xZ2-w1.json": ("Z4xZ2", ["enum-rb"], 0),
+    "enum-rb-Z4xZ2-w-1.json": ("Z4xZ2", ["enum-rb", "--weight=-1"], 0),
     "enum-rb-S3xZ2-w-1.json": ("S3xZ2", ["enum-rb", "--weight=-1"], 0),
     "verify-h4-Q.json": (None, ["verify", "--construction", "h4", "--field", "Q"], 0),
     "verify-taft3-Qz3.json": (None, ["verify", "--construction", "taft", "--m", "3",

@@ -159,8 +159,8 @@ class GroupTable:
     and raises ValueError if one fails.  A group passes on whole-table
     comparisons; any other table is decided again case by case, so its
     witness and count are check_group's.  _conj, the conjugation rows, and
-    _stars, circ_from_rrb's facts per star whose table is not G's own (a
-    star with G's table needs none; see _circle), fill lazily.
+    _stars, circ_from_rrb's facts keyed by each star table other than G's
+    own (a star with G's table needs none; see _circle), fill lazily.
     """
 
     __slots__ = ("n", "table", "e", "inv", "name", "axioms", "gens", "_conj", "_stars")
@@ -226,8 +226,7 @@ class GroupTable:
         self.inv, self.axioms = tuple(inv), axioms
         if not axioms.ok:
             raise _NotAGroup(axioms)
-        t = self.table
-        self._conj, self._stars = _ConjugationRows(t, self.inv), {}
+        self._conj, self._stars = _ConjugationRows(self.table, self.inv), {}
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -622,8 +621,11 @@ def _power_table(G: GroupTable, lam: int) -> tuple:
 
 
 def power_star(G: GroupTable, lam: int) -> GroupTable:
-    """g*h = (g^lam h^lam)^mu, the lambda-transported operation."""
-    return GroupTable._gathered(_power_table(G, lam))
+    """g*h = (g^lam h^lam)^mu, the lambda-transported operation: G itself
+    where that is G's own table (lam = 1 modulo exp(G), or any lam on an
+    abelian group), so that no second group is built or decided."""
+    table = _power_table(G, lam)
+    return G if table == G.table else GroupTable._gathered(table)
 
 
 def _same_order(G: GroupTable, H: GroupTable) -> None:
@@ -699,8 +701,8 @@ def circ_from_rrb(G: GroupTable, star: GroupTable, B) -> tuple[GroupTable, Verif
     Verifies: circ is a group; (G, *, circ) is a skew brace; and when
     (G, ., *) is itself a skew brace, so is (G, ., circ).  The facts
     check_star_compat(G, star) and, when it passes, skew_brace_check(G, star)
-    are decided on the first call with star and kept on G, unless star has
-    G's own table, where they hold (see _circle).
+    are decided on the first call with a star of that table and kept on G,
+    unless star has G's own table, where they hold (see _circle).
     """
     B = _validate_map(G, B)
     _same_order(G, star)
@@ -716,16 +718,17 @@ def _circle(G: GroupTable, star: GroupTable, rows) -> tuple[GroupTable, Verifica
     """circ_from_rrb on the rows of B's star identity, known to hold.
 
     A star whose table is not G's has its facts, check_star_compat(G, star)
-    and then skew_brace_check(G, star), decided once and kept in G._stars.
+    and then skew_brace_check(G, star), decided once per star table and
+    kept in G._stars under that table.
     A star with G's table needs none: it shares G's unit, conjugation by g
     is an automorphism of G, and (G, ., .) is the trivial skew brace, as
     a(bc) = (ab)a^-1(ac).  There the two braces (G, *, circ) and
     (G, ., circ) are one identity, so one report stands for both."""
     if star.table != G.table:
-        if star not in G._stars:
+        if star.table not in G._stars:
             pre = check_star_compat(G, star)
-            G._stars[star] = pre, skew_brace_check(G, star) if pre.ok else None
-        pre, dot_star_brace = G._stars[star]
+            G._stars[star.table] = pre, skew_brace_check(G, star) if pre.ok else None
+        pre, dot_star_brace = G._stars[star.table]
         if not pre.ok:
             raise ValueError(f"star precondition fails: {pre.identity} witness {pre.witness}")
     circ = _descendent_group(G, rows)
@@ -751,9 +754,10 @@ def _orbit_verdicts(G: GroupTable, ops: list, weight: int, auts: list) -> list[d
     """enum-rb's statuses of each operator in ops, the search's full list at
     weight: decided on the first operator of each orbit of auts, which is
     Aut(G), and copied to every member of that orbit, pass or fail (see the
-    module docstring); RuntimeError if an orbit leaves ops.  The star is G
-    itself at weight 1, so _circle decides no star facts there."""
-    star = G if weight == 1 else power_star(G, weight)
+    module docstring); RuntimeError if an orbit leaves ops.  The star is
+    power_star's, G itself where the weight's table is G's, so _circle
+    decides no star facts there."""
+    star = power_star(G, weight)
     row = _relative_rows(star.table, G._conj)  # B's circle rows, on the star
     moves = _conjugators(auts, G.n)
     index, verdicts = {B: i for i, B in enumerate(ops)}, [None] * len(ops)
@@ -784,25 +788,32 @@ def _search_partition(G: GroupTable, seeds, cap: int, auts=None):
     included (moving hits assigns nothing). Write a o s = a Psi_{B(a)}(s)
     for Psi conjugation, so that the identity reads B(a o s) = B(a)B(s); it
     forces an image whenever a and s are assigned, so the tree collapses
-    quickly, and candidates with B(e) != e never appear.  The identity is checked only at pairs (a, s) with a in the
-    set A of decided elements (the seeds and the branch choices): by
-    assign's column pass when s is assigned from the decision of a on, and
-    by the leaf pass, at a leaf, when s was assigned before it.
+    quickly, and candidates with B(e) != e never appear.  The identity is
+    checked only at pairs (a, s) with a in the set A of decided elements
+    (the seeds and the branch choices), by assign's column pass, for each s
+    assigned from the decision of a on.
 
-    Lemma: let S be closed under a o . for every a in A, with
-    B(a o s) = B(a)B(s) for a in A and s in S.  Then S is closed under o
-    and the identity holds on all of S x S.  Proof: let T be the x in S
-    whose whole row holds on S; A lies in T.  Every other element of S was
-    forced as a o s, with a in A and s assigned earlier.  Psi_{B(a)} is an
-    automorphism and Psi a homomorphism, so (a o s) o y = a o (s o y),
-    and B((a o s) o y) = B(a)B(s)B(y) = B(a o s)B(y); induction on the
-    order of assignment gives S in T.  Every check is an instance of the
-    identity, so no operator with the seeded images is pruned and each
-    image forced on its path is its own; at a leaf the two passes have
-    checked A x G, so the lemma with S = G makes it an operator.  So the
-    hits are exactly those operators, as each branch decides the least
-    unassigned element x at its images in order, less the two cuts below;
-    they are sorted once at the end.
+    Invariant: after each assign that succeeds, the assigned points
+    (x, B(x)) form the subgroup that the decided points generate in
+    M = G x| G, (a, u)(s, w) = (a u s u^-1, u w).  The identity at (a, s)
+    says that (a, B(a))(s, B(s)) is the graph's point at a o s, so B is an
+    operator iff its graph is a subgroup of M.  Proof, by induction: let P
+    be the points assigned before the decision t = (x, v).  The pass adds
+    the least set N with t in N, dN in N for each earlier decided d (so
+    PN in N) and tN in N u P, and compares the points that land in P; with
+    P empty, N = <t>.  Then P u N = <P, t> = L (README): N is a union of
+    cosets Py, those that Pt reaches without passing P in the digraph on the
+    cosets Py in L with arcs Py -> Ptky, k in P.  Right multiplication by L
+    makes it vertex-transitive, t not in P loopless, and <tP> = L strongly
+    connected.  With out-degree 1 it is one cycle; otherwise it has no cut
+    vertex (Hamidoune's atoms: the images of a least fragment partition the
+    vertices, which forces out-degree 1), so Pt reaches every coset but P.
+    So the graph at a leaf is a subgroup, an operator.  Every check is an
+    instance of the identity, so no operator with the seeded images is
+    pruned and each image forced on its path is its own.  So the hits are
+    exactly those operators, as each branch decides the least unassigned
+    element x at its images in order, less the two cuts below; they are
+    sorted once at the end.
 
     Square cut: x is not tried at a value v whose square refutes it, that
     is, x o_v x is assigned with an image other than v v.  An operator
@@ -834,7 +845,7 @@ def _search_partition(G: GroupTable, seeds, cap: int, auts=None):
     arg = [[row(g, v) for v in range(n)] for g in range(n)]
     img = [-1] * n
     order: list[int] = []
-    rows: list[tuple] = []  # (arg[a][B(a)], t[B(a)], len(order) before a) per decided a
+    rows: list[tuple] = []  # (arg[a][B(a)], t[B(a)]) per decided a
     count = 0
 
     def assign(x: int, v: int) -> bool:
@@ -848,11 +859,11 @@ def _search_partition(G: GroupTable, seeds, cap: int, auts=None):
         img[x] = v
         qi = len(order)
         order.append(x)
-        rows.append((arg[x][v], t[v], qi))
+        rows.append((arg[x][v], t[v]))
         while qi < len(order):
             s = order[qi]
             vs = img[s]
-            for arg_a, ta, _ in rows:
+            for arg_a, ta in rows:
                 k, rhs = arg_a[s], ta[vs]
                 cur = img[k]
                 if cur == -1:
@@ -905,8 +916,7 @@ def _search_partition(G: GroupTable, seeds, cap: int, auts=None):
         if -1 in img:
             x = img.index(-1)
             stack.append([x, branches(x, K), len(order), len(rows), (), 0])
-        # the leaf pass: each decided row at the elements assigned before it
-        elif all(img[arg_a[s]] == ta[img[s]] for arg_a, ta, mark in rows for s in order[:mark]):
+        else:
             hits.append(tuple(img))
 
     descend(K)
@@ -940,8 +950,7 @@ def enumerate_rb(G: GroupTable, weight: int, cap: int = DEFAULT_CAP) -> list[tup
 def _enumerate(G: GroupTable, weight: int, cap: int, auts=None) -> tuple[list[tuple], int]:
     """enumerate_rb's operators and the weight-1 search's assignment count,
     with auts as Aut(G) (computed when None)."""
-    if weight != 1:
-        _lambda_root(G, weight)  # raises early on a bad weight
+    _lambda_root(G, weight)  # raises early on a bad weight
     if cap < 0:
         raise ValueError(f"cap must be at least 0, not {cap}")
     hits, count = _search_partition(G, [(G.e, G.e)], cap, auts)

@@ -355,7 +355,7 @@ def test_int_rows_errors_keep_their_precedence():
         assert error(lambda: rb_group._validate_map(Z1, B)) == message, B
 
 
-def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
+def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys, tmp_path):
     S3 = GroupTable.symmetric(3)
     star = power_star(S3, 1)
     decided = []  # the table of each group whose axioms are decided
@@ -368,11 +368,12 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
     # decided when power_star built it
     assert len(decided) == 2
 
-    # enum-rb, one path at every weight: at weight -1 the star, its
-    # precondition and the brace (G, ., *) once per command; at weight 1 the
-    # star is G itself, with no star facts, and the two braces are one.  Then
-    # one circle table per orbit of Aut(G) on the operators, decided on its
-    # first operator
+    # enum-rb, one path at every weight: power_star builds a star, decides
+    # its precondition and the brace (G, ., *) once per command where the
+    # weight's table is not G's, as at -1 on S3; where it is G's, at weight
+    # 1 and at -1 on the abelian Z4xZ2, the star is G itself, with no star
+    # facts, and the two braces are one.  Then one circle table per orbit of
+    # Aut(G) on the operators, decided on its first operator
     calls = {"group_from_json": [], "power_star": [], "check_star_compat": [],
              "skew_brace_check": [], "derived_group": []}
 
@@ -393,29 +394,33 @@ def test_circ_and_derived_group_decide_each_table_once(monkeypatch, capsys):
     monkeypatch.setattr(rb_group._ConjugationRows, "__missing__",
                         lambda rows, v: built.append(rows) or missing(rows, v))
 
-    def enum_rb(*extra):
+    def enum_rb(path, *extra):
         for log in (*calls.values(), decided, built):
             log.clear()
-        assert cli.main(["enum-rb", "--group", str(FIXTURES / "s3.json"), *extra]) == 0
+        assert cli.main(["enum-rb", "--group", str(path), *extra]) == 0
         return json.loads(capsys.readouterr().out)["operators"]
 
-    for weight, stars, braces in ((1, 0, 1), (-1, 1, 2)):
-        operators = enum_rb(f"--weight={weight}")
-        assert len(operators) == 8
+    s3, z4xz2 = FIXTURES / "s3.json", tmp_path / "z4xz2.json"
+    Z4xZ2 = GroupTable.direct_product(GroupTable.cyclic(4), GroupTable.cyclic(2))
+    z4xz2.write_text(json.dumps(Z4xZ2.to_json()))
+    for path, weight, stars, braces, count, want in ((s3, 1, 0, 1, 8, 4), (s3, -1, 1, 2, 8, 4),
+                                                     (z4xz2, -1, 0, 1, 32, 14)):
+        operators = enum_rb(path, f"--weight={weight}")
+        assert len(operators) == count
         keys = ("skew_brace", "derived_group") + (("lemma",) if weight == 1 else ())
         assert all(row[key] == "pass" for row in operators for key in keys)
         [(_, G)] = calls["group_from_json"]
-        assert len(calls["power_star"]) == stars
-        star = calls["power_star"][0][1] if stars else G
+        [((_, lam), star)] = calls["power_star"]
+        assert lam == weight and (star is not G) == stars
         maps = [tuple(row["map"]) for row in operators]
         orbits = len(orbit_representatives(maps, helpers.automorphisms(G)))
-        assert orbits == 4
+        assert orbits == want
         assert [args for args, _ in calls["check_star_compat"]] == [(G, star)] * stars
         brace_args = [args for args, _ in calls["skew_brace_check"]]
         assert sum(args[0] is G and args[1] is star for args in brace_args) == stars
         assert len(brace_args) == stars + braces * orbits
         assert calls["derived_group"] == []
-        # the group read from the file and the star at weight -1, then one
+        # the group read from the file and the star at -1 on S3, then one
         # circle table per orbit
         assert len(decided) == 1 + stars + orbits
         # the search, the star facts, the circle tables and the lemmas all
@@ -683,33 +688,42 @@ def test_circ_from_rrb_keeps_the_star_facts_on_the_group(monkeypatch):
     compat = rb_group.check_star_compat
     monkeypatch.setattr(rb_group, "check_star_compat",
                         lambda G, star: decided.append(star) or compat(G, star))
-    # a star with G's own table needs no facts, and its two braces are one
-    for B in enumerate_rb(D8, 1)[:3]:
-        _, rep = circ_from_rrb(D8, power_star(D8, 1), B)
-        assert rep.ok
-        assert rep.details["dot_circ_brace"] == rep.details["star_circ_brace"]
+    # a star with G's own table needs no facts, and its two braces are one:
+    # power_star(D8, 1) is D8 itself, and a second group on its table counts
+    # as the same star
+    assert power_star(D8, 1) is D8
+    for star in (D8, GroupTable(D8.table)):
+        for B in enumerate_rb(D8, 1)[:3]:
+            _, rep = circ_from_rrb(D8, star, B)
+            assert rep.ok
+            assert rep.details["dot_circ_brace"] == rep.details["star_circ_brace"]
     assert decided == [] and D8._stars == {}
-    # any other star's facts are decided on its first call and kept on G
-    star = power_star(D8, -1)
-    operators = enumerate_rb(D8, -1)[:10]
-    assert len(operators) == 10
-    for B in operators:
+    # any other star's facts are decided on the first call with its table
+    # and kept on G under that table, however many star objects carry it
+    operators = enumerate_rb(D8, -1)
+    stars = [power_star(D8, -1) for _ in range(50)]
+    for star, B in zip(stars, itertools.cycle(operators)):
         assert circ_from_rrb(D8, star, B)[1].ok
-    assert decided == [star] and list(D8._stars) == [star]
-    # a second star on the same group gets facts of its own, here the star
-    # of weight 3, which is -1 modulo exp(D8) = 4
+    assert decided == [stars[0]] and list(D8._stars) == [stars[0].table]
+    # the star of weight 3, which is -1 modulo exp(D8) = 4, has the same
+    # table and shares those facts
     other = power_star(D8, 3)
+    assert other.table == stars[0].table
     for B in enumerate_rb(D8, 3)[:3]:
         assert circ_from_rrb(D8, other, B)[1].ok
-    assert decided == [star, other]
-    # a star that fails the precondition fails the same way on every call
+    # and so do enum-rb's verdicts, run after run
+    for _ in range(2):
+        rb_group._orbit_verdicts(D8, operators, -1, automorphisms(D8))
+    assert decided == [stars[0]] and len(D8._stars) == 1
+    # a star that fails the precondition is decided once and fails the
+    # same way on every call
     S3, Z6 = GroupTable.symmetric(3), GroupTable.cyclic(6)
     messages = []
     for _ in range(2):
         with pytest.raises(ValueError, match="star precondition fails") as exc:
             circ_from_rrb(S3, Z6, (0,) * 6)
         messages.append(str(exc.value))
-    assert messages[0] == messages[1] and decided[2:] == [Z6]
+    assert messages[0] == messages[1] and decided[1:] == [Z6]
 
 
 def test_groups_of_different_orders_are_an_input_error():
@@ -1294,9 +1308,10 @@ def test_enumeration_rejects_a_negative_cap(capsys):
 
 def test_search_on_decided_rows_finds_what_the_all_pairs_search_finds():
     # the same hits in the same order: serially, in every partition on the
-    # first free image, from seeds that fix part of Aut(G), and from seeds
+    # first free image, from seeds that fix part of Aut(G), from seeds
     # that assign every element (operators and one-image near misses, in
-    # both orders)
+    # both orders), and from seeds without (e, e), so that the first
+    # decision meets no assigned point
     def fixture(name):
         return group_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
 
@@ -1310,7 +1325,7 @@ def test_search_on_decided_rows_finds_what_the_all_pairs_search_finds():
               "Q8": quaternion_table(), "Z4xZ2": GroupTable.direct_product(fixture("z4"), Z2),
               "D8xZ2": GroupTable.direct_product(GroupTable.metacyclic(4, 2, 3), Z2),
               "Z2^4": GroupTable.direct_product(V4, V4)}
-    rng = random.Random(22)
+    rng, free = random.Random(22), random.Random(1)
     for name, G in groups.items():
         first, auts = next(i for i in range(G.n) if i != G.e), automorphisms(G)
         for weight in (1, -1) + ((2, -2) if name == "F21" else ()):
@@ -1334,11 +1349,66 @@ def test_search_on_decided_rows_finds_what_the_all_pairs_search_finds():
                     near = op[:x] + ((op[x] + rng.randrange(1, G.n)) % G.n,) + op[x + 1:]
                     seedings += [order for B in (op, near)
                                  for order in (list(enumerate(B)), list(enumerate(B))[::-1])]
+            if name in ("S3", "D8", "Z4xZ2"):
+                # 1-3 points of an operator off e, 1-3 random points other
+                # than (e, e), and B(e) != e, which no operator has
+                op = free.choice(enumerate_rb(G, weight))
+                points = [(x, v) for x in range(G.n) for v in range(G.n) if (x, v) != (G.e, G.e)]
+                for _ in range(4):
+                    xs = free.sample([x for x in range(G.n) if x != G.e], free.randint(1, 3))
+                    seedings += [[(x, op[x]) for x in xs], free.sample(points, free.randint(1, 3))]
+                moved = [(G.e, next(v for v in range(G.n) if v != G.e))]
+                assert rb_group._search_partition(G, moved, DEFAULT_CAP, auts)[0] == []
+                seedings.append(moved)
             for seeds in seedings:
                 hits, _ = rb_group._search_partition(G, [(p[x], v) for x, v in seeds],
                                                      DEFAULT_CAP, auts)
                 want = all_pairs_search(G, weight, seeds, DEFAULT_CAP)[0]
                 assert sorted(map(relabel, hits)) == want, (name, weight, seeds)
+
+
+def test_the_column_pass_closes_a_subgroup_and_one_point_into_their_subgroup():
+    # the lemma behind _search_partition's single pass (README): for a
+    # subgroup K and a point t outside it, the least set N with t in N,
+    # KN in N and tN in N u K has |K| + |N| = |<K, t>|.  Checked for every
+    # cyclic and 2-generated K and every t outside it; closing N under t
+    # alone is not enough
+    def least(G, K, t, under_k=True):
+        tab, N, todo = G.table, {t}, [t]
+        while todo:
+            y = todo.pop()
+            for z in [tab[t][y]] + ([tab[k][y] for k in K] if under_k else []):
+                if z not in N and z not in K:
+                    N.add(z)
+                    todo.append(z)
+        return N
+
+    def pairs(G):
+        """(K, t, <K, t>) per cyclic or 2-generated K and t outside it."""
+        subgroups = {}
+        for a, b in itertools.combinations_with_replacement(range(G.n), 2):
+            subgroups.setdefault(frozenset(rb_group._closure(G.table, {G.e}, [a, b])), (a, b))
+        for K, gens in subgroups.items():
+            for t in set(range(G.n)) - K:
+                yield K, t, rb_group._closure(G.table, {G.e}, [*gens, t])
+
+    S3, Z2 = GroupTable.symmetric(3), GroupTable.cyclic(2)
+    checked = 0
+    for G in (GroupTable.symmetric(4), GroupTable.metacyclic(7, 3, 2),
+              GroupTable.metacyclic(4, 2, 3), GroupTable.direct_product(S3, Z2),
+              GroupTable.metacyclic(5, 4, 2)):
+        for K, t, L in pairs(G):
+            assert len(K) + len(least(G, K, t)) == len(L), (G, sorted(K), t)
+            checked += 1
+    assert checked == 1132
+    # on S3 (permutations in lexicographic order), K = <(0 1)> and the
+    # 3-cycle t = (1 2 0) generate S3, but closing under t alone stops at
+    # {t, t^2}, and the check fails
+    K, t = {0, 2}, 3
+    assert least(S3, K, t) == {1, 3, 4, 5}
+    assert least(S3, K, t, under_k=False) == {3, 4}
+    assert not all(len(K) + len(least(S3, K, t, under_k=False)) == len(L)
+                   for K, t, L in pairs(S3))
 
 
 def test_every_invertible_weight_matches_the_search_at_that_weight():

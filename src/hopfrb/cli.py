@@ -153,11 +153,13 @@ def cmd_aut(args) -> int:
 
 
 def cmd_check_lie(args) -> int:
+    if args.b is None and args.weight is not None:
+        raise ValueError("--weight needs an operator: give it with --b")
     L = lie_from_json(_load_json(args.input))
     parts = {"lie": check_lie(L)}
     if args.b is not None:
         B = LinearMap.from_json(_load_json(args.b), L.ctx)
-        lam = parse_scalar(args.weight, L.ctx)
+        lam = parse_scalar("0" if args.weight is None else args.weight, L.ctx)
         parts["rb_weight"] = check_rb_lie_weight(L, B, lam)
     rep = merge_reports(parts)
     return _report_exit(args, rep, {"dim": L.dim, "field": L.ctx.name()})
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check a Lie algebra file, optionally with an operator")
     l.add_argument("--input", required=True)
     l.add_argument("--b", help="operator matrix file")
-    l.add_argument("--weight", default="0", help="weight lambda, exact scalar string")
+    l.add_argument("--weight", help="weight lambda of --b, exact scalar string (default 0)")
     l.set_defaults(func=cmd_check_lie)
 
     g = sub.add_parser("check-group-rb", parents=[common],

@@ -14,8 +14,10 @@ of the family H_{m,zeta,l,f} and of the criteria for its automorphisms,
 two root-of-unity helpers, a call counter, the operator search that checks
 every pair of assigned elements, the antipode identities that the
 convolution laws imply on a bialgebra, the operator B(a) = e(a)1, a Lie
-bracket rescaled by lambda, the invertibility of Phi at group-likes that
-check_hopf(G) and check_action imply, and the Sweedler-leg toolkit.
+bracket rescaled by lambda, the Lie checks of rb_lie decided on every index
+tuple (the oracle of its sorted-tuple reduction), the invertibility of Phi
+at group-likes that check_hopf(G) and check_action imply, and the
+Sweedler-leg toolkit.
 
 The leg toolkit (tensor_apply_counit, tensor_apply_map, tensor_mul_legs,
 tensor_permute, _action_join) belongs to the oracles: the library forms
@@ -471,6 +473,82 @@ def rescale_bracket(L: LieData, lam: Scalar) -> LieData:
     scaled = {ij: {k: lam * c for k, c in terms.items()}
               for ij, terms in L.brackets.items()}
     return LieData(L.ctx, L.dim, scaled, L.labels)
+
+
+def lie_oracle(L: LieData) -> VerificationReport:
+    """check_lie with Jacobi decided on all n^3 triples (i, j, k): the loop
+    that rb_lie runs on i < j < k alone once antisymmetry holds."""
+    one = L.ctx.one
+
+    def antisymmetry():
+        for i in range(L.dim):
+            for j in range(i, L.dim):
+                back = [] if i == j else [(one, L.bracket_basis(j, i))]
+                yield (i, j), lincomb([(one, L.bracket_basis(i, j))] + back), {}
+
+    def jacobi():
+        for i, j, k in itertools.product(range(L.dim), repeat=3):
+            cyclic = lincomb((one, L.bracket_sparse(L.bracket_basis(a, b), {c: one}))
+                             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+            yield (i, j, k), cyclic, {}
+
+    return merge_reports({
+        "antisymmetry": first_failure("antisymmetry", antisymmetry(),
+                                      labelled([L.labels] * 2, L.labels)),
+        "jacobi": first_failure("jacobi", jacobi(), labelled([L.labels] * 3, L.labels)),
+    })
+
+
+def derivation_action_oracle(phi: ActionData, g: LieData, h: LieData) -> VerificationReport:
+    """check_derivation_action on every (i, u, v) and every (i, j, u)."""
+    one = g.ctx.one
+
+    def derivation():
+        for i, u, v in itertools.product(range(g.dim), range(h.dim), range(h.dim)):
+            rhs = lincomb([(one, h.bracket_sparse(phi.apply_basis(i, u), {v: one})),
+                           (one, h.bracket_sparse({u: one}, phi.apply_basis(i, v)))])
+            yield (i, u, v), phi.apply({i: one}, h.bracket_basis(u, v)), rhs
+
+    def lie_morphism():
+        for i, j, u in itertools.product(range(g.dim), range(g.dim), range(h.dim)):
+            comm = lincomb([(one, phi.apply({i: one}, phi.apply_basis(j, u))),
+                            (-one, phi.apply({j: one}, phi.apply_basis(i, u)))])
+            yield (i, j, u), phi.apply(g.bracket_basis(i, j), {u: one}), comm
+
+    return merge_reports({
+        "derivation": first_failure("derivation", derivation(),
+                                    labelled([g.labels, h.labels, h.labels], h.labels)),
+        "lie_morphism": first_failure("lie_morphism", lie_morphism(),
+                                      labelled([g.labels, g.labels, h.labels], h.labels)),
+    })
+
+
+def _rb_lie_oracle(identity: str, g: LieData, h: LieData, act, B: LinearMap,
+                   lam: Scalar) -> VerificationReport:
+    one = g.ctx.one
+
+    def cases():
+        for u, v in itertools.product(range(h.dim), repeat=2):
+            bu, bv = B.cols[u], B.cols[v]
+            arg = lincomb([(one, act(bu, {v: one})), (-one, act(bv, {u: one})),
+                           (lam, h.bracket_basis(u, v))])
+            yield (u, v), g.bracket_sparse(bu, bv), B.apply(arg)
+
+    return first_failure(identity, cases(), labelled([h.labels, h.labels], g.labels))
+
+
+def rb_lie_weight_oracle(g: LieData, B: LinearMap, lam: Scalar) -> VerificationReport:
+    """check_rb_lie_weight on every pair (u, v)."""
+    return _rb_lie_oracle("rb_lie_weight", g, g, g.bracket_sparse, B, lam)
+
+
+def relative_rb_lie_oracle(g: LieData, h: LieData, phi: ActionData, B: LinearMap,
+                           lam: Scalar) -> VerificationReport:
+    """check_relative_rb_lie on every pair (u, v), after the same action check."""
+    act = derivation_action_oracle(phi, g, h)
+    if not act.ok:
+        raise ValueError(f"invalid derivation action: fails {act.identity}")
+    return _rb_lie_oracle("relative_rb_lie", g, h, phi.apply, B, lam)
 
 
 def action_at(phi: ActionData, v: dict) -> LinearMap:

@@ -1,7 +1,8 @@
 """Verdicts do not depend on the basis: structure constants transported to a
-seeded random basis over Q still pass check_hopf, check_rrbo, check_lie and
-check_hopf_brace, one-entry mutants still fail, at the same part, and the
-derived Hopf algebra moves with its operator.
+seeded random basis over Q still pass check_hopf, check_rrbo, check_lie,
+check_derivation_action and check_hopf_brace, one-entry mutants still fail,
+at the same part, Lie operators keep their check_rb_lie_weight verdicts, and
+the derived Hopf algebra moves with its operator.
 
 The transport uses dense test-only arithmetic.  The change of basis P is a
 product of random elementary matrices, so its inverse is known exactly
@@ -11,6 +12,7 @@ import importlib.util
 import json
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from hopfrb.constructions import group_algebra, sweedler_h4
@@ -19,7 +21,8 @@ from hopfrb.hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, c
 from hopfrb.rb_group import GroupTable
 from hopfrb.rb_hopf import (ActionData, RelRBHopf, check_hopf_brace, check_rrbo, derived_hopf,
                             exact_factorization_rrb, rrb_from_json)
-from hopfrb.rb_lie import LieData, check_lie, sl2
+from hopfrb.rb_lie import (LieData, adjoint_lie_action, check_derivation_action, check_lie,
+                           check_rb_lie_weight, lie_from_json, sl2)
 from hopfrb.scalars import FieldCtx
 
 Q = FieldCtx.rationals()
@@ -190,15 +193,51 @@ def test_a_failing_brace_still_fails_in_a_random_basis():
             assert failing_parts(check_rrbo(data, full=True))[0] == "condition_2_action", seed
 
 
+def transport_lie(g: LieData, P, Pinv) -> LieData:
+    """g's brackets on the basis f_a = sum_i P[i][a] e_i."""
+    n = g.dim
+    brackets = {}
+    for a in range(n):
+        for b in range(n):
+            old = sum_terms((P[i][a] * P[j][b], g.bracket_basis(i, j))
+                            for i in range(n) for j in range(n))
+            brackets[(a, b)] = dense_apply(Pinv, old)
+    return LieData(Q, n, brackets)
+
+
+def transport_map(B: LinearMap, P, Pinv) -> LinearMap:
+    """P^-1 B P: B on the basis f_a."""
+    return LinearMap(Q, [dense_apply(Pinv, sum_terms((P[i][a], B.cols[i])
+                                                     for i in range(B.domain_dim)))
+                         for a in range(B.domain_dim)], B.codomain_dim)
+
+
 def test_lie_verdict_survives_a_change_of_basis():
     g = sl2(Q)
-    P, Pinv = random_basis_change(g.dim, random.Random(7))
-    brackets = {}
-    for a in range(g.dim):
-        for b in range(g.dim):
-            old = sum_terms((P[i][a] * P[j][b], g.bracket_basis(i, j))
-                            for i in range(g.dim) for j in range(g.dim))
-            brackets[(a, b)] = dense_apply(Pinv, old)
-    moved = LieData(Q, g.dim, brackets)
+    moved = transport_lie(g, *random_basis_change(g.dim, random.Random(7)))
     assert moved.brackets != g.brackets
     assert check_lie(moved).ok
+
+
+def test_lie_operator_verdicts_survive_a_change_of_basis():
+    # -P_A, minus the projection onto the subalgebra A spanned by e, h (and
+    # z) along the one spanned by f, has weight 1; moving its image of e or
+    # of h by f breaks it
+    gl2 = lie_from_json(json.loads((ROOT / "fixtures" / "gl2.json").read_text()))
+    for g, seed in ((sl2(Q), 7), (gl2, 8)):
+        n, minus = g.dim, -Q.one
+        op = LinearMap(Q, [{} if a == 2 else {a: minus} for a in range(n)], n)
+        near = [LinearMap(Q, [{**c, 2: Q.one} if a == which else c
+                              for a, c in enumerate(op.cols)], n) for which in (0, 1)]
+        P, Pinv = random_basis_change(n, random.Random(seed))
+        moved = transport_lie(g, P, Pinv)
+        assert check_lie(moved).ok
+        for B, ok in [(op, True)] + [(b, False) for b in near]:
+            moved_B = transport_map(B, P, Pinv)
+            assert moved_B.cols != B.cols
+            for lie, b in ((g, B), (moved, moved_B)):
+                assert check_rb_lie_weight(lie, b, Q.one).ok is ok, (n, B.cols)
+        rep = check_derivation_action(adjoint_lie_action(moved), moved, moved)
+        assert rep.ok
+        # one case per (i, u < v) and per (i < j, u)
+        assert rep.stats["identities_checked"] == 2 * n * comb(n, 2)

@@ -217,6 +217,23 @@ def test_check_lie(tmp_path, capsys):
     assert payload["identity"].startswith("rb_weight")
 
 
+def test_check_lie_weight_needs_an_operator(capsys):
+    # a weight without --b checks nothing, so it is bad input, valid or not
+    sl2_path, op = str(FIXTURES / "sl2.json"), str(FIXTURES / "sl2-minus-identity.json")
+    for weight in ("abc", "1"):
+        code = main(["check-lie", "--input", sl2_path, f"--weight={weight}"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), weight
+        assert err.startswith("error: ") and "--b" in err, err
+    assert main(["check-lie", "--input", sl2_path, "--b", op, "--weight=abc"]) == 2
+    capsys.readouterr()
+    # with --b the weight is 0 unless given: B = -id has weight 1, not 0
+    code, payload = run(capsys, "check-lie", "--input", sl2_path, "--b", op)
+    assert (code, payload["identity"]) == (1, "rb_weight.rb_lie_weight")
+    code, payload = run(capsys, "check-lie", "--input", sl2_path, "--b", op, "--weight", "1")
+    assert code == 0
+
+
 def test_check_group_rb_map(capsys):
     code, payload = run(capsys, "check-group-rb",
                         "--group", str(FIXTURES / "z3.json"), "--map", "0,0,0")

@@ -1,7 +1,10 @@
 """Rota-Baxter operators on Lie algebras."""
 
+import json
 import random
-from itertools import product
+from itertools import combinations, product
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +15,12 @@ from hopfrb.rb_lie import (LieData, adjoint_lie_action,
                            lie_from_json, lie_to_json, sl2)
 from hopfrb.scalars import FieldCtx
 
-from helpers import rescale_bracket
+from helpers import (counting, derivation_action_oracle, lie_oracle, rb_lie_weight_oracle,
+                     relative_rb_lie_oracle, rescale_bracket)
 
 Q = FieldCtx.rationals()
+GL2 = lie_from_json(json.loads(
+    (Path(__file__).resolve().parent.parent / "fixtures" / "gl2.json").read_text()))
 
 
 def solvable_2dim(ctx=Q) -> LieData:
@@ -58,8 +64,8 @@ def test_adjoint_action_is_derivation_action():
     rep = check_derivation_action(adjoint_lie_action(g), g, g)
     assert rep.ok
     assert set(rep.details) == {"derivation", "lie_morphism"}
-    # one case per (i, j, u): phi([e_i,e_j]) e_u against the commutator
-    assert rep.details["lie_morphism"]["stats"]["identities_checked"] == 3 * 3 * 3
+    # one case per (i < j, u): phi([e_i,e_j]) e_u against the commutator
+    assert rep.details["lie_morphism"]["stats"]["identities_checked"] == 3 * 3
 
 
 def test_check_derivation_action_negative():
@@ -187,3 +193,117 @@ def test_derivation_actions_and_operators_are_checked():
         check_rb_lie_weight(s, ident3, Q.zero)
     with pytest.raises(ValueError, match="out of range"):
         LieData(Q, 2, {(0, 2): {0: Q.one}})
+
+
+def one_entry_mutants(L: LieData, rng: random.Random, count: int) -> list:
+    """count seeded copies of L, each with one structure constant c^k_ij
+    (i != j) or c^k_ii moved by a nonzero step.  In every third copy c^k_ji
+    moves by the opposite step, so antisymmetry holds there; in the others
+    it breaks, unless the step clears an entry that LieData then fills in
+    as the mirror."""
+    out = []
+    for t in range(count):
+        i, j = rng.sample(range(L.dim), 2)
+        k, step = rng.randrange(L.dim), Q.from_int(rng.choice([-2, -1, 1, 2, 3]))
+        moves = {0: [((i, j), step), ((j, i), -step)], 1: [((i, j), step)],
+                 2: [((i, i), step)]}[t % 3]
+        table = {ij: dict(terms) for ij, terms in L.brackets.items()}
+        for key, c in moves:
+            entry = table.setdefault(key, {})
+            entry[k] = entry.get(k, Q.zero) + c
+        out.append(LieData(Q, L.dim, table, L.labels))
+    return out
+
+
+def assert_reduced(rep, oracle, sorted_tuples: dict) -> None:
+    """rep is the oracle's report decided on fewer cases: the same JSON but
+    for the counts.  sorted_tuples maps each part (None: an unmerged report)
+    to the tuples it decides, a part counting them up to its first failing
+    one, or all when it passes; a part mapped to None counts as the oracle."""
+    want = json.loads(json.dumps(oracle.to_json()))
+    parts = want.get("details") or {None: want}
+    for name, part in parts.items():
+        tuples = sorted_tuples[name]
+        if tuples is not None:
+            part["stats"]["identities_checked"] = (
+                len(tuples) if part["status"] == "pass"
+                else tuples.index(tuple(part["witness"]["indices"])) + 1)
+    want["stats"]["identities_checked"] = sum(
+        p["stats"]["identities_checked"] for p in parts.values())
+    assert rep.to_json() == want
+
+
+def antisymmetric(L: LieData) -> bool:
+    return all(L.bracket_basis(j, i) == {k: -c for k, c in L.bracket_basis(i, j).items()}
+               and not L.bracket_basis(i, i) for i in range(L.dim) for j in range(L.dim))
+
+
+def mutant_inputs() -> list:
+    """sl2 and gl2, each with 16 of its seeded one-entry mutants."""
+    rng = random.Random(40)
+    return [(base, L) for base in (sl2(Q), GL2)
+            for L in [base] + one_entry_mutants(base, rng, 16)]
+
+
+def test_the_reduced_lie_checks_match_the_oracle_on_mutants():
+    seen = set()
+    for base, L in mutant_inputs():
+        n = L.dim
+        anti = antisymmetric(L)
+        rep = check_lie(L)
+        assert_reduced(rep, lie_oracle(L), {
+            "antisymmetry": None, "jacobi": list(combinations(range(n), 3)) if anti else None})
+        seen.add((anti, rep.ok))
+        ad = adjoint_lie_action(L)
+        pairs = list(combinations(range(n), 2))
+        assert_reduced(check_derivation_action(ad, L, L), derivation_action_oracle(ad, L, L), {
+            "derivation": [(i,) + p for i in range(n) for p in pairs] if anti else None,
+            "lie_morphism": [p + (u,) for p in pairs for u in range(n)] if anti else None})
+    # the mutants break antisymmetry, keep it but break Jacobi, or stay Lie
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_the_reduced_operator_checks_match_the_oracle_on_mutants():
+    rng = random.Random(41)
+    seen, raised = set(), 0
+    for base, L in mutant_inputs():
+        n = L.dim
+        pairs = list(combinations(range(n), 2))
+        zero = ActionData(Q, n, n, {})
+        for lam in map(Q.from_int, (0, 1, -1, 2)):
+            ops = [LinearMap(Q, [{}] * n, n), LinearMap(Q, [{j: -lam} for j in range(n)], n),
+                   LinearMap(Q, [{r: Q.from_int(rng.randint(-1, 1)) for r in range(n)}
+                                 for _ in range(n)], n)]
+            for B in ops:
+                rep = check_rb_lie_weight(L, B, lam)
+                assert_reduced(rep, rb_lie_weight_oracle(L, B, lam),
+                               {None: pairs if antisymmetric(L) else None})
+                seen.add((antisymmetric(L), rep.ok))
+                # relative: L acting on itself rescaled by lam (a derivation
+                # action when L passes check_lie), and the zero action between
+                # L and its base both ways round
+                for g, h, phi in ((L, rescale_bracket(L, lam), adjoint_lie_action(L)),
+                                  (L, base, zero), (base, L, zero)):
+                    try:
+                        want = relative_rb_lie_oracle(g, h, phi, B, Q.one)
+                    except ValueError as e:
+                        with pytest.raises(ValueError, match=str(e)):
+                            check_relative_rb_lie(g, h, phi, B, Q.one)
+                        raised += 1
+                        continue
+                    assert_reduced(check_relative_rb_lie(g, h, phi, B, Q.one), want,
+                                   {None: pairs if antisymmetric(g) and antisymmetric(h)
+                                    else None})
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    assert raised > 0
+
+
+def test_jacobi_forms_one_cyclic_sum_per_sorted_triple(monkeypatch):
+    # on gl2 the Jacobi cyclic sum, three bracket_sparse calls, is formed
+    # C(4, 3) = 4 times, not 4^3 = 64
+    calls = counting(monkeypatch, LieData, "bracket_sparse")
+    rep = check_lie(GL2)
+    assert rep.ok and rep.details["jacobi"]["stats"]["identities_checked"] == comb(4, 3)
+    assert len(calls) == 3 * comb(4, 3)
+    calls.clear()
+    assert lie_oracle(GL2).ok and len(calls) == 3 * 4 ** 3

@@ -11,8 +11,8 @@ exact-factorization fixture (with and without --full) and on a copy whose
 operator is B(h) = e(h)g, a coalgebra map with B(1) = g, aut over exact
 grids on h4, the Taft algebra m = 3 and the curled F3 family (grid values
 spelled as 2/2 and 4 among them), and check-lie on the sl2 fixture, alone
-and with its weight-1 operator.  The JSON carries every status, witness and
-count, so a change to any of them shows.
+and with its weight-1 operator, and on the gl2 fixture.  The JSON carries
+every status, witness and count, so a change to any of them shows.
 tests/test_cli_goldens.py reruns every command and compares byte for byte.
 
 Run from the repository root:  python3 tools/make_cli_goldens.py
@@ -83,12 +83,13 @@ CASES = {
     "check-lie-sl2-rb-w1.json": ("sl2", ["check-lie", "--b",
                                          os.path.join(FIXTURES, "sl2-minus-identity.json"),
                                          "--weight", "2/2"], 0),
+    "check-lie-gl2.json": ("gl2", ["check-lie"], 0),
 }
 
 
 def input_files(directory: str) -> dict:
-    """Input name -> file: S3, F21 and h4-rrb from fixtures/; D8, Z2^3,
-    Z4xZ2, S3xZ2 and h4-rrb-unit-g written into directory."""
+    """Input name -> file: S3, F21, h4-rrb, sl2 and gl2 from fixtures/; D8,
+    Z2^3, Z4xZ2, S3xZ2 and h4-rrb-unit-g written into directory."""
     Z2 = GroupTable.cyclic(2)
     built = {"D8": GroupTable.metacyclic(4, 2, 3),
              "Z2^3": GroupTable.direct_product(GroupTable.direct_product(Z2, Z2), Z2),
@@ -96,7 +97,8 @@ def input_files(directory: str) -> dict:
              "S3xZ2": GroupTable.direct_product(GroupTable.symmetric(3), Z2)}
     paths = {"S3": os.path.join(FIXTURES, "s3.json"), "F21": os.path.join(FIXTURES, "f21.json"),
              "h4-rrb": os.path.join(FIXTURES, "h4-rrb-exact-factorization.json"),
-             "sl2": os.path.join(FIXTURES, "sl2.json")}
+             "sl2": os.path.join(FIXTURES, "sl2.json"),
+             "gl2": os.path.join(FIXTURES, "gl2.json")}
     for name, G in built.items():
         paths[name] = os.path.join(directory, name.replace("^", "") + ".json")
         with open(paths[name], "w") as fh:

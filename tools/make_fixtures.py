@@ -1,9 +1,10 @@
 """Regenerate the JSON fixtures under fixtures/.
 
 Besides the group tables and the H4 relative operator file, sl2.json is
-sl2 over Q as lie_to_json writes it and sl2-minus-identity.json the
-operator B = -id, which has weight 1 on it, so the fixtures pin the Hopf,
-action and bracket codecs.  tests/test_cli_goldens.py compares fixtures/
+sl2 over Q as lie_to_json writes it, sl2-minus-identity.json the operator
+B = -id, which has weight 1 on it, and gl2.json gl2 = sl2 + k over Q (a
+central fourth basis element z), so the fixtures pin the Hopf, action and
+bracket codecs.  tests/test_cli_goldens.py compares fixtures/
 byte for byte with outputs().
 
 Run from the repository root:  python3 tools/make_fixtures.py
@@ -16,6 +17,7 @@ import sys
 from hopfrb import (FieldCtx, GroupTable, RelRBHopf, check_rb_lie_weight, check_rrbo,
                     hrbo_action, lie_to_json, opposite_hopf, rrb_to_json, sl2, sweedler_h4)
 from hopfrb.hopf_core import LinearMap
+from hopfrb.rb_lie import LieData
 
 OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
 
@@ -42,6 +44,12 @@ def sl2_minus_identity() -> list:
     return B.to_json()
 
 
+def gl2() -> LieData:
+    """gl2 = sl2 + k over Q: the basis e, h, f of sl2 and a central z."""
+    g = sl2(FieldCtx.rationals())
+    return LieData(g.ctx, 4, g.brackets, g.labels + ["z"])
+
+
 def outputs() -> dict:
     """File name -> the text of that fixture."""
     objs = {
@@ -53,6 +61,7 @@ def outputs() -> dict:
         "h4-rrb-exact-factorization.json": h4_rrb(),
         "sl2.json": lie_to_json(sl2(FieldCtx.rationals())),
         "sl2-minus-identity.json": sl2_minus_identity(),
+        "gl2.json": lie_to_json(gl2()),
     }
     return {name: json.dumps(obj, indent=1, sort_keys=True) + "\n" for name, obj in objs.items()}
 

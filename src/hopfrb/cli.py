@@ -81,6 +81,17 @@ def _antipode_order_report(H) -> VerificationReport:
     return first_failure("antipode_order_4", cases, labelled([]))
 
 
+# the construction flags that each construction reads; any other is bad input
+FLAGS_READ = {"group-algebra": {"group"}, "h4": set(), "taft": {"m"},
+              "family": {"m", "zeta", "l", "f"}}
+
+
+def _reject_unread_flags(args) -> None:
+    for flag in ("m", "zeta", "l", "f", "group"):
+        if getattr(args, flag, None) is not None and flag not in FLAGS_READ[args.construction]:
+            raise ValueError(f"--{flag} is not read by --construction {args.construction}")
+
+
 def _family_params(args, ctx) -> FamilyParams:
     """The parameters of --construction h4, taft or family."""
     if args.construction == "h4":
@@ -99,6 +110,7 @@ def _family_params(args, ctx) -> FamilyParams:
 
 
 def cmd_verify(args) -> int:
+    _reject_unread_flags(args)
     ctx = parse_field(args.field)
     if args.construction == "group-algebra":
         if not args.group:
@@ -142,6 +154,7 @@ def cmd_check_rrb(args) -> int:
 
 
 def cmd_aut(args) -> int:
+    _reject_unread_flags(args)
     ctx = parse_field(args.field)
     grid = _parse_coeffs(args.grid, ctx)
     params = _family_params(args, ctx)

@@ -301,9 +301,11 @@ def _aut_validate(params: FamilyParams, k: int, c) -> list:
     return c
 
 
-def _aut_verdict(params: FamilyParams, H: HopfData, k: int, c: list) -> VerificationReport:
-    """The morphism-plus-invertibility verdict for a validated candidate,
-    decided against H = family(params)."""
+def family_aut_report(params: FamilyParams, k: int, c) -> VerificationReport:
+    """Full verdict for the candidate psi(g) = g^k, psi(x) = sum c_q x^q:
+    psi must be an algebra and a coalgebra morphism, and bijective."""
+    c = _aut_validate(params, k, c)
+    H = family(params, params.ctx)
     psi = _aut_candidate_map(params, H, k, c)
     return merge_reports({
         "algebra_morphism": is_algebra_morphism(psi, H, H),
@@ -315,11 +317,13 @@ def _aut_verdict(params: FamilyParams, H: HopfData, k: int, c: list) -> Verifica
     })
 
 
-def family_aut_report(params: FamilyParams, k: int, c) -> VerificationReport:
-    """Full verdict for the candidate psi(g) = g^k, psi(x) = sum c_q x^q:
-    psi must be an algebra and a coalgebra morphism, and bijective."""
-    c = _aut_validate(params, k, c)
-    return _aut_verdict(params, family(params, params.ctx), k, c)
+def _is_automorphism(params: FamilyParams, H: HopfData, k: int, c: list) -> bool:
+    """family_aut_report's verdict on a validated candidate, against H =
+    family(params): bijectivity first, then the two morphism laws, stopping
+    at the first that fails."""
+    psi = _aut_candidate_map(params, H, k, c)
+    return (psi.is_invertible() and is_algebra_morphism(psi, H, H).ok
+            and is_coalgebra_morphism(psi, H, H).ok)
 
 
 def _aut_candidates(params: FamilyParams, grid: list):
@@ -339,9 +343,15 @@ def family_aut_search(params: FamilyParams, grid) -> list:
 
     Candidates place grid values at the degrees q = k (mod m), 1 <= q < l,
     zero elsewhere; output keeps the deterministic generation order (k
-    ascending, grid order per position).  family(params) is built once,
-    before any candidate is formed, and raises when the hypotheses fail;
-    the search forms one candidate at a time."""
+    ascending, grid order per position).  A value the grid repeats (4 = 1
+    in F3) is searched once, where it first appears.  family(params) is
+    built once, before any candidate is formed, and raises when the
+    hypotheses fail; the search forms one candidate at a time.  It decides
+    bijectivity first, then the algebra and the coalgebra morphism laws,
+    and drops a candidate at its first failure.  A report passes exactly
+    when all three of these parts pass on the same psi and H, so the order
+    and the stop change no hit."""
     grid = [x if isinstance(x, Scalar) else params.ctx.from_fraction(x) for x in grid]
     H = family(params, params.ctx)
-    return [(k, c) for k, c in _aut_candidates(params, grid) if _aut_verdict(params, H, k, c).ok]
+    return [(k, c) for k, c in _aut_candidates(params, list(dict.fromkeys(grid)))
+            if _is_automorphism(params, H, k, c)]

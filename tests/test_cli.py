@@ -495,6 +495,37 @@ def test_missing_flags_are_input_errors(capsys, argv, message):
     assert expect_input_error(capsys, *argv) == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, flag, construction", [
+    (["aut", "--construction", "taft", "--m", "2", "--zeta", "5", "--l", "9", "--grid", "1"],
+     "zeta", "taft"),
+    (["aut", "--construction", "h4", "--f", "0,1", "--grid", "1"], "f", "h4"),
+    (["verify", "--construction", "h4", "--l", "7"], "l", "h4"),
+    (["verify", "--construction", "taft", "--m", "3", "--field", "Q(z3)",
+      "--group", str(FIXTURES / "s3.json")], "group", "taft"),
+    (["verify", "--construction", "family", "--field", "F3", "--m", "2", "--zeta=-1",
+      "--l", "6", "--group", str(FIXTURES / "s3.json")], "group", "family"),
+    (["verify", "--construction", "group-algebra", "--group", str(FIXTURES / "s3.json"),
+      "--m", "4"], "m", "group-algebra"),
+], ids=["aut-taft-zeta", "aut-h4-f", "verify-h4-l", "verify-taft-group", "verify-family-group",
+        "verify-group-algebra-m"])
+def test_unread_construction_flags_are_input_errors(capsys, argv, flag, construction):
+    err = expect_input_error(capsys, *argv)
+    assert err == f"error: --{flag} is not read by --construction {construction}\n"
+
+
+def test_aut_lists_a_repeated_grid_value_once(capsys):
+    # the grid echo is the parsed input; the search takes each value once
+    for argv, grid, c in [
+        (["--construction", "h4", "--grid", "1,2/2,1"], ["1", "1", "1"], ["0", "1"]),
+        (["--construction", "family", "--field", "F3", "--m", "2", "--zeta=-1", "--l", "6",
+          "--grid", "1,4,0"], ["1", "1", "0"], ["0", "1", "0", "0", "0", "0"]),
+    ]:
+        code, payload = run(capsys, "aut", *argv)
+        assert code == 0
+        assert payload == {"construction": argv[1], "grid": grid, "count": 1,
+                           "hits": [{"k": 1, "c": c}]}
+
+
 def test_zero_denominators_are_input_errors(tmp_path, capsys):
     # a literal whose denominator is 0 in its field, in a file or a flag
     sl2 = json.loads((FIXTURES / "sl2.json").read_text())

@@ -307,6 +307,34 @@ def test_aut_search_builds_one_algebra(monkeypatch):
     assert (len(builds), len(algebras)) == (1, 1)
 
 
+def test_aut_search_decides_the_morphism_laws_on_bijective_candidates_only(monkeypatch):
+    # Taft m = 3: of the 7 candidates only k = 1 with c_1 = 1 or z3 is bijective
+    z3 = FieldCtx.cyclotomic(3)
+    params = FamilyParams(3, z3.zeta, 3, None)
+    maps = counting(monkeypatch, constructions, "_aut_candidate_map")
+    algebra = counting(monkeypatch, constructions, "is_algebra_morphism")
+    coalgebra = counting(monkeypatch, constructions, "is_coalgebra_morphism")
+    hits = family_aut_search(params, [z3.zero, z3.one, z3.zeta])
+    assert [(k, str(c[1])) for k, c in hits] == [(1, "1"), (1, "z3")]
+    assert (len(maps), len(algebra), len(coalgebra)) == (7, 2, 2)
+
+
+def test_aut_search_decides_a_repeated_grid_value_once(monkeypatch):
+    # 2/2 is 1 over Q, and 4 is 1 in F3: each value is searched where it
+    # first appears, so its hit is listed once
+    f3 = FieldCtx.prime(3)
+    maps = counting(monkeypatch, constructions, "_aut_candidate_map")
+    h4 = FamilyParams(2, Q.from_int(-1), 2, None)
+    hits = family_aut_search(h4, [Q.one, Q.from_int(2) / Q.from_int(2), Q.one, Q.from_int(5)])
+    assert [(k, [str(x) for x in c]) for k, c in hits] == [(1, ["0", "1"]), (1, ["0", "5"])]
+    assert len(maps) == 1 + 2
+    maps.clear()
+    f3_family = FamilyParams(2, f3.from_int(-1), 6, None)
+    hits = family_aut_search(f3_family, [f3.one, f3.from_int(4), f3.zero])
+    assert [(k, [str(x) for x in c]) for k, c in hits] == [(1, ["0", "1", "0", "0", "0", "0"])]
+    assert len(maps) == 2 ** 2 + 2 ** 3
+
+
 def test_family_inputs_are_exact():
     # a float would enter as its binary expansion: 0.1 is
     # 3602879701896397/36028797018963968, and that grid value is a hit
@@ -384,13 +412,13 @@ def test_aut_verdicts_agree_with_the_closed_form_criteria(monkeypatch):
          [f3.zero, f3.from_int(2)]),
     ]
     verdicts = []
-    verdict = constructions._aut_verdict
+    verdict = constructions._is_automorphism
 
     def recording(params, H, k, c):
-        rep = verdict(params, H, k, c)
-        verdicts.append((params, k, c, rep.ok))
-        return rep
-    monkeypatch.setattr(constructions, "_aut_verdict", recording)
+        ok = verdict(params, H, k, c)
+        verdicts.append((params, k, c, ok))
+        return ok
+    monkeypatch.setattr(constructions, "_is_automorphism", recording)
     for params, grid in cases:
         family_aut_search(params, grid)
     monkeypatch.undo()

@@ -9,8 +9,9 @@ Q, the Taft algebra m = 3 over Q(z3), the group algebra of S3 and a family
 whose hypotheses fail (m = 3, zeta = z3, l = 2), and check-rrb on the h4
 exact-factorization fixture (with and without --full) and on a copy whose
 operator is B(h) = e(h)g, a coalgebra map with B(1) = g, aut over exact
-grids on h4, the Taft algebra m = 3 and the curled F3 family (grid values
-spelled as 2/2 and 4 among them), and check-lie on the sl2 fixture, alone
+grids on h4, the Taft algebras m = 3 and m = 4 and the curled F3 family
+(grid values spelled as 2/2 and 4 among them; the h4 and m = 4 grids repeat
+1, which is listed once, and most m = 4 candidates are not bijective), and check-lie on the sl2 fixture, alone
 and with its weight-1 operator, and on the gl2 fixture.  The JSON carries
 every status, witness and count, so a change to any of them shows.
 tests/test_cli_goldens.py reruns every command and compares byte for byte.
@@ -79,6 +80,8 @@ CASES = {
     "aut-family-curled-F3.json": (None, ["aut", "--construction", "family", "--field", "F3",
                                          "--m", "2", "--zeta=-1", "--l", "6", "--f", "0,0,1",
                                          "--grid", "0,4"], 0),
+    "aut-taft4-Qz4.json": (None, ["aut", "--construction", "taft", "--m", "4",
+                                  "--field", "Q(z4)", "--grid", "0,1,z4,1"], 0),
     "check-lie-sl2.json": ("sl2", ["check-lie"], 0),
     "check-lie-sl2-rb-w1.json": ("sl2", ["check-lie", "--b",
                                          os.path.join(FIXTURES, "sl2-minus-identity.json"),

@@ -16,8 +16,9 @@ every pair of assigned elements, the antipode identities that the
 convolution laws imply on a bialgebra, the operator B(a) = e(a)1, a Lie
 bracket rescaled by lambda, the Lie checks of rb_lie decided on every index
 tuple (the oracle of its sorted-tuple reduction), the invertibility of Phi
-at group-likes that check_hopf(G) and check_action imply, and the
-Sweedler-leg toolkit.
+at group-likes that check_hopf(G) and check_action imply, the verdict of a
+report with every part's, a seeded one-entry mutant of a Hopf algebra and
+an operator on it, and the Sweedler-leg toolkit.
 
 The leg toolkit (tensor_apply_counit, tensor_apply_map, tensor_mul_legs,
 tensor_permute, _action_join) belongs to the oracles: the library forms
@@ -33,7 +34,7 @@ from math import gcd
 
 from hopfrb import rb_group
 from hopfrb.constructions import FamilyParams, qbinom
-from hopfrb.hopf_core import (ActionData, AlgebraData, CoalgebraData, LinearMap,
+from hopfrb.hopf_core import (ActionData, AlgebraData, CoalgebraData, HopfData, LinearMap,
                               check_algebra, check_antipode, check_bialgebra_compat,
                               check_coalgebra, check_hopf, is_group_like, iterated_delta,
                               lincomb, tensor_apply_delta, tensor_outer)
@@ -465,6 +466,53 @@ def counit_unit_operator(H) -> LinearMap:
         eps = H.coalgebra.counit[i]
         cols.append({k: eps * c for k, c in H.unit.items()})
     return LinearMap(H.ctx, cols, H.dim)
+
+
+def verdict(obj: dict) -> dict:
+    """Status, identity and witness of a report's JSON, with the verdict of
+    every part under details when it fails.  A passing report keeps its
+    status only, so reports that decide the same parts to the same verdicts
+    agree however a passing part was decided."""
+    if obj["status"] == "pass":
+        return {"status": "pass"}
+    return {"status": "fail", "identity": obj.get("identity", ""), "witness": obj["witness"],
+            "parts": {name: verdict(part) for name, part in obj.get("details", {}).items()}}
+
+
+def _bumped(v: dict, k, d: Scalar) -> dict:
+    out = dict(v)
+    x = out.get(k, d.ctx.zero) + d
+    if x.is_zero:
+        out.pop(k, None)
+    else:
+        out[k] = x
+    return out
+
+
+def hopf_mutant(H, B: LinearMap, rng) -> tuple:
+    """(kind, H', B'): H and B with one entry of the multiplication, the
+    coproduct, the counit, the antipode or B moved by 1, -1 or 2, the kind
+    and the entry drawn from rng.  The entry may be zero before or after."""
+    n, ctx = H.dim, H.ctx
+    A, C = H.algebra, H.coalgebra
+    mult, delta, counit = dict(A.mult), dict(C.delta), list(C.counit)
+    antipode, images = list(H.antipode.cols), list(B.cols)
+    kind = rng.choice(["mult", "delta", "counit", "antipode", "B"])
+    d = ctx.from_int(rng.choice([1, -1, 2]))
+    i = rng.randrange(n)
+    if kind == "mult":
+        ij = (i, rng.randrange(n))
+        mult[ij] = _bumped(mult.get(ij, {}), rng.randrange(n), d)
+    elif kind == "delta":
+        delta[i] = _bumped(delta.get(i, {}), (rng.randrange(n), rng.randrange(n)), d)
+    elif kind == "counit":
+        counit[i] = counit[i] + d
+    else:
+        cols = antipode if kind == "antipode" else images
+        cols[i] = _bumped(cols[i], rng.randrange(n), d)
+    moved = HopfData(AlgebraData(ctx, n, A.unit, mult, A.labels),
+                     CoalgebraData(ctx, n, delta, counit, C.labels), LinearMap(ctx, antipode, n))
+    return kind, moved, LinearMap(ctx, images, n)
 
 
 def rescale_bracket(L: LieData, lam: Scalar) -> LieData:

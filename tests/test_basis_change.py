@@ -1,8 +1,9 @@
 """Verdicts do not depend on the basis: structure constants transported to a
 seeded random basis over Q still pass check_hopf, check_rrbo, check_lie,
 check_derivation_action and check_hopf_brace, one-entry mutants still fail,
-at the same part, Lie operators keep their check_rb_lie_weight verdicts, and
-the derived Hopf algebra moves with its operator.
+at the same part, Lie operators keep their check_rb_lie_weight verdicts and
+Goncharov's operators their grbo_check verdicts, and the derived Hopf
+algebra moves with its operator.
 
 The transport uses dense test-only arithmetic.  The change of basis P is a
 product of random elementary matrices, so its inverse is known exactly
@@ -15,15 +16,17 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+from hopfrb import rb_hopf
 from hopfrb.constructions import group_algebra, sweedler_h4
 from hopfrb.hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, check_hopf,
                               hopf_from_json, hopf_to_json)
-from hopfrb.rb_group import GroupTable
+from hopfrb.rb_group import GroupTable, enumerate_rb, linearize_rb
 from hopfrb.rb_hopf import (ActionData, RelRBHopf, check_hopf_brace, check_rrbo, derived_hopf,
-                            exact_factorization_rrb, rrb_from_json)
+                            exact_factorization_rrb, grbo_check, rrb_from_json)
 from hopfrb.rb_lie import (LieData, adjoint_lie_action, check_derivation_action, check_lie,
                            check_rb_lie_weight, lie_from_json, sl2)
 from hopfrb.scalars import FieldCtx
+from helpers import counting
 
 Q = FieldCtx.rationals()
 ROOT = Path(__file__).resolve().parent.parent
@@ -191,6 +194,36 @@ def test_a_failing_brace_still_fails_in_a_random_basis():
         for data in (broken, moved):
             assert check_hopf_brace(data).identity == "hopf_brace", seed
             assert failing_parts(check_rrbo(data, full=True))[0] == "condition_2_action", seed
+
+
+def test_grbo_verdicts_survive_a_change_of_basis(monkeypatch):
+    # k[S3] in a dense basis is still a cocommutative Hopf algebra, decided
+    # on the new basis elements, so grbo_check proves conditions 2 and 3
+    # there too; every weight-1 operator passes, and near misses (a group
+    # map that is no operator, and one-entry changes of operators) fail at
+    # the same identity as in the group basis
+    rng = random.Random(20261022)
+    S3 = GroupTable.symmetric(3)
+    H = group_algebra(S3, Q)
+    P, Pinv = random_basis_change(H.dim, rng)
+    moved = transport_hopf(H, P, Pinv)
+    ops = [linearize_rb(S3, op, Q)[1] for op in enumerate_rb(S3, 1)]
+    assert len(ops) == 8
+    near = [LinearMap(Q, [{g: Q.one} for g in (0, 2, 1, 4, 3, 5)], H.dim)]
+    for B in rng.sample(ops, 4):
+        cols = list(B.cols)
+        i, k = rng.randrange(H.dim), rng.randrange(H.dim)
+        cols[i] = {**cols[i], k: cols[i].get(k, Q.zero) + Q.one}
+        near.append(LinearMap(Q, [{j: c for j, c in col.items() if not c.is_zero}
+                                  for col in cols], H.dim))
+    compat = counting(monkeypatch, rb_hopf, "_cond3_cases")
+    for B, ok in [(B, True) for B in ops] + [(B, False) for B in near]:
+        moved_B = transport_map(B, P, Pinv)
+        assert moved_B.cols != B.cols
+        before, after = grbo_check(H, B), grbo_check(moved, moved_B)
+        assert before.ok is after.ok is ok
+        assert before.identity == after.identity
+    assert compat == []
 
 
 def transport_lie(g: LieData, P, Pinv) -> LieData:

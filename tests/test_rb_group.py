@@ -923,13 +923,40 @@ def brute_force_rb(G: GroupTable, weight: int) -> set:
     return hits
 
 
-def count_endomorphisms(G: GroupTable) -> int:
-    count = 0
-    for img in itertools.product(range(G.n), repeat=G.n):
-        if all(img[G.mul(a, b)] == G.mul(img[a], img[b])
-               for a in range(G.n) for b in range(G.n)):
-            count += 1
-    return count
+def endomorphisms(G: GroupTable) -> set:
+    """Every endomorphism of G, from the images of a generating set: each
+    choice of images is spread over the Cayley graph from e, and kept when
+    it agrees on every edge x -> xs, since f(xs) = f(x)f(s) for every x and
+    every generator s gives f(xy) = f(x)f(y) for every word y."""
+    gens, reached = [], {G.e}
+    for s in range(G.n):
+        if s not in reached:
+            gens.append(s)
+            frontier = list(reached)
+            while frontier:
+                x = frontier.pop()
+                for t in gens:
+                    if (y := G.mul(x, t)) not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+    found = set()
+    for images in itertools.product(range(G.n), repeat=len(gens)):
+        f = {G.e: G.e}
+        frontier = [G.e]
+        ok = True
+        while frontier and ok:
+            x = frontier.pop()
+            for s, fs in zip(gens, images):
+                y, fy = G.mul(x, s), G.mul(f[x], fs)
+                if y not in f:
+                    f[y] = fy
+                    frontier.append(y)
+                elif f[y] != fy:
+                    ok = False
+                    break
+        if ok:
+            found.add(tuple(f[g] for g in range(G.n)))
+    return found
 
 
 def test_enumeration_matches_brute_force():
@@ -941,8 +968,15 @@ def test_enumeration_matches_brute_force():
 
 def test_abelian_enumeration_equals_endomorphisms():
     # on abelian groups the weight-1 identity reduces to B(gh) = B(g)B(h)
-    for G in (GroupTable.cyclic(2), GroupTable.cyclic(3)):
-        assert len(enumerate_rb(G, 1)) == count_endomorphisms(G)
+    C, prod = GroupTable.cyclic, GroupTable.direct_product
+    for G, count in ((C(2), 2), (C(3), 3), (prod(C(4), C(2)), 32), (C(16), 16),
+                     (prod(C(8), C(2)), 64), (prod(C(4), C(4)), 256)):
+        ends = endomorphisms(G)
+        assert len(ends) == count
+        assert set(enumerate_rb(G, 1)) == ends
+    # the oracle on a group that is not abelian: the trivial map, three
+    # onto a subgroup of order 2 and six automorphisms
+    assert len(endomorphisms(GroupTable.symmetric(3))) == 10
 
 
 def test_s3_enumeration_against_brute_force():

@@ -11,17 +11,18 @@ import pytest
 
 from hopfrb import rb_hopf
 from hopfrb.constructions import group_algebra, sweedler_h4
-from hopfrb.hopf_core import (AlgebraData, LinearMap, check_algebra, check_hopf, hopf_to_json,
-                              iterated_delta, opposite_hopf, tensor_outer)
+from hopfrb.hopf_core import (AlgebraData, HopfData, LinearMap, check_algebra, check_hopf,
+                              hopf_to_json, iterated_delta, opposite_hopf, tensor_outer)
 from hopfrb.rb_group import GroupTable, enumerate_rb, linearize_rb
 from hopfrb.rb_hopf import (ActionData, RelRBHopf, action_from_json, adjoint_action,
                             check_action, check_hopf_brace, check_rrbo, circle,
                             derived_hopf, exact_factorization_rrb, grbo_check,
                             hrbo_action, hrbo_check, rrb_from_json, rrb_to_json,
                             _cond3_cases)
+from hopfrb.report import merge_reports
 from hopfrb.scalars import FieldCtx
-from helpers import (_action_join, counting, counit_unit_operator, tensor_apply_map,
-                     tensor_mul_legs, tensor_permute)
+from helpers import (_action_join, counting, counit_unit_operator, hopf_mutant,
+                     tensor_apply_map, tensor_mul_legs, tensor_permute, verdict)
 
 Q = FieldCtx.rationals()
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -333,9 +334,18 @@ def test_grbo_check_linearized_operators():
             rep = grbo_check(H, B)
             assert rep.ok
             data = grbo_data(H, B)
-            # grbo_check is check_rrbo on the adjoint action and nothing more
+            # grbo_check gives check_rrbo's verdict on the adjoint action; on
+            # a cocommutative Hopf algebra conditions 2 and 3 pass by proof,
+            # so only those parts differ from check_rrbo's, and only in how
+            # they were decided
             inner = check_rrbo(data)
-            assert rep.details == {"rrbo": inner.to_json()} and rep.stats == inner.stats
+            assert verdict(rep.to_json()) == verdict(merge_reports({"rrbo": inner}).to_json())
+            parts, want = rep.details["rrbo"]["details"], inner.to_json()["details"]
+            assert parts.keys() == want.keys()
+            for name in ("condition_1_coalgebra", "condition_1_unit", "condition_4_rb"):
+                assert parts[name] == want[name]
+            assert parts["condition_2_action"] == merge_reports({"hopf": check_hopf(H)}).to_json()
+            assert parts["condition_3_compat"]["stats"] == {"identities_checked": G.n}
             for g in range(G.n):
                 for h in range(G.n):
                     want = G.mul(G.mul(G.mul(g, op[g]), h), G.inverse(op[g]))
@@ -397,10 +407,104 @@ def test_hrbo_check():
     rep = hrbo_check(S3, S3.antipode)
     assert not rep.ok
     assert rep.identity == "rrbo.condition_4_rb"
-    # hrbo_check is check_rrbo with every condition decided
-    assert rep.details == {"rrbo": check_rrbo(hrbo_data(S3, S3.antipode), full=True).to_json()}
+    # hrbo_check gives check_rrbo's verdict with every condition decided;
+    # condition 2 passes by proof, the other parts are check_rrbo's own
+    inner = check_rrbo(hrbo_data(S3, S3.antipode), full=True)
+    assert verdict(rep.to_json()) == verdict(merge_reports({"rrbo": inner}).to_json())
+    parts, want = rep.details["rrbo"]["details"], inner.to_json()["details"]
+    assert parts.keys() == want.keys()
+    assert parts["condition_2_action"] == merge_reports({"hopf": check_hopf(S3)}).to_json()
+    assert all(parts[name] == want[name] for name in want if name != "condition_2_action")
     # the antipode of H4 is no coalgebra map into H4^op
     assert hrbo_check(H4, H4.antipode).identity == "rrbo.condition_1_coalgebra.morphism_comult"
+
+
+FIXED_ACTION_CHECKS = {"grbo": grbo_check, "hrbo": hrbo_check}
+# the same verdicts as check_rrbo gives them on the explicit settings
+FIXED_ACTION_ORACLES = {
+    "grbo": lambda H, B: merge_reports({"rrbo": check_rrbo(grbo_data(H, B))}),
+    "hrbo": lambda H, B: merge_reports({"rrbo": check_rrbo(hrbo_data(H, B), full=True)})}
+
+
+def verdicts(checks: dict, H, B) -> dict:
+    """The verdict of each check on (H, B), or the ValueError text where
+    H's antipode is singular and H^op is undefined."""
+    out = {}
+    for name, check in checks.items():
+        try:
+            out[name] = verdict(check(H, B).to_json())
+        except ValueError as exc:
+            out[name] = str(exc)
+    return out
+
+
+def test_fixed_action_checks_give_check_rrbo_verdicts_on_mutants():
+    # one-entry mutants of k[S3], k[Z4] and h4 and of operators on them,
+    # and near misses that pass conditions 1 and 2 but not 3 or 4: the
+    # proved parts must never change a verdict, identity or witness
+    rng = random.Random(20261022)
+    h4 = sweedler_h4(Q)
+    settings = [linearize_rb(G, op, Q) for G in (GroupTable.symmetric(3), GroupTable.cyclic(4))
+                for op in enumerate_rb(G, 1)]
+    settings += [(h4, counit_unit_operator(h4)), (h4, LinearMap.identity(Q, 4))]
+    cases = [("operator", H, B) for H, B in settings]
+    cases += [hopf_mutant(H, B, rng) for H, B in (rng.choice(settings) for _ in range(160))]
+    for G in (GroupTable.symmetric(3), GroupTable.cyclic(4)):
+        for _ in range(8):
+            images = [G.e] + [rng.randrange(G.n) for _ in range(G.n - 1)]
+            H = group_algebra(G, Q)
+            cases.append(("group map", H, LinearMap(Q, [{g: Q.one} for g in images], G.n)))
+    for _ in range(16):
+        # on the basis 1, g, x, gx: B(g) = g, B(x) = cx + d(1 - g) and
+        # B(gx) = e gx + f(1 - g) is a coalgebra map with B(1) = 1
+        c, d, e, f = (Q.from_int(rng.randint(-1, 2)) for _ in range(4))
+        cols = [{0: Q.one}, {1: Q.one}, sparse([d, -d, c, Q.zero]), sparse([f, -f, Q.zero, e])]
+        cases.append(("h4 coalgebra map", h4, LinearMap(Q, cols, 4)))
+    seen = set()
+    for kind, H, B in cases:
+        got = verdicts(FIXED_ACTION_CHECKS, H, B)
+        assert got == verdicts(FIXED_ACTION_ORACLES, H, B), kind
+        seen.update((name, v.get("identity", "pass") if isinstance(v, dict) else "raises")
+                    for name, v in got.items())
+    # the mutants reach every condition, and both checks pass and fail
+    for name in ("grbo", "hrbo"):
+        for part in ("condition_1_coalgebra.morphism_comult", "condition_2_action.",
+                     "condition_3_compat", "condition_4_rb"):
+            assert any(n == name and i.startswith("rrbo." + part) for n, i in seen), (name, part)
+        assert (name, "pass") in seen
+
+
+def test_fixed_actions_are_proved_from_the_hopf_axioms(monkeypatch):
+    h4 = sweedler_h4(Q)
+    h4_compat = check_rrbo(grbo_data(h4, counit_unit_operator(h4))).to_json()["details"][
+        "condition_3_compat"]
+    actions = counting(monkeypatch, rb_hopf, "check_action")
+    compat = counting(monkeypatch, rb_hopf, "_cond3_cases")
+    S3 = GroupTable.symmetric(3)
+    for op in enumerate_rb(S3, 1):
+        assert grbo_check(*linearize_rb(S3, op, Q)).ok
+    assert actions == [] and compat == []
+    # k[S3] is cocommutative, but hrbo_check decides condition 3
+    kS3 = group_algebra(S3, Q)
+    assert hrbo_check(kS3, LinearMap.identity(Q, 6)).ok
+    assert actions == [] and len(compat) == 1
+    # h4 is not cocommutative, so condition 3 is decided case by case
+    rep = grbo_check(h4, counit_unit_operator(h4))
+    assert rep.ok and actions == [] and len(compat) == 2
+    parts = rep.details["rrbo"]["details"]
+    assert parts["condition_3_compat"] == h4_compat
+    # a proved part counts the cases its premises decided
+    hopf = check_hopf(h4).stats["identities_checked"]
+    assert parts["condition_2_action"]["stats"] == {"identities_checked": hopf} and hopf > 0
+    # an antipode that fails check_hopf sends both checks to check_action
+    cols = list(kS3.antipode.cols)
+    cols[1] = {k: Q.from_int(2) for k in cols[1]}
+    broken = HopfData(kS3.algebra, kS3.coalgebra, LinearMap(Q, cols, 6))
+    assert not check_hopf(broken).ok
+    B = counit_unit_operator(broken)
+    for check, calls in ((grbo_check, 1), (hrbo_check, 2)):
+        assert check(broken, B).identity.startswith("rrbo.condition_2_action.")
+        assert len(actions) == calls
 
 
 def test_rrb_json_round_trip(tmp_path):

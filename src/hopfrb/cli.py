@@ -179,6 +179,8 @@ def cmd_check_lie(args) -> int:
 
 
 def cmd_check_group_rb(args) -> int:
+    if args.map is not None and args.operator is not None:
+        raise ValueError("give one of --map or --operator, not both")
     G = group_from_json(_load_json(args.group))
     if args.map is not None:
         name, file_weight, B = "", None, tuple(int(x.strip()) for x in args.map.split(","))

@@ -5,21 +5,21 @@ checks cover the four defining conditions, the circle product a o b =
 a_(1) * Phi_{B(a_(2))}(b), the derived Hopf algebra with antipode
 S_B(a) = Phi_{S_G(B(a_(1)))}(S_H(a_(2))) and the Hopf-brace identity.  The
 group-flavoured case (the adjoint action, grbo_check) and the H^op case
-(hrbo_check) are check_rrbo on a fixed action, whose module-algebra laws
-(condition 2) follow from H's Hopf axioms: each decides check_hopf(H) and
-decides condition 2 case by case only where it fails.  On a cocommutative H
-the adjoint action also satisfies condition 3 once condition 1 holds, so
-grbo_check decides Goncharov's definition: B a coalgebra map with B(1) = 1
-and the Rota-Baxter identity.  The docstrings carry the proofs.  The
-exact-factorization construction gives operators on group algebras.  A
-RelRBHopf keeps one table of basis circle products, read by condition 4, the
-brace and the derived product.  The action laws that act by a product of G
-are decided on a generating set of G, and the brace identity on one of H,
-each under premises decided in the same call (see check_action and
-check_hopf_brace).  Vectors and tensors are sparse dicts (see hopf_core), and
-each side of an identity is one lincomb over Sweedler terms, over vectors
-formed once ahead of the cases: Phi_{B(e_j)}(e_k) for condition 3,
-(e_(1) o b) S(e_(2)) for the brace.
+(hrbo_check) are check_rrbo on an action fixed by H.  Both fixed actions
+satisfy the module-algebra laws (condition 2) on any Hopf algebra, and on a
+cocommutative H also condition 3 once condition 1 holds, so each checker
+decides check_hopf(H) and decides a condition case by case only where a
+premise fails; grbo_check decides Goncharov's definition: B a coalgebra map
+with B(1) = 1 and the Rota-Baxter identity.  The docstrings carry the
+proofs.  The exact-factorization construction gives operators on group
+algebras.  A RelRBHopf keeps one table of basis circle products, read by
+condition 4, the brace and the derived product.  The action laws that act
+by a product of G are decided on a generating set of G, and the brace
+identity on one of H, each under premises decided in the same call (see
+check_action and check_hopf_brace).  Vectors and tensors are sparse dicts
+(see hopf_core), and each side of an identity is one lincomb over Sweedler
+terms, over vectors formed once ahead of the cases: Phi_{B(e_j)}(e_k) for
+condition 3, (e_(1) o b) S(e_(2)) for the brace.
 """
 
 from __future__ import annotations
@@ -140,7 +140,15 @@ def check_action(phi: ActionData, G: HopfData, H: HopfData) -> VerificationRepor
 
 
 def adjoint_action(H: HopfData) -> ActionData:
-    """Phi_a(b) = a_(1) b S(a_(2)), the conjugation-style action of H on itself."""
+    """Phi_a(b) = a_(1) b S(a_(2)), the conjugation-style action of H on itself.
+
+    It is a module-algebra action once check_hopf(H) passes.  Delta(1) =
+    1 (x) 1 and S(1) = 1 give Phi_1(b) = b; S(ab) = S(b)S(a) and Delta(ab) =
+    Delta(a)Delta(b) give Phi_a Phi_c(b) = a_(1) c_(1) b S(c_(2)) S(a_(2)) =
+    Phi_ac(b); a_(2) S(a_(3)) = e(a_(2)) 1 gives Phi_a1(b) Phi_a2(c) =
+    a_(1) b S(a_(2)) a_(3) c S(a_(4)) = Phi_a(bc); and a_(1) S(a_(2)) =
+    e(a) 1 gives Phi_a(1) = e(a) 1.
+    """
     A, S = H.algebra, H.antipode
     phi = {(g, h): lincomb((c, A.mul_sparse(A.mul_basis(g1, h), S.cols[g2]))
                            for (g1, g2), c in H.coalgebra.delta_basis(g).items())
@@ -185,22 +193,44 @@ def circle(data: RelRBHopf, a: dict, b: dict) -> dict:
 def check_rrbo(data: RelRBHopf, full: bool = False) -> VerificationReport:
     """Conditions 1-4 in order, stopping at the first failure unless full.
 
-    Condition 3 is decided in its compatibility form, on every basis pair.
+    Condition 2 is decided by check_action, and condition 3 in its
+    compatibility form, on every basis pair.
     """
-    return _check_rrbo(data, full, lambda: check_action(data.phi, data.G, data.H),
-                       lambda: _compat(data))
+    return _check_rrbo(data, full, None)
 
 
-def _compat(data: RelRBHopf) -> VerificationReport:
-    H = data.H
-    return first_failure("condition_3_compat", _cond3_cases(data),
-                         labelled([H.labels, H.labels], H.labels))
+def _check_rrbo(data: RelRBHopf, full: bool,
+                hopf: VerificationReport | None) -> VerificationReport:
+    """check_rrbo, given hopf = check_hopf(H) when Phi is an action fixed by
+    H (adjoint_action with G = H, or hrbo_action with G = H^op), and None
+    for any other Phi.
 
+    Condition 2 passes by proof once hopf passes, as both fixed actions are
+    module-algebra actions on any Hopf algebra (see adjoint_action and
+    hrbo_action).  Its part keeps hopf as hopf.
 
-def _check_rrbo(data: RelRBHopf, full: bool, action, compat) -> VerificationReport:
-    """check_rrbo with condition 2 reported by action() and condition 3 by
-    compat(), each called only once its condition is reached."""
+    Condition 3 passes by proof once also both condition-1 parts pass and H
+    is cocommutative (Delta = tau Delta, decided on the basis).  Then Phi is
+    a module-coalgebra action, Delta Phi_x(b) = Phi_x1(b_(1)) (x)
+    Phi_x2(b_(2)): by Delta S = (S (x) S) tau Delta, Delta Phi_x(b) is
+    x_(1) b_(1) S(x_(4)) (x) x_(2) b_(2) S(x_(3)) for the adjoint action and
+    S(x_(2)) b_(1) x_(3) (x) S(x_(1)) b_(2) x_(4) for hrbo_action, and
+    cocommutativity reorders the legs of x.  H^op has H's coalgebra, so
+    either way B is a coalgebra map H -> H, and the left side, with
+    u = Phi_B(a_(2))(b), is Phi_B(a_(2))(b_(1)) (x) a_(1) Phi_B(a_(3))(b_(2)):
+    the right side with the legs a_(1) and a_(2) swapped, which
+    cocommutativity allows.  Its part keeps the cocommutativity cases as
+    cocommutative.
+
+    A part passed by proof is the merged report of the premises decided for
+    it, so its count is theirs.  Where a premise fails, as when a full run
+    reaches condition 3 past a failing condition 1, the condition is decided
+    case by case, as check_rrbo decides it.  So every report is check_rrbo's
+    on the same data, up to the counts and details of a part that passed by
+    proof.
+    """
     H, G, B = data.H, data.G, data.B
+    proved = hopf is not None and hopf.ok
     pairs = [(a, b) for a in range(H.dim) for b in range(H.dim)]
     parts = {"condition_1_coalgebra": is_coalgebra_morphism(B, H, G),
              "condition_1_unit": first_failure(
@@ -210,10 +240,16 @@ def _check_rrbo(data: RelRBHopf, full: bool, action, compat) -> VerificationRepo
         return not full and any(not p.ok for p in parts.values())
 
     if not done():
-        parts["condition_2_action"] = action()
+        parts["condition_2_action"] = (merge_reports({"hopf": hopf}) if proved
+                                       else check_action(data.phi, G, H))
 
     if not done():
-        parts["condition_3_compat"] = compat()
+        # conditions 1 and 2 pass here unless the run is full
+        if proved and all(p.ok for p in parts.values()) and (co := _cocommutative(H)).ok:
+            parts["condition_3_compat"] = merge_reports({"cocommutative": co})
+        else:
+            parts["condition_3_compat"] = first_failure(
+                "condition_3_compat", _cond3_cases(data), labelled([H.labels, H.labels], H.labels))
 
     if not done():
         images = B.cols
@@ -353,48 +389,24 @@ def _cocommutative(H: HopfData) -> VerificationReport:
 def grbo_check(H: HopfData, B: LinearMap) -> VerificationReport:
     """B: H -> H as a relative operator on the adjoint action
     Phi_a(b) = a_(1) b S(a_(2)): check_rrbo under the part name rrbo, with
-    conditions 2 and 3 proved where H's Hopf axioms prove them.
-
-    Condition 2, once check_hopf(H) passes.  Delta(1) = 1 (x) 1 and S(1) = 1
-    give Phi_1(b) = b; S(ab) = S(b)S(a) and Delta(ab) = Delta(a)Delta(b)
-    give Phi_a Phi_c(b) = a_(1) c_(1) b S(c_(2)) S(a_(2)) = Phi_ac(b);
-    a_(2) S(a_(3)) = e(a_(2)) 1 gives Phi_a1(b) Phi_a2(c) = a_(1) b S(a_(2))
-    a_(3) c S(a_(4)) = Phi_a(bc); and a_(1) S(a_(2)) = e(a) 1 gives
-    Phi_a(1) = e(a) 1.  Its part keeps check_hopf(H) as hopf.
-
-    Condition 3, once also H is cocommutative (Delta = tau Delta, decided on
-    the basis) and condition 1 passes.  Cocommutativity makes Phi a
-    module-coalgebra action, Delta Phi_x(b) = Phi_x1(b_(1)) (x) Phi_x2(b_(2)),
-    and B is a coalgebra map, so the left side, with u = Phi_B(a_(2))(b), is
-    Phi_B(a_(2))(b_(1)) (x) a_(1) Phi_B(a_(3))(b_(2)): the right side with
-    the legs a_(1) and a_(2) swapped, which cocommutativity allows.  Its
-    part keeps the cocommutativity cases as cocommutative.
-
-    A part passed by proof is the merged report of the premises decided for
-    it, so its count is theirs.  Where a premise fails the condition is
-    decided case by case, as check_rrbo decides it.  So every report is
-    check_rrbo's on the adjoint action, up to the counts and details of a
-    part that passed by proof.
-    """
+    conditions 2 and 3 proved where H's Hopf axioms prove them (see
+    _check_rrbo).  On a cocommutative H it decides Goncharov's definition:
+    B a coalgebra map with B(1) = 1 and the Rota-Baxter identity."""
     data = RelRBHopf(H, H, adjoint_action(H), B)
-    hopf = check_hopf(H)
-
-    def action():
-        return merge_reports({"hopf": hopf}) if hopf.ok else check_action(data.phi, H, H)
-
-    def compat():
-        # reached only once conditions 1 and 2 pass, as full is False
-        if hopf.ok:
-            cocommutative = _cocommutative(H)
-            if cocommutative.ok:
-                return merge_reports({"cocommutative": cocommutative})
-        return _compat(data)
-
-    return merge_reports({"rrbo": _check_rrbo(data, False, action, compat)})
+    return merge_reports({"rrbo": _check_rrbo(data, False, check_hopf(H))})
 
 
 def hrbo_action(H: HopfData) -> ActionData:
-    """Phi_a(b) = S(a_(1)) b a_(2), an action of H^op on H."""
+    """Phi_a(b) = S(a_(1)) b a_(2), an action of H^op on H.
+
+    It is a module-algebra action once check_hopf(H) passes; H^op has H's
+    unit, coproduct and counit, and a*c in H^op is ca.  S(1) = 1 gives
+    Phi_1(b) = b; S(ca) = S(a)S(c) and Delta(ca) = Delta(c)Delta(a) give
+    Phi_a Phi_c(b) = S(a_(1)) S(c_(1)) b c_(2) a_(2) = Phi_ca(b);
+    a_(2) S(a_(3)) = e(a_(2)) 1 gives Phi_a1(b) Phi_a2(c) =
+    S(a_(1)) b a_(2) S(a_(3)) c a_(4) = Phi_a(bc); and S(a_(1)) a_(2) =
+    e(a) 1 gives Phi_a(1) = e(a) 1.
+    """
     A, S, one = H.algebra, H.antipode, H.ctx.one
     phi = {(g, h): lincomb((c, A.mul_sparse(A.mul_sparse(S.cols[g1], {h: one}), {g2: one}))
                            for (g1, g2), c in H.coalgebra.delta_basis(g).items())
@@ -404,26 +416,10 @@ def hrbo_action(H: HopfData) -> ActionData:
 
 def hrbo_check(H: HopfData, B: LinearMap) -> VerificationReport:
     """B: H -> H^op as a relative operator on Phi_a(b) = S(a_(1)) b a_(2):
-    check_rrbo with every condition decided, under the part name rrbo, with
-    condition 2 proved where H's Hopf axioms prove it.
-
-    Condition 2, once check_hopf(H) passes; H^op has H's unit, coproduct
-    and counit, and a*c in H^op is ca.  S(1) = 1 gives Phi_1(b) = b;
-    S(ca) = S(a)S(c) and Delta(ca) = Delta(c)Delta(a) give Phi_a Phi_c(b) =
-    S(a_(1)) S(c_(1)) b c_(2) a_(2) = Phi_ca(b); a_(2) S(a_(3)) = e(a_(2)) 1
-    gives Phi_a1(b) Phi_a2(c) = S(a_(1)) b a_(2) S(a_(3)) c a_(4) = Phi_a(bc);
-    and S(a_(1)) a_(2) = e(a) 1 gives Phi_a(1) = e(a) 1.  Its part keeps
-    check_hopf(H) as hopf; where check_hopf(H) fails, check_action decides
-    it.  So every report is check_rrbo's, up to the counts and details of
-    condition 2 when it passes by proof.
-    """
+    check_rrbo(full=True) under the part name rrbo, with conditions 2 and 3
+    proved where H's Hopf axioms prove them (see _check_rrbo)."""
     data = RelRBHopf(H, opposite_hopf(H), hrbo_action(H), B)
-    hopf = check_hopf(H)
-
-    def action():
-        return merge_reports({"hopf": hopf}) if hopf.ok else check_action(data.phi, data.G, H)
-
-    return merge_reports({"rrbo": _check_rrbo(data, True, action, lambda: _compat(data))})
+    return merge_reports({"rrbo": _check_rrbo(data, True, check_hopf(H))})
 
 
 # ---------------------------------------------------------------------------

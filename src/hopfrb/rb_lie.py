@@ -12,7 +12,7 @@ is a hopf_core.ActionData, the table of phi(e_i)(e_j) by structure constants.
 
 Each law is decided on basis tuples, and on the sorted ones only (i < j < k,
 itertools.combinations) when the brackets it uses pass antisymmetry, which
-the same call decides; else on all n^k (itertools.product).  Proof: by
+LieData decides once; else on all n^k (itertools.product).  Proof: by
 bilinearity [x,y] = -[y,x] and [x,x] = 0 for all vectors, so the Jacobiator
 J(i,j,k), cyclic by definition, changes sign under a swap and vanishes on a
 repeated index; so do, in (u, v), the Rota-Baxter defect [Bu,Bv]_g -
@@ -37,10 +37,11 @@ class LieData:
 
     A missing (j, i) entry is filled in as the negative of (i, j); ranges,
     labels and the dimension cap MAX_DIM raise ValueError at construction
-    time, and check_lie verifies the axioms.
+    time.  The constructor decides antisymmetry, kept as antisymmetry for
+    every check to read, so the brackets are not to change afterwards.
     """
 
-    __slots__ = ("ctx", "dim", "labels", "brackets")
+    __slots__ = ("ctx", "dim", "labels", "brackets", "antisymmetry")
 
     def __init__(self, ctx: FieldCtx, dim: int, brackets: dict,
                  labels: list[str] | None = None):
@@ -51,6 +52,7 @@ class LieData:
         for (i, j), terms in list(self.brackets.items()):
             if (j, i) not in self.brackets and i != j:
                 self.brackets[(j, i)] = {k: -c for k, c in terms.items()}
+        self.antisymmetry = _antisymmetry(self)
 
     def bracket_basis(self, i: int, j: int) -> dict:
         return self.brackets.get((i, j), {})
@@ -85,16 +87,15 @@ def check_lie(L: LieData) -> VerificationReport:
     on no triple; antisymmetry's cases keep the count at least 1.
     """
     one = L.ctx.one
-    anti = _antisymmetry(L)
 
     def jacobi():
-        for i, j, k in _tuples(L.dim, 3, anti.ok):
+        for i, j, k in _tuples(L.dim, 3, L.antisymmetry.ok):
             cyclic = lincomb((one, L.bracket_sparse(L.bracket_basis(a, b), {c: one}))
                              for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
             yield (i, j, k), cyclic, {}
 
     return merge_reports({
-        "antisymmetry": anti,
+        "antisymmetry": L.antisymmetry,
         "jacobi": first_failure("jacobi", jacobi(), labelled([L.labels] * 3, L.labels)),
     })
 
@@ -110,11 +111,9 @@ def check_derivation_action(phi: ActionData, g: LieData, h: LieData) -> Verifica
     passes antisymmetry, and on (i < j, u) when g does."""
     _check_action_dims(phi, g, h, "g x h")
     one = g.ctx.one
-    h_alt = _antisymmetry(h).ok
-    g_alt = h_alt if g is h else _antisymmetry(g).ok
 
     def derivation():
-        pairs = list(_tuples(h.dim, 2, h_alt))
+        pairs = list(_tuples(h.dim, 2, h.antisymmetry.ok))
         for i in range(g.dim):
             for u, v in pairs:
                 rhs = lincomb([(one, h.bracket_sparse(phi.apply_basis(i, u), {v: one})),
@@ -123,7 +122,7 @@ def check_derivation_action(phi: ActionData, g: LieData, h: LieData) -> Verifica
 
     def lie_morphism():
         # phi([e_i,e_j]) e_u against phi(e_i)phi(e_j) e_u - phi(e_j)phi(e_i) e_u
-        for i, j in _tuples(g.dim, 2, g_alt):
+        for i, j in _tuples(g.dim, 2, g.antisymmetry.ok):
             bracket = g.bracket_basis(i, j)
             for u in range(h.dim):
                 comm = lincomb([(one, phi.apply({i: one}, phi.apply_basis(j, u))),
@@ -145,7 +144,7 @@ def _rb_lie_cases(g: LieData, h: LieData, act, B: LinearMap, lam: Scalar):
     act(x, y) taking sparse x in g and y in h; u < v when g and h pass
     antisymmetry."""
     one = g.ctx.one
-    alternating = _antisymmetry(g).ok and (h is g or _antisymmetry(h).ok)
+    alternating = g.antisymmetry.ok and h.antisymmetry.ok
     for u, v in _tuples(h.dim, 2, alternating):
         bu, bv = B.cols[u], B.cols[v]
         arg = lincomb([(one, act(bu, {v: one})), (-one, act(bv, {u: one})),

@@ -2,8 +2,8 @@
 seeded random basis over Q still pass check_hopf, check_rrbo, check_lie,
 check_derivation_action and check_hopf_brace, one-entry mutants still fail,
 at the same part, Lie operators keep their check_rb_lie_weight verdicts and
-Goncharov's operators their grbo_check verdicts, and the derived Hopf
-algebra moves with its operator.
+Goncharov's operators and those on H^op their grbo_check and hrbo_check
+verdicts, and the derived Hopf algebra moves with its operator.
 
 The transport uses dense test-only arithmetic.  The change of basis P is a
 product of random elementary matrices, so its inverse is known exactly
@@ -22,7 +22,7 @@ from hopfrb.hopf_core import (AlgebraData, CoalgebraData, HopfData, LinearMap, c
                               hopf_from_json, hopf_to_json)
 from hopfrb.rb_group import GroupTable, enumerate_rb, linearize_rb
 from hopfrb.rb_hopf import (ActionData, RelRBHopf, check_hopf_brace, check_rrbo, derived_hopf,
-                            exact_factorization_rrb, grbo_check, rrb_from_json)
+                            exact_factorization_rrb, grbo_check, hrbo_check, rrb_from_json)
 from hopfrb.rb_lie import (LieData, adjoint_lie_action, check_derivation_action, check_lie,
                            check_rb_lie_weight, lie_from_json, sl2)
 from hopfrb.scalars import FieldCtx
@@ -198,10 +198,12 @@ def test_a_failing_brace_still_fails_in_a_random_basis():
 
 def test_grbo_verdicts_survive_a_change_of_basis(monkeypatch):
     # k[S3] in a dense basis is still a cocommutative Hopf algebra, decided
-    # on the new basis elements, so grbo_check proves conditions 2 and 3
-    # there too; every weight-1 operator passes, and near misses (a group
-    # map that is no operator, and one-entry changes of operators) fail at
-    # the same identity as in the group basis
+    # on the new basis elements, so grbo_check and hrbo_check prove
+    # conditions 2 and 3 there too; every weight-1 operator B passes
+    # grbo_check and S B passes hrbo_check, and near misses (a group map
+    # that is no operator, and for grbo_check one-entry changes of
+    # operators, which fail condition 1) fail at the same identity as in
+    # the group basis
     rng = random.Random(20261022)
     S3 = GroupTable.symmetric(3)
     H = group_algebra(S3, Q)
@@ -216,11 +218,15 @@ def test_grbo_verdicts_survive_a_change_of_basis(monkeypatch):
         cols[i] = {**cols[i], k: cols[i].get(k, Q.zero) + Q.one}
         near.append(LinearMap(Q, [{j: c for j, c in col.items() if not c.is_zero}
                                   for col in cols], H.dim))
+    cases = [(grbo_check, B, True) for B in ops] + [(grbo_check, B, False) for B in near]
+    cases += [(hrbo_check, H.antipode.compose(B), True) for B in ops]
+    cases.append((hrbo_check, near[0], False))
     compat = counting(monkeypatch, rb_hopf, "_cond3_cases")
-    for B, ok in [(B, True) for B in ops] + [(B, False) for B in near]:
+    for check, B, ok in cases:
         moved_B = transport_map(B, P, Pinv)
-        assert moved_B.cols != B.cols
-        before, after = grbo_check(H, B), grbo_check(moved, moved_B)
+        # S B is the identity where B = S, which every basis keeps
+        assert moved_B.cols != B.cols or B == LinearMap.identity(Q, H.dim)
+        before, after = check(H, B), check(moved, moved_B)
         assert before.ok is after.ok is ok
         assert before.identity == after.identity
     assert compat == []

@@ -513,6 +513,17 @@ def test_unread_construction_flags_are_input_errors(capsys, argv, flag, construc
     assert err == f"error: --{flag} is not read by --construction {construction}\n"
 
 
+def test_check_group_rb_reads_one_of_map_and_operator(tmp_path, capsys):
+    # --map would leave --operator unread, whether its file exists or not
+    s3 = str(FIXTURES / "s3.json")
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"group": "S3", "map": [0, 1, 2, 4, 3, 5], "weight": 1}))
+    for operator in (str(tmp_path / "missing.json"), str(op)):
+        err = expect_input_error(capsys, "check-group-rb", "--group", s3,
+                                 "--map", "0,0,0,0,0,0", "--operator", operator)
+        assert err == "error: give one of --map or --operator, not both\n"
+
+
 def test_aut_lists_a_repeated_grid_value_once(capsys):
     # the grid echo is the parsed input; the search takes each value once
     for argv, grid, c in [

@@ -407,16 +407,49 @@ def test_hrbo_check():
     rep = hrbo_check(S3, S3.antipode)
     assert not rep.ok
     assert rep.identity == "rrbo.condition_4_rb"
-    # hrbo_check gives check_rrbo's verdict with every condition decided;
-    # condition 2 passes by proof, the other parts are check_rrbo's own
+    # hrbo_check gives check_rrbo(full=True)'s verdict; k[S3] is
+    # cocommutative, so conditions 2 and 3 pass by proof, and the other
+    # parts are check_rrbo's own
     inner = check_rrbo(hrbo_data(S3, S3.antipode), full=True)
     assert verdict(rep.to_json()) == verdict(merge_reports({"rrbo": inner}).to_json())
     parts, want = rep.details["rrbo"]["details"], inner.to_json()["details"]
     assert parts.keys() == want.keys()
     assert parts["condition_2_action"] == merge_reports({"hopf": check_hopf(S3)}).to_json()
-    assert all(parts[name] == want[name] for name in want if name != "condition_2_action")
+    assert parts["condition_3_compat"]["stats"] == {"identities_checked": 6}
+    assert all(parts[name] == want[name]
+               for name in ("condition_1_coalgebra", "condition_1_unit", "condition_4_rb"))
     # the antipode of H4 is no coalgebra map into H4^op
     assert hrbo_check(H4, H4.antipode).identity == "rrbo.condition_1_coalgebra.morphism_comult"
+
+
+def test_hrbo_check_decides_condition_3_past_a_failing_condition_1(monkeypatch):
+    # the full run reaches condition 3 after condition 1 fails, where the
+    # proof does not apply: its part is check_rrbo(full=True)'s own
+    kS3 = group_algebra(GroupTable.symmetric(3), Q)
+    ident = [{j: Q.one} for j in range(6)]
+    compat = counting(monkeypatch, rb_hopf, "_cond3_cases")
+    for cols, failing in ((ident[:1] + [{1: Q.from_int(2)}] + ident[2:], "condition_1_coalgebra"),
+                          ([{1: Q.one}, {0: Q.one}] + ident[2:], "condition_1_unit")):
+        B = LinearMap(Q, cols, 6)
+        parts = hrbo_check(kS3, B).details["rrbo"]["details"]
+        want = check_rrbo(hrbo_data(kS3, B), full=True).to_json()["details"]
+        assert parts[failing]["status"] == "fail"
+        assert parts["condition_3_compat"] == want["condition_3_compat"]
+    assert len(compat) == 4
+
+
+def test_fixed_action_checks_count_alike_on_a_cocommutative_algebra():
+    # both prove conditions 2 and 3 from the same premises, so a passing
+    # hrbo_check counts what every passing grbo_check on H counts
+    S3, Z4 = GroupTable.symmetric(3), GroupTable.cyclic(4)
+    kS3, kZ4 = group_algebra(S3, Q), group_algebra(Z4, Q)
+    for G, H, ops, n in ((S3, kS3, [LinearMap.identity(Q, 6)], 195),
+                         (Z4, kZ4, [LinearMap.identity(Q, 4), kZ4.antipode], 83)):
+        assert {grbo_check(*linearize_rb(G, op, Q)).stats["identities_checked"]
+                for op in enumerate_rb(G, 1)} == {n}
+        for B in ops:
+            rep = hrbo_check(H, B)
+            assert rep.ok and rep.stats["identities_checked"] == n
 
 
 FIXED_ACTION_CHECKS = {"grbo": grbo_check, "hrbo": hrbo_check}
@@ -484,13 +517,13 @@ def test_fixed_actions_are_proved_from_the_hopf_axioms(monkeypatch):
     for op in enumerate_rb(S3, 1):
         assert grbo_check(*linearize_rb(S3, op, Q)).ok
     assert actions == [] and compat == []
-    # k[S3] is cocommutative, but hrbo_check decides condition 3
+    # k[S3] is cocommutative, so hrbo_check proves condition 3 as well
     kS3 = group_algebra(S3, Q)
     assert hrbo_check(kS3, LinearMap.identity(Q, 6)).ok
-    assert actions == [] and len(compat) == 1
+    assert actions == [] and compat == []
     # h4 is not cocommutative, so condition 3 is decided case by case
     rep = grbo_check(h4, counit_unit_operator(h4))
-    assert rep.ok and actions == [] and len(compat) == 2
+    assert rep.ok and actions == [] and len(compat) == 1
     parts = rep.details["rrbo"]["details"]
     assert parts["condition_3_compat"] == h4_compat
     # a proved part counts the cases its premises decided

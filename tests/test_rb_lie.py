@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from hopfrb import rb_lie
+from hopfrb.cli import main
 from hopfrb.hopf_core import ActionData, LinearMap
 from hopfrb.rb_lie import (LieData, adjoint_lie_action,
                            check_derivation_action, check_lie,
@@ -19,8 +21,8 @@ from helpers import (counting, derivation_action_oracle, lie_oracle, rb_lie_weig
                      relative_rb_lie_oracle, rescale_bracket)
 
 Q = FieldCtx.rationals()
-GL2 = lie_from_json(json.loads(
-    (Path(__file__).resolve().parent.parent / "fixtures" / "gl2.json").read_text()))
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GL2 = lie_from_json(json.loads((FIXTURES / "gl2.json").read_text()))
 
 
 def solvable_2dim(ctx=Q) -> LieData:
@@ -307,3 +309,23 @@ def test_jacobi_forms_one_cyclic_sum_per_sorted_triple(monkeypatch):
     assert len(calls) == 3 * comb(4, 3)
     calls.clear()
     assert lie_oracle(GL2).ok and len(calls) == 3 * 4 ** 3
+
+
+def test_antisymmetry_is_decided_once_per_algebra(monkeypatch, capsys):
+    # LieData decides antisymmetry when it is built; check_lie, the weight
+    # check, the derivation action and the relative check only read it
+    calls = counting(monkeypatch, rb_lie, "_antisymmetry")
+    g, h = sl2(Q), sl2(Q)
+    minus_id = LinearMap(Q, [{i: -Q.one} for i in range(3)], 3)
+    assert check_lie(g).ok and check_rb_lie_weight(g, minus_id, Q.one).ok
+    ad = adjoint_lie_action(g)
+    for target in (g, h):
+        assert check_derivation_action(ad, g, target).ok
+        assert check_relative_rb_lie(g, target, ad, minus_id, Q.one).ok
+    assert calls == [(g,), (h,)]
+    # the check-lie --b path reads one algebra and decides it once
+    calls.clear()
+    assert main(["check-lie", "--input", str(FIXTURES / "sl2.json"),
+                 "--b", str(FIXTURES / "sl2-minus-identity.json"), "--weight", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

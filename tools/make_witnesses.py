@@ -246,6 +246,14 @@ def rrb_cases(out: dict) -> None:
     cols = [{}, {}, {2: Q.one}, {}]
     out["grbo_check/h4/E22"] = verdict(grbo_check(h4, LinearMap(Q, cols, 4)).to_json())
     out["hrbo_check/h4/E22"] = verdict(hrbo_check(h4, LinearMap(Q, cols, 4)).to_json())
+    # k[S3] is cocommutative, but condition 3 passes by proof only once
+    # condition 1 passes: the first and last fail condition 1, and the full
+    # run decides condition 3 case by case; the antipode fails condition 4
+    ident = [{j: Q.one} for j in range(6)]
+    for name, cols in {"2g1": ident[:1] + [{1: Q.from_int(2)}] + ident[2:],
+                       "antipode": list(kS3.antipode.cols),
+                       "id+g1@g2": ident[:2] + [{1: Q.one, 2: Q.one}] + ident[3:]}.items():
+        out[f"hrbo_check/kS3/{name}"] = verdict(hrbo_check(kS3, LinearMap(Q, cols, 6)).to_json())
 
 
 # ---------------------------------------------------------------------------
